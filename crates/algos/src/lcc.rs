@@ -6,32 +6,21 @@
 //! an undirected graph, and 0 when `d < 2` (no pair exists).
 
 use graphalytics_graph::metrics;
-use graphalytics_graph::{CsrGraph, Vid};
-use graphalytics_parallel as par;
+use graphalytics_graph::CsrGraph;
 
 /// Local clustering coefficient of every vertex, in internal-id order.
 /// Values lie in `[0, 1]`; vertices of degree < 2 get exactly `0.0`.
 pub fn local_clustering(g: &CsrGraph) -> Vec<f64> {
-    (0..g.num_vertices() as Vid)
-        .map(|v| metrics::local_clustering_coefficient(g, v))
-        .collect()
+    metrics::local_clustering_coefficients(g, 1)
 }
 
 /// Parallel LCC on up to `threads` workers.
 ///
-/// Deterministic: each vertex's coefficient depends only on its own
-/// adjacency, and the chunk-ordered concatenation preserves internal-id
-/// order — the output is byte-identical to [`local_clustering`] for any
-/// thread count.
+/// Deterministic: the per-vertex triangle counts are integers summed from
+/// per-worker vectors, so they — and the coefficients derived from them —
+/// are byte-identical to [`local_clustering`] for any thread count.
 pub fn local_clustering_parallel(g: &CsrGraph, threads: usize) -> Vec<f64> {
-    let threads = threads.max(1);
-    let n = g.num_vertices();
-    par::map_chunks(threads, n, |_, range| {
-        range
-            .map(|v| metrics::local_clustering_coefficient(g, v as Vid))
-            .collect::<Vec<f64>>()
-    })
-    .concat()
+    metrics::local_clustering_coefficients(g, threads)
 }
 
 #[cfg(test)]

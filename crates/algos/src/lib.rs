@@ -295,15 +295,17 @@ pub fn partitions_equal(a: &[u32], b: &[u32]) -> bool {
 }
 
 /// Runs the reference implementation of `alg` on `g` using up to
-/// `threads` workers for the parallel kernels (BFS, CONN, PageRank).
+/// `threads` workers for the parallel kernels (BFS, CONN, PageRank, SSSP,
+/// LCC, STATS).
 ///
 /// The parallel kernels are built on the deterministic runtime
 /// (`graphalytics-parallel`): their outputs are byte-identical at every
 /// thread count and bitwise equal to the sequential kernels [`reference`]
-/// uses, so either entry point is a valid oracle. STATS, CD, and EVO run
+/// uses, so either entry point is a valid oracle. CD and EVO run
 /// sequentially at any thread count.
 pub fn reference_with_threads(g: &CsrGraph, alg: &Algorithm, threads: usize) -> Output {
     match alg {
+        Algorithm::Stats => Output::Stats(stats::stats_parallel(g, threads)),
         Algorithm::Bfs { source } => Output::Depths(bfs::bfs_parallel(g, *source, threads)),
         Algorithm::Conn => Output::Components(conn::connected_components_parallel(g, threads)),
         Algorithm::PageRank {

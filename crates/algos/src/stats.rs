@@ -2,7 +2,7 @@
 //! computes the mean local clustering coefficient" (paper §3.2).
 
 use graphalytics_graph::metrics;
-use graphalytics_graph::{CsrGraph, Vid};
+use graphalytics_graph::CsrGraph;
 
 /// Result of the STATS kernel.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -18,10 +18,19 @@ pub struct StatsResult {
 
 /// Reference STATS implementation.
 pub fn stats(g: &CsrGraph) -> StatsResult {
+    stats_parallel(g, 1)
+}
+
+/// STATS with the triangle pass on up to `threads` workers.
+///
+/// Deterministic: the coefficients are byte-identical at every thread
+/// count (see [`crate::lcc::local_clustering_parallel`]) and are summed
+/// sequentially in vertex order, so the mean is too.
+pub fn stats_parallel(g: &CsrGraph, threads: usize) -> StatsResult {
     let n = g.num_vertices();
     let mut sum = 0.0;
-    for v in 0..n as Vid {
-        sum += metrics::local_clustering_coefficient(g, v);
+    for c in metrics::local_clustering_coefficients(g, threads) {
+        sum += c;
     }
     StatsResult {
         num_vertices: n,

@@ -15,8 +15,8 @@ use rustc_hash::FxHashMap;
 use crate::platform::{GraphHandle, Platform, PlatformError, RunContext};
 
 /// Oracle platform. Sequential by default; [`ReferencePlatform::with_threads`]
-/// switches BFS/CONN/PageRank (and CSR loading) onto the deterministic
-/// parallel runtime — outputs stay byte-identical at every thread count.
+/// switches BFS/CONN/PageRank/SSSP/LCC/STATS (and CSR loading) onto the
+/// deterministic parallel runtime — outputs stay byte-identical at every thread count.
 #[derive(Default)]
 pub struct ReferencePlatform {
     graphs: FxHashMap<u64, Arc<CsrGraph>>,

@@ -5,10 +5,13 @@
 //! clustering coefficient, average local clustering coefficient, degree
 //! assortativity) and the inputs to the distribution-fitting analysis of
 //! §2.2. All metrics are defined on the *undirected projection* of the
-//! graph, matching the convention of the SNAP statistics the paper cites.
+//! graph, matching the convention of the SNAP statistics the paper cites
+//! (the one exception, [`local_clustering_coefficient`] on a directed CSR,
+//! is spelled out there).
 
 use crate::csr::{CsrGraph, Vid};
 use crate::edgelist::EdgeListGraph;
+use graphalytics_parallel as par;
 
 /// The structural characteristics reported in the paper's Table 1.
 #[derive(Debug, Clone, PartialEq)]
@@ -41,7 +44,10 @@ pub fn characteristics(g: &EdgeListGraph) -> GraphCharacteristics {
 }
 
 /// Number of edges among the neighbors of `v` (i.e. triangles through `v`),
-/// computed by sorted-adjacency intersection.
+/// computed by sorted-adjacency intersection. A point query: whole-graph
+/// callers use [`triangles_per_vertex`], which finds each triangle once
+/// instead of six times; this stays as its test oracle and as the
+/// directed-input definition of [`local_clustering_coefficient`].
 pub fn triangles_at(g: &CsrGraph, v: Vid) -> usize {
     let nv = g.neighbors(v);
     let mut links = 0usize;
@@ -53,15 +59,110 @@ pub fn triangles_at(g: &CsrGraph, v: Vid) -> usize {
     links / 2
 }
 
-/// Local clustering coefficient of `v`: triangles / possible neighbor pairs.
-/// Zero for vertices of degree < 2.
-pub fn local_clustering_coefficient(g: &CsrGraph, v: Vid) -> f64 {
-    let d = g.degree(v);
+/// Triangles through every vertex of an undirected graph, in internal-id
+/// order, on up to `threads` workers — the one triangle-counting routine
+/// behind LCC, STATS, the clustering coefficients and [`triangle_count`].
+///
+/// Degree-oriented (GAP's baseline, arXiv 1508.03619): neighbor `u` of `v`
+/// is kept iff `(deg u, u) > (deg v, v)`, so every triangle has exactly one
+/// corner whose oriented list holds the other two, is found once there by
+/// merging two *oriented* lists, and is credited to all three corners. Hub
+/// lists shrink to their few higher-ranked neighbors, which removes the
+/// hub×hub merges that dominate the unoriented count on skewed graphs.
+///
+/// Deterministic: vertex ranges are cut at equal oriented-arc prefix sums
+/// (a pure function of the graph and `threads`), each worker credits a
+/// private integer vector, and the vectors are added in part order — the
+/// counts are identical at every thread count and equal [`triangles_at`]
+/// for every vertex.
+pub fn triangles_per_vertex(g: &CsrGraph, threads: usize) -> Vec<usize> {
+    assert!(
+        !g.is_directed(),
+        "triangles are counted on the undirected projection"
+    );
+    let n = g.num_vertices();
+    let rank = |v: Vid| (g.degree(v), v);
+    let mut offsets = Vec::with_capacity(n + 1);
+    let mut targets: Vec<Vid> = Vec::with_capacity(g.num_arcs() / 2);
+    offsets.push(0usize);
+    for v in 0..n as Vid {
+        let rv = rank(v);
+        targets.extend(g.neighbors(v).iter().filter(|&&u| rank(u) > rv));
+        offsets.push(targets.len());
+    }
+    let oriented = |v: Vid| &targets[offsets[v as usize]..offsets[v as usize + 1]];
+
+    let parts = par::map_ranges(par::weighted_ranges(&offsets, threads), |_, range| {
+        let mut credit = vec![0usize; n];
+        for v in range {
+            let nv = oriented(v as Vid);
+            for &u in nv {
+                let nu = oriented(u);
+                let (mut i, mut j) = (0, 0);
+                while i < nv.len() && j < nu.len() {
+                    match nv[i].cmp(&nu[j]) {
+                        std::cmp::Ordering::Less => i += 1,
+                        std::cmp::Ordering::Greater => j += 1,
+                        std::cmp::Ordering::Equal => {
+                            credit[v] += 1;
+                            credit[u as usize] += 1;
+                            credit[nv[i] as usize] += 1;
+                            i += 1;
+                            j += 1;
+                        }
+                    }
+                }
+            }
+        }
+        credit
+    });
+    let mut total = vec![0usize; n];
+    for part in parts {
+        for (t, c) in total.iter_mut().zip(part) {
+            *t += c;
+        }
+    }
+    total
+}
+
+/// `2·tri / (d·(d−1))`, the fraction of a degree-`d` vertex's neighbor
+/// pairs that are linked; zero when `d < 2` (no pair exists).
+fn closed_pair_fraction(tri: usize, d: usize) -> f64 {
     if d < 2 {
         return 0.0;
     }
-    let tri = triangles_at(g, v);
     (2 * tri) as f64 / (d * (d - 1)) as f64
+}
+
+/// Local clustering coefficient of `v`: triangles / possible neighbor pairs.
+/// Zero for vertices of degree < 2.
+///
+/// On an undirected CSR this is the coefficient on the undirected
+/// projection, as the module doc says. On a *directed* CSR it is computed
+/// over out-neighbors only: `d` is the out-degree and `tri` is half the
+/// number of arcs among the out-neighbors (rounded down) — not the
+/// projection. The harness only builds undirected datasets; the directed
+/// behaviour is pinned by a test and kept as is.
+pub fn local_clustering_coefficient(g: &CsrGraph, v: Vid) -> f64 {
+    closed_pair_fraction(triangles_at(g, v), g.degree(v))
+}
+
+/// [`local_clustering_coefficient`] of every vertex, in internal-id order,
+/// on up to `threads` workers; bit-identical to the point query at every
+/// thread count. Undirected input shares one [`triangles_per_vertex`] pass;
+/// directed input keeps the point query's out-neighbor definition.
+pub fn local_clustering_coefficients(g: &CsrGraph, threads: usize) -> Vec<f64> {
+    if g.is_directed() {
+        return g
+            .vertex_ids()
+            .map(|v| local_clustering_coefficient(g, v))
+            .collect();
+    }
+    triangles_per_vertex(g, threads)
+        .into_iter()
+        .zip(g.vertex_ids())
+        .map(|(tri, v)| closed_pair_fraction(tri, g.degree(v)))
+        .collect()
 }
 
 /// Computes `(global_cc, avg_local_cc)` together, sharing the per-vertex
@@ -78,12 +179,11 @@ pub fn clustering_coefficients(g: &CsrGraph) -> (f64, f64) {
     let mut triangle_sum = 0usize; // Sum over v of triangles through v = 3·T.
     let mut wedges = 0usize;
     let mut local_sum = 0.0f64;
-    for v in 0..n as Vid {
+    for (tri, v) in triangles_per_vertex(g, 1).into_iter().zip(g.vertex_ids()) {
         let d = g.degree(v);
         if d < 2 {
             continue;
         }
-        let tri = triangles_at(g, v);
         triangle_sum += tri;
         let pairs = d * (d - 1) / 2;
         wedges += pairs;
@@ -99,12 +199,7 @@ pub fn clustering_coefficients(g: &CsrGraph) -> (f64, f64) {
 
 /// Total number of triangles in the (undirected) graph.
 pub fn triangle_count(g: &CsrGraph) -> usize {
-    assert!(!g.is_directed());
-    let mut sum = 0usize;
-    for v in 0..g.num_vertices() as Vid {
-        sum += triangles_at(g, v);
-    }
-    sum / 3
+    triangles_per_vertex(g, 1).into_iter().sum::<usize>() / 3
 }
 
 /// Degree assortativity: the Pearson correlation coefficient between the
@@ -254,6 +349,120 @@ mod tests {
         assert!((global - 1.0).abs() < 1e-12);
         assert!((avg - 1.0).abs() < 1e-12);
         assert_eq!(triangle_count(&g), 10);
+    }
+
+    /// The oriented pass must agree with the unoriented point query on
+    /// every vertex, at every thread count, down to the coefficient bits.
+    fn assert_oriented_pass_matches_point_queries(g: &CsrGraph) {
+        let oracle: Vec<usize> = g.vertex_ids().map(|v| triangles_at(g, v)).collect();
+        let lcc_bits: Vec<u64> = g
+            .vertex_ids()
+            .map(|v| local_clustering_coefficient(g, v).to_bits())
+            .collect();
+        for threads in [1usize, 2, 3, 8] {
+            assert_eq!(
+                triangles_per_vertex(g, threads),
+                oracle,
+                "threads={threads}"
+            );
+            let bits: Vec<u64> = local_clustering_coefficients(g, threads)
+                .iter()
+                .map(|c| c.to_bits())
+                .collect();
+            assert_eq!(bits, lcc_bits, "threads={threads}");
+        }
+        assert_eq!(oracle.iter().sum::<usize>() % 3, 0);
+        assert_eq!(oracle.iter().sum::<usize>() / 3, triangle_count(g));
+    }
+
+    /// Edges of the named worst cases for a degree orientation: a star
+    /// (all rank ties among leaves), a clique (all degrees tie, ids break
+    /// them), two adjacent hubs sharing every leaf (the hub×hub merge the
+    /// orientation removes), and nothing (isolated vertices only).
+    fn shape_edges(shape: u64, size: u64) -> Vec<(u64, u64)> {
+        match shape {
+            0 => (1..=size).map(|leaf| (0, leaf)).collect(),
+            1 => (0..size)
+                .flat_map(|i| (i + 1..size).map(move |j| (i, j)))
+                .collect(),
+            2 => (2..size + 2)
+                .flat_map(|leaf| [(0, leaf), (1, leaf)])
+                .chain([(0, 1)])
+                .collect(),
+            _ => Vec::new(),
+        }
+    }
+
+    #[test]
+    fn oriented_pass_matches_point_queries_on_named_shapes() {
+        for shape in 0..4 {
+            for size in [0u64, 1, 2, 3, 17] {
+                let el =
+                    EdgeListGraph::new((0..size + 4).collect(), shape_edges(shape, size), false);
+                assert_oriented_pass_matches_point_queries(&CsrGraph::from_edge_list(&el));
+            }
+        }
+        // Two hubs sharing 17 leaves: 17 triangles, all through both hubs.
+        let g = csr(shape_edges(2, 17));
+        let tri = triangles_per_vertex(&g, 2);
+        assert_eq!((tri[0], tri[1], tri[2]), (17, 17, 1));
+        assert_eq!(triangle_count(&g), 17);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn oriented_pass_matches_point_queries(
+            shape in 0u64..4,
+            size in 0u64..24,
+            n in 1u64..40,
+            noise in proptest::collection::vec((0u64..40, 0u64..40), 0..120),
+        ) {
+            // A named shape, overlaid with arbitrary edges over `n` ids
+            // and padded with isolated vertices.
+            let mut edges = shape_edges(shape, size);
+            edges.extend(noise.into_iter().map(|(a, b)| (a % n, b % n)));
+            let el = EdgeListGraph::new((0..n + 3).collect(), edges, false);
+            assert_oriented_pass_matches_point_queries(&CsrGraph::from_edge_list(&el));
+        }
+    }
+
+    #[test]
+    fn directed_input_keeps_the_out_neighbor_definition() {
+        // Pinned output of a directed CSR: `d` is the out-degree and `tri`
+        // is half the arcs among out-neighbors, rounded down. Vertex 1 has
+        // out-neighbors {2, 3} joined by the single arc 2→3, which halves
+        // to zero; on the undirected projection it would have four
+        // neighbors and a non-zero coefficient.
+        let g = CsrGraph::from_edge_list(&EdgeListGraph::directed_from_edges(vec![
+            (0, 1),
+            (0, 2),
+            (0, 3),
+            (1, 2),
+            (2, 1),
+            (2, 3),
+            (3, 0),
+            (1, 3),
+            (4, 0),
+            (4, 1),
+            (4, 2),
+        ]));
+        let two_thirds = 0x3fe5_5555_5555_5555u64;
+        let pinned = [two_thirds, 0, 0, 0, two_thirds];
+        for threads in [1usize, 4] {
+            let bits: Vec<u64> = local_clustering_coefficients(&g, threads)
+                .iter()
+                .map(|c| c.to_bits())
+                .collect();
+            assert_eq!(bits, pinned);
+        }
+        for v in g.vertex_ids() {
+            assert_eq!(
+                local_clustering_coefficient(&g, v).to_bits(),
+                pinned[v as usize]
+            );
+        }
     }
 
     #[test]

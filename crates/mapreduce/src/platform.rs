@@ -19,7 +19,10 @@ pub struct MapReduceConfig {
     pub reduce_tasks: usize,
     /// Edge input splits written at ETL time (HDFS block count).
     pub input_splits: usize,
-    /// Root scratch directory ("HDFS"); default under the system temp dir.
+    /// Root scratch directory ("HDFS"). Empty (the default) gives every
+    /// platform instance a private directory under the system temp dir,
+    /// removed when the platform is dropped; a configured path is used as
+    /// is and left in place.
     pub work_root: PathBuf,
 }
 
@@ -29,7 +32,7 @@ impl Default for MapReduceConfig {
             map_tasks: 4,
             reduce_tasks: 4,
             input_splits: 4,
-            work_root: std::env::temp_dir().join(format!("gx-hadoop-{}", std::process::id())),
+            work_root: PathBuf::new(),
         }
     }
 }
@@ -50,15 +53,29 @@ struct LoadedGraph {
 /// largest workload".
 pub struct MapReducePlatform {
     config: MapReduceConfig,
+    /// True when `config.work_root` is this instance's private directory.
+    owns_work_root: bool,
     graphs: FxHashMap<u64, LoadedGraph>,
     next_handle: u64,
 }
 
 impl MapReducePlatform {
     /// Creates the platform.
-    pub fn new(config: MapReduceConfig) -> Self {
+    pub fn new(mut config: MapReduceConfig) -> Self {
+        let owns_work_root = config.work_root.as_os_str().is_empty();
+        if owns_work_root {
+            // Two platforms in one process (parallel tests, concurrent
+            // serve jobs) both number their graphs from 0, so they must
+            // not share a root.
+            config.work_root = std::env::temp_dir().join(format!(
+                "gx-hadoop-{}-{}",
+                std::process::id(),
+                next_scratch_id()
+            ));
+        }
         Self {
             config,
+            owns_work_root,
             graphs: FxHashMap::default(),
             next_handle: 0,
         }
@@ -78,7 +95,9 @@ impl MapReducePlatform {
     /// A fresh job scratch dir per run (jobs of different algorithms must
     /// not collide).
     fn job_config(&self, loaded: &LoadedGraph, tag: &str) -> Result<JobConfig, PlatformError> {
-        let work_dir = loaded.work_dir.join(format!("run-{tag}-{}", next_run_id()));
+        let work_dir = loaded
+            .work_dir
+            .join(format!("run-{tag}-{}", next_scratch_id()));
         std::fs::create_dir_all(&work_dir)
             .map_err(|e| PlatformError::TransientIo(format!("i/o: {e}")))?;
         Ok(JobConfig {
@@ -89,10 +108,21 @@ impl MapReducePlatform {
     }
 }
 
-fn next_run_id() -> u64 {
+/// Process-wide counter that keeps scratch directory names (instance
+/// roots, per-run job dirs) distinct.
+fn next_scratch_id() -> u64 {
     use std::sync::atomic::{AtomicU64, Ordering};
     static NEXT: AtomicU64 = AtomicU64::new(0);
     NEXT.fetch_add(1, Ordering::Relaxed)
+}
+
+impl Drop for MapReducePlatform {
+    fn drop(&mut self) {
+        if self.owns_work_root {
+            // lint:allow(swallowed-result): drop cannot fail; a lingering scratch root costs disk, not correctness
+            let _ = std::fs::remove_dir_all(&self.config.work_root);
+        }
+    }
 }
 
 impl Platform for MapReducePlatform {
@@ -377,6 +407,72 @@ mod tests {
             p.run(handle, &Algorithm::Conn, &RunContext::unbounded()),
             Err(PlatformError::InvalidHandle)
         );
+    }
+
+    #[test]
+    fn concurrent_platforms_do_not_share_scratch() {
+        // Two default-configured platforms in one process both call their
+        // first graph `graph-0`. With a shared root the second load
+        // overwrote the first one's splits and its unload deleted them
+        // mid-run ("No such file or directory").
+        let path = Arc::new(CsrGraph::from_edge_list(
+            &EdgeListGraph::undirected_from_edges((0..40).map(|i| (i, i + 1)).collect()),
+        ));
+        let barrier = &std::sync::Barrier::new(2);
+        let (freed_tx, freed_rx) = std::sync::mpsc::channel();
+        std::thread::scope(|scope| {
+            let survivor = scope.spawn(move || {
+                let mut p = MapReducePlatform::with_defaults();
+                let g = test_graph();
+                let handle = p.load_graph(&g).unwrap();
+                let root = p.config.work_root.clone();
+                barrier.wait(); // Both graphs are loaded.
+                let ctx = RunContext::unbounded();
+                let check = |p: &mut MapReducePlatform, alg: Algorithm| {
+                    let out = p.run(handle, &alg, &ctx).unwrap();
+                    assert!(reference(&g, &alg).equivalent(&out), "{alg:?}: {out:?}");
+                };
+                check(&mut p, Algorithm::Conn);
+                // The other platform is unloaded and dropped: keep running.
+                let other_root: PathBuf = freed_rx.recv().unwrap();
+                assert_ne!(root, other_root);
+                assert!(!other_root.exists(), "dropped platform left its root");
+                for alg in Algorithm::ldbc_workload() {
+                    check(&mut p, alg);
+                }
+                drop(p);
+                assert!(!root.exists(), "dropped platform left its root");
+            });
+            scope.spawn(move || {
+                let mut p = MapReducePlatform::with_defaults();
+                let handle = p.load_graph(&path).unwrap();
+                let root = p.config.work_root.clone();
+                barrier.wait();
+                let out = p
+                    .run(handle, &Algorithm::Conn, &RunContext::unbounded())
+                    .unwrap();
+                assert!(reference(&path, &Algorithm::Conn).equivalent(&out));
+                p.unload(handle);
+                drop(p);
+                freed_tx.send(root).unwrap();
+            });
+            survivor.join().unwrap();
+        });
+    }
+
+    #[test]
+    fn configured_work_root_is_used_as_is_and_kept() {
+        let root = std::env::temp_dir().join(format!("gx-hadoop-test-{}", std::process::id()));
+        let mut p = MapReducePlatform::new(MapReduceConfig {
+            work_root: root.clone(),
+            ..MapReduceConfig::default()
+        });
+        let handle = p.load_graph(&test_graph()).unwrap();
+        assert_eq!(p.loaded(handle).unwrap().work_dir, root.join("graph-0"));
+        p.unload(handle);
+        drop(p);
+        assert!(root.exists(), "a configured root is the caller's to remove");
+        std::fs::remove_dir_all(&root).unwrap();
     }
 
     #[test]

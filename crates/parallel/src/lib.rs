@@ -15,7 +15,9 @@
 //! * **Fixed assignment** — [`chunk_ranges`] splits `0..n` into contiguous
 //!   ranges computed only from `(n, parts)`; worker `i` always processes
 //!   range `i`. There is no stealing and no shared queue, so the
-//!   element-to-worker mapping is reproducible.
+//!   element-to-worker mapping is reproducible. [`weighted_ranges`] is the
+//!   same contract for skewed work: boundaries computed only from a work
+//!   prefix sum and `parts`, run by [`map_ranges`].
 //! * **Ordered combination** — [`map_chunks`] and [`map_blocks`] return
 //!   per-part results *in part order*, regardless of which worker finished
 //!   first. Reductions over them are therefore performed in a fixed order.
@@ -115,7 +117,43 @@ where
     T: Send,
     F: Fn(usize, Range<usize>) -> T + Sync,
 {
-    let ranges = chunk_ranges(n, threads);
+    map_ranges(chunk_ranges(n, threads), f)
+}
+
+/// Splits `0..n` (`prefix` has `n + 1` ascending entries, `prefix[v]` = the
+/// work before element `v`) into at most `parts` contiguous ranges of
+/// near-equal *work* rather than near-equal length: range `i` ends at the
+/// first element whose prefix reaches `i/parts` of the total. A pure
+/// function of `(prefix, parts)`; empty ranges are never produced.
+pub fn weighted_ranges(prefix: &[usize], parts: usize) -> Vec<Range<usize>> {
+    let n = prefix.len().saturating_sub(1);
+    let total = prefix.last().copied().unwrap_or(0);
+    let parts = parts.max(1);
+    let mut out = Vec::with_capacity(parts);
+    let mut start = 0;
+    for i in 1..parts {
+        let target = (total as u128 * i as u128 / parts as u128) as usize;
+        let end = prefix.partition_point(|&p| p < target);
+        if end > start {
+            out.push(start..end);
+            start = end;
+        }
+    }
+    if n > start {
+        out.push(start..n);
+    }
+    out
+}
+
+/// Runs `f(part_index, range)` for each of the caller's `ranges` on its own
+/// scoped worker and returns the results **in range order**. A single
+/// range (or none) runs inline on the calling thread. Panics in workers
+/// propagate to the caller.
+pub fn map_ranges<T, F>(ranges: Vec<Range<usize>>, f: F) -> Vec<T>
+where
+    T: Send,
+    F: Fn(usize, Range<usize>) -> T + Sync,
+{
     if ranges.len() <= 1 {
         return ranges
             .into_iter()
@@ -358,6 +396,34 @@ mod tests {
         assert_eq!(parts, vec![(0, 0), (1, 25), (2, 50), (3, 75)]);
         let empty: Vec<usize> = map_chunks(4, 0, |_, _| 0);
         assert!(empty.is_empty());
+    }
+
+    #[test]
+    fn weighted_ranges_balance_work_and_cover_exactly() {
+        // Element weights 9, 1, 1, 1, 0, 0, 6: total 18.
+        let prefix = [0usize, 9, 10, 11, 12, 12, 12, 18];
+        assert_eq!(weighted_ranges(&prefix, 1), vec![0..7]);
+        assert_eq!(weighted_ranges(&prefix, 2), vec![0..1, 1..7]);
+        assert_eq!(weighted_ranges(&prefix, 3), vec![0..1, 1..4, 4..7]);
+        // More parts than weighted elements: no empty range, full coverage.
+        for parts in [4usize, 8, 100] {
+            let ranges = weighted_ranges(&prefix, parts);
+            assert!(ranges.len() <= parts);
+            assert!(ranges.iter().all(|r| r.end > r.start));
+            assert_eq!(ranges.first().map(|r| r.start), Some(0));
+            assert_eq!(ranges.last().map(|r| r.end), Some(7));
+            assert!(ranges.windows(2).all(|w| w[0].end == w[1].start));
+        }
+        // No work at all: one range; no elements: none.
+        assert_eq!(weighted_ranges(&[0, 0, 0], 4), vec![0..2]);
+        assert!(weighted_ranges(&[0], 4).is_empty());
+        assert!(weighted_ranges(&[], 4).is_empty());
+    }
+
+    #[test]
+    fn map_ranges_preserves_range_order() {
+        let parts = map_ranges(vec![0..1, 1..7, 7..9], |i, range| (i, range.len()));
+        assert_eq!(parts, vec![(0, 1), (1, 6), (2, 2)]);
     }
 
     #[test]

@@ -8,7 +8,9 @@
 //! given*. These tests run the Datagen generator and a Pregel program at
 //! different parallelism levels and require bit-identical outputs.
 
-use graphalytics_algos::{bfs, conn, lcc, pagerank, sssp};
+use graphalytics_algos::{
+    bfs, conn, lcc, pagerank, reference, reference_with_threads, sssp, Algorithm, Output,
+};
 use graphalytics_core::platform::RunContext;
 use graphalytics_datagen::cluster::{generate_to_disk, GenerationMode};
 use graphalytics_datagen::DatagenConfig;
@@ -233,5 +235,51 @@ fn parallel_kernels_are_thread_count_invariant() {
                 "PageRank bits differ at vertex {v}, {threads} threads"
             );
         }
+    }
+}
+
+#[test]
+fn triangle_kernels_are_thread_count_invariant() {
+    // LCC and STATS share one degree-oriented triangle pass whose part
+    // boundaries move with the thread count (they are cut by work, not by
+    // vertex count). Through the oracle entry point the platforms use,
+    // both outputs must be bit-equal to the sequential oracle at every
+    // thread count on the skewed social graph.
+    let graph = pregel_test_graph();
+    let Output::LocalClustering(lcc_seq) = reference(&graph, &Algorithm::Lcc) else {
+        panic!("LCC must emit LocalClustering")
+    };
+    let Output::Stats(stats_seq) = reference(&graph, &Algorithm::Stats) else {
+        panic!("STATS must emit Stats")
+    };
+    assert!(stats_seq.mean_local_cc > 0.0, "social graph has triangles");
+
+    for threads in [1usize, 2, 3, 8] {
+        let Output::LocalClustering(lcc_par) =
+            reference_with_threads(&graph, &Algorithm::Lcc, threads)
+        else {
+            panic!("LCC must emit LocalClustering")
+        };
+        assert_eq!(lcc_par.len(), lcc_seq.len());
+        for (v, (a, b)) in lcc_par.iter().zip(&lcc_seq).enumerate() {
+            assert_eq!(
+                a.to_bits(),
+                b.to_bits(),
+                "LCC bits differ at vertex {v}, {threads} threads"
+            );
+        }
+        let Output::Stats(stats_par) = reference_with_threads(&graph, &Algorithm::Stats, threads)
+        else {
+            panic!("STATS must emit Stats")
+        };
+        assert_eq!(
+            (stats_par.num_vertices, stats_par.num_edges),
+            (stats_seq.num_vertices, stats_seq.num_edges)
+        );
+        assert_eq!(
+            stats_par.mean_local_cc.to_bits(),
+            stats_seq.mean_local_cc.to_bits(),
+            "STATS mean LCC bits differ at {threads} threads"
+        );
     }
 }
