@@ -18,7 +18,7 @@ use graphalytics_datagen::{generate, rmat, DatagenConfig, DegreeDistribution, Rm
 use graphalytics_graph::partition::{edge_cut, HashPartitioner, LdgPartitioner, Partitioner};
 use graphalytics_graph::rng::Xoshiro256;
 use graphalytics_graph::{CsrGraph, EdgeListGraph, Vid};
-use graphalytics_pregel::{programs::ConnProgram, run as pregel_run, PregelConfig};
+use graphalytics_platforms::pregel::{programs::ConnProgram, run as pregel_run, PregelConfig};
 use std::sync::Arc;
 
 fn community_graph() -> Arc<CsrGraph> {
@@ -60,8 +60,8 @@ fn network_partitioning(c: &mut Criterion) {
         );
     }
     for kind in [
-        graphalytics_pregel::PartitionerKind::Hash,
-        graphalytics_pregel::PartitionerKind::Ldg,
+        graphalytics_platforms::pregel::PartitionerKind::Hash,
+        graphalytics_platforms::pregel::PartitionerKind::Ldg,
     ] {
         let config = PregelConfig {
             workers,
@@ -97,7 +97,7 @@ fn memory_footprint(c: &mut Criterion) {
     let csr = CsrGraph::from_edge_list(&el);
     let edges = csr.num_edges();
     // Record-store (Neo4j-style) footprint.
-    let mut store = graphalytics_graphdb::GraphStore::new();
+    let mut store = graphalytics_platforms::graphdb::GraphStore::new();
     store.create_nodes(csr.num_vertices());
     for v in 0..csr.num_vertices() as Vid {
         for &u in csr.neighbors(v) {
@@ -113,7 +113,7 @@ fn memory_footprint(c: &mut Criterion) {
             arcs.push((v as u64, u as u64));
         }
     }
-    let table = graphalytics_columnar::EdgeTable::from_arcs(arcs);
+    let table = graphalytics_platforms::columnar::EdgeTable::from_arcs(arcs);
     println!(
         "[chokepoint:memory] bytes/edge — csr: {:.1}, record store: {:.1}, \
          column store (compressed): {:.1}",
@@ -188,7 +188,7 @@ fn execution_skew(c: &mut Criterion) {
     // the placement that makes degree skew visible as work skew.
     let config = PregelConfig {
         workers: 4,
-        partitioner: graphalytics_pregel::PartitionerKind::Range,
+        partitioner: graphalytics_platforms::pregel::PartitionerKind::Range,
         ..Default::default()
     };
     for (name, g) in [("skewed_rmat", &skewed), ("regular_grid", &regular)] {

@@ -4,10 +4,10 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use graphalytics_algos::{bfs, cd, conn, pagerank, stats};
-use graphalytics_columnar::Column;
 use graphalytics_core::platform::RunContext;
 use graphalytics_datagen::{generate, rmat, DatagenConfig, DegreeDistribution, RmatConfig};
 use graphalytics_graph::CsrGraph;
+use graphalytics_platforms::columnar::Column;
 use std::sync::Arc;
 
 fn bench_graph(scale: u32) -> Arc<CsrGraph> {
@@ -45,14 +45,14 @@ fn pregel_engine(c: &mut Criterion) {
             BenchmarkId::new("conn", workers),
             &workers,
             |b, &workers| {
-                let config = graphalytics_pregel::PregelConfig {
+                let config = graphalytics_platforms::pregel::PregelConfig {
                     workers,
                     ..Default::default()
                 };
                 b.iter(|| {
-                    graphalytics_pregel::run(
+                    graphalytics_platforms::pregel::run(
                         &g,
-                        &graphalytics_pregel::programs::ConnProgram,
+                        &graphalytics_platforms::pregel::programs::ConnProgram,
                         &config,
                         &ctx,
                     )

@@ -28,8 +28,8 @@
 //! `GX_REGRESS_HANDICAP` (test-only median multiplier, default 1.0).
 
 use graphalytics_bench::ladder::{self, LadderConfig};
-use graphalytics_bench::print_table;
 use graphalytics_bench::regress::{self, RegressConfig};
+use graphalytics_bench::{or_exit, print_table};
 use graphalytics_obs::regress::{Baseline, Thresholds};
 
 fn usage() -> ! {
@@ -111,7 +111,7 @@ fn regress_main(args: &[String]) {
     };
     let Some(path) = path else { usage() };
 
-    let cfg = RegressConfig::from_env();
+    let cfg = or_exit(RegressConfig::from_env());
     eprintln!("regress workload: {}", cfg.describe());
 
     match mode {

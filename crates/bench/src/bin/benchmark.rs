@@ -25,57 +25,12 @@
 
 use std::sync::Arc;
 
-use graphalytics_bench::{ObsArgs, ObsSession, OBS_USAGE};
+use graphalytics_bench::{or_exit, ObsArgs, ObsSession, OBS_USAGE};
 use graphalytics_core::config::BenchmarkSpec;
 use graphalytics_core::results::ResultsDb;
-use graphalytics_core::{report, BenchmarkSuite, Platform, ReferencePlatform};
-use graphalytics_dataflow::{GraphXConfig, GraphXPlatform};
-use graphalytics_distrib::{DistribConfig, DistributedPlatform};
-use graphalytics_graphdb::{Neo4jConfig, Neo4jPlatform};
-use graphalytics_mapreduce::MapReducePlatform;
+use graphalytics_core::{report, BenchmarkSuite};
 use graphalytics_obs::chokepoints;
-use graphalytics_pregel::{GiraphPlatform, PregelConfig};
-
-fn build_platform(
-    name: &str,
-    spec: &BenchmarkSpec,
-    threads: Option<usize>,
-) -> Result<Box<dyn Platform>, String> {
-    match name {
-        "giraph" => Ok(Box::new(GiraphPlatform::new(PregelConfig {
-            workers: spec.property_usize("giraph.workers").unwrap_or(4),
-            memory_budget: spec.property_usize("giraph.memory_mb").map(|mb| mb << 20),
-            ..Default::default()
-        }))),
-        "graphx" => Ok(Box::new(GraphXPlatform::new(GraphXConfig {
-            partitions: spec.property_usize("graphx.partitions").unwrap_or(4),
-            memory_budget: spec.property_usize("graphx.memory_mb").map(|mb| mb << 20),
-        }))),
-        "mapreduce" | "hadoop" => Ok(Box::new(MapReducePlatform::with_defaults())),
-        "neo4j" => Ok(Box::new(Neo4jPlatform::new(Neo4jConfig {
-            page_cache_budget: spec
-                .property_usize("neo4j.page_cache_mb")
-                .map(|mb| mb << 20),
-        }))),
-        "virtuoso" => Ok(Box::new(
-            graphalytics_columnar::VirtuosoPlatform::with_defaults(),
-        )),
-        "distributed-pregel" | "distrib" => Ok(Box::new(DistributedPlatform::new(DistribConfig {
-            workers: spec.property_usize("distrib.workers").unwrap_or(4) as u32,
-            ..DistribConfig::default()
-        }))),
-        "reference" => Ok(Box::new(
-            match threads.or_else(|| spec.property_usize("reference.threads")) {
-                Some(t) => ReferencePlatform::with_threads(t),
-                None => ReferencePlatform::new(),
-            },
-        )),
-        other => Err(format!(
-            "unknown platform {other:?} (available: giraph, graphx, mapreduce, neo4j, \
-             virtuoso, reference, distributed-pregel)"
-        )),
-    }
-}
+use graphalytics_platforms::{build_all, PAPER_FLEET};
 
 fn main() {
     let args = ObsArgs::parse_env_or_exit("benchmark", "<run.properties>");
@@ -91,33 +46,17 @@ fn main() {
             std::process::exit(2);
         }
     };
-    let spec = match BenchmarkSpec::parse(&text) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("{e}");
-            std::process::exit(2);
-        }
-    };
-    let platform_names = if spec.platforms.is_empty() {
-        vec![
-            "giraph".to_string(),
-            "graphx".to_string(),
-            "mapreduce".to_string(),
-            "neo4j".to_string(),
-        ]
-    } else {
-        spec.platforms.clone()
-    };
-    let mut platforms: Vec<Box<dyn Platform>> = Vec::new();
-    for name in &platform_names {
-        match build_platform(name, &spec, args.threads) {
-            Ok(p) => platforms.push(p),
-            Err(e) => {
-                eprintln!("{e}");
-                std::process::exit(2);
-            }
-        }
+    let spec = or_exit(BenchmarkSpec::parse(&text));
+    // `--threads` is the `reference.threads` property; the flag wins.
+    let mut properties = spec.properties.clone();
+    if let Some(threads) = args.threads {
+        properties.insert("reference.threads".to_string(), threads.to_string());
     }
+    let mut platforms = or_exit(if spec.platforms.is_empty() {
+        build_all(&PAPER_FLEET, &properties)
+    } else {
+        build_all(&spec.platforms, &properties)
+    });
 
     eprintln!(
         "running {} algorithm(s) on {} graph(s) across {} platform(s)...",

@@ -11,30 +11,16 @@
 //! Knobs: `GX_SCALE` (default 13), `GX_PERSONS` (default 10000),
 //! `GX_REPS` (default 3; median reported).
 
-use graphalytics_bench::{env_usize, print_table};
+use graphalytics_bench::{env_usize, or_exit, print_table};
 use graphalytics_core::runner::median;
-use graphalytics_core::{Dataset, Platform, ReferencePlatform};
-use graphalytics_dataflow::GraphXPlatform;
-use graphalytics_graphdb::Neo4jPlatform;
-use graphalytics_mapreduce::MapReducePlatform;
-use graphalytics_pregel::GiraphPlatform;
+use graphalytics_core::Dataset;
+use graphalytics_platforms::{build_all, Properties, PLATFORMS};
 use std::time::Instant;
 
-fn platforms() -> Vec<Box<dyn Platform>> {
-    vec![
-        Box::new(GiraphPlatform::with_defaults()),
-        Box::new(GraphXPlatform::with_defaults()),
-        Box::new(MapReducePlatform::with_defaults()),
-        Box::new(Neo4jPlatform::with_defaults()),
-        Box::new(graphalytics_columnar::VirtuosoPlatform::with_defaults()),
-        Box::new(ReferencePlatform::new()),
-    ]
-}
-
 fn main() {
-    let scale = env_usize("GX_SCALE", 13) as u32;
-    let persons = env_usize("GX_PERSONS", 10_000);
-    let reps = env_usize("GX_REPS", 3).max(1);
+    let scale = or_exit(env_usize("GX_SCALE", 13)) as u32;
+    let persons = or_exit(env_usize("GX_PERSONS", 10_000));
+    let reps = or_exit(env_usize("GX_REPS", 3)).max(1);
     let datasets = vec![Dataset::graph500(scale), Dataset::snb(persons)];
 
     println!("ETL (graph load) time per platform — the paper's future-work experiment\n");
@@ -42,7 +28,11 @@ fn main() {
     for dataset in &datasets {
         eprintln!("generating {}...", dataset.name);
         let graph = dataset.load().expect("dataset");
-        for platform in platforms().iter_mut() {
+        // Every in-process engine, built with its defaults.
+        let in_process = PLATFORMS.iter().filter(|row| !row.needs_worker_binary);
+        let names: Vec<&str> = in_process.map(|row| row.name).collect();
+        let mut platforms = or_exit(build_all(&names, &Properties::new()));
+        for platform in platforms.iter_mut() {
             let mut times = Vec::with_capacity(reps);
             for _ in 0..reps {
                 let started = Instant::now();

@@ -5,7 +5,7 @@
 //!
 //! Knobs: `GX_PERSONS` (default 50000), `GX_SEED` (default 1).
 
-use graphalytics_bench::{env_u64, env_usize, print_table};
+use graphalytics_bench::{env_u64, env_usize, or_exit, print_table};
 use graphalytics_datagen::{generate, DatagenConfig, DegreeDistribution};
 use graphalytics_graph::distfit::{self, DegreeModel};
 use graphalytics_graph::{metrics, CsrGraph};
@@ -64,8 +64,8 @@ fn series(name: &str, dist: DegreeDistribution, model: DegreeModel, persons: usi
 }
 
 fn main() {
-    let persons = env_usize("GX_PERSONS", 50_000);
-    let seed = env_u64("GX_SEED", 1);
+    let persons = or_exit(env_usize("GX_PERSONS", 50_000));
+    let seed = or_exit(env_u64("GX_SEED", 1));
     println!("Figure 1: Datagen degree distributions vs analytic models");
     series(
         "Zeta(s=1.7)",

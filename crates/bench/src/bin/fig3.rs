@@ -19,27 +19,23 @@
 //! (default 4), `GX_THREADS` (default 8), `GX_SEED`, `GX_DISK_MBPS`
 //! (default 150).
 
-use graphalytics_bench::{env_u64, env_usize, print_table};
+use graphalytics_bench::{env_list, env_u64, env_usize, or_exit, print_table};
 use graphalytics_datagen::cluster::{generate_to_disk_with, DiskModel};
 use graphalytics_datagen::{DatagenConfig, DegreeDistribution, GenerationMode};
 
 fn main() {
-    let sizes: Vec<usize> = std::env::var("GX_SIZES")
-        .unwrap_or_else(|_| "20000,50000,100000,200000,400000".into())
-        .split(',')
-        .filter_map(|s| s.trim().parse().ok())
-        .collect();
-    let workers = env_usize("GX_WORKERS", 4);
-    let threads = env_usize("GX_THREADS", 8);
-    let seed = env_u64("GX_SEED", 1);
+    let sizes: Vec<usize> = or_exit(env_list("GX_SIZES", "20000,50000,100000,200000,400000"));
+    let workers = or_exit(env_usize("GX_WORKERS", 4));
+    let threads = or_exit(env_usize("GX_THREADS", 8));
+    let seed = or_exit(env_u64("GX_SEED", 1));
     let disk = DiskModel {
-        bytes_per_sec: env_usize("GX_DISK_MBPS", 150) as f64 * 1024.0 * 1024.0,
+        bytes_per_sec: or_exit(env_usize("GX_DISK_MBPS", 150)) as f64 * 1024.0 * 1024.0,
     };
     // Modeled per-job scheduling latency (Hadoop-era clusters paid tens of
     // seconds per job; reduced-scale default 2 s).
-    let job_latency = env_usize("GX_JOB_LATENCY_DECISECS", 20) as f64 / 10.0;
-    let dir = std::env::temp_dir().join(format!("gx-fig3-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let job_latency = or_exit(env_usize("GX_JOB_LATENCY_DECISECS", 20)) as f64 / 10.0;
+    let scratch = graphalytics_core::ScratchDir::new(None, "gx-fig3").expect("scratch dir");
+    let dir = scratch.path();
 
     println!(
         "Figure 3: Datagen scalability — single node ({threads} threads, 1 disk) vs \
@@ -102,5 +98,4 @@ fn main() {
     println!("\nmeasured columns: wall clock on this machine (CPU-bound regime; single wins).");
     println!("+HDD columns: with modeled per-device drain time — the cluster's {workers} disks");
     println!("pull ahead as volume grows, the crossover of the paper's Figure 3.");
-    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -13,9 +13,10 @@
 //! `GX_PERSONS`, `GX_GRAPHX_MB`, `GX_TIMEOUT_SECS`), plus the shared
 //! observability flags (`--trace-out`, `--profile-out`, `--threads`).
 
-use graphalytics_bench::{ObsArgs, ObsSession, PaperSetup};
+use graphalytics_bench::{or_exit, ObsArgs, ObsSession, PaperSetup};
 use graphalytics_core::report;
 use graphalytics_core::BenchmarkSuite;
+use graphalytics_platforms::{build_all, PAPER_FLEET};
 
 fn main() {
     let args = ObsArgs::parse_env_or_exit("fig4", "");
@@ -27,8 +28,8 @@ fn main() {
         std::process::exit(2);
     }
     args.warn_unused_threads("fig4");
-    let setup = PaperSetup::from_env();
-    let mut platforms = setup.platforms();
+    let setup = or_exit(PaperSetup::from_env());
+    let mut platforms = or_exit(build_all(&PAPER_FLEET, &setup.properties()));
     let suite = BenchmarkSuite::new(
         setup.datasets(),
         graphalytics_algos::Algorithm::paper_workload(),

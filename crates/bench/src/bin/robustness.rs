@@ -28,12 +28,10 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Duration;
 
-use graphalytics_bench::{env_u64, env_usize, print_table, ObsArgs, ObsSession};
+use graphalytics_bench::{env_list, env_u64, env_usize, or_exit, print_table, ObsArgs, ObsSession};
 use graphalytics_core::faults::{FaultInjector, FaultPlan, RetryPolicy};
 use graphalytics_core::{BenchmarkConfig, BenchmarkSuite, Dataset, Platform};
-use graphalytics_dataflow::GraphXPlatform;
-use graphalytics_mapreduce::MapReducePlatform;
-use graphalytics_pregel::{GiraphPlatform, PregelConfig};
+use graphalytics_platforms::{GiraphPlatform, GraphXPlatform, MapReducePlatform, PregelConfig};
 
 /// Fresh platform fleet; Giraph checkpoints so injected worker crashes
 /// recover by restart instead of failing the run.
@@ -59,16 +57,12 @@ fn main() {
     }
     args.warn_unused_threads("robustness");
     let session = ObsSession::start(&args);
-    let scale = env_usize("GX_SCALE", 8) as u32;
-    let seed = env_u64("GX_FAULT_SEED", 42);
-    let rounds = env_usize("GX_ROUNDS", 3);
-    let checkpoint_interval = env_usize("GX_CHECKPOINT_INTERVAL", 4).max(1);
-    let timeout = env_u64("GX_TIMEOUT_SECS", 180);
-    let rates: Vec<f64> = std::env::var("GX_FAULT_RATES")
-        .unwrap_or_else(|_| "0.02,0.05,0.1".to_string())
-        .split(',')
-        .filter_map(|r| r.trim().parse().ok())
-        .collect();
+    let scale = or_exit(env_usize("GX_SCALE", 8)) as u32;
+    let seed = or_exit(env_u64("GX_FAULT_SEED", 42));
+    let rounds = or_exit(env_usize("GX_ROUNDS", 3));
+    let checkpoint_interval = or_exit(env_usize("GX_CHECKPOINT_INTERVAL", 4)).max(1);
+    let timeout = or_exit(env_u64("GX_TIMEOUT_SECS", 180));
+    let rates: Vec<f64> = or_exit(env_list("GX_FAULT_RATES", "0.02,0.05,0.1"));
 
     let datasets = vec![Dataset::graph500(scale)];
     let algorithms = vec![

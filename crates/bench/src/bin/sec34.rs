@@ -7,15 +7,15 @@
 //! Knobs: `GX_PERSONS` (default 100000), `GX_SOURCE` (default 420),
 //! `GX_THREADS` (default 8).
 
-use graphalytics_bench::env_usize;
-use graphalytics_columnar::{VirtuosoConfig, VirtuosoPlatform};
+use graphalytics_bench::{env_usize, or_exit};
 use graphalytics_core::platform::{Platform, RunContext};
 use graphalytics_core::Dataset;
+use graphalytics_platforms::{VirtuosoConfig, VirtuosoPlatform};
 
 fn main() {
-    let persons = env_usize("GX_PERSONS", 100_000);
-    let source = env_usize("GX_SOURCE", 420) as u64;
-    let threads = env_usize("GX_THREADS", 8);
+    let persons = or_exit(env_usize("GX_PERSONS", 100_000));
+    let source = or_exit(env_usize("GX_SOURCE", 420)) as u64;
+    let threads = or_exit(env_usize("GX_THREADS", 8));
 
     eprintln!("generating SNB {persons} and bulk-loading the column store...");
     let graph = Dataset::snb(persons).load().expect("dataset");

@@ -5,13 +5,13 @@
 //! Knobs: `GX_DIVISOR` (default 40) — scale reduction factor;
 //!        `GX_SEED` (default 1).
 
-use graphalytics_bench::{env_u64, env_usize, print_table};
+use graphalytics_bench::{env_u64, env_usize, or_exit, print_table};
 use graphalytics_datagen::RealWorldGraph;
 use graphalytics_graph::metrics;
 
 fn main() {
-    let divisor = env_usize("GX_DIVISOR", 40);
-    let seed = env_u64("GX_SEED", 1);
+    let divisor = or_exit(env_usize("GX_DIVISOR", 40));
+    let seed = or_exit(env_u64("GX_SEED", 1));
     println!("Table 1: characteristics of real-graph stand-ins (scale 1/{divisor})\n");
     let mut rows = Vec::new();
     for graph in RealWorldGraph::all() {

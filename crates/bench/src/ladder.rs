@@ -16,32 +16,15 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use graphalytics_algos::Algorithm;
-use graphalytics_columnar::VirtuosoPlatform;
 use graphalytics_core::config::parse_algorithm;
-use graphalytics_core::{
-    BenchmarkConfig, BenchmarkSuite, Dataset, Platform, ReferencePlatform, RunStatus, Tracer,
-};
-use graphalytics_dataflow::GraphXPlatform;
-use graphalytics_distrib::DistributedPlatform;
-use graphalytics_graphdb::Neo4jPlatform;
-use graphalytics_mapreduce::MapReducePlatform;
-use graphalytics_pregel::GiraphPlatform;
-
-/// Platform names the default fleet knows, in report order.
-pub const FLEET: [&str; 7] = [
-    "reference",
-    "giraph",
-    "graphx",
-    "mapreduce",
-    "neo4j",
-    "virtuoso",
-    "distributed-pregel",
-];
+use graphalytics_core::{BenchmarkConfig, BenchmarkSuite, Dataset, Platform, RunStatus, Tracer};
+use graphalytics_platforms::{self as platforms, Properties};
 
 /// Ladder parameters (from the `bench ladder` command line).
 #[derive(Debug, Clone, PartialEq)]
 pub struct LadderConfig {
-    /// Platform names to climb (lowercase); empty = the whole fleet.
+    /// Registry names of the platforms to climb; empty = every platform
+    /// in the registry.
     pub platforms: Vec<String>,
     /// Kernels run at every rung.
     pub algorithms: Vec<Algorithm>,
@@ -105,12 +88,8 @@ impl LadderConfig {
                         .split(',')
                         .map(|s| s.trim().to_lowercase())
                         .filter(|s| !s.is_empty())
-                        .collect();
-                    for p in &cfg.platforms {
-                        if !FLEET.contains(&p.as_str()) {
-                            return Err(format!("unknown platform {p:?} (fleet: {FLEET:?})"));
-                        }
-                    }
+                        .map(|s| platforms::resolve(&s).map(|row| row.name.to_string()))
+                        .collect::<Result<_, _>>()?;
                 }
                 "--algorithms" => {
                     let list = required("a comma-separated list")?;
@@ -153,7 +132,9 @@ impl LadderConfig {
     /// Platform names this ladder climbs.
     pub fn platform_names(&self) -> Vec<String> {
         if self.platforms.is_empty() {
-            FLEET.iter().map(|s| s.to_string()).collect()
+            (platforms::PLATFORMS.iter())
+                .map(|row| row.name.to_string())
+                .collect()
         } else {
             self.platforms.clone()
         }
@@ -189,45 +170,22 @@ impl LadderCell {
     }
 }
 
-/// Builds one fresh platform of the default fleet by name.
-pub fn fleet_platform(name: &str) -> Option<Box<dyn Platform>> {
-    match name {
-        "reference" => Some(Box::new(ReferencePlatform::new())),
-        "giraph" => Some(Box::new(GiraphPlatform::with_defaults())),
-        "graphx" => Some(Box::new(GraphXPlatform::with_defaults())),
-        "mapreduce" => Some(Box::new(MapReducePlatform::with_defaults())),
-        "neo4j" => Some(Box::new(Neo4jPlatform::with_defaults())),
-        "virtuoso" => Some(Box::new(VirtuosoPlatform::with_defaults())),
-        "distributed-pregel" => Some(Box::new(DistributedPlatform::with_defaults())),
-        _ => None,
-    }
-}
-
-/// Worker parallelism each fleet platform climbs with: OS *processes* for
-/// `distributed-pregel`, in-process workers/partitions/threads for the
-/// simulated platforms, 1 for the single-threaded engines.
-pub fn fleet_workers(name: &str) -> Option<usize> {
-    match name {
-        "reference" | "neo4j" => Some(1),
-        "giraph" | "graphx" | "mapreduce" | "virtuoso" | "distributed-pregel" => Some(4),
-        _ => None,
-    }
-}
-
 /// Walks every requested platform up the ladder using `factory` to build
 /// a fresh platform instance per rung (so a rung's memory is released
 /// before the next, larger graph is loaded). `progress` is called after
 /// every rung with `(platform, scale, passed)`.
 pub fn climb_with(
     cfg: &LadderConfig,
-    factory: impl Fn(&str) -> Option<Box<dyn Platform>>,
+    factory: impl Fn(&str) -> Result<Box<dyn Platform>, String>,
     mut progress: impl FnMut(&str, u32, bool),
 ) -> Result<Vec<LadderCell>, String> {
     let mut cells = Vec::new();
     for name in cfg.platform_names() {
         let mut cell = LadderCell {
             platform: name.clone(),
-            workers: fleet_workers(&name),
+            workers: platforms::resolve(&name)
+                .ok()
+                .map(|row| (row.default_workers)()),
             largest_passing: None,
             seconds_at_largest: None,
             failing_scale: None,
@@ -235,9 +193,7 @@ pub fn climb_with(
             max_skew: None,
         };
         for scale in cfg.start_scale..=cfg.max_scale {
-            let Some(platform) = factory(&name) else {
-                return Err(format!("unknown platform {name:?}"));
-            };
+            let platform = factory(&name)?;
             let suite = BenchmarkSuite::new(
                 vec![Dataset::graph500(scale)],
                 cfg.algorithms.clone(),
@@ -299,12 +255,14 @@ fn rung_max_skew(spans: &[graphalytics_core::trace::Span]) -> Option<f64> {
         .fold(None, |acc, g| Some(acc.map_or(g, |a: f64| a.max(g))))
 }
 
-/// [`climb_with`] over the default fleet.
+/// [`climb_with`] over the registry's platforms, each built with its
+/// defaults.
 pub fn climb(
     cfg: &LadderConfig,
     progress: impl FnMut(&str, u32, bool),
 ) -> Result<Vec<LadderCell>, String> {
-    climb_with(cfg, fleet_platform, progress)
+    let defaults = Properties::new();
+    climb_with(cfg, |name| platforms::build(name, &defaults), progress)
 }
 
 /// Renders the report rows (platform, worker count, largest passing
@@ -373,7 +331,10 @@ mod tests {
         assert_eq!((cfg.start_scale, cfg.max_scale), (10, 14));
         assert!(cfg.validate);
         assert!(LadderConfig::parse(&["--warp".to_string()]).is_err());
-        assert!(LadderConfig::parse(&["--platforms=hive".to_string()]).is_err());
+        assert_eq!(
+            LadderConfig::parse(&["--platforms=hive".to_string()]),
+            Err(platforms::resolve("hive").err().unwrap())
+        );
         assert!(
             LadderConfig::parse(&["--start-scale=9".to_string(), "--max-scale=8".to_string()])
                 .is_err()
@@ -382,13 +343,13 @@ mod tests {
     }
 
     #[test]
-    fn fleet_covers_all_names() {
-        for name in FLEET {
-            assert!(fleet_platform(name).is_some(), "{name}");
-            assert!(fleet_workers(name).is_some(), "{name} has no worker count");
-        }
-        assert!(fleet_platform("hive").is_none());
-        assert!(fleet_workers("hive").is_none());
+    fn aliases_parse_to_registry_names_and_the_default_is_the_whole_registry() {
+        let cfg = LadderConfig::parse(&["--platforms=Hadoop,distrib".to_string()]).unwrap();
+        assert_eq!(cfg.platform_names(), ["mapreduce", "distributed-pregel"]);
+        assert_eq!(
+            LadderConfig::default().platform_names().len(),
+            platforms::PLATFORMS.len()
+        );
     }
 
     #[test]
@@ -460,7 +421,7 @@ mod tests {
         // Scale 6 = 64 vertices fits; scale 7 = 128 does not.
         let cells = climb_with(
             &cfg,
-            |_| Some(Box::new(CappedPlatform { max_vertices: 64 })),
+            |_| Ok(Box::new(CappedPlatform { max_vertices: 64 })),
             |_, _, _| {},
         )
         .unwrap();
@@ -488,7 +449,7 @@ mod tests {
         };
         let cells = climb_with(
             &cfg,
-            |_| Some(Box::new(CappedPlatform { max_vertices: 1 })),
+            |_| Ok(Box::new(CappedPlatform { max_vertices: 1 })),
             |_, _, _| {},
         )
         .unwrap();

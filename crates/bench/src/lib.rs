@@ -27,42 +27,62 @@ pub mod regress;
 
 pub use obs::{ObsArgs, ObsArtifacts, ObsSession, OBS_USAGE};
 
+use std::str::FromStr;
 use std::time::Duration;
 
-use graphalytics_core::{BenchmarkConfig, Dataset, Platform};
-use graphalytics_dataflow::{GraphXConfig, GraphXPlatform};
+use graphalytics_core::config::{parse_knob, ConfigError};
+use graphalytics_core::{BenchmarkConfig, Dataset};
 use graphalytics_datagen::RealWorldGraph;
-use graphalytics_graphdb::Neo4jPlatform;
-use graphalytics_mapreduce::MapReducePlatform;
-use graphalytics_pregel::GiraphPlatform;
+use graphalytics_platforms::Properties;
 
-/// Reads a `usize` knob from the environment with a default.
-pub fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+fn env_knob<T: FromStr>(name: &str, default: T) -> Result<T, ConfigError> {
+    match std::env::var_os(name) {
+        // Bytes that are not Unicode fail to parse like any other typo.
+        Some(value) => parse_knob(name, &value.to_string_lossy()),
+        None => Ok(default),
+    }
 }
 
-/// Reads a `u64` knob from the environment with a default.
-pub fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+/// Reads a `usize` knob from the environment: the default when unset, an
+/// error naming the knob and its value when set to anything else.
+pub fn env_usize(name: &str, default: usize) -> Result<usize, ConfigError> {
+    env_knob(name, default)
 }
 
-/// Reads an `f64` knob from the environment with a default.
-pub fn env_f64(name: &str, default: f64) -> f64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+/// Reads a `u64` knob from the environment (see [`env_usize`]).
+pub fn env_u64(name: &str, default: u64) -> Result<u64, ConfigError> {
+    env_knob(name, default)
+}
+
+/// Reads an `f64` knob from the environment (see [`env_usize`]).
+pub fn env_f64(name: &str, default: f64) -> Result<f64, ConfigError> {
+    env_knob(name, default)
+}
+
+/// Reads a comma-separated list knob from the environment (`default` when
+/// unset); one malformed element fails the whole knob.
+pub fn env_list<T: FromStr>(name: &str, default: &str) -> Result<Vec<T>, ConfigError> {
+    let value = env_knob(name, default.to_string())?;
+    value
+        .split(',')
+        .map(|item| parse_knob(name, item))
+        .collect()
+}
+
+/// Unwraps a driver binary's configuration: a malformed knob, property or
+/// platform name prints its error and exits 2, like a malformed command
+/// line.
+pub fn or_exit<T, E: std::fmt::Display>(configured: Result<T, E>) -> T {
+    configured.unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2)
+    })
 }
 
 /// The dataset/platform/config setup shared by the figure drivers — one
 /// place for the paper's three-graph, four-platform experiment matrix so
-/// every binary reads the same knobs and builds the same fleet.
+/// every binary reads the same knobs and builds the registry's paper fleet
+/// from the same properties.
 ///
 /// Knobs: `GX_SCALE` (Graph500 scale, default 13), `GX_DIVISOR` (Patents
 /// stand-in divisor, default 200), `GX_PERSONS` (SNB persons, default
@@ -84,14 +104,14 @@ pub struct PaperSetup {
 
 impl PaperSetup {
     /// Reads the setup from the environment knobs.
-    pub fn from_env() -> Self {
-        Self {
-            scale: env_usize("GX_SCALE", 13) as u32,
-            divisor: env_usize("GX_DIVISOR", 200),
-            persons: env_usize("GX_PERSONS", 10_000),
-            graphx_mb: env_usize("GX_GRAPHX_MB", 11),
-            timeout_secs: env_u64("GX_TIMEOUT_SECS", 180),
-        }
+    pub fn from_env() -> Result<Self, ConfigError> {
+        Ok(Self {
+            scale: env_usize("GX_SCALE", 13)? as u32,
+            divisor: env_usize("GX_DIVISOR", 200)?,
+            persons: env_usize("GX_PERSONS", 10_000)?,
+            graphx_mb: env_usize("GX_GRAPHX_MB", 11)?,
+            timeout_secs: env_u64("GX_TIMEOUT_SECS", 180)?,
+        })
     }
 
     /// The paper's three datasets: Graph500, Patents stand-in, SNB.
@@ -103,17 +123,9 @@ impl PaperSetup {
         ]
     }
 
-    /// The four-platform fleet with the GraphX executor budget applied.
-    pub fn platforms(&self) -> Vec<Box<dyn Platform>> {
-        vec![
-            Box::new(GiraphPlatform::with_defaults()),
-            Box::new(GraphXPlatform::new(GraphXConfig {
-                partitions: 4,
-                memory_budget: Some(self.graphx_mb << 20),
-            })),
-            Box::new(MapReducePlatform::with_defaults()),
-            Box::new(Neo4jPlatform::with_defaults()),
-        ]
+    /// The platform properties of the setup: the GraphX executor budget.
+    pub fn properties(&self) -> Properties {
+        Properties::from([("graphx.memory_mb".to_string(), self.graphx_mb.to_string())])
     }
 
     /// A benchmark config with the cooperative timeout applied.
@@ -171,12 +183,34 @@ mod tests {
     use super::*;
 
     #[test]
-    fn env_knobs_fall_back_to_defaults() {
-        assert_eq!(env_usize("GX_DEFINITELY_UNSET_KNOB", 7), 7);
-        assert_eq!(env_u64("GX_DEFINITELY_UNSET_KNOB", 9), 9);
-        std::env::set_var("GX_TEST_KNOB_XYZ", "42");
-        assert_eq!(env_usize("GX_TEST_KNOB_XYZ", 7), 42);
-        std::env::set_var("GX_TEST_KNOB_XYZ", "not a number");
-        assert_eq!(env_usize("GX_TEST_KNOB_XYZ", 7), 7);
+    fn unset_knobs_take_defaults_and_malformed_ones_are_errors() {
+        assert_eq!(env_usize("GX_DEFINITELY_UNSET_KNOB", 7), Ok(7));
+        assert_eq!(env_u64("GX_DEFINITELY_UNSET_KNOB", 9), Ok(9));
+        assert_eq!(env_f64("GX_DEFINITELY_UNSET_KNOB", 0.5), Ok(0.5));
+        assert_eq!(
+            env_list::<f64>("GX_DEFINITELY_UNSET_KNOB", "0.02,0.1"),
+            Ok(vec![0.02, 0.1])
+        );
+        // Each case owns its variable: tests share the process environment.
+        std::env::set_var("GX_TEST_KNOB_OK", " 42 ");
+        assert_eq!(env_usize("GX_TEST_KNOB_OK", 7), Ok(42));
+        // The scale that used to run as the default 13.
+        std::env::set_var("GX_TEST_KNOB_SCALE", "1e4");
+        let e = env_usize("GX_TEST_KNOB_SCALE", 13).unwrap_err();
+        assert_eq!(
+            e.to_string(),
+            "config error: GX_TEST_KNOB_SCALE = \"1e4\" is not a valid usize"
+        );
+        assert!(env_u64("GX_TEST_KNOB_SCALE", 13).is_err());
+        assert_eq!(env_f64("GX_TEST_KNOB_SCALE", 1.0), Ok(1e4));
+        std::env::set_var("GX_TEST_KNOB_EMPTY", "");
+        assert!(env_f64("GX_TEST_KNOB_EMPTY", 1.0).is_err());
+        // One bad rate used to be dropped from the list.
+        std::env::set_var("GX_TEST_KNOB_RATES", "0.02,five,0.1");
+        let e = env_list::<f64>("GX_TEST_KNOB_RATES", "0.5").unwrap_err();
+        assert_eq!(
+            e.message,
+            "GX_TEST_KNOB_RATES = \"five\" is not a valid f64"
+        );
     }
 }

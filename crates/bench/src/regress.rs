@@ -40,6 +40,7 @@ use graphalytics_serve::loadgen::{self, LoadgenConfig};
 use graphalytics_serve::server::{start as start_server, ServerConfig};
 
 use crate::{env_f64, env_usize};
+use graphalytics_core::config::ConfigError;
 
 /// Baseline key of the serving-plane entry: p99 submit-to-terminal
 /// latency of the loadgen's fixed 8-client/16-job mix.
@@ -64,14 +65,14 @@ pub struct RegressConfig {
 
 impl RegressConfig {
     /// Reads the knobs from the environment.
-    pub fn from_env() -> Self {
-        Self {
-            scale: env_usize("GX_REGRESS_SCALE", 16) as u32,
-            runs: env_usize("GX_REGRESS_RUNS", 5).max(1),
-            handicap: env_f64("GX_REGRESS_HANDICAP", 1.0),
-            serve: env_usize("GX_REGRESS_SERVE", 1) != 0,
-            serve_scale: env_usize("GX_REGRESS_SERVE_SCALE", 12) as u32,
-        }
+    pub fn from_env() -> Result<Self, ConfigError> {
+        Ok(Self {
+            scale: env_usize("GX_REGRESS_SCALE", 16)? as u32,
+            runs: env_usize("GX_REGRESS_RUNS", 5)?.max(1),
+            handicap: env_f64("GX_REGRESS_HANDICAP", 1.0)?,
+            serve: env_usize("GX_REGRESS_SERVE", 1)? != 0,
+            serve_scale: env_usize("GX_REGRESS_SERVE_SCALE", 12)? as u32,
+        })
     }
 
     /// One-line description for stderr banners.

@@ -14,7 +14,7 @@ use graphalytics_bench::{ObsArgs, ObsSession};
 use graphalytics_core::json::{self, Json};
 use graphalytics_core::{BenchmarkConfig, BenchmarkSuite, Dataset, Platform, ReferencePlatform};
 use graphalytics_obs::export::TRACE_EVENT_REQUIRED_FIELDS;
-use graphalytics_pregel::GiraphPlatform;
+use graphalytics_platforms::pregel::GiraphPlatform;
 
 fn fleet() -> Vec<Box<dyn Platform>> {
     vec![

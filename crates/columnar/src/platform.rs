@@ -8,9 +8,8 @@
 //! unsupported — exercising the harness's unsupported-workload path.
 
 use graphalytics_algos::{Algorithm, Output};
-use graphalytics_core::platform::{GraphHandle, Platform, PlatformError, RunContext};
+use graphalytics_core::platform::{GraphHandle, GraphTable, Platform, PlatformError, RunContext};
 use graphalytics_graph::{CsrGraph, Vid};
-use rustc_hash::FxHashMap;
 
 use crate::analytics;
 use crate::sql::{parse_transitive_count, SqlError};
@@ -40,8 +39,7 @@ struct LoadedGraph {
 /// as a partitioned transitive SQL operator.
 pub struct VirtuosoPlatform {
     config: VirtuosoConfig,
-    graphs: FxHashMap<u64, LoadedGraph>,
-    next_handle: u64,
+    graphs: GraphTable<LoadedGraph>,
     /// Profile of the last transitive run, for the §3.4 report.
     last_profile: Option<TransitiveProfile>,
 }
@@ -51,8 +49,7 @@ impl VirtuosoPlatform {
     pub fn new(config: VirtuosoConfig) -> Self {
         Self {
             config,
-            graphs: FxHashMap::default(),
-            next_handle: 0,
+            graphs: GraphTable::default(),
             last_profile: None,
         }
     }
@@ -60,12 +57,6 @@ impl VirtuosoPlatform {
     /// Default configuration.
     pub fn with_defaults() -> Self {
         Self::new(VirtuosoConfig::default())
-    }
-
-    fn loaded(&self, handle: GraphHandle) -> Result<&LoadedGraph, PlatformError> {
-        self.graphs
-            .get(&handle.0)
-            .ok_or(PlatformError::InvalidHandle)
     }
 
     /// Profile of the most recent transitive execution.
@@ -89,7 +80,7 @@ impl VirtuosoPlatform {
                 query.table
             )));
         }
-        let loaded = self.loaded(handle)?;
+        let loaded = self.graphs.get(handle)?;
         let (profile, _depths) =
             transitive_closure(&loaded.table, query.source, self.config.threads, ctx)?;
         let count = profile.reachable;
@@ -112,19 +103,13 @@ impl Platform for VirtuosoPlatform {
                 arcs.push((v as u64, u as u64, w));
             }
         }
-        let handle = GraphHandle(self.next_handle);
-        self.next_handle += 1;
-        self.graphs.insert(
-            handle.0,
-            LoadedGraph {
-                table: EdgeTable::from_weighted_arcs(arcs),
-                external_ids: (0..graph.num_vertices() as Vid)
-                    .map(|v| graph.external_id(v))
-                    .collect(),
-                num_vertices: graph.num_vertices(),
-            },
-        );
-        Ok(handle)
+        Ok(self.graphs.insert(LoadedGraph {
+            table: EdgeTable::from_weighted_arcs(arcs),
+            external_ids: (0..graph.num_vertices() as Vid)
+                .map(|v| graph.external_id(v))
+                .collect(),
+            num_vertices: graph.num_vertices(),
+        }))
     }
 
     fn run(
@@ -135,7 +120,7 @@ impl Platform for VirtuosoPlatform {
     ) -> Result<Output, PlatformError> {
         match algorithm {
             Algorithm::Bfs { source } => {
-                let loaded = self.loaded(handle)?;
+                let loaded = self.graphs.get(handle)?;
                 let n = loaded.num_vertices;
                 let source_internal = loaded.external_ids.iter().position(|&e| e == *source);
                 let mut depths = vec![-1i64; n];
@@ -153,7 +138,7 @@ impl Platform for VirtuosoPlatform {
                 Ok(Output::Depths(depths))
             }
             Algorithm::Sssp { source } => {
-                let loaded = self.loaded(handle)?;
+                let loaded = self.graphs.get(handle)?;
                 let source = loaded
                     .external_ids
                     .iter()
@@ -167,7 +152,7 @@ impl Platform for VirtuosoPlatform {
                 )?))
             }
             Algorithm::Lcc => {
-                let loaded = self.loaded(handle)?;
+                let loaded = self.graphs.get(handle)?;
                 Ok(Output::LocalClustering(analytics::local_clustering(
                     &loaded.table,
                     loaded.num_vertices,
@@ -182,7 +167,7 @@ impl Platform for VirtuosoPlatform {
     }
 
     fn unload(&mut self, handle: GraphHandle) {
-        self.graphs.remove(&handle.0);
+        self.graphs.remove(handle);
     }
 }
 

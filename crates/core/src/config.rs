@@ -22,7 +22,8 @@
 //! ```
 //!
 //! Platform selection lives outside this crate (the harness core does not
-//! depend on the platform crates); drivers map platform names themselves.
+//! depend on the platform crates): `graphalytics-platforms` maps the
+//! `platforms` names and the `<platform>.<key>` properties to engines.
 
 use std::collections::BTreeMap;
 
@@ -164,15 +165,33 @@ impl BenchmarkSpec {
         })
     }
 
-    /// Integer property accessor for driver-specific keys.
-    pub fn property_usize(&self, key: &str) -> Option<usize> {
-        self.properties.get(key).and_then(|v| v.parse().ok())
-    }
-
     /// String property accessor.
     pub fn property(&self, key: &str) -> Option<&str> {
         self.properties.get(key).map(String::as_str)
     }
+}
+
+/// Parses the value of a knob — a property, an environment variable, a
+/// flag. Only an unset knob takes its default: one that is set must parse,
+/// so a typo never silently runs the default.
+pub fn parse_knob<T: std::str::FromStr>(knob: &str, value: &str) -> Result<T, ConfigError> {
+    value.trim().parse().map_err(|_| {
+        let expected = std::any::type_name::<T>();
+        err(0, format!("{knob} = {value:?} is not a valid {expected}"))
+    })
+}
+
+/// Typed accessor for the driver-specific keys of
+/// [`BenchmarkSpec::properties`]: `None` when the key is absent, an error
+/// when it is present and malformed.
+pub fn property<T: std::str::FromStr>(
+    properties: &BTreeMap<String, String>,
+    key: &str,
+) -> Result<Option<T>, ConfigError> {
+    properties
+        .get(key)
+        .map(|value| parse_knob(key, value))
+        .transpose()
 }
 
 fn split_list(value: Option<&String>) -> Vec<String> {
@@ -314,7 +333,23 @@ graphx.memory_mb = 11
             Some(std::time::Duration::from_secs(180))
         );
         assert!(spec.config.validate);
-        assert_eq!(spec.property_usize("graphx.memory_mb"), Some(11));
+        assert_eq!(property(&spec.properties, "graphx.memory_mb"), Ok(Some(11)));
+        assert_eq!(
+            property::<usize>(&spec.properties, "giraph.workers"),
+            Ok(None)
+        );
+    }
+
+    #[test]
+    fn a_malformed_property_is_an_error_not_the_default() {
+        let spec = BenchmarkSpec::parse("graphs = graph500-8\ngiraph.workers = four").unwrap();
+        let e = property::<usize>(&spec.properties, "giraph.workers").unwrap_err();
+        assert_eq!(
+            e.to_string(),
+            "config error: giraph.workers = \"four\" is not a valid usize"
+        );
+        assert!(parse_knob::<f64>("GX_FAULT_RATES", " 0.5 ").is_ok());
+        assert!(parse_knob::<u64>("GX_SEED", "-1").is_err());
     }
 
     #[test]

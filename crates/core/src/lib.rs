@@ -4,7 +4,10 @@
 //! "binds together Graphalytics".
 //!
 //! * [`platform`] — the [`Platform`](platform::Platform) integration API
-//!   ("platform-specific algorithm implementation" modules plug in here);
+//!   ("platform-specific algorithm implementation" modules plug in here)
+//!   and the [`GraphTable`] its implementations keep loaded graphs in;
+//! * [`scratch`] — [`ScratchDir`], the self-removing scratch directory of
+//!   the engines that spill to disk;
 //! * [`datasets`] — the Datasets database (preconfigured graphs + Datagen);
 //! * [`runner`] — the benchmark orchestrator (all platforms × datasets ×
 //!   algorithms, with timeouts, repetitions, monitoring, validation);
@@ -42,13 +45,15 @@ pub mod reference_platform;
 pub mod report;
 pub mod results;
 pub mod runner;
+pub mod scratch;
 pub mod trace;
 pub mod validator;
 
 pub use config::BenchmarkSpec;
 pub use datasets::{Dataset, DatasetRepository, DatasetSpec};
-pub use platform::{GraphHandle, Platform, PlatformError, RunContext};
+pub use platform::{GraphHandle, GraphTable, Platform, PlatformError, RunContext};
 pub use reference_platform::ReferencePlatform;
 pub use runner::{BenchmarkConfig, BenchmarkSuite, RunRecord, RunStatus, SuiteResult};
+pub use scratch::ScratchDir;
 pub use trace::{MetricsRegistry, RunTimeline, Tracer};
 pub use validator::{OutputValidator, Validation};

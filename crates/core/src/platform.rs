@@ -14,6 +14,7 @@ use std::time::{Duration, Instant};
 use graphalytics_algos::{Algorithm, Output};
 use graphalytics_faults::{FaultInjector, FaultSite, RecoveryAction};
 use graphalytics_graph::CsrGraph;
+use rustc_hash::FxHashMap;
 
 use crate::faultwire;
 use crate::trace::Tracer;
@@ -21,6 +22,48 @@ use crate::trace::Tracer;
 /// Opaque handle to a graph loaded into a platform's own storage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct GraphHandle(pub u64);
+
+/// The loaded-graph table of a platform: `load_graph` inserts the
+/// platform's own representation `T` and hands the harness the handle,
+/// `run` looks it up, `unload` removes it. Handles count up from 0 and are
+/// never reused, so a handle kept past `unload` stays invalid instead of
+/// naming a later graph.
+#[derive(Debug)]
+pub struct GraphTable<T> {
+    graphs: FxHashMap<u64, T>,
+    next_handle: u64,
+}
+
+impl<T> Default for GraphTable<T> {
+    fn default() -> Self {
+        Self {
+            graphs: FxHashMap::default(),
+            next_handle: 0,
+        }
+    }
+}
+
+impl<T> GraphTable<T> {
+    /// Stores a loaded graph under a fresh handle.
+    pub fn insert(&mut self, graph: T) -> GraphHandle {
+        let handle = GraphHandle(self.next_handle);
+        self.next_handle += 1;
+        self.graphs.insert(handle.0, graph);
+        handle
+    }
+
+    /// The graph behind `handle`, or [`PlatformError::InvalidHandle`].
+    pub fn get(&self, handle: GraphHandle) -> Result<&T, PlatformError> {
+        self.graphs
+            .get(&handle.0)
+            .ok_or(PlatformError::InvalidHandle)
+    }
+
+    /// Takes the graph out of the table; `None` for an unknown handle.
+    pub fn remove(&mut self, handle: GraphHandle) -> Option<T> {
+        self.graphs.remove(&handle.0)
+    }
+}
 
 /// Errors a platform can produce while loading or running.
 #[derive(Debug, Clone, PartialEq)]
@@ -254,6 +297,25 @@ pub trait Platform: Send {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn graph_table_never_reuses_a_handle() {
+        let mut table = GraphTable::default();
+        let a = table.insert("a");
+        let b = table.insert("b");
+        assert_ne!(a, b);
+        assert_eq!(table.get(a), Ok(&"a"));
+        assert_eq!(table.remove(a), Some("a"));
+        assert_eq!(table.remove(a), None);
+        let c = table.insert("c");
+        assert!(c != a && c != b, "a freed handle was handed out again");
+        assert_eq!(table.get(a), Err(PlatformError::InvalidHandle));
+        assert_eq!(
+            table.get(GraphHandle(99)),
+            Err(PlatformError::InvalidHandle)
+        );
+        assert_eq!(table.get(c), Ok(&"c"));
+    }
 
     #[test]
     fn deadline_expiry() {

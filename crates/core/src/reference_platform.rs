@@ -10,17 +10,15 @@ use std::sync::Arc;
 
 use graphalytics_algos::{reference, reference_with_threads, Algorithm, Output};
 use graphalytics_graph::CsrGraph;
-use rustc_hash::FxHashMap;
 
-use crate::platform::{GraphHandle, Platform, PlatformError, RunContext};
+use crate::platform::{GraphHandle, GraphTable, Platform, PlatformError, RunContext};
 
 /// Oracle platform. Sequential by default; [`ReferencePlatform::with_threads`]
 /// switches BFS/CONN/PageRank/SSSP/LCC/STATS (and CSR loading) onto the
 /// deterministic parallel runtime — outputs stay byte-identical at every thread count.
 #[derive(Default)]
 pub struct ReferencePlatform {
-    graphs: FxHashMap<u64, Arc<CsrGraph>>,
-    next_handle: u64,
+    graphs: GraphTable<Arc<CsrGraph>>,
     threads: usize,
 }
 
@@ -53,10 +51,7 @@ impl Platform for ReferencePlatform {
     }
 
     fn load_graph(&mut self, graph: &CsrGraph) -> Result<GraphHandle, PlatformError> {
-        let handle = GraphHandle(self.next_handle);
-        self.next_handle += 1;
-        self.graphs.insert(handle.0, Arc::new(graph.clone()));
-        Ok(handle)
+        Ok(self.graphs.insert(Arc::new(graph.clone())))
     }
 
     fn run(
@@ -66,10 +61,7 @@ impl Platform for ReferencePlatform {
         ctx: &RunContext,
     ) -> Result<Output, PlatformError> {
         ctx.check_deadline()?;
-        let graph = self
-            .graphs
-            .get(&handle.0)
-            .ok_or(PlatformError::InvalidHandle)?;
+        let graph = self.graphs.get(handle)?;
         let mut span = ctx.tracer().span("reference.kernel");
         span.field("algorithm", algorithm.name())
             .field("threads", self.threads.max(1) as i64)
@@ -93,7 +85,7 @@ impl Platform for ReferencePlatform {
     }
 
     fn unload(&mut self, handle: GraphHandle) {
-        self.graphs.remove(&handle.0);
+        self.graphs.remove(handle);
     }
 }
 

@@ -3,9 +3,8 @@
 use std::sync::Arc;
 
 use graphalytics_algos::{Algorithm, Output};
-use graphalytics_core::platform::{GraphHandle, Platform, PlatformError, RunContext};
+use graphalytics_core::platform::{GraphHandle, GraphTable, Platform, PlatformError, RunContext};
 use graphalytics_graph::{CsrGraph, Vid};
-use rustc_hash::FxHashMap;
 
 use crate::graphx::GraphFrame;
 use crate::rdd::{ShuffleStats, SparkContext};
@@ -42,8 +41,7 @@ struct Loaded {
 /// substrate with executor memory accounting.
 pub struct GraphXPlatform {
     config: GraphXConfig,
-    graphs: FxHashMap<u64, Loaded>,
-    next_handle: u64,
+    graphs: GraphTable<Loaded>,
 }
 
 impl GraphXPlatform {
@@ -51,8 +49,7 @@ impl GraphXPlatform {
     pub fn new(config: GraphXConfig) -> Self {
         Self {
             config,
-            graphs: FxHashMap::default(),
-            next_handle: 0,
+            graphs: GraphTable::default(),
         }
     }
 
@@ -63,13 +60,7 @@ impl GraphXPlatform {
 
     /// Shuffle statistics for a loaded graph (for the choke-point benches).
     pub fn shuffle_stats(&self, handle: GraphHandle) -> Option<ShuffleStats> {
-        self.graphs.get(&handle.0).map(|l| l.ctx.stats())
-    }
-
-    fn loaded(&self, handle: GraphHandle) -> Result<&Loaded, PlatformError> {
-        self.graphs
-            .get(&handle.0)
-            .ok_or(PlatformError::InvalidHandle)
+        self.graphs.get(handle).ok().map(|l| l.ctx.stats())
     }
 }
 
@@ -81,17 +72,11 @@ impl Platform for GraphXPlatform {
     fn load_graph(&mut self, graph: &CsrGraph) -> Result<GraphHandle, PlatformError> {
         let ctx = SparkContext::new(self.config.partitions, self.config.memory_budget);
         let frame = GraphFrame::from_csr(&ctx, graph)?;
-        let handle = GraphHandle(self.next_handle);
-        self.next_handle += 1;
-        self.graphs.insert(
-            handle.0,
-            Loaded {
-                graph: Arc::new(graph.clone()),
-                ctx,
-                frame,
-            },
-        );
-        Ok(handle)
+        Ok(self.graphs.insert(Loaded {
+            graph: Arc::new(graph.clone()),
+            ctx,
+            frame,
+        }))
     }
 
     fn run(
@@ -100,7 +85,7 @@ impl Platform for GraphXPlatform {
         algorithm: &Algorithm,
         ctx: &RunContext,
     ) -> Result<Output, PlatformError> {
-        let loaded = self.loaded(handle)?;
+        let loaded = self.graphs.get(handle)?;
         // Arm (or disarm) the engine's injection points — shuffle fetches
         // and allocations — from this run's context.
         loaded
@@ -181,7 +166,7 @@ impl Platform for GraphXPlatform {
     }
 
     fn unload(&mut self, handle: GraphHandle) {
-        self.graphs.remove(&handle.0);
+        self.graphs.remove(handle);
     }
 }
 

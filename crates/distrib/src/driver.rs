@@ -8,23 +8,18 @@
 //! wire). `run` coordinates the fleet and reassembles per-worker outputs
 //! into the same global vectors the in-process engine produces.
 
-use std::collections::BTreeMap;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use graphalytics_algos::{Algorithm, Output};
 use graphalytics_core::faults::FaultPlan;
-use graphalytics_core::platform::{GraphHandle, Platform, PlatformError, RunContext};
+use graphalytics_core::platform::{GraphHandle, GraphTable, Platform, PlatformError, RunContext};
+use graphalytics_core::ScratchDir;
 use graphalytics_graph::CsrGraph;
 use graphalytics_pregel::programs::CdState;
 
 use crate::master::{coordinate, MasterConfig, MasterStats};
 use crate::partition::PartitionPlan;
-
-/// Distinguishes scratch directories across platform instances within one
-/// process (the process id distinguishes across processes).
-static NEXT_SCRATCH: AtomicU64 = AtomicU64::new(0);
 
 /// Configuration of the distributed runtime.
 #[derive(Debug, Clone)]
@@ -44,6 +39,8 @@ pub struct DistribConfig {
     /// places sibling binaries for test executables).
     pub worker_bin: Option<PathBuf>,
     /// Scratch directory root; defaults to the system temp directory.
+    /// Every loaded graph gets its own [`ScratchDir`] under it, and every
+    /// run a checkpoint directory under that; the root is left in place.
     pub work_dir: Option<PathBuf>,
 }
 
@@ -62,7 +59,8 @@ impl Default for DistribConfig {
 
 struct LoadedGraph {
     graph: Arc<CsrGraph>,
-    dir: PathBuf,
+    /// Holds the dataset files and the per-run checkpoint directories.
+    dir: ScratchDir,
     prefix: PathBuf,
     weighted: bool,
 }
@@ -72,8 +70,7 @@ struct LoadedGraph {
 /// superstep messages over localhost TCP.
 pub struct DistributedPlatform {
     config: DistribConfig,
-    graphs: BTreeMap<u64, LoadedGraph>,
-    next_handle: u64,
+    graphs: GraphTable<LoadedGraph>,
     run_seq: u64,
 }
 
@@ -82,8 +79,7 @@ impl DistributedPlatform {
     pub fn new(config: DistribConfig) -> Self {
         Self {
             config,
-            graphs: BTreeMap::new(),
-            next_handle: 0,
+            graphs: GraphTable::default(),
             run_seq: 0,
         }
     }
@@ -92,20 +88,6 @@ impl DistributedPlatform {
     /// supersteps.
     pub fn with_defaults() -> Self {
         Self::new(DistribConfig::default())
-    }
-
-    /// A fleet of `workers` processes with the remaining defaults.
-    pub fn with_workers(workers: u32) -> Self {
-        Self::new(DistribConfig {
-            workers,
-            ..DistribConfig::default()
-        })
-    }
-
-    fn loaded(&self, handle: GraphHandle) -> Result<&LoadedGraph, PlatformError> {
-        self.graphs
-            .get(&handle.0)
-            .ok_or(PlatformError::InvalidHandle)
     }
 
     fn resolve_worker_bin(&self) -> Result<PathBuf, PlatformError> {
@@ -141,35 +123,19 @@ impl Platform for DistributedPlatform {
     }
 
     fn load_graph(&mut self, graph: &CsrGraph) -> Result<GraphHandle, PlatformError> {
-        let root = self
-            .config
-            .work_dir
-            .clone()
-            .unwrap_or_else(std::env::temp_dir);
-        let dir = root.join(format!(
-            "gx-distrib-{}-{}",
-            std::process::id(),
-            NEXT_SCRATCH.fetch_add(1, Ordering::Relaxed)
-        ));
-        std::fs::create_dir_all(&dir)
+        let dir = ScratchDir::new(self.config.work_dir.as_deref(), "gx-distrib")
             .map_err(|e| PlatformError::TransientIo(format!("scratch dir: {e}")))?;
-        let prefix = dir.join("graph");
+        let prefix = dir.path().join("graph");
         let edge_list = graph.to_edge_list();
         let weighted = edge_list.is_weighted();
         graphalytics_graph::io::write_graph(&edge_list, &prefix)
             .map_err(|e| PlatformError::TransientIo(format!("write dataset: {e:?}")))?;
-        let handle = GraphHandle(self.next_handle);
-        self.next_handle += 1;
-        self.graphs.insert(
-            handle.0,
-            LoadedGraph {
-                graph: Arc::new(graph.clone()),
-                dir,
-                prefix,
-                weighted,
-            },
-        );
-        Ok(handle)
+        Ok(self.graphs.insert(LoadedGraph {
+            graph: Arc::new(graph.clone()),
+            dir,
+            prefix,
+            weighted,
+        }))
     }
 
     fn run(
@@ -180,7 +146,7 @@ impl Platform for DistributedPlatform {
     ) -> Result<Output, PlatformError> {
         self.run_seq += 1;
         let run_seq = self.run_seq;
-        let loaded = self.loaded(handle)?;
+        let loaded = self.graphs.get(handle)?;
         let graph = Arc::clone(&loaded.graph);
         if let Algorithm::Evo {
             new_vertices,
@@ -201,6 +167,9 @@ impl Platform for DistributedPlatform {
             )));
         }
         let n = graph.num_vertices();
+        // Dropped on every way out of this run, failures included.
+        let checkpoints = ScratchDir::new(Some(loaded.dir.path()), "run")
+            .map_err(|e| PlatformError::TransientIo(format!("checkpoint dir: {e}")))?;
         let part = PartitionPlan::new(&graph, self.config.workers.max(1) as usize);
         let cfg = MasterConfig {
             workers: self.config.workers.max(1),
@@ -211,7 +180,7 @@ impl Platform for DistributedPlatform {
             graph_prefix: loaded.prefix.clone(),
             directed: graph.is_directed(),
             weighted: loaded.weighted,
-            checkpoint_dir: loaded.dir.join(format!("run-{run_seq}")),
+            checkpoint_dir: checkpoints.path().to_path_buf(),
             run_id: run_seq,
         };
         let fault_plan = ctx
@@ -265,22 +234,12 @@ impl Platform for DistributedPlatform {
             }
             Algorithm::Evo { .. } => unreachable!("handled above"),
         };
-        let _ = std::fs::remove_dir_all(&cfg.checkpoint_dir);
         Ok(output)
     }
 
     fn unload(&mut self, handle: GraphHandle) {
-        if let Some(loaded) = self.graphs.remove(&handle.0) {
-            let _ = std::fs::remove_dir_all(&loaded.dir);
-        }
-    }
-}
-
-impl Drop for DistributedPlatform {
-    fn drop(&mut self) {
-        for loaded in self.graphs.values() {
-            let _ = std::fs::remove_dir_all(&loaded.dir);
-        }
+        // Dropping the loaded graph removes its scratch directory.
+        self.graphs.remove(handle);
     }
 }
 

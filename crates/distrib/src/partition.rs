@@ -115,11 +115,10 @@ mod tests {
     fn merge_rejects_length_mismatch() {
         let g = graph(10);
         let plan = PartitionPlan::new(&g, 2);
-        let mut per_worker: Vec<Vec<u64>> =
-            (0..2).map(|w| plan.gather(w, &vec![0u64; 10])).collect();
+        let mut per_worker: Vec<Vec<u64>> = (0..2).map(|w| plan.gather(w, &[0u64; 10])).collect();
         per_worker[1].pop();
         assert_eq!(plan.merge(&per_worker), None);
-        assert_eq!(plan.merge(&per_worker[..1].to_vec()), None);
+        assert_eq!(plan.merge(&per_worker[..1]), None);
     }
 
     #[test]

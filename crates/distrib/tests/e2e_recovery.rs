@@ -236,3 +236,48 @@ fn e2e_restart_budget_is_bounded() {
     assert_eq!(injector.injected_count(), 3);
     assert_eq!(injector.recovery_count(), 2);
 }
+
+/// A failed run cleans up after itself: the checkpoints a run wrote before
+/// its worker was lost for good are gone when `run` returns the error, the
+/// graph's scratch goes at unload, and the configured root is left alone.
+#[test]
+fn e2e_failed_run_leaves_no_checkpoint_directory() {
+    let root = graphalytics_core::ScratchDir::new(None, "gx-distrib-test-root").unwrap();
+    let entries = |dir: &std::path::Path| -> Vec<PathBuf> {
+        let mut paths: Vec<_> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .collect();
+        paths.sort();
+        paths
+    };
+    let mut p = DistributedPlatform::new(DistribConfig {
+        workers: 4,
+        checkpoint_interval: Some(2),
+        max_restarts: 0,
+        worker_bin: Some(worker_bin()),
+        work_dir: Some(root.path().to_path_buf()),
+        ..DistribConfig::default()
+    });
+    let handle = p.load_graph(&test_graph()).unwrap();
+    let graph_dir = match entries(root.path()).as_slice() {
+        [only] => only.clone(),
+        other => panic!("one loaded graph, one scratch directory: {other:?}"),
+    };
+    let dataset_files = entries(&graph_dir);
+
+    // The crash at superstep 3 comes after the superstep-2 checkpoint.
+    let injector = Arc::new(FaultInjector::new(crash_plan()));
+    let ctx = RunContext::unbounded().with_faults(Arc::clone(&injector));
+    let err = p.run(handle, &algorithm(), &ctx).unwrap_err();
+    assert!(matches!(err, PlatformError::WorkerLost { .. }), "{err:?}");
+    assert!(injector.checkpoint_count() > 0, "nothing was checkpointed");
+    assert_eq!(
+        entries(&graph_dir),
+        dataset_files,
+        "the failed run left its run-* directory behind"
+    );
+
+    p.unload(handle);
+    assert_eq!(entries(root.path()), Vec::<PathBuf>::new());
+}

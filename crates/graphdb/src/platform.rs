@@ -1,9 +1,8 @@
 //! The Neo4j platform adapter.
 
 use graphalytics_algos::{Algorithm, Output};
-use graphalytics_core::platform::{GraphHandle, Platform, PlatformError, RunContext};
+use graphalytics_core::platform::{GraphHandle, GraphTable, Platform, PlatformError, RunContext};
 use graphalytics_graph::{CsrGraph, Vid};
-use rustc_hash::FxHashMap;
 
 use crate::algorithms;
 use crate::store::GraphStore;
@@ -31,8 +30,7 @@ struct LoadedGraph {
 /// record-store storage and traversal-based algorithms.
 pub struct Neo4jPlatform {
     config: Neo4jConfig,
-    graphs: FxHashMap<u64, LoadedGraph>,
-    next_handle: u64,
+    graphs: GraphTable<LoadedGraph>,
 }
 
 impl Neo4jPlatform {
@@ -40,20 +38,13 @@ impl Neo4jPlatform {
     pub fn new(config: Neo4jConfig) -> Self {
         Self {
             config,
-            graphs: FxHashMap::default(),
-            next_handle: 0,
+            graphs: GraphTable::default(),
         }
     }
 
     /// Default configuration (no page-cache cap).
     pub fn with_defaults() -> Self {
         Self::new(Neo4jConfig::default())
-    }
-
-    fn loaded(&self, handle: GraphHandle) -> Result<&LoadedGraph, PlatformError> {
-        self.graphs
-            .get(&handle.0)
-            .ok_or(PlatformError::InvalidHandle)
     }
 }
 
@@ -77,20 +68,14 @@ impl Platform for Neo4jPlatform {
             }
         }
         store.check_budget(self.config.page_cache_budget)?;
-        let handle = GraphHandle(self.next_handle);
-        self.next_handle += 1;
-        self.graphs.insert(
-            handle.0,
-            LoadedGraph {
-                store,
-                rel_weights,
-                external_ids: (0..graph.num_vertices() as Vid)
-                    .map(|v| graph.external_id(v))
-                    .collect(),
-                num_edges: graph.num_edges(),
-            },
-        );
-        Ok(handle)
+        Ok(self.graphs.insert(LoadedGraph {
+            store,
+            rel_weights,
+            external_ids: (0..graph.num_vertices() as Vid)
+                .map(|v| graph.external_id(v))
+                .collect(),
+            num_edges: graph.num_edges(),
+        }))
     }
 
     fn run(
@@ -99,7 +84,7 @@ impl Platform for Neo4jPlatform {
         algorithm: &Algorithm,
         ctx: &RunContext,
     ) -> Result<Output, PlatformError> {
-        let loaded = self.loaded(handle)?;
+        let loaded = self.graphs.get(handle)?;
         let store = &loaded.store;
         match algorithm {
             Algorithm::Stats => Ok(Output::Stats(graphalytics_algos::StatsResult {
@@ -177,7 +162,7 @@ impl Platform for Neo4jPlatform {
     }
 
     fn unload(&mut self, handle: GraphHandle) {
-        self.graphs.remove(&handle.0);
+        self.graphs.remove(handle);
     }
 }
 

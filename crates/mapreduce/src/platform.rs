@@ -3,9 +3,9 @@
 use std::path::PathBuf;
 
 use graphalytics_algos::{Algorithm, Output};
-use graphalytics_core::platform::{GraphHandle, Platform, PlatformError, RunContext};
+use graphalytics_core::platform::{GraphHandle, GraphTable, Platform, PlatformError, RunContext};
+use graphalytics_core::ScratchDir;
 use graphalytics_graph::{CsrGraph, Vid};
-use rustc_hash::FxHashMap;
 
 use crate::algorithms;
 use crate::job::{write_records, JobConfig, Record};
@@ -19,10 +19,10 @@ pub struct MapReduceConfig {
     pub reduce_tasks: usize,
     /// Edge input splits written at ETL time (HDFS block count).
     pub input_splits: usize,
-    /// Root scratch directory ("HDFS"). Empty (the default) gives every
-    /// platform instance a private directory under the system temp dir,
-    /// removed when the platform is dropped; a configured path is used as
-    /// is and left in place.
+    /// Root scratch directory ("HDFS"); empty (the default) means the
+    /// system temp dir. Every loaded graph gets its own [`ScratchDir`]
+    /// under the root, removed at unload or when the platform is dropped;
+    /// the root itself is used as is and left in place.
     pub work_root: PathBuf,
 }
 
@@ -44,7 +44,8 @@ struct LoadedGraph {
     weighted_edge_files: Vec<PathBuf>,
     num_vertices: usize,
     external_ids: Vec<u64>,
-    work_dir: PathBuf,
+    /// Input splits plus one `run-<tag>-<n>` job directory per run.
+    work_dir: ScratchDir,
 }
 
 /// Hadoop MapReduce stand-in: every kernel is an iterative chain of
@@ -53,31 +54,18 @@ struct LoadedGraph {
 /// largest workload".
 pub struct MapReducePlatform {
     config: MapReduceConfig,
-    /// True when `config.work_root` is this instance's private directory.
-    owns_work_root: bool,
-    graphs: FxHashMap<u64, LoadedGraph>,
-    next_handle: u64,
+    graphs: GraphTable<LoadedGraph>,
+    /// Runs started so far; names the job directories.
+    run_seq: u64,
 }
 
 impl MapReducePlatform {
     /// Creates the platform.
-    pub fn new(mut config: MapReduceConfig) -> Self {
-        let owns_work_root = config.work_root.as_os_str().is_empty();
-        if owns_work_root {
-            // Two platforms in one process (parallel tests, concurrent
-            // serve jobs) both number their graphs from 0, so they must
-            // not share a root.
-            config.work_root = std::env::temp_dir().join(format!(
-                "gx-hadoop-{}-{}",
-                std::process::id(),
-                next_scratch_id()
-            ));
-        }
+    pub fn new(config: MapReduceConfig) -> Self {
         Self {
             config,
-            owns_work_root,
-            graphs: FxHashMap::default(),
-            next_handle: 0,
+            graphs: GraphTable::default(),
+            run_seq: 0,
         }
     }
 
@@ -86,18 +74,13 @@ impl MapReducePlatform {
         Self::new(MapReduceConfig::default())
     }
 
-    fn loaded(&self, handle: GraphHandle) -> Result<&LoadedGraph, PlatformError> {
-        self.graphs
-            .get(&handle.0)
-            .ok_or(PlatformError::InvalidHandle)
-    }
-
-    /// A fresh job scratch dir per run (jobs of different algorithms must
-    /// not collide).
+    /// A fresh job scratch dir per run (jobs of different runs must not
+    /// collide).
     fn job_config(&self, loaded: &LoadedGraph, tag: &str) -> Result<JobConfig, PlatformError> {
         let work_dir = loaded
             .work_dir
-            .join(format!("run-{tag}-{}", next_scratch_id()));
+            .path()
+            .join(format!("run-{tag}-{}", self.run_seq));
         std::fs::create_dir_all(&work_dir)
             .map_err(|e| PlatformError::TransientIo(format!("i/o: {e}")))?;
         Ok(JobConfig {
@@ -108,23 +91,6 @@ impl MapReducePlatform {
     }
 }
 
-/// Process-wide counter that keeps scratch directory names (instance
-/// roots, per-run job dirs) distinct.
-fn next_scratch_id() -> u64 {
-    use std::sync::atomic::{AtomicU64, Ordering};
-    static NEXT: AtomicU64 = AtomicU64::new(0);
-    NEXT.fetch_add(1, Ordering::Relaxed)
-}
-
-impl Drop for MapReducePlatform {
-    fn drop(&mut self) {
-        if self.owns_work_root {
-            // lint:allow(swallowed-result): drop cannot fail; a lingering scratch root costs disk, not correctness
-            let _ = std::fs::remove_dir_all(&self.config.work_root);
-        }
-    }
-}
-
 impl Platform for MapReducePlatform {
     fn name(&self) -> &'static str {
         "MapReduce"
@@ -132,11 +98,11 @@ impl Platform for MapReducePlatform {
 
     fn load_graph(&mut self, graph: &CsrGraph) -> Result<GraphHandle, PlatformError> {
         // ETL: write the arc records as `input_splits` HDFS-style files.
-        let handle = GraphHandle(self.next_handle);
-        self.next_handle += 1;
-        let work_dir = self.config.work_root.join(format!("graph-{}", handle.0));
-        std::fs::create_dir_all(&work_dir)
+        let root = &self.config.work_root;
+        let root = (!root.as_os_str().is_empty()).then_some(root.as_path());
+        let scratch = ScratchDir::new(root, "gx-hadoop")
             .map_err(|e| PlatformError::TransientIo(format!("i/o: {e}")))?;
+        let work_dir = scratch.path();
         let splits = self.config.input_splits.max(1);
         let mut buckets: Vec<Vec<Record>> = vec![Vec::new(); splits];
         let mut weighted_buckets: Vec<Vec<Record>> = vec![Vec::new(); splits];
@@ -162,17 +128,13 @@ impl Platform for MapReducePlatform {
         let external_ids = (0..graph.num_vertices() as Vid)
             .map(|v| graph.external_id(v))
             .collect();
-        self.graphs.insert(
-            handle.0,
-            LoadedGraph {
-                edge_files,
-                weighted_edge_files,
-                num_vertices: graph.num_vertices(),
-                external_ids,
-                work_dir,
-            },
-        );
-        Ok(handle)
+        Ok(self.graphs.insert(LoadedGraph {
+            edge_files,
+            weighted_edge_files,
+            num_vertices: graph.num_vertices(),
+            external_ids,
+            work_dir: scratch,
+        }))
     }
 
     fn run(
@@ -181,7 +143,8 @@ impl Platform for MapReducePlatform {
         algorithm: &Algorithm,
         ctx: &RunContext,
     ) -> Result<Output, PlatformError> {
-        let loaded = self.loaded(handle)?;
+        self.run_seq += 1;
+        let loaded = self.graphs.get(handle)?;
         let n = loaded.num_vertices;
         match algorithm {
             Algorithm::Stats => {
@@ -302,10 +265,8 @@ impl Platform for MapReducePlatform {
     }
 
     fn unload(&mut self, handle: GraphHandle) {
-        if let Some(loaded) = self.graphs.remove(&handle.0) {
-            // lint:allow(swallowed-result): unload is infallible by contract; a lingering work dir costs disk, not correctness
-            let _ = std::fs::remove_dir_all(&loaded.work_dir);
-        }
+        // Dropping the loaded graph removes its scratch directory.
+        self.graphs.remove(handle);
     }
 }
 
@@ -321,6 +282,10 @@ mod tests {
         Arc::new(CsrGraph::from_edge_list(
             &EdgeListGraph::undirected_from_edges(vec![(0, 1), (1, 2), (0, 2), (2, 3), (4, 5)]),
         ))
+    }
+
+    fn scratch_of(p: &MapReducePlatform, handle: GraphHandle) -> PathBuf {
+        p.graphs.get(handle).unwrap().work_dir.path().to_path_buf()
     }
 
     #[test]
@@ -399,7 +364,7 @@ mod tests {
         let mut p = MapReducePlatform::with_defaults();
         let g = test_graph();
         let handle = p.load_graph(&g).unwrap();
-        let dir = p.loaded(handle).unwrap().work_dir.clone();
+        let dir = scratch_of(&p, handle);
         assert!(dir.exists());
         p.unload(handle);
         assert!(!dir.exists());
@@ -411,10 +376,10 @@ mod tests {
 
     #[test]
     fn concurrent_platforms_do_not_share_scratch() {
-        // Two default-configured platforms in one process both call their
-        // first graph `graph-0`. With a shared root the second load
-        // overwrote the first one's splits and its unload deleted them
-        // mid-run ("No such file or directory").
+        // Two default-configured platforms in one process both number
+        // their graphs from 0. When that number named the directory, the
+        // second load overwrote the first one's splits and its unload
+        // deleted them mid-run ("No such file or directory").
         let path = Arc::new(CsrGraph::from_edge_list(
             &EdgeListGraph::undirected_from_edges((0..40).map(|i| (i, i + 1)).collect()),
         ));
@@ -425,7 +390,7 @@ mod tests {
                 let mut p = MapReducePlatform::with_defaults();
                 let g = test_graph();
                 let handle = p.load_graph(&g).unwrap();
-                let root = p.config.work_root.clone();
+                let root = scratch_of(&p, handle);
                 barrier.wait(); // Both graphs are loaded.
                 let ctx = RunContext::unbounded();
                 let check = |p: &mut MapReducePlatform, alg: Algorithm| {
@@ -436,17 +401,17 @@ mod tests {
                 // The other platform is unloaded and dropped: keep running.
                 let other_root: PathBuf = freed_rx.recv().unwrap();
                 assert_ne!(root, other_root);
-                assert!(!other_root.exists(), "dropped platform left its root");
+                assert!(!other_root.exists(), "dropped platform left its scratch");
                 for alg in Algorithm::ldbc_workload() {
                     check(&mut p, alg);
                 }
                 drop(p);
-                assert!(!root.exists(), "dropped platform left its root");
+                assert!(!root.exists(), "dropped platform left its scratch");
             });
             scope.spawn(move || {
                 let mut p = MapReducePlatform::with_defaults();
                 let handle = p.load_graph(&path).unwrap();
-                let root = p.config.work_root.clone();
+                let root = scratch_of(&p, handle);
                 barrier.wait();
                 let out = p
                     .run(handle, &Algorithm::Conn, &RunContext::unbounded())
@@ -467,10 +432,16 @@ mod tests {
             work_root: root.clone(),
             ..MapReduceConfig::default()
         });
-        let handle = p.load_graph(&test_graph()).unwrap();
-        assert_eq!(p.loaded(handle).unwrap().work_dir, root.join("graph-0"));
-        p.unload(handle);
+        let kept = p.load_graph(&test_graph()).unwrap();
+        let unloaded = p.load_graph(&test_graph()).unwrap();
+        let dirs = [scratch_of(&p, kept), scratch_of(&p, unloaded)];
+        assert!(dirs.iter().all(|d| d.parent() == Some(root.as_path())));
+        p.unload(unloaded);
         drop(p);
+        assert!(
+            dirs.iter().all(|d| !d.exists()),
+            "a graph outlived its platform"
+        );
         assert!(root.exists(), "a configured root is the caller's to remove");
         std::fs::remove_dir_all(&root).unwrap();
     }

@@ -4,9 +4,8 @@
 use std::sync::Arc;
 
 use graphalytics_algos::{Algorithm, Output};
-use graphalytics_core::platform::{GraphHandle, Platform, PlatformError, RunContext};
+use graphalytics_core::platform::{GraphHandle, GraphTable, Platform, PlatformError, RunContext};
 use graphalytics_graph::CsrGraph;
-use rustc_hash::FxHashMap;
 
 use crate::engine::{run, PregelConfig};
 use crate::programs::{
@@ -17,8 +16,7 @@ use crate::programs::{
 /// workers.
 pub struct GiraphPlatform {
     config: PregelConfig,
-    graphs: FxHashMap<u64, Arc<CsrGraph>>,
-    next_handle: u64,
+    graphs: GraphTable<Arc<CsrGraph>>,
 }
 
 impl GiraphPlatform {
@@ -26,20 +24,13 @@ impl GiraphPlatform {
     pub fn new(config: PregelConfig) -> Self {
         Self {
             config,
-            graphs: FxHashMap::default(),
-            next_handle: 0,
+            graphs: GraphTable::default(),
         }
     }
 
     /// Default configuration (4 workers, no memory cap).
     pub fn with_defaults() -> Self {
         Self::new(PregelConfig::default())
-    }
-
-    fn graph(&self, handle: GraphHandle) -> Result<&Arc<CsrGraph>, PlatformError> {
-        self.graphs
-            .get(&handle.0)
-            .ok_or(PlatformError::InvalidHandle)
     }
 }
 
@@ -60,10 +51,7 @@ impl Platform for GiraphPlatform {
                 });
             }
         }
-        let handle = GraphHandle(self.next_handle);
-        self.next_handle += 1;
-        self.graphs.insert(handle.0, Arc::new(graph.clone()));
-        Ok(handle)
+        Ok(self.graphs.insert(Arc::new(graph.clone())))
     }
 
     fn run(
@@ -72,7 +60,7 @@ impl Platform for GiraphPlatform {
         algorithm: &Algorithm,
         ctx: &RunContext,
     ) -> Result<Output, PlatformError> {
-        let graph = Arc::clone(self.graph(handle)?);
+        let graph = Arc::clone(self.graphs.get(handle)?);
         match algorithm {
             Algorithm::Stats => {
                 let result = run(&graph, &StatsProgram, &self.config, ctx)?;
@@ -158,7 +146,7 @@ impl Platform for GiraphPlatform {
     }
 
     fn unload(&mut self, handle: GraphHandle) {
-        self.graphs.remove(&handle.0);
+        self.graphs.remove(handle);
     }
 }
 

@@ -21,62 +21,13 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 use graphalytics_core::config::{parse_algorithm, parse_dataset};
 use graphalytics_core::json::Json;
-use graphalytics_core::{Platform, ReferencePlatform, Tracer};
-use graphalytics_dataflow::{GraphXConfig, GraphXPlatform};
-use graphalytics_distrib::DistributedPlatform;
-use graphalytics_graphdb::{Neo4jConfig, Neo4jPlatform};
-use graphalytics_mapreduce::MapReducePlatform;
-use graphalytics_pregel::{GiraphPlatform, PregelConfig};
-
-/// Platform names the job API accepts (configuration-file syntax).
-pub const PLATFORMS: &[&str] = &[
-    "giraph",
-    "graphx",
-    "mapreduce",
-    "neo4j",
-    "virtuoso",
-    "reference",
-    "distributed-pregel",
-];
-
-/// Builds a platform by configuration name, with driver defaults (the
-/// serving path has no properties file; `threads` configures the
-/// reference platform's worker count).
-pub fn build_platform(name: &str, threads: Option<usize>) -> Result<Box<dyn Platform>, String> {
-    match name {
-        "giraph" => Ok(Box::new(GiraphPlatform::new(PregelConfig {
-            workers: 4,
-            ..Default::default()
-        }))),
-        "graphx" => Ok(Box::new(GraphXPlatform::new(GraphXConfig {
-            partitions: 4,
-            memory_budget: None,
-        }))),
-        "mapreduce" | "hadoop" => Ok(Box::new(MapReducePlatform::with_defaults())),
-        "neo4j" => Ok(Box::new(Neo4jPlatform::new(Neo4jConfig {
-            page_cache_budget: None,
-        }))),
-        "virtuoso" => Ok(Box::new(
-            graphalytics_columnar::VirtuosoPlatform::with_defaults(),
-        )),
-        "reference" => Ok(Box::new(match threads {
-            Some(t) => ReferencePlatform::with_threads(t),
-            None => ReferencePlatform::new(),
-        })),
-        "distributed-pregel" | "distrib" => Ok(Box::new(match threads {
-            Some(t) => DistributedPlatform::with_workers(t as u32),
-            None => DistributedPlatform::with_defaults(),
-        })),
-        other => Err(format!(
-            "unknown platform {other:?} (available: {PLATFORMS:?})"
-        )),
-    }
-}
+use graphalytics_core::Tracer;
 
 /// What a client submits: one benchmark cell plus its admission deadline.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JobSpec {
-    /// Platform name (configuration syntax, e.g. `reference`).
+    /// Platform name (configuration syntax, e.g. `reference`; an alias is
+    /// stored as the registry name it selects).
     pub platform: String,
     /// Algorithm name (configuration syntax, e.g. `bfs:0`).
     pub algorithm: String,
@@ -98,7 +49,9 @@ impl JobSpec {
                 .ok_or_else(|| format!("missing or non-string field {key:?}"))
         };
         let spec = Self {
-            platform: field("platform")?.to_lowercase(),
+            platform: graphalytics_platforms::resolve(&field("platform")?.to_lowercase())?
+                .name
+                .to_string(),
             algorithm: field("algorithm")?.to_lowercase(),
             graph: field("graph")?.to_lowercase(),
             timeout_secs: match doc.get("timeout_secs") {
@@ -110,12 +63,6 @@ impl JobSpec {
                 None => default_timeout_secs,
             },
         };
-        if !PLATFORMS.contains(&spec.platform.as_str()) {
-            return Err(format!(
-                "unknown platform {:?} (available: {PLATFORMS:?})",
-                spec.platform
-            ));
-        }
         parse_algorithm(&spec.algorithm).map_err(|e| format!("algorithm: {e}"))?;
         parse_dataset(&spec.graph).map_err(|e| format!("graph: {e}"))?;
         Ok(spec)
@@ -559,9 +506,18 @@ mod tests {
             r#"{"platform":"spark","algorithm":"bfs","graph":"graph500-10"}"#,
         )
         .unwrap();
-        assert!(JobSpec::from_json(&bad, 300)
-            .unwrap_err()
-            .contains("unknown platform"));
+        assert_eq!(
+            JobSpec::from_json(&bad, 300).unwrap_err(),
+            graphalytics_platforms::resolve("spark").err().unwrap()
+        );
+        let alias = graphalytics_core::json::parse(
+            r#"{"platform":"Hadoop","algorithm":"bfs","graph":"graph500-10"}"#,
+        )
+        .unwrap();
+        assert_eq!(
+            JobSpec::from_json(&alias, 300).unwrap().platform,
+            "mapreduce"
+        );
         let bad = graphalytics_core::json::parse(
             r#"{"platform":"reference","algorithm":"sort","graph":"graph500-10"}"#,
         )
@@ -652,13 +608,5 @@ mod tests {
         shutdown.store(true, Ordering::Release);
         s.notify_all();
         assert_eq!(worker.join().unwrap(), None);
-    }
-
-    #[test]
-    fn build_platform_covers_the_roster() {
-        for name in PLATFORMS {
-            assert!(build_platform(name, None).is_ok(), "{name}");
-        }
-        assert!(build_platform("spark", None).is_err());
     }
 }

@@ -36,7 +36,7 @@ use graphalytics_core::{BenchmarkConfig, BenchmarkSuite, Tracer};
 use graphalytics_obs::{chrome_trace, flamegraph_svg, SamplingProfiler};
 
 use crate::http::{read_request, Request, Response};
-use crate::jobs::{build_platform, Artifacts, JobSpec, JobState, JobStore, SubmitError};
+use crate::jobs::{Artifacts, JobSpec, JobState, JobStore, SubmitError};
 use crate::registry::GraphRegistry;
 
 /// Request-latency buckets — an HTTP API lives well below the runner's
@@ -57,7 +57,8 @@ pub struct ServerConfig {
     pub preload: Vec<String>,
     /// Default per-job timeout when a submission does not set one.
     pub default_timeout_secs: u64,
-    /// Reference-platform worker count for jobs (None = sequential).
+    /// Worker count for the platforms a job can size: reference threads
+    /// and distributed worker processes (None = each platform's default).
     pub threads: Option<usize>,
 }
 
@@ -526,7 +527,12 @@ fn run_job(ctx: &Arc<ServerCtx>, id: u64) {
             return;
         }
     };
-    let mut platforms = match build_platform(&spec.platform, ctx.config.threads) {
+    // `--threads` sizes what a job can size: reference threads and the
+    // distributed fleet.
+    let properties = (ctx.config.threads.iter())
+        .flat_map(|t| ["reference.threads", "distrib.workers"].map(|k| (k.into(), t.to_string())))
+        .collect();
+    let mut platforms = match graphalytics_platforms::build(&spec.platform, &properties) {
         Ok(p) => vec![p],
         Err(e) => {
             finish_job(ctx, id, JobState::Failed, None, None, Some(e), None);

@@ -9,7 +9,7 @@
 
 use graphalytics_core::json::parse as parse_json;
 use graphalytics_core::{BenchmarkConfig, BenchmarkSuite, Dataset, Platform, ReferencePlatform};
-use graphalytics_pregel::GiraphPlatform;
+use graphalytics_platforms::pregel::GiraphPlatform;
 use graphalytics_serve::http::http_call;
 use graphalytics_serve::server::{start, ServerConfig};
 

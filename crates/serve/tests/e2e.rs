@@ -362,9 +362,12 @@ fn check_prometheus_grammar(text: &str) {
     }
 }
 
-/// Splits one sample line into (metric name, labels, value text),
-/// honouring the `\\`, `\"`, `\n` escapes inside label values.
-fn parse_sample_line(line: &str) -> Result<(String, Vec<(String, String)>, String), String> {
+/// One exposition sample: (metric name, labels, value text).
+type Sample = (String, Vec<(String, String)>, String);
+
+/// Splits one sample line into its [`Sample`] parts, honouring the
+/// `\\`, `\"`, `\n` escapes inside label values.
+fn parse_sample_line(line: &str) -> Result<Sample, String> {
     let Some(brace) = line.find('{') else {
         let (name, value) = line
             .split_once(' ')

@@ -13,24 +13,23 @@
 //! ```
 
 use graphalytics::algos::{bfs, cd, conn, evo, lcc, pagerank, sssp, stats};
-use graphalytics::core::platform::GraphHandle;
+use graphalytics::core::platform::{GraphHandle, GraphTable};
 use graphalytics::core::report;
 use graphalytics::prelude::*;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// A brand-new platform: plain sequential algorithms over a shared CSR.
 /// (Your real platform would translate into its own storage here.)
+/// `GraphTable` is the harness's handle table: it hands out the handles
+/// and answers a stale one with `PlatformError::InvalidHandle`.
 struct MyPlatform {
-    graphs: HashMap<u64, Arc<CsrGraph>>,
-    next: u64,
+    graphs: GraphTable<Arc<CsrGraph>>,
 }
 
 impl MyPlatform {
     fn new() -> Self {
         Self {
-            graphs: HashMap::new(),
-            next: 0,
+            graphs: GraphTable::default(),
         }
     }
 }
@@ -42,10 +41,7 @@ impl Platform for MyPlatform {
 
     // The dataset loading method (ETL).
     fn load_graph(&mut self, graph: &CsrGraph) -> Result<GraphHandle, PlatformError> {
-        let handle = GraphHandle(self.next);
-        self.next += 1;
-        self.graphs.insert(handle.0, Arc::new(graph.clone()));
-        Ok(handle)
+        Ok(self.graphs.insert(Arc::new(graph.clone())))
     }
 
     // The workload processing interface.
@@ -55,10 +51,7 @@ impl Platform for MyPlatform {
         algorithm: &Algorithm,
         ctx: &RunContext,
     ) -> Result<Output, PlatformError> {
-        let g = self
-            .graphs
-            .get(&handle.0)
-            .ok_or(PlatformError::InvalidHandle)?;
+        let g = self.graphs.get(handle)?;
         ctx.check_deadline()?;
         Ok(match algorithm {
             Algorithm::Stats => Output::Stats(stats::stats(g)),
@@ -96,7 +89,7 @@ impl Platform for MyPlatform {
     }
 
     fn unload(&mut self, handle: GraphHandle) {
-        self.graphs.remove(&handle.0);
+        self.graphs.remove(handle);
     }
 }
 
@@ -107,7 +100,9 @@ fn main() {
         BenchmarkConfig::default(),
     );
     // The new platform runs side by side with a built-in one; the harness
-    // needs no changes.
+    // needs no changes. (A row in `graphalytics::platforms::PLATFORMS` is
+    // what would make it selectable by name in run.properties, job
+    // submissions and `bench ladder`.)
     let mut platforms: Vec<Box<dyn Platform>> = vec![
         Box::new(MyPlatform::new()),
         Box::new(GiraphPlatform::with_defaults()),

@@ -18,6 +18,7 @@
 //! | [`mapreduce`] | Hadoop stand-in (disk-backed MapReduce job chains) |
 //! | [`graphdb`] | Neo4j stand-in (record stores + traversals) |
 //! | [`columnar`] | Virtuoso stand-in (compressed columns + transitive SQL) |
+//! | [`platforms`] | the platform registry: every engine above (plus the multi-process `distributed-pregel`) by configuration name |
 //! | [`obs`] | choke-point profiler: span-stack sampler, flamegraph/Chrome-trace export, perf-regression observatory |
 //!
 //! ## Quickstart
@@ -48,6 +49,7 @@ pub use graphalytics_graph as graph;
 pub use graphalytics_graphdb as graphdb;
 pub use graphalytics_mapreduce as mapreduce;
 pub use graphalytics_obs as obs;
+pub use graphalytics_platforms as platforms;
 pub use graphalytics_pregel as pregel;
 
 /// The most commonly used types, re-exported flat.
