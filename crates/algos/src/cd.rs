@@ -37,33 +37,21 @@ pub fn community_detection(
     let mut scores: Vec<f64> = vec![1.0; n];
     let mut next_labels = labels.clone();
     let mut next_scores = scores.clone();
-    let mut weight: FxHashMap<u32, (Vec<f64>, f64)> = FxHashMap::default();
+    let mut weight = LabelWeights::default();
     for _ in 0..iterations {
         let mut changed = false;
         for v in 0..n as Vid {
-            let neigh = g.neighbors(v);
-            if neigh.is_empty() {
-                next_labels[v as usize] = labels[v as usize];
-                next_scores[v as usize] = scores[v as usize];
-                continue;
-            }
             weight.clear();
-            for &u in neigh {
-                let lu = labels[u as usize];
-                let influence = scores[u as usize] * (g.degree(u) as f64).powf(degree_exponent);
-                let entry = weight.entry(lu).or_insert((Vec::new(), 0.0));
-                entry.0.push(influence);
-                entry.1 = entry.1.max(scores[u as usize]);
+            for &u in g.neighbors(v) {
+                let score = scores[u as usize];
+                let sway = influence(score, g.degree(u), degree_exponent);
+                add_vote(&mut weight, labels[u as usize], score, sway);
             }
-            let (best_label, _best_weight, best_score) = argmax_label(&mut weight);
-            if best_label != labels[v as usize] {
-                changed = true;
-                next_labels[v as usize] = best_label;
-                next_scores[v as usize] = best_score * (1.0 - hop_attenuation);
-            } else {
-                next_labels[v as usize] = best_label;
-                next_scores[v as usize] = best_score.max(scores[v as usize]);
-            }
+            let own = (labels[v as usize], scores[v as usize]);
+            let (label, score, adopted) = adopt_or_keep(own, &mut weight, hop_attenuation);
+            changed |= adopted;
+            next_labels[v as usize] = label;
+            next_scores[v as usize] = score;
         }
         std::mem::swap(&mut labels, &mut next_labels);
         std::mem::swap(&mut scores, &mut next_scores);
@@ -74,12 +62,49 @@ pub fn community_detection(
     labels
 }
 
-/// The CD arg-max step, shared by every platform implementation: per-label
-/// contributions are sorted ascending and summed (canonical order ⇒ the
-/// f64 total is platform-independent), then the heaviest label wins with
-/// ties broken toward the smallest label. Returns
-/// `(label, weight, max_score)`.
-pub fn argmax_label(weight: &mut FxHashMap<u32, (Vec<f64>, f64)>) -> (u32, f64, f64) {
+/// One vertex's view of its neighborhood, per label: the influence
+/// contributions received and the largest score among their senders.
+pub type LabelWeights = FxHashMap<u32, (Vec<f64>, f64)>;
+
+/// What a neighbor of degree `degree` holding `score` contributes to its
+/// label's weight: `score · degree^m`.
+pub fn influence(score: f64, degree: usize, degree_exponent: f64) -> f64 {
+    score * (degree as f64).powf(degree_exponent)
+}
+
+/// Records one neighbor's `(label, score, influence)` in `weight`.
+pub fn add_vote(weight: &mut LabelWeights, label: u32, score: f64, influence: f64) {
+    let entry = weight.entry(label).or_insert((Vec::new(), 0.0));
+    entry.0.push(influence);
+    entry.1 = entry.1.max(score);
+}
+
+/// The CD update step, shared by the reference and every engine: the
+/// arg-max label of `weight` is adopted with its score attenuated by
+/// `(1 − δ)` when it differs from `own.0`, and otherwise kept with the
+/// larger of the two scores. A vertex that heard from nobody (`weight`
+/// empty) keeps its state. Returns `(label, score, adopted)`.
+pub fn adopt_or_keep(
+    own: (u32, f64),
+    weight: &mut LabelWeights,
+    hop_attenuation: f64,
+) -> (u32, f64, bool) {
+    if weight.is_empty() {
+        return (own.0, own.1, false);
+    }
+    let (best_label, best_score) = argmax_label(weight);
+    if best_label != own.0 {
+        (best_label, best_score * (1.0 - hop_attenuation), true)
+    } else {
+        (own.0, best_score.max(own.1), false)
+    }
+}
+
+/// The CD arg-max: per-label contributions are sorted ascending and summed
+/// (canonical order ⇒ the f64 total is platform-independent), then the
+/// heaviest label wins with ties broken toward the smallest label. Returns
+/// `(label, max_score)`.
+fn argmax_label(weight: &mut FxHashMap<u32, (Vec<f64>, f64)>) -> (u32, f64) {
     let (mut best_label, mut best_weight, mut best_score) = (u32::MAX, f64::MIN, 0.0);
     // lint:allow(determinism-hash-iter): order-insensitive — contributions are sorted before summing and ties break by total order on the label, so every iteration order yields the same argmax
     for (&l, (contributions, max_score)) in weight.iter_mut() {
@@ -91,7 +116,7 @@ pub fn argmax_label(weight: &mut FxHashMap<u32, (Vec<f64>, f64)>) -> (u32, f64, 
             best_score = *max_score;
         }
     }
-    (best_label, best_weight, best_score)
+    (best_label, best_score)
 }
 
 /// Modularity of a labeling (Newman): used to *validate* that CD found

@@ -27,14 +27,25 @@ pub fn stats(g: &CsrGraph) -> StatsResult {
 /// count (see [`crate::lcc::local_clustering_parallel`]) and are summed
 /// sequentially in vertex order, so the mean is too.
 pub fn stats_parallel(g: &CsrGraph, threads: usize) -> StatsResult {
-    let n = g.num_vertices();
+    from_coefficients(
+        g.num_edges(),
+        &metrics::local_clustering_coefficients(g, threads),
+    )
+}
+
+/// Assembles STATS from the per-vertex local clustering coefficients, in
+/// internal-id order: |V| is their count, the mean is their sum in that
+/// order over |V| (0 on the empty graph). Engines that produce the
+/// coefficient vector end here, so the mean's bits cannot differ by engine.
+pub fn from_coefficients(num_edges: usize, coefficients: &[f64]) -> StatsResult {
+    let n = coefficients.len();
     let mut sum = 0.0;
-    for c in metrics::local_clustering_coefficients(g, threads) {
+    for c in coefficients {
         sum += c;
     }
     StatsResult {
         num_vertices: n,
-        num_edges: g.num_edges(),
+        num_edges,
         mean_local_cc: if n == 0 { 0.0 } else { sum / n as f64 },
     }
 }

@@ -7,8 +7,9 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use graphalytics_algos::INFINITY;
+use graphalytics_algos::{lcc, INFINITY};
 use graphalytics_core::platform::{PlatformError, RunContext};
+use graphalytics_graph::metrics;
 
 use crate::table::{EdgeTable, LookupScratch};
 
@@ -85,39 +86,19 @@ pub fn local_clustering(
         if v.is_multiple_of(DEADLINE_STRIDE) {
             ctx.check_deadline()?;
         }
-        let d = list.len();
-        if d < 2 {
+        if list.len() < 2 {
             continue;
         }
-        // Each edge among neighbors is discovered from both endpoints.
-        let mut tri = 0usize;
+        let mut links = 0usize;
         for &u in list {
             if (u as usize) < num_vertices {
-                tri += sorted_intersection(list, &adjacency[u as usize]);
+                links += metrics::sorted_intersection_len(list, &adjacency[u as usize]);
             }
         }
-        tri /= 2;
-        coefficients[v] = (2 * tri) as f64 / (d * (d - 1)) as f64;
+        coefficients[v] = lcc::coefficient_from_links(links, list.len());
     }
     span.field("vertices", num_vertices);
     Ok(coefficients)
-}
-
-/// Number of values common to two sorted slices.
-fn sorted_intersection(a: &[u64], b: &[u64]) -> usize {
-    let (mut i, mut j, mut n) = (0, 0, 0);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                n += 1;
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    n
 }
 
 #[cfg(test)]

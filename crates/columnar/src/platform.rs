@@ -35,6 +35,14 @@ struct LoadedGraph {
     num_vertices: usize,
 }
 
+impl LoadedGraph {
+    /// The table key of external id `external`, if the graph has it.
+    fn internal_id(&self, external: u64) -> Option<u64> {
+        let position = self.external_ids.iter().position(|&e| e == external);
+        position.map(|i| i as u64)
+    }
+}
+
 /// Virtuoso stand-in: a compressed column store whose graph traversal runs
 /// as a partitioned transitive SQL operator.
 pub struct VirtuosoPlatform {
@@ -122,13 +130,12 @@ impl Platform for VirtuosoPlatform {
             Algorithm::Bfs { source } => {
                 let loaded = self.graphs.get(handle)?;
                 let n = loaded.num_vertices;
-                let source_internal = loaded.external_ids.iter().position(|&e| e == *source);
                 let mut depths = vec![-1i64; n];
-                let Some(src) = source_internal else {
+                let Some(src) = loaded.internal_id(*source) else {
                     return Ok(Output::Depths(depths));
                 };
                 let (profile, records) =
-                    transitive_closure(&loaded.table, src as u64, self.config.threads, ctx)?;
+                    transitive_closure(&loaded.table, src, self.config.threads, ctx)?;
                 for (v, d) in records {
                     if (v as usize) < n {
                         depths[v as usize] = d;
@@ -139,15 +146,10 @@ impl Platform for VirtuosoPlatform {
             }
             Algorithm::Sssp { source } => {
                 let loaded = self.graphs.get(handle)?;
-                let source = loaded
-                    .external_ids
-                    .iter()
-                    .position(|&e| e == *source)
-                    .map(|i| i as u64);
                 Ok(Output::Distances(analytics::sssp(
                     &loaded.table,
                     loaded.num_vertices,
-                    source,
+                    loaded.internal_id(*source),
                     ctx,
                 )?))
             }

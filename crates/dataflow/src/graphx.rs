@@ -12,9 +12,9 @@
 
 use std::sync::Arc;
 
+use graphalytics_algos::{cd, lcc};
 use graphalytics_core::platform::{PlatformError, RunContext};
-use graphalytics_graph::{CsrGraph, Edge, Vid};
-use rustc_hash::FxHashMap;
+use graphalytics_graph::{metrics, CsrGraph, Edge, Vid};
 
 use crate::rdd::{Dataset, SparkContext};
 
@@ -88,35 +88,59 @@ impl GraphFrame {
         Ok(gathered.collect())
     }
 
-    /// BFS depths from an internal source vertex.
-    pub fn bfs(&self, source: Option<Vid>, ctx: &RunContext) -> Result<Vec<i64>, PlatformError> {
-        let n = self.num_vertices;
-        let mut depths = vec![-1i64; n];
-        let Some(src) = source else {
-            return Ok(depths);
-        };
-        depths[src as usize] = 0;
-        let mut frontier: Vec<(u32, i64)> = vec![(src, 0)];
+    /// The frontier loop BFS, SSSP and CONN share: each round, `propose`
+    /// turns the frontier's `(vertex, value)` pairs into one proposal per
+    /// destination; a proposal that `improves` on the destination's value
+    /// replaces it and puts the vertex on the next frontier. The initial
+    /// frontier's values are written to `values` first. Runs until a round
+    /// improves nothing, one `graphx.iteration` span per round.
+    fn frontier_rounds<S: Copy>(
+        &self,
+        job: &str,
+        values: &mut [S],
+        mut frontier: Vec<(u32, S)>,
+        propose: impl Fn(Vec<(u32, S)>) -> Result<Vec<(u32, S)>, PlatformError>,
+        improves: impl Fn(S, S) -> bool,
+        ctx: &RunContext,
+    ) -> Result<(), PlatformError> {
+        for &(v, seed) in &frontier {
+            values[v as usize] = seed;
+        }
         let mut iteration = 0usize;
         while !frontier.is_empty() {
             ctx.check_deadline()?;
             let mut span = ctx.tracer().span("graphx.iteration");
-            span.field("job", "bfs")
+            span.field("job", job)
                 .field("iteration", iteration)
                 .field("frontier", frontier.len());
             let stages_before = self.ctx.stats().stages;
-            let proposals = self.propagate_reduced(frontier, |_, &d| d + 1, |a, b| a.min(b))?;
             let mut next = Vec::new();
-            for (v, d) in proposals {
-                if depths[v as usize] < 0 {
-                    depths[v as usize] = d;
-                    next.push((v, d));
+            for (v, proposal) in propose(frontier)? {
+                if improves(proposal, values[v as usize]) {
+                    values[v as usize] = proposal;
+                    next.push((v, proposal));
                 }
             }
             span.field("stages", self.ctx.stats().stages - stages_before);
             frontier = next;
             iteration += 1;
         }
+        Ok(())
+    }
+
+    /// BFS depths from an internal source vertex: the frontier sends
+    /// `depth + 1`, and only unreached vertices accept.
+    pub fn bfs(&self, source: Option<Vid>, ctx: &RunContext) -> Result<Vec<i64>, PlatformError> {
+        let mut depths = vec![-1i64; self.num_vertices];
+        let frontier = source.map(|src| (src, 0)).into_iter().collect();
+        self.frontier_rounds(
+            "bfs",
+            &mut depths,
+            frontier,
+            |frontier| self.propagate_reduced(frontier, |_, &d| d + 1, |a, b| a.min(b)),
+            |_, current| current < 0,
+            ctx,
+        )?;
         Ok(depths)
     }
 
@@ -125,65 +149,38 @@ impl GraphFrame {
     /// arc dataset and proposals are min-reduced per destination — the
     /// shape of GraphX's built-in `ShortestPaths`.
     pub fn sssp(&self, source: Option<Vid>, ctx: &RunContext) -> Result<Vec<u64>, PlatformError> {
-        let n = self.num_vertices;
-        let mut dists = vec![graphalytics_algos::INFINITY; n];
-        let Some(src) = source else {
-            return Ok(dists);
-        };
-        dists[src as usize] = 0;
-        let mut frontier: Vec<(u32, u64)> = vec![(src, 0)];
-        let mut iteration = 0usize;
-        while !frontier.is_empty() {
-            ctx.check_deadline()?;
-            let mut span = ctx.tracer().span("graphx.iteration");
-            span.field("job", "sssp")
-                .field("iteration", iteration)
-                .field("frontier", frontier.len());
-            let stages_before = self.ctx.stats().stages;
-            let state_ds = Dataset::from_vec(&self.ctx, frontier)?;
-            let triplets = self.weighted_arcs.join(&state_ds)?;
-            let messages = triplets.map(|(_src, ((dst, w), d))| (*dst, d.saturating_add(*w)))?;
-            let proposals = messages.reduce_by_key(|a, b| a.min(b))?.collect();
-            let mut next = Vec::new();
-            for (v, d) in proposals {
-                if d < dists[v as usize] {
-                    dists[v as usize] = d;
-                    next.push((v, d));
-                }
-            }
-            span.field("stages", self.ctx.stats().stages - stages_before);
-            frontier = next;
-            iteration += 1;
-        }
+        let mut dists = vec![graphalytics_algos::INFINITY; self.num_vertices];
+        let frontier = source.map(|src| (src, 0)).into_iter().collect();
+        self.frontier_rounds(
+            "sssp",
+            &mut dists,
+            frontier,
+            |frontier| {
+                let state_ds = Dataset::from_vec(&self.ctx, frontier)?;
+                let triplets = self.weighted_arcs.join(&state_ds)?;
+                let messages =
+                    triplets.map(|(_src, ((dst, w), d))| (*dst, d.saturating_add(*w)))?;
+                Ok(messages.reduce_by_key(|a, b| a.min(b))?.collect())
+            },
+            |proposal, current| proposal < current,
+            ctx,
+        )?;
         Ok(dists)
     }
 
     /// Connected components via HashMin label propagation (this uses the
     /// same built-in pattern as GraphX's `connectedComponents`).
     pub fn connected_components(&self, ctx: &RunContext) -> Result<Vec<u32>, PlatformError> {
-        let n = self.num_vertices;
-        let mut labels: Vec<u32> = (0..n as u32).collect();
-        let mut frontier: Vec<(u32, u32)> = labels.iter().map(|&l| (l, l)).collect();
-        let mut iteration = 0usize;
-        while !frontier.is_empty() {
-            ctx.check_deadline()?;
-            let mut span = ctx.tracer().span("graphx.iteration");
-            span.field("job", "conn")
-                .field("iteration", iteration)
-                .field("frontier", frontier.len());
-            let stages_before = self.ctx.stats().stages;
-            let proposals = self.propagate_reduced(frontier, |_, &l| l, |a, b| a.min(b))?;
-            let mut next = Vec::new();
-            for (v, l) in proposals {
-                if l < labels[v as usize] {
-                    labels[v as usize] = l;
-                    next.push((v, l));
-                }
-            }
-            span.field("stages", self.ctx.stats().stages - stages_before);
-            frontier = next;
-            iteration += 1;
-        }
+        let mut labels: Vec<u32> = (0..self.num_vertices as u32).collect();
+        let frontier: Vec<(u32, u32)> = labels.iter().map(|&l| (l, l)).collect();
+        self.frontier_rounds(
+            "conn",
+            &mut labels,
+            frontier,
+            |frontier| self.propagate_reduced(frontier, |_, &l| l, |a, b| a.min(b)),
+            |proposal, current| proposal < current,
+            ctx,
+        )?;
         Ok(labels)
     }
 
@@ -210,9 +207,9 @@ impl GraphFrame {
             let stages_before = self.ctx.stats().stages;
             let states: Vec<(u32, (u32, f64, f64))> = (0..n as u32)
                 .map(|v| {
-                    let influence =
-                        scores[v as usize] * (degrees[v as usize] as f64).powf(degree_exponent);
-                    (v, (labels[v as usize], scores[v as usize], influence))
+                    let score = scores[v as usize];
+                    let influence = cd::influence(score, degrees[v as usize], degree_exponent);
+                    (v, (labels[v as usize], score, influence))
                 })
                 .collect();
             let gathered = self.propagate_gathered(states, |_, s| *s)?;
@@ -220,22 +217,15 @@ impl GraphFrame {
             let mut next_labels = labels.clone();
             let mut next_scores = scores.clone();
             for (v, messages) in gathered {
-                let mut weight: FxHashMap<u32, (Vec<f64>, f64)> = FxHashMap::default();
+                let mut weight = cd::LabelWeights::default();
                 for (label, score, influence) in messages {
-                    let entry = weight.entry(label).or_insert((Vec::new(), 0.0));
-                    entry.0.push(influence);
-                    entry.1 = entry.1.max(score);
+                    cd::add_vote(&mut weight, label, score, influence);
                 }
-                let (best_label, _w, best_score) =
-                    graphalytics_algos::cd::argmax_label(&mut weight);
-                if best_label != labels[v as usize] {
-                    changed = true;
-                    next_labels[v as usize] = best_label;
-                    next_scores[v as usize] = best_score * (1.0 - hop_attenuation);
-                } else {
-                    next_labels[v as usize] = best_label;
-                    next_scores[v as usize] = best_score.max(scores[v as usize]);
-                }
+                let own = (labels[v as usize], scores[v as usize]);
+                let (label, score, adopted) = cd::adopt_or_keep(own, &mut weight, hop_attenuation);
+                changed |= adopted;
+                next_labels[v as usize] = label;
+                next_scores[v as usize] = score;
             }
             labels = next_labels;
             scores = next_scores;
@@ -275,34 +265,18 @@ impl GraphFrame {
         ctx.check_deadline()?;
         // Intersect with the local list.
         let with_own = gathered.join(&adjacency)?;
-        let lcc = with_own.map(|(v, (lists, own))| {
-            let d = own.len();
-            if d < 2 {
-                return (*v, 0.0);
-            }
-            let mut links = 0usize;
-            for list in lists {
-                links += graphalytics_graph::metrics::sorted_intersection_len(own, list);
-            }
-            let triangles = links / 2;
-            (*v, triangles as f64 / (d * (d - 1) / 2) as f64)
+        let coefficient = with_own.map(|(v, (lists, own))| {
+            let links = lists
+                .iter()
+                .map(|list| metrics::sorted_intersection_len(own, list))
+                .sum();
+            (*v, lcc::coefficient_from_links(links, own.len()))
         })?;
-        for (v, c) in lcc.collect() {
+        for (v, c) in coefficient.collect() {
             coefficients[v as usize] = c;
         }
         span.field("stages", self.ctx.stats().stages - stages_before);
         Ok(coefficients)
-    }
-
-    /// Mean local clustering coefficient — the STATS half of the workload,
-    /// averaging [`Self::local_clustering`] over all vertices.
-    pub fn mean_local_cc(&self, ctx: &RunContext) -> Result<f64, PlatformError> {
-        let n = self.num_vertices;
-        if n == 0 {
-            return Ok(0.0);
-        }
-        let total: f64 = self.local_clustering(ctx)?.iter().sum();
-        Ok(total / n as f64)
     }
 
     /// PageRank: contribution shuffle + reduce per iteration, dangling mass
@@ -459,9 +433,11 @@ mod tests {
     #[test]
     fn stats_matches_reference() {
         let (_c, g, frame) = setup(test_edges());
-        let mean = frame.mean_local_cc(&RunContext::unbounded()).unwrap();
-        let expected = algos::stats::stats(&g).mean_local_cc;
-        assert!((mean - expected).abs() < 1e-12, "{mean} vs {expected}");
+        let lccs = frame.local_clustering(&RunContext::unbounded()).unwrap();
+        assert_eq!(
+            algos::stats::from_coefficients(g.num_edges(), &lccs),
+            algos::stats::stats(&g)
+        );
     }
 
     #[test]

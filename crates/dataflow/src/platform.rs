@@ -99,14 +99,10 @@ impl Platform for GraphXPlatform {
         let stages_before = stats_before.stages;
         let shuffle_before = stats_before.shuffle_records;
         let result = match algorithm {
-            Algorithm::Stats => {
-                let mean = frame.mean_local_cc(ctx)?;
-                Ok(Output::Stats(graphalytics_algos::StatsResult {
-                    num_vertices: graph.num_vertices(),
-                    num_edges: graph.num_edges(),
-                    mean_local_cc: mean,
-                }))
-            }
+            Algorithm::Stats => Ok(Output::Stats(graphalytics_algos::stats::from_coefficients(
+                graph.num_edges(),
+                &frame.local_clustering(ctx)?,
+            ))),
             Algorithm::Bfs { source } => {
                 Ok(Output::Depths(frame.bfs(graph.internal_id(*source), ctx)?))
             }

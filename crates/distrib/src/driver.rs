@@ -16,9 +16,10 @@ use graphalytics_core::faults::FaultPlan;
 use graphalytics_core::platform::{GraphHandle, GraphTable, Platform, PlatformError, RunContext};
 use graphalytics_core::ScratchDir;
 use graphalytics_graph::CsrGraph;
-use graphalytics_pregel::programs::CdState;
+use graphalytics_pregel::programs::{dispatch, ProgramVisitor};
+use graphalytics_pregel::VertexProgram;
 
-use crate::master::{coordinate, MasterConfig, MasterStats};
+use crate::master::{coordinate, MasterConfig};
 use crate::partition::PartitionPlan;
 
 /// Configuration of the distributed runtime.
@@ -145,96 +146,23 @@ impl Platform for DistributedPlatform {
         ctx: &RunContext,
     ) -> Result<Output, PlatformError> {
         self.run_seq += 1;
-        let run_seq = self.run_seq;
         let loaded = self.graphs.get(handle)?;
-        let graph = Arc::clone(&loaded.graph);
-        if let Algorithm::Evo {
-            new_vertices,
-            p_forward,
-            max_burst,
-            seed,
-        } = algorithm
-        {
-            // EVO is coordinator-driven (the fires walk the adjacency from
-            // the master), exactly as in the in-process Giraph stand-in.
-            ctx.check_deadline()?;
-            return Ok(Output::Evolution(graphalytics_algos::evo::forest_fire(
-                &graph,
-                *new_vertices,
-                *p_forward,
-                *max_burst,
-                *seed,
-            )));
+        let fleet = FleetRun {
+            platform: self,
+            loaded,
+            algorithm,
+            ctx,
+        };
+        match dispatch(algorithm, &loaded.graph, fleet) {
+            Some(result) => result,
+            None => {
+                // EVO is coordinator-driven (the fires walk the adjacency
+                // from the master), exactly as in the in-process Giraph
+                // stand-in.
+                ctx.check_deadline()?;
+                Ok(graphalytics_algos::reference(&loaded.graph, algorithm))
+            }
         }
-        let n = graph.num_vertices();
-        // Dropped on every way out of this run, failures included.
-        let checkpoints = ScratchDir::new(Some(loaded.dir.path()), "run")
-            .map_err(|e| PlatformError::TransientIo(format!("checkpoint dir: {e}")))?;
-        let part = PartitionPlan::new(&graph, self.config.workers.max(1) as usize);
-        let cfg = MasterConfig {
-            workers: self.config.workers.max(1),
-            checkpoint_interval: self.config.checkpoint_interval,
-            max_supersteps: self.config.max_supersteps,
-            max_restarts: self.config.max_restarts,
-            worker_bin: self.resolve_worker_bin()?,
-            graph_prefix: loaded.prefix.clone(),
-            directed: graph.is_directed(),
-            weighted: loaded.weighted,
-            checkpoint_dir: checkpoints.path().to_path_buf(),
-            run_id: run_seq,
-        };
-        let fault_plan = ctx
-            .faults()
-            .map(|f| f.plan().clone())
-            .unwrap_or_else(FaultPlan::disabled);
-        let output = match algorithm {
-            Algorithm::Stats => {
-                let (states, _stats) =
-                    run_fleet::<f64>(&cfg, algorithm, &fault_plan, &part, ctx, n)?;
-                let mean = if n == 0 {
-                    0.0
-                } else {
-                    states.iter().sum::<f64>() / n as f64
-                };
-                Output::Stats(graphalytics_algos::StatsResult {
-                    num_vertices: n,
-                    num_edges: graph.num_edges(),
-                    mean_local_cc: mean,
-                })
-            }
-            Algorithm::Bfs { .. } => {
-                let (states, _stats) =
-                    run_fleet::<i64>(&cfg, algorithm, &fault_plan, &part, ctx, n)?;
-                Output::Depths(states)
-            }
-            Algorithm::Conn => {
-                let (states, _stats) =
-                    run_fleet::<u32>(&cfg, algorithm, &fault_plan, &part, ctx, n)?;
-                Output::Components(states)
-            }
-            Algorithm::Cd { .. } => {
-                let (states, _stats) =
-                    run_fleet::<CdState>(&cfg, algorithm, &fault_plan, &part, ctx, n)?;
-                Output::Communities(states.iter().map(|s| s.label).collect())
-            }
-            Algorithm::Sssp { .. } => {
-                let (states, _stats) =
-                    run_fleet::<u64>(&cfg, algorithm, &fault_plan, &part, ctx, n)?;
-                Output::Distances(states)
-            }
-            Algorithm::Lcc => {
-                let (states, _stats) =
-                    run_fleet::<f64>(&cfg, algorithm, &fault_plan, &part, ctx, n)?;
-                Output::LocalClustering(states)
-            }
-            Algorithm::PageRank { .. } => {
-                let (states, _stats) =
-                    run_fleet::<f64>(&cfg, algorithm, &fault_plan, &part, ctx, n)?;
-                Output::Ranks(states)
-            }
-            Algorithm::Evo { .. } => unreachable!("handled above"),
-        };
-        Ok(output)
     }
 
     fn unload(&mut self, handle: GraphHandle) {
@@ -243,20 +171,54 @@ impl Platform for DistributedPlatform {
     }
 }
 
-/// Runs the fleet unless the graph is empty — an empty dataset needs no
-/// worker processes, and the in-process engine likewise returns the empty
-/// state vector without a single superstep.
-fn run_fleet<S: graphalytics_core::faults::CheckpointCodec + Clone>(
-    cfg: &MasterConfig,
-    algorithm: &Algorithm,
-    fault_plan: &FaultPlan,
-    part: &PartitionPlan,
-    ctx: &RunContext,
-    n: usize,
-) -> Result<(Vec<S>, MasterStats), PlatformError> {
-    if n == 0 {
-        ctx.check_deadline()?;
-        return Ok((Vec::new(), MasterStats::default()));
+/// One fleet run of the dispatched program: the master only needs the
+/// program's state type, the worker processes build the program themselves.
+struct FleetRun<'a> {
+    platform: &'a DistributedPlatform,
+    loaded: &'a LoadedGraph,
+    algorithm: &'a Algorithm,
+    ctx: &'a RunContext,
+}
+
+impl ProgramVisitor for FleetRun<'_> {
+    type Out = Result<Output, PlatformError>;
+
+    fn visit<P: VertexProgram>(
+        self,
+        _program: &P,
+        output: fn(&CsrGraph, Vec<P::State>) -> Output,
+    ) -> Self::Out {
+        let (config, loaded, ctx) = (&self.platform.config, self.loaded, self.ctx);
+        let graph = &loaded.graph;
+        // An empty dataset needs no worker processes, and the in-process
+        // engine likewise returns the empty state vector without a single
+        // superstep.
+        if graph.num_vertices() == 0 {
+            ctx.check_deadline()?;
+            return Ok(output(graph, Vec::new()));
+        }
+        // Dropped on every way out of this run, failures included.
+        let checkpoints = ScratchDir::new(Some(loaded.dir.path()), "run")
+            .map_err(|e| PlatformError::TransientIo(format!("checkpoint dir: {e}")))?;
+        let part = PartitionPlan::new(graph, config.workers.max(1) as usize);
+        let cfg = MasterConfig {
+            workers: config.workers.max(1),
+            checkpoint_interval: config.checkpoint_interval,
+            max_supersteps: config.max_supersteps,
+            max_restarts: config.max_restarts,
+            worker_bin: self.platform.resolve_worker_bin()?,
+            graph_prefix: loaded.prefix.clone(),
+            directed: graph.is_directed(),
+            weighted: loaded.weighted,
+            checkpoint_dir: checkpoints.path().to_path_buf(),
+            run_id: self.platform.run_seq,
+        };
+        let fault_plan = ctx
+            .faults()
+            .map(|f| f.plan().clone())
+            .unwrap_or_else(FaultPlan::disabled);
+        let (states, _stats) =
+            coordinate::<P::State>(&cfg, self.algorithm, &fault_plan, &part, ctx)?;
+        Ok(output(graph, states))
     }
-    coordinate::<S>(cfg, algorithm, fault_plan, part, ctx)
 }

@@ -16,12 +16,10 @@ use std::path::{Path, PathBuf};
 // lint:allow(determinism-time): socket read timeouts bound the wait for lost peers
 use std::time::Duration;
 
-use graphalytics_algos::Algorithm;
+use graphalytics_algos::Output;
 use graphalytics_core::faults::{FaultSite, Snapshot};
 use graphalytics_graph::{io as graph_io, CsrGraph, Vid};
-use graphalytics_pregel::programs::{
-    BfsProgram, CdProgram, ConnProgram, LccProgram, PageRankProgram, SsspProgram, StatsProgram,
-};
+use graphalytics_pregel::programs::{dispatch, ProgramVisitor};
 use graphalytics_pregel::{compute_partition, VertexProgram};
 
 use crate::partition::PartitionPlan;
@@ -107,53 +105,32 @@ pub fn worker_main(args: &[String]) -> Result<(), String> {
     }
     .map_err(|e| format!("read graph {}: {e:?}", prefix.display()))?;
     let graph = CsrGraph::from_edge_list(&edge_list);
-    match plan.algorithm.clone() {
-        Algorithm::Stats => run_program(&StatsProgram, &graph, &plan, master),
-        Algorithm::Bfs { source } => run_program(
-            &BfsProgram {
-                source: graph.internal_id(source),
-            },
-            &graph,
-            &plan,
-            master,
-        ),
-        Algorithm::Conn => run_program(&ConnProgram, &graph, &plan, master),
-        Algorithm::Cd {
-            iterations,
-            hop_attenuation,
-            degree_exponent,
-        } => run_program(
-            &CdProgram {
-                iterations,
-                hop_attenuation,
-                degree_exponent,
-            },
-            &graph,
-            &plan,
-            master,
-        ),
-        Algorithm::Evo { .. } => Err("EVO is coordinator-driven; workers never run it".to_string()),
-        Algorithm::PageRank {
-            iterations,
-            damping,
-        } => run_program(
-            &PageRankProgram {
-                iterations,
-                damping,
-            },
-            &graph,
-            &plan,
-            master,
-        ),
-        Algorithm::Sssp { source } => run_program(
-            &SsspProgram {
-                source: graph.internal_id(source),
-            },
-            &graph,
-            &plan,
-            master,
-        ),
-        Algorithm::Lcc => run_program(&LccProgram, &graph, &plan, master),
+    let superstep_loop = SuperstepLoop {
+        graph: &graph,
+        plan: &plan,
+        master,
+    };
+    dispatch(&plan.algorithm, &graph, superstep_loop)
+        .unwrap_or_else(|| Err("EVO is coordinator-driven; workers never run it".to_string()))
+}
+
+/// Enters [`run_program`] with the dispatched program; the master turns the
+/// shipped states into the output, so the constructor goes unused here.
+struct SuperstepLoop<'a> {
+    graph: &'a CsrGraph,
+    plan: &'a PlanFrame,
+    master: TcpStream,
+}
+
+impl ProgramVisitor for SuperstepLoop<'_> {
+    type Out = Result<(), String>;
+
+    fn visit<P: VertexProgram>(
+        self,
+        program: &P,
+        _output: fn(&CsrGraph, Vec<P::State>) -> Output,
+    ) -> Self::Out {
+        run_program(program, self.graph, self.plan, self.master)
     }
 }
 

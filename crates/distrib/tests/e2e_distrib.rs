@@ -14,6 +14,7 @@ use graphalytics_algos::{Algorithm, Output};
 use graphalytics_core::faults::FaultPlan;
 use graphalytics_core::platform::{Platform, RunContext};
 use graphalytics_core::trace::Tracer;
+use graphalytics_core::ScratchDir;
 use graphalytics_distrib::{
     coordinate, DistribConfig, DistributedPlatform, MasterConfig, MasterStats, PartitionPlan,
 };
@@ -183,9 +184,8 @@ fn e2e_one_vs_four_workers_differential() {
 #[test]
 fn e2e_telemetry_is_off_the_output_path() {
     let graph = test_graph();
-    let dir = std::env::temp_dir().join(format!("gx-telemetry-e2e-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("scratch dir");
-    let prefix = dir.join("graph");
+    let dir = ScratchDir::new(None, "gx-telemetry-e2e").expect("scratch dir");
+    let prefix = dir.path().join("graph");
     graphalytics_graph::io::write_graph(&graph.to_edge_list(), &prefix).expect("write dataset");
     let part = PartitionPlan::new(&graph, 4);
     // Fixed iteration count: both runs execute the same superstep schedule.
@@ -203,7 +203,7 @@ fn e2e_telemetry_is_off_the_output_path() {
         graph_prefix: prefix.clone(),
         directed: graph.is_directed(),
         weighted: true,
-        checkpoint_dir: dir.join(format!("ckpt-{run_id}")),
+        checkpoint_dir: dir.path().join(format!("ckpt-{run_id}")),
         run_id,
     };
 
@@ -301,8 +301,6 @@ fn e2e_telemetry_is_off_the_output_path() {
         rendered.contains("worker=\"0\"") && rendered.contains("worker=\"3\""),
         "missing worker label:\n{rendered}"
     );
-
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// An empty graph runs without spawning any fleet.

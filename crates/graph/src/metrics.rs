@@ -126,8 +126,9 @@ pub fn triangles_per_vertex(g: &CsrGraph, threads: usize) -> Vec<usize> {
 }
 
 /// `2·tri / (d·(d−1))`, the fraction of a degree-`d` vertex's neighbor
-/// pairs that are linked; zero when `d < 2` (no pair exists).
-fn closed_pair_fraction(tri: usize, d: usize) -> f64 {
+/// pairs that are linked; zero when `d < 2` (no pair exists). The one
+/// definition of the coefficient: the reference and every engine end here.
+pub fn closed_pair_fraction(tri: usize, d: usize) -> f64 {
     if d < 2 {
         return 0.0;
     }
@@ -257,8 +258,10 @@ pub fn degree_histogram(g: &CsrGraph) -> Vec<(usize, usize)> {
 }
 
 /// Length of the intersection of two sorted slices (merge-based; falls back
-/// to galloping when lengths are very uneven).
-pub fn sorted_intersection_len(a: &[Vid], b: &[Vid]) -> usize {
+/// to galloping when lengths are very uneven). Generic over the id type so
+/// the engines that keep `u64` lists (MapReduce records, column scans)
+/// share it with the `Vid` adjacency of the CSR.
+pub fn sorted_intersection_len<T: Ord + Copy>(a: &[T], b: &[T]) -> usize {
     let (short, long) = if a.len() <= b.len() { (a, b) } else { (b, a) };
     if short.is_empty() {
         return 0;
@@ -527,6 +530,12 @@ mod tests {
         assert_eq!(sorted_intersection_len(&a, &b), expected);
         assert_eq!(sorted_intersection_len(&b, &a), expected);
         assert_eq!(sorted_intersection_len(&[], &b), 0);
+        // The same lists as `u64` ids, as MapReduce and the column store
+        // hold them: the merge path, then the galloping one (4 against 400
+        // values, of which only 0 is shared).
+        let wide = |list: &[Vid]| list.iter().map(|&x| x as u64).collect::<Vec<u64>>();
+        assert_eq!(sorted_intersection_len(&wide(&a), &wide(&b)), expected);
+        assert_eq!(sorted_intersection_len(&wide(&a[..4]), &wide(&b)), 1);
     }
 
     #[test]

@@ -5,8 +5,9 @@
 //! the relationship chains. "Its performance is generally the best due to
 //! its non-distributed nature" (paper §3.2) at the scales it can hold.
 
+use graphalytics_algos::{cd, lcc};
 use graphalytics_core::platform::{PlatformError, RunContext};
-use rustc_hash::FxHashMap;
+use graphalytics_graph::metrics;
 use std::collections::VecDeque;
 
 use crate::store::GraphStore;
@@ -170,8 +171,7 @@ pub fn local_clustering(store: &GraphStore, ctx: &RunContext) -> Result<Vec<f64>
         if v.is_multiple_of(4096) {
             ctx.check_deadline()?;
         }
-        let d = mine.len();
-        if d < 2 {
+        if mine.len() < 2 {
             continue;
         }
         let mut links = 0usize;
@@ -179,44 +179,15 @@ pub fn local_clustering(store: &GraphStore, ctx: &RunContext) -> Result<Vec<f64>
             let theirs = &adjacency[u as usize];
             chain_hops += 1;
             seq_scans += mine.len() + theirs.len();
-            links += sorted_intersection(mine, theirs);
+            links += metrics::sorted_intersection_len(mine, theirs);
         }
-        let triangles = links / 2;
-        coefficients[v] = triangles as f64 / (d * (d - 1) / 2) as f64;
+        coefficients[v] = lcc::coefficient_from_links(links, mine.len());
     }
     // Each neighbor lookup jumps to a random adjacency list, then the
     // intersection merges both sorted lists sequentially.
     span.field("seq_accesses", seq_scans)
         .field("rand_accesses", chain_hops);
     Ok(coefficients)
-}
-
-/// Mean local clustering coefficient over the projected adjacency.
-pub fn mean_local_cc(store: &GraphStore, ctx: &RunContext) -> Result<f64, PlatformError> {
-    let n = store.nodes.len();
-    if n == 0 {
-        return Ok(0.0);
-    }
-    let sum: f64 = local_clustering(store, ctx)?.iter().sum();
-    Ok(sum / n as f64)
-}
-
-fn sorted_intersection(a: &[u32], b: &[u32]) -> usize {
-    let mut i = 0;
-    let mut j = 0;
-    let mut count = 0;
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                count += 1;
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    count
 }
 
 /// Community detection: the deterministic Leung spec over the chains.
@@ -234,7 +205,7 @@ pub fn community_detection(
     let mut scores: Vec<f64> = vec![1.0; n];
     let mut next_labels = labels.clone();
     let mut next_scores = scores.clone();
-    let mut weight: FxHashMap<u32, (Vec<f64>, f64)> = FxHashMap::default();
+    let mut weight = cd::LabelWeights::default();
     let mut chain_hops = 0usize;
     for _ in 0..iterations {
         ctx.check_deadline()?;
@@ -242,31 +213,17 @@ pub fn community_detection(
         let mut changed = false;
         for v in 0..n as u32 {
             weight.clear();
-            let mut any = false;
             for (_, u) in store.neighbors(v) {
-                any = true;
                 chain_hops += 1;
-                let influence = scores[u as usize] * (store.degree(u) as f64).powf(degree_exponent);
-                let entry = weight
-                    .entry(labels[u as usize])
-                    .or_insert((Vec::new(), 0.0));
-                entry.0.push(influence);
-                entry.1 = entry.1.max(scores[u as usize]);
+                let score = scores[u as usize];
+                let influence = cd::influence(score, store.degree(u), degree_exponent);
+                cd::add_vote(&mut weight, labels[u as usize], score, influence);
             }
-            if !any {
-                next_labels[v as usize] = labels[v as usize];
-                next_scores[v as usize] = scores[v as usize];
-                continue;
-            }
-            let (best_label, _w, best_score) = graphalytics_algos::cd::argmax_label(&mut weight);
-            if best_label != labels[v as usize] {
-                changed = true;
-                next_labels[v as usize] = best_label;
-                next_scores[v as usize] = best_score * (1.0 - hop_attenuation);
-            } else {
-                next_labels[v as usize] = best_label;
-                next_scores[v as usize] = best_score.max(scores[v as usize]);
-            }
+            let own = (labels[v as usize], scores[v as usize]);
+            let (label, score, adopted) = cd::adopt_or_keep(own, &mut weight, hop_attenuation);
+            changed |= adopted;
+            next_labels[v as usize] = label;
+            next_scores[v as usize] = score;
         }
         std::mem::swap(&mut labels, &mut next_labels);
         std::mem::swap(&mut scores, &mut next_scores);
@@ -358,7 +315,8 @@ mod tests {
     #[test]
     fn lcc_matches_hand_computation() {
         let s = sample_store();
-        let mean = mean_local_cc(&s, &RunContext::unbounded()).unwrap();
+        let lccs = local_clustering(&s, &RunContext::unbounded()).unwrap();
+        let mean = graphalytics_algos::stats::from_coefficients(5, &lccs).mean_local_cc;
         // v0: 1, v1: 1, v2: 1/3, v3: 0, v4: 0, v5: 0.
         let expected = (1.0 + 1.0 + 1.0 / 3.0) / 6.0;
         assert!((mean - expected).abs() < 1e-12, "{mean}");
@@ -397,7 +355,7 @@ mod tests {
         let ctx = RunContext::unbounded().with_tracer(Arc::clone(&tracer));
         let _ = bfs(&s, Some(0), &ctx).unwrap();
         let _ = connected_components(&s, &ctx).unwrap();
-        let _ = mean_local_cc(&s, &ctx).unwrap();
+        let _ = local_clustering(&s, &ctx).unwrap();
 
         let spans = tracer.finished_spans();
         let b = spans.iter().find(|sp| sp.name == "neo4j.bfs").unwrap();

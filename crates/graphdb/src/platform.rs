@@ -26,6 +26,14 @@ struct LoadedGraph {
     num_edges: usize,
 }
 
+impl LoadedGraph {
+    /// The node holding external id `external`, if the graph has it.
+    fn internal_id(&self, external: u64) -> Option<u32> {
+        let position = self.external_ids.iter().position(|&e| e == external);
+        position.map(|i| i as u32)
+    }
+}
+
 /// Neo4j stand-in: an embedded single-machine graph database with
 /// record-store storage and traversal-based algorithms.
 pub struct Neo4jPlatform {
@@ -87,19 +95,15 @@ impl Platform for Neo4jPlatform {
         let loaded = self.graphs.get(handle)?;
         let store = &loaded.store;
         match algorithm {
-            Algorithm::Stats => Ok(Output::Stats(graphalytics_algos::StatsResult {
-                num_vertices: store.nodes.len(),
-                num_edges: loaded.num_edges,
-                mean_local_cc: algorithms::mean_local_cc(store, ctx)?,
-            })),
-            Algorithm::Bfs { source } => {
-                let source = loaded
-                    .external_ids
-                    .iter()
-                    .position(|&e| e == *source)
-                    .map(|i| i as u32);
-                Ok(Output::Depths(algorithms::bfs(store, source, ctx)?))
-            }
+            Algorithm::Stats => Ok(Output::Stats(graphalytics_algos::stats::from_coefficients(
+                loaded.num_edges,
+                &algorithms::local_clustering(store, ctx)?,
+            ))),
+            Algorithm::Bfs { source } => Ok(Output::Depths(algorithms::bfs(
+                store,
+                loaded.internal_id(*source),
+                ctx,
+            )?)),
             Algorithm::Conn => Ok(Output::Components(algorithms::connected_components(
                 store, ctx,
             )?)),
@@ -133,19 +137,12 @@ impl Platform for Neo4jPlatform {
                     ),
                 ))
             }
-            Algorithm::Sssp { source } => {
-                let source = loaded
-                    .external_ids
-                    .iter()
-                    .position(|&e| e == *source)
-                    .map(|i| i as u32);
-                Ok(Output::Distances(algorithms::sssp(
-                    store,
-                    &loaded.rel_weights,
-                    source,
-                    ctx,
-                )?))
-            }
+            Algorithm::Sssp { source } => Ok(Output::Distances(algorithms::sssp(
+                store,
+                &loaded.rel_weights,
+                loaded.internal_id(*source),
+                ctx,
+            )?)),
             Algorithm::Lcc => Ok(Output::LocalClustering(algorithms::local_clustering(
                 store, ctx,
             )?)),

@@ -14,14 +14,17 @@
 //!   `T <distance>` (SSSP), `S <label> <score>` (CD), `R <rank>`
 //!   (PageRank), `N <n1,n2,...>` (adjacency lists).
 
+use std::fmt::Display;
 use std::path::{Path, PathBuf};
+use std::str::FromStr;
 
+use graphalytics_algos::{cd, lcc};
 use graphalytics_core::platform::{PlatformError, RunContext};
-use rustc_hash::FxHashMap;
+use graphalytics_graph::metrics;
 
 use crate::job::{
-    read_output, run_job_traced, write_records, Emitter, JobConfig, Mapper, Record, ReduceContext,
-    Reducer,
+    read_output, run_job_traced, write_records, CountingReducer, Emitter, JobConfig, JobCounters,
+    Mapper, Record, ReduceContext, Reducer,
 };
 
 /// Identity mapper: inputs are already keyed correctly.
@@ -63,166 +66,230 @@ where
     Ok(out)
 }
 
-// ---------------------------------------------------------------- CONN --
+/// The next whitespace-separated field of a record payload, parsed.
+fn field<T: FromStr>(parts: &mut std::str::SplitWhitespace<'_>) -> Option<T> {
+    parts.next()?.parse().ok()
+}
 
-/// Propagation reducer: joins labels with edges at each vertex and emits
-/// label candidates to all neighbors.
-struct PropagateLabels;
+/// Runs job `name` into `<work_dir>/<name>`, after a deadline check (jobs
+/// are the granularity at which a chain can be timed out); returns the
+/// job's counters and its output directory.
+fn run_named_job<M: Mapper, R: CountingReducer>(
+    config: &JobConfig,
+    name: &str,
+    inputs: &[PathBuf],
+    mapper: &M,
+    reducer: &R,
+    ctx: &RunContext,
+) -> Result<(JobCounters, PathBuf), PlatformError> {
+    ctx.check_deadline()?;
+    let dir = config.work_dir.join(name);
+    let counters = run_job_traced(config, name, inputs, mapper, reducer, &dir, ctx)?;
+    Ok((counters, dir))
+}
 
-impl Reducer for PropagateLabels {
-    fn reduce(&self, key: &str, values: &[String], out: &mut Emitter) {
-        let mut label: Option<&str> = None;
-        let mut neighbors = Vec::new();
-        for v in values {
-            if let Some(l) = v.strip_prefix("L ") {
-                label = Some(l);
-            } else if let Some(n) = v.strip_prefix("E ") {
-                neighbors.push(n);
+// --------------------------------------------------------------- chains --
+
+/// The iterative job chain behind CONN, BFS, SSSP, CD and PageRank. The
+/// state lives in `<kernel>-<state>-<round>` files; round `k` joins state
+/// `k` with the arc files in job `<kernel>-prop-<k>`, folds the proposals
+/// per vertex in job `<kernel>-update-<k>`, and writes that job's output
+/// as state `k + 1`.
+struct Chain<'a> {
+    config: &'a JobConfig,
+    arc_files: &'a [PathBuf],
+    kernel: &'a str,
+    state: &'a str,
+    /// Round cap.
+    max_rounds: usize,
+    /// Whether a round whose update job counted no `changed` vertex ends
+    /// the chain (PageRank runs its rounds out regardless).
+    stop_when_unchanged: bool,
+    ctx: &'a RunContext,
+}
+
+impl Chain<'_> {
+    /// Runs the chain from the `init` state and returns the last state's
+    /// records. The update reducer of a round is built from the counters of
+    /// that round's propagate job.
+    fn run<P: CountingReducer, U: CountingReducer>(
+        &self,
+        init: Vec<Record>,
+        propagate: &P,
+        update: impl Fn(&JobCounters) -> U,
+    ) -> Result<Vec<Record>, PlatformError> {
+        let Chain {
+            config,
+            kernel,
+            state,
+            ctx,
+            ..
+        } = *self;
+        let state_file = |round: usize| config.work_dir.join(format!("{kernel}-{state}-{round}"));
+        write_records(&state_file(0), &init)?;
+        let mut records = init;
+        for round in 0..self.max_rounds {
+            let mut inputs = self.arc_files.to_vec();
+            inputs.push(state_file(round));
+            let job = format!("{kernel}-prop-{round}");
+            let (proposed, dir) =
+                run_named_job(config, &job, &inputs, &IdentityMapper, propagate, ctx)?;
+            let job = format!("{kernel}-update-{round}");
+            let (updated, dir) = run_named_job(
+                config,
+                &job,
+                &part_files(&dir)?,
+                &IdentityMapper,
+                &update(&proposed),
+                ctx,
+            )?;
+            // Concatenate the update output into the next state file.
+            records = read_output(&dir)?;
+            write_records(&state_file(round + 1), &records)?;
+            if self.stop_when_unchanged && updated.user_counter("changed") == 0 {
+                break;
             }
         }
-        let Some(label) = label else { return };
-        out.emit(key, format!("L {label}"));
-        for n in neighbors {
-            out.emit(n, format!("C {label}"));
-        }
+        Ok(records)
     }
 }
 
-/// Update reducer: takes the own label plus candidates, keeps the minimum,
-/// and counts changes.
-struct UpdateMinLabel;
+/// One `<tag><value>` state record per vertex.
+fn init_records<T: Display>(n: usize, tag: &str, value: impl Fn(u32) -> T) -> Vec<Record> {
+    (0..n as u32)
+        .map(|v| (v.to_string(), format!("{tag}{}", value(v))))
+        .collect()
+}
 
-impl crate::job::CountingReducer for UpdateMinLabel {
-    fn reduce(&self, key: &str, values: &[String], ctx: &mut ReduceContext<'_>) {
-        let mut own: Option<u64> = None;
-        let mut best: Option<u64> = None;
+// -------------------------------------------------- CONN, BFS and SSSP --
+
+/// The kernels whose state is one value per vertex that only ever moves
+/// toward a minimum: CONN labels (`L`), BFS depths (`D`) and SSSP distances
+/// (`T`). They differ in the tag, in what a vertex sends along an arc, and
+/// in when a candidate replaces the own value.
+struct MinKernel<T> {
+    kernel: &'static str,
+    state: &'static str,
+    /// Record tag of the state value, with its trailing space.
+    tag: &'static str,
+    /// The candidate a vertex holding the first argument sends along an
+    /// arc of the given weight (1 for unweighted `E` arcs), if any.
+    send: fn(T, u64) -> Option<T>,
+    /// Whether a candidate (first) replaces the own value (second).
+    improves: fn(T, T) -> bool,
+}
+
+impl<T: Copy + Ord + FromStr + Display> MinKernel<T> {
+    /// Chains propagate/update rounds from `init` until no value changes.
+    fn run(
+        &self,
+        config: &JobConfig,
+        arc_files: &[PathBuf],
+        n: usize,
+        init: impl Fn(u32) -> T,
+        missing: T,
+        ctx: &RunContext,
+    ) -> Result<Vec<T>, PlatformError> {
+        let chain = Chain {
+            config,
+            arc_files,
+            kernel: self.kernel,
+            state: self.state,
+            max_rounds: usize::MAX,
+            stop_when_unchanged: true,
+            ctx,
+        };
+        let records = chain.run(
+            init_records(n, self.tag, init),
+            &PropagateValue(self),
+            |_| UpdateMin(self),
+        )?;
+        collect_per_vertex(&records, n, self.tag, |s| s.parse().ok(), missing)
+    }
+}
+
+/// Propagation reducer: joins the state value with the arcs at each vertex,
+/// re-emits the value and sends a `C <candidate>` along every arc
+/// (`E <neighbor>`, or `W <neighbor> <weight>`) the kernel sends one on.
+struct PropagateValue<'a, T>(&'a MinKernel<T>);
+
+impl<T: Copy + FromStr + Display> Reducer for PropagateValue<'_, T> {
+    fn reduce(&self, key: &str, values: &[String], out: &mut Emitter) {
+        let mut own: Option<T> = None;
+        let mut arcs: Vec<(&str, u64)> = Vec::new();
         for v in values {
-            if let Some(l) = v.strip_prefix("L ") {
-                own = l.trim().parse().ok();
-            } else if let Some(c) = v.strip_prefix("C ") {
-                let c: Option<u64> = c.trim().parse().ok();
-                best = match (best, c) {
-                    (Some(a), Some(b)) => Some(a.min(b)),
-                    (a, b) => a.or(b),
-                };
+            if let Some(x) = v.strip_prefix(self.0.tag) {
+                own = x.trim().parse().ok();
+            } else if let Some(n) = v.strip_prefix("E ") {
+                arcs.push((n, 1));
+            } else if let Some(a) = v.strip_prefix("W ") {
+                let mut parts = a.split_whitespace();
+                if let (Some(n), Some(w)) = (parts.next(), field(&mut parts)) {
+                    arcs.push((n, w));
+                }
             }
         }
         let Some(own) = own else { return };
-        let new = best.map_or(own, |b| b.min(own));
-        if new < own {
-            *ctx.counters.entry("changed".into()).or_insert(0) += 1;
+        out.emit(key, format!("{}{own}", self.0.tag));
+        for (n, w) in arcs {
+            if let Some(candidate) = (self.0.send)(own, w) {
+                out.emit(n, format!("C {candidate}"));
+            }
         }
-        ctx.out.emit(key, format!("L {new}"));
     }
 }
 
-/// Connected components: alternate propagate/update jobs until no label
-/// changes. `edge_files` hold `E`-tagged arcs; `n` is the vertex count.
+/// Update reducer: takes the own value plus candidates, adopts the minimum
+/// candidate when it improves on the own value, and counts changes.
+struct UpdateMin<'a, T>(&'a MinKernel<T>);
+
+impl<T: Copy + Ord + FromStr + Display> CountingReducer for UpdateMin<'_, T> {
+    fn reduce(&self, key: &str, values: &[String], ctx: &mut ReduceContext<'_>) {
+        let mut own: Option<T> = None;
+        let mut best: Option<T> = None;
+        for v in values {
+            if let Some(x) = v.strip_prefix(self.0.tag) {
+                own = x.trim().parse().ok();
+            } else if let Some(c) = v.strip_prefix("C ") {
+                if let Ok(c) = c.trim().parse::<T>() {
+                    best = Some(best.map_or(c, |b| b.min(c)));
+                }
+            }
+        }
+        let Some(own) = own else { return };
+        let new = match best {
+            Some(best) if (self.0.improves)(best, own) => {
+                *ctx.counters.entry("changed".into()).or_insert(0) += 1;
+                best
+            }
+            _ => own,
+        };
+        ctx.out.emit(key, format!("{}{new}", self.0.tag));
+    }
+}
+
+/// Connected components: every vertex sends its label and keeps the
+/// minimum it sees, until no label changes. `edge_files` hold `E`-tagged
+/// arcs; `n` is the vertex count.
 pub fn connected_components(
     config: &JobConfig,
     edge_files: &[PathBuf],
     n: usize,
     ctx: &RunContext,
 ) -> Result<Vec<u32>, PlatformError> {
-    // Initial labels: own id.
-    let mut labels_file = config.work_dir.join("conn-labels-0");
-    let init: Vec<Record> = (0..n).map(|v| (v.to_string(), format!("L {v}"))).collect();
-    write_records(&labels_file, &init)?;
-    let mut iteration = 0usize;
-    loop {
-        ctx.check_deadline()?;
-        let mut inputs = edge_files.to_vec();
-        inputs.push(labels_file.clone());
-        let prop_dir = config.work_dir.join(format!("conn-prop-{iteration}"));
-        run_job_traced(
-            config,
-            &format!("conn-prop-{iteration}"),
-            &inputs,
-            &IdentityMapper,
-            &PropagateLabels,
-            &prop_dir,
-            ctx,
-        )?;
-        ctx.check_deadline()?;
-        let prop_files = part_files(&prop_dir)?;
-        let update_dir = config.work_dir.join(format!("conn-update-{iteration}"));
-        let counters = run_job_traced(
-            config,
-            &format!("conn-update-{iteration}"),
-            &prop_files,
-            &IdentityMapper,
-            &UpdateMinLabel,
-            &update_dir,
-            ctx,
-        )?;
-        // Concatenate the update output into the next labels file.
-        let records = read_output(&update_dir)?;
-        labels_file = config
-            .work_dir
-            .join(format!("conn-labels-{}", iteration + 1));
-        write_records(&labels_file, &records)?;
-        if counters.user_counter("changed") == 0 {
-            let labels = collect_per_vertex(&records, n, "L", |s| s.parse().ok(), 0u32)?;
-            return Ok(labels);
-        }
-        iteration += 1;
-    }
+    let conn = MinKernel::<u32> {
+        kernel: "conn",
+        state: "labels",
+        tag: "L ",
+        send: |label, _| Some(label),
+        improves: |candidate, own| candidate < own,
+    };
+    conn.run(config, edge_files, n, |v| v, 0, ctx)
 }
 
-// ----------------------------------------------------------------- BFS --
-
-/// BFS propagate: vertices with a depth send `depth + 1` to neighbors.
-struct PropagateDepths;
-
-impl Reducer for PropagateDepths {
-    fn reduce(&self, key: &str, values: &[String], out: &mut Emitter) {
-        let mut depth: Option<i64> = None;
-        let mut neighbors = Vec::new();
-        for v in values {
-            if let Some(d) = v.strip_prefix("D ") {
-                depth = d.trim().parse().ok();
-            } else if let Some(n) = v.strip_prefix("E ") {
-                neighbors.push(n);
-            }
-        }
-        let Some(depth) = depth else { return };
-        out.emit(key, format!("D {depth}"));
-        if depth >= 0 {
-            for n in neighbors {
-                out.emit(n, format!("C {}", depth + 1));
-            }
-        }
-    }
-}
-
-/// BFS update: unreached vertices adopt the minimum candidate depth.
-struct UpdateDepths;
-
-impl crate::job::CountingReducer for UpdateDepths {
-    fn reduce(&self, key: &str, values: &[String], ctx: &mut ReduceContext<'_>) {
-        let mut own: Option<i64> = None;
-        let mut best: Option<i64> = None;
-        for v in values {
-            if let Some(d) = v.strip_prefix("D ") {
-                own = d.trim().parse().ok();
-            } else if let Some(c) = v.strip_prefix("C ") {
-                let c: Option<i64> = c.trim().parse().ok();
-                best = match (best, c) {
-                    (Some(a), Some(b)) => Some(a.min(b)),
-                    (a, b) => a.or(b),
-                };
-            }
-        }
-        let Some(own) = own else { return };
-        let new = if own < 0 { best.unwrap_or(own) } else { own };
-        if new != own {
-            *ctx.counters.entry("changed".into()).or_insert(0) += 1;
-        }
-        ctx.out.emit(key, format!("D {new}"));
-    }
-}
-
-/// BFS from `source` (internal id; `None` = unreachable everywhere).
+/// BFS from `source` (internal id; `None` = unreachable everywhere):
+/// reached vertices send `depth + 1`, unreached ones (`-1`) adopt the
+/// minimum candidate.
 pub fn bfs(
     config: &JobConfig,
     edge_files: &[PathBuf],
@@ -230,115 +297,21 @@ pub fn bfs(
     source: Option<u32>,
     ctx: &RunContext,
 ) -> Result<Vec<i64>, PlatformError> {
-    let mut depth_file = config.work_dir.join("bfs-depths-0");
-    let init: Vec<Record> = (0..n)
-        .map(|v| {
-            let d = if Some(v as u32) == source { 0 } else { -1 };
-            (v.to_string(), format!("D {d}"))
-        })
-        .collect();
-    write_records(&depth_file, &init)?;
-    let mut iteration = 0usize;
-    loop {
-        ctx.check_deadline()?;
-        let mut inputs = edge_files.to_vec();
-        inputs.push(depth_file.clone());
-        let prop_dir = config.work_dir.join(format!("bfs-prop-{iteration}"));
-        run_job_traced(
-            config,
-            &format!("bfs-prop-{iteration}"),
-            &inputs,
-            &IdentityMapper,
-            &PropagateDepths,
-            &prop_dir,
-            ctx,
-        )?;
-        ctx.check_deadline()?;
-        let update_dir = config.work_dir.join(format!("bfs-update-{iteration}"));
-        let counters = run_job_traced(
-            config,
-            &format!("bfs-update-{iteration}"),
-            &part_files(&prop_dir)?,
-            &IdentityMapper,
-            &UpdateDepths,
-            &update_dir,
-            ctx,
-        )?;
-        let records = read_output(&update_dir)?;
-        depth_file = config
-            .work_dir
-            .join(format!("bfs-depths-{}", iteration + 1));
-        write_records(&depth_file, &records)?;
-        if counters.user_counter("changed") == 0 {
-            return collect_per_vertex(&records, n, "D", |s| s.parse().ok(), -1i64);
-        }
-        iteration += 1;
-    }
-}
-
-// ---------------------------------------------------------------- SSSP --
-
-/// SSSP propagate: vertices with a finite distance send `dist + weight`
-/// along each weighted arc (`W <neighbor> <weight>` records).
-struct PropagateDistances;
-
-impl Reducer for PropagateDistances {
-    fn reduce(&self, key: &str, values: &[String], out: &mut Emitter) {
-        let mut dist: Option<u64> = None;
-        let mut arcs: Vec<(&str, u64)> = Vec::new();
-        for v in values {
-            if let Some(d) = v.strip_prefix("T ") {
-                dist = d.trim().parse().ok();
-            } else if let Some(a) = v.strip_prefix("W ") {
-                let mut parts = a.split_whitespace();
-                let neighbor = parts.next();
-                let weight = parts.next().and_then(|x| x.parse().ok());
-                if let (Some(n), Some(w)) = (neighbor, weight) {
-                    arcs.push((n, w));
-                }
-            }
-        }
-        let Some(dist) = dist else { return };
-        out.emit(key, format!("T {dist}"));
-        if dist != graphalytics_algos::INFINITY {
-            for (n, w) in arcs {
-                out.emit(n, format!("C {}", dist.saturating_add(w)));
-            }
-        }
-    }
-}
-
-/// SSSP update: vertices adopt the minimum candidate distance when it
-/// improves on their own.
-struct UpdateDistances;
-
-impl crate::job::CountingReducer for UpdateDistances {
-    fn reduce(&self, key: &str, values: &[String], ctx: &mut ReduceContext<'_>) {
-        let mut own: Option<u64> = None;
-        let mut best: Option<u64> = None;
-        for v in values {
-            if let Some(d) = v.strip_prefix("T ") {
-                own = d.trim().parse().ok();
-            } else if let Some(c) = v.strip_prefix("C ") {
-                let c: Option<u64> = c.trim().parse().ok();
-                best = match (best, c) {
-                    (Some(a), Some(b)) => Some(a.min(b)),
-                    (a, b) => a.or(b),
-                };
-            }
-        }
-        let Some(own) = own else { return };
-        let new = best.map_or(own, |b| b.min(own));
-        if new < own {
-            *ctx.counters.entry("changed".into()).or_insert(0) += 1;
-        }
-        ctx.out.emit(key, format!("T {new}"));
-    }
+    let bfs = MinKernel::<i64> {
+        kernel: "bfs",
+        state: "depths",
+        tag: "D ",
+        send: |depth, _| (depth >= 0).then(|| depth + 1),
+        improves: |_, own| own < 0,
+    };
+    let init = |v| if Some(v) == source { 0 } else { -1 };
+    bfs.run(config, edge_files, n, init, -1, ctx)
 }
 
 /// SSSP from `source` (internal id; `None` = unreachable everywhere):
-/// Bellman-Ford rounds over the weighted edge files until no distance
-/// improves.
+/// Bellman-Ford rounds over the weighted edge files (`W <neighbor>
+/// <weight>` records) — vertices with a finite distance send `dist +
+/// weight` — until no distance improves.
 pub fn sssp(
     config: &JobConfig,
     weighted_edge_files: &[PathBuf],
@@ -347,53 +320,26 @@ pub fn sssp(
     ctx: &RunContext,
 ) -> Result<Vec<u64>, PlatformError> {
     let inf = graphalytics_algos::INFINITY;
-    let mut dist_file = config.work_dir.join("sssp-dists-0");
-    let init: Vec<Record> = (0..n)
-        .map(|v| {
-            let d = if Some(v as u32) == source { 0 } else { inf };
-            (v.to_string(), format!("T {d}"))
-        })
-        .collect();
-    write_records(&dist_file, &init)?;
-    let mut iteration = 0usize;
-    loop {
-        ctx.check_deadline()?;
-        let mut inputs = weighted_edge_files.to_vec();
-        inputs.push(dist_file.clone());
-        let prop_dir = config.work_dir.join(format!("sssp-prop-{iteration}"));
-        run_job_traced(
-            config,
-            &format!("sssp-prop-{iteration}"),
-            &inputs,
-            &IdentityMapper,
-            &PropagateDistances,
-            &prop_dir,
-            ctx,
-        )?;
-        ctx.check_deadline()?;
-        let update_dir = config.work_dir.join(format!("sssp-update-{iteration}"));
-        let counters = run_job_traced(
-            config,
-            &format!("sssp-update-{iteration}"),
-            &part_files(&prop_dir)?,
-            &IdentityMapper,
-            &UpdateDistances,
-            &update_dir,
-            ctx,
-        )?;
-        let records = read_output(&update_dir)?;
-        dist_file = config
-            .work_dir
-            .join(format!("sssp-dists-{}", iteration + 1));
-        write_records(&dist_file, &records)?;
-        if counters.user_counter("changed") == 0 {
-            return collect_per_vertex(&records, n, "T", |s| s.parse().ok(), inf);
-        }
-        iteration += 1;
-    }
+    let sssp = MinKernel::<u64> {
+        kernel: "sssp",
+        state: "dists",
+        tag: "T ",
+        send: |dist, weight| {
+            (dist != graphalytics_algos::INFINITY).then(|| dist.saturating_add(weight))
+        },
+        improves: |candidate, own| candidate < own,
+    };
+    let init = |v| if Some(v) == source { 0 } else { inf };
+    sssp.run(config, weighted_edge_files, n, init, inf, ctx)
 }
 
 // ------------------------------------------------------------------ CD --
+
+/// The `<label> <score>` payload of a CD state record.
+fn cd_state(payload: &str) -> Option<(u32, f64)> {
+    let mut parts = payload.split_whitespace();
+    Some((field(&mut parts)?, field(&mut parts)?))
+}
 
 /// CD propagate: each vertex ships `(label, score, influence)` to all
 /// neighbors; influence uses the vertex's degree (the count of E records).
@@ -403,74 +349,51 @@ struct PropagateCommunities {
 
 impl Reducer for PropagateCommunities {
     fn reduce(&self, key: &str, values: &[String], out: &mut Emitter) {
-        let mut state: Option<(u64, f64)> = None;
+        let mut state: Option<(u32, f64)> = None;
         let mut neighbors = Vec::new();
         for v in values {
             if let Some(s) = v.strip_prefix("S ") {
-                let mut parts = s.split_whitespace();
-                let label = parts.next().and_then(|x| x.parse().ok());
-                let score = parts.next().and_then(|x| x.parse().ok());
-                if let (Some(l), Some(sc)) = (label, score) {
-                    state = Some((l, sc));
-                }
+                state = cd_state(s).or(state);
             } else if let Some(n) = v.strip_prefix("E ") {
                 neighbors.push(n);
             }
         }
         let Some((label, score)) = state else { return };
         out.emit(key, format!("S {label} {score}"));
-        let influence = score * (neighbors.len() as f64).powf(self.degree_exponent);
+        let influence = cd::influence(score, neighbors.len(), self.degree_exponent);
         for n in &neighbors {
             out.emit(*n, format!("C {label} {score} {influence}"));
         }
     }
 }
 
-/// CD update: the canonical arg-max from the shared spec.
+/// CD update: the canonical adopt-or-keep step from the shared spec.
 struct UpdateCommunities {
     hop_attenuation: f64,
 }
 
-impl crate::job::CountingReducer for UpdateCommunities {
+impl CountingReducer for UpdateCommunities {
     fn reduce(&self, key: &str, values: &[String], ctx: &mut ReduceContext<'_>) {
         let mut own: Option<(u32, f64)> = None;
-        let mut weight: FxHashMap<u32, (Vec<f64>, f64)> = FxHashMap::default();
+        let mut weight = cd::LabelWeights::default();
         for v in values {
             if let Some(s) = v.strip_prefix("S ") {
-                let mut parts = s.split_whitespace();
-                if let (Some(l), Some(sc)) = (
-                    parts.next().and_then(|x| x.parse().ok()),
-                    parts.next().and_then(|x| x.parse().ok()),
-                ) {
-                    own = Some((l, sc));
-                }
+                own = cd_state(s).or(own);
             } else if let Some(c) = v.strip_prefix("C ") {
                 let mut parts = c.split_whitespace();
-                let label: Option<u32> = parts.next().and_then(|x| x.parse().ok());
-                let score: Option<f64> = parts.next().and_then(|x| x.parse().ok());
-                let influence: Option<f64> = parts.next().and_then(|x| x.parse().ok());
-                if let (Some(l), Some(s), Some(i)) = (label, score, influence) {
-                    let entry = weight.entry(l).or_insert((Vec::new(), 0.0));
-                    entry.0.push(i);
-                    entry.1 = entry.1.max(s);
+                if let (Some(label), Some(score), Some(influence)) =
+                    (field(&mut parts), field(&mut parts), field(&mut parts))
+                {
+                    cd::add_vote(&mut weight, label, score, influence);
                 }
             }
         }
-        let Some((own_label, own_score)) = own else {
-            return;
-        };
-        if weight.is_empty() {
-            ctx.out.emit(key, format!("S {own_label} {own_score}"));
-            return;
-        }
-        let (best_label, _w, best_score) = graphalytics_algos::cd::argmax_label(&mut weight);
-        let (new_label, new_score) = if best_label != own_label {
+        let Some(own) = own else { return };
+        let (label, score, adopted) = cd::adopt_or_keep(own, &mut weight, self.hop_attenuation);
+        if adopted {
             *ctx.counters.entry("changed".into()).or_insert(0) += 1;
-            (best_label, best_score * (1.0 - self.hop_attenuation))
-        } else {
-            (own_label, best_score.max(own_score))
-        };
-        ctx.out.emit(key, format!("S {new_label} {new_score}"));
+        }
+        ctx.out.emit(key, format!("S {label} {score}"));
     }
 }
 
@@ -485,46 +408,22 @@ pub fn community_detection(
     degree_exponent: f64,
     ctx: &RunContext,
 ) -> Result<Vec<u32>, PlatformError> {
-    let mut state_file = config.work_dir.join("cd-state-0");
-    let init: Vec<Record> = (0..n)
-        .map(|v| (v.to_string(), format!("S {v} 1")))
-        .collect();
-    write_records(&state_file, &init)?;
-    let mut final_records = init;
-    for round in 0..iterations {
-        ctx.check_deadline()?;
-        let mut inputs = edge_files.to_vec();
-        inputs.push(state_file.clone());
-        let prop_dir = config.work_dir.join(format!("cd-prop-{round}"));
-        run_job_traced(
-            config,
-            &format!("cd-prop-{round}"),
-            &inputs,
-            &IdentityMapper,
-            &PropagateCommunities { degree_exponent },
-            &prop_dir,
-            ctx,
-        )?;
-        ctx.check_deadline()?;
-        let update_dir = config.work_dir.join(format!("cd-update-{round}"));
-        let counters = run_job_traced(
-            config,
-            &format!("cd-update-{round}"),
-            &part_files(&prop_dir)?,
-            &IdentityMapper,
-            &UpdateCommunities { hop_attenuation },
-            &update_dir,
-            ctx,
-        )?;
-        final_records = read_output(&update_dir)?;
-        state_file = config.work_dir.join(format!("cd-state-{}", round + 1));
-        write_records(&state_file, &final_records)?;
-        if counters.user_counter("changed") == 0 {
-            break;
-        }
-    }
+    let chain = Chain {
+        config,
+        arc_files: edge_files,
+        kernel: "cd",
+        state: "state",
+        max_rounds: iterations,
+        stop_when_unchanged: true,
+        ctx,
+    };
+    let records = chain.run(
+        init_records(n, "S ", |v| format!("{v} 1")),
+        &PropagateCommunities { degree_exponent },
+        |_| UpdateCommunities { hop_attenuation },
+    )?;
     collect_per_vertex(
-        &final_records,
+        &records,
         n,
         "S",
         |s| s.split_whitespace().next()?.parse().ok(),
@@ -585,18 +484,12 @@ impl Reducer for LccReducer {
                 received.push(parse_list(list));
             }
         }
-        let d = own.len();
-        if d < 2 {
-            out.emit(key, "LCC 0".to_string());
-            return;
-        }
-        let mut links = 0usize;
-        for list in &received {
-            links += sorted_intersection_u64(&own, list);
-        }
-        let triangles = links / 2;
-        let lcc = triangles as f64 / (d * (d - 1) / 2) as f64;
-        out.emit(key, format!("LCC {lcc}"));
+        let links = received
+            .iter()
+            .map(|list| metrics::sorted_intersection_len(&own, list))
+            .sum();
+        let coefficient = lcc::coefficient_from_links(links, own.len());
+        out.emit(key, format!("LCC {coefficient}"));
     }
 }
 
@@ -607,24 +500,6 @@ fn parse_list(list: &str) -> Vec<u64> {
         .collect()
 }
 
-fn sorted_intersection_u64(a: &[u64], b: &[u64]) -> usize {
-    let mut i = 0;
-    let mut j = 0;
-    let mut count = 0;
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                count += 1;
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    count
-}
-
 /// Runs the adjacency job followed by the list-shipping triangle job and
 /// returns the raw per-vertex `LCC <coefficient>` records.
 fn lcc_records(
@@ -632,33 +507,30 @@ fn lcc_records(
     edge_files: &[PathBuf],
     ctx: &RunContext,
 ) -> Result<Vec<Record>, PlatformError> {
-    ctx.check_deadline()?;
-    let adj_dir = config.work_dir.join("stats-adjacency");
-    run_job_traced(
+    let (_, adjacency) = run_named_job(
         config,
         "stats-adjacency",
         edge_files,
         &IdentityMapper,
         &AdjacencyReducer,
-        &adj_dir,
         ctx,
     )?;
-    ctx.check_deadline()?;
-    let lcc_dir = config.work_dir.join("stats-lcc");
-    run_job_traced(
+    let (_, coefficients) = run_named_job(
         config,
         "stats-lcc",
-        &part_files(&adj_dir)?,
+        &part_files(&adjacency)?,
         &ShipListsMapper,
         &LccReducer,
-        &lcc_dir,
         ctx,
     )?;
-    read_output(&lcc_dir)
+    read_output(&coefficients)
 }
 
 /// STATS: adjacency job, then the list-shipping triangle job; the mean is
-/// computed client-side from the per-vertex LCC records.
+/// computed client-side from the per-vertex LCC records, summed as the
+/// reduce partitions return them. That is not vertex order, so the mean's
+/// last bits differ from `stats::from_coefficients` over the same values —
+/// the one STATS mean that keeps its own expression.
 pub fn mean_local_cc(
     config: &JobConfig,
     edge_files: &[PathBuf],
@@ -700,7 +572,7 @@ pub fn local_clustering(
 /// next round through the job configuration.
 struct PropagateRank;
 
-impl crate::job::CountingReducer for PropagateRank {
+impl CountingReducer for PropagateRank {
     fn reduce(&self, key: &str, values: &[String], ctx: &mut ReduceContext<'_>) {
         let mut rank: Option<f64> = None;
         let mut neighbors = Vec::new();
@@ -769,47 +641,25 @@ pub fn pagerank(
     if n == 0 {
         return Ok(Vec::new());
     }
-    let mut rank_file = config.work_dir.join("pr-ranks-0");
-    let init: Vec<Record> = (0..n)
-        .map(|v| (v.to_string(), format!("R {}", 1.0 / n as f64)))
-        .collect();
-    write_records(&rank_file, &init)?;
-    let mut final_records = init;
-    for round in 0..iterations {
-        ctx.check_deadline()?;
-        let mut inputs = edge_files.to_vec();
-        inputs.push(rank_file.clone());
-        let prop_dir = config.work_dir.join(format!("pr-prop-{round}"));
-        let counters = run_job_traced(
-            config,
-            &format!("pr-prop-{round}"),
-            &inputs,
-            &IdentityMapper,
-            &PropagateRank,
-            &prop_dir,
-            ctx,
-        )?;
-        let dangling = counters.user_counter("dangling_micros") as f64 / 1e12;
-        ctx.check_deadline()?;
-        let update_dir = config.work_dir.join(format!("pr-update-{round}"));
-        run_job_traced(
-            config,
-            &format!("pr-update-{round}"),
-            &part_files(&prop_dir)?,
-            &IdentityMapper,
-            &UpdateRank {
-                damping,
-                n: n as f64,
-                dangling,
-            },
-            &update_dir,
-            ctx,
-        )?;
-        final_records = read_output(&update_dir)?;
-        rank_file = config.work_dir.join(format!("pr-ranks-{}", round + 1));
-        write_records(&rank_file, &final_records)?;
-    }
-    collect_per_vertex(&final_records, n, "R", |s| s.parse().ok(), 1.0 / n as f64)
+    let chain = Chain {
+        config,
+        arc_files: edge_files,
+        kernel: "pr",
+        state: "ranks",
+        max_rounds: iterations,
+        stop_when_unchanged: false,
+        ctx,
+    };
+    let records = chain.run(
+        init_records(n, "R ", |_| 1.0 / n as f64),
+        &PropagateRank,
+        |proposed| UpdateRank {
+            damping,
+            n: n as f64,
+            dangling: proposed.user_counter("dangling_micros") as f64 / 1e12,
+        },
+    )?;
+    collect_per_vertex(&records, n, "R", |s| s.parse().ok(), 1.0 / n as f64)
 }
 
 // ----------------------------------------------------------------- EVO --
@@ -832,15 +682,12 @@ pub fn forest_fire(
     if n == 0 || new_vertices == 0 {
         return Ok(Vec::new());
     }
-    ctx.check_deadline()?;
-    let adj_dir = config.work_dir.join("evo-adjacency");
-    run_job_traced(
+    let (_, adj_dir) = run_named_job(
         config,
         "evo-adjacency",
         edge_files,
         &IdentityMapper,
         &AdjacencyReducer,
-        &adj_dir,
         ctx,
     )?;
     let mut adjacency: Vec<Vec<u32>> = vec![Vec::new(); n];
@@ -878,4 +725,85 @@ pub fn part_files(dir: &Path) -> Result<Vec<PathBuf>, PlatformError> {
         .collect();
     parts.sort();
     Ok(parts)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use graphalytics_core::ScratchDir;
+
+    /// Re-emits every record: the state passes through the propagate job.
+    struct Echo;
+    impl Reducer for Echo {
+        fn reduce(&self, key: &str, values: &[String], out: &mut Emitter) {
+            values.iter().for_each(|v| out.emit(key, v.as_str()));
+        }
+    }
+
+    /// Counts `X <k>` down to zero, reporting each step as a change.
+    struct CountDown;
+    impl CountingReducer for CountDown {
+        fn reduce(&self, key: &str, values: &[String], ctx: &mut ReduceContext<'_>) {
+            let x: u32 = values[0].strip_prefix("X ").unwrap().parse().unwrap();
+            if x > 0 {
+                *ctx.counters.entry("changed".into()).or_insert(0) += 1;
+            }
+            ctx.out.emit(key, format!("X {}", x.saturating_sub(1)));
+        }
+    }
+
+    /// Runs the countdown from 3 and returns the final value and the state
+    /// files the chain left behind.
+    fn count_down(max_rounds: usize, stop_when_unchanged: bool) -> (String, Vec<String>) {
+        let scratch = ScratchDir::new(None, "gx-mr-chain").unwrap();
+        let config = JobConfig::new(scratch.path());
+        let chain = Chain {
+            config: &config,
+            arc_files: &[],
+            kernel: "tick",
+            state: "x",
+            max_rounds,
+            stop_when_unchanged,
+            ctx: &RunContext::unbounded(),
+        };
+        let records = chain
+            .run(init_records(1, "X ", |_| 3), &Echo, |_| CountDown)
+            .unwrap();
+        let mut states: Vec<String> = std::fs::read_dir(scratch.path())
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .filter(|name| name.starts_with("tick-x-"))
+            .collect();
+        states.sort();
+        (records[0].1.clone(), states)
+    }
+
+    #[test]
+    fn chain_stops_on_a_round_without_changes_and_keeps_every_state_file() {
+        // 3 → 2 → 1 → 0 change; the fourth round changes nothing and ends
+        // the chain, its output still written as state 4.
+        let (last, states) = count_down(usize::MAX, true);
+        assert_eq!(last, "X 0");
+        let expected = ["tick-x-0", "tick-x-1", "tick-x-2", "tick-x-3", "tick-x-4"];
+        assert_eq!(states, expected);
+    }
+
+    #[test]
+    fn chain_stops_at_the_round_cap() {
+        let (last, states) = count_down(2, true);
+        assert_eq!(last, "X 1");
+        assert_eq!(states, ["tick-x-0", "tick-x-1", "tick-x-2"]);
+        // No rounds at all: the initial state is the result.
+        let (last, states) = count_down(0, true);
+        assert_eq!(last, "X 3");
+        assert_eq!(states, ["tick-x-0"]);
+    }
+
+    #[test]
+    fn chain_runs_its_rounds_out_when_changes_do_not_stop_it() {
+        // PageRank's mode: rounds 5 and 6 change nothing and still run.
+        let (last, states) = count_down(6, false);
+        assert_eq!(last, "X 0");
+        assert_eq!(states.len(), 7);
+    }
 }

@@ -422,12 +422,10 @@ fn fx_hash(s: &str) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use graphalytics_core::ScratchDir;
 
-    fn tmp(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("gx-mr-{}-{name}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        dir
+    fn tmp(name: &str) -> ScratchDir {
+        ScratchDir::new(None, &format!("gx-mr-{name}")).unwrap()
     }
 
     /// The canonical word count.
@@ -450,7 +448,8 @@ mod tests {
 
     #[test]
     fn word_count_end_to_end() {
-        let dir = tmp("wc");
+        let scratch = tmp("wc");
+        let dir = scratch.path();
         let input = dir.join("input-0");
         write_records(
             &input,
@@ -460,7 +459,7 @@ mod tests {
             ],
         )
         .unwrap();
-        let config = JobConfig::new(&dir);
+        let config = JobConfig::new(dir);
         let out_dir = dir.join("out");
         let counters = run_job(
             &config,
@@ -487,13 +486,14 @@ mod tests {
         use graphalytics_core::trace::{FieldValue, Tracer};
         use std::sync::Arc;
 
-        let dir = tmp("spans");
+        let scratch = tmp("spans");
+        let dir = scratch.path();
         let input = dir.join("input-0");
         write_records(&input, &[("0".into(), "a b a".into())]).unwrap();
         let tracer = Arc::new(Tracer::new());
         let ctx = RunContext::unbounded().with_tracer(Arc::clone(&tracer));
         let counters = run_job_traced(
-            &JobConfig::new(&dir),
+            &JobConfig::new(dir),
             "wc",
             &[input],
             &TokenMapper,
@@ -522,7 +522,8 @@ mod tests {
 
     #[test]
     fn records_round_trip_via_disk() {
-        let dir = tmp("rt");
+        let scratch = tmp("rt");
+        let dir = scratch.path();
         let path = dir.join("records");
         let records = vec![
             ("a".to_string(), "1 2".to_string()),
@@ -541,7 +542,8 @@ mod tests {
                 ctx.out.emit(key, values.len().to_string());
             }
         }
-        let dir = tmp("counters");
+        let scratch = tmp("counters");
+        let dir = scratch.path();
         let input = dir.join("in");
         write_records(
             &input,
@@ -549,7 +551,7 @@ mod tests {
         )
         .unwrap();
         let counters = run_job(
-            &JobConfig::new(&dir),
+            &JobConfig::new(dir),
             "count",
             &[input],
             &TokenMapper,
@@ -563,7 +565,8 @@ mod tests {
 
     #[test]
     fn multiple_inputs_distribute_across_map_tasks() {
-        let dir = tmp("multi");
+        let scratch = tmp("multi");
+        let dir = scratch.path();
         let mut inputs = Vec::new();
         for i in 0..6 {
             let p = dir.join(format!("in-{i}"));
@@ -571,7 +574,7 @@ mod tests {
             inputs.push(p);
         }
         let counters = run_job(
-            &JobConfig::new(&dir),
+            &JobConfig::new(dir),
             "multi",
             &inputs,
             &TokenMapper,
@@ -585,11 +588,12 @@ mod tests {
 
     #[test]
     fn empty_input_produces_empty_output() {
-        let dir = tmp("empty");
+        let scratch = tmp("empty");
+        let dir = scratch.path();
         let input = dir.join("in");
         write_records(&input, &[]).unwrap();
         let counters = run_job(
-            &JobConfig::new(&dir),
+            &JobConfig::new(dir),
             "empty",
             &[input],
             &TokenMapper,
@@ -606,11 +610,12 @@ mod tests {
         use graphalytics_core::faults::{FaultInjector, FaultPlan, FaultSite};
         use std::sync::Arc;
 
-        let dir = tmp("taskio");
+        let scratch = tmp("taskio");
+        let dir = scratch.path();
         let input = dir.join("in");
         write_records(&input, &[("0".into(), "a b a".into())]).unwrap();
         let baseline = run_job(
-            &JobConfig::new(&dir),
+            &JobConfig::new(dir),
             "flaky",
             std::slice::from_ref(&input),
             &TokenMapper,
@@ -628,7 +633,7 @@ mod tests {
         let injector = Arc::new(FaultInjector::new(plan));
         let ctx = RunContext::unbounded().with_faults(Arc::clone(&injector));
         let counters = run_job_traced(
-            &JobConfig::new(&dir),
+            &JobConfig::new(dir),
             "flaky",
             &[input],
             &TokenMapper,
@@ -651,7 +656,8 @@ mod tests {
         use graphalytics_core::faults::{FaultInjector, FaultPlan, FaultSite};
         use std::sync::Arc;
 
-        let dir = tmp("taskio-fatal");
+        let scratch = tmp("taskio-fatal");
+        let dir = scratch.path();
         let input = dir.join("in");
         write_records(&input, &[("0".into(), "a".into())]).unwrap();
         let mut plan = FaultPlan::disabled();
@@ -665,7 +671,7 @@ mod tests {
         let injector = Arc::new(FaultInjector::new(plan));
         let ctx = RunContext::unbounded().with_faults(Arc::clone(&injector));
         let err = run_job_traced(
-            &JobConfig::new(&dir),
+            &JobConfig::new(dir),
             "doomed",
             &[input],
             &TokenMapper,
@@ -683,11 +689,12 @@ mod tests {
 
     #[test]
     fn spills_are_cleaned_after_job() {
-        let dir = tmp("clean");
+        let scratch = tmp("clean");
+        let dir = scratch.path();
         let input = dir.join("in");
         write_records(&input, &[("0".into(), "a".into())]).unwrap();
         run_job(
-            &JobConfig::new(&dir),
+            &JobConfig::new(dir),
             "cleanme",
             &[input],
             &TokenMapper,

@@ -43,9 +43,19 @@ struct LoadedGraph {
     /// inputs (fixed-point weights survive the text round-trip exactly).
     weighted_edge_files: Vec<PathBuf>,
     num_vertices: usize,
+    /// Logical edge count of the loaded graph (what STATS reports).
+    num_edges: usize,
     external_ids: Vec<u64>,
     /// Input splits plus one `run-<tag>-<n>` job directory per run.
     work_dir: ScratchDir,
+}
+
+impl LoadedGraph {
+    /// The internal id of external vertex id `external`, if present.
+    fn internal_id(&self, external: u64) -> Option<u32> {
+        let position = self.external_ids.iter().position(|&e| e == external);
+        position.map(|i| i as u32)
+    }
 }
 
 /// Hadoop MapReduce stand-in: every kernel is an iterative chain of
@@ -132,6 +142,7 @@ impl Platform for MapReducePlatform {
             edge_files,
             weighted_edge_files,
             num_vertices: graph.num_vertices(),
+            num_edges: graph.num_edges(),
             external_ids,
             work_dir: scratch,
         }))
@@ -146,122 +157,74 @@ impl Platform for MapReducePlatform {
         self.run_seq += 1;
         let loaded = self.graphs.get(handle)?;
         let n = loaded.num_vertices;
-        match algorithm {
-            Algorithm::Stats => {
-                let config = self.job_config(loaded, "stats")?;
-                let mean = algorithms::mean_local_cc(&config, &loaded.edge_files, n, ctx)?;
-                // |V| and |E| come from the input manifests; only the
-                // clustering coefficient needs jobs.
-                let num_edges = loaded
-                    .edge_files
-                    .iter()
-                    .map(|f| crate::job::read_records(f).map(|r| r.len()).unwrap_or(0))
-                    .sum::<usize>()
-                    / 2;
-                Ok(Output::Stats(graphalytics_algos::StatsResult {
-                    num_vertices: n,
-                    num_edges,
-                    mean_local_cc: mean,
-                }))
-            }
+        // Job directories are named after the kernel: run-stats-1, run-pr-2, …
+        let config = self.job_config(loaded, &algorithm.name().to_lowercase())?;
+        let edge_files = &loaded.edge_files;
+        Ok(match algorithm {
+            // |V| and |E| come from the load-time manifest; only the
+            // clustering coefficient needs jobs.
+            Algorithm::Stats => Output::Stats(graphalytics_algos::StatsResult {
+                num_vertices: n,
+                num_edges: loaded.num_edges,
+                mean_local_cc: algorithms::mean_local_cc(&config, edge_files, n, ctx)?,
+            }),
             Algorithm::Bfs { source } => {
-                let config = self.job_config(loaded, "bfs")?;
-                // Map the external source id to an internal one.
-                let source = loaded
-                    .external_ids
-                    .iter()
-                    .position(|&e| e == *source)
-                    .map(|i| i as u32);
-                Ok(Output::Depths(algorithms::bfs(
-                    &config,
-                    &loaded.edge_files,
-                    n,
-                    source,
-                    ctx,
-                )?))
+                let source = loaded.internal_id(*source);
+                Output::Depths(algorithms::bfs(&config, edge_files, n, source, ctx)?)
             }
-            Algorithm::Conn => {
-                let config = self.job_config(loaded, "conn")?;
-                Ok(Output::Components(algorithms::connected_components(
-                    &config,
-                    &loaded.edge_files,
-                    n,
-                    ctx,
-                )?))
-            }
+            Algorithm::Conn => Output::Components(algorithms::connected_components(
+                &config, edge_files, n, ctx,
+            )?),
             Algorithm::Cd {
                 iterations,
                 hop_attenuation,
                 degree_exponent,
-            } => {
-                let config = self.job_config(loaded, "cd")?;
-                Ok(Output::Communities(algorithms::community_detection(
-                    &config,
-                    &loaded.edge_files,
-                    n,
-                    *iterations,
-                    *hop_attenuation,
-                    *degree_exponent,
-                    ctx,
-                )?))
-            }
+            } => Output::Communities(algorithms::community_detection(
+                &config,
+                edge_files,
+                n,
+                *iterations,
+                *hop_attenuation,
+                *degree_exponent,
+                ctx,
+            )?),
             Algorithm::Evo {
                 new_vertices,
                 p_forward,
                 max_burst,
                 seed,
-            } => {
-                let config = self.job_config(loaded, "evo")?;
-                Ok(Output::Evolution(algorithms::forest_fire(
-                    &config,
-                    &loaded.edge_files,
-                    &loaded.external_ids,
-                    *new_vertices,
-                    *p_forward,
-                    *max_burst,
-                    *seed,
-                    ctx,
-                )?))
-            }
-            Algorithm::Sssp { source } => {
-                let config = self.job_config(loaded, "sssp")?;
-                let source = loaded
-                    .external_ids
-                    .iter()
-                    .position(|&e| e == *source)
-                    .map(|i| i as u32);
-                Ok(Output::Distances(algorithms::sssp(
-                    &config,
-                    &loaded.weighted_edge_files,
-                    n,
-                    source,
-                    ctx,
-                )?))
-            }
+            } => Output::Evolution(algorithms::forest_fire(
+                &config,
+                edge_files,
+                &loaded.external_ids,
+                *new_vertices,
+                *p_forward,
+                *max_burst,
+                *seed,
+                ctx,
+            )?),
+            Algorithm::Sssp { source } => Output::Distances(algorithms::sssp(
+                &config,
+                &loaded.weighted_edge_files,
+                n,
+                loaded.internal_id(*source),
+                ctx,
+            )?),
             Algorithm::Lcc => {
-                let config = self.job_config(loaded, "lcc")?;
-                Ok(Output::LocalClustering(algorithms::local_clustering(
-                    &config,
-                    &loaded.edge_files,
-                    n,
-                    ctx,
-                )?))
+                Output::LocalClustering(algorithms::local_clustering(&config, edge_files, n, ctx)?)
             }
             Algorithm::PageRank {
                 iterations,
                 damping,
-            } => {
-                let config = self.job_config(loaded, "pr")?;
-                Ok(Output::Ranks(algorithms::pagerank(
-                    &config,
-                    &loaded.edge_files,
-                    n,
-                    *iterations,
-                    *damping,
-                    ctx,
-                )?))
-            }
-        }
+            } => Output::Ranks(algorithms::pagerank(
+                &config,
+                edge_files,
+                n,
+                *iterations,
+                *damping,
+                ctx,
+            )?),
+        })
     }
 
     fn unload(&mut self, handle: GraphHandle) {
@@ -427,15 +390,16 @@ mod tests {
 
     #[test]
     fn configured_work_root_is_used_as_is_and_kept() {
-        let root = std::env::temp_dir().join(format!("gx-hadoop-test-{}", std::process::id()));
+        let scratch = ScratchDir::new(None, "gx-hadoop-test").unwrap();
+        let root = scratch.path();
         let mut p = MapReducePlatform::new(MapReduceConfig {
-            work_root: root.clone(),
+            work_root: root.to_path_buf(),
             ..MapReduceConfig::default()
         });
         let kept = p.load_graph(&test_graph()).unwrap();
         let unloaded = p.load_graph(&test_graph()).unwrap();
         let dirs = [scratch_of(&p, kept), scratch_of(&p, unloaded)];
-        assert!(dirs.iter().all(|d| d.parent() == Some(root.as_path())));
+        assert!(dirs.iter().all(|d| d.parent() == Some(root)));
         p.unload(unloaded);
         drop(p);
         assert!(
@@ -443,7 +407,29 @@ mod tests {
             "a graph outlived its platform"
         );
         assert!(root.exists(), "a configured root is the caller's to remove");
-        std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn stats_on_a_directed_graph_reports_the_logical_edge_count() {
+        // Four arcs, none reciprocated. STATS used to re-read the arc files
+        // and halve the record count (2 here), which is only the edge count
+        // of an undirected graph, stored as two arcs per edge.
+        let g = CsrGraph::from_edge_list(&EdgeListGraph::directed_from_edges(vec![
+            (0, 1),
+            (1, 2),
+            (2, 3),
+            (3, 0),
+        ]));
+        let mut p = MapReducePlatform::with_defaults();
+        let handle = p.load_graph(&g).unwrap();
+        let out = p
+            .run(handle, &Algorithm::Stats, &RunContext::unbounded())
+            .unwrap();
+        let Output::Stats(stats) = out else {
+            panic!("stats output shape: {out:?}")
+        };
+        assert_eq!((stats.num_vertices, stats.num_edges), (4, 4));
+        assert_eq!(stats.num_edges, g.num_edges());
     }
 
     #[test]

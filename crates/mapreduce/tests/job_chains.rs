@@ -3,6 +3,7 @@
 //! implementations, convergence behavior, and on-disk state layout.
 
 use graphalytics_core::platform::RunContext;
+use graphalytics_core::ScratchDir;
 use graphalytics_graph::{CsrGraph, EdgeListGraph, Vid};
 use graphalytics_mapreduce::algorithms;
 use graphalytics_mapreduce::job::{write_records, JobConfig, Record};
@@ -12,14 +13,13 @@ struct Fixture {
     config: JobConfig,
     edge_files: Vec<PathBuf>,
     graph: CsrGraph,
-    #[allow(dead_code)]
-    dir: PathBuf,
+    /// Holds the splits and every job's files; removed with the fixture.
+    dir: ScratchDir,
 }
 
 fn fixture(name: &str, edges: Vec<(u64, u64)>) -> Fixture {
-    let dir = std::env::temp_dir().join(format!("gx-chains-{}-{name}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
+    let scratch = ScratchDir::new(None, &format!("gx-chains-{name}")).unwrap();
+    let dir = scratch.path();
     let graph = CsrGraph::from_edge_list(&EdgeListGraph::undirected_from_edges(edges));
     // Two splits, arcs tagged "E <dst>" keyed by source, like the platform's ETL.
     let mut buckets: Vec<Vec<Record>> = vec![Vec::new(); 2];
@@ -35,10 +35,10 @@ fn fixture(name: &str, edges: Vec<(u64, u64)>) -> Fixture {
         edge_files.push(path);
     }
     Fixture {
-        config: JobConfig::new(&dir),
+        config: JobConfig::new(dir),
         edge_files,
         graph,
-        dir,
+        dir: scratch,
     }
 }
 
@@ -79,7 +79,7 @@ fn bfs_chain_matches_reference_and_needs_diameter_rounds() {
     assert_eq!(depths, graphalytics_algos::bfs::bfs(&f.graph, 6));
     // The long path forces many iterations; state files for each round
     // must exist on disk (iterative chains keep state in files).
-    let rounds = std::fs::read_dir(&f.dir)
+    let rounds = std::fs::read_dir(f.dir.path())
         .unwrap()
         .filter_map(|e| e.ok())
         .filter(|e| e.file_name().to_string_lossy().starts_with("bfs-depths-"))

@@ -7,10 +7,8 @@ use graphalytics_algos::{Algorithm, Output};
 use graphalytics_core::platform::{GraphHandle, GraphTable, Platform, PlatformError, RunContext};
 use graphalytics_graph::CsrGraph;
 
-use crate::engine::{run, PregelConfig};
-use crate::programs::{
-    BfsProgram, CdProgram, ConnProgram, LccProgram, PageRankProgram, SsspProgram, StatsProgram,
-};
+use crate::engine::{run, PregelConfig, VertexProgram};
+use crate::programs::{dispatch, ProgramVisitor};
 
 /// Giraph stand-in: a BSP vertex-centric engine with hash-partitioned
 /// workers.
@@ -31,6 +29,26 @@ impl GiraphPlatform {
     /// Default configuration (4 workers, no memory cap).
     pub fn with_defaults() -> Self {
         Self::new(PregelConfig::default())
+    }
+}
+
+/// Runs the dispatched program on the in-process BSP engine.
+struct InProcess<'a> {
+    graph: &'a Arc<CsrGraph>,
+    config: &'a PregelConfig,
+    ctx: &'a RunContext,
+}
+
+impl ProgramVisitor for InProcess<'_> {
+    type Out = Result<Output, PlatformError>;
+
+    fn visit<P: VertexProgram>(
+        self,
+        program: &P,
+        output: fn(&CsrGraph, Vec<P::State>) -> Output,
+    ) -> Self::Out {
+        let result = run(self.graph, program, self.config, self.ctx)?;
+        Ok(output(self.graph, result.states))
     }
 }
 
@@ -61,86 +79,19 @@ impl Platform for GiraphPlatform {
         ctx: &RunContext,
     ) -> Result<Output, PlatformError> {
         let graph = Arc::clone(self.graphs.get(handle)?);
-        match algorithm {
-            Algorithm::Stats => {
-                let result = run(&graph, &StatsProgram, &self.config, ctx)?;
-                let n = graph.num_vertices();
-                let mean = if n == 0 {
-                    0.0
-                } else {
-                    result.states.iter().sum::<f64>() / n as f64
-                };
-                Ok(Output::Stats(graphalytics_algos::StatsResult {
-                    num_vertices: n,
-                    num_edges: graph.num_edges(),
-                    mean_local_cc: mean,
-                }))
-            }
-            Algorithm::Bfs { source } => {
-                let program = BfsProgram {
-                    source: graph.internal_id(*source),
-                };
-                let result = run(&graph, &program, &self.config, ctx)?;
-                Ok(Output::Depths(result.states))
-            }
-            Algorithm::Conn => {
-                let result = run(&graph, &ConnProgram, &self.config, ctx)?;
-                Ok(Output::Components(result.states))
-            }
-            Algorithm::Cd {
-                iterations,
-                hop_attenuation,
-                degree_exponent,
-            } => {
-                let program = CdProgram {
-                    iterations: *iterations,
-                    hop_attenuation: *hop_attenuation,
-                    degree_exponent: *degree_exponent,
-                };
-                let result = run(&graph, &program, &self.config, ctx)?;
-                Ok(Output::Communities(
-                    result.states.iter().map(|s| s.label).collect(),
-                ))
-            }
-            Algorithm::Evo {
-                new_vertices,
-                p_forward,
-                max_burst,
-                seed,
-            } => {
+        let threads = InProcess {
+            graph: &graph,
+            config: &self.config,
+            ctx,
+        };
+        match dispatch(algorithm, &graph, threads) {
+            Some(result) => result,
+            None => {
                 // EVO is coordinator-driven (Giraph would run it from
                 // master.compute()): the fires walk the partitioned
                 // adjacency directly.
                 ctx.check_deadline()?;
-                Ok(Output::Evolution(graphalytics_algos::evo::forest_fire(
-                    &graph,
-                    *new_vertices,
-                    *p_forward,
-                    *max_burst,
-                    *seed,
-                )))
-            }
-            Algorithm::Sssp { source } => {
-                let program = SsspProgram {
-                    source: graph.internal_id(*source),
-                };
-                let result = run(&graph, &program, &self.config, ctx)?;
-                Ok(Output::Distances(result.states))
-            }
-            Algorithm::Lcc => {
-                let result = run(&graph, &LccProgram, &self.config, ctx)?;
-                Ok(Output::LocalClustering(result.states))
-            }
-            Algorithm::PageRank {
-                iterations,
-                damping,
-            } => {
-                let program = PageRankProgram {
-                    iterations: *iterations,
-                    damping: *damping,
-                };
-                let result = run(&graph, &program, &self.config, ctx)?;
-                Ok(Output::Ranks(result.states))
+                Ok(graphalytics_algos::reference(&graph, algorithm))
             }
         }
     }

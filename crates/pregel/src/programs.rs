@@ -1,7 +1,75 @@
-//! The Graphalytics workload expressed as Pregel vertex programs.
+//! The Graphalytics workload expressed as Pregel vertex programs, and the
+//! one [`dispatch`] from an [`Algorithm`] to its program.
 
 use crate::engine::{ComputeContext, VertexProgram};
-use graphalytics_graph::{CsrGraph, Vid};
+use graphalytics_algos::{cd, lcc, stats, Algorithm, Output};
+use graphalytics_graph::{metrics, CsrGraph, Vid};
+
+/// What an engine does with a kernel's vertex program: the in-process
+/// engine runs it on its worker threads, the distributed master coordinates
+/// a fleet over its state type, a worker process enters its superstep loop.
+pub trait ProgramVisitor {
+    /// What a visit yields.
+    type Out;
+
+    /// Receives the program of the dispatched kernel; `output` turns the
+    /// final states, in internal-id order, into the kernel's [`Output`].
+    fn visit<P: VertexProgram>(
+        self,
+        program: &P,
+        output: fn(&CsrGraph, Vec<P::State>) -> Output,
+    ) -> Self::Out;
+}
+
+/// The one place an [`Algorithm`] becomes a vertex program and its final
+/// states become an [`Output`]: [`crate::GiraphPlatform`], the distributed
+/// master and the distributed worker all come through here, so the three
+/// cannot disagree on a kernel's program or parameters. `None` for EVO,
+/// which has no vertex program — the coordinator walks the fires itself.
+pub fn dispatch<V: ProgramVisitor>(
+    algorithm: &Algorithm,
+    graph: &CsrGraph,
+    visitor: V,
+) -> Option<V::Out> {
+    Some(match *algorithm {
+        Algorithm::Stats => visitor.visit(&LccProgram, |g, coefficients| {
+            Output::Stats(stats::from_coefficients(g.num_edges(), &coefficients))
+        }),
+        Algorithm::Lcc => visitor.visit(&LccProgram, |_, s| Output::LocalClustering(s)),
+        Algorithm::Bfs { source } => {
+            let source = graph.internal_id(source);
+            visitor.visit(&BfsProgram { source }, |_, s| Output::Depths(s))
+        }
+        Algorithm::Sssp { source } => {
+            let source = graph.internal_id(source);
+            visitor.visit(&SsspProgram { source }, |_, s| Output::Distances(s))
+        }
+        Algorithm::Conn => visitor.visit(&ConnProgram, |_, s| Output::Components(s)),
+        Algorithm::Cd {
+            iterations,
+            hop_attenuation,
+            degree_exponent,
+        } => visitor.visit(
+            &CdProgram {
+                iterations,
+                hop_attenuation,
+                degree_exponent,
+            },
+            |_, states| Output::Communities(states.iter().map(|s| s.label).collect()),
+        ),
+        Algorithm::PageRank {
+            iterations,
+            damping,
+        } => visitor.visit(
+            &PageRankProgram {
+                iterations,
+                damping,
+            },
+            |_, s| Output::Ranks(s),
+        ),
+        Algorithm::Evo { .. } => return None,
+    })
+}
 
 /// BFS: depths propagate level by level; the superstep number *is* the
 /// depth, which is why BFS is the canonical Pregel program.
@@ -88,18 +156,19 @@ impl VertexProgram for SsspProgram {
     }
 }
 
-/// LCC: the per-vertex local clustering coefficient. The message plan is
-/// identical to [`StatsProgram`] — superstep 0 ships adjacency lists,
-/// superstep 1 intersects them — but the per-vertex coefficients *are* the
-/// output instead of being averaged into a scalar.
+/// LCC, and the clustering half of STATS (which averages these states):
+/// superstep 0 sends every vertex's adjacency list to all its neighbors (an
+/// intentionally network-heavy step — this kernel stresses the network
+/// choke point); superstep 1 intersects received lists with the local one
+/// and stores the local clustering coefficient.
 pub struct LccProgram;
 
 impl VertexProgram for LccProgram {
     type State = f64;
     type Message = Vec<Vid>;
 
-    fn init(&self, vertex: Vid, graph: &CsrGraph) -> f64 {
-        StatsProgram.init(vertex, graph)
+    fn init(&self, _vertex: Vid, _graph: &CsrGraph) -> f64 {
+        0.0
     }
 
     fn compute(
@@ -108,7 +177,25 @@ impl VertexProgram for LccProgram {
         messages: &[Vec<Vid>],
         ctx: &mut ComputeContext<'_, Vec<Vid>>,
     ) {
-        StatsProgram.compute(state, messages, ctx);
+        match ctx.superstep {
+            0 => {
+                if ctx.degree() >= 2 {
+                    let mine: Vec<Vid> = ctx.graph.neighbors(ctx.vertex).to_vec();
+                    ctx.send_to_neighbors(mine);
+                } else {
+                    ctx.vote_to_halt();
+                }
+            }
+            _ => {
+                let mine = ctx.graph.neighbors(ctx.vertex);
+                let links: usize = messages
+                    .iter()
+                    .map(|their| metrics::sorted_intersection_len(mine, their))
+                    .sum();
+                *state = lcc::coefficient_from_links(links, mine.len());
+                ctx.vote_to_halt();
+            }
+        }
     }
 }
 
@@ -198,7 +285,7 @@ impl VertexProgram for CdProgram {
         }
         if ctx.superstep == 0 {
             // Broadcast the initial label.
-            let influence = state.score * (ctx.degree() as f64).powf(self.degree_exponent);
+            let influence = cd::influence(state.score, ctx.degree(), self.degree_exponent);
             ctx.send_to_neighbors((state.label, state.score, influence));
             return;
         }
@@ -209,76 +296,22 @@ impl VertexProgram for CdProgram {
             ctx.vote_to_halt();
             return;
         }
-        if !messages.is_empty() {
-            // Aggregate per label: influence contributions and max score.
-            let mut weight: rustc_hash::FxHashMap<u32, (Vec<f64>, f64)> =
-                rustc_hash::FxHashMap::default();
-            for &(label, score, influence) in messages {
-                let entry = weight.entry(label).or_insert((Vec::new(), 0.0));
-                entry.0.push(influence);
-                entry.1 = entry.1.max(score);
-            }
-            let (best_label, _w, best_score) = graphalytics_algos::cd::argmax_label(&mut weight);
-            if best_label != state.label {
-                state.label = best_label;
-                state.score = best_score * (1.0 - self.hop_attenuation);
-                ctx.aggregate(1.0); // A label changed somewhere this round.
-            } else {
-                state.score = best_score.max(state.score);
-            }
+        // Aggregate per label: influence contributions and max score.
+        let mut weight = cd::LabelWeights::default();
+        for &(label, score, influence) in messages {
+            cd::add_vote(&mut weight, label, score, influence);
+        }
+        let own = (state.label, state.score);
+        let (label, score, adopted) = cd::adopt_or_keep(own, &mut weight, self.hop_attenuation);
+        *state = CdState { label, score };
+        if adopted {
+            ctx.aggregate(1.0); // A label changed somewhere this round.
         }
         if ctx.superstep < self.iterations {
-            let influence = state.score * (ctx.degree() as f64).powf(self.degree_exponent);
+            let influence = cd::influence(state.score, ctx.degree(), self.degree_exponent);
             ctx.send_to_neighbors((state.label, state.score, influence));
         } else {
             ctx.vote_to_halt();
-        }
-    }
-}
-
-/// STATS: the clustering-coefficient half. Superstep 0 sends every vertex's
-/// adjacency list to all its neighbors (an intentionally network-heavy
-/// step — this kernel stresses the network choke point); superstep 1
-/// intersects received lists with the local one to count triangles and
-/// stores the local clustering coefficient.
-pub struct StatsProgram;
-
-impl VertexProgram for StatsProgram {
-    type State = f64; // Local clustering coefficient.
-    type Message = Vec<Vid>;
-
-    fn init(&self, _vertex: Vid, _graph: &CsrGraph) -> f64 {
-        0.0
-    }
-
-    fn compute(
-        &self,
-        state: &mut f64,
-        messages: &[Vec<Vid>],
-        ctx: &mut ComputeContext<'_, Vec<Vid>>,
-    ) {
-        match ctx.superstep {
-            0 => {
-                if ctx.degree() >= 2 {
-                    let mine: Vec<Vid> = ctx.graph.neighbors(ctx.vertex).to_vec();
-                    ctx.send_to_neighbors(mine);
-                } else {
-                    ctx.vote_to_halt();
-                }
-            }
-            _ => {
-                let mine = ctx.graph.neighbors(ctx.vertex);
-                let d = mine.len();
-                if d >= 2 {
-                    let mut links = 0usize;
-                    for their in messages {
-                        links += graphalytics_graph::metrics::sorted_intersection_len(mine, their);
-                    }
-                    let triangles = links / 2;
-                    *state = triangles as f64 / (d * (d - 1) / 2) as f64;
-                }
-                ctx.vote_to_halt();
-            }
         }
     }
 }
@@ -435,7 +468,7 @@ mod tests {
     #[test]
     fn stats_program_matches_reference_lcc() {
         let g = graph(vec![(0, 1), (1, 2), (0, 2), (0, 3), (3, 4)]);
-        let lccs = run_default(&g, &StatsProgram);
+        let lccs = run_default(&g, &LccProgram);
         let mean = lccs.iter().sum::<f64>() / lccs.len() as f64;
         let expected = graphalytics_algos::stats::stats(&g).mean_local_cc;
         assert!(
@@ -458,6 +491,34 @@ mod tests {
         for (a, b) in ranks.iter().zip(&expected) {
             assert!((a - b).abs() < 1e-9, "{a} vs {b}");
         }
+    }
+
+    #[test]
+    fn dispatch_has_a_program_for_every_kernel_but_evo() {
+        struct RunIt<'a>(&'a Arc<CsrGraph>);
+        impl ProgramVisitor for RunIt<'_> {
+            type Out = Output;
+            fn visit<P: VertexProgram>(
+                self,
+                program: &P,
+                output: fn(&CsrGraph, Vec<P::State>) -> Output,
+            ) -> Output {
+                output(self.0, run_default(self.0, program))
+            }
+        }
+        let g = graph(vec![(0, 1), (1, 2), (0, 2), (0, 3), (3, 4), (5, 6)]);
+        let mut kernels = Algorithm::ldbc_workload();
+        kernels.push(Algorithm::default_pagerank());
+        for alg in kernels {
+            match dispatch(&alg, &g, RunIt(&g)) {
+                Some(out) => assert!(
+                    graphalytics_algos::reference(&g, &alg).equivalent(&out),
+                    "{alg:?}: {out:?}"
+                ),
+                None => assert!(matches!(alg, Algorithm::Evo { .. }), "{alg:?}"),
+            }
+        }
+        assert!(dispatch(&Algorithm::default_evo(), &g, RunIt(&g)).is_none());
     }
 
     #[test]
