@@ -7,20 +7,19 @@
 //! This driver loads the same graphs into every platform's native storage
 //! and reports the load (ETL) time per platform per dataset, plus the
 //! resulting storage footprint where the platform exposes one.
-//!
-//! Knobs: `GX_SCALE` (default 13), `GX_PERSONS` (default 10000),
-//! `GX_REPS` (default 3; median reported).
 
-use graphalytics_bench::{env_usize, or_exit, print_table};
+use crate::{or_exit, print_table, Args};
 use graphalytics_core::runner::median;
 use graphalytics_core::Dataset;
 use graphalytics_platforms::{build_all, Properties, PLATFORMS};
+use std::process::ExitCode;
 use std::time::Instant;
 
-fn main() {
-    let scale = or_exit(env_usize("GX_SCALE", 13)) as u32;
-    let persons = or_exit(env_usize("GX_PERSONS", 10_000));
-    let reps = or_exit(env_usize("GX_REPS", 3)).max(1);
+/// `bench etl`.
+pub fn run(args: &Args) -> ExitCode {
+    let scale = or_exit(args.knob::<usize>("GX_SCALE")) as u32;
+    let persons: usize = or_exit(args.knob("GX_PERSONS"));
+    let reps = or_exit(args.knob::<usize>("GX_REPS")).max(1);
     let datasets = vec![Dataset::graph500(scale), Dataset::snb(persons)];
 
     println!("ETL (graph load) time per platform — the paper's future-work experiment\n");
@@ -69,4 +68,5 @@ fn main() {
     print_table(&["Dataset", "Platform", "ETL [s]", "ns/edge"], &rows);
     println!("\nETL = converting the canonical CSR graph into the platform's native storage");
     println!("(worker partitions, RDDs, HDFS splits, record stores, compressed columns).");
+    ExitCode::SUCCESS
 }

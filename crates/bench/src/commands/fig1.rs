@@ -2,10 +2,10 @@
 //! Geometric models": generates one graph per plugin and prints the
 //! observed degree histogram next to the analytic expectation, plus the
 //! fitted model parameters.
-//!
-//! Knobs: `GX_PERSONS` (default 50000), `GX_SEED` (default 1).
 
-use graphalytics_bench::{env_u64, env_usize, or_exit, print_table};
+use std::process::ExitCode;
+
+use crate::{or_exit, print_table, Args};
 use graphalytics_datagen::{generate, DatagenConfig, DegreeDistribution};
 use graphalytics_graph::distfit::{self, DegreeModel};
 use graphalytics_graph::{metrics, CsrGraph};
@@ -63,9 +63,10 @@ fn series(name: &str, dist: DegreeDistribution, model: DegreeModel, persons: usi
     }
 }
 
-fn main() {
-    let persons = or_exit(env_usize("GX_PERSONS", 50_000));
-    let seed = or_exit(env_u64("GX_SEED", 1));
+/// `bench fig1`.
+pub fn run(args: &Args) -> ExitCode {
+    let persons: usize = or_exit(args.knob("GX_PERSONS"));
+    let seed: u64 = or_exit(args.knob("GX_SEED"));
     println!("Figure 1: Datagen degree distributions vs analytic models");
     series(
         "Zeta(s=1.7)",
@@ -81,4 +82,5 @@ fn main() {
         persons,
         seed,
     );
+    ExitCode::SUCCESS
 }

@@ -14,26 +14,25 @@
 //!   as on HDFS). This restores the I/O asymmetry that a single machine
 //!   cannot exhibit physically, and reproduces the paper's crossover: the
 //!   cluster overtakes once generation becomes I/O-bound.
-//!
-//! Knobs: `GX_SIZES` (comma-separated person counts), `GX_WORKERS`
-//! (default 4), `GX_THREADS` (default 8), `GX_SEED`, `GX_DISK_MBPS`
-//! (default 150).
 
-use graphalytics_bench::{env_list, env_u64, env_usize, or_exit, print_table};
+use std::process::ExitCode;
+
+use crate::{or_exit, print_table, Args};
 use graphalytics_datagen::cluster::{generate_to_disk_with, DiskModel};
 use graphalytics_datagen::{DatagenConfig, DegreeDistribution, GenerationMode};
 
-fn main() {
-    let sizes: Vec<usize> = or_exit(env_list("GX_SIZES", "20000,50000,100000,200000,400000"));
-    let workers = or_exit(env_usize("GX_WORKERS", 4));
-    let threads = or_exit(env_usize("GX_THREADS", 8));
-    let seed = or_exit(env_u64("GX_SEED", 1));
+/// `bench fig3`.
+pub fn run(args: &Args) -> ExitCode {
+    let sizes: Vec<usize> = or_exit(args.knob_list("GX_SIZES"));
+    let workers: usize = or_exit(args.knob("GX_WORKERS"));
+    let threads: usize = or_exit(args.knob("GX_THREADS"));
+    let seed: u64 = or_exit(args.knob("GX_SEED"));
     let disk = DiskModel {
-        bytes_per_sec: or_exit(env_usize("GX_DISK_MBPS", 150)) as f64 * 1024.0 * 1024.0,
+        bytes_per_sec: or_exit(args.knob::<usize>("GX_DISK_MBPS")) as f64 * 1024.0 * 1024.0,
     };
     // Modeled per-job scheduling latency (Hadoop-era clusters paid tens of
     // seconds per job; reduced-scale default 2 s).
-    let job_latency = or_exit(env_usize("GX_JOB_LATENCY_DECISECS", 20)) as f64 / 10.0;
+    let job_latency = or_exit(args.knob::<usize>("GX_JOB_LATENCY_DECISECS")) as f64 / 10.0;
     let scratch = graphalytics_core::ScratchDir::new(None, "gx-fig3").expect("scratch dir");
     let dir = scratch.path();
 
@@ -98,4 +97,5 @@ fn main() {
     println!("\nmeasured columns: wall clock on this machine (CPU-bound regime; single wins).");
     println!("+HDD columns: with modeled per-device drain time — the cluster's {workers} disks");
     println!("pull ahead as volume grows, the crossover of the paper's Figure 3.");
+    ExitCode::SUCCESS
 }

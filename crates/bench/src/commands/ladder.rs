@@ -12,13 +12,16 @@
 //! A platform that survives the whole ladder reports the ceiling scale
 //! with no failure — raise `--max-scale` to find its true limit.
 
+use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
 
 use graphalytics_algos::Algorithm;
-use graphalytics_core::config::parse_algorithm;
+use graphalytics_core::config::{parse_algorithm, ConfigError};
 use graphalytics_core::{BenchmarkConfig, BenchmarkSuite, Dataset, Platform, RunStatus, Tracer};
 use graphalytics_platforms::{self as platforms, Properties};
+
+use crate::{print_table, Args};
 
 /// Ladder parameters (from the `bench ladder` command line).
 #[derive(Debug, Clone, PartialEq)]
@@ -42,7 +45,13 @@ impl Default for LadderConfig {
     fn default() -> Self {
         Self {
             platforms: Vec::new(),
-            algorithms: default_algorithms(),
+            // The traversal kernel plus the two weighted/neighborhood
+            // kernels the conformance suite gates.
+            algorithms: vec![
+                Algorithm::Bfs { source: 0 },
+                Algorithm::Sssp { source: 0 },
+                Algorithm::Lcc,
+            ],
             start_scale: 10,
             max_scale: 20,
             timeout_secs: 180,
@@ -51,72 +60,43 @@ impl Default for LadderConfig {
     }
 }
 
-/// The default rung workload: the traversal kernel plus the two weighted/
-/// neighborhood kernels the conformance suite gates.
-pub fn default_algorithms() -> Vec<Algorithm> {
-    vec![
-        Algorithm::Bfs { source: 0 },
-        Algorithm::Sssp { source: 0 },
-        Algorithm::Lcc,
-    ]
-}
-
 impl LadderConfig {
-    /// Parses `bench ladder` flags. `--smoke` is shorthand for a CI-sized
-    /// ladder (scales 10..=14, 60 s timeout, validation on).
-    pub fn parse(args: &[String]) -> Result<Self, String> {
+    /// Reads the `bench ladder` flags. `--smoke` is shorthand for a
+    /// CI-sized ladder (scales 10..=14, 60 s timeout, validation on) that
+    /// the explicit flags refine.
+    pub fn from_args(args: &Args) -> Result<Self, String> {
         let mut cfg = Self::default();
-        for arg in args {
-            let (flag, value) = match arg.split_once('=') {
-                Some((f, v)) => (f, Some(v)),
-                None => (arg.as_str(), None),
-            };
-            let required = |what: &str| {
-                value
-                    .map(str::to_string)
-                    .ok_or_else(|| format!("{flag} needs {what}, e.g. {flag}=..."))
-            };
-            match flag {
-                "--smoke" => {
-                    cfg.start_scale = 10;
-                    cfg.max_scale = 14;
-                    cfg.timeout_secs = 60;
-                    cfg.validate = true;
-                }
-                "--platforms" => {
-                    cfg.platforms = required("a comma-separated list")?
-                        .split(',')
-                        .map(|s| s.trim().to_lowercase())
-                        .filter(|s| !s.is_empty())
-                        .map(|s| platforms::resolve(&s).map(|row| row.name.to_string()))
-                        .collect::<Result<_, _>>()?;
-                }
-                "--algorithms" => {
-                    let list = required("a comma-separated list")?;
-                    cfg.algorithms = list
-                        .split(',')
-                        .map(|s| parse_algorithm(s.trim()))
-                        .collect::<Result<_, _>>()?;
-                }
-                "--start-scale" => {
-                    cfg.start_scale = required("a scale")?
-                        .parse()
-                        .map_err(|_| "--start-scale must be an integer".to_string())?;
-                }
-                "--max-scale" => {
-                    cfg.max_scale = required("a scale")?
-                        .parse()
-                        .map_err(|_| "--max-scale must be an integer".to_string())?;
-                }
-                "--timeout-secs" => {
-                    cfg.timeout_secs = required("seconds")?
-                        .parse()
-                        .map_err(|_| "--timeout-secs must be an integer".to_string())?;
-                }
-                "--validate" => cfg.validate = true,
-                other => return Err(format!("unknown ladder flag {other:?}")),
-            }
+        if args.flag("--smoke").is_some() {
+            cfg.start_scale = 10;
+            cfg.max_scale = 14;
+            cfg.timeout_secs = 60;
+            cfg.validate = true;
         }
+        if let Some(list) = args.flag("--platforms") {
+            cfg.platforms = list
+                .split(',')
+                .map(|s| s.trim().to_lowercase())
+                .filter(|s| !s.is_empty())
+                .map(|s| platforms::resolve(&s).map(|row| row.name.to_string()))
+                .collect::<Result<_, _>>()?;
+        }
+        if let Some(list) = args.flag("--algorithms") {
+            cfg.algorithms = list
+                .split(',')
+                .map(|s| parse_algorithm(s.trim()))
+                .collect::<Result<_, _>>()?;
+        }
+        let malformed = |e: ConfigError| e.to_string();
+        if let Some(scale) = args.flag_as("--start-scale").map_err(malformed)? {
+            cfg.start_scale = scale;
+        }
+        if let Some(scale) = args.flag_as("--max-scale").map_err(malformed)? {
+            cfg.max_scale = scale;
+        }
+        if let Some(secs) = args.flag_as("--timeout-secs").map_err(malformed)? {
+            cfg.timeout_secs = secs;
+        }
+        cfg.validate |= args.flag("--validate").is_some();
         if cfg.start_scale > cfg.max_scale {
             return Err(format!(
                 "start scale {} exceeds max scale {}",
@@ -163,21 +143,13 @@ pub struct LadderCell {
     pub max_skew: Option<f64>,
 }
 
-impl LadderCell {
-    /// True when the platform survived the whole ladder.
-    pub fn reached_ceiling(&self) -> bool {
-        self.failing_scale.is_none()
-    }
-}
-
 /// Walks every requested platform up the ladder using `factory` to build
 /// a fresh platform instance per rung (so a rung's memory is released
-/// before the next, larger graph is loaded). `progress` is called after
-/// every rung with `(platform, scale, passed)`.
-pub fn climb_with(
+/// before the next, larger graph is loaded); every rung's outcome goes to
+/// stderr as it finishes.
+pub fn climb(
     cfg: &LadderConfig,
     factory: impl Fn(&str) -> Result<Box<dyn Platform>, String>,
-    mut progress: impl FnMut(&str, u32, bool),
 ) -> Result<Vec<LadderCell>, String> {
     let mut cells = Vec::new();
     for name in cfg.platform_names() {
@@ -230,12 +202,12 @@ pub fn climb_with(
                             .sum::<f64>(),
                     );
                     cell.max_skew = rung_max_skew(&tracer.finished_spans());
-                    progress(&name, scale, true);
+                    eprintln!("  {name} @ scale {scale}: pass");
                 }
                 Some(why) => {
                     cell.failing_scale = Some(scale);
                     cell.failure = Some(why);
-                    progress(&name, scale, false);
+                    eprintln!("  {name} @ scale {scale}: FAIL");
                     break;
                 }
             }
@@ -255,19 +227,49 @@ fn rung_max_skew(spans: &[graphalytics_core::trace::Span]) -> Option<f64> {
         .fold(None, |acc, g| Some(acc.map_or(g, |a: f64| a.max(g))))
 }
 
-/// [`climb_with`] over the registry's platforms, each built with its
-/// defaults.
-pub fn climb(
-    cfg: &LadderConfig,
-    progress: impl FnMut(&str, u32, bool),
-) -> Result<Vec<LadderCell>, String> {
+/// `bench ladder`: climbs, prints progress to stderr and the report table
+/// to stdout; exits 1 when no platform passes any rung.
+pub fn run(args: &Args) -> ExitCode {
+    let cfg = crate::or_exit(LadderConfig::from_args(args));
+    eprintln!(
+        "scale ladder: {} over Graph500 {}..={}, timeout {}s, {} kernel(s), validate={}",
+        cfg.platform_names().join(", "),
+        cfg.start_scale,
+        cfg.max_scale,
+        cfg.timeout_secs,
+        cfg.algorithms.len(),
+        cfg.validate,
+    );
     let defaults = Properties::new();
-    climb_with(cfg, |name| platforms::build(name, &defaults), progress)
+    let registry = |name: &str| platforms::build(name, &defaults);
+    let cells = match climb(&cfg, registry) {
+        Ok(c) => c,
+        Err(e) => {
+            eprintln!("{e}");
+            return ExitCode::FAILURE;
+        }
+    };
+    print_table(
+        &[
+            "platform",
+            "workers",
+            "largest scale",
+            "seconds",
+            "max-skew",
+            "climb ended by",
+        ],
+        &report_rows(&cells),
+    );
+    if cells.iter().all(|c| c.largest_passing.is_none()) {
+        eprintln!("no platform passed any rung");
+        return ExitCode::FAILURE;
+    }
+    ExitCode::SUCCESS
 }
 
 /// Renders the report rows (platform, worker count, largest passing
 /// scale, wall time there, worst worker-time Gini, and what stopped the
-/// climb) for [`crate::print_table`].
+/// climb) for [`print_table`].
 pub fn report_rows(cells: &[LadderCell]) -> Vec<Vec<String>> {
     cells
         .iter()
@@ -302,19 +304,22 @@ mod tests {
     use graphalytics_core::platform::{GraphHandle, PlatformError, RunContext};
     use graphalytics_graph::CsrGraph;
 
+    fn parse(args: &[&str]) -> Result<LadderConfig, String> {
+        let ladder = crate::cli::command("ladder").expect("ladder");
+        LadderConfig::from_args(&Args::parse(ladder, args.iter().map(|s| s.to_string()))?)
+    }
+
     #[test]
     fn parses_flags() {
-        let args: Vec<String> = [
+        let cfg = parse(&[
             "--platforms=reference,virtuoso",
             "--start-scale=8",
-            "--max-scale=12",
+            "--max-scale",
+            "12",
             "--timeout-secs=30",
             "--algorithms=sssp:3,lcc",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-        let cfg = LadderConfig::parse(&args).unwrap();
+        ])
+        .unwrap();
         assert_eq!(cfg.platforms, vec!["reference", "virtuoso"]);
         assert_eq!(cfg.start_scale, 8);
         assert_eq!(cfg.max_scale, 12);
@@ -327,24 +332,30 @@ mod tests {
 
     #[test]
     fn smoke_preset_and_errors() {
-        let cfg = LadderConfig::parse(&["--smoke".to_string()]).unwrap();
+        let cfg = parse(&["--smoke"]).unwrap();
         assert_eq!((cfg.start_scale, cfg.max_scale), (10, 14));
         assert!(cfg.validate);
-        assert!(LadderConfig::parse(&["--warp".to_string()]).is_err());
+        // Explicit flags refine the preset wherever they stand.
+        let cfg = parse(&["--max-scale=11", "--smoke"]).unwrap();
+        assert_eq!((cfg.max_scale, cfg.timeout_secs), (11, 60));
+        assert!(parse(&["--warp"]).is_err());
         assert_eq!(
-            LadderConfig::parse(&["--platforms=hive".to_string()]),
+            parse(&["--platforms=hive"]),
             Err(platforms::resolve("hive").err().unwrap())
         );
-        assert!(
-            LadderConfig::parse(&["--start-scale=9".to_string(), "--max-scale=8".to_string()])
-                .is_err()
+        assert!(parse(&["--start-scale=9", "--max-scale=8"]).is_err());
+        assert!(parse(&["--max-scale"]).is_err());
+        // A switch takes no value.
+        assert!(parse(&["--validate=yes"]).is_err());
+        assert_eq!(
+            parse(&["--max-scale=1e1"]).unwrap_err(),
+            "config error: --max-scale = \"1e1\" is not a valid u32"
         );
-        assert!(LadderConfig::parse(&["--max-scale".to_string()]).is_err());
     }
 
     #[test]
     fn aliases_parse_to_registry_names_and_the_default_is_the_whole_registry() {
-        let cfg = LadderConfig::parse(&["--platforms=Hadoop,distrib".to_string()]).unwrap();
+        let cfg = parse(&["--platforms=Hadoop,distrib"]).unwrap();
         assert_eq!(cfg.platform_names(), ["mapreduce", "distributed-pregel"]);
         assert_eq!(
             LadderConfig::default().platform_names().len(),
@@ -362,20 +373,13 @@ mod tests {
             validate: true,
             ..Default::default()
         };
-        let mut rungs = Vec::new();
-        let cells = climb(&cfg, |p, s, ok| rungs.push((p.to_string(), s, ok))).unwrap();
+        let registry = |name: &str| platforms::build(name, &Properties::new());
+        let cells = climb(&cfg, registry).unwrap();
         assert_eq!(cells.len(), 1);
         let c = &cells[0];
         assert_eq!(c.largest_passing, Some(7));
-        assert!(c.reached_ceiling(), "{c:?}");
+        assert_eq!(c.failing_scale, None, "{c:?}");
         assert!(c.seconds_at_largest.unwrap() >= 0.0);
-        assert_eq!(
-            rungs,
-            vec![
-                ("reference".to_string(), 6, true),
-                ("reference".to_string(), 7, true),
-            ]
-        );
     }
 
     /// A platform that refuses to load graphs at or above a scale cutoff —
@@ -419,17 +423,11 @@ mod tests {
             validate: false,
         };
         // Scale 6 = 64 vertices fits; scale 7 = 128 does not.
-        let cells = climb_with(
-            &cfg,
-            |_| Ok(Box::new(CappedPlatform { max_vertices: 64 })),
-            |_, _, _| {},
-        )
-        .unwrap();
+        let cells = climb(&cfg, |_| Ok(Box::new(CappedPlatform { max_vertices: 64 }))).unwrap();
         let c = &cells[0];
         assert_eq!(c.largest_passing, Some(6));
         assert_eq!(c.failing_scale, Some(7));
         assert!(c.failure.as_deref().unwrap().contains("memory"), "{c:?}");
-        assert!(!c.reached_ceiling());
         let rows = report_rows(&cells);
         assert_eq!(rows[0][1], "-", "unknown platform has no worker count");
         assert_eq!(rows[0][2], "6");
@@ -447,12 +445,7 @@ mod tests {
             timeout_secs: 60,
             validate: false,
         };
-        let cells = climb_with(
-            &cfg,
-            |_| Ok(Box::new(CappedPlatform { max_vertices: 1 })),
-            |_, _, _| {},
-        )
-        .unwrap();
+        let cells = climb(&cfg, |_| Ok(Box::new(CappedPlatform { max_vertices: 1 }))).unwrap();
         let c = &cells[0];
         assert_eq!(c.largest_passing, None);
         assert_eq!(c.failing_scale, Some(8));

@@ -14,22 +14,17 @@
 //!
 //! Every run validates against the reference implementation, so a
 //! "recovered" run that silently corrupted its output would be reported
-//! as invalid, not successful.
-//!
-//! Knobs: `GX_SCALE` (Graph500 scale, default 8), `GX_FAULT_SEED`
-//! (default 42), `GX_FAULT_RATES` (comma-separated, default
-//! `0.02,0.05,0.1`), `GX_ROUNDS` (rounds per rate, default 3),
-//! `GX_CHECKPOINT_INTERVAL` (Giraph checkpoint interval, default 4),
-//! `GX_TIMEOUT_SECS` (per-run cooperative timeout, default 180), plus the
-//! shared observability flags (`--trace-out`, `--profile-out`,
-//! `--threads`) — the trace/profile covers every round, baseline included.
+//! as invalid, not successful. With `--trace-out`/`--profile-out` the
+//! trace and profile cover every round, baseline included.
 
 use std::collections::BTreeMap;
+use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
 
-use graphalytics_bench::{env_list, env_u64, env_usize, or_exit, print_table, ObsArgs, ObsSession};
+use crate::{or_exit, print_table, Args, ObsSession};
 use graphalytics_core::faults::{FaultInjector, FaultPlan, RetryPolicy};
+use graphalytics_core::runner::median;
 use graphalytics_core::{BenchmarkConfig, BenchmarkSuite, Dataset, Platform};
 use graphalytics_platforms::{GiraphPlatform, GraphXPlatform, MapReducePlatform, PregelConfig};
 
@@ -46,23 +41,15 @@ fn fleet(checkpoint_interval: usize) -> Vec<Box<dyn Platform>> {
     ]
 }
 
-fn main() {
-    let args = ObsArgs::parse_env_or_exit("robustness", "");
-    if !args.positional.is_empty() {
-        eprintln!(
-            "robustness takes no positional arguments (got {:?})",
-            args.positional
-        );
-        std::process::exit(2);
-    }
-    args.warn_unused_threads("robustness");
-    let session = ObsSession::start(&args);
-    let scale = or_exit(env_usize("GX_SCALE", 8)) as u32;
-    let seed = or_exit(env_u64("GX_FAULT_SEED", 42));
-    let rounds = or_exit(env_usize("GX_ROUNDS", 3));
-    let checkpoint_interval = or_exit(env_usize("GX_CHECKPOINT_INTERVAL", 4)).max(1);
-    let timeout = or_exit(env_u64("GX_TIMEOUT_SECS", 180));
-    let rates: Vec<f64> = or_exit(env_list("GX_FAULT_RATES", "0.02,0.05,0.1"));
+/// `bench robustness`.
+pub fn run(args: &Args) -> ExitCode {
+    let session = ObsSession::start(args);
+    let scale = or_exit(args.knob::<usize>("GX_SCALE")) as u32;
+    let seed: u64 = or_exit(args.knob("GX_FAULT_SEED"));
+    let rounds: usize = or_exit(args.knob("GX_ROUNDS"));
+    let checkpoint_interval = or_exit(args.knob::<usize>("GX_CHECKPOINT_INTERVAL")).max(1);
+    let timeout: u64 = or_exit(args.knob("GX_TIMEOUT_SECS"));
+    let rates: Vec<f64> = or_exit(args.knob_list("GX_FAULT_RATES"));
 
     let datasets = vec![Dataset::graph500(scale)];
     let algorithms = vec![
@@ -165,10 +152,8 @@ fn main() {
             if cell.runtimes.is_empty() || base <= 0.0 {
                 row.push("—".into());
             } else {
-                let mut rts = cell.runtimes.clone();
-                rts.sort_by(|a, b| a.total_cmp(b));
-                let median = rts[rts.len() / 2];
-                row.push(format!("{:+.0}%", 100.0 * (median / base - 1.0)));
+                let overhead = median(&cell.runtimes) / base - 1.0;
+                row.push(format!("{:+.0}%", 100.0 * overhead));
             }
         }
         rows.push(row);
@@ -187,4 +172,5 @@ fn main() {
             injected_per_rate[ri], recovered_per_rate[ri], checkpoints_per_rate[ri]
         );
     }
+    ExitCode::SUCCESS
 }

@@ -1,8 +1,8 @@
-//! The Graphalytics benchmark driver — the paper's "Unix shell script that
-//! triggers the execution of the benchmark" (§2.3), as a CLI:
+//! `bench run` — the paper's "Unix shell script that triggers the
+//! execution of the benchmark" (§2.3):
 //!
 //! ```text
-//! cargo run --release -p graphalytics-bench --bin benchmark -- \
+//! cargo run --release -p graphalytics-bench -- run \
 //!     [--trace-out trace.jsonl] [--profile-out prof] [--threads N] run.properties
 //! ```
 //!
@@ -23,33 +23,34 @@
 //! every thread count, and with no observability flag at all the tracer is
 //! disabled and outputs are byte-identical to an unobserved run.
 
+use std::process::ExitCode;
 use std::sync::Arc;
 
-use graphalytics_bench::{or_exit, ObsArgs, ObsSession, OBS_USAGE};
+use crate::{or_exit, Args, ObsSession};
 use graphalytics_core::config::BenchmarkSpec;
 use graphalytics_core::results::ResultsDb;
 use graphalytics_core::{report, BenchmarkSuite};
 use graphalytics_obs::chokepoints;
 use graphalytics_platforms::{build_all, PAPER_FLEET};
 
-fn main() {
-    let args = ObsArgs::parse_env_or_exit("benchmark", "<run.properties>");
+/// Runs the benchmark the properties file describes.
+pub fn run(args: &Args) -> ExitCode {
     let Some(config_path) = args.positional.first() else {
-        eprintln!("usage: benchmark {OBS_USAGE} <run.properties>");
+        eprintln!("bench run needs a <run.properties> file");
         eprintln!("see graphalytics_core::config for the file format");
-        std::process::exit(2);
+        return ExitCode::from(2);
     };
     let text = match std::fs::read_to_string(config_path) {
         Ok(t) => t,
         Err(e) => {
             eprintln!("cannot read {config_path}: {e}");
-            std::process::exit(2);
+            return ExitCode::from(2);
         }
     };
     let spec = or_exit(BenchmarkSpec::parse(&text));
     // `--threads` is the `reference.threads` property; the flag wins.
     let mut properties = spec.properties.clone();
-    if let Some(threads) = args.threads {
+    if let Some(threads) = or_exit(args.flag_as::<usize>("--threads")) {
         properties.insert("reference.threads".to_string(), threads.to_string());
     }
     let mut platforms = or_exit(if spec.platforms.is_empty() {
@@ -71,7 +72,7 @@ fn main() {
     );
     // Observability is only paid for when requested: with no flag the
     // session's tracer is disabled and every span/metric call is a no-op.
-    let session = ObsSession::start(&args);
+    let session = ObsSession::start(args);
     let tracer = Arc::clone(&session.tracer);
     let result = suite.run_traced(&mut platforms, &tracer);
 
@@ -124,7 +125,7 @@ fn main() {
             }
         }
     }
-    let html = if args.observability_enabled() {
+    let html = if tracer.enabled() {
         let mut sections = Vec::new();
         if !artifacts.chokepoints.is_empty() {
             sections.push(chokepoints::html_section(&artifacts.chokepoints));
@@ -143,6 +144,7 @@ fn main() {
     let (_, invalid, _) = report::validation_counts(&result);
     if invalid > 0 {
         eprintln!("VALIDATION FAILED for {invalid} run(s)");
-        std::process::exit(1);
+        return ExitCode::FAILURE;
     }
+    ExitCode::SUCCESS
 }

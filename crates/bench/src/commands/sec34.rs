@@ -3,19 +3,19 @@
 //! edge end points visited, query time, MTEPS, and the CPU profile split
 //! into border-hash-table / exchange / column-access shares (paper: 33% /
 //! 10% / 57% at 41.3 MTEPS on SNB 1000).
-//!
-//! Knobs: `GX_PERSONS` (default 100000), `GX_SOURCE` (default 420),
-//! `GX_THREADS` (default 8).
 
-use graphalytics_bench::{env_usize, or_exit};
+use std::process::ExitCode;
+
+use crate::{or_exit, Args};
 use graphalytics_core::platform::{Platform, RunContext};
 use graphalytics_core::Dataset;
 use graphalytics_platforms::{VirtuosoConfig, VirtuosoPlatform};
 
-fn main() {
-    let persons = or_exit(env_usize("GX_PERSONS", 100_000));
-    let source = or_exit(env_usize("GX_SOURCE", 420)) as u64;
-    let threads = or_exit(env_usize("GX_THREADS", 8));
+/// `bench sec34`.
+pub fn run(args: &Args) -> ExitCode {
+    let persons: usize = or_exit(args.knob("GX_PERSONS"));
+    let source = or_exit(args.knob::<usize>("GX_SOURCE")) as u64;
+    let threads: usize = or_exit(args.knob("GX_THREADS"));
 
     eprintln!("generating SNB {persons} and bulk-loading the column store...");
     let graph = Dataset::snb(persons).load().expect("dataset");
@@ -58,4 +58,5 @@ fn main() {
     println!("  border hash table:                    {hash:5.1}%");
     println!("  exchange operator:                    {exchange:5.1}%");
     println!("  column random access + decompression: {column:5.1}%");
+    ExitCode::SUCCESS
 }

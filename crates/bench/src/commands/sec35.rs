@@ -1,22 +1,23 @@
 //! §3.5 — "Code Quality": runs the static analyzer over this repository's
 //! own sources and prints the per-crate quality report (the in-repo
 //! substitute for the paper's SonarQube/Jenkins pipeline).
-//!
-//! Knob: `GX_REPO_ROOT` (default: two levels above this crate).
 
 use graphalytics_core::quality::{analyze_tree, quality_report, QualityMetrics};
 use std::path::PathBuf;
+use std::process::ExitCode;
 
-fn main() {
-    let root = std::env::var("GX_REPO_ROOT")
-        .map(PathBuf::from)
-        .unwrap_or_else(|_| {
-            PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-                .parent()
-                .and_then(|p| p.parent())
-                .expect("repo root")
-                .to_path_buf()
-        });
+use crate::Args;
+
+/// `bench sec35`.
+pub fn run(args: &Args) -> ExitCode {
+    let root = args.knob_path("GX_REPO_ROOT").unwrap_or_else(|| {
+        // Two levels above this crate: the checkout the binary was built from.
+        PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+            .parent()
+            .and_then(|p| p.parent())
+            .expect("repo root")
+            .to_path_buf()
+    });
     println!("§3.5: code-quality report for {}\n", root.display());
 
     let mut units: Vec<QualityMetrics> = Vec::new();
@@ -70,4 +71,5 @@ fn main() {
         totals.mean_complexity(),
         totals.unwrap_density()
     );
+    ExitCode::SUCCESS
 }

@@ -1,17 +1,17 @@
 //! Table 1 — "Characteristics of real graphs": generates the calibrated
 //! synthetic stand-ins for the five SNAP graphs and reports their measured
 //! characteristics next to the paper's values.
-//!
-//! Knobs: `GX_DIVISOR` (default 40) — scale reduction factor;
-//!        `GX_SEED` (default 1).
 
-use graphalytics_bench::{env_u64, env_usize, or_exit, print_table};
+use std::process::ExitCode;
+
+use crate::{or_exit, print_table, Args};
 use graphalytics_datagen::RealWorldGraph;
 use graphalytics_graph::metrics;
 
-fn main() {
-    let divisor = or_exit(env_usize("GX_DIVISOR", 40));
-    let seed = or_exit(env_u64("GX_SEED", 1));
+/// `bench table1`.
+pub fn run(args: &Args) -> ExitCode {
+    let divisor: usize = or_exit(args.knob("GX_DIVISOR"));
+    let seed: u64 = or_exit(args.knob("GX_SEED"));
     println!("Table 1: characteristics of real-graph stand-ins (scale 1/{divisor})\n");
     let mut rows = Vec::new();
     for graph in RealWorldGraph::all() {
@@ -41,4 +41,5 @@ fn main() {
         &rows,
     );
     println!("\n(p) = paper's Table 1 value, (m) = measured on the stand-in.");
+    ExitCode::SUCCESS
 }

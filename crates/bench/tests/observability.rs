@@ -1,4 +1,4 @@
-//! End-to-end observability guarantees of the driver plumbing:
+//! End-to-end observability guarantees of the command plumbing:
 //!
 //! * non-interference — with no observability flag the session's tracer
 //!   is disabled and platform outputs are byte-identical to an entirely
@@ -10,11 +10,19 @@
 
 use std::sync::Arc;
 
-use graphalytics_bench::{ObsArgs, ObsSession};
+use graphalytics_bench::{cli, Args, ObsSession};
 use graphalytics_core::json::{self, Json};
-use graphalytics_core::{BenchmarkConfig, BenchmarkSuite, Dataset, Platform, ReferencePlatform};
+use graphalytics_core::{
+    BenchmarkConfig, BenchmarkSuite, Dataset, Platform, ReferencePlatform, ScratchDir, SuiteResult,
+};
 use graphalytics_obs::export::TRACE_EVENT_REQUIRED_FIELDS;
 use graphalytics_platforms::pregel::GiraphPlatform;
+
+/// A session started from `bench fig4 <flags>`.
+fn session(flags: &[&str]) -> ObsSession {
+    let fig4 = cli::command("fig4").expect("fig4");
+    ObsSession::start(&Args::parse(fig4, flags.iter().map(|s| s.to_string())).expect("flags"))
+}
 
 fn fleet() -> Vec<Box<dyn Platform>> {
     vec![
@@ -23,8 +31,8 @@ fn fleet() -> Vec<Box<dyn Platform>> {
     ]
 }
 
-fn run_outputs(suite: &BenchmarkSuite, session: &ObsSession) -> Vec<String> {
-    let result = suite.run_traced(&mut fleet(), &session.tracer);
+/// What each run of a suite produced, one line per run.
+fn outputs(result: &SuiteResult) -> Vec<String> {
     result
         .runs
         .iter()
@@ -48,46 +56,33 @@ fn disabled_observability_leaves_outputs_byte_identical() {
         BenchmarkConfig::default(),
     );
     // Plain run: no session at all.
-    let bare = suite.run(&mut fleet());
-    let bare_outputs: Vec<String> = bare
-        .runs
-        .iter()
-        .map(|r| {
-            format!(
-                "{}/{}/{} {:?} {:?} {}",
-                r.platform, r.dataset, r.algorithm, r.status, r.validation, r.output_summary
-            )
-        })
-        .collect();
+    let bare_outputs = outputs(&suite.run(&mut fleet()));
 
     // Default (flag-less) session: disabled tracer, no sampler.
-    let off = ObsSession::start(&ObsArgs::default());
+    let off = session(&[]);
     assert!(off.tracer.finished_spans().is_empty());
-    let off_outputs = run_outputs(&suite, &off);
+    let off_outputs = outputs(&suite.run_traced(&mut fleet(), &off.tracer));
 
     // Profiled session running in the same process must not perturb the
     // unobserved run either: samplers only see their own tracer's spans.
-    let dir = std::env::temp_dir().join(format!("gx-obs-ni-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let base = dir.join("prof").to_string_lossy().to_string();
-    let profiled = ObsSession::start(&ObsArgs::parse(["--profile-out".to_string(), base]).unwrap());
-    let profiled_outputs = run_outputs(&suite, &profiled);
+    let dir = ScratchDir::new(None, "gx-obs-ni").unwrap();
+    let base = dir.path().join("prof").to_string_lossy().to_string();
+    let profiled = session(&["--profile-out", &base]);
+    let profiled_outputs = outputs(&suite.run_traced(&mut fleet(), &profiled.tracer));
     profiled.finish("non-interference");
-    let _ = std::fs::remove_dir_all(&dir);
 
     assert_eq!(bare_outputs, off_outputs);
     assert_eq!(bare_outputs, profiled_outputs);
     assert!(off.tracer.finished_spans().is_empty());
+    let idle = off.finish("off");
+    assert!(idle.profile.is_none() && idle.chokepoints.is_empty());
 }
 
 #[test]
 fn profiled_scale16_bfs_emits_all_artifacts() {
-    let dir = std::env::temp_dir().join(format!("gx-obs-prof16-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let base = dir.join("bfs16").to_string_lossy().to_string();
-
-    let args = ObsArgs::parse(["--profile-out".to_string(), base.clone()]).unwrap();
-    let session = ObsSession::start(&args);
+    let dir = ScratchDir::new(None, "gx-obs-prof16").unwrap();
+    let base = dir.path().join("bfs16").to_string_lossy().to_string();
+    let session = session(&["--profile-out", &base]);
     let suite = BenchmarkSuite::new(
         vec![Dataset::graph500(16)],
         vec![graphalytics_algos::Algorithm::default_bfs()],
@@ -138,6 +133,4 @@ fn profiled_scale16_bfs_emits_all_artifacts() {
     let svg = std::fs::read_to_string(format!("{base}.svg")).unwrap();
     assert!(svg.contains("<rect"));
     assert!(!svg.contains("no samples"));
-
-    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -14,9 +14,7 @@
 //!   opens directly in `chrome://tracing` / Perfetto;
 //! * [`chokepoints`] — the choke-point attribution engine mapping each
 //!   run's spans and counters onto the paper's four choke points
-//!   (network, memory, locality, skew);
-//! * [`regress`] — the regression observatory: committed performance
-//!   baselines with noise-aware comparison for CI gating.
+//!   (network, memory, locality, skew).
 //!
 //! Everything here is analysis-only: with no profiler attached and no
 //! exporter invoked, nothing in this crate runs and platform outputs are
@@ -25,9 +23,7 @@
 pub mod chokepoints;
 pub mod export;
 pub mod profiler;
-pub mod regress;
 
 pub use chokepoints::{attribute, RunChokePoints};
 pub use export::{chrome_trace, flamegraph_svg};
 pub use profiler::{Profile, SamplingProfiler};
-pub use regress::{Baseline, BaselineEntry, CompareReport, Thresholds};

@@ -94,7 +94,7 @@ pub struct LoadgenReport {
 }
 
 impl LoadgenReport {
-    /// p99 end-to-end latency, the regression-gate number.
+    /// p99 end-to-end latency (client-side clock), by the histogram estimator.
     pub fn p99_e2e_seconds(&self) -> Option<f64> {
         self.e2e.as_ref().and_then(|h| h.quantile(0.99))
     }
