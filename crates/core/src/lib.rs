@@ -13,6 +13,8 @@
 //!   algorithms, with timeouts, repetitions, monitoring, validation);
 //! * [`validator`] — the Output Validator;
 //! * [`monitor`] — the System Monitor;
+//! * [`sampler`] — the periodic background thread the monitor and the
+//!   span-stack profiler share, stopped by a wake-up instead of a poll;
 //! * [`report`] — the Report Generator (Figure 4 / Figure 5 style tables,
 //!   JSON);
 //! * [`results`] — the Results database (JSONL submissions);
@@ -45,6 +47,7 @@ pub mod reference_platform;
 pub mod report;
 pub mod results;
 pub mod runner;
+pub mod sampler;
 pub mod scratch;
 pub mod trace;
 pub mod validator;

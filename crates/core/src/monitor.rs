@@ -1,15 +1,15 @@
 //! System Monitor: "responsible for gathering resource utilization
 //! statistics from the SUT" (paper §2.3, Figure 2).
 //!
-//! A sampling thread reads the process's resident set size and CPU time
-//! from `/proc` at a fixed interval for the duration of a benchmark run.
+//! A [`PeriodicSampler`] reads the process's resident set size and CPU
+//! time from `/proc` at a fixed interval for the duration of a benchmark
+//! run.
 //! On platforms without `/proc` the monitor degrades to wall-clock-only
 //! reports rather than failing the benchmark.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+
+use crate::sampler::PeriodicSampler;
 
 /// One resource sample.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -22,16 +22,28 @@ pub struct Sample {
     pub cpu_seconds: f64,
 }
 
+impl Sample {
+    /// Reads `/proc` now, for a session that began at `started`.
+    fn take(started: Instant) -> Self {
+        Self {
+            at_seconds: started.elapsed().as_secs_f64(),
+            rss_bytes: read_rss_bytes().unwrap_or(0),
+            cpu_seconds: read_cpu_seconds().unwrap_or(0.0),
+        }
+    }
+}
+
 /// Aggregated view of a monitoring session.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MonitorReport {
     /// All samples in order.
     pub samples: Vec<Sample>,
-    /// Wall-clock duration monitored.
+    /// Wall-clock duration monitored: from `start` to the call of `stop`,
+    /// not to its return, so the monitor's own shutdown is not in it.
     pub wall_seconds: f64,
     /// Peak resident set observed.
     pub peak_rss_bytes: u64,
-    /// CPU seconds consumed during the window.
+    /// CPU seconds consumed between the first and the last sample.
     pub cpu_seconds: f64,
     /// Mean CPU utilization (CPU seconds / wall seconds; >1 on multicore).
     pub avg_cpu_utilization: f64,
@@ -39,61 +51,30 @@ pub struct MonitorReport {
 
 /// A running monitor; call [`SystemMonitor::stop`] to collect the report.
 pub struct SystemMonitor {
-    stop: Arc<AtomicBool>,
-    handle: JoinHandle<Vec<Sample>>,
+    sampler: PeriodicSampler<Vec<Sample>>,
     started: Instant,
-    cpu_at_start: f64,
 }
 
 impl SystemMonitor {
-    /// Starts sampling every `interval`.
+    /// Takes the t=0 sample, then one every `interval`.
     pub fn start(interval: Duration) -> Self {
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop2 = Arc::clone(&stop);
         let started = Instant::now();
-        let cpu_at_start = read_cpu_seconds().unwrap_or(0.0);
-        let handle = std::thread::spawn(move || {
-            let mut samples = Vec::new();
-            let t0 = Instant::now();
-            while !stop2.load(Ordering::Relaxed) {
-                samples.push(Sample {
-                    at_seconds: t0.elapsed().as_secs_f64(),
-                    rss_bytes: read_rss_bytes().unwrap_or(0),
-                    cpu_seconds: read_cpu_seconds().unwrap_or(0.0),
-                });
-                // Interruptible sleep: stop() joins this thread, so long
-                // sampling intervals must not delay shutdown.
-                let wake = Instant::now() + interval;
-                let quantum = interval.min(Duration::from_millis(5));
-                while Instant::now() < wake && !stop2.load(Ordering::Relaxed) {
-                    std::thread::sleep(quantum);
-                }
-            }
-            samples
+        let sampler = PeriodicSampler::start(interval, Vec::new(), move |samples| {
+            samples.push(Sample::take(started));
         });
-        Self {
-            stop,
-            handle,
-            started,
-            cpu_at_start,
-        }
+        Self { sampler, started }
     }
 
     /// Stops sampling and aggregates. A final sample is taken at stop
     /// time, so even runs shorter than one sampling interval report a
-    /// non-empty timeline.
+    /// timeline that brackets them.
     pub fn stop(self) -> MonitorReport {
-        self.stop.store(true, Ordering::Relaxed);
-        let mut samples = self.handle.join().unwrap_or_default();
         let wall_seconds = self.started.elapsed().as_secs_f64();
-        samples.push(Sample {
-            at_seconds: wall_seconds,
-            rss_bytes: read_rss_bytes().unwrap_or(0),
-            cpu_seconds: read_cpu_seconds().unwrap_or(0.0),
-        });
+        let mut samples = self.sampler.stop();
+        samples.push(Sample::take(self.started));
+        let (first, last) = (samples[0], samples[samples.len() - 1]);
         let peak_rss_bytes = samples.iter().map(|s| s.rss_bytes).max().unwrap_or(0);
-        let cpu_end = read_cpu_seconds().unwrap_or(self.cpu_at_start);
-        let cpu_seconds = (cpu_end - self.cpu_at_start).max(0.0);
+        let cpu_seconds = (last.cpu_seconds - first.cpu_seconds).max(0.0);
         MonitorReport {
             samples,
             wall_seconds,
@@ -233,6 +214,33 @@ mod tests {
         assert!(
             (0.5..=2.0).contains(&ratio),
             "status={status} statm={statm}"
+        );
+    }
+
+    #[test]
+    fn stop_is_a_wake_up_not_a_poll() {
+        // A sampler that sleeps through stop() is slow in every session;
+        // a woken one is slow only when the box is too busy to schedule
+        // it. So the gate is the fastest fifth of 50 sessions, which load
+        // cannot push over the line and polling cannot get under it.
+        let mut latencies: Vec<Duration> = (0..50)
+            .map(|_| {
+                let monitor = SystemMonitor::start(Duration::from_millis(50));
+                // Long enough for the sampler thread to be waiting.
+                std::thread::sleep(Duration::from_micros(500));
+                let t0 = Instant::now();
+                let report = monitor.stop();
+                let latency = t0.elapsed();
+                assert!(report.wall_seconds <= report.samples.last().unwrap().at_seconds);
+                latency
+            })
+            .collect();
+        latencies.sort();
+        assert!(
+            latencies[9] < Duration::from_millis(1),
+            "10th fastest stop() of 50 took {:?}, median {:?}",
+            latencies[9],
+            latencies[25]
         );
     }
 

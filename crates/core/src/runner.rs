@@ -830,6 +830,52 @@ mod tests {
         assert!(result.runs[0].runtime_seconds.is_none());
     }
 
+    /// A platform whose kernel is a 2 ms nap: long enough for the monitor's
+    /// sampler to be waiting when the run ends, and all of it accounted as
+    /// runtime, so wall − runtime is the harness's own per-run cost.
+    struct NapPlatform;
+
+    impl Platform for NapPlatform {
+        fn name(&self) -> &'static str {
+            "Nap"
+        }
+        fn load_graph(&mut self, _graph: &CsrGraph) -> Result<GraphHandle, PlatformError> {
+            Ok(GraphHandle(0))
+        }
+        fn run(
+            &mut self,
+            _handle: GraphHandle,
+            _algorithm: &Algorithm,
+            _ctx: &RunContext,
+        ) -> Result<Output, PlatformError> {
+            std::thread::sleep(Duration::from_millis(2));
+            Ok(Output::Components(vec![]))
+        }
+        fn unload(&mut self, _handle: GraphHandle) {}
+    }
+
+    #[test]
+    fn the_harness_adds_under_a_millisecond_to_a_run() {
+        let s = suite(
+            vec![Algorithm::Conn; 50],
+            BenchmarkConfig {
+                validate: false,
+                ..Default::default()
+            },
+        );
+        let mut platforms: Vec<Box<dyn Platform>> = vec![Box::new(NapPlatform)];
+        let result = s.run(&mut platforms);
+        assert_eq!(result.runs.len(), 50);
+        let added: Vec<f64> = result
+            .runs
+            .iter()
+            .map(|r| r.wall_seconds - r.runtime_seconds.expect("run succeeded"))
+            .collect();
+        // The median, so one descheduled run on a loaded box does not fail
+        // the test; a wall clock that includes the monitor's shutdown does.
+        assert!(median(&added) < 1e-3, "median added {}", median(&added));
+    }
+
     #[test]
     fn repetitions_collect_multiple_timings() {
         let s = suite(

@@ -146,8 +146,12 @@ impl Fleet {
         listener
             .set_nonblocking(true)
             .map_err(|e| PlatformError::TransientIo(e.to_string()))?;
-        let poll = Duration::from_millis(5);
-        let mut budget = io_timeout().as_millis() / 5 + 1;
+        // Freshly forked workers connect within a millisecond, so the poll
+        // starts short and doubles up to 5 ms; the wait is bounded by the
+        // time slept, which needs no clock.
+        let timeout = io_timeout();
+        let mut poll = Duration::from_micros(100);
+        let mut waited = Duration::ZERO;
         let mut accepted = 0usize;
         while accepted < workers {
             match listener.accept() {
@@ -181,14 +185,15 @@ impl Fleet {
                     accepted += 1;
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    budget = budget.saturating_sub(1);
-                    if budget == 0 {
+                    if waited >= timeout {
                         fleet.kill();
                         return Err(PlatformError::TransientIo(
                             "timed out waiting for worker fleet to connect".to_string(),
                         ));
                     }
                     std::thread::sleep(poll);
+                    waited += poll;
+                    poll = (poll * 2).min(Duration::from_millis(5));
                 }
                 Err(e) => {
                     fleet.kill();

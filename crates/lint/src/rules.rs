@@ -12,8 +12,9 @@
 /// runtime the kernels run on, the fault-injection plan (same seed
 /// must fault the same sites on every run), the observability layer
 /// (profiles and choke-point reports are derived from span *structure*;
-/// the few clock reads the sampler/calibrator need carry explicit
-/// `lint:allow(determinism-time)` pragmas), the serving plane (job
+/// the `Duration` naming the profiler's sampling interval carries an
+/// explicit `lint:allow(determinism-time)` pragma, the clock and thread
+/// behind it belong to `core::sampler`), the serving plane (job
 /// timestamps flow from the shared `Tracer` epoch clock so event streams
 /// and artifacts stay replayable), and the distributed runtime (the
 /// master/worker protocol must replay byte-identically; its socket

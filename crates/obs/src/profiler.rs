@@ -1,10 +1,10 @@
 //! The span-stack sampling profiler.
 //!
-//! A background thread wakes every `interval`, calls
-//! [`Tracer::sample_stacks`] — which reads the shared open-span stacks
-//! every traced thread mirrors through a TLS hook — and folds each
-//! observed stack into a `frame;frame;frame → count` multiset, the
-//! flamegraph community's folded-stack format.
+//! A [`PeriodicSampler`] calls [`Tracer::sample_stacks`] every `interval`
+//! — which reads the shared open-span stacks every traced thread mirrors
+//! through a TLS hook — and folds each observed stack into a
+//! `frame;frame;frame → count` multiset, the flamegraph community's
+//! folded-stack format.
 //!
 //! Overhead contract: one sample costs `O(threads × stack depth)` string
 //! work under short uncontended locks; worker threads only ever pay one
@@ -15,12 +15,11 @@
 //! a histogram of stack shapes, not of wall-clock values.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
+use std::sync::Arc;
 // lint:allow(determinism-time): sampling cadence only; nothing derived from it reaches run outputs
 use std::time::Duration;
 
+use graphalytics_core::sampler::PeriodicSampler;
 use graphalytics_core::trace::{StackSample, Tracer};
 
 /// Default sampling interval: 2 ms (≈500 Hz), fine enough to see
@@ -71,64 +70,29 @@ impl Profile {
 }
 
 /// The background sampler. Start one next to a run, stop it afterwards,
-/// and export the returned [`Profile`].
+/// and export the returned [`Profile`]. Dropping it unstopped still ends
+/// the sampling thread.
 pub struct SamplingProfiler {
-    stop: Arc<AtomicBool>,
-    profile: Arc<Mutex<Profile>>,
-    handle: Option<JoinHandle<()>>,
+    sampler: PeriodicSampler<Profile>,
 }
 
 impl SamplingProfiler {
-    /// Spawns the sampler thread against `tracer` at [`DEFAULT_INTERVAL`].
+    /// Starts sampling `tracer` at [`DEFAULT_INTERVAL`].
     pub fn start(tracer: Arc<Tracer>) -> Self {
         Self::start_with_interval(tracer, DEFAULT_INTERVAL)
     }
 
-    /// Spawns the sampler thread with an explicit interval.
+    /// Starts sampling with an explicit interval.
     pub fn start_with_interval(tracer: Arc<Tracer>, interval: Duration) -> Self {
-        let stop = Arc::new(AtomicBool::new(false));
-        let profile = Arc::new(Mutex::new(Profile::default()));
-        let thread_stop = Arc::clone(&stop);
-        let thread_profile = Arc::clone(&profile);
-        let handle = std::thread::Builder::new()
-            .name("gx-sampler".to_string())
-            // lint:allow(spawn-audit): the sampler must live outside the pools it observes; it only reads span stacks, never outputs
-            .spawn(move || {
-                while !thread_stop.load(Ordering::Acquire) {
-                    let stacks = tracer.sample_stacks();
-                    {
-                        let mut p = thread_profile.lock().expect("sampler lock");
-                        p.record(&stacks);
-                    }
-                    std::thread::sleep(interval);
-                }
-            })
-            .expect("spawn sampler thread");
-        Self {
-            stop,
-            profile,
-            handle: Some(handle),
-        }
+        let sampler = PeriodicSampler::start(interval, Profile::default(), move |profile| {
+            profile.record(&tracer.sample_stacks());
+        });
+        Self { sampler }
     }
 
     /// Stops the sampler and returns the aggregated profile.
-    pub fn stop(mut self) -> Profile {
-        self.shutdown();
-        let profile = self.profile.lock().expect("sampler lock");
-        profile.clone()
-    }
-
-    fn shutdown(&mut self) {
-        self.stop.store(true, Ordering::Release);
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
-    }
-}
-
-impl Drop for SamplingProfiler {
-    fn drop(&mut self) {
-        self.shutdown();
+    pub fn stop(self) -> Profile {
+        self.sampler.stop()
     }
 }
 
@@ -178,6 +142,30 @@ mod tests {
             profile.folded.keys().any(|k| k.contains("busy.loop")),
             "sampler saw the open span: {:?}",
             profile.folded
+        );
+    }
+
+    #[test]
+    fn stop_is_a_wake_up_not_a_poll() {
+        // The fastest fifth of 50 sessions: a sampler sleeping through
+        // stop() is slow every time, a woken one only on a busy box.
+        let tracer = Arc::new(Tracer::new());
+        let mut latencies: Vec<Duration> = (0..50)
+            .map(|_| {
+                let profiler = SamplingProfiler::start(Arc::clone(&tracer));
+                // Long enough for the sampler thread to be waiting.
+                std::thread::sleep(Duration::from_micros(500));
+                let t0 = std::time::Instant::now();
+                assert!(profiler.stop().ticks > 0);
+                t0.elapsed()
+            })
+            .collect();
+        latencies.sort();
+        assert!(
+            latencies[9] < Duration::from_millis(1),
+            "10th fastest stop() of 50 took {:?}, median {:?}",
+            latencies[9],
+            latencies[25]
         );
     }
 
