@@ -17,35 +17,7 @@ pub mod obs;
 pub use cli::{or_exit, Args};
 pub use obs::{ObsArtifacts, ObsSession};
 
-/// Renders a simple aligned table: `header` then rows.
+/// Prints `header` and `rows` as the report's aligned table.
 pub fn print_table(header: &[&str], rows: &[Vec<String>]) {
-    let cols = header.len();
-    let mut widths: Vec<usize> = header.iter().map(|h| h.len()).collect();
-    for row in rows {
-        for (i, cell) in row.iter().enumerate().take(cols) {
-            widths[i] = widths[i].max(cell.len());
-        }
-    }
-    let print_row = |cells: &[String]| {
-        let line: Vec<String> = cells
-            .iter()
-            .enumerate()
-            .map(|(i, c)| {
-                if i == 0 {
-                    format!("{c:<w$}", w = widths[i])
-                } else {
-                    format!("{c:>w$}", w = widths[i])
-                }
-            })
-            .collect();
-        println!("{}", line.join("  "));
-    };
-    print_row(&header.iter().map(|s| s.to_string()).collect::<Vec<_>>());
-    println!(
-        "{}",
-        "-".repeat(widths.iter().sum::<usize>() + 2 * (cols - 1))
-    );
-    for row in rows {
-        print_row(row);
-    }
+    print!("{}", graphalytics_core::report::render_table(header, rows));
 }

@@ -141,64 +141,53 @@ pub fn transitive_closure(
             exchange_seconds: f64,
             endpoints: usize,
         }
-        let mut outputs: Vec<Option<PartOut>> = (0..p).map(|_| None).collect();
-        crossbeam::thread::scope(|scope| {
-            for (t, (my_border, slot)) in border.iter().zip(outputs.iter_mut()).enumerate() {
-                let _ = t;
-                scope.spawn(move |_| {
-                    let mut scratch = LookupScratch::default();
-                    let mut targets = Vec::new();
-                    // Vectored execution: a sorted border turns the random
-                    // lookups into near-sequential block accesses, letting
-                    // the scratch's block cache amortize decompression.
-                    let mut my_border = my_border.clone();
-                    my_border.sort_unstable();
-                    let mut out = PartOut {
-                        outgoing: vec![Vec::new(); p],
-                        column_seconds: 0.0,
-                        exchange_seconds: 0.0,
-                        endpoints: 0,
-                    };
-                    // Chunked timing keeps the Instant overhead out of the
-                    // per-phase cycle accounting.
-                    for chunk in my_border.chunks(256) {
-                        let t0 = Instant::now();
-                        targets.clear();
-                        for &v in chunk {
-                            table.outbound(v, &mut targets, &mut scratch);
-                        }
-                        out.column_seconds += t0.elapsed().as_secs_f64();
-                        out.endpoints += targets.len();
-                        let t1 = Instant::now();
-                        for &c in &targets {
-                            // SAFETY[ee55ed1e]: `out.outgoing` was built as
-                            // `vec![Vec::new(); p]`, and `mix64(c) % p` is
-                            // always < p, so the index is in bounds. This is
-                            // the hottest exchange-routing line; skipping the
-                            // bounds check is worth the audit burden.
-                            unsafe {
-                                out.outgoing
-                                    .get_unchecked_mut((mix64(c) % p as u64) as usize)
-                            }
-                            .push(c);
-                        }
-                        out.exchange_seconds += t1.elapsed().as_secs_f64();
+        let outputs = graphalytics_parallel::try_map_each(&border, |_, my_border| {
+            let mut scratch = LookupScratch::default();
+            let mut targets = Vec::new();
+            // Vectored execution: a sorted border turns the random
+            // lookups into near-sequential block accesses, letting
+            // the scratch's block cache amortize decompression.
+            let mut my_border = my_border.clone();
+            my_border.sort_unstable();
+            let mut out = PartOut {
+                outgoing: vec![Vec::new(); p],
+                column_seconds: 0.0,
+                exchange_seconds: 0.0,
+                endpoints: 0,
+            };
+            // Chunked timing keeps the Instant overhead out of the
+            // per-phase cycle accounting.
+            for chunk in my_border.chunks(256) {
+                let t0 = Instant::now();
+                targets.clear();
+                for &v in chunk {
+                    table.outbound(v, &mut targets, &mut scratch);
+                }
+                out.column_seconds += t0.elapsed().as_secs_f64();
+                out.endpoints += targets.len();
+                let t1 = Instant::now();
+                for &c in &targets {
+                    // SAFETY[ee55ed1e]: `out.outgoing` was built as
+                    // `vec![Vec::new(); p]`, and `mix64(c) % p` is
+                    // always < p, so the index is in bounds. This is
+                    // the hottest exchange-routing line; skipping the
+                    // bounds check is worth the audit burden.
+                    unsafe {
+                        out.outgoing
+                            .get_unchecked_mut((mix64(c) % p as u64) as usize)
                     }
-                    *slot = Some(out);
-                });
+                    .push(c);
+                }
+                out.exchange_seconds += t1.elapsed().as_secs_f64();
             }
+            out
         })
-        .map_err(|_| PlatformError::Internal("transitive worker panicked".to_string()))?;
+        .map_err(|payload| PlatformError::worker_panicked("transitive lookup", payload))?;
 
         // Exchange receive side: regroup buffers per destination.
         let t_ex = Instant::now();
         let mut incoming: Vec<Vec<u64>> = vec![Vec::new(); p];
-        for out in outputs.iter_mut() {
-            let Some(out) = out.as_mut() else {
-                return Err(PlatformError::Internal(
-                    "transitive partition produced no output".to_string(),
-                ));
-            };
+        for mut out in outputs {
             profile.column_seconds += out.column_seconds;
             profile.exchange_seconds += out.exchange_seconds;
             profile.endpoints_visited += out.endpoints;
@@ -210,28 +199,24 @@ pub fn transitive_closure(
 
         // Phase c (parallel): record the new border in the partition hash
         // tables.
-        let mut hash_seconds = vec![0.0f64; p];
-        crossbeam::thread::scope(|scope| {
-            for (((my_visited, my_depths), (my_border, candidates)), hs) in visited
+        let hash_seconds = graphalytics_parallel::try_map_each(
+            visited
                 .iter_mut()
                 .zip(depths.iter_mut())
-                .zip(border.iter_mut().zip(incoming))
-                .zip(hash_seconds.iter_mut())
-            {
-                scope.spawn(move |_| {
-                    let t0 = Instant::now();
-                    my_border.clear();
-                    for c in candidates {
-                        if my_visited.insert(c) {
-                            my_depths.push((c, depth));
-                            my_border.push(c);
-                        }
+                .zip(border.iter_mut().zip(incoming)),
+            |_, ((my_visited, my_depths), (my_border, candidates))| {
+                let t0 = Instant::now();
+                my_border.clear();
+                for c in candidates {
+                    if my_visited.insert(c) {
+                        my_depths.push((c, depth));
+                        my_border.push(c);
                     }
-                    *hs = t0.elapsed().as_secs_f64();
-                });
-            }
-        })
-        .map_err(|_| PlatformError::Internal("transitive hash worker panicked".to_string()))?;
+                }
+                t0.elapsed().as_secs_f64()
+            },
+        )
+        .map_err(|payload| PlatformError::worker_panicked("transitive hash", payload))?;
         profile.hash_seconds += hash_seconds.iter().sum::<f64>();
     }
 

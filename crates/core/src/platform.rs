@@ -127,6 +127,18 @@ impl PlatformError {
                 | PlatformError::AllocFailed { .. }
         )
     }
+
+    /// The failed cell for a worker panic caught by
+    /// `graphalytics_parallel::try_map_each`: `what` names the fan-out
+    /// ("pregel", "map"), `payload` is the panic's.
+    pub fn worker_panicked(what: &str, payload: Box<dyn std::any::Any + Send>) -> Self {
+        let message = payload
+            .downcast_ref::<&str>()
+            .copied()
+            .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+            .unwrap_or("non-string panic payload");
+        PlatformError::Internal(format!("{what} worker panicked: {message}"))
+    }
 }
 
 impl std::fmt::Display for PlatformError {

@@ -33,18 +33,13 @@ fn runtime_cell(record: Option<&RunRecord>) -> String {
     }
 }
 
-/// Renders a fixed-width text table.
-fn render_table(header: &[String], rows: &[Vec<String>]) -> String {
-    let cols = header.len();
-    let mut widths: Vec<usize> = header.iter().map(|h| h.chars().count()).collect();
-    for row in rows {
-        for (i, cell) in row.iter().enumerate().take(cols) {
-            widths[i] = widths[i].max(cell.chars().count());
-        }
-    }
-    let mut out = String::new();
-    let fmt_row = |cells: &[String], widths: &[usize], out: &mut String| {
+/// Renders a fixed-width text table: first column left-aligned, the rest
+/// right-aligned, two spaces between columns, a dashed rule under the
+/// header.
+pub fn render_table(header: &[impl AsRef<str>], rows: &[Vec<String>]) -> String {
+    fn push_row(cells: &[impl AsRef<str>], widths: &[usize], out: &mut String) {
         for (i, cell) in cells.iter().enumerate() {
+            let cell = cell.as_ref();
             if i > 0 {
                 out.push_str("  ");
             }
@@ -58,13 +53,21 @@ fn render_table(header: &[String], rows: &[Vec<String>]) -> String {
             }
         }
         out.push('\n');
-    };
-    fmt_row(header, &widths, &mut out);
+    }
+    let cols = header.len();
+    let mut widths: Vec<usize> = header.iter().map(|h| h.as_ref().chars().count()).collect();
+    for row in rows {
+        for (i, cell) in row.iter().enumerate().take(cols) {
+            widths[i] = widths[i].max(cell.chars().count());
+        }
+    }
+    let mut out = String::new();
+    push_row(header, &widths, &mut out);
     let total: usize = widths.iter().sum::<usize>() + 2 * cols.saturating_sub(1);
     out.extend(std::iter::repeat_n('-', total));
     out.push('\n');
     for row in rows {
-        fmt_row(row, &widths, &mut out);
+        push_row(row, &widths, &mut out);
     }
     out
 }

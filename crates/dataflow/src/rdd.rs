@@ -291,24 +291,8 @@ impl<T: Send + Sync> Dataset<T> {
         f: impl Fn(&[T]) -> Vec<U> + Sync,
     ) -> Result<Dataset<U>, PlatformError> {
         self.ctx.note_stage();
-        let mut outputs: Vec<Option<Vec<U>>> = (0..self.parts.len()).map(|_| None).collect();
-        crossbeam::thread::scope(|scope| {
-            for (part, slot) in self.parts.iter().zip(outputs.iter_mut()) {
-                let f = &f;
-                scope.spawn(move |_| {
-                    *slot = Some(f(part));
-                });
-            }
-        })
-        .map_err(|_| PlatformError::Internal("dataflow worker panicked".to_string()))?;
-        let parts: Vec<Vec<U>> = outputs
-            .into_iter()
-            .map(|o| {
-                o.ok_or_else(|| {
-                    PlatformError::Internal("dataflow partition produced no output".to_string())
-                })
-            })
-            .collect::<Result<_, _>>()?;
+        let parts = graphalytics_parallel::try_map_each(&self.parts, |_, part| f(part))
+            .map_err(|payload| PlatformError::worker_panicked("dataflow", payload))?;
         Dataset::from_parts(&self.ctx, parts)
     }
 
@@ -387,43 +371,26 @@ where
         let left = self.shuffle_by_key()?;
         let right = other.shuffle_by_key()?;
         left.ctx.note_stage();
-        #[allow(clippy::type_complexity)]
-        let mut outputs: Vec<Option<Vec<(K, (V, W))>>> =
-            (0..left.parts.len()).map(|_| None).collect();
-        crossbeam::thread::scope(|scope| {
-            for ((lpart, rpart), slot) in left
-                .parts
-                .iter()
-                .zip(right.parts.iter())
-                .zip(outputs.iter_mut())
-            {
-                scope.spawn(move |_| {
-                    let mut table: rustc_hash::FxHashMap<&K, Vec<&V>> =
-                        rustc_hash::FxHashMap::default();
-                    for (k, v) in lpart {
-                        table.entry(k).or_default().push(v);
-                    }
-                    let mut out = Vec::new();
-                    for (k, w) in rpart {
-                        if let Some(vs) = table.get(k) {
-                            for v in vs {
-                                out.push((k.clone(), ((*v).clone(), w.clone())));
-                            }
+        let parts = graphalytics_parallel::try_map_each(
+            left.parts.iter().zip(&right.parts),
+            |_, (lpart, rpart)| {
+                let mut table: rustc_hash::FxHashMap<&K, Vec<&V>> =
+                    rustc_hash::FxHashMap::default();
+                for (k, v) in lpart {
+                    table.entry(k).or_default().push(v);
+                }
+                let mut out = Vec::new();
+                for (k, w) in rpart {
+                    if let Some(vs) = table.get(k) {
+                        for v in vs {
+                            out.push((k.clone(), ((*v).clone(), w.clone())));
                         }
                     }
-                    *slot = Some(out);
-                });
-            }
-        })
-        .map_err(|_| PlatformError::Internal("join worker panicked".to_string()))?;
-        let parts: Vec<_> = outputs
-            .into_iter()
-            .map(|o| {
-                o.ok_or_else(|| {
-                    PlatformError::Internal("join partition produced no output".to_string())
-                })
-            })
-            .collect::<Result<Vec<_>, PlatformError>>()?;
+                }
+                out
+            },
+        )
+        .map_err(|payload| PlatformError::worker_panicked("dataflow join", payload))?;
         Dataset::from_parts(&self.ctx, parts)
     }
 
@@ -490,6 +457,27 @@ mod tests {
 
     fn ctx() -> Arc<SparkContext> {
         SparkContext::new(4, None)
+    }
+
+    #[test]
+    fn a_panicking_closure_fails_the_stage_and_the_context_survives() {
+        let boom = |&x: &u32| -> bool { panic!("cannot take {x}") };
+        let failed = |x: u32| {
+            Err(PlatformError::Internal(format!(
+                "dataflow worker panicked: cannot take {x}"
+            )))
+        };
+        // Four partitions compute on their own threads, one on the caller's;
+        // the first partition in partition order is the one reported.
+        for (partitions, first) in [(4, 0), (1, 7)] {
+            let c = SparkContext::new(partitions, None);
+            let d = Dataset::from_vec(&c, (first..first + 100).collect()).unwrap();
+            assert_eq!(d.filter(boom).map(|_| ()), failed(first));
+            assert_eq!(d.flat_map(|x| vec![boom(x)]).map(|_| ()), failed(first));
+            assert_eq!(d.map(boom).map(|_| ()), failed(first));
+            // Same context, same dataset: the next stage runs.
+            assert_eq!(d.map(|x| x + 1).unwrap().count(), 100);
+        }
     }
 
     #[test]

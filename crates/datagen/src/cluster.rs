@@ -177,7 +177,6 @@ fn single_node(
     threads: usize,
     out_path: &Path,
 ) -> Result<GenerationStats, GraphError> {
-    let threads = threads.max(1);
     // lint:allow(determinism-time): wall-clock timing feeds GenerationStats (the Figure 3 measurement), never the generated graph
     let t0 = Instant::now();
     let persons = generate_persons(cfg.seed, cfg.num_persons);
@@ -195,33 +194,14 @@ fn single_node(
         if n < 2 {
             break;
         }
-        let blocks = n.div_ceil(BLOCK_SIZE);
         // Phase 1 (parallel): proposals per block, kept in block order.
-        let mut slots: Vec<Option<Vec<(u64, u64)>>> = (0..blocks).map(|_| None).collect();
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        let slot_ptr = std::sync::Mutex::new(&mut slots);
-        crossbeam::thread::scope(|scope| {
-            for _ in 0..threads.min(blocks) {
-                let degrees = &degrees;
-                let next = &next;
-                let slot_ptr = &slot_ptr;
-                // lint:allow(spawn-audit): scoped workers drain a block-indexed queue into ordered slots — thread count cannot reorder output
-                scope.spawn(move |_| loop {
-                    let b = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    if b >= blocks {
-                        break;
-                    }
-                    let proposals = propose_block(cfg, order, degrees, pass, b);
-                    slot_ptr.lock().expect("slots poisoned")[b] = Some(proposals);
-                });
-            }
-        })
-        .expect("generation worker panicked");
+        let blocks = graphalytics_parallel::map_blocks(threads, n, BLOCK_SIZE, |block| {
+            propose_block(cfg, order, &degrees, pass, block.start / BLOCK_SIZE)
+        });
         // Phase 2 (sequential): arbitrate and write through the one disk.
         let mut arbiter = Arbiter::new(cfg, &degrees, pass);
         let mut accepted = Vec::new();
-        for slot in slots {
-            let proposals = slot.expect("block finished");
+        for proposals in blocks {
             accepted.clear();
             arbiter.accept_into(&proposals, &mut accepted);
             edges_written += accepted.len();
@@ -266,43 +246,28 @@ fn cluster(
     // Map stage: each worker spills its blocks' *proposals* to its own
     // disk, one file per (pass, block) so the reduce stage can arbitrate
     // in canonical order.
-    let mut results: Vec<Result<(), GraphError>> = Vec::new();
-    crossbeam::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for w in 0..workers {
-            let spill_dir = spill_dir.to_path_buf();
-            let degrees = &degrees;
-            let orders = &orders;
-            // lint:allow(spawn-audit): scoped spill workers own whole blocks round-robin; file contents depend only on block identity
-            handles.push(scope.spawn(move |_| -> Result<(), GraphError> {
-                for (pass, order) in orders.iter().enumerate() {
-                    if n < 2 {
-                        break;
-                    }
-                    // Whole blocks, round-robin across workers: the block
-                    // decomposition (and hence the output) is identical to
-                    // the single-node deployment.
-                    for b in (w..blocks).step_by(workers) {
-                        let proposals = propose_block(cfg, order, degrees, pass, b);
-                        let path = spill_dir.join(format!("prop-{pass}-{b}"));
-                        let mut writer = BufWriter::new(File::create(&path)?);
-                        for (s, d) in proposals {
-                            writeln!(writer, "{s} {d}")?;
-                        }
-                        writer.flush()?;
-                    }
+    graphalytics_parallel::map_each(0..workers, |_, w| -> Result<(), GraphError> {
+        for (pass, order) in orders.iter().enumerate() {
+            if n < 2 {
+                break;
+            }
+            // Whole blocks, round-robin across workers: the block
+            // decomposition (and hence the output) is identical to
+            // the single-node deployment.
+            for b in (w..blocks).step_by(workers) {
+                let proposals = propose_block(cfg, order, &degrees, pass, b);
+                let path = spill_dir.join(format!("prop-{pass}-{b}"));
+                let mut writer = BufWriter::new(File::create(&path)?);
+                for (s, d) in proposals {
+                    writeln!(writer, "{s} {d}")?;
                 }
-                Ok(())
-            }));
+                writer.flush()?;
+            }
         }
-        for h in handles {
-            results.push(h.join().expect("cluster worker panicked"));
-        }
+        Ok(())
     })
-    .expect("cluster scope failed");
-    for r in results {
-        r?;
-    }
+    .into_iter()
+    .collect::<Result<(), GraphError>>()?;
     let generate_seconds = t0.elapsed().as_secs_f64();
 
     // Reduce/merge stage: read the spilled proposals in canonical

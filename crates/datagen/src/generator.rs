@@ -163,36 +163,9 @@ pub fn generate_pass(
     if n < 2 {
         return Vec::new();
     }
-    let blocks = n.div_ceil(BLOCK_SIZE);
-    let threads = config.threads.max(1).min(blocks);
-    let mut results: Vec<Vec<Edge>> = Vec::with_capacity(blocks);
-    if threads == 1 {
-        for b in 0..blocks {
-            results.push(propose_block(config, &order, degrees, pass, b));
-        }
-    } else {
-        let mut slots: Vec<Option<Vec<Edge>>> = (0..blocks).map(|_| None).collect();
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        let slot_ptr = std::sync::Mutex::new(&mut slots);
-        crossbeam::thread::scope(|scope| {
-            for _ in 0..threads {
-                let next = &next;
-                let slot_ptr = &slot_ptr;
-                let order = &order;
-                // lint:allow(spawn-audit): scoped workers drain a block-indexed queue into ordered slots — thread count cannot reorder output
-                scope.spawn(move |_| loop {
-                    let b = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    if b >= blocks {
-                        break;
-                    }
-                    let edges = propose_block(config, order, degrees, pass, b);
-                    slot_ptr.lock().expect("slots poisoned")[b] = Some(edges);
-                });
-            }
-        })
-        .expect("generation worker panicked");
-        results.extend(slots.into_iter().map(|s| s.expect("block finished")));
-    }
+    let results = graphalytics_parallel::map_blocks(config.threads, n, BLOCK_SIZE, |block| {
+        propose_block(config, &order, degrees, pass, block.start / BLOCK_SIZE)
+    });
     let mut arbiter = Arbiter::new(config, degrees, pass);
     let total: usize = results.iter().map(Vec::len).sum();
     let mut edges = Vec::with_capacity(total);

@@ -792,8 +792,9 @@ fn spawn_audit(path: &str, code: &[&Tok], findings: &mut Vec<Finding>) {
             path,
             t.line,
             "thread spawned outside the parallel runtime / serve worker pool: \
-             determinism-scoped work must run on accounted threads — route it \
-             through ThreadPool, or allow with a written reason"
+             determinism-scoped and engine work must run on accounted threads — \
+             route it through graphalytics_parallel::try_map_each (or map_each), \
+             or allow with a written reason"
                 .to_string(),
         );
     }
@@ -1103,8 +1104,13 @@ mod tests {
         );
         // The pool implementations are exempt wholesale.
         assert_eq!(rules_at("crates/parallel/src/lib.rs", src), vec![]);
-        // Platform crates are outside the determinism scope.
-        assert_eq!(rules_at("crates/pregel/src/x.rs", src), vec![]);
+        // Platform crates fan out through the parallel runtime too.
+        assert_eq!(
+            rules_at("crates/pregel/src/x.rs", src),
+            vec![("spawn-audit", 1)]
+        );
+        // The harness and the driver own their threads.
+        assert_eq!(rules_at("crates/core/src/x.rs", src), vec![]);
         // Defining a spawn wrapper is not a call.
         let def = "fn spawn(f: impl FnOnce()) { f() }\n";
         assert_eq!(rules_at("crates/datagen/src/x.rs", def), vec![]);

@@ -28,7 +28,7 @@
 //! | `guard-across-blocking` | all crates | no guard live across a blocking call |
 //! | `unsafe-contract` | parallel, columnar, graph | pinned `SAFETY[hash]:` proofs |
 //! | `swallowed-result` | platforms, serve, faults | no `let _ =` on fallible calls |
-//! | `spawn-audit` | determinism crates | threads come from sanctioned pools |
+//! | `spawn-audit` | determinism + platform crates | threads come from the parallel runtime's fork-join |
 //!
 //! Escape hatch: `// lint:allow(<rule>): <reason>` on the offending line or
 //! the line above suppresses one rule there; the reason is mandatory and an

@@ -45,9 +45,29 @@ pub const SWALLOWED_RESULT_CRATES: &[&str] = &[
     "faults",
 ];
 
+/// Where a thread may only come from the parallel runtime: the determinism
+/// crates, plus the five platform crates, whose worker fan-outs are
+/// `graphalytics_parallel::try_map_each` calls so that a panicking worker
+/// is a failed cell — a hand-rolled scope would unwind into the harness.
+pub const SPAWN_AUDIT_CRATES: &[&str] = &[
+    "datagen",
+    "algos",
+    "graph",
+    "parallel",
+    "faults",
+    "obs",
+    "serve",
+    "distrib",
+    "pregel",
+    "dataflow",
+    "mapreduce",
+    "graphdb",
+    "columnar",
+];
+
 /// The two files that *implement* sanctioned thread creation — the
-/// deterministic thread pool and the serve worker pool/acceptor — and are
-/// therefore exempt from `spawn-audit` wholesale.
+/// fork-join of the parallel runtime and the serve worker pool/acceptor —
+/// and are therefore exempt from `spawn-audit` wholesale.
 pub const SPAWN_AUDIT_EXEMPT_FILES: &[&str] =
     &["crates/parallel/src/lib.rs", "crates/serve/src/server.rs"];
 
@@ -124,9 +144,10 @@ pub const RULES: &[Rule] = &[
     },
     Rule {
         id: "spawn-audit",
-        crates: Some(DETERMINISM_CRATES),
-        summary: "threads in determinism-scoped crates must come from the parallel \
-                  runtime or the serve worker pool, not ad-hoc `spawn` calls",
+        crates: Some(SPAWN_AUDIT_CRATES),
+        summary: "threads in determinism-scoped and platform crates must come from the \
+                  parallel runtime's fork-join or the serve worker pool, not ad-hoc \
+                  `spawn` calls",
     },
     Rule {
         id: "metric-grammar",

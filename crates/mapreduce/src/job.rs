@@ -247,59 +247,50 @@ pub fn run_job_traced<M: Mapper, R: CountingReducer>(
     let map_tasks = config.map_tasks.max(1).min(inputs.len().max(1));
     let mut map_span = tracer.span("mapreduce.map");
     map_span.field("job", job_name).field("tasks", map_tasks);
-    // Each join yields the task's own Result; a panicked task surfaces as
-    // an Err from join, which the loop below turns into a PlatformError —
-    // a failed map task becomes a failed job, not a harness crash.
-    let map_results = crossbeam::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for task in 0..map_tasks {
-            let spill_dir = &spill_dir;
-            let inputs = &inputs;
-            handles.push(
-                scope.spawn(move |_| -> Result<(usize, usize, usize), PlatformError> {
-                    probe_task_attempts(ctx, map_job_fp, task as u32)?;
-                    let mut input_count = 0usize;
-                    let mut output_count = 0usize;
-                    let mut spilled = 0usize;
-                    // Per-reducer buffers for this map task.
-                    let mut buckets: Vec<Vec<Record>> = vec![Vec::new(); reduce_tasks];
-                    for (i, input) in inputs.iter().enumerate() {
-                        if i % map_tasks != task {
-                            continue;
-                        }
-                        for (k, v) in read_records(input)? {
-                            input_count += 1;
-                            let mut emitter = Emitter::default();
-                            mapper.map(&k, &v, &mut emitter);
-                            for (ok, ov) in emitter.records {
-                                let p = (mix64(fx_hash(&ok)) % reduce_tasks as u64) as usize;
-                                buckets[p].push((ok, ov));
-                                output_count += 1;
-                            }
-                        }
+    // A task returns its own Result; a panicking mapper is an `Err` from the
+    // fork-join — a failed map task becomes a failed job, not a harness crash.
+    let map_results = graphalytics_parallel::try_map_each(
+        0..map_tasks,
+        |_, task| -> Result<(usize, usize, usize), PlatformError> {
+            probe_task_attempts(ctx, map_job_fp, task as u32)?;
+            let mut input_count = 0usize;
+            let mut output_count = 0usize;
+            let mut spilled = 0usize;
+            // Per-reducer buffers for this map task.
+            let mut buckets: Vec<Vec<Record>> = vec![Vec::new(); reduce_tasks];
+            for (i, input) in inputs.iter().enumerate() {
+                if i % map_tasks != task {
+                    continue;
+                }
+                for (k, v) in read_records(input)? {
+                    input_count += 1;
+                    let mut emitter = Emitter::default();
+                    mapper.map(&k, &v, &mut emitter);
+                    for (ok, ov) in emitter.records {
+                        let p = (mix64(fx_hash(&ok)) % reduce_tasks as u64) as usize;
+                        buckets[p].push((ok, ov));
+                        output_count += 1;
                     }
-                    // Sort and spill each bucket (Hadoop's sort-based shuffle).
-                    for (p, mut bucket) in buckets.into_iter().enumerate() {
-                        bucket.sort();
-                        let path = spill_dir.join(format!("map-{task}-part-{p}"));
-                        spilled += bucket
-                            .iter()
-                            .map(|(k, v)| k.len() + v.len() + 2)
-                            .sum::<usize>();
-                        write_records(&path, &bucket)?;
-                    }
-                    Ok((input_count, output_count, spilled))
-                }),
-            );
-        }
-        handles.into_iter().map(|h| h.join()).collect::<Vec<_>>()
-    })
-    .map_err(|_| PlatformError::Internal("map scope failed".to_string()))?;
+                }
+            }
+            // Sort and spill each bucket (Hadoop's sort-based shuffle).
+            for (p, mut bucket) in buckets.into_iter().enumerate() {
+                bucket.sort();
+                let path = spill_dir.join(format!("map-{task}-part-{p}"));
+                spilled += bucket
+                    .iter()
+                    .map(|(k, v)| k.len() + v.len() + 2)
+                    .sum::<usize>();
+                write_records(&path, &bucket)?;
+            }
+            Ok((input_count, output_count, spilled))
+        },
+    )
+    .map_err(|payload| PlatformError::worker_panicked("map", payload))?;
     let mut counters = JobCounters::default();
     let map_span_id = map_span.id();
     for (task, r) in map_results.into_iter().enumerate() {
-        let (i, o, s) =
-            r.map_err(|_| PlatformError::Internal("map task panicked".to_string()))??;
+        let (i, o, s) = r?;
         // One work-distribution event per map task: straggler tasks are
         // what the skew choke point measures for MapReduce.
         tracer.event(
@@ -332,55 +323,45 @@ pub fn run_job_traced<M: Mapper, R: CountingReducer>(
     reduce_span
         .field("job", job_name)
         .field("tasks", reduce_tasks);
-    let reduce_results = crossbeam::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for p in 0..reduce_tasks {
-            let spill_dir = &spill_dir;
-            handles.push(scope.spawn(
-                move |_| -> Result<
-                    (usize, std::collections::BTreeMap<String, i64>),
-                    PlatformError,
-                > {
-                    probe_task_attempts(ctx, reduce_job_fp, p as u32)?;
-                    // Merge the sorted spill fragments for this partition.
-                    let mut records: Vec<Record> = Vec::new();
-                    for task in 0..map_tasks {
-                        let path = spill_dir.join(format!("map-{task}-part-{p}"));
-                        if path.exists() {
-                            records.extend(read_records(&path)?);
-                        }
-                    }
-                    records.sort();
-                    // Group by key and reduce.
-                    let mut out = Emitter::default();
-                    let mut user = std::collections::BTreeMap::new();
-                    let mut idx = 0usize;
-                    while idx < records.len() {
-                        let key = records[idx].0.clone();
-                        let mut values = Vec::new();
-                        while idx < records.len() && records[idx].0 == key {
-                            values.push(std::mem::take(&mut records[idx].1));
-                            idx += 1;
-                        }
-                        let mut ctx = ReduceContext {
-                            out: &mut out,
-                            counters: &mut user,
-                        };
-                        reducer.reduce(&key, &values, &mut ctx);
-                    }
-                    let part = output_dir.join(format!("part-{p:05}"));
-                    write_records(&part, &out.records)?;
-                    Ok((out.records.len(), user))
-                },
-            ));
-        }
-        handles.into_iter().map(|h| h.join()).collect::<Vec<_>>()
-    })
-    .map_err(|_| PlatformError::Internal("reduce scope failed".to_string()))?;
+    let reduce_results = graphalytics_parallel::try_map_each(
+        0..reduce_tasks,
+        |_, p| -> Result<(usize, std::collections::BTreeMap<String, i64>), PlatformError> {
+            probe_task_attempts(ctx, reduce_job_fp, p as u32)?;
+            // Merge the sorted spill fragments for this partition.
+            let mut records: Vec<Record> = Vec::new();
+            for task in 0..map_tasks {
+                let path = spill_dir.join(format!("map-{task}-part-{p}"));
+                if path.exists() {
+                    records.extend(read_records(&path)?);
+                }
+            }
+            records.sort();
+            // Group by key and reduce.
+            let mut out = Emitter::default();
+            let mut user = std::collections::BTreeMap::new();
+            let mut idx = 0usize;
+            while idx < records.len() {
+                let key = records[idx].0.clone();
+                let mut values = Vec::new();
+                while idx < records.len() && records[idx].0 == key {
+                    values.push(std::mem::take(&mut records[idx].1));
+                    idx += 1;
+                }
+                let mut ctx = ReduceContext {
+                    out: &mut out,
+                    counters: &mut user,
+                };
+                reducer.reduce(&key, &values, &mut ctx);
+            }
+            let part = output_dir.join(format!("part-{p:05}"));
+            write_records(&part, &out.records)?;
+            Ok((out.records.len(), user))
+        },
+    )
+    .map_err(|payload| PlatformError::worker_panicked("reduce", payload))?;
     let reduce_span_id = reduce_span.id();
     for (task, r) in reduce_results.into_iter().enumerate() {
-        let (count, user) =
-            r.map_err(|_| PlatformError::Internal("reduce task panicked".to_string()))??;
+        let (count, user) = r?;
         tracer.event(
             "mapreduce.task",
             reduce_span_id,
@@ -517,6 +498,39 @@ mod tests {
         for phase in ["mapreduce.map", "mapreduce.reduce"] {
             let s = spans.iter().find(|s| s.name == phase).unwrap();
             assert_eq!(s.parent, Some(job.id), "{phase} nests under the job");
+        }
+    }
+
+    #[test]
+    fn a_panicking_mapper_fails_the_job() {
+        struct PanickingMapper;
+        impl Mapper for PanickingMapper {
+            fn map(&self, _key: &str, value: &str, _out: &mut Emitter) {
+                assert_ne!(value, "poison", "cannot map it");
+            }
+        }
+        let scratch = tmp("panic");
+        let dir = scratch.path();
+        let inputs = [dir.join("input-0"), dir.join("input-1")];
+        write_records(&inputs[0], &[("0".into(), "fine".into())]).unwrap();
+        write_records(&inputs[1], &[("0".into(), "poison".into())]).unwrap();
+        // Two inputs are two map tasks on their own threads; one input is
+        // one task on the calling thread.
+        for inputs in [&inputs[..], &inputs[1..]] {
+            let config = JobConfig::new(dir);
+            let err = run_job(
+                &config,
+                "panic",
+                inputs,
+                &PanickingMapper,
+                &SumReducer,
+                &dir.join("out"),
+            );
+            assert!(
+                matches!(&err, Err(PlatformError::Internal(why))
+                    if why.starts_with("map worker panicked: ") && why.contains("cannot map it")),
+                "{err:?}"
+            );
         }
     }
 

@@ -32,6 +32,10 @@
 //! (e.g. BFS level claims where every contender writes the same value) —
 //! the winning thread may differ between runs, the stored value may not.
 //!
+//! Every primitive here, and every platform engine's and the generator's
+//! worker fan-out, is a call to one fork-join, [`try_map_each`], which also
+//! states what happens to a worker's panic.
+//!
 //! The crate is zero-dependency (`std` scoped threads only) and contains
 //! no clocks and no entropy, the same invariants `graphalytics-lint`
 //! enforces for the kernel crates built on top of it.
@@ -87,6 +91,61 @@ pub fn chunk_ranges(n: usize, parts: usize) -> Vec<Range<usize>> {
     out
 }
 
+/// The crate's one fork-join, and the only place it creates threads: runs
+/// `f(index, item)` for every item on its own scoped worker and returns the
+/// results **in item order**, whichever worker finished first. A single
+/// item (or none) runs inline on the calling thread.
+///
+/// A panic in `f` never unwinds out of here. Every worker has finished
+/// first — so the side effects of the panicking worker's siblings are
+/// complete and visible — and then the payload of the first panicking
+/// item, in item order, comes back as `Err`. Callers that measure someone
+/// else's code (the platform engines) turn it into a failed run; callers
+/// that own `f` use [`map_each`], which re-raises it.
+pub fn try_map_each<I, T, F>(items: I, f: F) -> std::thread::Result<Vec<T>>
+where
+    I: IntoIterator,
+    I::Item: Send,
+    T: Send,
+    F: Fn(usize, I::Item) -> T + Sync,
+{
+    let run = |i, item| std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(i, item)));
+    let items: Vec<I::Item> = items.into_iter().collect();
+    if items.len() <= 1 {
+        return items
+            .into_iter()
+            .enumerate()
+            .map(|(i, item)| run(i, item))
+            .collect();
+    }
+    // Each worker parks its caught result in its own slot and the scope
+    // waits for the workers to finish. Joining the handles would also wait
+    // for every OS thread to exit, once per fan-out on the critical path.
+    let mut slots: Vec<Option<std::thread::Result<T>>> = items.iter().map(|_| None).collect();
+    std::thread::scope(|scope| {
+        for ((i, item), slot) in items.into_iter().enumerate().zip(&mut slots) {
+            let run = &run;
+            scope.spawn(move || *slot = Some(run(i, item)));
+        }
+    });
+    slots
+        .into_iter()
+        .map(|slot| slot.expect("the scope waits for every worker"))
+        .collect()
+}
+
+/// [`try_map_each`] for callers whose `f` is their own code: a worker's
+/// panic resumes on the calling thread with its original payload.
+pub fn map_each<I, T, F>(items: I, f: F) -> Vec<T>
+where
+    I: IntoIterator,
+    I::Item: Send,
+    T: Send,
+    F: Fn(usize, I::Item) -> T + Sync,
+{
+    try_map_each(items, f).unwrap_or_else(|payload| std::panic::resume_unwind(payload))
+}
+
 /// Runs `f(part_index, range)` over the fixed chunking of `0..n` on up to
 /// `threads` scoped workers. Worker `i` owns exactly chunk `i`; with
 /// `threads <= 1` (or a single chunk) everything runs inline on the
@@ -95,19 +154,7 @@ pub fn run_chunks<F>(threads: usize, n: usize, f: F)
 where
     F: Fn(usize, Range<usize>) + Sync,
 {
-    let ranges = chunk_ranges(n, threads);
-    if ranges.len() <= 1 {
-        for (i, r) in ranges.into_iter().enumerate() {
-            f(i, r);
-        }
-        return;
-    }
-    std::thread::scope(|scope| {
-        for (i, r) in ranges.into_iter().enumerate() {
-            let f = &f;
-            scope.spawn(move || f(i, r));
-        }
-    });
+    map_chunks(threads, n, f);
 }
 
 /// Like [`run_chunks`], but collects each chunk's result **in chunk
@@ -154,30 +201,7 @@ where
     T: Send,
     F: Fn(usize, Range<usize>) -> T + Sync,
 {
-    if ranges.len() <= 1 {
-        return ranges
-            .into_iter()
-            .enumerate()
-            .map(|(i, r)| f(i, r))
-            .collect();
-    }
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = ranges
-            .into_iter()
-            .enumerate()
-            .map(|(i, r)| {
-                let f = &f;
-                scope.spawn(move || f(i, r))
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| match h.join() {
-                Ok(v) => v,
-                Err(payload) => std::panic::resume_unwind(payload),
-            })
-            .collect()
-    })
+    map_each(ranges, f)
 }
 
 /// Evaluates `f` over fixed-size blocks of `0..n` (the last block may be
@@ -238,31 +262,22 @@ where
     T: Send,
     F: Fn(usize, usize, &mut [T]) + Sync,
 {
-    if bounds.is_empty() {
-        assert!(data.is_empty(), "no bounds over non-empty data");
-        return;
-    }
     assert_eq!(
-        *bounds.last().unwrap(),
+        bounds.last().copied().unwrap_or(0),
         data.len(),
         "bounds must end at data.len()"
     );
-    if bounds.len() == 1 {
-        f(0, 0, data);
-        return;
+    let mut parts = Vec::with_capacity(bounds.len());
+    let mut rest = data;
+    let mut start = 0usize;
+    for &end in bounds {
+        assert!(end >= start, "bounds must be ascending");
+        let (part, tail) = rest.split_at_mut(end - start);
+        rest = tail;
+        parts.push((start, part));
+        start = end;
     }
-    std::thread::scope(|scope| {
-        let mut rest = data;
-        let mut start = 0usize;
-        for (i, &end) in bounds.iter().enumerate() {
-            assert!(end >= start, "bounds must be ascending");
-            let (part, tail) = rest.split_at_mut(end - start);
-            rest = tail;
-            let f = &f;
-            scope.spawn(move || f(i, start, part));
-            start = end;
-        }
-    });
+    map_each(parts, |i, (start, part)| f(i, start, part));
 }
 
 /// A raw view of a mutable slice that lets multiple workers write
@@ -515,7 +530,77 @@ mod tests {
                 }
             });
         });
-        assert!(caught.is_err());
+        // The worker's own payload, re-raised by `map_each`.
+        assert_eq!(
+            caught.unwrap_err().downcast_ref::<&str>(),
+            Some(&"worker failure")
+        );
+    }
+
+    fn wait_for(flag: &AtomicUsize) {
+        while flag.load(Ordering::Acquire) == 0 {
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn try_map_each_keeps_item_order_when_later_items_finish_first() {
+        // Item i returns only after item i + 1 has: completion order is the
+        // reverse of item order, and the items must run concurrently.
+        let done: Vec<AtomicUsize> = (0..4).map(|_| AtomicUsize::new(0)).collect();
+        let out = try_map_each(["a", "b", "c", "d"], |i, item| {
+            if let Some(next) = done.get(i + 1) {
+                wait_for(next);
+            }
+            done[i].store(1, Ordering::Release);
+            (i, item)
+        });
+        assert_eq!(out.unwrap(), vec![(0, "a"), (1, "b"), (2, "c"), (3, "d")]);
+        assert!(try_map_each(0..0, |_, x| x).unwrap().is_empty());
+    }
+
+    #[test]
+    fn a_single_item_runs_on_the_calling_thread() {
+        let here = std::thread::current().id();
+        let ran_on = try_map_each([()], |_, ()| std::thread::current().id()).unwrap();
+        assert_eq!(ran_on, vec![here]);
+        let ran_on = try_map_each([(), ()], |_, ()| std::thread::current().id()).unwrap();
+        assert!(ran_on.iter().all(|&id| id != here));
+        // Inline or not, a panic is an `Err`, never an unwind.
+        let err = try_map_each([()], |_, ()| panic!("alone")).unwrap_err();
+        assert_eq!(err.downcast_ref::<&str>(), Some(&"alone"));
+    }
+
+    /// Raised while its owner unwinds: orders other workers strictly after
+    /// a panic has begun.
+    struct RaisedOnDrop<'a>(&'a AtomicUsize);
+
+    impl Drop for RaisedOnDrop<'_> {
+        fn drop(&mut self) {
+            self.0.store(1, Ordering::Release);
+        }
+    }
+
+    #[test]
+    fn a_panic_is_reported_after_every_worker_finished_and_first_in_item_order_wins() {
+        let unwinding = AtomicUsize::new(0);
+        let siblings_finished = AtomicUsize::new(0);
+        let err = try_map_each(0..4usize, |_, item| {
+            if item == 3 {
+                let _raised = RaisedOnDrop(&unwinding);
+                panic!("item {item} failed");
+            }
+            // Everyone else finishes only after item 3's panic is under way.
+            wait_for(&unwinding);
+            if item == 1 {
+                panic!("item {item} failed");
+            }
+            siblings_finished.fetch_add(1, Ordering::SeqCst);
+        })
+        .unwrap_err();
+        assert_eq!(siblings_finished.load(Ordering::SeqCst), 2);
+        let message = err.downcast_ref::<String>().map(String::as_str);
+        assert_eq!(message, Some("item 1 failed"));
     }
 
     #[test]

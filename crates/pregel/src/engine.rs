@@ -331,44 +331,24 @@ pub fn run<P: VertexProgram>(
         let mut step_span = ctx.tracer().span("pregel.superstep");
         step_span.field("superstep", superstep);
         let remote_before = stats.messages_remote;
-        // --- Compute phase: workers process their own vertices. ---
-        // Split the global state vector into per-worker views by handing
-        // each worker ownership of (vid, state, messages) tuples; we take
-        // the buffers out and put them back to keep everything safe Rust.
+        // --- Compute phase: one worker per partition reads the shared
+        // state, inbox and active vectors and returns its updates; a
+        // panicking `compute` fails the run instead of unwinding out of it.
         let mut per_worker_active = vec![0usize; workers];
-        let worker_outputs: Vec<WorkerOutput<P>> = {
-            let states_ref = &states;
-            let inbox_ref = &inbox;
-            let active_ref = &active;
-            let program_ref = program;
-            let graph_ref = graph;
-            let wv = &worker_vertices;
-            let mut outputs: Vec<Option<WorkerOutput<P>>> = (0..workers).map(|_| None).collect();
-            crossbeam::thread::scope(|scope| {
-                for (w, slot) in outputs.iter_mut().enumerate() {
-                    scope.spawn(move |_| {
-                        *slot = Some(compute_partition(
-                            graph_ref,
-                            program_ref,
-                            superstep,
-                            prev_aggregate,
-                            &wv[w],
-                            states_ref,
-                            active_ref,
-                            inbox_ref,
-                        ));
-                    });
-                }
+        let worker_outputs: Vec<WorkerOutput<P>> =
+            graphalytics_parallel::try_map_each(&worker_vertices, |_, vertices| {
+                compute_partition(
+                    graph,
+                    program,
+                    superstep,
+                    prev_aggregate,
+                    vertices,
+                    &states,
+                    &active,
+                    &inbox,
+                )
             })
-            .map_err(|_| PlatformError::Internal("pregel worker panicked".to_string()))?;
-            let mut collected = Vec::with_capacity(workers);
-            for o in outputs {
-                collected.push(o.ok_or_else(|| {
-                    PlatformError::Internal("pregel worker produced no output".to_string())
-                })?);
-            }
-            collected
-        };
+            .map_err(|payload| PlatformError::worker_panicked("pregel", payload))?;
 
         // --- Barrier: apply updates, route messages. ---
         for v in inbox.iter_mut() {

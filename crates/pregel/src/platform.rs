@@ -104,8 +104,10 @@ impl Platform for GiraphPlatform {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::ComputeContext;
     use graphalytics_algos::reference;
-    use graphalytics_graph::EdgeListGraph;
+    use graphalytics_core::{BenchmarkConfig, BenchmarkSuite, Dataset, RunStatus};
+    use graphalytics_graph::{EdgeListGraph, Vid};
 
     fn load(platform: &mut GiraphPlatform) -> (GraphHandle, Arc<CsrGraph>) {
         let g = CsrGraph::from_edge_list(&EdgeListGraph::undirected_from_edges(vec![
@@ -168,6 +170,100 @@ mod tests {
             p.run(handle, &Algorithm::Conn, &RunContext::unbounded()),
             Err(PlatformError::InvalidHandle)
         );
+    }
+
+    /// Halts everywhere except on vertex 2, where `compute` panics.
+    struct PanicsOnVertex2;
+
+    impl VertexProgram for PanicsOnVertex2 {
+        type State = i64;
+        type Message = i64;
+
+        fn init(&self, _vertex: Vid, _graph: &CsrGraph) -> i64 {
+            0
+        }
+
+        fn compute(&self, _state: &mut i64, _messages: &[i64], ctx: &mut ComputeContext<'_, i64>) {
+            if ctx.vertex == 2 {
+                panic!("vertex 2 exploded");
+            }
+            ctx.vote_to_halt();
+        }
+    }
+
+    const WORKER_PANICKED: &str = "pregel worker panicked: vertex 2 exploded";
+
+    #[test]
+    fn a_panicking_compute_is_a_failed_run_at_any_worker_count() {
+        let (_, graph) = load(&mut GiraphPlatform::with_defaults());
+        // One worker computes on the calling thread, four on their own.
+        for workers in [1, 4] {
+            let config = PregelConfig {
+                workers,
+                ..PregelConfig::default()
+            };
+            let err = run(&graph, &PanicsOnVertex2, &config, &RunContext::unbounded());
+            assert_eq!(
+                err.map(|_| ()),
+                Err(PlatformError::Internal(WORKER_PANICKED.into()))
+            );
+        }
+    }
+
+    /// Giraph, except that CONN is the panicking program, run the way
+    /// [`GiraphPlatform::run`] runs every dispatched program.
+    struct PanicsOnConn(GiraphPlatform);
+
+    impl Platform for PanicsOnConn {
+        fn name(&self) -> &'static str {
+            "Giraph"
+        }
+
+        fn load_graph(&mut self, graph: &CsrGraph) -> Result<GraphHandle, PlatformError> {
+            self.0.load_graph(graph)
+        }
+
+        fn run(
+            &mut self,
+            handle: GraphHandle,
+            algorithm: &Algorithm,
+            ctx: &RunContext,
+        ) -> Result<Output, PlatformError> {
+            if *algorithm != Algorithm::Conn {
+                return self.0.run(handle, algorithm, ctx);
+            }
+            let in_process = InProcess {
+                graph: self.0.graphs.get(handle)?,
+                config: &self.0.config,
+                ctx,
+            };
+            in_process.visit(&PanicsOnVertex2, |_, depths| Output::Depths(depths))
+        }
+
+        fn unload(&mut self, handle: GraphHandle) {
+            self.0.unload(handle);
+        }
+    }
+
+    #[test]
+    fn a_panicking_program_is_a_failed_cell_and_the_platform_runs_the_next_one() {
+        let suite = BenchmarkSuite::new(
+            vec![Dataset::graph500(6)],
+            vec![Algorithm::Conn, Algorithm::default_bfs()],
+            BenchmarkConfig::default(),
+        );
+        let mut platforms: Vec<Box<dyn Platform>> =
+            vec![Box::new(PanicsOnConn(GiraphPlatform::with_defaults()))];
+        let result = suite.run(&mut platforms);
+        let [conn, bfs] = &result.runs[..] else {
+            panic!("expected two cells: {:?}", result.runs);
+        };
+        assert!(
+            matches!(&conn.status, RunStatus::Failed(why) if why.ends_with(WORKER_PANICKED)),
+            "{conn:?}"
+        );
+        assert!(bfs.status.is_success(), "{bfs:?}");
+        assert!(bfs.validation.is_valid(), "{bfs:?}");
     }
 
     #[test]

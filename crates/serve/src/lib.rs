@@ -14,8 +14,6 @@
 //! * [`server`] — routing, the worker pool, and the `/metrics`
 //!   Prometheus surface (queue depth, active jobs, terminal-state
 //!   counters, per-endpoint request latency, build info);
-//! * [`loadgen`] — N concurrent clients replaying a deterministic job
-//!   mix and reporting p50/p95/p99 end-to-end and queue-wait latencies;
 //! * [`http`] — the minimal HTTP/1.1 server/client layer everything
 //!   above rides on.
 //!
@@ -29,11 +27,9 @@
 
 pub mod http;
 pub mod jobs;
-pub mod loadgen;
 pub mod registry;
 pub mod server;
 
 pub use jobs::{Job, JobSpec, JobState, JobStore};
-pub use loadgen::{LoadgenConfig, LoadgenReport};
 pub use registry::GraphRegistry;
 pub use server::{start, ServerConfig, ServerHandle};
