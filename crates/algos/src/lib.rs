@@ -87,6 +87,19 @@ pub enum Algorithm {
     Lcc,
 }
 
+// Wire layout (the distributed runtime's Plan frame): a one-byte tag,
+// then the parameters; `usize` parameters travel as `u64`.
+graphalytics_codec::layout!(enum Algorithm {
+    0 => Stats,
+    1 => Bfs { source },
+    2 => Conn,
+    3 => Cd { iterations, hop_attenuation, degree_exponent },
+    4 => Evo { new_vertices, p_forward, max_burst, seed },
+    5 => PageRank { iterations, damping },
+    6 => Sssp { source },
+    7 => Lcc,
+});
+
 impl Algorithm {
     /// Workload acronym as used in the paper's figures.
     pub fn name(&self) -> &'static str {
@@ -371,6 +384,42 @@ mod tests {
             (1, 2),
             (0, 2),
         ]))
+    }
+
+    #[test]
+    fn all_algorithms_round_trip() {
+        use graphalytics_codec::Codec;
+
+        let algorithms = vec![
+            Algorithm::Stats,
+            Algorithm::Bfs { source: 42 },
+            Algorithm::Conn,
+            Algorithm::Cd {
+                iterations: 9,
+                hop_attenuation: 0.5,
+                degree_exponent: 2.0,
+            },
+            Algorithm::Evo {
+                new_vertices: 64,
+                p_forward: 0.3,
+                max_burst: 100,
+                seed: 1234,
+            },
+            Algorithm::PageRank {
+                iterations: 30,
+                damping: 0.85,
+            },
+            Algorithm::Sssp { source: 7 },
+            Algorithm::Lcc,
+        ];
+        for alg in algorithms {
+            let mut buf = Vec::new();
+            alg.encode_into(&mut buf);
+            let mut pos = 0usize;
+            let decoded = Algorithm::decode_from(&buf, &mut pos).expect("decodes");
+            assert_eq!(pos, buf.len());
+            assert_eq!(decoded, alg);
+        }
     }
 
     #[test]

@@ -455,7 +455,8 @@ mod tests {
     /// owns; nothing in this crate's tests sets the variable.
     #[test]
     fn the_io_timeout_row_states_the_runtime_s_fallback() {
-        let secs = graphalytics_platforms::distrib::worker::io_timeout().as_secs();
+        let timeout = graphalytics_platforms::distrib::worker::io_timeout();
+        let secs = timeout.expect("the variable is unset").as_secs();
         let row = KNOBS.iter().find(|k| k.0 == "GX_DISTRIB_IO_TIMEOUT_SECS");
         assert_eq!(row.unwrap().2, format!("run={secs} ladder={secs}"));
     }

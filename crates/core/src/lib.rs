@@ -30,7 +30,7 @@
 pub use graphalytics_parallel as parallel;
 
 /// The deterministic fault-injection and recovery subsystem (fault plans,
-/// injectors, retry policies, checkpoint codecs), re-exported so platforms
+/// injectors, retry policies, checkpoint snapshots), re-exported so platforms
 /// and benches share one entry point.
 pub use graphalytics_faults as faults;
 
@@ -49,6 +49,7 @@ pub mod results;
 pub mod runner;
 pub mod sampler;
 pub mod scratch;
+pub mod sync;
 pub mod trace;
 pub mod validator;
 

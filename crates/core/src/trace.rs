@@ -15,18 +15,17 @@
 //!   execute, validate, ...) so a Figure-4 runtime can be attributed to
 //!   its parts.
 //!
-//! Everything is zero-dependency (beyond the workspace's `parking_lot`)
-//! and cheap when disabled: a disabled tracer never touches a lock.
+//! Everything is zero-dependency and cheap when disabled: a disabled
+//! tracer never touches a lock.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
-use parking_lot::Mutex;
-
 use crate::json::Json;
+use crate::sync::lock;
 
 /// Canonical phase names used by the runner and the report generator.
 pub mod phase {
@@ -236,7 +235,7 @@ impl ThreadSlotHandle {
             alive: AtomicBool::new(true),
             frames: Mutex::new(Vec::new()),
         });
-        let mut registry = thread_registry().lock();
+        let mut registry = lock(thread_registry());
         // Exited threads leave dead slots behind; reclaim them here so
         // long-lived processes spawning many workers don't leak slots.
         registry.retain(|s| s.alive.load(Ordering::Acquire));
@@ -267,7 +266,7 @@ fn current_thread_ordinal() -> u64 {
 
 fn shared_stack_push(tracer_uid: usize, span_id: u64, name: &Arc<str>) {
     let _ = THREAD_SLOT.try_with(|slot| {
-        slot.0.frames.lock().push(SharedFrame {
+        lock(&slot.0.frames).push(SharedFrame {
             tracer_uid,
             span_id,
             name: Arc::clone(name),
@@ -277,7 +276,7 @@ fn shared_stack_push(tracer_uid: usize, span_id: u64, name: &Arc<str>) {
 
 fn shared_stack_pop(tracer_uid: usize, span_id: u64) {
     let _ = THREAD_SLOT.try_with(|slot| {
-        let mut frames = slot.0.frames.lock();
+        let mut frames = lock(&slot.0.frames);
         if let Some(pos) = frames
             .iter()
             .rposition(|f| f.tracer_uid == tracer_uid && f.span_id == span_id)
@@ -415,7 +414,7 @@ impl Tracer {
 
     fn begin(&self, name: &str, parent: Option<u64>) -> SpanGuard<'_> {
         let id = {
-            let mut inner = self.inner.lock();
+            let mut inner = lock(&self.inner);
             inner.next_id += 1;
             inner.next_id
         };
@@ -444,7 +443,7 @@ impl Tracer {
         let t = self.now_seconds();
         let thread = current_thread_ordinal();
         let id = {
-            let mut inner = self.inner.lock();
+            let mut inner = lock(&self.inner);
             inner.next_id += 1;
             inner.next_id
         };
@@ -469,7 +468,7 @@ impl Tracer {
         if !self.enabled {
             return;
         }
-        self.listeners.lock().push(Arc::new(f));
+        lock(&self.listeners).push(Arc::new(f));
         self.has_listeners.store(true, Ordering::Release);
     }
 
@@ -477,11 +476,11 @@ impl Tracer {
     /// lock, so a subscriber may query the tracer).
     fn finish(&self, span: Span) {
         if !self.has_listeners.load(Ordering::Acquire) {
-            self.inner.lock().finished.push(span);
+            lock(&self.inner).finished.push(span);
             return;
         }
-        self.inner.lock().finished.push(span.clone());
-        let listeners: Vec<SpanListener> = self.listeners.lock().clone();
+        lock(&self.inner).finished.push(span.clone());
+        let listeners: Vec<SpanListener> = lock(&self.listeners).clone();
         for listener in &listeners {
             listener(&span);
         }
@@ -507,7 +506,7 @@ impl Tracer {
         }
         let thread = current_thread_ordinal();
         let id = {
-            let mut inner = self.inner.lock();
+            let mut inner = lock(&self.inner);
             inner.next_id += 1;
             inner.next_id
         };
@@ -536,7 +535,7 @@ impl Tracer {
 
     /// Snapshot of all finished spans, in start (id) order.
     pub fn finished_spans(&self) -> Vec<Span> {
-        let mut spans = self.inner.lock().finished.clone();
+        let mut spans = lock(&self.inner).finished.clone();
         spans.sort_by_key(|s| s.id);
         spans
     }
@@ -550,15 +549,13 @@ impl Tracer {
         if !self.enabled {
             return Vec::new();
         }
-        let registry = thread_registry().lock();
+        let registry = lock(thread_registry());
         let mut out = Vec::new();
         for slot in registry.iter() {
             if !slot.alive.load(Ordering::Acquire) {
                 continue;
             }
-            let frames: Vec<String> = slot
-                .frames
-                .lock()
+            let frames: Vec<String> = lock(&slot.frames)
                 .iter()
                 .filter(|f| f.tracer_uid == self.uid)
                 .map(|f| f.name.to_string())
@@ -839,8 +836,7 @@ impl MetricsRegistry {
         if !self.enabled {
             return;
         }
-        self.inner
-            .lock()
+        lock(&self.inner)
             .help
             .insert(name.to_string(), help.to_string());
     }
@@ -873,9 +869,7 @@ impl MetricsRegistry {
         if !self.enabled {
             return;
         }
-        *self
-            .inner
-            .lock()
+        *lock(&self.inner)
             .counters
             .entry(Self::key(name, labels))
             .or_insert(0) += delta;
@@ -886,8 +880,7 @@ impl MetricsRegistry {
         if !self.enabled {
             return;
         }
-        self.inner
-            .lock()
+        lock(&self.inner)
             .gauges
             .insert(Self::key(name, labels), value);
     }
@@ -898,7 +891,7 @@ impl MetricsRegistry {
         if !self.enabled {
             return;
         }
-        let mut inner = self.inner.lock();
+        let mut inner = lock(&self.inner);
         let slot = inner
             .gauges
             .entry(Self::key(name, labels))
@@ -925,8 +918,7 @@ impl MetricsRegistry {
         if !self.enabled {
             return;
         }
-        self.inner
-            .lock()
+        lock(&self.inner)
             .histograms
             .entry(Self::key(name, labels))
             .or_insert_with(|| Histogram::new(bounds))
@@ -944,8 +936,8 @@ impl MetricsRegistry {
         if !self.enabled {
             return;
         }
-        let src = other.inner.lock();
-        let mut dst = self.inner.lock();
+        let src = lock(&other.inner);
+        let mut dst = lock(&self.inner);
         for ((name, labels), value) in &src.counters {
             if !name.starts_with(prefix) {
                 continue;
@@ -995,8 +987,7 @@ impl MetricsRegistry {
 
     /// Current counter value (0 when the series doesn't exist).
     pub fn counter_value(&self, name: &str, labels: &[(&str, &str)]) -> u64 {
-        self.inner
-            .lock()
+        lock(&self.inner)
             .counters
             .get(&Self::key(name, labels))
             .copied()
@@ -1005,8 +996,7 @@ impl MetricsRegistry {
 
     /// Current gauge value.
     pub fn gauge_value(&self, name: &str, labels: &[(&str, &str)]) -> Option<f64> {
-        self.inner
-            .lock()
+        lock(&self.inner)
             .gauges
             .get(&Self::key(name, labels))
             .copied()
@@ -1014,8 +1004,7 @@ impl MetricsRegistry {
 
     /// Snapshot of a histogram series.
     pub fn histogram(&self, name: &str, labels: &[(&str, &str)]) -> Option<Histogram> {
-        self.inner
-            .lock()
+        lock(&self.inner)
             .histograms
             .get(&Self::key(name, labels))
             .cloned()
@@ -1025,8 +1014,7 @@ impl MetricsRegistry {
     /// with their label sets — how the report enumerates per-platform
     /// latency series without knowing the platforms in advance.
     pub fn histograms_named(&self, name: &str) -> Vec<(Labels, Histogram)> {
-        self.inner
-            .lock()
+        lock(&self.inner)
             .histograms
             .iter()
             .filter(|((n, _), _)| n == name)
@@ -1084,7 +1072,7 @@ impl MetricsRegistry {
                 format!("{x}")
             }
         }
-        let inner = self.inner.lock();
+        let inner = lock(&self.inner);
         let help = &inner.help;
         let mut out = String::new();
         let mut last_type: Option<String> = None;
@@ -1153,7 +1141,7 @@ impl MetricsRegistry {
                     .collect(),
             )
         }
-        let inner = self.inner.lock();
+        let inner = lock(&self.inner);
         let mut out = String::new();
         for ((name, labels), value) in &inner.counters {
             let doc = Json::obj([
@@ -1475,7 +1463,7 @@ gx_run_seconds_count 2
             tracer.subscribe(move |span| {
                 // Subscribers may query the tracer (no lock is held).
                 let _ = tracer2.finished_spans();
-                seen.lock().push(span.name.clone());
+                lock(&seen).push(span.name.clone());
             });
         }
         {
@@ -1483,7 +1471,7 @@ gx_run_seconds_count 2
             let _inner = tracer.span("inner");
         }
         tracer.event("tick", None, vec![]);
-        assert_eq!(&*seen.lock(), &["inner", "outer", "tick"]);
+        assert_eq!(&*lock(&seen), &["inner", "outer", "tick"]);
     }
 
     #[test]

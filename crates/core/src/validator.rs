@@ -7,11 +7,11 @@
 //! are cached per `(graph, algorithm)` so validating four platforms costs
 //! one oracle run.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
+use crate::sync::lock;
 use graphalytics_algos::{reference, Algorithm, Output};
 use graphalytics_graph::CsrGraph;
-use parking_lot::Mutex;
 use rustc_hash::FxHashMap;
 
 /// Result of validating one run.
@@ -59,14 +59,12 @@ impl OutputValidator {
     /// Returns the (cached) reference output for `alg` on `graph`.
     pub fn expected(&self, graph: &Arc<CsrGraph>, alg: &Algorithm) -> Arc<Output> {
         let key = (Arc::as_ptr(graph) as usize, format!("{alg:?}"));
-        if let Some((_, hit)) = self.cache.lock().get(&key) {
+        if let Some((_, hit)) = lock(&self.cache).get(&key) {
             return Arc::clone(hit);
         }
         let computed = Arc::new(reference(graph, alg));
         Arc::clone(
-            &self
-                .cache
-                .lock()
+            &lock(&self.cache)
                 .entry(key)
                 .or_insert_with(|| (Arc::clone(graph), Arc::clone(&computed)))
                 .1,
@@ -90,7 +88,7 @@ impl OutputValidator {
 
     /// Number of cached reference results (for tests/metrics).
     pub fn cache_size(&self) -> usize {
-        self.cache.lock().len()
+        lock(&self.cache).len()
     }
 }
 

@@ -11,14 +11,14 @@
 //! process, indicated by missing values in the figure").
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use graphalytics_core::faults::{fingerprint, FaultInjector, FaultSite, RecoveryAction};
 use graphalytics_core::faultwire;
 use graphalytics_core::platform::PlatformError;
+use graphalytics_core::sync::lock;
 use graphalytics_core::trace::Tracer;
 use graphalytics_graph::partition::mix64;
-use parking_lot::Mutex;
 
 /// Tracks live dataset bytes against an optional budget.
 #[derive(Debug, Default)]
@@ -123,20 +123,20 @@ impl SparkContext {
     /// operations on this context. The platform calls this at run start
     /// from the harness's `RunContext`.
     pub fn arm_faults(&self, injector: Option<Arc<FaultInjector>>, tracer: Option<Arc<Tracer>>) {
-        *self.faults.lock() = FaultHook { injector, tracer };
+        *lock(&self.faults) = FaultHook { injector, tracer };
     }
 
     /// Snapshot of the shuffle statistics.
     pub fn stats(&self) -> ShuffleStats {
-        *self.stats.lock()
+        *lock(&self.stats)
     }
 
     fn fault_armed(&self) -> bool {
-        self.faults.lock().injector.is_some()
+        lock(&self.faults).injector.is_some()
     }
 
     fn probe(&self, site: FaultSite) -> Result<(), PlatformError> {
-        let hook = self.faults.lock();
+        let hook = lock(&self.faults);
         match &hook.injector {
             Some(inj) => {
                 let tracer = hook.tracer.as_deref().unwrap_or_else(|| Tracer::noop());
@@ -147,7 +147,7 @@ impl SparkContext {
     }
 
     fn recover(&self, action: RecoveryAction, site: FaultSite) {
-        let hook = self.faults.lock();
+        let hook = lock(&self.faults);
         let tracer = hook.tracer.as_deref().unwrap_or_else(|| Tracer::noop());
         faultwire::note_recovery(tracer, hook.injector.as_deref(), action, Some(site), 0);
     }
@@ -181,11 +181,11 @@ impl SparkContext {
     }
 
     fn note_stage(&self) {
-        self.stats.lock().stages += 1;
+        lock(&self.stats).stages += 1;
     }
 
     fn note_shuffle(&self, records: usize) {
-        let mut s = self.stats.lock();
+        let mut s = lock(&self.stats);
         s.shuffles += 1;
         s.shuffle_records += records;
     }

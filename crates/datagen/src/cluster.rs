@@ -187,7 +187,7 @@ fn single_node(
     // lint:allow(determinism-time): wall-clock timing feeds GenerationStats (the Figure 3 measurement), never the generated graph
     let t1 = Instant::now();
     // One serialized writer models the single local disk.
-    let mut writer = CountingWriter::new(parking_lot_free_writer(out_path)?);
+    let mut writer = CountingWriter::new(create_writer(out_path)?);
     let mut edges_written = 0usize;
     let n = cfg.num_persons;
     for (pass, order) in orders.iter().enumerate() {
@@ -330,7 +330,7 @@ fn cluster(
     })
 }
 
-fn parking_lot_free_writer(path: &Path) -> Result<BufWriter<File>, GraphError> {
+fn create_writer(path: &Path) -> Result<BufWriter<File>, GraphError> {
     Ok(BufWriter::new(File::create(path)?))
 }
 

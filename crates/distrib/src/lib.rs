@@ -5,7 +5,7 @@
 //! over a length-prefixed binary protocol on localhost TCP.
 //!
 //! * [`protocol`] — framed wire codec: version/type-tagged, CRC-checked
-//!   payloads in the checkpoint-codec encoding;
+//!   payloads in the `graphalytics-codec` encoding;
 //! * [`partition`] — deterministic vertex→worker assignment (computed
 //!   independently by master and workers) and ordered output merge;
 //! * [`worker`] — the worker process: local compute over its partition,

@@ -11,7 +11,8 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use graphalytics_algos::Algorithm;
-use graphalytics_core::faults::{CheckpointCodec, FaultPlan, FaultSite, RecoveryAction};
+use graphalytics_codec::Codec;
+use graphalytics_core::faults::{FaultPlan, FaultSite, RecoveryAction};
 use graphalytics_core::platform::{PlatformError, RunContext};
 
 use crate::partition::PartitionPlan;
@@ -97,6 +98,8 @@ impl Fleet {
         ctx: &RunContext,
     ) -> Result<Fleet, PlatformError> {
         let workers = cfg.workers.max(1) as usize;
+        // A malformed knob fails the run before a process is forked.
+        let timeout = io_timeout().map_err(|e| PlatformError::Internal(e.to_string()))?;
         let listener = TcpListener::bind("127.0.0.1:0")
             .map_err(|e| PlatformError::TransientIo(format!("bind control: {e}")))?;
         let addr = listener
@@ -149,7 +152,6 @@ impl Fleet {
         // Freshly forked workers connect within a millisecond, so the poll
         // starts short and doubles up to 5 ms; the wait is bounded by the
         // time slept, which needs no clock.
-        let timeout = io_timeout();
         let mut poll = Duration::from_micros(100);
         let mut waited = Duration::ZERO;
         let mut accepted = 0usize;
@@ -158,7 +160,7 @@ impl Fleet {
                 Ok((stream, _)) => {
                     stream
                         .set_nonblocking(false)
-                        .and_then(|()| stream.set_read_timeout(Some(io_timeout())))
+                        .and_then(|()| stream.set_read_timeout(Some(timeout)))
                         .map_err(|e| PlatformError::TransientIo(e.to_string()))?;
                     let mut stream = stream;
                     let frame = fleet.read_from(&mut stream).map_err(|e| {
@@ -366,7 +368,7 @@ enum Loss {
 /// the last superstep whose checkpoints all landed. Without a complete
 /// checkpoint (or past the restart budget) the loss escalates as
 /// [`PlatformError::WorkerLost`].
-pub fn coordinate<S: CheckpointCodec + Clone>(
+pub fn coordinate<S: Codec + Clone>(
     cfg: &MasterConfig,
     algorithm: &Algorithm,
     fault_plan: &FaultPlan,

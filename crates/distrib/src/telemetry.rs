@@ -16,8 +16,8 @@
 //! buffer records nothing, [`TelemetryBuffer::take_frame`] returns `None`,
 //! and zero Telemetry frames cross the wire.
 
-use crate::protocol::Frame;
-use graphalytics_core::faults::CheckpointCodec;
+use crate::protocol::{decode_blob, encode_blob, Frame};
+use graphalytics_codec::layout;
 use graphalytics_core::trace::{FieldValue, Tracer};
 use std::collections::{BTreeMap, BTreeSet};
 // lint:allow(determinism-time): telemetry timestamps annotate spans only, never outputs
@@ -39,28 +39,14 @@ pub enum SpanKind {
     Checkpoint,
 }
 
+layout!(enum SpanKind {
+    1 => Compute,
+    2 => Shuffle,
+    3 => BarrierWait,
+    4 => Checkpoint,
+});
+
 impl SpanKind {
-    /// Stable wire tag for the kind.
-    pub fn tag(self) -> u8 {
-        match self {
-            SpanKind::Compute => 1,
-            SpanKind::Shuffle => 2,
-            SpanKind::BarrierWait => 3,
-            SpanKind::Checkpoint => 4,
-        }
-    }
-
-    /// Inverse of [`SpanKind::tag`]; `None` for unknown tags.
-    pub fn from_tag(tag: u8) -> Option<Self> {
-        match tag {
-            1 => Some(SpanKind::Compute),
-            2 => Some(SpanKind::Shuffle),
-            3 => Some(SpanKind::BarrierWait),
-            4 => Some(SpanKind::Checkpoint),
-            _ => None,
-        }
-    }
-
     /// Dotted span name the merged span carries in the master's tracer.
     pub fn span_name(self) -> &'static str {
         match self {
@@ -99,8 +85,8 @@ pub struct WireSpan {
     /// Monotonic per-(worker, incarnation) sequence number, used by the
     /// master to drop re-shipped duplicates after a restart.
     pub seq: u64,
-    /// [`SpanKind::tag`] of the interval.
-    pub kind: u8,
+    /// What the worker was doing; one tag byte on the wire.
+    pub kind: SpanKind,
     /// Superstep the interval belongs to (0 for pre-loop work).
     pub superstep: u64,
     /// Interval start, seconds on the fleet logical clock.
@@ -112,31 +98,7 @@ pub struct WireSpan {
     pub value: u64,
 }
 
-impl CheckpointCodec for WireSpan {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        self.seq.encode_into(out);
-        out.push(self.kind);
-        self.superstep.encode_into(out);
-        self.start_seconds.encode_into(out);
-        self.end_seconds.encode_into(out);
-        self.value.encode_into(out);
-    }
-
-    fn decode_from(buf: &[u8], pos: &mut usize) -> Option<Self> {
-        let seq = u64::decode_from(buf, pos)?;
-        let kind = *buf.get(*pos)?;
-        *pos += 1;
-        SpanKind::from_tag(kind)?;
-        Some(WireSpan {
-            seq,
-            kind,
-            superstep: u64::decode_from(buf, pos)?,
-            start_seconds: f64::decode_from(buf, pos)?,
-            end_seconds: f64::decode_from(buf, pos)?,
-            value: u64::decode_from(buf, pos)?,
-        })
-    }
-}
+layout!(struct WireSpan { seq, kind, superstep, start_seconds, end_seconds, value });
 
 /// Worker-side span buffer. Records intervals on the fleet logical clock
 /// and drains them into [`Frame::Telemetry`] messages at superstep
@@ -186,7 +148,7 @@ impl TelemetryBuffer {
         self.next_seq += 1;
         self.buf.push(WireSpan {
             seq,
-            kind: kind.tag(),
+            kind,
             superstep,
             start_seconds: start,
             end_seconds: end,
@@ -218,13 +180,10 @@ impl TelemetryBuffer {
         if !self.enabled || self.buf.is_empty() {
             return None;
         }
-        let spans = std::mem::take(&mut self.buf);
-        let mut blob = Vec::new();
-        spans.encode_into(&mut blob);
         Some(Frame::Telemetry {
             worker,
             incarnation,
-            spans: blob,
+            spans: encode_blob(&std::mem::take(&mut self.buf)),
         })
     }
 }
@@ -263,13 +222,9 @@ impl TelemetryMerger {
         tracer: &Tracer,
         parent: Option<u64>,
     ) -> usize {
-        let mut pos = 0usize;
-        let Some(spans) = Vec::<WireSpan>::decode_from(blob, &mut pos) else {
+        let Some(spans) = decode_blob::<Vec<WireSpan>>(blob) else {
             return 0;
         };
-        if pos != blob.len() {
-            return 0;
-        }
         let seen = self.seen.entry((worker, incarnation)).or_default();
         let lane = format!("w{worker}:i{incarnation}");
         let worker_label = worker.to_string();
@@ -279,9 +234,7 @@ impl TelemetryMerger {
                 continue;
             }
             fresh += 1;
-            let Some(kind) = SpanKind::from_tag(span.kind) else {
-                continue;
-            };
+            let kind = span.kind;
             let duration = (span.end_seconds - span.start_seconds).max(0.0);
             tracer.record_span(
                 kind.span_name(),
@@ -325,11 +278,12 @@ impl TelemetryMerger {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use graphalytics_codec::Codec;
 
     fn sample_span() -> WireSpan {
         WireSpan {
             seq: 5,
-            kind: SpanKind::Compute.tag(),
+            kind: SpanKind::Compute,
             superstep: 3,
             start_seconds: 1.5,
             end_seconds: 2.25,
@@ -361,7 +315,7 @@ mod tests {
             sample_span(),
             WireSpan {
                 seq: 6,
-                kind: SpanKind::BarrierWait.tag(),
+                kind: SpanKind::BarrierWait,
                 superstep: 3,
                 start_seconds: 2.25,
                 end_seconds: 2.5,
@@ -376,26 +330,22 @@ mod tests {
         assert_eq!(pos, blob.len());
     }
 
-    /// Corruption rejection: flipping any single byte of the blob either
-    /// fails decoding outright or survives only as a *value* change —
-    /// never as a panic or an out-of-range kind tag.
+    /// Corruption rejection: a kind byte naming no kind fails the decode
+    /// outright — never a panic or an out-of-range kind.
     #[test]
     fn corrupted_span_blobs_never_decode_to_invalid_kinds() {
         let mut blob = Vec::new();
         vec![sample_span()].encode_into(&mut blob);
-        for i in 0..blob.len() {
+        // The span count, then the seq, then the kind byte.
+        let kind_at = 16;
+        for tag in [0u8, 5, 0xFF] {
             let mut bad = blob.clone();
-            bad[i] ^= 0xFF;
+            bad[kind_at] = tag;
             let mut pos = 0;
-            if let Some(spans) = Vec::<WireSpan>::decode_from(&bad, &mut pos) {
-                for s in &spans {
-                    assert!(
-                        SpanKind::from_tag(s.kind).is_some(),
-                        "byte {i}: decoded an invalid kind tag {}",
-                        s.kind
-                    );
-                }
-            }
+            assert!(
+                Vec::<WireSpan>::decode_from(&bad, &mut pos).is_none(),
+                "kind tag {tag} decoded"
+            );
         }
         // Truncation at every prefix is also rejected (not a panic).
         for cut in 0..blob.len() {

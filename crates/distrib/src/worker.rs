@@ -12,11 +12,13 @@
 use std::fs;
 use std::io::Write as _;
 use std::net::{TcpListener, TcpStream};
+use std::num::NonZeroU64;
 use std::path::{Path, PathBuf};
 // lint:allow(determinism-time): socket read timeouts bound the wait for lost peers
 use std::time::Duration;
 
 use graphalytics_algos::Output;
+use graphalytics_core::config::{parse_knob, ConfigError};
 use graphalytics_core::faults::{FaultSite, Snapshot};
 use graphalytics_graph::{io as graph_io, CsrGraph, Vid};
 use graphalytics_pregel::programs::{dispatch, ProgramVisitor};
@@ -30,17 +32,19 @@ use crate::telemetry::{SpanKind, TelemetryBuffer};
 /// planned crash from the collateral exits of peers that lost it).
 pub const EXIT_INJECTED_FAULT: i32 = 3;
 
-/// Read-timeout for master and peer sockets; a peer silent for this long
-/// is treated as lost. Crash detection normally rides the TCP EOF that
-/// closing a dead process's sockets produces, so this is only a backstop
-/// against hangs.
-pub fn io_timeout() -> Duration {
-    let secs = std::env::var("GX_DISTRIB_IO_TIMEOUT_SECS")
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok())
-        .filter(|&s| s > 0)
-        .unwrap_or(60);
-    Duration::from_secs(secs)
+/// Read-timeout for master and peer sockets: `GX_DISTRIB_IO_TIMEOUT_SECS`
+/// seconds, 60 when unset; a peer silent for this long is treated as lost.
+/// Crash detection normally rides the TCP EOF that closing a dead
+/// process's sockets produces, so this is only a backstop against hangs.
+/// A set value must be a positive integer.
+pub fn io_timeout() -> Result<Duration, ConfigError> {
+    const KNOB: &str = "GX_DISTRIB_IO_TIMEOUT_SECS";
+    let secs = match std::env::var_os(KNOB) {
+        // Bytes that are not Unicode fail to parse like any other typo.
+        Some(value) => parse_knob::<NonZeroU64>(KNOB, &value.to_string_lossy())?.get(),
+        None => 60,
+    };
+    Ok(Duration::from_secs(secs))
 }
 
 /// Parsed command line of `gx-distrib-worker`.
@@ -72,13 +76,14 @@ pub fn parse_args(args: &[String]) -> Result<WorkerArgs, String> {
 }
 
 /// Worker entry point: connect to the master, receive the plan, load the
-/// dataset, and run supersteps until told to finish.
-pub fn worker_main(args: &[String]) -> Result<(), String> {
+/// dataset, and run supersteps until told to finish. Every socket read
+/// waits at most `timeout` (see [`io_timeout`]).
+pub fn worker_main(args: &[String], timeout: Duration) -> Result<(), String> {
     let args = parse_args(args)?;
     let mut master =
         TcpStream::connect(&args.master).map_err(|e| format!("connect {}: {e}", args.master))?;
     master
-        .set_read_timeout(Some(io_timeout()))
+        .set_read_timeout(Some(timeout))
         .map_err(|e| e.to_string())?;
     write_frame(
         &mut master,
@@ -109,6 +114,7 @@ pub fn worker_main(args: &[String]) -> Result<(), String> {
         graph: &graph,
         plan: &plan,
         master,
+        timeout,
     };
     dispatch(&plan.algorithm, &graph, superstep_loop)
         .unwrap_or_else(|| Err("EVO is coordinator-driven; workers never run it".to_string()))
@@ -120,6 +126,7 @@ struct SuperstepLoop<'a> {
     graph: &'a CsrGraph,
     plan: &'a PlanFrame,
     master: TcpStream,
+    timeout: Duration,
 }
 
 impl ProgramVisitor for SuperstepLoop<'_> {
@@ -130,7 +137,7 @@ impl ProgramVisitor for SuperstepLoop<'_> {
         program: &P,
         _output: fn(&CsrGraph, Vec<P::State>) -> Output,
     ) -> Self::Out {
-        run_program(program, self.graph, self.plan, self.master)
+        run_program(program, self.graph, self.plan, self.master, self.timeout)
     }
 }
 
@@ -148,6 +155,7 @@ fn run_program<P: VertexProgram>(
     graph: &CsrGraph,
     plan: &PlanFrame,
     mut master: TcpStream,
+    timeout: Duration,
 ) -> Result<(), String> {
     let me = plan.worker as usize;
     let workers = plan.workers as usize;
@@ -221,7 +229,7 @@ fn run_program<P: VertexProgram>(
         let mut stream = TcpStream::connect(("127.0.0.1", port as u16))
             .map_err(|e| format!("dial peer {j}: {e}"))?;
         stream
-            .set_read_timeout(Some(io_timeout()))
+            .set_read_timeout(Some(timeout))
             .map_err(|e| e.to_string())?;
         write_frame(&mut stream, &Frame::PeerHello { from: plan.worker })
             .map_err(|e| format!("peer hello to {j}: {e}"))?;
@@ -230,7 +238,7 @@ fn run_program<P: VertexProgram>(
     for _ in me + 1..workers {
         let (mut stream, _) = listener.accept().map_err(|e| format!("accept peer: {e}"))?;
         stream
-            .set_read_timeout(Some(io_timeout()))
+            .set_read_timeout(Some(timeout))
             .map_err(|e| e.to_string())?;
         let from = match read_frame(&mut stream).map_err(|e| format!("peer hello: {e}"))? {
             Frame::PeerHello { from } => from as usize,

@@ -336,3 +336,20 @@ fn e2e_missing_worker_binary_is_reported() {
         "{err:?}"
     );
 }
+
+/// A malformed socket-timeout knob is a usage error (exit 2) naming the
+/// knob and value, never a silent 60 s default.
+#[test]
+fn e2e_malformed_io_timeout_exits_2() {
+    for value in ["soon", "0"] {
+        let out = std::process::Command::new(worker_bin())
+            .args(["--master=127.0.0.1:9", "--worker=0"])
+            .env("GX_DISTRIB_IO_TIMEOUT_SECS", value)
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{value}: {stderr}");
+        let expected = format!("config error: GX_DISTRIB_IO_TIMEOUT_SECS = \"{value}\"");
+        assert!(stderr.contains(&expected), "{stderr}");
+    }
+}

@@ -1,11 +1,247 @@
 #![recursion_limit = "256"]
-//! Property tests for the wire protocol: arbitrary frames round-trip
-//! byte-identically, and single-byte corruption anywhere in a frame never
-//! yields a successful decode of different content.
+//! Property tests for the wire protocol and every layout built on the
+//! codec: arbitrary frames round-trip byte-identically, and hostile bytes
+//! (random strings, bit flips, truncations) fed to any decoder yield an
+//! error or a value that re-encodes to exactly those bytes — never a
+//! panic. A CRC-framed frame yields an error or the original frame.
 
-use graphalytics_distrib::protocol::{read_frame, write_frame};
-use graphalytics_distrib::{Frame, StepReport};
+use graphalytics_algos::Algorithm;
+use graphalytics_codec::Codec;
+use graphalytics_core::faults::{FaultKind, FaultPlan, FaultSite, Snapshot};
+use graphalytics_distrib::protocol::{crc32, read_frame, write_frame, MAGIC, VERSION};
+use graphalytics_distrib::{Frame, PlanFrame, SpanKind, StepReport, WireSpan};
+use graphalytics_pregel::programs::CdState;
 use proptest::prelude::*;
+
+type CdSnapshot = Snapshot<CdState, (u32, f64, f64)>;
+
+fn sample_plan() -> PlanFrame {
+    PlanFrame {
+        worker: 1,
+        workers: 4,
+        algorithm: Algorithm::Cd {
+            iterations: 10,
+            hop_attenuation: 0.1,
+            degree_exponent: 1.0,
+        },
+        graph_prefix: "/tmp/gx/graph".to_string(),
+        directed: false,
+        weighted: true,
+        checkpoint_dir: "/tmp/gx/ckpt".to_string(),
+        checkpoint_interval: 4,
+        incarnation: 2,
+        resume: true,
+        resume_superstep: 8,
+        fault_plan: sample_fault_plan(),
+        trace: true,
+        run_id: 41,
+        clock_origin: 1.75,
+    }
+}
+
+fn sample_fault_plan() -> FaultPlan {
+    FaultPlan::seeded(7)
+        .with_rate(FaultKind::TaskIo, 0.25)
+        .force(FaultSite::PregelWorker {
+            superstep: 9,
+            worker: 1,
+            incarnation: 2,
+        })
+}
+
+fn sample_frames() -> Vec<Frame> {
+    vec![
+        Frame::Hello { worker: 3 },
+        Frame::Plan(sample_plan()),
+        Frame::Ready {
+            peer_port: 40123,
+            runnable: 77,
+        },
+        Frame::Peers {
+            ports: vec![40123, 40124, 40125, 40126],
+        },
+        Frame::MeshReady,
+        Frame::StartSuperstep {
+            superstep: 12,
+            prev_aggregate: 0.25,
+            checkpoint: true,
+        },
+        Frame::CheckpointDone {
+            superstep: 12,
+            bytes: 4096,
+        },
+        Frame::StepDone(StepReport {
+            superstep: 12,
+            computed: 100,
+            active_after: 42,
+            sent: 321,
+            sent_remote: 200,
+            bytes_sent: 9000,
+            aggregate: -1.5,
+        }),
+        Frame::Finish,
+        Frame::Output {
+            worker: 2,
+            states: vec![1, 2, 3, 4],
+        },
+        Frame::Shuffle {
+            from: 0,
+            superstep: 3,
+            batch: vec![9, 9, 9],
+        },
+        Frame::PeerHello { from: 1 },
+        Frame::Telemetry {
+            worker: 1,
+            incarnation: 2,
+            spans: vec![0xAA, 0xBB, 0xCC],
+        },
+    ]
+}
+
+fn sample_snapshot() -> CdSnapshot {
+    let state = |label, score| CdState { label, score };
+    Snapshot {
+        superstep: 5,
+        states: vec![state(0, 1.0), state(0, 0.5), state(7, -0.0)],
+        inbox: vec![vec![], vec![(0, 0.5, 2.0), (7, 1.0, 1.0)], vec![]],
+        active: vec![true, false, true],
+        aggregate: 0.125,
+    }
+}
+
+fn sample_spans() -> Vec<WireSpan> {
+    let span = |seq, kind, value| WireSpan {
+        seq,
+        kind,
+        superstep: 3,
+        start_seconds: 1.5,
+        end_seconds: 2.25,
+        value,
+    };
+    vec![
+        span(0, SpanKind::Compute, 640),
+        span(1, SpanKind::Shuffle, 9000),
+        span(2, SpanKind::BarrierWait, 0),
+        span(3, SpanKind::Checkpoint, 4096),
+    ]
+}
+
+fn encoded<T: Codec>(value: &T) -> Vec<u8> {
+    let mut out = Vec::new();
+    value.encode_into(&mut out);
+    out
+}
+
+/// Decodes one `T` from `bytes`: `None`, or a value that re-encodes to
+/// exactly the bytes it consumed (nothing dropped, nothing invented).
+fn decode_canonical<T: Codec>(bytes: &[u8]) -> Option<T> {
+    let mut pos = 0;
+    let value = T::decode_from(bytes, &mut pos)?;
+    assert_eq!(encoded(&value), bytes[..pos], "decode is not canonical");
+    Some(value)
+}
+
+/// Feeds `bytes` to every decoder: the frame reader, the snapshot reader
+/// and each layout's `Codec::decode_from`.
+fn every_decoder_survives(bytes: &[u8]) {
+    if let Ok(frame) = read_frame(&mut &bytes[..]) {
+        assert_eq!(frame.encode(), bytes[..frame.encode().len()]);
+    }
+    if let Some(snapshot) = CdSnapshot::decode(bytes) {
+        assert_eq!(snapshot.encode(), bytes);
+    }
+    decode_canonical::<Frame>(bytes);
+    decode_canonical::<PlanFrame>(bytes);
+    decode_canonical::<StepReport>(bytes);
+    decode_canonical::<Algorithm>(bytes);
+    decode_canonical::<FaultSite>(bytes);
+    decode_canonical::<FaultPlan>(bytes);
+    decode_canonical::<SpanKind>(bytes);
+    decode_canonical::<WireSpan>(bytes);
+    decode_canonical::<Vec<WireSpan>>(bytes);
+    decode_canonical::<CdState>(bytes);
+    decode_canonical::<Vec<(u32, f64, f64)>>(bytes);
+    decode_canonical::<String>(bytes);
+}
+
+/// Every single-bit flip and every proper prefix of `bytes`.
+fn corruptions(bytes: &[u8]) -> impl Iterator<Item = Vec<u8>> + '_ {
+    let flips = (0..bytes.len() * 8).map(move |bit| {
+        let mut bad = bytes.to_vec();
+        bad[bit / 8] ^= 1 << (bit % 8);
+        bad
+    });
+    flips.chain((0..bytes.len()).map(move |cut| bytes[..cut].to_vec()))
+}
+
+#[test]
+fn every_frame_round_trips() {
+    for frame in sample_frames() {
+        let bytes = frame.encode();
+        let mut cursor = &bytes[..];
+        let decoded = read_frame(&mut cursor).expect("decodes");
+        assert_eq!(decoded, frame);
+        assert!(cursor.is_empty(), "frame fully consumed");
+    }
+}
+
+#[test]
+fn frames_stream_back_to_back() {
+    let frames = sample_frames();
+    let mut wire = Vec::new();
+    for f in &frames {
+        let n = write_frame(&mut wire, f).unwrap();
+        assert_eq!(n, f.encode().len());
+    }
+    let mut cursor = &wire[..];
+    for f in &frames {
+        assert_eq!(&read_frame(&mut cursor).unwrap(), f);
+    }
+    assert!(cursor.is_empty());
+}
+
+/// The frame CRC and the layouts' exact lengths leave no way for a
+/// flipped bit or a cut to decode as a different frame.
+#[test]
+fn corrupted_frames_are_rejected() {
+    for frame in sample_frames() {
+        let wire = frame.encode();
+        for bad in corruptions(&wire) {
+            if let Ok(decoded) = read_frame(&mut &bad[..]) {
+                assert_eq!(decoded, frame, "corruption accepted: {bad:?}");
+            }
+            every_decoder_survives(&bad);
+        }
+    }
+}
+
+/// Unframed layouts carry no checksum: a flipped bit may decode as a
+/// different value, but only as the one those bytes encode, and every cut
+/// is rejected.
+#[test]
+fn corrupted_layouts_are_rejected_or_canonical() {
+    let snapshot = sample_snapshot().encode();
+    let plan = encoded(&sample_fault_plan());
+    let spans = encoded(&sample_spans());
+    let plan_frame = encoded(&sample_plan());
+    for cut in 0..snapshot.len() {
+        assert!(CdSnapshot::decode(&snapshot[..cut]).is_none());
+    }
+    for cut in 0..plan.len() {
+        assert!(decode_canonical::<FaultPlan>(&plan[..cut]).is_none());
+    }
+    for cut in 0..spans.len() {
+        assert!(decode_canonical::<Vec<WireSpan>>(&spans[..cut]).is_none());
+    }
+    for cut in 0..plan_frame.len() {
+        assert!(decode_canonical::<PlanFrame>(&plan_frame[..cut]).is_none());
+    }
+    for blob in [&snapshot, &plan, &spans, &plan_frame] {
+        for bad in corruptions(blob) {
+            every_decoder_survives(&bad);
+        }
+    }
+}
 
 fn roundtrip(frame: &Frame) -> Frame {
     let mut wire = Vec::new();
@@ -73,6 +309,36 @@ proptest! {
         wire[at] ^= 1 << flip_bit;
         if let Ok(decoded) = read_frame(&mut &wire[..]) {
             prop_assert_eq!(decoded, frame, "corruption at byte {} accepted", at);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn arbitrary_bytes_are_rejected_or_canonical(
+        bytes in proptest::collection::vec(any::<u8>(), 0..192),
+    ) {
+        every_decoder_survives(&bytes);
+    }
+
+    // Random payloads behind a valid header with a matching CRC reach
+    // every frame's payload decoder.
+    #[test]
+    fn framed_garbage_is_rejected_or_canonical(
+        tag in 0u8..16,
+        payload in proptest::collection::vec(any::<u8>(), 0..96),
+    ) {
+        let mut wire = Vec::new();
+        MAGIC.encode_into(&mut wire);
+        VERSION.encode_into(&mut wire);
+        wire.push(tag);
+        (payload.len() as u64).encode_into(&mut wire);
+        crc32(&payload).encode_into(&mut wire);
+        wire.extend_from_slice(&payload);
+        if let Ok(frame) = read_frame(&mut &wire[..]) {
+            prop_assert_eq!(frame.encode(), wire);
         }
     }
 }

@@ -1,118 +1,8 @@
-//! Checkpoint byte codec: the serialization behind the pregel engine's
-//! superstep-boundary snapshots (vertex state + pending messages).
-//!
-//! The format is deliberately dumb — little-endian fixed-width fields,
-//! length-prefixed sequences, no compression — so `decode(encode(x)) == x`
-//! and `encode(decode(b)) == b` hold *byte for byte*, the property the
-//! checkpoint round-trip suite pins with generated graphs. f64 travels as
-//! its IEEE bit pattern, so NaN payloads and signed zeros survive too.
+//! Checkpoint snapshots: the pregel engine's superstep-boundary state
+//! (vertex state + pending messages) in the [`Codec`] encoding, behind a
+//! magic and version prefix.
 
-/// Fixed binary encoding for checkpointable values. Implemented for the
-/// primitives the built-in vertex programs use; platform crates implement
-/// it for their own state structs (e.g. the CD program's label/score
-/// pair).
-pub trait CheckpointCodec: Sized {
-    /// Appends the encoding of `self` to `out`.
-    fn encode_into(&self, out: &mut Vec<u8>);
-    /// Decodes one value starting at `*pos`, advancing it. `None` on
-    /// truncated or malformed input.
-    fn decode_from(buf: &[u8], pos: &mut usize) -> Option<Self>;
-}
-
-macro_rules! impl_codec_le {
-    ($($t:ty),*) => {$(
-        impl CheckpointCodec for $t {
-            fn encode_into(&self, out: &mut Vec<u8>) {
-                out.extend_from_slice(&self.to_le_bytes());
-            }
-            fn decode_from(buf: &[u8], pos: &mut usize) -> Option<Self> {
-                const N: usize = std::mem::size_of::<$t>();
-                let bytes = buf.get(*pos..*pos + N)?;
-                *pos += N;
-                Some(<$t>::from_le_bytes(bytes.try_into().ok()?))
-            }
-        }
-    )*};
-}
-
-impl_codec_le!(u32, u64, i64);
-
-impl CheckpointCodec for f64 {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.to_bits().to_le_bytes());
-    }
-    fn decode_from(buf: &[u8], pos: &mut usize) -> Option<Self> {
-        Some(f64::from_bits(u64::decode_from(buf, pos)?))
-    }
-}
-
-impl CheckpointCodec for bool {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        out.push(*self as u8);
-    }
-    fn decode_from(buf: &[u8], pos: &mut usize) -> Option<Self> {
-        let b = *buf.get(*pos)?;
-        *pos += 1;
-        match b {
-            0 => Some(false),
-            1 => Some(true),
-            _ => None,
-        }
-    }
-}
-
-impl CheckpointCodec for () {
-    fn encode_into(&self, _out: &mut Vec<u8>) {}
-    fn decode_from(_buf: &[u8], _pos: &mut usize) -> Option<Self> {
-        Some(())
-    }
-}
-
-impl<T: CheckpointCodec> CheckpointCodec for Vec<T> {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        (self.len() as u64).encode_into(out);
-        for item in self {
-            item.encode_into(out);
-        }
-    }
-    fn decode_from(buf: &[u8], pos: &mut usize) -> Option<Self> {
-        let len = u64::decode_from(buf, pos)?;
-        // Reject absurd lengths before reserving (truncated-input safety).
-        if len as usize > buf.len().saturating_sub(*pos).saturating_add(1) * 8 {
-            return None;
-        }
-        let mut v = Vec::with_capacity(len as usize);
-        for _ in 0..len {
-            v.push(T::decode_from(buf, pos)?);
-        }
-        Some(v)
-    }
-}
-
-impl<A: CheckpointCodec, B: CheckpointCodec> CheckpointCodec for (A, B) {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        self.0.encode_into(out);
-        self.1.encode_into(out);
-    }
-    fn decode_from(buf: &[u8], pos: &mut usize) -> Option<Self> {
-        Some((A::decode_from(buf, pos)?, B::decode_from(buf, pos)?))
-    }
-}
-
-impl<A: CheckpointCodec, B: CheckpointCodec, C: CheckpointCodec> CheckpointCodec for (A, B, C) {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        self.0.encode_into(out);
-        self.1.encode_into(out);
-        self.2.encode_into(out);
-    }
-    fn decode_from(buf: &[u8], pos: &mut usize) -> Option<Self> {
-        Some((
-            A::decode_from(buf, pos)?,
-            B::decode_from(buf, pos)?,
-            C::decode_from(buf, pos)?,
-        ))
-    }
-}
+use graphalytics_codec::{layout, Codec};
 
 /// Magic prefix + format version of the snapshot encoding.
 const SNAPSHOT_MAGIC: u32 = 0x4758_4350; // "GXCP"
@@ -134,17 +24,15 @@ pub struct Snapshot<S, M> {
     pub aggregate: f64,
 }
 
-impl<S: CheckpointCodec, M: CheckpointCodec> Snapshot<S, M> {
+layout!(struct Snapshot<S, M> { superstep, states, inbox, active, aggregate });
+
+impl<S: Codec, M: Codec> Snapshot<S, M> {
     /// Serializes the snapshot.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
         SNAPSHOT_MAGIC.encode_into(&mut out);
         SNAPSHOT_VERSION.encode_into(&mut out);
-        self.superstep.encode_into(&mut out);
-        self.states.encode_into(&mut out);
-        self.inbox.encode_into(&mut out);
-        self.active.encode_into(&mut out);
-        self.aggregate.encode_into(&mut out);
+        self.encode_into(&mut out);
         out
     }
 
@@ -157,13 +45,7 @@ impl<S: CheckpointCodec, M: CheckpointCodec> Snapshot<S, M> {
         {
             return None;
         }
-        let snap = Snapshot {
-            superstep: u64::decode_from(bytes, &mut pos)?,
-            states: Vec::decode_from(bytes, &mut pos)?,
-            inbox: Vec::decode_from(bytes, &mut pos)?,
-            active: Vec::decode_from(bytes, &mut pos)?,
-            aggregate: f64::decode_from(bytes, &mut pos)?,
-        };
+        let snap = Self::decode_from(bytes, &mut pos)?;
         (pos == bytes.len()).then_some(snap)
     }
 }
@@ -171,65 +53,6 @@ impl<S: CheckpointCodec, M: CheckpointCodec> Snapshot<S, M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn roundtrip<T: CheckpointCodec + PartialEq + std::fmt::Debug + Clone>(x: T) {
-        let mut buf = Vec::new();
-        x.encode_into(&mut buf);
-        let mut pos = 0;
-        let back = T::decode_from(&buf, &mut pos).expect("decodes");
-        assert_eq!(pos, buf.len());
-        assert_eq!(back, x);
-        // Re-encoding the decoded value is byte-identical.
-        let mut buf2 = Vec::new();
-        back.encode_into(&mut buf2);
-        assert_eq!(buf, buf2);
-    }
-
-    #[test]
-    fn primitives_round_trip() {
-        roundtrip(0u32);
-        roundtrip(u32::MAX);
-        roundtrip(u64::MAX - 1);
-        roundtrip(-42i64);
-        roundtrip(3.25f64);
-        roundtrip(-0.0f64);
-        roundtrip(true);
-        roundtrip(false);
-        roundtrip(());
-        roundtrip(vec![1u32, 2, 3]);
-        roundtrip(Vec::<i64>::new());
-        roundtrip(vec![vec![(1u32, 2.0f64, 3.0f64)], vec![]]);
-        roundtrip((7u32, -1i64));
-    }
-
-    #[test]
-    fn f64_bit_patterns_survive() {
-        let nan = f64::from_bits(0x7FF8_0000_0000_1234);
-        let mut buf = Vec::new();
-        nan.encode_into(&mut buf);
-        let mut pos = 0;
-        let back = f64::decode_from(&buf, &mut pos).unwrap();
-        assert_eq!(back.to_bits(), nan.to_bits());
-        assert_eq!((-0.0f64).to_bits(), {
-            let mut b = Vec::new();
-            (-0.0f64).encode_into(&mut b);
-            let mut p = 0;
-            f64::decode_from(&b, &mut p).unwrap().to_bits()
-        });
-    }
-
-    #[test]
-    fn truncated_and_malformed_inputs_fail_cleanly() {
-        let mut pos = 0;
-        assert!(u64::decode_from(&[1, 2, 3], &mut pos).is_none());
-        let mut pos = 0;
-        assert!(bool::decode_from(&[7], &mut pos).is_none());
-        // A length prefix promising more data than exists.
-        let mut buf = Vec::new();
-        (u64::MAX).encode_into(&mut buf);
-        let mut pos = 0;
-        assert!(Vec::<u64>::decode_from(&buf, &mut pos).is_none());
-    }
 
     #[test]
     fn snapshot_round_trips_byte_identically() {

@@ -24,11 +24,11 @@
 //!   exponential backoff and seed-derived jitter over a virtual
 //!   millisecond clock (nothing sleeps; determinism-critical code never
 //!   reads real time).
-//! * [`Snapshot`] / [`CheckpointCodec`] — the byte codec behind the pregel
-//!   engine's superstep-boundary checkpoints (vertex state + pending
-//!   messages), round-trip-exact by construction.
+//! * [`Snapshot`] — the pregel engine's superstep-boundary checkpoint
+//!   (vertex state + pending messages) in the `graphalytics-codec`
+//!   encoding, round-trip-exact by construction.
 //!
-//! The crate is dependency-free (std only) and sits below
+//! The crate depends on nothing but `graphalytics-codec` and sits below
 //! `graphalytics-core`: engines reach the injector through the harness's
 //! `RunContext`, and with no injector attached every hook is a no-op.
 
@@ -37,7 +37,7 @@ mod injector;
 mod plan;
 mod retry;
 
-pub use checkpoint::{CheckpointCodec, Snapshot};
+pub use checkpoint::Snapshot;
 pub use injector::{FaultInjector, RecoveryAction, RecoveryEvent};
 pub use plan::{fingerprint, FaultKind, FaultPlan, FaultSite};
 pub use retry::{RetryPolicy, VirtualClock};

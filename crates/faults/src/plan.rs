@@ -6,9 +6,11 @@
 //! thread scheduling, call order, and how many *other* sites were probed
 //! first — the property the fault-determinism tests pin.
 
+use graphalytics_codec::layout;
+
 /// One SplitMix64 output step — the same finalizer as
 /// `graphalytics_graph::rng::SplitMix64`, repeated here because this crate
-/// is dependency-free.
+/// sits below the graph crate.
 fn splitmix64(x: u64) -> u64 {
     let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -190,81 +192,16 @@ impl FaultSite {
     }
 }
 
-/// Wire encoding for fault sites: a one-byte variant tag followed by the
-/// variant fields in declaration order. Used by the distributed runtime to
-/// ship a plan to worker processes; the encoding round-trips exactly, so a
-/// worker's plan decides the same sites as the master's.
-impl crate::checkpoint::CheckpointCodec for FaultSite {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        match *self {
-            FaultSite::PregelWorker {
-                superstep,
-                worker,
-                incarnation,
-            } => {
-                out.push(0);
-                superstep.encode_into(out);
-                worker.encode_into(out);
-                incarnation.encode_into(out);
-            }
-            FaultSite::ShufflePartition {
-                shuffle,
-                partition,
-                attempt,
-            } => {
-                out.push(1);
-                shuffle.encode_into(out);
-                partition.encode_into(out);
-                attempt.encode_into(out);
-            }
-            FaultSite::TaskIo { job, task, attempt } => {
-                out.push(2);
-                job.encode_into(out);
-                task.encode_into(out);
-                attempt.encode_into(out);
-            }
-            FaultSite::Alloc {
-                scope,
-                sequence,
-                attempt,
-            } => {
-                out.push(3);
-                scope.encode_into(out);
-                sequence.encode_into(out);
-                attempt.encode_into(out);
-            }
-        }
-    }
-
-    fn decode_from(buf: &[u8], pos: &mut usize) -> Option<Self> {
-        let tag = *buf.get(*pos)?;
-        *pos += 1;
-        use crate::checkpoint::CheckpointCodec as C;
-        Some(match tag {
-            0 => FaultSite::PregelWorker {
-                superstep: C::decode_from(buf, pos)?,
-                worker: C::decode_from(buf, pos)?,
-                incarnation: C::decode_from(buf, pos)?,
-            },
-            1 => FaultSite::ShufflePartition {
-                shuffle: C::decode_from(buf, pos)?,
-                partition: C::decode_from(buf, pos)?,
-                attempt: C::decode_from(buf, pos)?,
-            },
-            2 => FaultSite::TaskIo {
-                job: C::decode_from(buf, pos)?,
-                task: C::decode_from(buf, pos)?,
-                attempt: C::decode_from(buf, pos)?,
-            },
-            3 => FaultSite::Alloc {
-                scope: C::decode_from(buf, pos)?,
-                sequence: C::decode_from(buf, pos)?,
-                attempt: C::decode_from(buf, pos)?,
-            },
-            _ => return None,
-        })
-    }
-}
+// Wire layout: a one-byte variant tag, then the variant's fields. The
+// distributed runtime ships plans to worker processes in it; the encoding
+// round-trips exactly, so a worker's plan decides the same sites as the
+// master's.
+layout!(enum FaultSite {
+    0 => PregelWorker { superstep, worker, incarnation },
+    1 => ShufflePartition { shuffle, partition, attempt },
+    2 => TaskIo { job, task, attempt },
+    3 => Alloc { scope, sequence, attempt },
+});
 
 /// A seed-derived fault schedule: per-kind probabilities plus an explicit
 /// list of forced sites (for differential tests that need "worker 0
@@ -276,29 +213,7 @@ pub struct FaultPlan {
     forced: Vec<FaultSite>,
 }
 
-impl crate::checkpoint::CheckpointCodec for FaultPlan {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        self.seed.encode_into(out);
-        for r in self.rates {
-            r.encode_into(out);
-        }
-        self.forced.encode_into(out);
-    }
-
-    fn decode_from(buf: &[u8], pos: &mut usize) -> Option<Self> {
-        use crate::checkpoint::CheckpointCodec as C;
-        let seed = u64::decode_from(buf, pos)?;
-        let mut rates = [0.0f64; 4];
-        for r in &mut rates {
-            *r = f64::decode_from(buf, pos)?;
-        }
-        Some(FaultPlan {
-            seed,
-            rates,
-            forced: C::decode_from(buf, pos)?,
-        })
-    }
-}
+layout!(struct FaultPlan { seed, rates, forced });
 
 impl FaultPlan {
     /// The all-off plan: decides `false` everywhere.
@@ -458,7 +373,7 @@ mod tests {
 
     #[test]
     fn plan_and_site_wire_round_trip() {
-        use crate::checkpoint::CheckpointCodec;
+        use graphalytics_codec::Codec;
 
         let plan = FaultPlan::seeded(42)
             .with_rate(FaultKind::WorkerCrash, 0.25)

@@ -24,9 +24,9 @@ use crate::lexer::{Tok, TokKind};
 use crate::parse::{matching_close, Func};
 
 /// Method/function names treated as lock acquisitions producing a guard.
-/// `.lock()` covers `std::sync::Mutex`, the vendored `parking_lot` shim,
-/// and guard-returning helpers like `JobStore::lock`; free `lock(&m)`
-/// covers the poison-tolerant helper idiom in `crates/faults`.
+/// `.lock()` covers `std::sync::Mutex` and guard-returning helpers like
+/// `JobStore::lock`; free `lock(&m)` covers the poison-tolerant helpers
+/// `graphalytics_core::sync::lock` and the one in `crates/faults`.
 const ACQUIRE_METHODS: &[&str] = &["lock"];
 
 /// Calls that block the calling thread. A guard live across one of these

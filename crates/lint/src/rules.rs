@@ -10,7 +10,8 @@
 /// Crates whose outputs must be bit-reproducible: the data generator, the
 /// reference algorithms, the graph substrate they share, the parallel
 /// runtime the kernels run on, the fault-injection plan (same seed
-/// must fault the same sites on every run), the observability layer
+/// must fault the same sites on every run), the binary codec every
+/// snapshot and wire frame is written in, the observability layer
 /// (profiles and choke-point reports are derived from span *structure*;
 /// the `Duration` naming the profiler's sampling interval carries an
 /// explicit `lint:allow(determinism-time)` pragma, the clock and thread
@@ -20,7 +21,7 @@
 /// master/worker protocol must replay byte-identically; its socket
 /// timeouts carry explicit pragmas).
 pub const DETERMINISM_CRATES: &[&str] = &[
-    "datagen", "algos", "graph", "parallel", "faults", "obs", "serve", "distrib",
+    "datagen", "algos", "graph", "parallel", "faults", "codec", "obs", "serve", "distrib",
 ];
 
 /// The five platform crates, where an `unwrap()` on a failure path turns a
@@ -55,6 +56,7 @@ pub const SPAWN_AUDIT_CRATES: &[&str] = &[
     "graph",
     "parallel",
     "faults",
+    "codec",
     "obs",
     "serve",
     "distrib",

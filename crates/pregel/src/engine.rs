@@ -19,7 +19,8 @@
 //!   superstep — Giraph's aggregator facility;
 //! * cooperative deadlines checked at every barrier.
 
-use graphalytics_core::faults::{CheckpointCodec, FaultSite, RecoveryAction, Snapshot};
+use graphalytics_codec::Codec;
+use graphalytics_core::faults::{FaultSite, RecoveryAction, Snapshot};
 use graphalytics_core::platform::{PlatformError, RunContext};
 use graphalytics_graph::partition::{
     HashPartitioner, LdgPartitioner, Partitioner, RangePartitioner,
@@ -186,15 +187,15 @@ impl<'a, M> ComputeContext<'a, M> {
 
 /// A vertex program: the algorithm expressed in the Pregel model.
 ///
-/// State and message types must be [`CheckpointCodec`] so the engine can
+/// State and message types must be [`Codec`] so the engine can
 /// snapshot them at superstep boundaries (the recovery path for injected
 /// worker crashes); the codec is implemented for all primitives, tuples,
 /// and `Vec`s the built-in programs use.
 pub trait VertexProgram: Sync {
     /// Per-vertex state.
-    type State: Clone + Send + Sync + CheckpointCodec;
+    type State: Clone + Send + Sync + Codec;
     /// Message type.
-    type Message: Clone + Send + Sync + CheckpointCodec;
+    type Message: Clone + Send + Sync + Codec;
 
     /// Initial state of a vertex.
     fn init(&self, vertex: Vid, graph: &CsrGraph) -> Self::State;

@@ -249,18 +249,7 @@ pub struct CdState {
     pub score: f64,
 }
 
-impl graphalytics_core::faults::CheckpointCodec for CdState {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        self.label.encode_into(out);
-        self.score.encode_into(out);
-    }
-    fn decode_from(buf: &[u8], pos: &mut usize) -> Option<Self> {
-        Some(CdState {
-            label: u32::decode_from(buf, pos)?,
-            score: f64::decode_from(buf, pos)?,
-        })
-    }
-}
+graphalytics_codec::layout!(struct CdState { label, score });
 
 impl VertexProgram for CdProgram {
     type State = CdState;

@@ -6,11 +6,10 @@
 //! log (the `/jobs/{id}/events` stream), timings, and post-mortem
 //! artifacts — for the lifetime of the server process.
 //!
-//! Queueing uses `std::sync::Condvar` (the vendored `parking_lot` shim has
-//! no condition variables): `submit` enforces the capacity bound (admission
-//! control → 429) and wakes a worker; `next_job` blocks until a job or
-//! shutdown arrives. All timestamps come from the server [`Tracer`]'s
-//! monotonic clock, in seconds since server start.
+//! Queueing uses `std::sync::Mutex` and `Condvar`: `submit` enforces the
+//! capacity bound (admission control → 429) and wakes a worker; `next_job`
+//! blocks until a job or shutdown arrives. All timestamps come from the
+//! server [`Tracer`]'s monotonic clock, in seconds since server start.
 //!
 //! [`BenchmarkSuite`]: graphalytics_core::BenchmarkSuite
 

@@ -8,12 +8,12 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use graphalytics_core::config::parse_dataset;
+use graphalytics_core::sync::lock;
 use graphalytics_core::Dataset;
 use graphalytics_graph::CsrGraph;
-use parking_lot::Mutex;
 
 /// Thread-safe cache of loaded graphs, keyed by canonical dataset name
 /// (`"Graph500 14"`), plus the server's readiness latch.
@@ -37,15 +37,14 @@ impl GraphRegistry {
     /// wins (the datagen is deterministic, so the results are identical).
     pub fn get_or_load(&self, spec: &str) -> Result<(Dataset, Arc<CsrGraph>, bool), String> {
         let dataset = parse_dataset(spec)?;
-        if let Some(g) = self.graphs.lock().get(&dataset.name) {
+        if let Some(g) = lock(&self.graphs).get(&dataset.name) {
             return Ok((dataset, Arc::clone(g), true));
         }
         let graph = dataset
             .load()
             .map_err(|e| format!("loading {spec:?}: {e}"))?;
         let graph = Arc::clone(
-            self.graphs
-                .lock()
+            lock(&self.graphs)
                 .entry(dataset.name.clone())
                 .or_insert(graph),
         );
@@ -54,12 +53,12 @@ impl GraphRegistry {
 
     /// Canonical names of the currently cached graphs, sorted.
     pub fn loaded_names(&self) -> Vec<String> {
-        self.graphs.lock().keys().cloned().collect()
+        lock(&self.graphs).keys().cloned().collect()
     }
 
     /// Number of cached graphs.
     pub fn len(&self) -> usize {
-        self.graphs.lock().len()
+        lock(&self.graphs).len()
     }
 
     /// True when no graphs are cached.
@@ -101,6 +100,23 @@ mod tests {
         let registry = GraphRegistry::new();
         assert!(registry.get_or_load("warpdrive-9").is_err());
         assert!(registry.is_empty());
+    }
+
+    #[test]
+    fn a_panicking_lock_holder_leaves_the_registry_usable() {
+        let registry = GraphRegistry::new();
+        let holder = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _guard = lock(&registry.graphs);
+                panic!("registry lock holder dies");
+            })
+            .join()
+        });
+        assert!(holder.is_err());
+        assert!(registry.graphs.is_poisoned());
+        assert!(registry.is_empty());
+        assert!(!registry.get_or_load("graph500-6").unwrap().2);
+        assert_eq!(registry.len(), 1);
     }
 
     #[test]
