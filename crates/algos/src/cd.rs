@@ -23,7 +23,6 @@
 //! produces bit-identical labels.
 
 use graphalytics_graph::{CsrGraph, Vid};
-use rustc_hash::FxHashMap;
 
 /// Community label per vertex after `iterations` synchronous rounds.
 pub fn community_detection(
@@ -62,9 +61,10 @@ pub fn community_detection(
     labels
 }
 
-/// One vertex's view of its neighborhood, per label: the influence
-/// contributions received and the largest score among their senders.
-pub type LabelWeights = FxHashMap<u32, (Vec<f64>, f64)>;
+/// One vertex's view of its neighborhood: every vote received, as
+/// `(label, influence, score)`. Callers keep one buffer and `clear` it per
+/// vertex; [`adopt_or_keep`] sorts it into per-label runs.
+pub type LabelWeights = Vec<(u32, f64, f64)>;
 
 /// What a neighbor of degree `degree` holding `score` contributes to its
 /// label's weight: `score · degree^m`.
@@ -74,9 +74,7 @@ pub fn influence(score: f64, degree: usize, degree_exponent: f64) -> f64 {
 
 /// Records one neighbor's `(label, score, influence)` in `weight`.
 pub fn add_vote(weight: &mut LabelWeights, label: u32, score: f64, influence: f64) {
-    let entry = weight.entry(label).or_insert((Vec::new(), 0.0));
-    entry.0.push(influence);
-    entry.1 = entry.1.max(score);
+    weight.push((label, influence, score));
 }
 
 /// The CD update step, shared by the reference and every engine: the
@@ -100,20 +98,25 @@ pub fn adopt_or_keep(
     }
 }
 
-/// The CD arg-max: per-label contributions are sorted ascending and summed
-/// (canonical order ⇒ the f64 total is platform-independent), then the
+/// The CD arg-max: the votes are sorted by label, then influence, then
+/// score, so each label's contributions are one ascending run summed in
+/// that canonical order (the f64 total is platform-independent), then the
 /// heaviest label wins with ties broken toward the smallest label. Returns
 /// `(label, max_score)`.
-fn argmax_label(weight: &mut FxHashMap<u32, (Vec<f64>, f64)>) -> (u32, f64) {
+fn argmax_label(weight: &mut LabelWeights) -> (u32, f64) {
+    weight.sort_unstable_by(|a, b| {
+        a.0.cmp(&b.0)
+            .then(a.1.total_cmp(&b.1))
+            .then(a.2.total_cmp(&b.2))
+    });
     let (mut best_label, mut best_weight, mut best_score) = (u32::MAX, f64::MIN, 0.0);
-    // lint:allow(determinism-hash-iter): order-insensitive — contributions are sorted before summing and ties break by total order on the label, so every iteration order yields the same argmax
-    for (&l, (contributions, max_score)) in weight.iter_mut() {
-        contributions.sort_by(|a, b| a.total_cmp(b));
-        let w: f64 = contributions.iter().sum();
+    for run in weight.chunk_by(|a, b| a.0 == b.0) {
+        let l = run[0].0;
+        let w: f64 = run.iter().map(|vote| vote.1).sum();
         if w > best_weight || (w == best_weight && l < best_label) {
             best_label = l;
             best_weight = w;
-            best_score = *max_score;
+            best_score = run.iter().fold(0.0, |max: f64, vote| max.max(vote.2));
         }
     }
     (best_label, best_score)
@@ -223,6 +226,41 @@ mod tests {
         distinct.sort_unstable();
         distinct.dedup();
         assert!(distinct.len() > 2, "labels collapsed: {}", distinct.len());
+    }
+
+    #[test]
+    fn adopt_or_keep_ignores_vote_order() {
+        use graphalytics_graph::rng::Xoshiro256;
+        // Labels from a small range repeat and tie; the influences repeat,
+        // include both zeros, and sum differently in different orders
+        // (1 + 1e-16 + 1e-16 is 1, 1e-16 + 1e-16 + 1 is not).
+        const INFLUENCES: [f64; 6] = [0.0, -0.0, 1e-16, 0.5, 1.0, 1.0];
+        let mut rng = Xoshiro256::new(0xCD);
+        let mut weight = LabelWeights::default();
+        for _ in 0..2000 {
+            let len = 1 + rng.next_bounded(10) as usize;
+            let mut votes: Vec<(u32, f64, f64)> = (0..len)
+                .map(|_| {
+                    let label = rng.next_bounded(4) as u32;
+                    let score = rng.next_bounded(3) as f64 * 0.5;
+                    (label, score, INFLUENCES[rng.next_bounded(6) as usize])
+                })
+                .collect();
+            let own = (rng.next_bounded(4) as u32, 0.75);
+            let mut first = None;
+            for _ in 0..6 {
+                for i in (1..votes.len()).rev() {
+                    votes.swap(i, rng.next_bounded(i as u64 + 1) as usize);
+                }
+                weight.clear();
+                for &(label, score, influence) in &votes {
+                    add_vote(&mut weight, label, score, influence);
+                }
+                let (label, score, adopted) = adopt_or_keep(own, &mut weight, 0.05);
+                let got = (label, score.to_bits(), adopted);
+                assert_eq!(*first.get_or_insert(got), got, "{own:?} {votes:?}");
+            }
+        }
     }
 
     #[test]

@@ -175,11 +175,9 @@ pub fn connected_components_unionfind(g: &CsrGraph) -> Vec<u32> {
 
 /// Sizes of all components, descending — used for report summaries.
 pub fn component_sizes(labels: &[u32]) -> Vec<usize> {
-    let mut counts: rustc_hash::FxHashMap<u32, usize> = rustc_hash::FxHashMap::default();
-    for &l in labels {
-        *counts.entry(l).or_default() += 1;
-    }
-    let mut sizes: Vec<usize> = counts.into_values().collect();
+    let mut sorted = labels.to_vec();
+    sorted.sort_unstable();
+    let mut sizes: Vec<usize> = sorted.chunk_by(|a, b| a == b).map(<[u32]>::len).collect();
     sizes.sort_unstable_by(|a, b| b.cmp(a));
     sizes
 }

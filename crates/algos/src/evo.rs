@@ -15,8 +15,7 @@
 //! results exactly.
 
 use graphalytics_graph::rng::Xoshiro256;
-use graphalytics_graph::{CsrGraph, Edge, Vid};
-use rustc_hash::FxHashSet;
+use graphalytics_graph::{CsrGraph, Edge, VertexId, Vid};
 
 /// Predicts `new_vertices` additions under the forest-fire model.
 ///
@@ -30,126 +29,81 @@ pub fn forest_fire(
     max_burst: usize,
     seed: u64,
 ) -> Vec<Edge> {
-    let n = g.num_vertices();
-    if n == 0 || new_vertices == 0 {
-        return Vec::new();
-    }
-    let base_id = (0..n as Vid)
-        .map(|v| g.external_id(v))
-        .max()
-        .expect("non-empty graph")
-        + 1;
-    let mut edges = Vec::new();
-    for k in 0..new_vertices as u64 {
-        let mut rng = Xoshiro256::substream(seed ^ 0x464F_5245_5354, k);
-        let ambassador = rng.next_bounded(n as u64) as Vid;
-        let burned = burn(g, ambassador, p_forward, max_burst, &mut rng);
-        let new_id = base_id + k;
-        for b in burned {
-            edges.push((g.external_id(b), new_id));
-        }
-    }
-    edges.sort_unstable();
-    edges.dedup();
-    edges
+    fire_walk(
+        g.num_vertices(),
+        |v| g.external_id(v),
+        |v| g.neighbors(v),
+        new_vertices,
+        p_forward,
+        max_burst,
+        seed,
+    )
 }
 
-/// Runs one fire from `ambassador`; returns the burned vertex set in the
-/// order burned (ambassador first). Shared by all platform implementations
-/// *as a specification*: each platform re-implements this walk over its own
-/// storage, and this function is the executable reference.
-pub fn burn(
-    g: &CsrGraph,
-    ambassador: Vid,
-    p_forward: f64,
-    max_burst: usize,
-    rng: &mut Xoshiro256,
-) -> Vec<Vid> {
-    let mut burned_set: FxHashSet<Vid> = FxHashSet::default();
-    let mut burned = Vec::new();
-    let mut queue = std::collections::VecDeque::new();
-    burned_set.insert(ambassador);
-    burned.push(ambassador);
-    queue.push_back(ambassador);
-    while let Some(v) = queue.pop_front() {
-        if burned.len() >= max_burst {
-            break;
-        }
-        // Unburned neighbors in sorted order (CSR adjacency is sorted).
-        let candidates: Vec<Vid> = g
-            .neighbors(v)
-            .iter()
-            .copied()
-            .filter(|u| !burned_set.contains(u))
-            .collect();
-        if candidates.is_empty() {
-            continue;
-        }
-        // Geometric(1 - p) - 1 links, as in the original model.
-        let fanout = if p_forward >= 1.0 {
-            candidates.len() as u64
-        } else {
-            rng.geometric(1.0 - p_forward) - 1
-        };
-        let fanout = (fanout as usize).min(candidates.len());
-        if fanout == 0 {
-            continue;
-        }
-        let picked = rng.sample_distinct(candidates.len(), fanout);
-        for idx in picked {
-            let u = candidates[idx];
-            if burned.len() >= max_burst {
-                break;
-            }
-            if burned_set.insert(u) {
-                burned.push(u);
-                queue.push_back(u);
-            }
-        }
-    }
-    burned
-}
-
-/// The forest-fire walk over plain sorted adjacency lists — the same
-/// decision sequence as [`forest_fire`], for platforms whose storage is not
-/// a [`CsrGraph`] (dataflow collections, MapReduce job outputs, record
-/// stores). `adjacency[v]` must be sorted ascending; `external_ids[v]` maps
-/// internal to external ids. Produces bit-identical output to
-/// [`forest_fire`] on the same graph.
+/// [`forest_fire`] over plain sorted adjacency lists, for platforms whose
+/// storage is not a [`CsrGraph`] (dataflow collections, MapReduce job
+/// outputs, record stores). `adjacency[v]` must be sorted ascending;
+/// `external_ids[v]` maps internal to external ids. Produces bit-identical
+/// output to [`forest_fire`] on the same graph.
 pub fn forest_fire_over_adjacency(
     adjacency: &[Vec<Vid>],
-    external_ids: &[graphalytics_graph::VertexId],
+    external_ids: &[VertexId],
     new_vertices: usize,
     p_forward: f64,
     max_burst: usize,
     seed: u64,
 ) -> Vec<Edge> {
-    let n = adjacency.len();
-    debug_assert_eq!(n, external_ids.len());
+    debug_assert_eq!(adjacency.len(), external_ids.len());
+    fire_walk(
+        adjacency.len(),
+        |v| external_ids[v as usize],
+        |v| &adjacency[v as usize],
+        new_vertices,
+        p_forward,
+        max_burst,
+        seed,
+    )
+}
+
+/// The one forest-fire walk. Each new vertex picks an ambassador and burns
+/// breadth-first: at every burned vertex it draws a geometric number of the
+/// not-yet-burned neighbors, taken in sorted order, until `max_burst`
+/// vertices burned. The burned set is a dense bitmap that is reset from the
+/// burned list after each fire.
+fn fire_walk<'a>(
+    n: usize,
+    external_id: impl Fn(Vid) -> VertexId,
+    neighbors: impl Fn(Vid) -> &'a [Vid],
+    new_vertices: usize,
+    p_forward: f64,
+    max_burst: usize,
+    seed: u64,
+) -> Vec<Edge> {
     if n == 0 || new_vertices == 0 {
         return Vec::new();
     }
-    let base_id = external_ids.iter().copied().max().unwrap_or(0) + 1;
+    let base_id = (0..n as Vid).map(&external_id).max().unwrap_or(0) + 1;
+    let mut is_burned = vec![false; n];
+    let mut burned: Vec<Vid> = Vec::new();
+    let mut queue = std::collections::VecDeque::new();
+    let mut candidates: Vec<Vid> = Vec::new();
     let mut edges = Vec::new();
     for k in 0..new_vertices as u64 {
         let mut rng = Xoshiro256::substream(seed ^ 0x464F_5245_5354, k);
         let ambassador = rng.next_bounded(n as u64) as Vid;
-        let mut burned_set: FxHashSet<Vid> = FxHashSet::default();
-        let mut burned = vec![ambassador];
-        burned_set.insert(ambassador);
-        let mut queue = std::collections::VecDeque::from([ambassador]);
+        is_burned[ambassador as usize] = true;
+        burned.push(ambassador);
+        queue.push_back(ambassador);
         while let Some(v) = queue.pop_front() {
             if burned.len() >= max_burst {
                 break;
             }
-            let candidates: Vec<Vid> = adjacency[v as usize]
-                .iter()
-                .copied()
-                .filter(|u| !burned_set.contains(u))
-                .collect();
+            candidates.clear();
+            candidates.extend(neighbors(v).iter().filter(|&&u| !is_burned[u as usize]));
             if candidates.is_empty() {
                 continue;
             }
+            // Geometric(1 - p) - 1 links, as in the original model.
             let fanout = if p_forward >= 1.0 {
                 candidates.len() as u64
             } else {
@@ -164,14 +118,17 @@ pub fn forest_fire_over_adjacency(
                 if burned.len() >= max_burst {
                     break;
                 }
-                if burned_set.insert(u) {
+                if !is_burned[u as usize] {
+                    is_burned[u as usize] = true;
                     burned.push(u);
                     queue.push_back(u);
                 }
             }
         }
-        for b in burned {
-            edges.push((external_ids[b as usize], base_id + k));
+        queue.clear();
+        for b in burned.drain(..) {
+            is_burned[b as usize] = false;
+            edges.push((external_id(b), base_id + k));
         }
     }
     edges.sort_unstable();

@@ -284,27 +284,15 @@ pub fn partitions_equal(a: &[u32], b: &[u32]) -> bool {
     if a.len() != b.len() {
         return false;
     }
-    // Map each a-label to the first b-label seen with it, and vice versa;
-    // a partition mismatch shows up as a conflicting mapping.
-    let mut a2b: rustc_hash::FxHashMap<u32, u32> = rustc_hash::FxHashMap::default();
-    let mut b2a: rustc_hash::FxHashMap<u32, u32> = rustc_hash::FxHashMap::default();
-    for (&la, &lb) in a.iter().zip(b) {
-        match a2b.entry(la) {
-            std::collections::hash_map::Entry::Occupied(e) if *e.get() != lb => return false,
-            std::collections::hash_map::Entry::Occupied(_) => {}
-            std::collections::hash_map::Entry::Vacant(e) => {
-                e.insert(lb);
-            }
-        }
-        match b2a.entry(lb) {
-            std::collections::hash_map::Entry::Occupied(e) if *e.get() != la => return false,
-            std::collections::hash_map::Entry::Occupied(_) => {}
-            std::collections::hash_map::Entry::Vacant(e) => {
-                e.insert(la);
-            }
-        }
-    }
-    true
+    // The distinct (a-label, b-label) pairs are a bijection between the two
+    // label sets exactly when no a-label and no b-label occurs in two of
+    // them. Labels can be any u32, so sort rather than index by label.
+    let mut pairs: Vec<(u32, u32)> = a.iter().copied().zip(b.iter().copied()).collect();
+    pairs.sort_unstable();
+    pairs.dedup();
+    let mut b_labels: Vec<u32> = pairs.iter().map(|&(_, lb)| lb).collect();
+    b_labels.sort_unstable();
+    pairs.windows(2).all(|w| w[0].0 != w[1].0) && b_labels.windows(2).all(|w| w[0] != w[1])
 }
 
 /// Runs the reference implementation of `alg` on `g` using up to

@@ -160,12 +160,6 @@ impl DatasetRepository {
 mod tests {
     use super::*;
 
-    fn tmp(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("gx-ds-{}-{name}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        dir
-    }
-
     #[test]
     fn graph500_dataset_loads() {
         let d = Dataset::graph500(8);
@@ -199,7 +193,8 @@ mod tests {
 
     #[test]
     fn repository_caches_and_round_trips() {
-        let repo = DatasetRepository::open(tmp("cache")).unwrap();
+        let dir = crate::ScratchDir::new(None, "gx-ds").unwrap();
+        let repo = DatasetRepository::open(dir.path()).unwrap();
         let d = Dataset::graph500(7);
         let first = repo.fetch(&d).unwrap();
         assert!(repo.prefix(&d).with_extension("v").exists());
@@ -209,9 +204,9 @@ mod tests {
 
     #[test]
     fn file_spec_reads_written_graph() {
-        let dir = tmp("file");
+        let dir = crate::ScratchDir::new(None, "gx-ds").unwrap();
         let g = EdgeListGraph::undirected_from_edges(vec![(0, 1), (1, 2)]);
-        let prefix = dir.join("tiny");
+        let prefix = dir.path().join("tiny");
         io::write_graph(&g, &prefix).unwrap();
         let d = Dataset {
             name: "tiny".into(),

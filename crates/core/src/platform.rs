@@ -8,13 +8,13 @@
 //! is the dataset-loading/ETL step, `run` is the workload-processing
 //! interface, and the harness handles monitoring and reporting around it.
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use graphalytics_algos::{Algorithm, Output};
 use graphalytics_faults::{FaultInjector, FaultSite, RecoveryAction};
 use graphalytics_graph::CsrGraph;
-use rustc_hash::FxHashMap;
 
 use crate::faultwire;
 use crate::trace::Tracer;
@@ -30,14 +30,14 @@ pub struct GraphHandle(pub u64);
 /// naming a later graph.
 #[derive(Debug)]
 pub struct GraphTable<T> {
-    graphs: FxHashMap<u64, T>,
+    graphs: BTreeMap<u64, T>,
     next_handle: u64,
 }
 
 impl<T> Default for GraphTable<T> {
     fn default() -> Self {
         Self {
-            graphs: FxHashMap::default(),
+            graphs: BTreeMap::new(),
             next_handle: 0,
         }
     }

@@ -127,8 +127,11 @@ mod tests {
     use crate::runner::RunStatus;
     use crate::validator::Validation;
 
-    fn tmpfile(name: &str) -> PathBuf {
-        std::env::temp_dir().join(format!("gx-results-{}-{name}.jsonl", std::process::id()))
+    /// A results path in a fresh scratch directory, removed on drop.
+    fn tmpfile(name: &str) -> (crate::ScratchDir, PathBuf) {
+        let dir = crate::ScratchDir::new(None, "gx-results").unwrap();
+        let path = dir.path().join(format!("{name}.jsonl"));
+        (dir, path)
     }
 
     fn record(platform: &str, runtime: f64) -> RunRecord {
@@ -152,8 +155,7 @@ mod tests {
 
     #[test]
     fn submit_and_query() {
-        let path = tmpfile("sq");
-        let _ = std::fs::remove_file(&path);
+        let (_dir, path) = tmpfile("sq");
         let db = ResultsDb::open(&path).unwrap();
         db.submit(&[record("Giraph", 10.0), record("GraphX", 20.0)])
             .unwrap();
@@ -169,8 +171,7 @@ mod tests {
 
     #[test]
     fn best_runtime_is_minimum_across_submissions() {
-        let path = tmpfile("best");
-        let _ = std::fs::remove_file(&path);
+        let (_dir, path) = tmpfile("best");
         let db = ResultsDb::open(&path).unwrap();
         db.submit(&[record("Giraph", 10.0), record("Giraph", 7.5)])
             .unwrap();
@@ -183,8 +184,7 @@ mod tests {
 
     #[test]
     fn auxiliary_docs_ride_along_with_run_records() {
-        let path = tmpfile("docs");
-        let _ = std::fs::remove_file(&path);
+        let (_dir, path) = tmpfile("docs");
         let db = ResultsDb::open(&path).unwrap();
         db.submit(&[record("Giraph", 10.0)]).unwrap();
         db.submit_docs(&[Json::obj([
@@ -204,15 +204,14 @@ mod tests {
 
     #[test]
     fn empty_database_loads_empty() {
-        let path = tmpfile("empty");
-        let _ = std::fs::remove_file(&path);
+        let (_dir, path) = tmpfile("empty");
         let db = ResultsDb::open(&path).unwrap();
         assert!(db.load().unwrap().is_empty());
     }
 
     #[test]
     fn corrupt_lines_are_skipped() {
-        let path = tmpfile("corrupt");
+        let (_dir, path) = tmpfile("corrupt");
         std::fs::write(&path, "not json\n{\"platform\":\"Giraph\"}\n").unwrap();
         let db = ResultsDb::open(&path).unwrap();
         let docs = db.load().unwrap();

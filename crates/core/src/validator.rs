@@ -7,12 +7,12 @@
 //! are cached per `(graph, algorithm)` so validating four platforms costs
 //! one oracle run.
 
+use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
 use crate::sync::lock;
 use graphalytics_algos::{reference, Algorithm, Output};
 use graphalytics_graph::CsrGraph;
-use rustc_hash::FxHashMap;
 
 /// Result of validating one run.
 #[derive(Debug, Clone, PartialEq)]
@@ -39,7 +39,7 @@ pub struct OutputValidator {
     /// pinning the allocation prevents a later graph from reusing the
     /// address and silently matching a stale entry.
     #[allow(clippy::type_complexity)]
-    cache: Mutex<FxHashMap<(usize, String), (Arc<CsrGraph>, Arc<Output>)>>,
+    cache: Mutex<BTreeMap<(usize, String), (Arc<CsrGraph>, Arc<Output>)>>,
 }
 
 impl Default for OutputValidator {
@@ -52,7 +52,7 @@ impl OutputValidator {
     /// Creates an empty validator.
     pub fn new() -> Self {
         Self {
-            cache: Mutex::new(FxHashMap::default()),
+            cache: Mutex::new(BTreeMap::new()),
         }
     }
 

@@ -240,7 +240,9 @@ pub(crate) fn propose_block(
 /// whose merge step performs the same arbitration over spilled proposals.
 pub(crate) struct Arbiter {
     remaining: Vec<u32>,
-    seen: rustc_hash::FxHashSet<(u32, u32)>,
+    /// Per person, the sorted larger endpoints of the pass's accepted edges
+    /// whose smaller endpoint it is.
+    seen: Vec<Vec<u32>>,
 }
 
 impl Arbiter {
@@ -250,7 +252,7 @@ impl Arbiter {
             remaining: (0..degrees.len() as u32)
                 .map(|v| pass_budget(config, degrees, pass, v))
                 .collect(),
-            seen: rustc_hash::FxHashSet::default(),
+            seen: vec![Vec::new(); degrees.len()],
         }
     }
 
@@ -258,16 +260,13 @@ impl Arbiter {
     /// unit from each; duplicates within the pass are skipped for free.
     pub(crate) fn accept_into(&mut self, proposals: &[Edge], out: &mut Vec<Edge>) {
         for &(a, b) in proposals {
-            let key = if a <= b {
-                (a as u32, b as u32)
-            } else {
-                (b as u32, a as u32)
-            };
             if self.remaining[a as usize] == 0 || self.remaining[b as usize] == 0 {
                 continue;
             }
-            if !self.seen.insert(key) {
-                continue;
+            let (seen, hi) = (&mut self.seen[a.min(b) as usize], a.max(b) as u32);
+            match seen.binary_search(&hi) {
+                Ok(_) => continue,
+                Err(at) => seen.insert(at, hi),
             }
             self.remaining[a as usize] -= 1;
             self.remaining[b as usize] -= 1;

@@ -17,9 +17,9 @@
 //! incrementally, accepting only swaps that reduce the distance to the
 //! targets.
 
+use graphalytics_graph::metrics::sorted_intersection_len;
 use graphalytics_graph::rng::Xoshiro256;
 use graphalytics_graph::{CsrGraph, EdgeListGraph};
-use rustc_hash::FxHashSet;
 
 /// Targets for the rewiring post-processor. `None` components are left
 /// unconstrained.
@@ -49,8 +49,8 @@ pub struct RewireReport {
 struct RewireState {
     /// Edge list; positions are stable, entries are updated in place.
     edges: Vec<(u32, u32)>,
-    /// Adjacency sets for O(1) membership and O(min-degree) intersections.
-    adj: Vec<FxHashSet<u32>>,
+    /// Sorted adjacency lists: binary-search membership, merge intersections.
+    adj: Vec<Vec<u32>>,
     /// Fixed degree of every vertex (invariant under swaps).
     deg: Vec<u32>,
     /// Current triangle count (each triangle counted once).
@@ -70,15 +70,10 @@ impl RewireState {
         let und = g.to_undirected();
         let csr = CsrGraph::from_edge_list(&und);
         let n = csr.num_vertices();
-        let mut adj: Vec<FxHashSet<u32>> = vec![FxHashSet::default(); n];
+        let adj: Vec<Vec<u32>> = (0..n as u32).map(|v| csr.neighbors(v).to_vec()).collect();
         let mut edges = Vec::with_capacity(csr.num_edges());
         for v in 0..n as u32 {
-            for &u in csr.neighbors(v) {
-                adj[v as usize].insert(u);
-                if v < u {
-                    edges.push((v, u));
-                }
-            }
+            edges.extend(csr.neighbors(v).iter().filter(|&&u| v < u).map(|&u| (v, u)));
         }
         let deg: Vec<u32> = (0..n as u32).map(|v| csr.degree(v) as u32).collect();
         let triangles = graphalytics_graph::metrics::triangle_count(&csr) as f64;
@@ -106,13 +101,25 @@ impl RewireState {
     }
 
     fn common_neighbors(&self, a: u32, b: u32) -> usize {
-        let (sa, sb) = (&self.adj[a as usize], &self.adj[b as usize]);
-        let (small, big) = if sa.len() <= sb.len() {
-            (sa, sb)
-        } else {
-            (sb, sa)
-        };
-        small.iter().filter(|x| big.contains(x)).count()
+        sorted_intersection_len(&self.adj[a as usize], &self.adj[b as usize])
+    }
+
+    fn has_edge(&self, a: u32, b: u32) -> bool {
+        self.adj[a as usize].binary_search(&b).is_ok()
+    }
+
+    /// Adds (`present`) or removes the undirected edge `(a, b)`.
+    fn set_edge(&mut self, a: u32, b: u32, present: bool) {
+        for (v, u) in [(a, b), (b, a)] {
+            let list = &mut self.adj[v as usize];
+            match (list.binary_search(&u), present) {
+                (Err(at), true) => list.insert(at, u),
+                (Ok(at), false) => {
+                    list.remove(at);
+                }
+                _ => {}
+            }
+        }
     }
 
     fn global_cc(&self) -> f64 {
@@ -143,22 +150,15 @@ impl RewireState {
     fn apply_swap(&mut self, e1: usize, e2: usize) {
         let (a, b) = self.edges[e1];
         let (c, d) = self.edges[e2];
-        // Remove (a,b).
+        // Remove (a,b) and (c,d), then add (a,d) and (c,b).
         self.triangles -= self.common_neighbors(a, b) as f64;
-        self.adj[a as usize].remove(&b);
-        self.adj[b as usize].remove(&a);
-        // Remove (c,d).
+        self.set_edge(a, b, false);
         self.triangles -= self.common_neighbors(c, d) as f64;
-        self.adj[c as usize].remove(&d);
-        self.adj[d as usize].remove(&c);
-        // Add (a,d).
+        self.set_edge(c, d, false);
         self.triangles += self.common_neighbors(a, d) as f64;
-        self.adj[a as usize].insert(d);
-        self.adj[d as usize].insert(a);
-        // Add (c,b).
+        self.set_edge(a, d, true);
         self.triangles += self.common_neighbors(c, b) as f64;
-        self.adj[c as usize].insert(b);
-        self.adj[b as usize].insert(c);
+        self.set_edge(c, b, true);
         // Assortativity numerator: Δ(Σ jk) = (da-dc)(dd-db).
         let (da, db, dc, dd) = (
             self.deg[a as usize] as f64,
@@ -183,10 +183,7 @@ impl RewireState {
         }
         // Distinct vertices across the pair (a==c or b==d would recreate an
         // existing edge or a parallel one).
-        if self.adj[a as usize].contains(&d) || self.adj[c as usize].contains(&b) {
-            return false;
-        }
-        true
+        !self.has_edge(a, d) && !self.has_edge(c, b)
     }
 }
 

@@ -7,7 +7,6 @@
 //! resulting communication volume (edge cut).
 
 use crate::csr::{CsrGraph, Vid};
-use rustc_hash::FxHashMap;
 
 /// A vertex-to-worker assignment strategy.
 pub trait Partitioner {
@@ -132,15 +131,12 @@ pub fn load_imbalance(assignment: &[u32], k: usize) -> f64 {
         return 1.0;
     }
     let mut loads = vec![0usize; k];
-    let mut counts: FxHashMap<u32, usize> = FxHashMap::default();
     for &p in assignment {
-        if (p as usize) < k {
-            loads[p as usize] += 1;
-        } else {
-            *counts.entry(p).or_default() += 1;
+        debug_assert!((p as usize) < k, "assignment references part >= k");
+        if let Some(load) = loads.get_mut(p as usize) {
+            *load += 1;
         }
     }
-    debug_assert!(counts.is_empty(), "assignment references part >= k");
     let max = loads.iter().copied().max().unwrap_or(0) as f64;
     max / (assignment.len() as f64 / k as f64)
 }

@@ -124,8 +124,8 @@ fn analyze(rel_path: &str, src: &str) -> FileAnalysis {
     if in_scope(must("determinism-entropy")) {
         determinism_entropy(rel_path, &code, findings);
     }
-    if in_scope(must("determinism-hash-iter")) {
-        determinism_hash_iter(rel_path, &code, findings);
+    if in_scope(must("determinism-hash")) {
+        determinism_hash(rel_path, &code, findings);
     }
     if in_scope(must("panic-safety")) {
         panic_safety(rel_path, &code, findings);
@@ -359,104 +359,21 @@ fn determinism_entropy(path: &str, code: &[&Tok], findings: &mut Vec<Finding>) {
     }
 }
 
-const HASH_TYPES: &[&str] = &["FxHashMap", "FxHashSet", "HashMap", "HashSet"];
-const ITER_METHODS: &[&str] = &[
-    "iter",
-    "iter_mut",
-    "keys",
-    "values",
-    "values_mut",
-    "drain",
-    "into_iter",
-    "into_keys",
-    "into_values",
-    "retain",
-];
-
-fn determinism_hash_iter(path: &str, code: &[&Tok], findings: &mut Vec<Finding>) {
-    // Pass 1: names bound to hash-map/set types in this file — via type
-    // ascription (`name: [&][mut] FxHashMap<...>`, covering let bindings,
-    // fn params, and struct fields) or construction
-    // (`name = FxHashMap::default()`).
-    let mut hash_names: Vec<&str> = Vec::new();
-    let is_hash_ty = |t: &Tok| t.kind == TokKind::Ident && HASH_TYPES.contains(&t.text.as_str());
-    for i in 0..code.len() {
-        if code[i].kind != TokKind::Ident {
-            continue;
-        }
-        let name = code[i].text.as_str();
-        let mut j = i + 1;
-        let sep_colon = code.get(j).is_some_and(|t| t.is_punct(':'))
-            && !code.get(j + 1).is_some_and(|t| t.is_punct(':'));
-        let sep_eq = code.get(j).is_some_and(|t| t.is_punct('='))
-            && !code.get(j + 1).is_some_and(|t| t.is_punct('='));
-        if !(sep_colon || sep_eq) {
-            continue;
-        }
-        j += 1;
-        while code
-            .get(j)
-            .is_some_and(|t| t.is_punct('&') || t.is_ident("mut") || t.kind == TokKind::Lifetime)
-        {
-            j += 1;
-        }
-        if code.get(j).is_some_and(|t| is_hash_ty(t)) && !hash_names.contains(&name) {
-            hash_names.push(name);
-        }
-    }
-
-    // Pass 2: iteration over those names.
-    for w in code.windows(4) {
-        if w[1].is_punct('.')
-            && w[3].is_punct('(')
-            && w[0].kind == TokKind::Ident
-            && w[2].kind == TokKind::Ident
-            && hash_names.contains(&w[0].text.as_str())
-            && ITER_METHODS.contains(&w[2].text.as_str())
-        {
+fn determinism_hash(path: &str, code: &[&Tok], findings: &mut Vec<Finding>) {
+    const HASH_TYPES: &[&str] = &["HashMap", "HashSet", "FxHashMap", "FxHashSet", "FxHasher"];
+    for t in code {
+        if t.kind == TokKind::Ident && HASH_TYPES.contains(&t.text.as_str()) {
             push(
                 findings,
-                "determinism-hash-iter",
+                "determinism-hash",
                 path,
-                w[2].line,
+                t.line,
                 format!(
-                    "iterating hash collection `{}` via `.{}()`: hash order is not part of \
-                     the determinism contract — sort before ordered output, or allow with \
-                     a written order-insensitivity argument",
-                    w[0].text, w[2].text
+                    "`{}` in a determinism-scoped crate: keep per-vertex state in a \
+                     vertex-indexed Vec, sort and scan, or use a BTreeMap",
+                    t.text
                 ),
             );
-        }
-    }
-    // `for x in [&[mut]] name {` — direct IntoIterator over the collection.
-    for i in 0..code.len() {
-        if !code[i].is_ident("in") {
-            continue;
-        }
-        let mut j = i + 1;
-        while code
-            .get(j)
-            .is_some_and(|t| t.is_punct('&') || t.is_ident("mut"))
-        {
-            j += 1;
-        }
-        if let (Some(name_tok), Some(brace)) = (code.get(j), code.get(j + 1)) {
-            if name_tok.kind == TokKind::Ident
-                && hash_names.contains(&name_tok.text.as_str())
-                && brace.is_punct('{')
-            {
-                push(
-                    findings,
-                    "determinism-hash-iter",
-                    path,
-                    name_tok.line,
-                    format!(
-                        "`for .. in {}` iterates a hash collection: hash order is not part \
-                         of the determinism contract",
-                        name_tok.text
-                    ),
-                );
-            }
         }
     }
 }
@@ -943,19 +860,30 @@ mod tests {
     }
 
     #[test]
-    fn hash_iter_tracks_bindings_and_params() {
+    fn hash_types_are_findings_wherever_named() {
+        // The import, the parameter type and the constructor path each
+        // fire; iterating the binding adds nothing — naming is the finding.
         let src = "use rustc_hash::FxHashMap;\n\
                    fn f(weight: &mut FxHashMap<u32, f64>) -> Vec<u32> {\n\
-                   let mut out: Vec<u32> = weight.keys().copied().collect();\n\
-                   out\n\
+                   let s: std::collections::HashSet<u32> = std::collections::HashSet::new();\n\
+                   let h = rustc_hash::FxHasher::default();\n\
+                   weight.keys().copied().collect()\n\
                    }\n";
         assert_eq!(
             rules_at("crates/algos/src/x.rs", src),
-            vec![("determinism-hash-iter", 3)]
+            vec![
+                ("determinism-hash", 1),
+                ("determinism-hash", 2),
+                ("determinism-hash", 3),
+                ("determinism-hash", 4),
+            ]
         );
-        // Plain Vec iteration never fires.
-        let vec_src = "fn f(xs: &Vec<u32>) -> usize { xs.iter().count() }\n";
-        assert_eq!(rules_at("crates/algos/src/x.rs", vec_src), vec![]);
+        // Outside the determinism crates the engines may hash freely.
+        assert_eq!(rules_at("crates/dataflow/src/x.rs", src), vec![]);
+        // Ordered containers, and hash names in strings or comments, pass.
+        let ordered = "// a HashMap would do, but BTreeMap keeps the order\n\
+                       fn f(m: &std::collections::BTreeMap<u32, u32>) -> &str { \"HashSet\" }\n";
+        assert_eq!(rules_at("crates/algos/src/x.rs", ordered), vec![]);
     }
 
     #[test]
@@ -968,7 +896,7 @@ mod tests {
                    }\n";
         assert_eq!(
             rules_at("crates/datagen/src/x.rs", src),
-            vec![("determinism-hash-iter", 3)]
+            vec![("determinism-hash", 1), ("determinism-hash", 2)]
         );
     }
 

@@ -19,7 +19,7 @@
 //! |------|-------|-----------|
 //! | `determinism-time` | determinism crates | no wall clocks |
 //! | `determinism-entropy` | all crates | only seeded RNG constructors |
-//! | `determinism-hash-iter` | determinism crates | hash iteration is order-insensitive or sorted |
+//! | `determinism-hash` | determinism crates | no hash container or hasher is named |
 //! | `panic-safety` | platform crates | no `unwrap`/`expect`/`panic!` |
 //! | `unsafe-audit` | all crates | every `unsafe` carries `// SAFETY:` |
 //! | `metric-grammar` | all crates | canonical metric/span names |

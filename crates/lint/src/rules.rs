@@ -90,9 +90,9 @@ pub const RULES: &[Rule] = &[
         id: "determinism-time",
         crates: Some(DETERMINISM_CRATES),
         summary: "no Instant/SystemTime/std::time in datagen, algos, graph, parallel, \
-                  faults, obs, serve, or distrib: generated data, reference outputs, \
-                  fault plans, profile analysis, job timelines, and the distributed \
-                  wire protocol must not depend on wall clocks",
+                  faults, codec, obs, serve, or distrib: generated data, reference outputs, \
+                  fault plans, encoded bytes, profile analysis, job timelines, and the \
+                  distributed wire protocol must not depend on wall clocks",
     },
     Rule {
         id: "determinism-entropy",
@@ -101,10 +101,11 @@ pub const RULES: &[Rule] = &[
                   all randomness flows from the seeded SplitMix64/Xoshiro256 constructors",
     },
     Rule {
-        id: "determinism-hash-iter",
+        id: "determinism-hash",
         crates: Some(DETERMINISM_CRATES),
-        summary: "iterating a HashMap/HashSet in determinism-critical crates must be \
-                  order-insensitive or explicitly sorted before feeding ordered output",
+        summary: "no HashMap/HashSet/FxHashMap/FxHashSet/FxHasher in determinism crates: \
+                  per-vertex state lives in vertex-indexed Vecs, sort-and-scan or BTreeMaps; \
+                  hashing belongs to the engines that model hashing systems",
     },
     Rule {
         id: "panic-safety",

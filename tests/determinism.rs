@@ -12,6 +12,7 @@ use graphalytics_algos::{
     bfs, conn, lcc, pagerank, reference, reference_with_threads, sssp, Algorithm, Output,
 };
 use graphalytics_core::platform::RunContext;
+use graphalytics_core::ScratchDir;
 use graphalytics_datagen::cluster::{generate_to_disk, GenerationMode};
 use graphalytics_datagen::DatagenConfig;
 use graphalytics_graph::CsrGraph;
@@ -44,16 +45,10 @@ fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-fn scratch_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("gx-determinism-{}-{name}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create scratch dir");
-    dir
-}
-
 #[test]
 fn datagen_is_thread_count_invariant() {
-    let dir = scratch_dir("datagen");
+    let scratch = ScratchDir::new(None, "gx-determinism").expect("create scratch dir");
+    let dir = scratch.path();
     let cfg = DatagenConfig::new(400, 0xDECAF);
 
     let mut hashes = Vec::new();
@@ -87,14 +82,14 @@ fn datagen_is_thread_count_invariant() {
         hashes[0], hashes[2],
         "single-node and cluster runs disagree on the edge set"
     );
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn datagen_seed_changes_the_graph() {
     // The converse sanity check: hashing is not degenerate — a different
     // seed yields a different edge set.
-    let dir = scratch_dir("seeds");
+    let scratch = ScratchDir::new(None, "gx-determinism").expect("create scratch dir");
+    let dir = scratch.path();
     let mut hashes = Vec::new();
     for seed in [1u64, 2] {
         let out = dir.join(format!("s{seed}.e"));
@@ -104,7 +99,6 @@ fn datagen_seed_changes_the_graph() {
         hashes.push(edge_set_hash(&out));
     }
     assert_ne!(hashes[0], hashes[1], "seed does not influence the graph");
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 fn pregel_test_graph() -> Arc<CsrGraph> {

@@ -6,6 +6,7 @@
 use graphalytics::prelude::*;
 use graphalytics_core::report;
 use graphalytics_core::results::ResultsDb;
+use graphalytics_core::ScratchDir;
 use graphalytics_dataflow::GraphXConfig;
 use graphalytics_graphdb::Neo4jConfig;
 use std::time::Duration;
@@ -114,9 +115,8 @@ fn unsupported_workloads_are_failure_cells_not_crashes() {
 
 #[test]
 fn results_database_accumulates_submissions() {
-    let path = std::env::temp_dir().join(format!("gx-e2e-results-{}.jsonl", std::process::id()));
-    let _ = std::fs::remove_file(&path);
-    let db = ResultsDb::open(&path).expect("open");
+    let dir = ScratchDir::new(None, "gx-e2e-results").expect("scratch dir");
+    let db = ResultsDb::open(dir.path().join("results.jsonl")).expect("open");
 
     let s = suite(vec![Dataset::graph500(6)], vec![Algorithm::default_bfs()]);
     let mut platforms: Vec<Box<dyn Platform>> = vec![Box::new(GiraphPlatform::with_defaults())];
