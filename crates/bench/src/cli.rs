@@ -20,7 +20,7 @@ use std::str::FromStr;
 use graphalytics_core::config::{parse_knob, ConfigError};
 
 use crate::commands::{
-    chokepoints, datagen, etl, fig1, fig3, fleet, ladder, robustness, run, sec34, sec35, table1,
+    chokepoints, datagen, fig1, fig3, fleet, ladder, robustness, run, sec34, sec35, table1,
 };
 
 /// A `--flag` of a command: the flag, the placeholder of its value in
@@ -76,7 +76,7 @@ const LADDER_FLAGS: &[Flag] = &[
 ];
 
 /// Every command of the binary, in `--help` order.
-pub static COMMANDS: [Command; 13] = [
+pub static COMMANDS: [Command; 12] = [
     Command {
         name: "run",
         purpose: "run the benchmark a properties file describes and write its reports (§2.3)",
@@ -91,13 +91,6 @@ pub static COMMANDS: [Command; 13] = [
             "<snb|graph500|amazon|youtube|livejournal|patents|wikipedia> <prefix> [key=value ...]",
         flags: &[],
         run: datagen::run,
-    },
-    Command {
-        name: "etl",
-        purpose: "graph load (ETL) time per platform, the paper's declared future work",
-        positional: "",
-        flags: &[],
-        run: etl::run,
     },
     Command {
         name: "table1",
@@ -150,7 +143,7 @@ pub static COMMANDS: [Command; 13] = [
     },
     Command {
         name: "robustness",
-        purpose: "success rate and recovery overhead vs injected fault rate",
+        purpose: "success rate and recoveries vs injected fault rate",
         positional: "",
         flags: OBS_FLAGS,
         run: robustness::run,
@@ -164,7 +157,7 @@ pub static COMMANDS: [Command; 13] = [
     },
     Command {
         name: "chokepoints",
-        purpose: "Section 2.1 ablations: edge cut, remote messages, bytes/edge, locality, skew",
+        purpose: "Section 2.1 ablations: edge cut, remote messages, bytes/edge, skew",
         positional: "",
         flags: &[],
         run: chokepoints::run,
@@ -176,13 +169,12 @@ pub static COMMANDS: [Command; 13] = [
 /// distributed-pregel runtime (`crates/distrib`), which `run` and `ladder`
 /// can start; they are listed so this table names every variable.
 #[rustfmt::skip] // one row per knob
-pub static KNOBS: [Knob; 20] = [
-    ("GX_SCALE", "usize", "etl=13 fig4=13 fig5=13 robustness=8 chokepoints=12",
+pub static KNOBS: [Knob; 19] = [
+    ("GX_SCALE", "usize", "fig4=13 fig5=13 robustness=8 chokepoints=12",
      "Graph500 scale (log2 of the vertex count)"),
     ("GX_DIVISOR", "usize", "table1=40 fig4=200 fig5=200",
      "size reduction of the real-graph stand-ins (fig4/fig5: Patents)"),
-    ("GX_PERSONS", "usize",
-     "etl=10000 fig1=50000 fig4=10000 fig5=10000 sec34=100000 chokepoints=20000",
+    ("GX_PERSONS", "usize", "fig1=50000 fig4=10000 fig5=10000 sec34=100000 chokepoints=20000",
      "persons of the SNB (Datagen) graph"),
     ("GX_GRAPHX_MB", "usize", "fig4=11 fig5=11", "GraphX executor memory budget in MiB"),
     ("GX_TIMEOUT_SECS", "u64", "fig4=180 fig5=180 robustness=180",
@@ -199,7 +191,6 @@ pub static KNOBS: [Knob; 20] = [
     ("GX_SOURCE", "usize", "sec34=420", "source vertex of the transitive query"),
     ("GX_REPO_ROOT", "path", "sec35=<checkout>",
      "repository the quality report analyzes (default: the checkout this binary was built from)"),
-    ("GX_REPS", "usize", "etl=3", "timed repetitions per measurement; the median is reported"),
     ("GX_FAULT_SEED", "u64", "robustness=42", "seed every round's fault plan derives from"),
     ("GX_FAULT_RATES", "f64 list", "robustness=0.02,0.05,0.1", "comma-separated uniform fault rates"),
     ("GX_ROUNDS", "usize", "robustness=3", "independently seeded rounds per fault rate"),

@@ -7,26 +7,22 @@
 //!   graph: better partitioning cuts the "network" traffic.
 //! * **Large graph memory footprint** — CSR vs record-store vs dataset
 //!   bytes per edge (compact representations keep graphs in RAM longer).
-//! * **Poor access locality** — sequential CSR sweeps vs random vertex
-//!   probes over the same adjacency.
 //! * **Skewed execution intensity** — per-superstep work skew on a skewed
 //!   R-MAT graph vs a degree-regular grid at equal edge count.
 //!
-//! Cuts, message counts, bytes and skew factors are exact and repeat from
-//! run to run. Only the locality ablation is a time (a ratio of two
-//! medians on this machine); how fast partitioning, CSR builds and the
-//! Pregel engine are is `perfbench/`'s to measure, not this command's.
+//! Every number printed — cuts, message counts, bytes and skew factors —
+//! is exact and repeats from run to run. The fourth choke point, poor
+//! access locality, is counted per run by the `--profile-out` choke-point
+//! report (sequential vs random accesses); how fast partitioning, CSR
+//! builds and the Pregel engine are is `perfbench/`'s to measure, not this
+//! command's.
 
-use std::hint::black_box;
 use std::process::ExitCode;
 use std::sync::Arc;
-use std::time::Instant;
 
 use graphalytics_core::platform::RunContext;
-use graphalytics_core::runner::median;
 use graphalytics_datagen::{generate, rmat, DatagenConfig, DegreeDistribution, RmatConfig};
 use graphalytics_graph::partition::{edge_cut, HashPartitioner, LdgPartitioner, Partitioner};
-use graphalytics_graph::rng::Xoshiro256;
 use graphalytics_graph::{CsrGraph, EdgeListGraph, Vid};
 use graphalytics_platforms::pregel::{
     programs::ConnProgram, run as pregel_run, PartitionerKind, PregelConfig, PregelStats,
@@ -34,9 +30,8 @@ use graphalytics_platforms::pregel::{
 
 use crate::{or_exit, Args};
 
-/// Workers of every partitioned run, and timed passes per locality sweep.
+/// Workers of every partitioned run.
 const WORKERS: usize = 4;
-const REPS: usize = 10;
 
 fn rmat_csr(scale: u32, seed: u64) -> Arc<CsrGraph> {
     let edges = rmat::generate(&RmatConfig::graph500(scale, seed));
@@ -105,36 +100,6 @@ fn memory_footprint(scale: u32) {
     );
 }
 
-/// Locality choke point: sequential sweep vs random probes over the same
-/// number of adjacency reads, each the median of `REPS` passes.
-fn access_locality(scale: u32) {
-    let g = rmat_csr(scale, 9);
-    let n = g.num_vertices() as u32;
-    let mut rng = Xoshiro256::new(77);
-    let random_order: Vec<u32> = (0..n).map(|_| rng.next_bounded(n as u64) as u32).collect();
-    let sweep = |order: &mut dyn Iterator<Item = u32>| {
-        let started = Instant::now();
-        let mut acc = 0u64;
-        for v in order {
-            for &u in g.neighbors(v) {
-                acc = acc.wrapping_add(u as u64);
-            }
-        }
-        black_box(acc);
-        started.elapsed().as_secs_f64()
-    };
-    let sequential: Vec<f64> = (0..REPS).map(|_| sweep(&mut (0..n))).collect();
-    let random: Vec<f64> = (0..REPS)
-        .map(|_| sweep(&mut random_order.iter().copied()))
-        .collect();
-    let (sequential, random) = (median(&sequential), median(&random));
-    println!(
-        "[chokepoint:locality] {n} adjacency lists — sequential sweep: {sequential:.6} s, \
-         random probes: {random:.6} s ({:.2}x)",
-        random / sequential
-    );
-}
-
 /// Skew choke point: per-superstep worker imbalance on a skewed graph vs
 /// a regular grid with the same edge count.
 fn execution_skew(scale: u32) {
@@ -178,10 +143,9 @@ fn execution_skew(scale: u32) {
 pub fn run(args: &Args) -> ExitCode {
     let scale = or_exit(args.knob::<usize>("GX_SCALE")) as u32;
     let persons: usize = or_exit(args.knob("GX_PERSONS"));
-    println!("Choke points (paper §2.1): network, memory, locality, skew\n");
+    println!("Choke points (paper §2.1): network, memory, skew\n");
     network_partitioning(persons);
     memory_footprint(scale);
-    access_locality(scale + 2);
     execution_skew(scale);
     ExitCode::SUCCESS
 }

@@ -6,8 +6,8 @@
 //! platform still passes. `bench ladder` drives that walk: per platform,
 //! per scale, the chosen kernels run under the cooperative timeout; the
 //! first failing scale stops the climb and the report records the largest
-//! passing scale, the per-scale wall time there, and the failure that
-//! ended the climb.
+//! passing scale and the failure that ended the climb. How long a rung
+//! took is `perfbench/`'s to measure, not this command's.
 //!
 //! A platform that survives the whole ladder reports the ceiling scale
 //! with no failure — raise `--max-scale` to find its true limit.
@@ -131,8 +131,6 @@ pub struct LadderCell {
     pub workers: Option<usize>,
     /// Largest Graph500 scale at which every kernel passed.
     pub largest_passing: Option<u32>,
-    /// Wall seconds summed over the kernels at the largest passing scale.
-    pub seconds_at_largest: Option<f64>,
     /// The scale at which the climb ended, if the ladder was not exhausted.
     pub failing_scale: Option<u32>,
     /// What ended the climb (kernel and failure kind).
@@ -159,7 +157,6 @@ pub fn climb(
                 .ok()
                 .map(|row| (row.default_workers)()),
             largest_passing: None,
-            seconds_at_largest: None,
             failing_scale: None,
             failure: None,
             max_skew: None,
@@ -194,13 +191,6 @@ pub fn climb(
             match failure {
                 None => {
                     cell.largest_passing = Some(scale);
-                    cell.seconds_at_largest = Some(
-                        result
-                            .runs
-                            .iter()
-                            .filter_map(|r| r.runtime_seconds)
-                            .sum::<f64>(),
-                    );
                     cell.max_skew = rung_max_skew(&tracer.finished_spans());
                     eprintln!("  {name} @ scale {scale}: pass");
                 }
@@ -254,7 +244,6 @@ pub fn run(args: &Args) -> ExitCode {
             "platform",
             "workers",
             "largest scale",
-            "seconds",
             "max-skew",
             "climb ended by",
         ],
@@ -268,8 +257,8 @@ pub fn run(args: &Args) -> ExitCode {
 }
 
 /// Renders the report rows (platform, worker count, largest passing
-/// scale, wall time there, worst worker-time Gini, and what stopped the
-/// climb) for [`print_table`].
+/// scale, worst worker-time Gini there, and what stopped the climb) for
+/// [`print_table`].
 pub fn report_rows(cells: &[LadderCell]) -> Vec<Vec<String>> {
     cells
         .iter()
@@ -281,9 +270,6 @@ pub fn report_rows(cells: &[LadderCell]) -> Vec<Vec<String>> {
                     .unwrap_or_else(|| "-".to_string()),
                 c.largest_passing
                     .map(|s| s.to_string())
-                    .unwrap_or_else(|| "-".to_string()),
-                c.seconds_at_largest
-                    .map(|s| format!("{s:.2}"))
                     .unwrap_or_else(|| "-".to_string()),
                 c.max_skew
                     .map(|g| format!("{g:.3}"))
@@ -379,7 +365,6 @@ mod tests {
         let c = &cells[0];
         assert_eq!(c.largest_passing, Some(7));
         assert_eq!(c.failing_scale, None, "{c:?}");
-        assert!(c.seconds_at_largest.unwrap() >= 0.0);
     }
 
     /// A platform that refuses to load graphs at or above a scale cutoff —
@@ -431,8 +416,8 @@ mod tests {
         let rows = report_rows(&cells);
         assert_eq!(rows[0][1], "-", "unknown platform has no worker count");
         assert_eq!(rows[0][2], "6");
-        assert_eq!(rows[0][4], "-", "no worker telemetry, no skew");
-        assert!(rows[0][5].contains("scale 7"), "{:?}", rows[0]);
+        assert_eq!(rows[0][3], "-", "no worker telemetry, no skew");
+        assert!(rows[0][4].contains("scale 7"), "{:?}", rows[0]);
     }
 
     #[test]

@@ -3,7 +3,6 @@
 
 pub mod chokepoints;
 pub mod datagen;
-pub mod etl;
 pub mod fig1;
 pub mod fig3;
 pub mod fleet;

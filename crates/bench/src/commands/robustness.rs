@@ -1,21 +1,20 @@
-//! Robustness report — success rate and recovery overhead vs fault rate.
+//! Robustness report — success rate and recoveries vs fault rate.
 //!
 //! The paper's methodology (§2.3) lists *robustness* among the benchmark
 //! dimensions next to raw performance: what happens to a platform when
 //! the cluster misbehaves. This driver injects deterministic faults —
 //! worker crashes (Giraph), shuffle-partition loss and allocation
 //! failures (GraphX), transient task I/O (MapReduce) — at increasing
-//! rates and reports, per platform × algorithm:
-//!
-//! * the success rate over `GX_ROUNDS` independently-seeded rounds, and
-//! * the recovery overhead: median runtime of the successful faulty runs
-//!   relative to the fault-free baseline (checkpoint writes, superstep
-//!   re-execution, lineage recompute and task retries all show up here).
+//! rates and reports the success rate of every platform × algorithm over
+//! `GX_ROUNDS` independently-seeded rounds, and per rate the faults
+//! injected, the recoveries and the checkpoints written.
 //!
 //! Every run validates against the reference implementation, so a
 //! "recovered" run that silently corrupted its output would be reported
-//! as invalid, not successful. With `--trace-out`/`--profile-out` the
-//! trace and profile cover every round, baseline included.
+//! as invalid, not successful. Every number is a count, so the same
+//! `GX_FAULT_SEED` prints the same report. What recovery costs in time is
+//! `perfbench/`'s to measure. With `--trace-out`/`--profile-out` the
+//! trace and profile cover every round.
 
 use std::collections::BTreeMap;
 use std::process::ExitCode;
@@ -24,7 +23,6 @@ use std::time::Duration;
 
 use crate::{or_exit, print_table, Args, ObsSession};
 use graphalytics_core::faults::{FaultInjector, FaultPlan, RetryPolicy};
-use graphalytics_core::runner::median;
 use graphalytics_core::{BenchmarkConfig, BenchmarkSuite, Dataset, Platform};
 use graphalytics_platforms::{GiraphPlatform, GraphXPlatform, MapReducePlatform, PregelConfig};
 
@@ -57,42 +55,14 @@ pub fn run(args: &Args) -> ExitCode {
         graphalytics_algos::Algorithm::Conn,
         graphalytics_algos::Algorithm::default_pagerank(),
     ];
-    let base_config = BenchmarkConfig {
-        timeout: Some(Duration::from_secs(timeout)),
-        ..Default::default()
-    };
 
     eprintln!(
         "Robustness run: Graph500 {scale}, seed {seed}, rates {rates:?}, \
          {rounds} rounds, checkpoint every {checkpoint_interval} supersteps"
     );
 
-    // Fault-free baseline: the denominator for the overhead column.
-    let suite = BenchmarkSuite::new(datasets.clone(), algorithms.clone(), base_config.clone());
-    let baseline = suite.run_traced(&mut fleet(checkpoint_interval), &session.tracer);
-    let mut base_runtime: BTreeMap<(String, String), f64> = BTreeMap::new();
-    for r in &baseline.runs {
-        assert!(
-            r.status.is_success() && r.validation.is_valid(),
-            "fault-free baseline must pass: {}/{} was {:?}",
-            r.platform,
-            r.algorithm,
-            r.status
-        );
-        base_runtime.insert(
-            (r.platform.clone(), r.algorithm.clone()),
-            r.runtime_seconds.unwrap_or(0.0),
-        );
-    }
-
-    // Per cell × rate: (successes, runtimes of successful rounds, retries).
-    #[derive(Default, Clone)]
-    struct Cell {
-        successes: usize,
-        runtimes: Vec<f64>,
-        retries: usize,
-    }
-    let mut cells: BTreeMap<(String, String), Vec<Cell>> = BTreeMap::new();
+    // Per platform × algorithm: valid successful rounds at each rate.
+    let mut successes: BTreeMap<(String, String), Vec<usize>> = BTreeMap::new();
     let mut injected_per_rate = vec![0usize; rates.len()];
     let mut recovered_per_rate = vec![0usize; rates.len()];
     let mut checkpoints_per_rate = vec![0usize; rates.len()];
@@ -109,24 +79,19 @@ pub fn run(args: &Args) -> ExitCode {
                 FaultPlan::seeded(round_seed).with_uniform_rate(rate),
             ));
             let config = BenchmarkConfig {
+                timeout: Some(Duration::from_secs(timeout)),
                 retry: RetryPolicy::new(3, 10, round_seed),
                 faults: Some(Arc::clone(&injector)),
-                ..base_config.clone()
+                ..Default::default()
             };
             let suite = BenchmarkSuite::new(datasets.clone(), algorithms.clone(), config);
             let result = suite.run_traced(&mut fleet(checkpoint_interval), &session.tracer);
             for r in &result.runs {
                 let key = (r.platform.clone(), r.algorithm.clone());
-                let cell = &mut cells
-                    .entry(key)
-                    .or_insert_with(|| vec![Cell::default(); rates.len()])[ri];
+                let per_rate = successes.entry(key).or_insert_with(|| vec![0; rates.len()]);
                 if r.status.is_success() && r.validation.is_valid() {
-                    cell.successes += 1;
-                    if let Some(rt) = r.runtime_seconds {
-                        cell.runtimes.push(rt);
-                    }
+                    per_rate[ri] += 1;
                 }
-                cell.retries += r.retries;
             }
             injected_per_rate[ri] += injector.injected_count();
             recovered_per_rate[ri] += injector.recovery_count();
@@ -134,33 +99,18 @@ pub fn run(args: &Args) -> ExitCode {
         }
     }
 
-    let mut header: Vec<String> = vec!["platform".into(), "algorithm".into(), "base [s]".into()];
-    for rate in &rates {
-        header.push(format!("ok@{rate}"));
-        header.push(format!("ovh@{rate}"));
-    }
+    let mut header: Vec<String> = vec!["platform".into(), "algorithm".into()];
+    header.extend(rates.iter().map(|rate| format!("ok@{rate}")));
     let header_refs: Vec<&str> = header.iter().map(String::as_str).collect();
     let mut rows = Vec::new();
-    for ((platform, algorithm), rate_cells) in &cells {
-        let base = base_runtime
-            .get(&(platform.clone(), algorithm.clone()))
-            .copied()
-            .unwrap_or(0.0);
-        let mut row = vec![platform.clone(), algorithm.clone(), format!("{base:.3}")];
-        for cell in rate_cells {
-            row.push(format!("{}/{rounds}", cell.successes));
-            if cell.runtimes.is_empty() || base <= 0.0 {
-                row.push("—".into());
-            } else {
-                let overhead = median(&cell.runtimes) / base - 1.0;
-                row.push(format!("{:+.0}%", 100.0 * overhead));
-            }
-        }
+    for ((platform, algorithm), per_rate) in &successes {
+        let mut row = vec![platform.clone(), algorithm.clone()];
+        row.extend(per_rate.iter().map(|ok| format!("{ok}/{rounds}")));
         rows.push(row);
     }
 
     println!(
-        "Robustness: success rate and recovery overhead vs fault rate \
+        "Robustness: success rate vs fault rate \
          (Graph500 {scale}, {rounds} rounds per rate, seed {seed})\n"
     );
     print_table(&header_refs, &rows);

@@ -1,8 +1,8 @@
 //! The `bench` binary from the outside: every row of the command table
 //! runs, `--help` prints both tables, mistakes exit 2 naming what was
-//! wrong, and the deterministic commands still print the bytes the
-//! separate `table1`, `fig1` and `datagen` binaries printed before they
-//! were folded into this one.
+//! wrong, the deterministic commands still print the bytes the separate
+//! `table1`, `fig1` and `datagen` binaries printed before they were folded
+//! into this one, and `chokepoints` and `robustness` print pinned bytes.
 
 use std::path::Path;
 use std::process::{Command, Output};
@@ -17,7 +17,6 @@ const TINY: &[(&str, &str)] = &[
     ("GX_DIVISOR", "4000"),
     ("GX_ROUNDS", "1"),
     ("GX_SIZES", "500"),
-    ("GX_REPS", "1"),
     ("GX_SEED", "1"),
 ];
 
@@ -26,7 +25,6 @@ const TINY: &[(&str, &str)] = &[
 const TITLES: &[(&str, &[&str], &str)] = &[
     ("run", &["--threads=2", "run.properties"], "# Graphalytics benchmark report — run.properties"),
     ("datagen", &["graph500", "g", "scale=6"], "wrote g.v / g.e (64 vertices,"),
-    ("etl", &[], "ETL (graph load) time per platform"),
     ("table1", &[], "Table 1: characteristics of real-graph stand-ins (scale 1/4000)"),
     ("fig1", &[], "Figure 1: Datagen degree distributions vs analytic models"),
     ("fig3", &[], "Figure 3: Datagen scalability"),
@@ -34,9 +32,9 @@ const TITLES: &[(&str, &[&str], &str)] = &[
     ("fig5", &[], "Figure 5: CONN throughput"),
     ("sec34", &[], "§3.4: BFS on a DBMS — SNB 500, 8 partition threads"),
     ("sec35", &[], "§3.5: code-quality report for "),
-    ("robustness", &[], "Robustness: success rate and recovery overhead"),
+    ("robustness", &[], "Robustness: success rate vs fault rate"),
     ("ladder", &["--platforms=reference", "--start-scale", "6", "--max-scale=6"],
-     "platform   workers  largest scale  seconds  max-skew"),
+     "platform   workers  largest scale  max-skew"),
     ("chokepoints", &[], "Choke points (paper §2.1)"),
 ];
 
@@ -44,9 +42,9 @@ const TITLES: &[(&str, &[&str], &str)] = &[
 /// `bench --help` prints them: a renamed, retyped or re-defaulted knob
 /// must change this list.
 const KNOBS: &str = "\
-GX_SCALE usize etl=13 fig4=13 fig5=13 robustness=8 chokepoints=12
+GX_SCALE usize fig4=13 fig5=13 robustness=8 chokepoints=12
 GX_DIVISOR usize table1=40 fig4=200 fig5=200
-GX_PERSONS usize etl=10000 fig1=50000 fig4=10000 fig5=10000 sec34=100000 chokepoints=20000
+GX_PERSONS usize fig1=50000 fig4=10000 fig5=10000 sec34=100000 chokepoints=20000
 GX_GRAPHX_MB usize fig4=11 fig5=11
 GX_TIMEOUT_SECS u64 fig4=180 fig5=180 robustness=180
 GX_SEED u64 table1=1 fig1=1 fig3=1
@@ -57,7 +55,6 @@ GX_DISK_MBPS usize fig3=150
 GX_JOB_LATENCY_DECISECS usize fig3=20
 GX_SOURCE usize sec34=420
 GX_REPO_ROOT path sec35=<checkout>
-GX_REPS usize etl=3
 GX_FAULT_SEED u64 robustness=42
 GX_FAULT_RATES f64 list robustness=0.02,0.05,0.1
 GX_ROUNDS usize robustness=3
@@ -163,10 +160,12 @@ fn mistakes_exit_2_and_say_what_was_wrong() {
     );
     let names: Vec<&str> = COMMANDS.iter().map(|c| c.name).collect();
     let available = names.join(", ");
-    assert_eq!(
-        failure(&["fig6"], &[]),
-        format!("unknown command \"fig6\" (available: {available})\n")
-    );
+    for name in ["fig6", "etl"] {
+        assert_eq!(
+            failure(&[name], &[]),
+            format!("unknown command \"{name}\" (available: {available})\n")
+        );
+    }
     assert!(failure(&[], &[]).contains("usage: bench <command>"));
     // `--threads` configures the reference platform, which only `run`
     // can build: elsewhere it is not a flag.
@@ -187,17 +186,22 @@ fn mistakes_exit_2_and_say_what_was_wrong() {
 
 /// The byte-identity gate of folding twelve binaries into one: hashes of
 /// what the parent commit's `table1`, `fig1` and `datagen` binaries wrote
-/// for the same knobs, recorded before the fold.
+/// for the same knobs, recorded before the fold. `chokepoints` and
+/// `robustness` print only counts, so their output is pinned too: the same
+/// `GX_FAULT_SEED` must print the same robustness report.
 #[test]
 fn deterministic_outputs_match_the_separate_binaries() {
     let dir = ScratchDir::new(None, "gx-bench-cli").unwrap();
-    let stdout_hash = |command: &str| {
+    for (command, hash) in [
+        ("table1", 0xaf53_fd37_de53_d3f9_u64),
+        ("fig1", 0x3cc3_bffd_2adb_2b04),
+        ("chokepoints", 0x48e1_373f_3642_a44d),
+        ("robustness", 0xa8e0_b15a_e239_963f),
+    ] {
         let out = bench(&[command], TINY, dir.path());
         assert!(out.status.success(), "bench {command}");
-        fnv(&out.stdout)
-    };
-    assert_eq!(stdout_hash("table1"), 0xaf53_fd37_de53_d3f9, "table1");
-    assert_eq!(stdout_hash("fig1"), 0x3cc3_bffd_2adb_2b04, "fig1");
+        assert_eq!(fnv(&out.stdout), hash, "{command}");
+    }
 
     for args in [
         ["datagen", "snb", "snb", "persons=500", "seed=7"],

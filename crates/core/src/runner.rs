@@ -530,7 +530,7 @@ impl BenchmarkSuite {
 }
 
 /// Median of a non-empty slice (mean of the middle pair for even lengths).
-pub fn median(xs: &[f64]) -> f64 {
+fn median(xs: &[f64]) -> f64 {
     debug_assert!(!xs.is_empty());
     let mut sorted = xs.to_vec();
     sorted.sort_by(|a, b| a.total_cmp(b));

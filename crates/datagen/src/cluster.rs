@@ -23,8 +23,6 @@
 use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
-// lint:allow(determinism-time): wall-clock timing feeds GenerationStats (the Figure 3 measurement), never the generated graph
-use std::time::Instant;
 
 use graphalytics_graph::GraphError;
 
@@ -41,7 +39,7 @@ use crate::persons::generate_persons;
 /// hardware (every temp file lands in the same page cache), so Figure 3's
 /// driver *models* device time: output bytes divided by the per-device
 /// bandwidth, with the cluster's bytes spread over `workers` devices. The
-/// measured compute/setup times stay real; only the device-drain time is
+/// driver's measured wall clock stays real; only the device-drain time is
 /// modeled. See [`GenerationStats::modeled_io_seconds`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DiskModel {
@@ -100,17 +98,12 @@ pub enum GenerationMode {
     },
 }
 
-/// Timing breakdown of one generation run.
+/// Output accounting of one generation run: what the disk and job model
+/// of Figure 3 charges on top of the run's measured wall clock.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GenerationStats {
     /// Edges written (before dedup — the raw generator output volume).
     pub edges_written: usize,
-    /// Time spent deriving persons/degrees/sort orders.
-    pub setup_seconds: f64,
-    /// Time spent in edge generation + writing.
-    pub generate_seconds: f64,
-    /// Time spent merging worker spills (cluster only; 0 for single node).
-    pub merge_seconds: f64,
     /// Bytes written to the final output stream(s).
     pub output_bytes: u64,
     /// Number of independent output devices (1 for the single node,
@@ -122,30 +115,29 @@ pub struct GenerationStats {
 }
 
 impl GenerationStats {
-    /// Total measured wall-clock of the run.
-    pub fn total_seconds(&self) -> f64 {
-        self.setup_seconds + self.generate_seconds + self.merge_seconds
-    }
-
     /// Time the output would take to drain through `disk`-class devices —
     /// the modeled component of Figure 3 (see [`DiskModel`]).
     pub fn modeled_io_seconds(&self, disk: &DiskModel) -> f64 {
         self.output_bytes as f64 / (self.output_devices.max(1) as f64 * disk.bytes_per_sec)
     }
 
-    /// Measured compute plus modeled device time plus modeled
-    /// job-scheduling latency (`job_latency_seconds` per distributed job —
-    /// Hadoop-era clusters paid tens of seconds per job; scaled setups use
-    /// proportionally smaller values).
-    pub fn modeled_total_seconds(&self, disk: &DiskModel, job_latency_seconds: f64) -> f64 {
-        self.total_seconds()
-            + self.modeled_io_seconds(disk)
-            + self.jobs as f64 * job_latency_seconds
+    /// The run's `measured_seconds` (the caller's wall clock) plus modeled
+    /// device time plus modeled job-scheduling latency
+    /// (`job_latency_seconds` per distributed job — Hadoop-era clusters
+    /// paid tens of seconds per job; scaled setups use proportionally
+    /// smaller values).
+    pub fn modeled_total_seconds(
+        &self,
+        measured_seconds: f64,
+        disk: &DiskModel,
+        job_latency_seconds: f64,
+    ) -> f64 {
+        measured_seconds + self.modeled_io_seconds(disk) + self.jobs as f64 * job_latency_seconds
     }
 }
 
 /// Runs the generator in the given mode, writing a `.e` edge file to
-/// `out_path`, and returns the timing breakdown.
+/// `out_path`, and returns its output accounting.
 pub fn generate_to_disk(
     cfg: &DatagenConfig,
     mode: &GenerationMode,
@@ -177,15 +169,10 @@ fn single_node(
     threads: usize,
     out_path: &Path,
 ) -> Result<GenerationStats, GraphError> {
-    // lint:allow(determinism-time): wall-clock timing feeds GenerationStats (the Figure 3 measurement), never the generated graph
-    let t0 = Instant::now();
     let persons = generate_persons(cfg.seed, cfg.num_persons);
     let degrees = sample_target_degrees(cfg);
     let orders: Vec<Vec<u32>> = (0..3).map(|p| pass_order(cfg, &persons, p)).collect();
-    let setup_seconds = t0.elapsed().as_secs_f64();
 
-    // lint:allow(determinism-time): wall-clock timing feeds GenerationStats (the Figure 3 measurement), never the generated graph
-    let t1 = Instant::now();
     // One serialized writer models the single local disk.
     let mut writer = CountingWriter::new(create_writer(out_path)?);
     let mut edges_written = 0usize;
@@ -215,9 +202,6 @@ fn single_node(
     writer.flush()?;
     Ok(GenerationStats {
         edges_written,
-        setup_seconds,
-        generate_seconds: t1.elapsed().as_secs_f64(),
-        merge_seconds: 0.0,
         output_bytes: writer.written,
         output_devices: 1,
         jobs: 0,
@@ -235,8 +219,6 @@ fn cluster(
     std::fs::create_dir_all(spill_dir)?;
     let n = cfg.num_persons;
     let blocks = n.div_ceil(BLOCK_SIZE);
-    // lint:allow(determinism-time): wall-clock timing feeds GenerationStats (the Figure 3 measurement), never the generated graph
-    let t0 = Instant::now();
     // Shared inputs, computed once and distributed to the workers (the
     // Hadoop distributed-cache / HDFS-input pattern — real clusters do not
     // re-derive the whole input per node).
@@ -268,15 +250,12 @@ fn cluster(
     })
     .into_iter()
     .collect::<Result<(), GraphError>>()?;
-    let generate_seconds = t0.elapsed().as_secs_f64();
 
     // Reduce/merge stage: read the spilled proposals in canonical
     // (pass, block) order, arbitrate budgets, and write the final edges.
     // With `merge = false` the final edges stay partitioned in the spill
     // directory (one file per worker, as on HDFS) and each worker's
     // output stream is throttled independently.
-    // lint:allow(determinism-time): wall-clock timing feeds GenerationStats (the Figure 3 measurement), never the generated graph
-    let t1 = Instant::now();
     let mut out = CountingWriter::new(BufWriter::new(File::create(out_path)?));
     let mut part_writers: Vec<CountingWriter<BufWriter<File>>> = if merge {
         Vec::new()
@@ -321,9 +300,6 @@ fn cluster(
     let output_bytes = out.written + part_writers.iter().map(|w| w.written).sum::<u64>();
     Ok(GenerationStats {
         edges_written,
-        setup_seconds: 0.0, // Folded into per-worker generate time.
-        generate_seconds,
-        merge_seconds: t1.elapsed().as_secs_f64(),
         output_bytes,
         output_devices: if merge { 1 } else { workers },
         jobs: 3,
@@ -341,10 +317,27 @@ mod tests {
     use graphalytics_graph::io::read_edge_file;
     use graphalytics_graph::EdgeListGraph;
 
-    fn tmp(name: &str) -> PathBuf {
+    /// A per-test directory under `$TMP`, removed on drop — when the test
+    /// panics too.
+    struct TmpDir(PathBuf);
+
+    impl Drop for TmpDir {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+
+    impl std::ops::Deref for TmpDir {
+        type Target = Path;
+        fn deref(&self) -> &Path {
+            &self.0
+        }
+    }
+
+    fn tmp(name: &str) -> TmpDir {
         let dir = std::env::temp_dir().join(format!("gx-cluster-{}-{name}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        dir
+        TmpDir(dir)
     }
 
     fn cfg(n: usize) -> DatagenConfig {
@@ -389,9 +382,9 @@ mod tests {
         .unwrap();
         assert_eq!(s.edges_written, c.edges_written);
         assert_eq!(load(&single_out, 1200), load(&cluster_out, 1200));
-        assert!(s.total_seconds() > 0.0);
-        assert!(c.total_seconds() > 0.0);
-        assert!(c.merge_seconds > 0.0);
+        assert_eq!(s.output_bytes, c.output_bytes);
+        assert_eq!((s.output_devices, s.jobs), (1, 0));
+        assert_eq!((c.output_devices, c.jobs), (1, 3));
     }
 
     #[test]
