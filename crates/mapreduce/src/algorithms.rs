@@ -14,8 +14,8 @@
 //!   `T <distance>` (SSSP), `S <label> <score>` (CD), `R <rank>`
 //!   (PageRank), `N <n1,n2,...>` (adjacency lists).
 
-use std::fmt::Display;
-use std::path::{Path, PathBuf};
+use std::fmt::{self, Display};
+use std::path::PathBuf;
 use std::str::FromStr;
 
 use graphalytics_algos::{cd, lcc};
@@ -23,8 +23,8 @@ use graphalytics_core::platform::{PlatformError, RunContext};
 use graphalytics_graph::metrics;
 
 use crate::job::{
-    read_output, run_job_traced, write_records, CountingReducer, Emitter, JobConfig, JobCounters,
-    Mapper, Record, ReduceContext, Reducer,
+    for_each_record, part_files, run_job_traced, CountingReducer, Emitter, JobConfig, JobCounters,
+    Mapper, RecordWriter, ReduceContext, Reducer,
 };
 
 /// Identity mapper: inputs are already keyed correctly.
@@ -32,7 +32,7 @@ struct IdentityMapper;
 
 impl Mapper for IdentityMapper {
     fn map(&self, key: &str, value: &str, out: &mut Emitter) {
-        out.emit(key, value);
+        out.emit_str(key, value);
     }
 }
 
@@ -40,10 +40,10 @@ fn internal_err(what: &str) -> PlatformError {
     PlatformError::Internal(format!("malformed record: {what}"))
 }
 
-/// Parses per-vertex output values of the form `v -> "X payload"` into a
+/// Parses the per-vertex records `v -> "X payload"` of `files` into a
 /// dense vector indexed by vertex id.
 fn collect_per_vertex<T>(
-    records: &[Record],
+    files: &[PathBuf],
     n: usize,
     tag: &str,
     parse: impl Fn(&str) -> Option<T>,
@@ -53,16 +53,17 @@ where
     T: Clone,
 {
     let mut out = vec![default; n];
-    for (k, v) in records {
+    for_each_record(files, |k, v| {
         let Some(rest) = v.strip_prefix(tag) else {
-            continue;
+            return Ok(());
         };
         let idx: usize = k.parse().map_err(|_| internal_err(k))?;
         if idx >= n {
             return Err(internal_err(k));
         }
         out[idx] = parse(rest.trim()).ok_or_else(|| internal_err(v))?;
-    }
+        Ok(())
+    })?;
     Ok(out)
 }
 
@@ -91,15 +92,17 @@ fn run_named_job<M: Mapper, R: CountingReducer>(
 // --------------------------------------------------------------- chains --
 
 /// The iterative job chain behind CONN, BFS, SSSP, CD and PageRank. The
-/// state lives in `<kernel>-<state>-<round>` files; round `k` joins state
-/// `k` with the arc files in job `<kernel>-prop-<k>`, folds the proposals
-/// per vertex in job `<kernel>-update-<k>`, and writes that job's output
-/// as state `k + 1`.
+/// initial state is the file `<kernel>-<state>-0`; round `k` joins state
+/// `k` with the arc files in job `<kernel>-prop-<k>` and folds the
+/// proposals per vertex in job `<kernel>-update-<k>`, whose part files are
+/// state `k + 1`, read by the next round where they lie.
 struct Chain<'a> {
     config: &'a JobConfig,
     arc_files: &'a [PathBuf],
     kernel: &'a str,
     state: &'a str,
+    /// Record tag of a state value, with its trailing space.
+    tag: &'a str,
     /// Round cap.
     max_rounds: usize,
     /// Whether a round whose update job counted no `changed` vertex ends
@@ -109,28 +112,33 @@ struct Chain<'a> {
 }
 
 impl Chain<'_> {
-    /// Runs the chain from the `init` state and returns the last state's
-    /// records. The update reducer of a round is built from the counters of
-    /// that round's propagate job.
-    fn run<P: CountingReducer, U: CountingReducer>(
+    /// Runs the chain from the state `<tag><init(v)>` of each of the `n`
+    /// vertices and returns the files of the last state. The update reducer
+    /// of a round is built from the counters of that round's propagate job.
+    fn run<T: Display, P: CountingReducer, U: CountingReducer>(
         &self,
-        init: Vec<Record>,
+        n: usize,
+        init: impl Fn(u32) -> T,
         propagate: &P,
         update: impl Fn(&JobCounters) -> U,
-    ) -> Result<Vec<Record>, PlatformError> {
+    ) -> Result<Vec<PathBuf>, PlatformError> {
         let Chain {
             config,
             kernel,
             state,
+            tag,
             ctx,
             ..
         } = *self;
-        let state_file = |round: usize| config.work_dir.join(format!("{kernel}-{state}-{round}"));
-        write_records(&state_file(0), &init)?;
-        let mut records = init;
+        let init_file = config.work_dir.join(format!("{kernel}-{state}-0"));
+        let mut writer = RecordWriter::create(&init_file)?;
+        for v in 0..n as u32 {
+            writer.write(v, format_args!("{tag}{}", init(v)))?;
+        }
+        writer.finish()?;
+        let mut state_files = vec![init_file];
         for round in 0..self.max_rounds {
-            let mut inputs = self.arc_files.to_vec();
-            inputs.push(state_file(round));
+            let inputs = [self.arc_files, &state_files].concat();
             let job = format!("{kernel}-prop-{round}");
             let (proposed, dir) =
                 run_named_job(config, &job, &inputs, &IdentityMapper, propagate, ctx)?;
@@ -143,22 +151,13 @@ impl Chain<'_> {
                 &update(&proposed),
                 ctx,
             )?;
-            // Concatenate the update output into the next state file.
-            records = read_output(&dir)?;
-            write_records(&state_file(round + 1), &records)?;
+            state_files = part_files(&dir)?;
             if self.stop_when_unchanged && updated.user_counter("changed") == 0 {
                 break;
             }
         }
-        Ok(records)
+        Ok(state_files)
     }
-}
-
-/// One `<tag><value>` state record per vertex.
-fn init_records<T: Display>(n: usize, tag: &str, value: impl Fn(u32) -> T) -> Vec<Record> {
-    (0..n as u32)
-        .map(|v| (v.to_string(), format!("{tag}{}", value(v))))
-        .collect()
 }
 
 // -------------------------------------------------- CONN, BFS and SSSP --
@@ -195,16 +194,13 @@ impl<T: Copy + Ord + FromStr + Display> MinKernel<T> {
             arc_files,
             kernel: self.kernel,
             state: self.state,
+            tag: self.tag,
             max_rounds: usize::MAX,
             stop_when_unchanged: true,
             ctx,
         };
-        let records = chain.run(
-            init_records(n, self.tag, init),
-            &PropagateValue(self),
-            |_| UpdateMin(self),
-        )?;
-        collect_per_vertex(&records, n, self.tag, |s| s.parse().ok(), missing)
+        let state = chain.run(n, init, &PropagateValue(self), |_| UpdateMin(self))?;
+        collect_per_vertex(&state, n, self.tag, |s| s.parse().ok(), missing)
     }
 }
 
@@ -214,26 +210,26 @@ impl<T: Copy + Ord + FromStr + Display> MinKernel<T> {
 struct PropagateValue<'a, T>(&'a MinKernel<T>);
 
 impl<T: Copy + FromStr + Display> Reducer for PropagateValue<'_, T> {
-    fn reduce(&self, key: &str, values: &[String], out: &mut Emitter) {
-        let mut own: Option<T> = None;
-        let mut arcs: Vec<(&str, u64)> = Vec::new();
+    fn reduce(&self, key: &str, values: &[&str], out: &mut Emitter) {
+        let own = values
+            .iter()
+            .rev()
+            .find_map(|v| v.strip_prefix(self.0.tag))
+            .and_then(|x| x.trim().parse().ok());
+        let Some(own) = own else { return };
+        out.emit(key, format_args!("{}{own}", self.0.tag));
         for v in values {
-            if let Some(x) = v.strip_prefix(self.0.tag) {
-                own = x.trim().parse().ok();
-            } else if let Some(n) = v.strip_prefix("E ") {
-                arcs.push((n, 1));
+            let arc = if let Some(n) = v.strip_prefix("E ") {
+                Some((n, 1))
             } else if let Some(a) = v.strip_prefix("W ") {
                 let mut parts = a.split_whitespace();
-                if let (Some(n), Some(w)) = (parts.next(), field(&mut parts)) {
-                    arcs.push((n, w));
-                }
-            }
-        }
-        let Some(own) = own else { return };
-        out.emit(key, format!("{}{own}", self.0.tag));
-        for (n, w) in arcs {
+                parts.next().zip(field(&mut parts))
+            } else {
+                None
+            };
+            let Some((n, w)) = arc else { continue };
             if let Some(candidate) = (self.0.send)(own, w) {
-                out.emit(n, format!("C {candidate}"));
+                out.emit(n, format_args!("C {candidate}"));
             }
         }
     }
@@ -244,7 +240,7 @@ impl<T: Copy + FromStr + Display> Reducer for PropagateValue<'_, T> {
 struct UpdateMin<'a, T>(&'a MinKernel<T>);
 
 impl<T: Copy + Ord + FromStr + Display> CountingReducer for UpdateMin<'_, T> {
-    fn reduce(&self, key: &str, values: &[String], ctx: &mut ReduceContext<'_>) {
+    fn reduce(&self, key: &str, values: &[&str], ctx: &mut ReduceContext<'_>) {
         let mut own: Option<T> = None;
         let mut best: Option<T> = None;
         for v in values {
@@ -264,7 +260,7 @@ impl<T: Copy + Ord + FromStr + Display> CountingReducer for UpdateMin<'_, T> {
             }
             _ => own,
         };
-        ctx.out.emit(key, format!("{}{new}", self.0.tag));
+        ctx.out.emit(key, format_args!("{}{new}", self.0.tag));
     }
 }
 
@@ -348,22 +344,23 @@ struct PropagateCommunities {
 }
 
 impl Reducer for PropagateCommunities {
-    fn reduce(&self, key: &str, values: &[String], out: &mut Emitter) {
+    fn reduce(&self, key: &str, values: &[&str], out: &mut Emitter) {
         let mut state: Option<(u32, f64)> = None;
-        let mut neighbors = Vec::new();
+        let mut degree = 0;
         for v in values {
             if let Some(s) = v.strip_prefix("S ") {
                 state = cd_state(s).or(state);
-            } else if let Some(n) = v.strip_prefix("E ") {
-                neighbors.push(n);
+            } else if v.starts_with("E ") {
+                degree += 1;
             }
         }
         let Some((label, score)) = state else { return };
-        out.emit(key, format!("S {label} {score}"));
-        let influence = cd::influence(score, neighbors.len(), self.degree_exponent);
-        for n in &neighbors {
-            out.emit(*n, format!("C {label} {score} {influence}"));
-        }
+        out.emit(key, format_args!("S {label} {score}"));
+        let influence = cd::influence(score, degree, self.degree_exponent);
+        out.emit_each(
+            values.iter().filter_map(|v| v.strip_prefix("E ")),
+            format_args!("C {label} {score} {influence}"),
+        );
     }
 }
 
@@ -373,7 +370,7 @@ struct UpdateCommunities {
 }
 
 impl CountingReducer for UpdateCommunities {
-    fn reduce(&self, key: &str, values: &[String], ctx: &mut ReduceContext<'_>) {
+    fn reduce(&self, key: &str, values: &[&str], ctx: &mut ReduceContext<'_>) {
         let mut own: Option<(u32, f64)> = None;
         let mut weight = cd::LabelWeights::default();
         for v in values {
@@ -393,7 +390,7 @@ impl CountingReducer for UpdateCommunities {
         if adopted {
             *ctx.counters.entry("changed".into()).or_insert(0) += 1;
         }
-        ctx.out.emit(key, format!("S {label} {score}"));
+        ctx.out.emit(key, format_args!("S {label} {score}"));
     }
 }
 
@@ -413,17 +410,19 @@ pub fn community_detection(
         arc_files: edge_files,
         kernel: "cd",
         state: "state",
+        tag: "S ",
         max_rounds: iterations,
         stop_when_unchanged: true,
         ctx,
     };
-    let records = chain.run(
-        init_records(n, "S ", |v| format!("{v} 1")),
+    let state = chain.run(
+        n,
+        |v| format!("{v} 1"),
         &PropagateCommunities { degree_exponent },
         |_| UpdateCommunities { hop_attenuation },
     )?;
     collect_per_vertex(
-        &records,
+        &state,
         n,
         "S",
         |s| s.split_whitespace().next()?.parse().ok(),
@@ -437,7 +436,7 @@ pub fn community_detection(
 struct AdjacencyReducer;
 
 impl Reducer for AdjacencyReducer {
-    fn reduce(&self, key: &str, values: &[String], out: &mut Emitter) {
+    fn reduce(&self, key: &str, values: &[&str], out: &mut Emitter) {
         let mut neighbors: Vec<u64> = values
             .iter()
             .filter_map(|v| v.strip_prefix("E "))
@@ -445,12 +444,22 @@ impl Reducer for AdjacencyReducer {
             .collect();
         neighbors.sort_unstable();
         neighbors.dedup();
-        let list = neighbors
-            .iter()
-            .map(|n| n.to_string())
-            .collect::<Vec<_>>()
-            .join(",");
-        out.emit(key, format!("N {list}"));
+        out.emit(key, format_args!("N {}", CommaList(&neighbors)));
+    }
+}
+
+/// A list written as `a,b,c`.
+struct CommaList<'a>(&'a [u64]);
+
+impl Display for CommaList<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        for (i, x) in self.0.iter().enumerate() {
+            if i > 0 {
+                f.write_str(",")?;
+            }
+            write!(f, "{x}")?;
+        }
+        Ok(())
     }
 }
 
@@ -463,9 +472,9 @@ impl Mapper for ShipListsMapper {
         let Some(list) = value.strip_prefix("N ") else {
             return;
         };
-        out.emit(key, format!("OWN {list}"));
+        out.emit(key, format_args!("OWN {list}"));
         for n in list.split(',').filter(|s| !s.is_empty()) {
-            out.emit(n, format!("NB {list}"));
+            out.emit(n, format_args!("NB {list}"));
         }
     }
 }
@@ -474,39 +483,42 @@ impl Mapper for ShipListsMapper {
 struct LccReducer;
 
 impl Reducer for LccReducer {
-    fn reduce(&self, key: &str, values: &[String], out: &mut Emitter) {
-        let mut own: Vec<u64> = Vec::new();
-        let mut received: Vec<Vec<u64>> = Vec::new();
-        for v in values {
-            if let Some(list) = v.strip_prefix("OWN ") {
-                own = parse_list(list);
-            } else if let Some(list) = v.strip_prefix("NB ") {
-                received.push(parse_list(list));
-            }
-        }
-        let links = received
+    fn reduce(&self, key: &str, values: &[&str], out: &mut Emitter) {
+        let own = values
             .iter()
-            .map(|list| metrics::sorted_intersection_len(&own, list))
-            .sum();
+            .rev()
+            .find_map(|v| v.strip_prefix("OWN "))
+            .map_or_else(Vec::new, parse_list);
+        // One buffer for every received list, parsed in turn.
+        let mut list = Vec::new();
+        let mut links = 0;
+        for received in values.iter().filter_map(|v| v.strip_prefix("NB ")) {
+            list.clear();
+            list.extend(parse_ids(received));
+            links += metrics::sorted_intersection_len(&own, &list);
+        }
         let coefficient = lcc::coefficient_from_links(links, own.len());
-        out.emit(key, format!("LCC {coefficient}"));
+        out.emit(key, format_args!("LCC {coefficient}"));
     }
 }
 
 fn parse_list(list: &str) -> Vec<u64> {
+    parse_ids(list).collect()
+}
+
+fn parse_ids(list: &str) -> impl Iterator<Item = u64> + '_ {
     list.split(',')
         .filter(|s| !s.is_empty())
         .filter_map(|s| s.trim().parse().ok())
-        .collect()
 }
 
 /// Runs the adjacency job followed by the list-shipping triangle job and
-/// returns the raw per-vertex `LCC <coefficient>` records.
-fn lcc_records(
+/// returns the part files of per-vertex `LCC <coefficient>` records.
+fn lcc_parts(
     config: &JobConfig,
     edge_files: &[PathBuf],
     ctx: &RunContext,
-) -> Result<Vec<Record>, PlatformError> {
+) -> Result<Vec<PathBuf>, PlatformError> {
     let (_, adjacency) = run_named_job(
         config,
         "stats-adjacency",
@@ -523,7 +535,7 @@ fn lcc_records(
         &LccReducer,
         ctx,
     )?;
-    read_output(&coefficients)
+    part_files(&coefficients)
 }
 
 /// STATS: adjacency job, then the list-shipping triangle job; the mean is
@@ -540,13 +552,13 @@ pub fn mean_local_cc(
     if n == 0 {
         return Ok(0.0);
     }
-    let records = lcc_records(config, edge_files, ctx)?;
     let mut sum = 0.0f64;
-    for (_k, v) in &records {
+    for_each_record(&lcc_parts(config, edge_files, ctx)?, |_, v| {
         if let Some(x) = v.strip_prefix("LCC ") {
             sum += x.trim().parse::<f64>().unwrap_or(0.0);
         }
-    }
+        Ok(())
+    })?;
     Ok(sum / n as f64)
 }
 
@@ -561,8 +573,8 @@ pub fn local_clustering(
     if n == 0 {
         return Ok(Vec::new());
     }
-    let records = lcc_records(config, edge_files, ctx)?;
-    collect_per_vertex(&records, n, "LCC", |s| s.parse().ok(), 0.0f64)
+    let parts = lcc_parts(config, edge_files, ctx)?;
+    collect_per_vertex(&parts, n, "LCC", |s| s.parse().ok(), 0.0f64)
 }
 
 // ------------------------------------------------------------ PageRank --
@@ -573,27 +585,28 @@ pub fn local_clustering(
 struct PropagateRank;
 
 impl CountingReducer for PropagateRank {
-    fn reduce(&self, key: &str, values: &[String], ctx: &mut ReduceContext<'_>) {
+    fn reduce(&self, key: &str, values: &[&str], ctx: &mut ReduceContext<'_>) {
         let mut rank: Option<f64> = None;
-        let mut neighbors = Vec::new();
+        let mut degree = 0;
         for v in values {
             if let Some(r) = v.strip_prefix("R ") {
                 rank = r.trim().parse().ok();
-            } else if let Some(n) = v.strip_prefix("E ") {
-                neighbors.push(n);
+            } else if v.starts_with("E ") {
+                degree += 1;
             }
         }
         let Some(rank) = rank else { return };
-        ctx.out.emit(key, format!("R {rank}"));
-        if neighbors.is_empty() {
+        ctx.out.emit(key, format_args!("R {rank}"));
+        if degree == 0 {
             // Fixed-point micro-units so the counter is an integer.
             let micros = (rank * 1e12).round() as i64;
             *ctx.counters.entry("dangling_micros".into()).or_insert(0) += micros;
         } else {
-            let share = rank / neighbors.len() as f64;
-            for n in neighbors {
-                ctx.out.emit(n, format!("C {share}"));
-            }
+            let share = rank / degree as f64;
+            ctx.out.emit_each(
+                values.iter().filter_map(|v| v.strip_prefix("E ")),
+                format_args!("C {share}"),
+            );
         }
     }
 }
@@ -606,7 +619,7 @@ struct UpdateRank {
 }
 
 impl Reducer for UpdateRank {
-    fn reduce(&self, key: &str, values: &[String], out: &mut Emitter) {
+    fn reduce(&self, key: &str, values: &[&str], out: &mut Emitter) {
         let mut seen = false;
         let mut contributions: Vec<f64> = Vec::new();
         for v in values {
@@ -625,7 +638,7 @@ impl Reducer for UpdateRank {
         let received: f64 = contributions.iter().sum();
         let base = (1.0 - self.damping) / self.n + self.damping * self.dangling / self.n;
         let rank = base + self.damping * received;
-        out.emit(key, format!("R {rank}"));
+        out.emit(key, format_args!("R {rank}"));
     }
 }
 
@@ -646,12 +659,14 @@ pub fn pagerank(
         arc_files: edge_files,
         kernel: "pr",
         state: "ranks",
+        tag: "R ",
         max_rounds: iterations,
         stop_when_unchanged: false,
         ctx,
     };
-    let records = chain.run(
-        init_records(n, "R ", |_| 1.0 / n as f64),
+    let state = chain.run(
+        n,
+        |_| 1.0 / n as f64,
         &PropagateRank,
         |proposed| UpdateRank {
             damping,
@@ -659,7 +674,7 @@ pub fn pagerank(
             dangling: proposed.user_counter("dangling_micros") as f64 / 1e12,
         },
     )?;
-    collect_per_vertex(&records, n, "R", |s| s.parse().ok(), 1.0 / n as f64)
+    collect_per_vertex(&state, n, "R", |s| s.parse().ok(), 1.0 / n as f64)
 }
 
 // ----------------------------------------------------------------- EVO --
@@ -691,16 +706,17 @@ pub fn forest_fire(
         ctx,
     )?;
     let mut adjacency: Vec<Vec<u32>> = vec![Vec::new(); n];
-    for (k, v) in read_output(&adj_dir)? {
+    for_each_record(&part_files(&adj_dir)?, |k, v| {
         let Some(list) = v.strip_prefix("N ") else {
-            continue;
+            return Ok(());
         };
-        let idx: usize = k.parse().map_err(|_| internal_err(&k))?;
+        let idx: usize = k.parse().map_err(|_| internal_err(k))?;
         if idx >= n {
-            return Err(internal_err(&k));
+            return Err(internal_err(k));
         }
         adjacency[idx] = parse_list(list).into_iter().map(|x| x as u32).collect();
-    }
+        Ok(())
+    })?;
     ctx.check_deadline()?;
     Ok(graphalytics_algos::evo::forest_fire_over_adjacency(
         &adjacency,
@@ -712,21 +728,6 @@ pub fn forest_fire(
     ))
 }
 
-/// Lists the part files of a completed job's output directory.
-pub fn part_files(dir: &Path) -> Result<Vec<PathBuf>, PlatformError> {
-    let mut parts: Vec<PathBuf> = std::fs::read_dir(dir)
-        .map_err(|e| PlatformError::TransientIo(format!("i/o: {e}")))?
-        .filter_map(|e| e.ok())
-        .map(|e| e.path())
-        .filter(|p| {
-            p.file_name()
-                .is_some_and(|name| name.to_string_lossy().starts_with("part-"))
-        })
-        .collect();
-    parts.sort();
-    Ok(parts)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -735,25 +736,25 @@ mod tests {
     /// Re-emits every record: the state passes through the propagate job.
     struct Echo;
     impl Reducer for Echo {
-        fn reduce(&self, key: &str, values: &[String], out: &mut Emitter) {
-            values.iter().for_each(|v| out.emit(key, v.as_str()));
+        fn reduce(&self, key: &str, values: &[&str], out: &mut Emitter) {
+            values.iter().for_each(|v| out.emit(key, v));
         }
     }
 
     /// Counts `X <k>` down to zero, reporting each step as a change.
     struct CountDown;
     impl CountingReducer for CountDown {
-        fn reduce(&self, key: &str, values: &[String], ctx: &mut ReduceContext<'_>) {
+        fn reduce(&self, key: &str, values: &[&str], ctx: &mut ReduceContext<'_>) {
             let x: u32 = values[0].strip_prefix("X ").unwrap().parse().unwrap();
             if x > 0 {
                 *ctx.counters.entry("changed".into()).or_insert(0) += 1;
             }
-            ctx.out.emit(key, format!("X {}", x.saturating_sub(1)));
+            ctx.out.emit(key, format_args!("X {}", x.saturating_sub(1)));
         }
     }
 
-    /// Runs the countdown from 3 and returns the final value and the state
-    /// files the chain left behind.
+    /// Runs the countdown from 3 and returns the final value and the update
+    /// jobs the chain ran, by output directory.
     fn count_down(max_rounds: usize, stop_when_unchanged: bool) -> (String, Vec<String>) {
         let scratch = ScratchDir::new(None, "gx-mr-chain").unwrap();
         let config = JobConfig::new(scratch.path());
@@ -762,48 +763,58 @@ mod tests {
             arc_files: &[],
             kernel: "tick",
             state: "x",
+            tag: "X ",
             max_rounds,
             stop_when_unchanged,
             ctx: &RunContext::unbounded(),
         };
-        let records = chain
-            .run(init_records(1, "X ", |_| 3), &Echo, |_| CountDown)
-            .unwrap();
-        let mut states: Vec<String> = std::fs::read_dir(scratch.path())
+        let state = chain.run(1, |_| 3, &Echo, |_| CountDown).unwrap();
+        let mut last = Vec::new();
+        for_each_record(&state, |_, v| {
+            last.push(v.to_string());
+            Ok(())
+        })
+        .unwrap();
+        let mut updates: Vec<String> = std::fs::read_dir(scratch.path())
             .unwrap()
             .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
-            .filter(|name| name.starts_with("tick-x-"))
+            .filter(|name| name.starts_with("tick-update-"))
             .collect();
-        states.sort();
-        (records[0].1.clone(), states)
+        updates.sort();
+        (last.concat(), updates)
     }
 
     #[test]
     fn chain_stops_on_a_round_without_changes_and_keeps_every_state_file() {
         // 3 → 2 → 1 → 0 change; the fourth round changes nothing and ends
-        // the chain, its output still written as state 4.
-        let (last, states) = count_down(usize::MAX, true);
+        // the chain, its update output still kept as state 4.
+        let (last, updates) = count_down(usize::MAX, true);
         assert_eq!(last, "X 0");
-        let expected = ["tick-x-0", "tick-x-1", "tick-x-2", "tick-x-3", "tick-x-4"];
-        assert_eq!(states, expected);
+        let expected = [
+            "tick-update-0",
+            "tick-update-1",
+            "tick-update-2",
+            "tick-update-3",
+        ];
+        assert_eq!(updates, expected);
     }
 
     #[test]
     fn chain_stops_at_the_round_cap() {
-        let (last, states) = count_down(2, true);
+        let (last, updates) = count_down(2, true);
         assert_eq!(last, "X 1");
-        assert_eq!(states, ["tick-x-0", "tick-x-1", "tick-x-2"]);
+        assert_eq!(updates, ["tick-update-0", "tick-update-1"]);
         // No rounds at all: the initial state is the result.
-        let (last, states) = count_down(0, true);
+        let (last, updates) = count_down(0, true);
         assert_eq!(last, "X 3");
-        assert_eq!(states, ["tick-x-0"]);
+        assert!(updates.is_empty());
     }
 
     #[test]
     fn chain_runs_its_rounds_out_when_changes_do_not_stop_it() {
         // PageRank's mode: rounds 5 and 6 change nothing and still run.
-        let (last, states) = count_down(6, false);
+        let (last, updates) = count_down(6, false);
         assert_eq!(last, "X 0");
-        assert_eq!(states.len(), 7);
+        assert_eq!(updates.len(), 6);
     }
 }

@@ -2,40 +2,144 @@
 //!
 //! "Hadoop MapReduce is an Apache open-source project implementing the
 //! MapReduce programming model introduced by Google" (paper §3.2). The
-//! defining performance property the paper relies on: "MapReduce does not
-//! need to keep graph data in memory during processing and thus does not
-//! crash even when processing the largest workload" — while being "two
-//! orders of magnitude slower than Giraph and GraphX".
+//! performance property the paper relies on is that every record crosses
+//! the disk between jobs, which makes MapReduce "two orders of magnitude
+//! slower than Giraph and GraphX".
 //!
-//! This runtime reproduces that trade-off with real I/O, not simulation:
-//! map tasks stream records from input files and spill sorted, hash-
-//! partitioned intermediate files to disk; reduce tasks merge the spills
-//! for their partition, group by key, and write output part files. Every
-//! record crosses the disk between map and reduce, exactly like Hadoop's
-//! shuffle, so jobs are slow but memory use stays bounded regardless of
-//! graph size.
+//! This runtime reproduces that cost with real I/O, not simulation, and
+//! moves records the way Hadoop's `MapOutputBuffer`, IFile and merge do:
+//! * a map task reads each of its input files once into a byte buffer and
+//!   hands the mapper `&str` slices of it; the mapper emits into the task's
+//!   [`Emitter`], fixed-size byte buffers already in the on-disk layout
+//!   `key\tvalue\n`;
+//! * the task sorts an index of its output records by (partition, key,
+//!   value) and writes **one** spill file, `<job>-map-<task>` in the job's
+//!   work directory, holding each reduce partition as a sorted segment
+//!   whose offsets stay in memory (Hadoop's `file.out` + `file.out.index`);
+//! * a reduce task reads its segment of every spill, k-way merges the
+//!   sorted segments, groups by key and writes `part-NNNNN`.
+//!
+//! So a map task holds its whole output and a reduce task its whole
+//! partition in memory: one spill per map task, as in Hadoop when the sort
+//! buffer is larger than the task's output. Memory grows with the graph;
+//! what the engine never does is keep the graph or a kernel's state in
+//! memory *between* jobs. The framework allocates per buffer, never per
+//! record.
 
+use std::fmt::Display;
 use std::fs::File;
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 use graphalytics_core::faults::{fingerprint, FaultSite, RecoveryAction};
 use graphalytics_core::platform::{PlatformError, RunContext};
 use graphalytics_graph::partition::mix64;
 
-/// A key-value record; keys and values are text (Hadoop's Text/Text).
-pub type Record = (String, String);
+/// Capacity of each of an [`Emitter`]'s buffers. Buffers of one fixed
+/// size, not one buffer that doubles, hold a task's output plus at most one
+/// buffer of slack, are never copied as they fill, and free and reuse
+/// cleanly from one job to the next.
+const CHUNK: usize = 1 << 18;
 
-/// Collects emitted records from mappers and reducers.
+/// A record starts a new buffer when it would start this close to the end
+/// of the current one.
+const CHUNK_SLACK: usize = 1 << 14;
+
+/// Where one record sits in an [`Emitter`]: in buffer `chunk`, `start..tab`
+/// is the key, `tab + 1..end` the value and `end` the newline.
+#[derive(Debug, Clone, Copy)]
+struct Span {
+    chunk: usize,
+    start: usize,
+    tab: usize,
+    end: usize,
+}
+
+/// Collects emitted records from mappers and reducers, in byte buffers laid
+/// out as the files are: `key\tvalue\n` per record.
 #[derive(Debug, Default)]
 pub struct Emitter {
-    records: Vec<Record>,
+    chunks: Vec<Vec<u8>>,
+    spans: Vec<Span>,
+    /// The value [`Emitter::emit_each`] formats once.
+    value: Vec<u8>,
 }
 
 impl Emitter {
-    /// Emits a record.
-    pub fn emit(&mut self, key: impl Into<String>, value: impl Into<String>) {
-        self.records.push((key.into(), value.into()));
+    /// Emits a record. The value is written through [`Display`], so a
+    /// `format_args!` value builds no `String`.
+    pub fn emit(&mut self, key: &str, value: impl Display) {
+        self.push(key, |bytes| {
+            // Writing into a `Vec` fails only when a `Display` impl reports
+            // an error, and the numbers, strings and `format_args!` emitted
+            // here never do.
+            let _ = write!(bytes, "{value}");
+        });
+    }
+
+    /// Emits a record whose value is copied as is.
+    pub fn emit_str(&mut self, key: &str, value: &str) {
+        self.push(key, |bytes| bytes.extend_from_slice(value.as_bytes()));
+    }
+
+    /// Emits one record per key, all with `value`, which is formatted once.
+    pub fn emit_each<'k>(&mut self, keys: impl IntoIterator<Item = &'k str>, value: impl Display) {
+        let mut bytes = std::mem::take(&mut self.value);
+        bytes.clear();
+        // As in `emit`: only a failing `Display` impl could fail this.
+        let _ = write!(bytes, "{value}");
+        for key in keys {
+            self.push(key, |out| out.extend_from_slice(&bytes));
+        }
+        self.value = bytes;
+    }
+
+    /// Appends `key`, a tab, what `value` writes and a newline.
+    fn push(&mut self, key: &str, value: impl FnOnce(&mut Vec<u8>)) {
+        if self
+            .chunks
+            .last()
+            .is_none_or(|bytes| bytes.len() + CHUNK_SLACK > CHUNK)
+        {
+            self.chunks.push(Vec::with_capacity(CHUNK));
+        }
+        let chunk = self.chunks.len() - 1;
+        let bytes = &mut self.chunks[chunk];
+        let start = bytes.len();
+        bytes.extend_from_slice(key.as_bytes());
+        let tab = bytes.len();
+        bytes.push(b'\t');
+        value(bytes);
+        let end = bytes.len();
+        bytes.push(b'\n');
+        self.spans.push(Span {
+            chunk,
+            start,
+            tab,
+            end,
+        });
+    }
+
+    /// The record at `span`, newline included.
+    fn line(&self, span: &Span) -> &[u8] {
+        &self.chunks[span.chunk][span.start..=span.end]
+    }
+
+    fn key(&self, span: &Span) -> &[u8] {
+        &self.chunks[span.chunk][span.start..span.tab]
+    }
+
+    fn value(&self, span: &Span) -> &[u8] {
+        &self.chunks[span.chunk][span.tab + 1..span.end]
+    }
+
+    /// Writes every record, in emission order, to a new file at `path`.
+    fn write_to_file(&self, path: &Path) -> Result<(), PlatformError> {
+        let mut file = File::create(path).map_err(io_err)?;
+        for chunk in &self.chunks {
+            file.write_all(chunk).map_err(io_err)?;
+        }
+        Ok(())
     }
 }
 
@@ -47,8 +151,8 @@ pub trait Mapper: Sync {
 
 /// A reduce function over grouped records.
 pub trait Reducer: Sync {
-    /// Processes one key and all its values.
-    fn reduce(&self, key: &str, values: &[String], out: &mut Emitter);
+    /// Processes one key and all its values, in byte order.
+    fn reduce(&self, key: &str, values: &[&str], out: &mut Emitter);
 }
 
 /// Job configuration: task parallelism and working directory.
@@ -109,60 +213,157 @@ pub struct ReduceContext<'a> {
 /// via a blanket adapter in [`run_job`]).
 pub trait CountingReducer: Sync {
     /// Processes one key group with counter access.
-    fn reduce(&self, key: &str, values: &[String], ctx: &mut ReduceContext<'_>);
+    fn reduce(&self, key: &str, values: &[&str], ctx: &mut ReduceContext<'_>);
 }
 
 impl<R: Reducer> CountingReducer for R {
-    fn reduce(&self, key: &str, values: &[String], ctx: &mut ReduceContext<'_>) {
+    fn reduce(&self, key: &str, values: &[&str], ctx: &mut ReduceContext<'_>) {
         Reducer::reduce(self, key, values, ctx.out)
     }
 }
 
-/// Writes records to a file, one `key\tvalue` per line.
-pub fn write_records(path: &Path, records: &[Record]) -> Result<(), PlatformError> {
-    let file = File::create(path).map_err(io_err)?;
-    let mut writer = BufWriter::new(file);
-    for (k, v) in records {
-        writeln!(writer, "{k}\t{v}").map_err(io_err)?;
-    }
-    writer.flush().map_err(io_err)
+/// Streams records into a file, one `key\tvalue\n` per record — the layout
+/// [`Emitter`] buffers and [`Records`] reads.
+pub struct RecordWriter {
+    out: BufWriter<File>,
 }
 
-/// Reads records from a file written by [`write_records`].
-pub fn read_records(path: &Path) -> Result<Vec<Record>, PlatformError> {
-    let file = File::open(path).map_err(io_err)?;
-    let reader = BufReader::new(file);
-    let mut out = Vec::new();
-    for line in reader.lines() {
-        let line = line.map_err(io_err)?;
-        if line.is_empty() {
-            continue;
-        }
-        match line.split_once('\t') {
-            Some((k, v)) => out.push((k.to_string(), v.to_string())),
-            None => out.push((line, String::new())),
-        }
+impl RecordWriter {
+    /// Creates (or truncates) `path`.
+    pub fn create(path: &Path) -> Result<Self, PlatformError> {
+        let file = File::create(path).map_err(io_err)?;
+        Ok(Self {
+            out: BufWriter::with_capacity(WRITE_BUFFER, file),
+        })
     }
-    Ok(out)
+
+    /// Appends one record.
+    pub fn write(&mut self, key: impl Display, value: impl Display) -> Result<(), PlatformError> {
+        writeln!(self.out, "{key}\t{value}").map_err(io_err)
+    }
+
+    /// Flushes the file; a write error surfaces here, not at drop.
+    pub fn finish(mut self) -> Result<(), PlatformError> {
+        self.out.flush().map_err(io_err)
+    }
 }
 
-/// Reads all part files of a job output directory, concatenated.
-pub fn read_output(dir: &Path) -> Result<Vec<Record>, PlatformError> {
+/// Buffer size of every file the engine writes record by record.
+const WRITE_BUFFER: usize = 1 << 16;
+
+/// The records of a byte buffer in the on-disk layout, as `(key, value)`
+/// slices borrowed from it. Each malformed line is an error item: a line
+/// with no tab, or a last line with no newline (a truncated file).
+#[derive(Debug, Clone)]
+pub struct Records<'a> {
+    rest: &'a str,
+}
+
+impl<'a> Records<'a> {
+    /// Checks that `bytes` is UTF-8; an empty buffer holds no records.
+    pub fn new(bytes: &'a [u8]) -> Result<Self, PlatformError> {
+        let rest = std::str::from_utf8(bytes)
+            .map_err(|e| malformed(&format!("not UTF-8 at byte {}", e.valid_up_to())))?;
+        Ok(Self { rest })
+    }
+}
+
+impl<'a> Iterator for Records<'a> {
+    type Item = Result<(&'a str, &'a str), PlatformError>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        if self.rest.is_empty() {
+            return None;
+        }
+        let Some((line, rest)) = self.rest.split_once('\n') else {
+            self.rest = "";
+            return Some(Err(malformed("last line has no newline")));
+        };
+        self.rest = rest;
+        Some(
+            line.split_once('\t')
+                .ok_or_else(|| malformed("line has no tab")),
+        )
+    }
+}
+
+fn malformed(what: &str) -> PlatformError {
+    // Corrupt records are deterministic, not cluster weather: no retry.
+    PlatformError::Internal(format!("malformed record file: {what}"))
+}
+
+/// Replaces `buf`'s contents with the whole file at `path`.
+fn read_file(path: &Path, buf: &mut Vec<u8>) -> Result<(), PlatformError> {
+    buf.clear();
+    File::open(path)
+        .and_then(|mut f| f.read_to_end(buf))
+        .map_err(io_err)?;
+    Ok(())
+}
+
+/// Appends bytes `offset..offset + len` of the file at `path` to `buf`. A
+/// file that holds fewer bytes is an error, found before anything is
+/// allocated, so `buf` never grows by more than the file holds.
+pub fn read_segment(
+    path: &Path,
+    offset: u64,
+    len: u64,
+    buf: &mut Vec<u8>,
+) -> Result<(), PlatformError> {
+    let mut file = File::open(path).map_err(io_err)?;
+    let held = file
+        .metadata()
+        .map_err(io_err)?
+        .len()
+        .saturating_sub(offset);
+    if held < len {
+        return Err(malformed(&format!(
+            "segment of {len} bytes at offset {offset}, file holds {held}"
+        )));
+    }
+    file.seek(SeekFrom::Start(offset)).map_err(io_err)?;
+    // `len` is at most the file's length, so the reservation is too.
+    buf.reserve_exact(len as usize);
+    let read = file.take(len).read_to_end(buf).map_err(io_err)?;
+    if read as u64 != len {
+        return Err(malformed(&format!(
+            "segment of {len} bytes at offset {offset} ends after {read}"
+        )));
+    }
+    Ok(())
+}
+
+/// Calls `f` on every record of `files`, in file order, reading each file
+/// into one reused buffer.
+pub fn for_each_record(
+    files: &[PathBuf],
+    mut f: impl FnMut(&str, &str) -> Result<(), PlatformError>,
+) -> Result<(), PlatformError> {
+    let mut buf = Vec::new();
+    for path in files {
+        read_file(path, &mut buf)?;
+        for record in Records::new(&buf)? {
+            let (key, value) = record?;
+            f(key, value)?;
+        }
+    }
+    Ok(())
+}
+
+/// The part files of a completed job's output directory, in partition
+/// order.
+pub fn part_files(dir: &Path) -> Result<Vec<PathBuf>, PlatformError> {
     let mut parts: Vec<PathBuf> = std::fs::read_dir(dir)
         .map_err(io_err)?
         .filter_map(|e| e.ok())
         .map(|e| e.path())
         .filter(|p| {
             p.file_name()
-                .is_some_and(|n| n.to_string_lossy().starts_with("part-"))
+                .is_some_and(|name| name.to_string_lossy().starts_with("part-"))
         })
         .collect();
     parts.sort();
-    let mut out = Vec::new();
-    for part in parts {
-        out.extend(read_records(&part)?);
-    }
-    Ok(out)
+    Ok(parts)
 }
 
 fn io_err(e: std::io::Error) -> PlatformError {
@@ -195,6 +396,237 @@ fn probe_task_attempts(ctx: &RunContext, job: u64, task: u32) -> Result<(), Plat
             }
         }
     }
+}
+
+/// A map output record's place in the sort: its partition, then its key
+/// and value as [`word`]s, which order records by their bytes without
+/// reading the buffer until two words tie.
+#[derive(Clone, Copy)]
+struct SortEntry {
+    value: u128,
+    key: u64,
+    partition: u32,
+    /// The record's index in the map task's [`Emitter`].
+    index: u32,
+}
+
+/// The first `N - 1` bytes of `bytes`, zero-padded, followed by
+/// `min(len, N)`, as a big-endian word. Words order as the bytes do; equal
+/// words mean equal bytes unless both are longer than `N - 1` bytes (last
+/// byte `N`).
+fn word<const N: usize>(bytes: &[u8]) -> [u8; N] {
+    let mut word = [0u8; N];
+    let n = bytes.len().min(N - 1);
+    word[..n].copy_from_slice(&bytes[..n]);
+    word[N - 1] = bytes.len().min(N) as u8;
+    word
+}
+
+/// What a finished map task reports: its counts and where each reduce
+/// partition's sorted segment sits in its spill file.
+struct MapTask {
+    input: usize,
+    output: usize,
+    spilled: usize,
+    /// The segments, in partition order, as pieces of whole records of at
+    /// most [`CHUNK`] bytes each (or one record, if it is longer), so that
+    /// a reduce task reads them into buffers the size of an [`Emitter`]'s.
+    pieces: Vec<Piece>,
+}
+
+/// Bytes `offset..offset + len` of a spill file: whole records of one
+/// partition.
+struct Piece {
+    partition: usize,
+    offset: u64,
+    len: u64,
+}
+
+/// A job's spill files, removed when the job ends, whether it succeeded or
+/// not (Hadoop removes a job's intermediates after it).
+struct Spills(Vec<PathBuf>);
+
+impl Drop for Spills {
+    fn drop(&mut self) {
+        for path in &self.0 {
+            // lint:allow(swallowed-result): spill cleanup is cosmetic; a task that failed before spilling left no file to remove
+            let _ = std::fs::remove_file(path);
+        }
+    }
+}
+
+/// Runs one map task over the inputs `task`, `task + map_tasks`, …: maps
+/// every record into one buffer, sorts its index by (partition, key,
+/// value) and writes the one spill file.
+fn map_task<M: Mapper>(
+    inputs: &[PathBuf],
+    task: usize,
+    map_tasks: usize,
+    reduce_tasks: usize,
+    mapper: &M,
+    spill: &Path,
+) -> Result<MapTask, PlatformError> {
+    let mut input = Vec::new();
+    let mut out = Emitter::default();
+    let mut input_count = 0usize;
+    for path in inputs.iter().skip(task).step_by(map_tasks) {
+        read_file(path, &mut input)?;
+        for record in Records::new(&input)? {
+            let (key, value) = record?;
+            input_count += 1;
+            mapper.map(key, value, &mut out);
+        }
+    }
+    let spans = &out.spans;
+    if u32::try_from(spans.len()).is_err() {
+        return Err(PlatformError::Internal(format!(
+            "map task {task} emitted {} records, more than its sort index holds",
+            spans.len()
+        )));
+    }
+    let mut order: Vec<SortEntry> = spans
+        .iter()
+        .zip(0u32..)
+        .map(|(span, index)| SortEntry {
+            value: u128::from_be_bytes(word(out.value(span))),
+            key: u64::from_be_bytes(word(out.key(span))),
+            partition: (mix64(fx_hash(out.key(span))) % reduce_tasks as u64) as u32,
+            index,
+        })
+        .collect();
+    let span = |e: &SortEntry| &spans[e.index as usize];
+    order.sort_unstable_by(|a, b| {
+        (a.partition, a.key)
+            .cmp(&(b.partition, b.key))
+            // Tied words of keys longer than 7 bytes: compare the keys.
+            .then_with(|| match a.key as u8 {
+                8 => out.key(span(a)).cmp(out.key(span(b))),
+                _ => std::cmp::Ordering::Equal,
+            })
+            .then(a.value.cmp(&b.value))
+            .then_with(|| match a.value as u8 {
+                16 => out.value(span(a)).cmp(out.value(span(b))),
+                _ => std::cmp::Ordering::Equal,
+            })
+    });
+    let mut file = BufWriter::with_capacity(WRITE_BUFFER, File::create(spill).map_err(io_err)?);
+    let mut pieces: Vec<Piece> = Vec::new();
+    let mut written = 0u64;
+    for entry in &order {
+        let partition = entry.partition as usize;
+        let line = out.line(span(entry));
+        let len = line.len() as u64;
+        match pieces.last_mut() {
+            Some(piece) if piece.partition == partition && piece.len + len <= CHUNK as u64 => {
+                piece.len += len;
+            }
+            _ => pieces.push(Piece {
+                partition,
+                offset: written,
+                len,
+            }),
+        }
+        file.write_all(line).map_err(io_err)?;
+        written += len;
+    }
+    file.flush().map_err(io_err)?;
+    Ok(MapTask {
+        input: input_count,
+        output: spans.len(),
+        spilled: written as usize,
+        pieces,
+    })
+}
+
+/// The records of one map task's sorted segment, piece after piece.
+struct Segment<'a> {
+    pieces: std::slice::Iter<'a, Vec<u8>>,
+    records: Records<'a>,
+}
+
+impl<'a> Segment<'a> {
+    fn next(&mut self) -> Result<Option<(&'a str, &'a str)>, PlatformError> {
+        loop {
+            if let Some(record) = self.records.next() {
+                return record.map(Some);
+            }
+            let Some(piece) = self.pieces.next() else {
+                return Ok(None);
+            };
+            self.records = Records::new(piece)?;
+        }
+    }
+}
+
+/// Runs reduce task `p`: reads segment `p` of every spill, k-way merges the
+/// sorted segments, reduces each key group and writes `part-<p>`. Returns
+/// the records written and the user counter deltas.
+fn reduce_task<R: CountingReducer>(
+    spills: &[PathBuf],
+    maps: &[MapTask],
+    p: usize,
+    reducer: &R,
+    part: &Path,
+) -> Result<(usize, std::collections::BTreeMap<String, i64>), PlatformError> {
+    let mut segments: Vec<Vec<Vec<u8>>> = Vec::with_capacity(maps.len());
+    for (spill, map) in spills.iter().zip(maps) {
+        let mut pieces = Vec::new();
+        for piece in map.pieces.iter().filter(|piece| piece.partition == p) {
+            let mut bytes = Vec::new();
+            read_segment(spill, piece.offset, piece.len, &mut bytes)?;
+            pieces.push(bytes);
+        }
+        segments.push(pieces);
+    }
+    // One cursor per map task's segment, each with its next record.
+    let mut cursors = Vec::with_capacity(segments.len());
+    for pieces in &segments {
+        let mut segment = Segment {
+            pieces: pieces.iter(),
+            records: Records { rest: "" },
+        };
+        let head = segment.next()?;
+        cursors.push((head, segment));
+    }
+    // The next record in byte order, by a linear scan over the heads: there
+    // are as few segments as map tasks.
+    let mut next_record = || -> Result<Option<(&str, &str)>, PlatformError> {
+        let smallest = cursors
+            .iter()
+            .enumerate()
+            .filter_map(|(i, (head, _))| head.map(|record| (record, i)))
+            .min();
+        let Some((record, i)) = smallest else {
+            return Ok(None);
+        };
+        let (head, segment) = &mut cursors[i];
+        *head = segment.next()?;
+        Ok(Some(record))
+    };
+    let mut out = Emitter::default();
+    let mut user = std::collections::BTreeMap::new();
+    let mut ctx = ReduceContext {
+        out: &mut out,
+        counters: &mut user,
+    };
+    let mut values: Vec<&str> = Vec::new();
+    let mut group: Option<&str> = None;
+    loop {
+        let record = next_record()?;
+        if let Some(key) = group {
+            if record.map(|(k, _)| k) != Some(key) {
+                reducer.reduce(key, &values, &mut ctx);
+                values.clear();
+            }
+        }
+        let Some((key, value)) = record else {
+            break;
+        };
+        group = Some(key);
+        values.push(value);
+    }
+    out.write_to_file(part)?;
+    Ok((out.spans.len(), user))
 }
 
 /// Runs one MapReduce job: `inputs` → mapper → sort/spill → shuffle →
@@ -239,58 +671,29 @@ pub fn run_job_traced<M: Mapper, R: CountingReducer>(
     let mut job_span = tracer.span("mapreduce.job");
     job_span.field("job", job_name);
     std::fs::create_dir_all(output_dir).map_err(io_err)?;
-    let spill_dir = config.work_dir.join(format!("{job_name}-spills"));
-    std::fs::create_dir_all(&spill_dir).map_err(io_err)?;
     let reduce_tasks = config.reduce_tasks.max(1);
 
     // --- Map phase: each task handles a slice of the input files. ---
     let map_tasks = config.map_tasks.max(1).min(inputs.len().max(1));
+    let spills = Spills(
+        (0..map_tasks)
+            .map(|task| config.work_dir.join(format!("{job_name}-map-{task}")))
+            .collect(),
+    );
     let mut map_span = tracer.span("mapreduce.map");
     map_span.field("job", job_name).field("tasks", map_tasks);
     // A task returns its own Result; a panicking mapper is an `Err` from the
     // fork-join — a failed map task becomes a failed job, not a harness crash.
-    let map_results = graphalytics_parallel::try_map_each(
-        0..map_tasks,
-        |_, task| -> Result<(usize, usize, usize), PlatformError> {
-            probe_task_attempts(ctx, map_job_fp, task as u32)?;
-            let mut input_count = 0usize;
-            let mut output_count = 0usize;
-            let mut spilled = 0usize;
-            // Per-reducer buffers for this map task.
-            let mut buckets: Vec<Vec<Record>> = vec![Vec::new(); reduce_tasks];
-            for (i, input) in inputs.iter().enumerate() {
-                if i % map_tasks != task {
-                    continue;
-                }
-                for (k, v) in read_records(input)? {
-                    input_count += 1;
-                    let mut emitter = Emitter::default();
-                    mapper.map(&k, &v, &mut emitter);
-                    for (ok, ov) in emitter.records {
-                        let p = (mix64(fx_hash(&ok)) % reduce_tasks as u64) as usize;
-                        buckets[p].push((ok, ov));
-                        output_count += 1;
-                    }
-                }
-            }
-            // Sort and spill each bucket (Hadoop's sort-based shuffle).
-            for (p, mut bucket) in buckets.into_iter().enumerate() {
-                bucket.sort();
-                let path = spill_dir.join(format!("map-{task}-part-{p}"));
-                spilled += bucket
-                    .iter()
-                    .map(|(k, v)| k.len() + v.len() + 2)
-                    .sum::<usize>();
-                write_records(&path, &bucket)?;
-            }
-            Ok((input_count, output_count, spilled))
-        },
-    )
+    let map_results = graphalytics_parallel::try_map_each(&spills.0, |task, spill| {
+        probe_task_attempts(ctx, map_job_fp, task as u32)?;
+        map_task(inputs, task, map_tasks, reduce_tasks, mapper, spill)
+    })
     .map_err(|payload| PlatformError::worker_panicked("map", payload))?;
     let mut counters = JobCounters::default();
     let map_span_id = map_span.id();
+    let mut maps = Vec::with_capacity(map_tasks);
     for (task, r) in map_results.into_iter().enumerate() {
-        let (i, o, s) = r?;
+        let map = r?;
         // One work-distribution event per map task: straggler tasks are
         // what the skew choke point measures for MapReduce.
         tracer.event(
@@ -299,14 +702,15 @@ pub fn run_job_traced<M: Mapper, R: CountingReducer>(
             vec![
                 ("phase".to_string(), "map".into()),
                 ("task".to_string(), task.into()),
-                ("work".to_string(), i.into()),
-                ("output".to_string(), o.into()),
-                ("spilled".to_string(), s.into()),
+                ("work".to_string(), map.input.into()),
+                ("output".to_string(), map.output.into()),
+                ("spilled".to_string(), map.spilled.into()),
             ],
         );
-        counters.map_input += i;
-        counters.map_output += o;
-        counters.spill_bytes += s;
+        counters.map_input += map.input;
+        counters.map_output += map.output;
+        counters.spill_bytes += map.spilled;
+        maps.push(map);
     }
     map_span
         .field("map_input", counters.map_input)
@@ -318,46 +722,16 @@ pub fn run_job_traced<M: Mapper, R: CountingReducer>(
         .field("rand_accesses", counters.map_output);
     drop(map_span);
 
-    // --- Reduce phase: each task merges its partition's spills. ---
+    // --- Reduce phase: each task merges its partition's segments. ---
     let mut reduce_span = tracer.span("mapreduce.reduce");
     reduce_span
         .field("job", job_name)
         .field("tasks", reduce_tasks);
-    let reduce_results = graphalytics_parallel::try_map_each(
-        0..reduce_tasks,
-        |_, p| -> Result<(usize, std::collections::BTreeMap<String, i64>), PlatformError> {
-            probe_task_attempts(ctx, reduce_job_fp, p as u32)?;
-            // Merge the sorted spill fragments for this partition.
-            let mut records: Vec<Record> = Vec::new();
-            for task in 0..map_tasks {
-                let path = spill_dir.join(format!("map-{task}-part-{p}"));
-                if path.exists() {
-                    records.extend(read_records(&path)?);
-                }
-            }
-            records.sort();
-            // Group by key and reduce.
-            let mut out = Emitter::default();
-            let mut user = std::collections::BTreeMap::new();
-            let mut idx = 0usize;
-            while idx < records.len() {
-                let key = records[idx].0.clone();
-                let mut values = Vec::new();
-                while idx < records.len() && records[idx].0 == key {
-                    values.push(std::mem::take(&mut records[idx].1));
-                    idx += 1;
-                }
-                let mut ctx = ReduceContext {
-                    out: &mut out,
-                    counters: &mut user,
-                };
-                reducer.reduce(&key, &values, &mut ctx);
-            }
-            let part = output_dir.join(format!("part-{p:05}"));
-            write_records(&part, &out.records)?;
-            Ok((out.records.len(), user))
-        },
-    )
+    let reduce_results = graphalytics_parallel::try_map_each(0..reduce_tasks, |_, p| {
+        probe_task_attempts(ctx, reduce_job_fp, p as u32)?;
+        let part = output_dir.join(format!("part-{p:05}"));
+        reduce_task(&spills.0, &maps, p, reducer, &part)
+    })
     .map_err(|payload| PlatformError::worker_panicked("reduce", payload))?;
     let reduce_span_id = reduce_span.id();
     for (task, r) in reduce_results.into_iter().enumerate() {
@@ -387,16 +761,17 @@ pub fn run_job_traced<M: Mapper, R: CountingReducer>(
         .field("map_output", counters.map_output)
         .field("reduce_output", counters.reduce_output)
         .field("spill_bytes", counters.spill_bytes);
-    // Clean intermediate spills (Hadoop removes them after the job).
-    // lint:allow(swallowed-result): spill cleanup is cosmetic; the job's outputs are already spilled and counted
-    let _ = std::fs::remove_dir_all(&spill_dir);
     Ok(counters)
 }
 
-fn fx_hash(s: &str) -> u64 {
-    use std::hash::{Hash, Hasher};
+/// The partitioner's hash: FxHash over the key's `str` bytes (with the
+/// `0xff` terminator `str::hash` writes, so partitions stay where they were
+/// when keys were `String`s).
+fn fx_hash(key: &[u8]) -> u64 {
+    use std::hash::Hasher;
     let mut h = rustc_hash::FxHasher::default();
-    s.hash(&mut h);
+    h.write(key);
+    h.write_u8(0xff);
     h.finish()
 }
 
@@ -407,6 +782,25 @@ mod tests {
 
     fn tmp(name: &str) -> ScratchDir {
         ScratchDir::new(None, &format!("gx-mr-{name}")).unwrap()
+    }
+
+    fn write_records(path: &Path, records: &[(&str, &str)]) {
+        let mut writer = RecordWriter::create(path).unwrap();
+        for (k, v) in records {
+            writer.write(k, v).unwrap();
+        }
+        writer.finish().unwrap();
+    }
+
+    /// Every record of a job's output, in part-file order.
+    fn read_output(dir: &Path) -> Vec<(String, String)> {
+        let mut out = Vec::new();
+        for_each_record(&part_files(dir).unwrap(), |k, v| {
+            out.push((k.to_string(), v.to_string()));
+            Ok(())
+        })
+        .unwrap();
+        out
     }
 
     /// The canonical word count.
@@ -421,9 +815,9 @@ mod tests {
 
     struct SumReducer;
     impl Reducer for SumReducer {
-        fn reduce(&self, key: &str, values: &[String], out: &mut Emitter) {
+        fn reduce(&self, key: &str, values: &[&str], out: &mut Emitter) {
             let total: u64 = values.iter().map(|v| v.parse::<u64>().unwrap_or(0)).sum();
-            out.emit(key, total.to_string());
+            out.emit(key, total);
         }
     }
 
@@ -434,12 +828,8 @@ mod tests {
         let input = dir.join("input-0");
         write_records(
             &input,
-            &[
-                ("0".into(), "the quick brown fox".into()),
-                ("1".into(), "the lazy dog the end".into()),
-            ],
-        )
-        .unwrap();
+            &[("0", "the quick brown fox"), ("1", "the lazy dog the end")],
+        );
         let config = JobConfig::new(dir);
         let out_dir = dir.join("out");
         let counters = run_job(
@@ -454,7 +844,7 @@ mod tests {
         assert_eq!(counters.map_input, 2);
         assert_eq!(counters.map_output, 9);
         assert!(counters.spill_bytes > 0);
-        let mut output = read_output(&out_dir).unwrap();
+        let mut output = read_output(&out_dir);
         output.sort();
         let the = output.iter().find(|(k, _)| k == "the").unwrap();
         assert_eq!(the.1, "3");
@@ -470,7 +860,7 @@ mod tests {
         let scratch = tmp("spans");
         let dir = scratch.path();
         let input = dir.join("input-0");
-        write_records(&input, &[("0".into(), "a b a".into())]).unwrap();
+        write_records(&input, &[("0", "a b a")]);
         let tracer = Arc::new(Tracer::new());
         let ctx = RunContext::unbounded().with_tracer(Arc::clone(&tracer));
         let counters = run_job_traced(
@@ -512,8 +902,8 @@ mod tests {
         let scratch = tmp("panic");
         let dir = scratch.path();
         let inputs = [dir.join("input-0"), dir.join("input-1")];
-        write_records(&inputs[0], &[("0".into(), "fine".into())]).unwrap();
-        write_records(&inputs[1], &[("0".into(), "poison".into())]).unwrap();
+        write_records(&inputs[0], &[("0", "fine")]);
+        write_records(&inputs[1], &[("0", "poison")]);
         // Two inputs are two map tasks on their own threads; one input is
         // one task on the calling thread.
         for inputs in [&inputs[..], &inputs[1..]] {
@@ -538,32 +928,129 @@ mod tests {
     fn records_round_trip_via_disk() {
         let scratch = tmp("rt");
         let dir = scratch.path();
-        let path = dir.join("records");
-        let records = vec![
-            ("a".to_string(), "1 2".to_string()),
-            ("b".to_string(), String::new()),
+        let path = dir.join("part-00000");
+        write_records(&path, &[("a", "1 2"), ("b", ""), ("c", "x\ty")]);
+        assert_eq!(
+            read_output(dir),
+            [("a", "1 2"), ("b", ""), ("c", "x\ty")].map(|(k, v)| (k.to_string(), v.to_string()))
+        );
+    }
+
+    #[test]
+    fn emitter_buffers_the_file_layout() {
+        let mut out = Emitter::default();
+        out.emit("7", format_args!("E {}", 8));
+        out.emit_str("", "");
+        out.emit("9", 0.5);
+        out.emit_each(["1", "22"], format_args!("C {}", 0.25));
+        out.emit_each([], "never");
+        assert_eq!(
+            out.chunks.concat(),
+            b"7\tE 8\n\t\n9\t0.5\n1\tC 0.25\n22\tC 0.25\n"
+        );
+        let spans: Vec<(usize, usize, usize)> =
+            out.spans.iter().map(|s| (s.start, s.tab, s.end)).collect();
+        assert_eq!(
+            spans,
+            [(0, 1, 5), (6, 6, 7), (8, 9, 13), (14, 15, 22), (23, 25, 32)]
+        );
+    }
+
+    #[test]
+    fn emitter_buffers_fill_without_growing() {
+        // Three buffers' worth of records: each buffer keeps the capacity it
+        // was created with, and every record reads back whole.
+        let mut out = Emitter::default();
+        let value = "v".repeat(1000);
+        let records = 3 * CHUNK / 1000;
+        for i in 0..records {
+            out.emit(&i.to_string(), &value);
+        }
+        assert_eq!(out.chunks.len(), 4);
+        assert!(out.chunks.iter().all(|c| c.capacity() == CHUNK));
+        for (i, span) in out.spans.iter().enumerate() {
+            assert_eq!(out.line(span), format!("{i}\t{value}\n").as_bytes());
+        }
+    }
+
+    #[test]
+    fn spill_order_is_byte_order_for_keys_and_values_of_any_length() {
+        struct Keep;
+        impl Mapper for Keep {
+            fn map(&self, key: &str, value: &str, out: &mut Emitter) {
+                out.emit_str(key, value);
+            }
+        }
+        struct Echo;
+        impl Reducer for Echo {
+            fn reduce(&self, key: &str, values: &[&str], out: &mut Emitter) {
+                values.iter().for_each(|v| out.emit_str(key, v));
+            }
+        }
+        // Keys and values around the 7- and 15-byte word widths, with NUL
+        // bytes where zero padding could tie.
+        let keys = [
+            "",
+            "a",
+            "a\0",
+            "abcdefg",
+            "abcdefg\0",
+            "abcdefgh",
+            "abcdefgh\0",
+            "b",
         ];
-        write_records(&path, &records).unwrap();
-        assert_eq!(read_records(&path).unwrap(), records);
+        let values = [
+            "",
+            "x",
+            "x\0",
+            "0123456789abcde",
+            "0123456789abcde\0",
+            "0123456789abcdef",
+        ];
+        let mut records: Vec<(&str, &str)> = keys
+            .iter()
+            .flat_map(|&k| values.iter().map(move |&v| (k, v)))
+            .collect();
+        // Inputs in reverse order, spread over three map tasks.
+        records.reverse();
+        let scratch = tmp("order");
+        let dir = scratch.path();
+        let inputs: Vec<PathBuf> = records
+            .chunks(7)
+            .enumerate()
+            .map(|(i, chunk)| {
+                let path = dir.join(format!("in-{i}"));
+                write_records(&path, chunk);
+                path
+            })
+            .collect();
+        let config = JobConfig {
+            map_tasks: 3,
+            reduce_tasks: 1,
+            work_dir: dir.to_path_buf(),
+        };
+        run_job(&config, "order", &inputs, &Keep, &Echo, &dir.join("out")).unwrap();
+        records.sort();
+        let expected: Vec<(String, String)> = records
+            .iter()
+            .map(|&(k, v)| (k.to_string(), v.to_string()))
+            .collect();
+        assert_eq!(read_output(&dir.join("out")), expected);
     }
 
     #[test]
     fn user_counters_propagate() {
         struct CountingRed;
         impl CountingReducer for CountingRed {
-            fn reduce(&self, key: &str, values: &[String], ctx: &mut ReduceContext<'_>) {
+            fn reduce(&self, key: &str, values: &[&str], ctx: &mut ReduceContext<'_>) {
                 *ctx.counters.entry("keys".into()).or_insert(0) += 1;
-                ctx.out.emit(key, values.len().to_string());
+                ctx.out.emit(key, values.len());
             }
         }
         let scratch = tmp("counters");
         let dir = scratch.path();
         let input = dir.join("in");
-        write_records(
-            &input,
-            &[("x".into(), "a b a".into()), ("y".into(), "c".into())],
-        )
-        .unwrap();
+        write_records(&input, &[("x", "a b a"), ("y", "c")]);
         let counters = run_job(
             &JobConfig::new(dir),
             "count",
@@ -584,7 +1071,7 @@ mod tests {
         let mut inputs = Vec::new();
         for i in 0..6 {
             let p = dir.join(format!("in-{i}"));
-            write_records(&p, &[(i.to_string(), format!("w{i}"))]).unwrap();
+            write_records(&p, &[(i.to_string().as_str(), format!("w{i}").as_str())]);
             inputs.push(p);
         }
         let counters = run_job(
@@ -597,7 +1084,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(counters.map_input, 6);
-        assert_eq!(read_output(&dir.join("out")).unwrap().len(), 6);
+        assert_eq!(read_output(&dir.join("out")).len(), 6);
     }
 
     #[test]
@@ -605,7 +1092,7 @@ mod tests {
         let scratch = tmp("empty");
         let dir = scratch.path();
         let input = dir.join("in");
-        write_records(&input, &[]).unwrap();
+        write_records(&input, &[]);
         let counters = run_job(
             &JobConfig::new(dir),
             "empty",
@@ -616,7 +1103,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(counters.map_input, 0);
-        assert!(read_output(&dir.join("out")).unwrap().is_empty());
+        assert!(read_output(&dir.join("out")).is_empty());
     }
 
     #[test]
@@ -627,7 +1114,7 @@ mod tests {
         let scratch = tmp("taskio");
         let dir = scratch.path();
         let input = dir.join("in");
-        write_records(&input, &[("0".into(), "a b a".into())]).unwrap();
+        write_records(&input, &[("0", "a b a")]);
         let baseline = run_job(
             &JobConfig::new(dir),
             "flaky",
@@ -658,8 +1145,8 @@ mod tests {
         .unwrap();
         assert_eq!(counters, baseline);
         assert_eq!(
-            read_output(&dir.join("out-faulty")).unwrap(),
-            read_output(&dir.join("out-base")).unwrap()
+            read_output(&dir.join("out-faulty")),
+            read_output(&dir.join("out-base"))
         );
         assert_eq!(injector.injected_count(), 1);
         assert_eq!(injector.recovery_count(), 1);
@@ -673,7 +1160,7 @@ mod tests {
         let scratch = tmp("taskio-fatal");
         let dir = scratch.path();
         let input = dir.join("in");
-        write_records(&input, &[("0".into(), "a".into())]).unwrap();
+        write_records(&input, &[("0", "a")]);
         let mut plan = FaultPlan::disabled();
         for attempt in 0..MAX_TASK_ATTEMPTS {
             plan = plan.force(FaultSite::TaskIo {
@@ -706,7 +1193,7 @@ mod tests {
         let scratch = tmp("clean");
         let dir = scratch.path();
         let input = dir.join("in");
-        write_records(&input, &[("0".into(), "a".into())]).unwrap();
+        write_records(&input, &[("0", "a")]);
         run_job(
             &JobConfig::new(dir),
             "cleanme",
@@ -716,6 +1203,48 @@ mod tests {
             &dir.join("out"),
         )
         .unwrap();
-        assert!(!dir.join("cleanme-spills").exists());
+        let mut left: Vec<String> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        left.sort();
+        assert_eq!(left, ["in", "out"]);
+    }
+
+    #[test]
+    fn reducers_see_values_merged_in_byte_order() {
+        struct Keep;
+        impl Mapper for Keep {
+            fn map(&self, key: &str, value: &str, out: &mut Emitter) {
+                out.emit(key, value);
+            }
+        }
+        struct Join;
+        impl Reducer for Join {
+            fn reduce(&self, key: &str, values: &[&str], out: &mut Emitter) {
+                out.emit(key, values.join(","));
+            }
+        }
+        let scratch = tmp("merge");
+        let dir = scratch.path();
+        // Four inputs over two map tasks: each reduce partition merges two
+        // sorted segments that interleave.
+        let inputs: Vec<PathBuf> = (0..4).map(|i| dir.join(format!("in-{i}"))).collect();
+        write_records(&inputs[0], &[("k", "d"), ("j", "2")]);
+        write_records(&inputs[1], &[("k", "c"), ("j", "1")]);
+        write_records(&inputs[2], &[("k", "b"), ("k", "d")]);
+        write_records(&inputs[3], &[("k", "a"), ("j", "0")]);
+        let config = JobConfig {
+            map_tasks: 2,
+            reduce_tasks: 2,
+            work_dir: dir.to_path_buf(),
+        };
+        run_job(&config, "merge", &inputs, &Keep, &Join, &dir.join("out")).unwrap();
+        let mut output = read_output(&dir.join("out"));
+        output.sort();
+        assert_eq!(
+            output,
+            [("j", "0,1,2"), ("k", "a,b,c,d,d")].map(|(k, v)| (k.to_string(), v.to_string()))
+        );
     }
 }

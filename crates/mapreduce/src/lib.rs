@@ -3,8 +3,11 @@
 //! A disk-backed MapReduce runtime and the Graphalytics workload as
 //! iterative job chains — the Hadoop MapReduce v2 stand-in (paper §3.2).
 //!
-//! * [`job`] — the runtime: map tasks, sort/spill, shuffle partitions,
-//!   reduce tasks, counters; all intermediates cross real files;
+//! * [`job`] — the runtime: map tasks that sort their output in one byte
+//!   buffer and write one spill file each, reduce tasks that merge their
+//!   partition's sorted segments, counters; all intermediates cross real
+//!   files, and a task holds its whole output (map) or partition (reduce)
+//!   in memory;
 //! * [`algorithms`] — the kernels as propagate/update job chains;
 //! * [`platform`] — the [`MapReducePlatform`] harness adapter.
 

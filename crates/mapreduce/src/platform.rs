@@ -8,7 +8,7 @@ use graphalytics_core::ScratchDir;
 use graphalytics_graph::{CsrGraph, Vid};
 
 use crate::algorithms;
-use crate::job::{write_records, JobConfig, Record};
+use crate::job::{JobConfig, RecordWriter};
 
 /// MapReduce platform configuration.
 #[derive(Debug, Clone)]
@@ -59,9 +59,10 @@ impl LoadedGraph {
 }
 
 /// Hadoop MapReduce stand-in: every kernel is an iterative chain of
-/// disk-backed map/sort/shuffle/reduce jobs. Slow, but it never runs out
-/// of memory — the paper's "does not crash even when processing the
-/// largest workload".
+/// disk-backed map/sort/shuffle/reduce jobs. Slow, and it keeps neither
+/// the graph nor a kernel's state in memory between jobs — the paper's
+/// "does not crash even when processing the largest workload". Within a
+/// job, a task buffers its own output or partition (see [`crate::job`]).
 pub struct MapReducePlatform {
     config: MapReduceConfig,
     graphs: GraphTable<LoadedGraph>,
@@ -113,27 +114,27 @@ impl Platform for MapReducePlatform {
         let scratch = ScratchDir::new(root, "gx-hadoop")
             .map_err(|e| PlatformError::TransientIo(format!("i/o: {e}")))?;
         let work_dir = scratch.path();
+        // Split `i` holds the arcs of vertices `i`, `i + splits`, …, one
+        // split (two files) written at a time.
         let splits = self.config.input_splits.max(1);
-        let mut buckets: Vec<Vec<Record>> = vec![Vec::new(); splits];
-        let mut weighted_buckets: Vec<Vec<Record>> = vec![Vec::new(); splits];
-        for v in 0..graph.num_vertices() as Vid {
-            let bucket = v as usize % splits;
-            for (&u, &w) in graph.neighbors(v).iter().zip(graph.neighbor_weights(v)) {
-                buckets[bucket].push((v.to_string(), format!("E {u}")));
-                weighted_buckets[bucket].push((v.to_string(), format!("W {u} {w}")));
-            }
-        }
-        let mut edge_files = Vec::new();
-        for (i, bucket) in buckets.iter().enumerate() {
+        let mut edge_files = Vec::with_capacity(splits);
+        let mut weighted_edge_files = Vec::with_capacity(splits);
+        for i in 0..splits {
             let path = work_dir.join(format!("edges-{i:05}"));
-            write_records(&path, bucket)?;
+            let weighted_path = work_dir.join(format!("wedges-{i:05}"));
+            let mut edges = RecordWriter::create(&path)?;
+            let mut weighted = RecordWriter::create(&weighted_path)?;
+            for v in (i..graph.num_vertices()).step_by(splits) {
+                let v = v as Vid;
+                for (&u, &w) in graph.neighbors(v).iter().zip(graph.neighbor_weights(v)) {
+                    edges.write(v, format_args!("E {u}"))?;
+                    weighted.write(v, format_args!("W {u} {w}"))?;
+                }
+            }
+            edges.finish()?;
+            weighted.finish()?;
             edge_files.push(path);
-        }
-        let mut weighted_edge_files = Vec::new();
-        for (i, bucket) in weighted_buckets.iter().enumerate() {
-            let path = work_dir.join(format!("wedges-{i:05}"));
-            write_records(&path, bucket)?;
-            weighted_edge_files.push(path);
+            weighted_edge_files.push(weighted_path);
         }
         let external_ids = (0..graph.num_vertices() as Vid)
             .map(|v| graph.external_id(v))

@@ -6,7 +6,7 @@ use graphalytics_core::platform::RunContext;
 use graphalytics_core::ScratchDir;
 use graphalytics_graph::{CsrGraph, EdgeListGraph, Vid};
 use graphalytics_mapreduce::algorithms;
-use graphalytics_mapreduce::job::{write_records, JobConfig, Record};
+use graphalytics_mapreduce::job::{JobConfig, RecordWriter};
 use std::path::PathBuf;
 
 struct Fixture {
@@ -22,17 +22,20 @@ fn fixture(name: &str, edges: Vec<(u64, u64)>) -> Fixture {
     let dir = scratch.path();
     let graph = CsrGraph::from_edge_list(&EdgeListGraph::undirected_from_edges(edges));
     // Two splits, arcs tagged "E <dst>" keyed by source, like the platform's ETL.
-    let mut buckets: Vec<Vec<Record>> = vec![Vec::new(); 2];
+    let edge_files: Vec<PathBuf> = (0..2).map(|i| dir.join(format!("edges-{i}"))).collect();
+    let mut writers: Vec<RecordWriter> = edge_files
+        .iter()
+        .map(|path| RecordWriter::create(path).unwrap())
+        .collect();
     for v in 0..graph.num_vertices() as Vid {
         for &u in graph.neighbors(v) {
-            buckets[v as usize % 2].push((v.to_string(), format!("E {u}")));
+            writers[v as usize % 2]
+                .write(v, format_args!("E {u}"))
+                .unwrap();
         }
     }
-    let mut edge_files = Vec::new();
-    for (i, bucket) in buckets.iter().enumerate() {
-        let path = dir.join(format!("edges-{i}"));
-        write_records(&path, bucket).unwrap();
-        edge_files.push(path);
+    for writer in writers {
+        writer.finish().unwrap();
     }
     Fixture {
         config: JobConfig::new(dir),
@@ -77,12 +80,13 @@ fn bfs_chain_matches_reference_and_needs_diameter_rounds() {
     )
     .unwrap();
     assert_eq!(depths, graphalytics_algos::bfs::bfs(&f.graph, 6));
-    // The long path forces many iterations; state files for each round
-    // must exist on disk (iterative chains keep state in files).
+    // The long path forces many iterations; each round's state is its
+    // update job's output on disk (iterative chains keep state in files).
     let rounds = std::fs::read_dir(f.dir.path())
         .unwrap()
         .filter_map(|e| e.ok())
-        .filter(|e| e.file_name().to_string_lossy().starts_with("bfs-depths-"))
+        .filter(|e| e.file_name().to_string_lossy().starts_with("bfs-update-"))
+        .filter(|e| e.path().join("part-00000").exists())
         .count();
     assert!(
         rounds >= 8,
