@@ -6,6 +6,8 @@
 //!
 //! * [`protocol`] — framed wire codec: version/type-tagged, CRC-checked
 //!   payloads in the `graphalytics-codec` encoding;
+//! * [`net`] — the one place a stream is opened: `TCP_NODELAY` and the read
+//!   timeout on every master and peer connection;
 //! * [`partition`] — deterministic vertex→worker assignment (computed
 //!   independently by master and workers) and ordered output merge;
 //! * [`worker`] — the worker process: local compute over its partition,
@@ -26,6 +28,7 @@
 
 pub mod driver;
 pub mod master;
+pub mod net;
 pub mod partition;
 pub mod protocol;
 pub mod telemetry;
@@ -34,5 +37,5 @@ pub mod worker;
 pub use driver::{DistribConfig, DistributedPlatform};
 pub use master::{coordinate, MasterConfig, MasterStats};
 pub use partition::PartitionPlan;
-pub use protocol::{read_frame, write_frame, Frame, PlanFrame, StepReport};
+pub use protocol::{read_frame, write_frame, write_frames, Frame, PlanFrame, StepReport};
 pub use telemetry::{SpanKind, TelemetryBuffer, TelemetryMerger, WireSpan};

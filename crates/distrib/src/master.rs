@@ -15,8 +15,9 @@ use graphalytics_codec::Codec;
 use graphalytics_core::faults::{FaultPlan, FaultSite, RecoveryAction};
 use graphalytics_core::platform::{PlatformError, RunContext};
 
+use crate::net;
 use crate::partition::PartitionPlan;
-use crate::protocol::{decode_blob, read_frame, write_frame, Frame, PlanFrame, StepReport};
+use crate::protocol::{decode_blob, read_frame_counted, write_frame, Frame, PlanFrame, StepReport};
 use crate::telemetry::TelemetryMerger;
 use crate::worker::io_timeout;
 
@@ -105,6 +106,12 @@ impl Fleet {
         let addr = listener
             .local_addr()
             .map_err(|e| PlatformError::TransientIo(format!("control addr: {e}")))?;
+        // From the first fork to the last MeshReady: process start, the
+        // handshake and every worker's graph load.
+        let mut launch = ctx.tracer().span("distrib.launch");
+        launch
+            .field("workers", workers as u64)
+            .field("incarnation", incarnation as u64);
         let mut children = Vec::with_capacity(workers);
         let mut relays = Vec::with_capacity(workers);
         for w in 0..workers {
@@ -156,14 +163,14 @@ impl Fleet {
         let mut waited = Duration::ZERO;
         let mut accepted = 0usize;
         while accepted < workers {
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    stream
-                        .set_nonblocking(false)
-                        .and_then(|()| stream.set_read_timeout(Some(timeout)))
-                        .map_err(|e| PlatformError::TransientIo(e.to_string()))?;
-                    let mut stream = stream;
-                    let frame = fleet.read_from(&mut stream).map_err(|e| {
+            match net::accept(&listener, timeout) {
+                Ok(mut stream) => {
+                    let frame = recv_control(
+                        &mut stream,
+                        &mut fleet.control_bytes,
+                        &mut fleet.pending_telemetry,
+                    )
+                    .map_err(|e| {
                         fleet.kill();
                         PlatformError::TransientIo(format!("worker hello: {e}"))
                     })?;
@@ -278,27 +285,8 @@ impl Fleet {
                 }
             }
         }
+        drop(launch);
         Ok(fleet)
-    }
-
-    fn read_from(&mut self, stream: &mut TcpStream) -> io::Result<Frame> {
-        loop {
-            let frame = read_frame(stream)?;
-            if let Frame::Telemetry {
-                worker,
-                incarnation,
-                spans,
-            } = frame
-            {
-                // Absorbed off the control plane without touching
-                // `control_bytes`: telemetry must not perturb the wire
-                // accounting a differential (traced vs untraced) run pins.
-                self.pending_telemetry.push((worker, incarnation, spans));
-                continue;
-            }
-            self.control_bytes += frame.encode().len() as u64;
-            return Ok(frame);
-        }
     }
 
     fn send_to(&mut self, w: usize, frame: &Frame) -> io::Result<()> {
@@ -308,20 +296,11 @@ impl Fleet {
     }
 
     fn recv_from(&mut self, w: usize) -> io::Result<Frame> {
-        loop {
-            let frame = read_frame(&mut self.conns[w])?;
-            if let Frame::Telemetry {
-                worker,
-                incarnation,
-                spans,
-            } = frame
-            {
-                self.pending_telemetry.push((worker, incarnation, spans));
-                continue;
-            }
-            self.control_bytes += frame.encode().len() as u64;
-            return Ok(frame);
-        }
+        recv_control(
+            &mut self.conns[w],
+            &mut self.control_bytes,
+            &mut self.pending_telemetry,
+        )
     }
 
     fn take_control_bytes(&mut self) -> u64 {
@@ -349,6 +328,33 @@ impl Fleet {
         }
         for relay in self.relays.drain(..) {
             let _ = relay.join();
+        }
+    }
+}
+
+/// Reads the next frame off a control connection and counts its wire bytes
+/// into `control_bytes`. `Telemetry` frames in between are set aside in
+/// `telemetry` without being counted: the wire accounting a traced and an
+/// untraced run report must be identical.
+fn recv_control(
+    stream: &mut TcpStream,
+    control_bytes: &mut u64,
+    telemetry: &mut Vec<(u32, u32, Vec<u8>)>,
+) -> io::Result<Frame> {
+    loop {
+        match read_frame_counted(stream)? {
+            (
+                Frame::Telemetry {
+                    worker,
+                    incarnation,
+                    spans,
+                },
+                _,
+            ) => telemetry.push((worker, incarnation, spans)),
+            (frame, bytes) => {
+                *control_bytes += bytes as u64;
+                return Ok(frame);
+            }
         }
     }
 }

@@ -35,10 +35,13 @@ const HEADER_LEN: usize = 21;
 /// framing rather than honored with a giant allocation.
 pub const MAX_PAYLOAD: u64 = 1 << 33;
 
-const CRC_TABLE: [u32; 256] = crc_table();
+/// Slicing-by-8 tables: `CRC_TABLES[0]` is the bytewise table, and
+/// `CRC_TABLES[k][i]` is the CRC of byte `i` followed by `k` zero bytes, so
+/// one step folds eight input bytes with eight lookups.
+const CRC_TABLES: [[u32; 256]; 8] = crc_tables();
 
-const fn crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0usize;
     while i < 256 {
         let mut c = i as u32;
@@ -51,17 +54,41 @@ const fn crc_table() -> [u32; 256] {
             };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut t = 1usize;
+    while t < 8 {
+        let mut i = 0usize;
+        while i < 256 {
+            let prev = tables[t - 1][i];
+            tables[t][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        t += 1;
+    }
+    tables
 }
 
-/// CRC-32 (IEEE 802.3) of `data`.
+/// CRC-32 (IEEE 802.3) of `data`, eight bytes per step (slicing-by-8).
 pub fn crc32(data: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut c = 0xFFFF_FFFFu32;
-    for &b in data {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    let mut chunks = data.chunks_exact(8);
+    for chunk in &mut chunks {
+        let lo = c ^ u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+        let hi = u32::from_le_bytes([chunk[4], chunk[5], chunk[6], chunk[7]]);
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in chunks.remainder() {
+        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     c ^ 0xFFFF_FFFF
 }
@@ -245,20 +272,26 @@ layout!(enum Frame {
 });
 
 impl Frame {
-    /// Full wire encoding (header + payload), built in one buffer: the
-    /// payload is encoded after the header, whose length and CRC are
-    /// filled in once the payload is there.
+    /// Full wire encoding (header + payload), built in one buffer.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(HEADER_LEN + 64);
-        MAGIC.encode_into(&mut out);
-        VERSION.encode_into(&mut out);
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Appends the full wire encoding to `out`: the payload is encoded
+    /// after the header, whose length and CRC are filled in once the
+    /// payload is there.
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        let start = out.len();
+        MAGIC.encode_into(out);
+        VERSION.encode_into(out);
         out.push(self.tag());
-        out.resize(HEADER_LEN, 0);
-        self.encode_payload(&mut out);
-        let (header, payload) = out.split_at_mut(HEADER_LEN);
+        out.resize(start + HEADER_LEN, 0);
+        self.encode_payload(out);
+        let (header, payload) = out[start..].split_at_mut(HEADER_LEN);
         header[9..17].copy_from_slice(&(payload.len() as u64).to_le_bytes());
         header[17..].copy_from_slice(&crc32(payload).to_le_bytes());
-        out
     }
 }
 
@@ -269,7 +302,17 @@ fn bad(msg: impl Into<String>) -> io::Error {
 /// Writes one frame; returns the number of wire bytes written (the unit the
 /// network-volume accounting reports).
 pub fn write_frame(w: &mut impl Write, frame: &Frame) -> io::Result<usize> {
-    let bytes = frame.encode();
+    write_frames(w, std::slice::from_ref(frame))
+}
+
+/// Writes frames that travel together in one `write_all`, so the second
+/// never waits on the first's acknowledgement. The bytes and the returned
+/// count are those of writing the frames one by one.
+pub fn write_frames(w: &mut impl Write, frames: &[Frame]) -> io::Result<usize> {
+    let mut bytes = Vec::with_capacity(frames.len() * (HEADER_LEN + 64));
+    for frame in frames {
+        frame.encode_into(&mut bytes);
+    }
     w.write_all(&bytes)?;
     w.flush()?;
     Ok(bytes.len())
@@ -277,6 +320,12 @@ pub fn write_frame(w: &mut impl Write, frame: &Frame) -> io::Result<usize> {
 
 /// Reads one frame, verifying magic, version, length, and CRC.
 pub fn read_frame(r: &mut impl Read) -> io::Result<Frame> {
+    read_frame_counted(r).map(|(frame, _)| frame)
+}
+
+/// [`read_frame`] that also returns the frame's wire bytes (header plus
+/// payload), the count [`write_frame`] returned on the sending side.
+pub fn read_frame_counted(r: &mut impl Read) -> io::Result<(Frame, usize)> {
     let mut header = [0u8; HEADER_LEN];
     r.read_exact(&mut header)?;
     let mut pos = 0usize;
@@ -312,6 +361,7 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Frame> {
     let mut pos = 0usize;
     Frame::decode_payload(tag, &payload, &mut pos)
         .filter(|_| pos == payload.len())
+        .map(|frame| (frame, HEADER_LEN + payload.len()))
         .ok_or_else(|| bad(format!("malformed payload for frame tag {tag}")))
 }
 
@@ -489,6 +539,84 @@ mod tests {
         // IEEE CRC-32 check value for "123456789".
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    /// One bit at a time, straight from the polynomial: no table involved.
+    fn crc32_bitwise(data: &[u8]) -> u32 {
+        let mut c = 0xFFFF_FFFFu32;
+        for &b in data {
+            c ^= b as u32;
+            for _ in 0..8 {
+                c = if c & 1 != 0 {
+                    0xEDB8_8320 ^ (c >> 1)
+                } else {
+                    c >> 1
+                };
+            }
+        }
+        c ^ 0xFFFF_FFFF
+    }
+
+    /// Every length around the 8-byte step, at every alignment, so both
+    /// the sliced loop and the bytewise tail are exercised.
+    #[test]
+    fn sliced_crc32_equals_the_bitwise_reference() {
+        let buf: Vec<u8> = (0..80u32)
+            .map(|i| (i.wrapping_mul(167) ^ 0x5A) as u8)
+            .collect();
+        for offset in 0..8 {
+            for len in 0..=64 {
+                let data = &buf[offset..offset + len];
+                assert_eq!(
+                    crc32(data),
+                    crc32_bitwise(data),
+                    "offset {offset} len {len}"
+                );
+            }
+        }
+        assert_eq!(crc32_bitwise(b"123456789"), 0xCBF4_3926);
+    }
+
+    #[test]
+    fn write_frames_is_the_frames_written_one_by_one() {
+        let frames = [
+            Frame::Telemetry {
+                worker: 1,
+                incarnation: 0,
+                spans: vec![7; 300],
+            },
+            Frame::StepDone(StepReport {
+                superstep: 4,
+                computed: 10,
+                active_after: 3,
+                sent: 12,
+                sent_remote: 5,
+                bytes_sent: 640,
+                aggregate: 0.25,
+            }),
+            Frame::Output {
+                worker: 1,
+                states: vec![1, 2, 3],
+            },
+        ];
+        let mut one_by_one = Vec::new();
+        let mut total = 0;
+        for frame in &frames {
+            total += write_frame(&mut one_by_one, frame).unwrap();
+        }
+        let mut together = Vec::new();
+        assert_eq!(write_frames(&mut together, &frames).unwrap(), total);
+        assert_eq!(together, one_by_one);
+        assert_eq!(total, one_by_one.len());
+        assert_eq!(write_frames(&mut Vec::new(), &[]).unwrap(), 0);
+
+        let mut r = &together[..];
+        for frame in &frames {
+            let (read, n) = read_frame_counted(&mut r).unwrap();
+            assert_eq!(&read, frame);
+            assert_eq!(n, frame.encode().len());
+        }
+        assert!(r.is_empty());
     }
 
     #[test]

@@ -24,8 +24,11 @@ use graphalytics_graph::{io as graph_io, CsrGraph, Vid};
 use graphalytics_pregel::programs::{dispatch, ProgramVisitor};
 use graphalytics_pregel::{compute_partition, VertexProgram};
 
+use crate::net;
 use crate::partition::PartitionPlan;
-use crate::protocol::{decode_blob, encode_blob, read_frame, write_frame, Frame, PlanFrame};
+use crate::protocol::{
+    decode_blob, encode_blob, read_frame, write_frame, write_frames, Frame, PlanFrame, StepReport,
+};
 use crate::telemetry::{SpanKind, TelemetryBuffer};
 
 /// Exit code of a worker killed by an injected fault (distinguishes a
@@ -81,10 +84,7 @@ pub fn parse_args(args: &[String]) -> Result<WorkerArgs, String> {
 pub fn worker_main(args: &[String], timeout: Duration) -> Result<(), String> {
     let args = parse_args(args)?;
     let mut master =
-        TcpStream::connect(&args.master).map_err(|e| format!("connect {}: {e}", args.master))?;
-    master
-        .set_read_timeout(Some(timeout))
-        .map_err(|e| e.to_string())?;
+        net::dial(&args.master, timeout).map_err(|e| format!("connect {}: {e}", args.master))?;
     write_frame(
         &mut master,
         &Frame::Hello {
@@ -226,20 +226,15 @@ fn run_program<P: VertexProgram>(
     // ones. Both sides run this concurrently, so no ordering deadlock.
     let mut peers: Vec<Option<TcpStream>> = (0..workers).map(|_| None).collect();
     for (j, &port) in ports.iter().enumerate().take(me) {
-        let mut stream = TcpStream::connect(("127.0.0.1", port as u16))
+        let mut stream = net::dial(("127.0.0.1", port as u16), timeout)
             .map_err(|e| format!("dial peer {j}: {e}"))?;
-        stream
-            .set_read_timeout(Some(timeout))
-            .map_err(|e| e.to_string())?;
         write_frame(&mut stream, &Frame::PeerHello { from: plan.worker })
             .map_err(|e| format!("peer hello to {j}: {e}"))?;
         peers[j] = Some(stream);
     }
     for _ in me + 1..workers {
-        let (mut stream, _) = listener.accept().map_err(|e| format!("accept peer: {e}"))?;
-        stream
-            .set_read_timeout(Some(timeout))
-            .map_err(|e| e.to_string())?;
+        let mut stream =
+            net::accept(&listener, timeout).map_err(|e| format!("accept peer: {e}"))?;
         let from = match read_frame(&mut stream).map_err(|e| format!("peer hello: {e}"))? {
             Frame::PeerHello { from } => from as usize,
             other => return Err(format!("expected PeerHello, got tag {}", other.tag())),
@@ -454,41 +449,36 @@ fn run_program<P: VertexProgram>(
                     .filter(|&&v| active[v as usize] || !inbox[v as usize].is_empty())
                     .count() as u64;
                 // Ship this superstep's spans piggybacked on the barrier:
-                // the Telemetry frame (if any) travels just ahead of the
-                // StepDone the master is blocked on.
-                if let Some(frame) = telemetry.take_frame(plan.worker, plan.incarnation) {
-                    write_frame(&mut master, &frame).map_err(|e| format!("telemetry: {e}"))?;
-                }
-                write_frame(
-                    &mut master,
-                    &Frame::StepDone(crate::protocol::StepReport {
-                        superstep,
-                        computed: out.active_count as u64,
-                        active_after,
-                        sent,
-                        sent_remote,
-                        bytes_sent,
-                        aggregate: out.aggregate,
-                    }),
-                )
-                .map_err(|e| format!("step done: {e}"))?;
+                // the Telemetry frame (if any) goes out in the same write
+                // as the StepDone the master is blocked on.
+                let mut frames: Vec<Frame> = telemetry
+                    .take_frame(plan.worker, plan.incarnation)
+                    .into_iter()
+                    .collect();
+                frames.push(Frame::StepDone(StepReport {
+                    superstep,
+                    computed: out.active_count as u64,
+                    active_after,
+                    sent,
+                    sent_remote,
+                    bytes_sent,
+                    aggregate: out.aggregate,
+                }));
+                write_frames(&mut master, &frames).map_err(|e| format!("step done: {e}"))?;
                 telemetry.start_barrier(superstep);
             }
             Frame::Finish => {
                 // EOF flush: the final barrier wait (closed above) has not
-                // shipped yet — send it before the Output frame.
-                if let Some(frame) = telemetry.take_frame(plan.worker, plan.incarnation) {
-                    write_frame(&mut master, &frame).map_err(|e| format!("telemetry: {e}"))?;
-                }
-                let blob = encode_blob(&part.gather(me, &states));
-                write_frame(
-                    &mut master,
-                    &Frame::Output {
-                        worker: plan.worker,
-                        states: blob,
-                    },
-                )
-                .map_err(|e| format!("output: {e}"))?;
+                // shipped yet — it goes out in one write with the Output.
+                let mut frames: Vec<Frame> = telemetry
+                    .take_frame(plan.worker, plan.incarnation)
+                    .into_iter()
+                    .collect();
+                frames.push(Frame::Output {
+                    worker: plan.worker,
+                    states: encode_blob(&part.gather(me, &states)),
+                });
+                write_frames(&mut master, &frames).map_err(|e| format!("output: {e}"))?;
                 return Ok(());
             }
             other => return Err(format!("unexpected frame tag {} from master", other.tag())),
