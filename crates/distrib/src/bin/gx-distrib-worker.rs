@@ -1,7 +1,8 @@
 //! The distributed-Pregel worker process. Spawned by the master (see
 //! `graphalytics_distrib::master`); not meant to be invoked by hand.
 
-use graphalytics_distrib::worker::{io_timeout, worker_main};
+use graphalytics_distrib::net::io_timeout;
+use graphalytics_distrib::worker::worker_main;
 
 fn main() {
     let timeout = io_timeout().unwrap_or_else(|e| {

@@ -5,7 +5,7 @@
 use std::io::{self, BufRead, BufReader};
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::process::{Child, Command, Stdio};
+use std::process::{Child, Command, ExitStatus, Stdio};
 use std::thread::JoinHandle;
 // lint:allow(determinism-time): socket timeouts bound the wait for lost workers
 use std::time::Duration;
@@ -15,11 +15,12 @@ use graphalytics_codec::Codec;
 use graphalytics_core::faults::{FaultPlan, FaultSite, RecoveryAction};
 use graphalytics_core::platform::{PlatformError, RunContext};
 
-use crate::net;
+use crate::net::{self, io_timeout};
 use crate::partition::PartitionPlan;
-use crate::protocol::{decode_blob, read_frame_counted, write_frame, Frame, PlanFrame, StepReport};
+use crate::protocol::{
+    decode_blob, expect_frame, read_frame_counted, write_frame, Frame, PlanFrame, StepReport,
+};
 use crate::telemetry::TelemetryMerger;
-use crate::worker::io_timeout;
 
 /// Master-side configuration for one distributed run.
 #[derive(Debug, Clone)]
@@ -70,10 +71,14 @@ pub struct MasterStats {
 /// The label every distributed-runtime metric carries.
 pub const PLATFORM_LABEL: (&str, &str) = ("platform", "distributed-pregel");
 
+/// A worker fleet: the processes, their control connections and their
+/// stderr relays. It owns its processes: dropping it kills and reaps every
+/// child, then joins the relays — on success, on an early `?` return and
+/// while unwinding, like `core::ScratchDir`.
 struct Fleet {
     children: Vec<Child>,
     conns: Vec<TcpStream>,
-    /// Stderr relay threads, one per worker; joined in [`Fleet::kill`].
+    /// Stderr relay threads, one per worker; joined on drop.
     relays: Vec<JoinHandle<()>>,
     /// Fleet-wide runnable-vertex count reported at `Ready`.
     runnable: u64,
@@ -112,8 +117,16 @@ impl Fleet {
         launch
             .field("workers", workers as u64)
             .field("incarnation", incarnation as u64);
-        let mut children = Vec::with_capacity(workers);
-        let mut relays = Vec::with_capacity(workers);
+        // Built before the first fork, so a spawn failing part-way reaps
+        // the workers already started.
+        let mut fleet = Fleet {
+            children: Vec::with_capacity(workers),
+            conns: Vec::new(),
+            relays: Vec::with_capacity(workers),
+            runnable: 0,
+            control_bytes: 0,
+            pending_telemetry: Vec::new(),
+        };
         for w in 0..workers {
             let mut command = Command::new(&cfg.worker_bin);
             command
@@ -132,8 +145,9 @@ impl Fleet {
             // Relay the worker's stderr line by line under a `[w<id>:i<inc>]`
             // prefix so interleaved fleet logs stay attributable.
             let stderr = child.stderr.take();
+            fleet.children.push(child);
             // lint:allow(spawn-audit): stderr relay thread per worker; exits when the pipe closes
-            relays.push(std::thread::spawn(move || {
+            fleet.relays.push(std::thread::spawn(move || {
                 if let Some(stderr) = stderr {
                     for line in BufReader::new(stderr).lines() {
                         let Ok(line) = line else { break };
@@ -141,16 +155,7 @@ impl Fleet {
                     }
                 }
             }));
-            children.push(child);
         }
-        let mut fleet = Fleet {
-            children,
-            conns: Vec::new(),
-            relays,
-            runnable: 0,
-            control_bytes: 0,
-            pending_telemetry: Vec::new(),
-        };
         // Accept one control connection per worker; identify by Hello.
         let mut conns: Vec<Option<TcpStream>> = (0..workers).map(|_| None).collect();
         listener
@@ -165,27 +170,19 @@ impl Fleet {
         while accepted < workers {
             match net::accept(&listener, timeout) {
                 Ok(mut stream) => {
-                    let frame = recv_control(
+                    let received = recv_control(
                         &mut stream,
                         &mut fleet.control_bytes,
                         &mut fleet.pending_telemetry,
-                    )
-                    .map_err(|e| {
-                        fleet.kill();
-                        PlatformError::TransientIo(format!("worker hello: {e}"))
-                    })?;
-                    let w = match frame {
+                    );
+                    let w = expect_frame!(
+                        received,
                         Frame::Hello { worker } => worker as usize,
-                        other => {
-                            fleet.kill();
-                            return Err(PlatformError::Internal(format!(
-                                "expected Hello, got tag {}",
-                                other.tag()
-                            )));
-                        }
-                    };
+                        "Hello"
+                    )
+                    .map_err(|e| PlatformError::TransientIo(format!("worker hello: {e}")))?
+                    .map_err(PlatformError::Internal)?;
                     if w >= workers || conns[w].is_some() {
-                        fleet.kill();
                         return Err(PlatformError::Internal(format!(
                             "unexpected hello from worker {w}"
                         )));
@@ -194,8 +191,13 @@ impl Fleet {
                     accepted += 1;
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                    // A worker only exits before its Hello when it failed.
+                    if let Some((w, status)) = fleet.first_dead() {
+                        return Err(PlatformError::TransientIo(format!(
+                            "worker {w} exited before connecting ({status})"
+                        )));
+                    }
                     if waited >= timeout {
-                        fleet.kill();
                         return Err(PlatformError::TransientIo(
                             "timed out waiting for worker fleet to connect".to_string(),
                         ));
@@ -204,10 +206,7 @@ impl Fleet {
                     waited += poll;
                     poll = (poll * 2).min(Duration::from_millis(5));
                 }
-                Err(e) => {
-                    fleet.kill();
-                    return Err(PlatformError::TransientIo(format!("accept: {e}")));
-                }
+                Err(e) => return Err(PlatformError::TransientIo(format!("accept: {e}"))),
             }
         }
         fleet.conns = conns.into_iter().flatten().collect();
@@ -230,60 +229,34 @@ impl Fleet {
                 run_id: cfg.run_id,
                 clock_origin: ctx.tracer().now_seconds(),
             });
-            if let Err(e) = fleet.send_to(w, &plan) {
-                fleet.kill();
-                return Err(PlatformError::TransientIo(format!("send plan to {w}: {e}")));
-            }
+            fleet
+                .send_to(w, &plan)
+                .map_err(|e| PlatformError::TransientIo(format!("send plan to {w}: {e}")))?;
         }
         // Collect Ready (peer ports + runnable counts), broadcast the
         // port map, and wait for every worker's mesh.
         let mut ports = vec![0u32; workers];
         for (w, port) in ports.iter_mut().enumerate() {
-            match fleet.recv_from(w) {
-                Ok(Frame::Ready {
-                    peer_port,
-                    runnable,
-                }) => {
-                    *port = peer_port;
-                    fleet.runnable += runnable;
-                }
-                Ok(other) => {
-                    fleet.kill();
-                    return Err(PlatformError::Internal(format!(
-                        "expected Ready from {w}, got tag {}",
-                        other.tag()
-                    )));
-                }
-                Err(e) => {
-                    fleet.kill();
-                    return Err(PlatformError::TransientIo(format!("ready from {w}: {e}")));
-                }
-            }
+            let (peer_port, runnable) = expect_frame!(
+                fleet.recv_from(w),
+                Frame::Ready { peer_port, runnable } => (peer_port, runnable),
+                "Ready from {w}"
+            )
+            .map_err(|e| PlatformError::TransientIo(format!("ready from {w}: {e}")))?
+            .map_err(PlatformError::Internal)?;
+            *port = peer_port;
+            fleet.runnable += runnable;
         }
         let peers = Frame::Peers { ports };
         for w in 0..workers {
-            if let Err(e) = fleet.send_to(w, &peers) {
-                fleet.kill();
-                return Err(PlatformError::TransientIo(format!(
-                    "send peers to {w}: {e}"
-                )));
-            }
+            fleet
+                .send_to(w, &peers)
+                .map_err(|e| PlatformError::TransientIo(format!("send peers to {w}: {e}")))?;
         }
         for w in 0..workers {
-            match fleet.recv_from(w) {
-                Ok(Frame::MeshReady) => {}
-                Ok(other) => {
-                    fleet.kill();
-                    return Err(PlatformError::Internal(format!(
-                        "expected MeshReady from {w}, got tag {}",
-                        other.tag()
-                    )));
-                }
-                Err(e) => {
-                    fleet.kill();
-                    return Err(PlatformError::TransientIo(format!("mesh from {w}: {e}")));
-                }
-            }
+            expect_frame!(fleet.recv_from(w), Frame::MeshReady => (), "MeshReady from {w}")
+                .map_err(|e| PlatformError::TransientIo(format!("mesh from {w}: {e}")))?
+                .map_err(PlatformError::Internal)?;
         }
         drop(launch);
         Ok(fleet)
@@ -307,19 +280,21 @@ impl Fleet {
         std::mem::take(&mut self.control_bytes)
     }
 
-    /// First child that has exited, if any, with its exit code.
-    fn first_dead(&mut self) -> Option<(u32, Option<i32>)> {
+    /// First child that has exited, if any, with its exit status.
+    fn first_dead(&mut self) -> Option<(u32, ExitStatus)> {
         for (w, child) in self.children.iter_mut().enumerate() {
             if let Ok(Some(status)) = child.try_wait() {
-                return Some((w as u32, status.code()));
+                return Some((w as u32, status));
             }
         }
         None
     }
+}
 
+impl Drop for Fleet {
     /// Kills and reaps every worker process, then joins the stderr relays
     /// (their pipes close when the children die).
-    fn kill(&mut self) {
+    fn drop(&mut self) {
         for child in &mut self.children {
             let _ = child.kill();
         }
@@ -359,10 +334,31 @@ fn recv_control(
     }
 }
 
-/// What interrupted a barrier collection: the lost worker, or a hard error.
+/// What interrupted a fleet's run: the lost worker, or a hard error.
 enum Loss {
     Worker(u32),
     Fatal(PlatformError),
+}
+
+impl Loss {
+    /// Maps an [`expect_frame!`] receive from worker `w`: a failed read
+    /// lost the worker, any other frame is fatal.
+    fn expected<T>(w: usize, received: io::Result<Result<T, String>>) -> Result<T, Loss> {
+        match received {
+            Ok(Ok(value)) => Ok(value),
+            Ok(Err(unexpected)) => Err(Loss::Fatal(PlatformError::Internal(unexpected))),
+            Err(_) => Err(Loss::Worker(w as u32)),
+        }
+    }
+}
+
+/// How far the run has come: the superstep under way, and the last one
+/// whose checkpoints all landed, with its incoming aggregate — where a
+/// restarted fleet resumes.
+#[derive(Default)]
+struct Progress {
+    superstep: u64,
+    last_checkpoint: Option<(u64, f64)>,
 }
 
 /// Runs `algorithm` on a fleet of worker processes to completion and
@@ -370,10 +366,10 @@ enum Loss {
 /// vector the in-process engine returns) plus fleet statistics.
 ///
 /// Recovery is a *fleet restart*: when a worker process dies, the fleet is
-/// killed, the incarnation counter bumps, and a fresh fleet resumes from
-/// the last superstep whose checkpoints all landed. Without a complete
-/// checkpoint (or past the restart budget) the loss escalates as
-/// [`PlatformError::WorkerLost`].
+/// dropped (which kills it), the incarnation counter bumps, and a fresh
+/// fleet resumes from the last superstep whose checkpoints all landed.
+/// Without a complete checkpoint (or past the restart budget) the loss
+/// escalates as [`PlatformError::WorkerLost`].
 pub fn coordinate<S: Codec + Clone>(
     cfg: &MasterConfig,
     algorithm: &Algorithm,
@@ -381,233 +377,178 @@ pub fn coordinate<S: Codec + Clone>(
     part: &PartitionPlan,
     ctx: &RunContext,
 ) -> Result<(Vec<S>, MasterStats), PlatformError> {
-    let workers = cfg.workers.max(1) as usize;
     let mut stats = MasterStats::default();
     let mut incarnation = 0u32;
-    let mut resume: Option<(u64, f64)> = None;
+    let mut progress = Progress::default();
     // One merger across all incarnations: its `(worker, incarnation, seq)`
     // dedup is what keeps a restarted worker's re-shipped spans from
     // double-counting in the merged trace.
     let mut merger = TelemetryMerger::new();
-    'fleet: loop {
+    loop {
         ctx.check_deadline()?;
+        let resume = progress.last_checkpoint;
         let mut fleet = Fleet::launch(cfg, algorithm, fault_plan, incarnation, resume, ctx)?;
-        let mut superstep = resume.map_or(0, |r| r.0);
-        let mut prev_aggregate = resume.map_or(0.0, |r| r.1);
-        let mut last_checkpoint = resume;
-        let mut runnable = fleet.runnable > 0;
-        let outcome: Result<(), Loss> = 'steps: loop {
-            if !runnable || superstep >= cfg.max_supersteps {
-                break 'steps Ok(());
-            }
-            if let Err(e) = ctx.check_deadline() {
-                break 'steps Err(Loss::Fatal(e));
-            }
-            let checkpoint = cfg
-                .checkpoint_interval
-                .is_some_and(|i| i > 0 && superstep.is_multiple_of(i));
-            let start = Frame::StartSuperstep {
-                superstep,
-                prev_aggregate,
-                checkpoint,
-            };
-            for w in 0..workers {
-                if let Err(_e) = fleet.send_to(w, &start) {
-                    break 'steps Err(Loss::Worker(w as u32));
-                }
-            }
-            if checkpoint {
-                let mut total = 0u64;
-                let mut lost = None;
-                for w in 0..workers {
-                    match fleet.recv_from(w) {
-                        Ok(Frame::CheckpointDone {
-                            superstep: s,
-                            bytes,
-                        }) if s == superstep => total += bytes,
-                        Ok(other) => {
-                            break 'steps Err(Loss::Fatal(PlatformError::Internal(format!(
-                                "expected CheckpointDone from {w}, got tag {}",
-                                other.tag()
-                            ))))
-                        }
-                        Err(_) => {
-                            lost = Some(w as u32);
-                            break;
-                        }
-                    }
-                }
-                if let Some(w) = lost {
-                    break 'steps Err(Loss::Worker(w));
-                }
-                // All N checkpoint files are durable: this superstep is now
-                // the fleet's restore point.
-                ctx.note_checkpoint(superstep, total as usize);
-                last_checkpoint = Some((superstep, prev_aggregate));
-            }
-            let mut reports: Vec<StepReport> = Vec::with_capacity(workers);
-            for w in 0..workers {
-                match fleet.recv_from(w) {
-                    Ok(Frame::StepDone(r)) if r.superstep == superstep => reports.push(r),
-                    Ok(other) => {
-                        break 'steps Err(Loss::Fatal(PlatformError::Internal(format!(
-                            "expected StepDone from {w}, got tag {}",
-                            other.tag()
-                        ))))
-                    }
-                    Err(_) => break 'steps Err(Loss::Worker(w as u32)),
-                }
-            }
-            // Barrier bookkeeping: aggregates fold in worker-id order so
-            // the f64 sum is bitwise-identical to the in-process engine's.
-            let computed: u64 = reports.iter().map(|r| r.computed).sum();
-            let active_after: u64 = reports.iter().map(|r| r.active_after).sum();
-            let sent: u64 = reports.iter().map(|r| r.sent).sum();
-            let remote: u64 = reports.iter().map(|r| r.sent_remote).sum();
-            let shuffle_bytes: u64 = reports.iter().map(|r| r.bytes_sent).sum();
-            let step_aggregate: f64 = reports.iter().map(|r| r.aggregate).sum();
-            let step_bytes = shuffle_bytes + fleet.take_control_bytes();
-            let mut span = ctx.tracer().span("distrib.superstep");
-            span.field("superstep", superstep)
-                .field("active_vertices", computed)
-                .field("messages_sent", sent)
-                .field("messages_remote", remote)
-                .field("network_bytes", step_bytes)
-                .field("aggregate", step_aggregate)
-                .field("seq_accesses", computed)
-                .field("rand_accesses", sent);
-            let span_id = span.id();
-            for (w, r) in reports.iter().enumerate() {
-                ctx.tracer().event(
-                    "distrib.task",
-                    span_id,
-                    vec![
-                        ("worker".to_string(), (w as u64).into()),
-                        ("work".to_string(), r.computed.into()),
-                        ("messages".to_string(), r.sent.into()),
-                    ],
-                );
-            }
-            // Merge the worker spans shipped alongside this barrier under
-            // the superstep span, so the fleet timeline nests per superstep.
-            drain_telemetry(&mut fleet, &mut merger, ctx, span_id, &mut stats);
-            let metrics = ctx.tracer().metrics();
-            metrics.inc_counter(
-                "graphalytics_network_bytes_total",
-                &[PLATFORM_LABEL],
-                step_bytes,
-            );
-            metrics.inc_counter(
-                "graphalytics_network_messages_total",
-                &[PLATFORM_LABEL],
-                remote,
-            );
-            stats.supersteps += 1;
-            stats.messages_total += sent;
-            stats.messages_remote += remote;
-            stats.network_bytes += step_bytes;
-            prev_aggregate = step_aggregate;
-            runnable = sent > 0 || active_after > 0;
-            superstep += 1;
-        };
+        let outcome = run_fleet::<S>(cfg, &mut fleet, &mut progress, &mut merger, &mut stats, ctx);
+        // Workers flush their remaining spans right before Output, and a
+        // loss keeps whatever the fleet shipped before it — the merger's
+        // seq dedup makes a later re-shipment harmless. Merge them under
+        // the caller's current span.
+        drain_telemetry(
+            &mut fleet,
+            &mut merger,
+            ctx,
+            ctx.tracer().current_span_id(),
+            &mut stats,
+        );
         match outcome {
-            Ok(()) => {
-                // Drain final states from every worker.
-                let mut per_worker: Vec<Vec<S>> = Vec::with_capacity(workers);
-                let mut lost = None;
-                for w in 0..workers {
-                    if fleet.send_to(w, &Frame::Finish).is_err() {
-                        lost = Some(w as u32);
-                        break;
-                    }
-                    match fleet.recv_from(w) {
-                        Ok(Frame::Output { worker, states }) if worker as usize == w => {
-                            match decode_blob::<Vec<S>>(&states) {
-                                Some(v) => per_worker.push(v),
-                                None => {
-                                    fleet.kill();
-                                    return Err(PlatformError::Internal(format!(
-                                        "corrupt output blob from worker {w}"
-                                    )));
-                                }
-                            }
-                        }
-                        Ok(other) => {
-                            fleet.kill();
-                            return Err(PlatformError::Internal(format!(
-                                "expected Output from {w}, got tag {}",
-                                other.tag()
-                            )));
-                        }
-                        Err(_) => {
-                            lost = Some(w as u32);
-                            break;
-                        }
-                    }
-                }
-                // Workers flush their remaining spans right before Output;
-                // merge that EOF shipment under the caller's current span.
-                drain_telemetry(
-                    &mut fleet,
-                    &mut merger,
-                    ctx,
-                    ctx.tracer().current_span_id(),
-                    &mut stats,
-                );
-                if let Some(w) = lost {
-                    let plan = recover(
-                        cfg,
-                        fault_plan,
-                        &mut fleet,
-                        w,
-                        superstep,
-                        incarnation,
-                        last_checkpoint,
-                        ctx,
-                    )?;
-                    incarnation += 1;
-                    stats.restarts += 1;
-                    resume = Some(plan.resume_from);
-                    continue 'fleet;
-                }
+            Ok(per_worker) => {
                 stats.network_bytes += fleet.take_control_bytes();
-                fleet.kill();
                 let merged = part
                     .merge(&per_worker)
                     .ok_or_else(|| PlatformError::Internal("output size mismatch".to_string()))?;
                 return Ok((merged, stats));
             }
-            Err(Loss::Fatal(e)) => {
-                fleet.kill();
-                return Err(e);
-            }
+            Err(Loss::Fatal(e)) => return Err(e),
             Err(Loss::Worker(w)) => {
-                // Keep whatever the fleet shipped before the loss — the
-                // merger's seq dedup makes a later re-shipment harmless.
-                drain_telemetry(
-                    &mut fleet,
-                    &mut merger,
-                    ctx,
-                    ctx.tracer().current_span_id(),
-                    &mut stats,
-                );
-                let plan = recover(
-                    cfg,
-                    fault_plan,
-                    &mut fleet,
-                    w,
-                    superstep,
-                    incarnation,
-                    last_checkpoint,
-                    ctx,
-                )?;
+                recover(cfg, fault_plan, &mut fleet, w, &progress, incarnation, ctx)?;
                 incarnation += 1;
                 stats.restarts += 1;
-                resume = Some(plan.resume_from);
-                continue 'fleet;
             }
         }
     }
+}
+
+/// Drives one fleet from its resume point through the last superstep, then
+/// collects every worker's final states.
+fn run_fleet<S: Codec>(
+    cfg: &MasterConfig,
+    fleet: &mut Fleet,
+    progress: &mut Progress,
+    merger: &mut TelemetryMerger,
+    stats: &mut MasterStats,
+    ctx: &RunContext,
+) -> Result<Vec<Vec<S>>, Loss> {
+    let workers = cfg.workers.max(1) as usize;
+    progress.superstep = progress.last_checkpoint.map_or(0, |r| r.0);
+    let mut prev_aggregate = progress.last_checkpoint.map_or(0.0, |r| r.1);
+    let mut runnable = fleet.runnable > 0;
+    while runnable && progress.superstep < cfg.max_supersteps {
+        ctx.check_deadline().map_err(Loss::Fatal)?;
+        let superstep = progress.superstep;
+        let checkpoint = cfg
+            .checkpoint_interval
+            .is_some_and(|i| i > 0 && superstep.is_multiple_of(i));
+        let start = Frame::StartSuperstep {
+            superstep,
+            prev_aggregate,
+            checkpoint,
+        };
+        for w in 0..workers {
+            fleet
+                .send_to(w, &start)
+                .map_err(|_| Loss::Worker(w as u32))?;
+        }
+        if checkpoint {
+            let mut total = 0u64;
+            for w in 0..workers {
+                total += Loss::expected(
+                    w,
+                    expect_frame!(
+                        fleet.recv_from(w),
+                        Frame::CheckpointDone { superstep: s, bytes } if s == superstep => bytes,
+                        "CheckpointDone from {w}"
+                    ),
+                )?;
+            }
+            // All N checkpoint files are durable: this superstep is now
+            // the fleet's restore point.
+            ctx.note_checkpoint(superstep, total as usize);
+            progress.last_checkpoint = Some((superstep, prev_aggregate));
+        }
+        let mut reports: Vec<StepReport> = Vec::with_capacity(workers);
+        for w in 0..workers {
+            reports.push(Loss::expected(
+                w,
+                expect_frame!(
+                    fleet.recv_from(w),
+                    Frame::StepDone(r) if r.superstep == superstep => r,
+                    "StepDone from {w}"
+                ),
+            )?);
+        }
+        // Barrier bookkeeping: aggregates fold in worker-id order so
+        // the f64 sum is bitwise-identical to the in-process engine's.
+        let computed: u64 = reports.iter().map(|r| r.computed).sum();
+        let active_after: u64 = reports.iter().map(|r| r.active_after).sum();
+        let sent: u64 = reports.iter().map(|r| r.sent).sum();
+        let remote: u64 = reports.iter().map(|r| r.sent_remote).sum();
+        let shuffle_bytes: u64 = reports.iter().map(|r| r.bytes_sent).sum();
+        let step_aggregate: f64 = reports.iter().map(|r| r.aggregate).sum();
+        let step_bytes = shuffle_bytes + fleet.take_control_bytes();
+        let mut span = ctx.tracer().span("distrib.superstep");
+        span.field("superstep", superstep)
+            .field("active_vertices", computed)
+            .field("messages_sent", sent)
+            .field("messages_remote", remote)
+            .field("network_bytes", step_bytes)
+            .field("aggregate", step_aggregate)
+            .field("seq_accesses", computed)
+            .field("rand_accesses", sent);
+        let span_id = span.id();
+        for (w, r) in reports.iter().enumerate() {
+            ctx.tracer().event(
+                "distrib.task",
+                span_id,
+                vec![
+                    ("worker".to_string(), (w as u64).into()),
+                    ("work".to_string(), r.computed.into()),
+                    ("messages".to_string(), r.sent.into()),
+                ],
+            );
+        }
+        // Merge the worker spans shipped alongside this barrier under
+        // the superstep span, so the fleet timeline nests per superstep.
+        drain_telemetry(fleet, merger, ctx, span_id, stats);
+        let metrics = ctx.tracer().metrics();
+        metrics.inc_counter(
+            "graphalytics_network_bytes_total",
+            &[PLATFORM_LABEL],
+            step_bytes,
+        );
+        metrics.inc_counter(
+            "graphalytics_network_messages_total",
+            &[PLATFORM_LABEL],
+            remote,
+        );
+        stats.supersteps += 1;
+        stats.messages_total += sent;
+        stats.messages_remote += remote;
+        stats.network_bytes += step_bytes;
+        prev_aggregate = step_aggregate;
+        runnable = sent > 0 || active_after > 0;
+        progress.superstep += 1;
+    }
+    // Drain final states from every worker.
+    let mut per_worker: Vec<Vec<S>> = Vec::with_capacity(workers);
+    for w in 0..workers {
+        fleet
+            .send_to(w, &Frame::Finish)
+            .map_err(|_| Loss::Worker(w as u32))?;
+        let states = Loss::expected(
+            w,
+            expect_frame!(
+                fleet.recv_from(w),
+                Frame::Output { worker, states } if worker as usize == w => states,
+                "Output from {w}"
+            ),
+        )?;
+        per_worker.push(decode_blob(&states).ok_or_else(|| {
+            Loss::Fatal(PlatformError::Internal(format!(
+                "corrupt output blob from worker {w}"
+            )))
+        })?);
+    }
+    Ok(per_worker)
 }
 
 /// Merges every absorbed Telemetry frame into the run tracer under
@@ -625,24 +566,19 @@ fn drain_telemetry(
     }
 }
 
-/// A decided fleet restart: where the next incarnation resumes.
-struct RecoveryPlan {
-    resume_from: (u64, f64),
-}
-
 /// Attributes a worker loss, records the injection and recovery against the
-/// run context, and either green-lights a fleet restart or escalates.
-#[allow(clippy::too_many_arguments)]
+/// run context, and either green-lights a fleet restart from
+/// `progress.last_checkpoint` or escalates.
 fn recover(
     cfg: &MasterConfig,
     fault_plan: &FaultPlan,
     fleet: &mut Fleet,
     eof_worker: u32,
-    superstep: u64,
+    progress: &Progress,
     incarnation: u32,
-    last_checkpoint: Option<(u64, f64)>,
     ctx: &RunContext,
-) -> Result<RecoveryPlan, PlatformError> {
+) -> Result<(), PlatformError> {
+    let superstep = progress.superstep;
     // Attribute the loss. The fault plan is pure, so the master re-derives
     // which worker the plan killed this superstep — scanning worker ids in
     // ascending order, exactly like the in-process engine's probe — and
@@ -667,15 +603,12 @@ fn recover(
     // evidence); for a planned site this returns the transient error the
     // plan dictates, which recovery absorbs.
     let injected_err = ctx.inject(site.clone()).err();
-    fleet.kill();
-    match last_checkpoint {
-        Some(resume_from) if incarnation < cfg.max_restarts => {
-            ctx.note_recovery(RecoveryAction::CheckpointRestart, Some(site), 0);
-            Ok(RecoveryPlan { resume_from })
-        }
-        _ => Err(injected_err.unwrap_or(PlatformError::WorkerLost {
-            worker: dead,
-            superstep: superstep as usize,
-        })),
+    if progress.last_checkpoint.is_some() && incarnation < cfg.max_restarts {
+        ctx.note_recovery(RecoveryAction::CheckpointRestart, Some(site), 0);
+        return Ok(());
     }
+    Err(injected_err.unwrap_or(PlatformError::WorkerLost {
+        worker: dead,
+        superstep: superstep as usize,
+    }))
 }

@@ -13,8 +13,26 @@
 
 use std::io;
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
+use std::num::NonZeroU64;
 // lint:allow(determinism-time): socket read timeouts bound the wait for lost peers
 use std::time::Duration;
+
+use graphalytics_core::config::{parse_knob, ConfigError};
+
+/// Read-timeout for master and peer sockets: `GX_DISTRIB_IO_TIMEOUT_SECS`
+/// seconds, 60 when unset; a peer silent for this long is treated as lost.
+/// Crash detection normally rides the TCP EOF that closing a dead
+/// process's sockets produces, so this is only a backstop against hangs.
+/// A set value must be a positive integer.
+pub fn io_timeout() -> Result<Duration, ConfigError> {
+    const KNOB: &str = "GX_DISTRIB_IO_TIMEOUT_SECS";
+    let secs = match std::env::var_os(KNOB) {
+        // Bytes that are not Unicode fail to parse like any other typo.
+        Some(value) => parse_knob::<NonZeroU64>(KNOB, &value.to_string_lossy())?.get(),
+        None => 60,
+    };
+    Ok(Duration::from_secs(secs))
+}
 
 /// Connects to `addr` and returns the stream set up for frames.
 pub fn dial(addr: impl ToSocketAddrs, timeout: Duration) -> io::Result<TcpStream> {

@@ -365,6 +365,27 @@ pub fn read_frame_counted(r: &mut impl Read) -> io::Result<(Frame, usize)> {
         .ok_or_else(|| bad(format!("malformed payload for frame tag {tag}")))
 }
 
+/// Receives the frame a protocol step expects:
+/// `expect_frame!(received, Pattern [if guard] => value, "what", args..)`
+/// evaluates `received` (an `io::Result<Frame>`) and destructures it. The
+/// result is `io::Result<Result<T, String>>`: the outer error is the failed
+/// read (a lost peer), the inner one any other frame, as
+/// `expected <what>, got tag <tag>`.
+macro_rules! expect_frame {
+    ($received:expr, $pattern:pat $(if $guard:expr)? => $value:expr, $($what:tt)+) => {
+        match $received {
+            Ok($pattern) $(if $guard)? => Ok(Ok($value)),
+            Ok(other) => Ok(Err(format!(
+                "expected {}, got tag {}",
+                format_args!($($what)+),
+                other.tag()
+            ))),
+            Err(e) => Err(e),
+        }
+    };
+}
+pub(crate) use expect_frame;
+
 /// Encodes a typed value (e.g. a `Vec<(Vid, Message)>` shuffle batch or a
 /// `Vec<State>` output) to a codec blob.
 pub fn encode_blob<T: Codec>(value: &T) -> Vec<u8> {
@@ -626,5 +647,33 @@ mod tests {
         assert_eq!(decode_blob::<Vec<(u32, u64)>>(&blob), Some(batch));
         blob.push(0);
         assert_eq!(decode_blob::<Vec<(u32, u64)>>(&blob), None);
+    }
+
+    #[test]
+    fn expect_frame_tells_a_failed_read_from_a_wrong_frame() {
+        let hello = |worker| Ok::<_, io::Error>(Frame::Hello { worker });
+        let w = 3u32;
+        let pick = expect_frame!(hello(3), Frame::Hello { worker } if worker == w => 1, "Hello");
+        assert_eq!(pick.unwrap(), Ok(1));
+        let guarded = expect_frame!(hello(1), Frame::Hello { worker } if worker == w => 1, "Hello");
+        assert_eq!(
+            guarded.unwrap(),
+            Err("expected Hello, got tag 1".to_string())
+        );
+        let wrong = expect_frame!(
+            Ok::<_, io::Error>(Frame::MeshReady),
+            Frame::Ready { peer_port, .. } => peer_port,
+            "Ready from {w}"
+        );
+        assert_eq!(
+            wrong.unwrap(),
+            Err("expected Ready from 3, got tag 5".to_string())
+        );
+        let lost = expect_frame!(
+            read_frame(&mut &[][..]),
+            Frame::MeshReady => (),
+            "MeshReady"
+        );
+        assert_eq!(lost.unwrap_err().kind(), io::ErrorKind::UnexpectedEof);
     }
 }

@@ -12,13 +12,11 @@
 use std::fs;
 use std::io::Write as _;
 use std::net::{TcpListener, TcpStream};
-use std::num::NonZeroU64;
 use std::path::{Path, PathBuf};
 // lint:allow(determinism-time): socket read timeouts bound the wait for lost peers
 use std::time::Duration;
 
 use graphalytics_algos::Output;
-use graphalytics_core::config::{parse_knob, ConfigError};
 use graphalytics_core::faults::{FaultSite, Snapshot};
 use graphalytics_graph::{io as graph_io, CsrGraph, Vid};
 use graphalytics_pregel::programs::{dispatch, ProgramVisitor};
@@ -27,28 +25,14 @@ use graphalytics_pregel::{compute_partition, VertexProgram};
 use crate::net;
 use crate::partition::PartitionPlan;
 use crate::protocol::{
-    decode_blob, encode_blob, read_frame, write_frame, write_frames, Frame, PlanFrame, StepReport,
+    decode_blob, encode_blob, expect_frame, read_frame, write_frame, write_frames, Frame,
+    PlanFrame, StepReport,
 };
 use crate::telemetry::{SpanKind, TelemetryBuffer};
 
 /// Exit code of a worker killed by an injected fault (distinguishes a
 /// planned crash from the collateral exits of peers that lost it).
 pub const EXIT_INJECTED_FAULT: i32 = 3;
-
-/// Read-timeout for master and peer sockets: `GX_DISTRIB_IO_TIMEOUT_SECS`
-/// seconds, 60 when unset; a peer silent for this long is treated as lost.
-/// Crash detection normally rides the TCP EOF that closing a dead
-/// process's sockets produces, so this is only a backstop against hangs.
-/// A set value must be a positive integer.
-pub fn io_timeout() -> Result<Duration, ConfigError> {
-    const KNOB: &str = "GX_DISTRIB_IO_TIMEOUT_SECS";
-    let secs = match std::env::var_os(KNOB) {
-        // Bytes that are not Unicode fail to parse like any other typo.
-        Some(value) => parse_knob::<NonZeroU64>(KNOB, &value.to_string_lossy())?.get(),
-        None => 60,
-    };
-    Ok(Duration::from_secs(secs))
-}
 
 /// Parsed command line of `gx-distrib-worker`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -80,7 +64,7 @@ pub fn parse_args(args: &[String]) -> Result<WorkerArgs, String> {
 
 /// Worker entry point: connect to the master, receive the plan, load the
 /// dataset, and run supersteps until told to finish. Every socket read
-/// waits at most `timeout` (see [`io_timeout`]).
+/// waits at most `timeout` (see [`net::io_timeout`]).
 pub fn worker_main(args: &[String], timeout: Duration) -> Result<(), String> {
     let args = parse_args(args)?;
     let mut master =
@@ -92,10 +76,8 @@ pub fn worker_main(args: &[String], timeout: Duration) -> Result<(), String> {
         },
     )
     .map_err(|e| format!("hello: {e}"))?;
-    let plan = match read_frame(&mut master).map_err(|e| format!("plan: {e}"))? {
-        Frame::Plan(p) => p,
-        other => return Err(format!("expected Plan, got tag {}", other.tag())),
-    };
+    let plan = expect_frame!(read_frame(&mut master), Frame::Plan(p) => p, "Plan")
+        .map_err(|e| format!("plan: {e}"))??;
     if plan.worker != args.worker {
         return Err(format!(
             "plan addressed to worker {}, I am {}",
@@ -211,10 +193,8 @@ fn run_program<P: VertexProgram>(
     )
     .map_err(|e| format!("ready: {e}"))?;
 
-    let ports = match read_frame(&mut master).map_err(|e| format!("peers: {e}"))? {
-        Frame::Peers { ports } => ports,
-        other => return Err(format!("expected Peers, got tag {}", other.tag())),
-    };
+    let ports = expect_frame!(read_frame(&mut master), Frame::Peers { ports } => ports, "Peers")
+        .map_err(|e| format!("peers: {e}"))??;
     if ports.len() != workers {
         return Err(format!(
             "got {} peer ports for {workers} workers",
@@ -235,10 +215,12 @@ fn run_program<P: VertexProgram>(
     for _ in me + 1..workers {
         let mut stream =
             net::accept(&listener, timeout).map_err(|e| format!("accept peer: {e}"))?;
-        let from = match read_frame(&mut stream).map_err(|e| format!("peer hello: {e}"))? {
+        let from = expect_frame!(
+            read_frame(&mut stream),
             Frame::PeerHello { from } => from as usize,
-            other => return Err(format!("expected PeerHello, got tag {}", other.tag())),
-        };
+            "PeerHello"
+        )
+        .map_err(|e| format!("peer hello: {e}"))??;
         if from <= me || from >= workers || peers[from].is_some() {
             return Err(format!("unexpected peer hello from {from}"));
         }
@@ -380,29 +362,25 @@ fn run_program<P: VertexProgram>(
                             continue;
                         }
                         let stream = peer.as_mut().ok_or_else(|| format!("no peer stream {j}"))?;
-                        match read_frame(stream).map_err(|e| format!("shuffle from {j}: {e}"))? {
+                        let (from, step, batch) = expect_frame!(
+                            read_frame(stream),
                             Frame::Shuffle {
                                 from,
                                 superstep: step,
                                 batch,
-                            } => {
-                                if from as usize != j || step != superstep {
-                                    return Err(format!(
-                                        "misrouted shuffle: from={from} step={step} on stream {j}"
-                                    ));
-                                }
-                                incoming[j] = Some(
-                                    decode_blob::<Vec<(Vid, P::Message)>>(&batch)
-                                        .ok_or_else(|| format!("corrupt shuffle from {j}"))?,
-                                );
-                            }
-                            other => {
-                                return Err(format!(
-                                    "expected Shuffle from {j}, got tag {}",
-                                    other.tag()
-                                ))
-                            }
+                            } => (from, step, batch),
+                            "Shuffle from {j}"
+                        )
+                        .map_err(|e| format!("shuffle from {j}: {e}"))??;
+                        if from as usize != j || step != superstep {
+                            return Err(format!(
+                                "misrouted shuffle: from={from} step={step} on stream {j}"
+                            ));
                         }
+                        incoming[j] = Some(
+                            decode_blob::<Vec<(Vid, P::Message)>>(&batch)
+                                .ok_or_else(|| format!("corrupt shuffle from {j}"))?,
+                        );
                     }
                     let mut total = 0u64;
                     for h in handles {
