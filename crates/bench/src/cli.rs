@@ -56,7 +56,7 @@ const TRACE_OUT: Flag = (
 const PROFILE_OUT: Flag = (
     "--profile-out",
     "base",
-    "attach the sampling profiler; write <base>.folded, .svg, .trace.json, .chokepoints.jsonl",
+    "fold spans by self time (µs); write <base>.folded, .svg, .trace.json, .chokepoints.jsonl",
 );
 const THREADS: Flag = (
     "--threads",

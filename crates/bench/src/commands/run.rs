@@ -13,8 +13,9 @@
 //! run records are appended to the results database. With `--trace-out`,
 //! the run is traced: spans and metrics are exported as JSONL to the given
 //! path, and a Prometheus text rendering to `<path>.prom`. With
-//! `--profile-out <base>`, the sampling profiler rides along and writes
-//! `<base>.folded`, `<base>.svg`, `<base>.trace.json`, and
+//! `--profile-out <base>`, the finished spans are folded into stacks
+//! weighted by µs of self time and written as `<base>.folded` and
+//! `<base>.svg`, next to `<base>.trace.json` and
 //! `<base>.chokepoints.jsonl`; the choke-point reports are also appended
 //! to the results database and spliced into the HTML report. `--threads N`
 //! (or the `reference.threads` property; the flag wins) runs the reference
@@ -108,7 +109,7 @@ pub fn run(args: &Args) -> ExitCode {
     }
     drop(report_span);
 
-    // Stop the sampler and write the trace/profile artifacts; the
+    // Write the trace/profile artifacts; the
     // choke-point reports additionally land in the results database and
     // the HTML report.
     let artifacts = session.finish(title);

@@ -3,30 +3,30 @@
 //!
 //! * `--trace-out <trace.jsonl>` — export spans + metrics as JSONL and a
 //!   Prometheus text rendering to `<path>.prom`;
-//! * `--profile-out <base>` — attach the sampling profiler and write
-//!   `<base>.folded` (folded stacks), `<base>.svg` (flamegraph),
+//! * `--profile-out <base>` — fold the finished spans and write
+//!   `<base>.folded` (folded stacks weighted by µs of self time),
+//!   `<base>.svg` (flamegraph),
 //!   `<base>.trace.json` (Chrome `trace_event`), and
 //!   `<base>.chokepoints.jsonl` (per-run choke-point attribution).
 //!
-//! [`ObsSession`] owns the tracer + sampler lifecycle so the commands stay
+//! [`ObsSession`] owns the tracer lifecycle so the commands stay
 //! one-screen: observability is paid for only when a flag asks for it —
-//! with no flag the tracer is disabled, no sampler thread starts, and every
-//! span and metric call is a no-op, keeping command outputs byte-identical.
+//! with no flag the tracer is disabled and every span and metric call is a
+//! no-op, keeping command outputs byte-identical.
 
 use std::sync::Arc;
 
 use graphalytics_core::Tracer;
 use graphalytics_obs::chokepoints::{self, RunChokePoints};
-use graphalytics_obs::{chrome_trace, flamegraph_svg, Profile, SamplingProfiler};
+use graphalytics_obs::{chrome_trace, flamegraph_svg, Profile};
 
 use crate::Args;
 
 /// A live observability session: the tracer every suite run should be
-/// handed, plus the sampler when profiling was requested.
+/// handed, plus where its artifacts go.
 pub struct ObsSession {
     /// Enabled iff any observability flag was set; pass to `run_traced`.
     pub tracer: Arc<Tracer>,
-    profiler: Option<SamplingProfiler>,
     trace_out: Option<String>,
     profile_out: Option<String>,
 }
@@ -42,8 +42,7 @@ pub struct ObsArtifacts {
 }
 
 impl ObsSession {
-    /// Builds the tracer — enabled iff `args` carries an observability
-    /// flag — and, with `--profile-out`, starts the sampler.
+    /// Builds the tracer — enabled iff `args` carries an observability flag.
     pub fn start(args: &Args) -> Self {
         let trace_out = args.flag("--trace-out").map(str::to_string);
         let profile_out = args.flag("--profile-out").map(str::to_string);
@@ -56,25 +55,18 @@ impl ObsSession {
         // it (satisfies scrapes and JSONL consumers alike); no-op when
         // observability is off, keeping default outputs byte-identical.
         tracer.metrics().register_build_info();
-        let profiler = profile_out
-            .as_ref()
-            .map(|_| SamplingProfiler::start(Arc::clone(&tracer)));
         Self {
             tracer,
-            profiler,
             trace_out,
             profile_out,
         }
     }
 
-    /// Stops the sampler and writes every requested artifact. `title`
-    /// labels the flamegraph. Returns the profile and choke-point reports
-    /// so drivers can splice them into their own outputs.
-    pub fn finish(mut self, title: &str) -> ObsArtifacts {
-        let mut artifacts = ObsArtifacts {
-            profile: self.profiler.take().map(SamplingProfiler::stop),
-            chokepoints: Vec::new(),
-        };
+    /// Writes every requested artifact. `title` labels the flamegraph.
+    /// Returns the profile and choke-point reports so drivers can splice
+    /// them into their own outputs.
+    pub fn finish(self, title: &str) -> ObsArtifacts {
+        let mut artifacts = ObsArtifacts::default();
         if let Some(path) = &self.trace_out {
             write_or_warn(path, &self.tracer.export_jsonl(), "trace");
             write_or_warn(
@@ -84,8 +76,8 @@ impl ObsSession {
             );
         }
         if let Some(base) = &self.profile_out {
-            let profile = artifacts.profile.as_ref().expect("profiler was started");
             let spans = self.tracer.finished_spans();
+            let profile = artifacts.profile.insert(Profile::from_spans(&spans));
             write_or_warn(
                 &format!("{base}.folded"),
                 &profile.folded_text(),

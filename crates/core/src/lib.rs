@@ -7,14 +7,14 @@
 //!   ("platform-specific algorithm implementation" modules plug in here)
 //!   and the [`GraphTable`] its implementations keep loaded graphs in;
 //! * [`scratch`] — [`ScratchDir`], the self-removing scratch directory of
-//!   the engines that spill to disk;
+//!   the engines that spill to disk (re-exported from `graphalytics-graph`);
 //! * [`datasets`] — the Datasets database (preconfigured graphs + Datagen);
 //! * [`runner`] — the benchmark orchestrator (all platforms × datasets ×
 //!   algorithms, with timeouts, repetitions, monitoring, validation);
 //! * [`validator`] — the Output Validator;
 //! * [`monitor`] — the System Monitor;
-//! * [`sampler`] — the periodic background thread the monitor and the
-//!   span-stack profiler share, stopped by a wake-up instead of a poll;
+//! * [`sampler`] — the monitor's periodic background thread, stopped by a
+//!   wake-up instead of a poll;
 //! * [`report`] — the Report Generator (Figure 4 / Figure 5 style tables,
 //!   JSON);
 //! * [`results`] — the Results database (JSONL submissions);
@@ -48,10 +48,11 @@ pub mod report;
 pub mod results;
 pub mod runner;
 pub mod sampler;
-pub mod scratch;
 pub mod sync;
 pub mod trace;
 pub mod validator;
+
+pub use graphalytics_graph::scratch;
 
 pub use config::BenchmarkSpec;
 pub use datasets::{Dataset, DatasetRepository, DatasetSpec};

@@ -1,6 +1,6 @@
-//! The periodic background sampler behind the System Monitor and the
-//! span-stack profiler: the one place the harness spawns a thread to watch
-//! a run, and the one place it has to get rid of that thread again.
+//! The periodic background sampler behind the System Monitor: the one
+//! place the harness spawns a thread to watch a run, and the one place it
+//! has to get rid of that thread again.
 //!
 //! A sampler sits next to every kernel run, so stopping it is on the
 //! benchmark's per-run path. The thread therefore never sleeps: it parks

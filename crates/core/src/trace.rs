@@ -198,104 +198,14 @@ thread_local! {
     /// tracers on the same thread don't adopt each other's parents.
     static SPAN_STACK: RefCell<Vec<(usize, u64)>> = const { RefCell::new(Vec::new()) };
 
-    /// The thread's slot in the global sampling registry, registered
-    /// lazily on the first span/event. The handle's drop marks the slot
-    /// dead so samplers skip exited threads.
-    static THREAD_SLOT: ThreadSlotHandle = ThreadSlotHandle::register();
+    /// The thread's ordinal, assigned lazily on its first span/event.
+    static THREAD_ORDINAL: u64 = THREAD_ORDINALS.fetch_add(1, Ordering::Relaxed);
 }
 
-/// One open-span frame mirrored into the cross-thread sampling registry.
-struct SharedFrame {
-    tracer_uid: usize,
-    span_id: u64,
-    name: Arc<str>,
-}
-
-/// Per-thread shared state a sampler thread can read: the thread's
-/// identity plus a mirror of its open-span stack.
-struct ThreadSlot {
-    ordinal: u64,
-    name: String,
-    alive: AtomicBool,
-    frames: Mutex<Vec<SharedFrame>>,
-}
-
-struct ThreadSlotHandle(Arc<ThreadSlot>);
-
-impl ThreadSlotHandle {
-    fn register() -> Self {
-        let ordinal = THREAD_ORDINALS.fetch_add(1, Ordering::Relaxed);
-        let name = std::thread::current()
-            .name()
-            .map(str::to_string)
-            .unwrap_or_else(|| format!("thread-{ordinal}"));
-        let slot = Arc::new(ThreadSlot {
-            ordinal,
-            name,
-            alive: AtomicBool::new(true),
-            frames: Mutex::new(Vec::new()),
-        });
-        let mut registry = lock(thread_registry());
-        // Exited threads leave dead slots behind; reclaim them here so
-        // long-lived processes spawning many workers don't leak slots.
-        registry.retain(|s| s.alive.load(Ordering::Acquire));
-        registry.push(Arc::clone(&slot));
-        Self(slot)
-    }
-}
-
-impl Drop for ThreadSlotHandle {
-    fn drop(&mut self) {
-        self.0.alive.store(false, Ordering::Release);
-    }
-}
-
-fn thread_registry() -> &'static Mutex<Vec<Arc<ThreadSlot>>> {
-    static REGISTRY: OnceLock<Mutex<Vec<Arc<ThreadSlot>>>> = OnceLock::new();
-    REGISTRY.get_or_init(|| Mutex::new(Vec::new()))
-}
-
-/// This thread's sampling-registry ordinal (registering the thread on
-/// first use). Falls back to 0 during thread teardown, when the TLS slot
-/// may already be destructed.
+/// This thread's ordinal (assigning one on first use). Falls back to 0
+/// during thread teardown, when the TLS slot may already be destructed.
 fn current_thread_ordinal() -> u64 {
-    THREAD_SLOT
-        .try_with(|slot| slot.0.ordinal)
-        .unwrap_or_default()
-}
-
-fn shared_stack_push(tracer_uid: usize, span_id: u64, name: &Arc<str>) {
-    let _ = THREAD_SLOT.try_with(|slot| {
-        lock(&slot.0.frames).push(SharedFrame {
-            tracer_uid,
-            span_id,
-            name: Arc::clone(name),
-        });
-    });
-}
-
-fn shared_stack_pop(tracer_uid: usize, span_id: u64) {
-    let _ = THREAD_SLOT.try_with(|slot| {
-        let mut frames = lock(&slot.0.frames);
-        if let Some(pos) = frames
-            .iter()
-            .rposition(|f| f.tracer_uid == tracer_uid && f.span_id == span_id)
-        {
-            frames.remove(pos);
-        }
-    });
-}
-
-/// One sampled thread: its identity and the names of the spans open on it
-/// at the instant of the sample, outermost first.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StackSample {
-    /// Thread ordinal (matches [`Span::thread`]).
-    pub thread: u64,
-    /// Thread name (`std::thread` name, or `thread-<ordinal>`).
-    pub thread_name: String,
-    /// Open span names, outermost → innermost.
-    pub frames: Vec<String>,
+    THREAD_ORDINAL.try_with(|o| *o).unwrap_or_default()
 }
 
 #[derive(Default)]
@@ -418,15 +328,13 @@ impl Tracer {
             inner.next_id += 1;
             inner.next_id
         };
-        let name: Arc<str> = Arc::from(name);
         SPAN_STACK.with(|s| s.borrow_mut().push((self.uid, id)));
-        shared_stack_push(self.uid, id, &name);
         SpanGuard {
             tracer: self,
             open: Some(OpenSpan {
                 id,
                 parent,
-                name,
+                name: name.to_string(),
                 start_seconds: self.now_seconds(),
                 thread: current_thread_ordinal(),
                 fields: Vec::new(),
@@ -540,39 +448,6 @@ impl Tracer {
         spans
     }
 
-    /// Samples the open-span stack of every live registered thread — the
-    /// sampling profiler's read side. Threads register automatically on
-    /// their first span; only frames belonging to *this* tracer are
-    /// returned, and threads with no open spans for it are skipped.
-    /// Results are sorted by thread ordinal so samples are stable.
-    pub fn sample_stacks(&self) -> Vec<StackSample> {
-        if !self.enabled {
-            return Vec::new();
-        }
-        let registry = lock(thread_registry());
-        let mut out = Vec::new();
-        for slot in registry.iter() {
-            if !slot.alive.load(Ordering::Acquire) {
-                continue;
-            }
-            let frames: Vec<String> = lock(&slot.frames)
-                .iter()
-                .filter(|f| f.tracer_uid == self.uid)
-                .map(|f| f.name.to_string())
-                .collect();
-            if frames.is_empty() {
-                continue;
-            }
-            out.push(StackSample {
-                thread: slot.ordinal,
-                thread_name: slot.name.clone(),
-                frames,
-            });
-        }
-        out.sort_by_key(|s| s.thread);
-        out
-    }
-
     /// Serializes finished spans plus the metrics registry as JSONL: one
     /// `{"type":"span",...}` object per span (in start order) followed by
     /// one `{"type":"counter"|"gauge"|"histogram",...}` object per metric.
@@ -592,7 +467,7 @@ impl Tracer {
 struct OpenSpan {
     id: u64,
     parent: Option<u64>,
-    name: Arc<str>,
+    name: String,
     start_seconds: f64,
     thread: u64,
     fields: Vec<(String, FieldValue)>,
@@ -634,12 +509,11 @@ impl Drop for SpanGuard<'_> {
                 stack.remove(pos);
             }
         });
-        shared_stack_pop(self.tracer.uid, open.id);
         let end_seconds = self.tracer.now_seconds();
         self.tracer.finish(Span {
             id: open.id,
             parent: open.parent,
-            name: open.name.to_string(),
+            name: open.name,
             start_seconds: open.start_seconds,
             end_seconds,
             thread: open.thread,
@@ -1581,72 +1455,6 @@ gx_run_seconds_count 2
         let fields = doc.get("fields").unwrap();
         assert_eq!(fields.get("n").unwrap().as_f64(), Some(3.0));
         assert_eq!(fields.get("what").unwrap().as_str(), Some("etl"));
-    }
-
-    #[test]
-    fn sample_stacks_sees_open_spans() {
-        let tracer = Tracer::new();
-        assert!(tracer.sample_stacks().is_empty());
-        {
-            let _outer = tracer.span("suite");
-            let _inner = tracer.span("suite.run");
-            let samples = tracer.sample_stacks();
-            let mine = samples
-                .iter()
-                .find(|s| s.frames == ["suite", "suite.run"])
-                .expect("this thread's stack is sampled");
-            assert!(mine.thread > 0);
-            assert!(!mine.thread_name.is_empty());
-        }
-        // After the guards drop, this tracer has no open frames anywhere.
-        assert!(tracer
-            .sample_stacks()
-            .iter()
-            .all(|s| !s.frames.iter().any(|f| f.starts_with("suite"))));
-    }
-
-    #[test]
-    fn sample_stacks_isolates_tracers_and_threads() {
-        let a = Arc::new(Tracer::new());
-        let b = Tracer::new();
-        let _span_b = b.span("other.tracer");
-        let _span_a = a.span("main.work");
-        let (tx, rx) = std::sync::mpsc::channel::<()>();
-        let (ready_tx, ready_rx) = std::sync::mpsc::channel::<()>();
-        let worker = {
-            let a = Arc::clone(&a);
-            std::thread::Builder::new()
-                .name("sampled-worker".into())
-                .spawn(move || {
-                    let _w = a.span_with_parent("worker.busy", None);
-                    ready_tx.send(()).unwrap();
-                    rx.recv().unwrap();
-                })
-                .unwrap()
-        };
-        ready_rx.recv().unwrap();
-        let samples = a.sample_stacks();
-        // Tracer a sees its own two threads and never tracer b's frames.
-        assert!(samples.iter().any(|s| s.frames == ["main.work"]));
-        let w = samples
-            .iter()
-            .find(|s| s.frames == ["worker.busy"])
-            .expect("worker thread sampled");
-        assert_eq!(w.thread_name, "sampled-worker");
-        assert!(samples
-            .iter()
-            .all(|s| !s.frames.iter().any(|f| f == "other.tracer")));
-        tx.send(()).unwrap();
-        worker.join().unwrap();
-        // Dead threads disappear from subsequent samples.
-        assert!(a.sample_stacks().iter().all(|s| s.thread != w.thread));
-    }
-
-    #[test]
-    fn disabled_tracer_never_registers_sampling_frames() {
-        let tracer = Tracer::disabled();
-        let _s = tracer.span("invisible");
-        assert!(tracer.sample_stacks().is_empty());
     }
 
     #[test]

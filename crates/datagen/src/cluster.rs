@@ -315,29 +315,10 @@ mod tests {
     use super::*;
     use crate::distributions::DegreeDistribution;
     use graphalytics_graph::io::read_edge_file;
-    use graphalytics_graph::EdgeListGraph;
+    use graphalytics_graph::{EdgeListGraph, ScratchDir};
 
-    /// A per-test directory under `$TMP`, removed on drop — when the test
-    /// panics too.
-    struct TmpDir(PathBuf);
-
-    impl Drop for TmpDir {
-        fn drop(&mut self) {
-            let _ = std::fs::remove_dir_all(&self.0);
-        }
-    }
-
-    impl std::ops::Deref for TmpDir {
-        type Target = Path;
-        fn deref(&self) -> &Path {
-            &self.0
-        }
-    }
-
-    fn tmp(name: &str) -> TmpDir {
-        let dir = std::env::temp_dir().join(format!("gx-cluster-{}-{name}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        TmpDir(dir)
+    fn tmp(name: &str) -> ScratchDir {
+        ScratchDir::new(None, &format!("gx-cluster-{name}")).unwrap()
     }
 
     fn cfg(n: usize) -> DatagenConfig {
@@ -363,8 +344,8 @@ mod tests {
     fn single_and_cluster_produce_the_same_graph() {
         let dir = tmp("same");
         let cfg = cfg(1200);
-        let single_out = dir.join("single.e");
-        let cluster_out = dir.join("cluster.e");
+        let single_out = dir.path().join("single.e");
+        let cluster_out = dir.path().join("cluster.e");
         let s = generate_to_disk(
             &cfg,
             &GenerationMode::SingleNode { threads: 3 },
@@ -375,7 +356,7 @@ mod tests {
             &cfg,
             &GenerationMode::Cluster {
                 workers: 4,
-                spill_dir: dir.join("spill"),
+                spill_dir: dir.path().join("spill"),
             },
             &cluster_out,
         )
@@ -391,7 +372,7 @@ mod tests {
     fn matches_in_memory_generator() {
         let dir = tmp("mem");
         let cfg = cfg(800);
-        let out = dir.join("disk.e");
+        let out = dir.path().join("disk.e");
         generate_to_disk(&cfg, &GenerationMode::SingleNode { threads: 2 }, &out).unwrap();
         let from_disk = load(&out, 800);
         let in_memory = crate::generator::generate(&cfg);
@@ -401,7 +382,7 @@ mod tests {
     #[test]
     fn empty_input_produces_empty_file() {
         let dir = tmp("empty");
-        let out = dir.join("e.e");
+        let out = dir.path().join("e.e");
         let stats =
             generate_to_disk(&cfg(0), &GenerationMode::SingleNode { threads: 2 }, &out).unwrap();
         assert_eq!(stats.edges_written, 0);
@@ -411,8 +392,8 @@ mod tests {
     #[test]
     fn cluster_cleans_up_spills() {
         let dir = tmp("clean");
-        let spill_dir = dir.join("spills");
-        let out = dir.join("out.e");
+        let spill_dir = dir.path().join("spills");
+        let out = dir.path().join("out.e");
         generate_to_disk(
             &cfg(400),
             &GenerationMode::Cluster {

@@ -273,6 +273,16 @@ fn e2e_telemetry_is_off_the_output_path() {
     ] {
         assert!(trace.contains(name), "chrome trace missing lane {name}");
     }
+    // The span fold sees the workers' shipped compute time.
+    let folded = graphalytics_obs::Profile::from_spans(&spans).folded_text();
+    assert!(
+        folded.lines().any(|l| l
+            .rsplit_once(' ')
+            .unwrap()
+            .0
+            .ends_with(";distrib.worker.compute")),
+        "fold has no worker compute stack:\n{folded}"
+    );
 
     // Straggler attribution: every superstep row covers all four workers.
     let reports = graphalytics_obs::attribute(&spans);

@@ -206,17 +206,15 @@ fn parse_err(path: &Path, lineno: usize, line: &str) -> GraphError {
 mod tests {
     use super::*;
 
-    fn tmpdir(name: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!("gx-io-{name}-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        dir
+    fn tmpdir(name: &str) -> crate::ScratchDir {
+        crate::ScratchDir::new(None, &format!("gx-io-{name}")).unwrap()
     }
 
     #[test]
     fn round_trip_undirected() {
         let dir = tmpdir("rt");
         let g = EdgeListGraph::new(vec![7], vec![(0, 1), (1, 2), (0, 2)], false);
-        let prefix = dir.join("g1");
+        let prefix = dir.path().join("g1");
         write_graph(&g, &prefix).unwrap();
         let back = read_graph(&prefix, false).unwrap();
         assert_eq!(back, g);
@@ -226,7 +224,7 @@ mod tests {
     fn round_trip_directed() {
         let dir = tmpdir("rtd");
         let g = EdgeListGraph::directed_from_edges(vec![(1, 0), (0, 1), (2, 0)]);
-        let prefix = dir.join("g2");
+        let prefix = dir.path().join("g2");
         write_graph(&g, &prefix).unwrap();
         let back = read_graph(&prefix, true).unwrap();
         assert_eq!(back, g);
@@ -235,11 +233,11 @@ mod tests {
     #[test]
     fn parses_comments_blanks_and_weights() {
         let dir = tmpdir("cmt");
-        let epath = dir.join("w.e");
+        let epath = dir.path().join("w.e");
         std::fs::write(&epath, "# header\n\n0 1 0.5\n 1 2 \n").unwrap();
         let edges = read_edge_file(&epath).unwrap();
         assert_eq!(edges, vec![(0, 1), (1, 2)]);
-        let vpath = dir.join("w.v");
+        let vpath = dir.path().join("w.v");
         std::fs::write(&vpath, "# ids\n3\n\n4\n").unwrap();
         assert_eq!(read_vertex_file(&vpath).unwrap(), vec![3, 4]);
     }
@@ -247,7 +245,7 @@ mod tests {
     #[test]
     fn reports_parse_error_with_location() {
         let dir = tmpdir("err");
-        let epath = dir.join("bad.e");
+        let epath = dir.path().join("bad.e");
         std::fs::write(&epath, "0 1\nnot an edge\n").unwrap();
         let err = read_edge_file(&epath).unwrap_err();
         match err {
@@ -298,7 +296,7 @@ mod tests {
             vec![(0, 1, 500_000), (1, 2, 2_250_000), (0, 2, WEIGHT_SCALE)],
             false,
         );
-        let prefix = dir.join("wg");
+        let prefix = dir.path().join("wg");
         write_graph(&g, &prefix).unwrap();
         assert_eq!(read_weighted_graph(&prefix, false).unwrap(), g);
         // The unweighted reader still accepts the same file, dropping
@@ -311,7 +309,7 @@ mod tests {
     #[test]
     fn weighted_reader_requires_a_weight() {
         let dir = tmpdir("wreq");
-        let epath = dir.join("m.e");
+        let epath = dir.path().join("m.e");
         std::fs::write(&epath, "0 1 0.5\n1 2\n").unwrap();
         let err = read_weighted_edge_file(&epath).unwrap_err();
         match err {

@@ -14,7 +14,9 @@
 //! * [`partition`] — hash / range / greedy partitioners and edge-cut
 //!   accounting (the network choke point of §2.1);
 //! * [`rng`] — deterministic random number generation (SplitMix64,
-//!   xoshiro256++) so datasets are bit-reproducible.
+//!   xoshiro256++) so datasets are bit-reproducible;
+//! * [`scratch`] — [`ScratchDir`], the self-removing scratch directory of
+//!   the engines that spill to disk and of every test that writes files.
 
 pub mod csr;
 pub mod diameter;
@@ -24,10 +26,12 @@ pub mod io;
 pub mod metrics;
 pub mod partition;
 pub mod rng;
+pub mod scratch;
 
 pub use csr::{CsrGraph, Vid};
 pub use edgelist::{Edge, EdgeListGraph, VertexId, Weight, WeightedEdge, WEIGHT_SCALE};
 pub use metrics::GraphCharacteristics;
+pub use scratch::ScratchDir;
 
 /// Errors produced by the graph substrate.
 #[derive(Debug)]

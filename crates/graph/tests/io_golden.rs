@@ -10,14 +10,11 @@ use graphalytics_graph::io::{
     read_edge_file, read_graph, read_vertex_file, read_weighted_edge_file, read_weighted_graph,
     write_graph,
 };
-use graphalytics_graph::{EdgeListGraph, GraphError, WEIGHT_SCALE};
+use graphalytics_graph::{EdgeListGraph, GraphError, ScratchDir, WEIGHT_SCALE};
 use std::path::{Path, PathBuf};
 
-fn scratch(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("gx-io-golden-{}-{name}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create scratch dir");
-    dir
+fn scratch(name: &str) -> ScratchDir {
+    ScratchDir::new(None, &format!("gx-io-golden-{name}")).expect("create scratch dir")
 }
 
 /// The canonical graph every variant below must parse into.
@@ -35,7 +32,7 @@ fn write_pair(dir: &Path, name: &str, v_text: &str, e_text: &str) -> PathBuf {
 #[test]
 fn plain_lf_files_parse() {
     let dir = scratch("lf");
-    let prefix = write_pair(&dir, "g", "0\n1\n2\n3\n7\n", "0 1\n1 2\n2 3\n");
+    let prefix = write_pair(dir.path(), "g", "0\n1\n2\n3\n7\n", "0 1\n1 2\n2 3\n");
     assert_eq!(read_graph(&prefix, false).unwrap(), golden_graph());
 }
 
@@ -43,7 +40,7 @@ fn plain_lf_files_parse() {
 fn crlf_line_endings_parse_identically() {
     let dir = scratch("crlf");
     let prefix = write_pair(
-        &dir,
+        dir.path(),
         "g",
         "0\r\n1\r\n2\r\n3\r\n7\r\n",
         "0 1\r\n1 2\r\n2 3\r\n",
@@ -55,7 +52,7 @@ fn crlf_line_endings_parse_identically() {
 fn trailing_blank_lines_and_whitespace_are_ignored() {
     let dir = scratch("blanks");
     let prefix = write_pair(
-        &dir,
+        dir.path(),
         "g",
         "0\n1\n2\n3\n7\n\n\n   \n\t\n",
         "0 1\n1 2\n2 3\n\n  \n\n",
@@ -67,7 +64,7 @@ fn trailing_blank_lines_and_whitespace_are_ignored() {
 fn comment_lines_are_skipped_anywhere() {
     let dir = scratch("comments");
     let prefix = write_pair(
-        &dir,
+        dir.path(),
         "g",
         "# vertex ids\n0\n1\n# midway note\n2\n3\n7\n# eof\n",
         "# src dst\n0 1\n1 2\n# more below\n2 3\n",
@@ -78,7 +75,7 @@ fn comment_lines_are_skipped_anywhere() {
 #[test]
 fn out_of_order_vertex_ids_canonicalize() {
     let dir = scratch("order");
-    let prefix = write_pair(&dir, "g", "7\n3\n0\n2\n1\n", "2 3\n0 1\n1 2\n");
+    let prefix = write_pair(dir.path(), "g", "7\n3\n0\n2\n1\n", "2 3\n0 1\n1 2\n");
     assert_eq!(read_graph(&prefix, false).unwrap(), golden_graph());
 }
 
@@ -86,7 +83,7 @@ fn out_of_order_vertex_ids_canonicalize() {
 fn utf8_bom_is_stripped() {
     let dir = scratch("bom");
     let prefix = write_pair(
-        &dir,
+        dir.path(),
         "g",
         "\u{feff}0\n1\n2\n3\n7\n",
         "\u{feff}0 1\n1 2\n2 3\n",
@@ -97,17 +94,15 @@ fn utf8_bom_is_stripped() {
 #[test]
 fn bom_on_a_comment_line_still_skips_the_comment() {
     let dir = scratch("bom-comment");
-    let vpath = scratch("bom-comment-v").join("g.v");
+    let vpath = dir.path().join("g.v");
     std::fs::write(&vpath, "\u{feff}# header\n5\n").expect("write");
     assert_eq!(read_vertex_file(&vpath).unwrap(), vec![5]);
-    let _ = vpath;
-    let _ = dir;
 }
 
 #[test]
 fn weights_are_accepted_and_discarded() {
     let dir = scratch("weights");
-    let epath = dir.join("g.e");
+    let epath = dir.path().join("g.e");
     std::fs::write(&epath, "0 1 0.25\n1 2 3.5\n2 3 1\n").expect("write");
     assert_eq!(
         read_edge_file(&epath).unwrap(),
@@ -118,7 +113,7 @@ fn weights_are_accepted_and_discarded() {
 #[test]
 fn writer_output_is_the_golden_byte_form() {
     let dir = scratch("golden-bytes");
-    let prefix = dir.join("g");
+    let prefix = dir.path().join("g");
     write_graph(&golden_graph(), &prefix).unwrap();
     assert_eq!(
         std::fs::read_to_string(prefix.with_extension("v")).unwrap(),
@@ -136,17 +131,17 @@ fn read_write_round_trip_is_byte_stable() {
     // canonical byte form; writing that again is a fixpoint.
     let dir = scratch("fixpoint");
     let messy = write_pair(
-        &dir,
+        dir.path(),
         "messy",
         "\u{feff}# ids\n7\r\n3\r\n0\n2\n1\n\n",
         "# edges\n2 3 9.0\r\n0 1\n1 2\r\n\n",
     );
     let g = read_graph(&messy, false).unwrap();
-    let clean = dir.join("clean");
+    let clean = dir.path().join("clean");
     write_graph(&g, &clean).unwrap();
     let reread = read_graph(&clean, false).unwrap();
     assert_eq!(reread, g);
-    let clean2 = dir.join("clean2");
+    let clean2 = dir.path().join("clean2");
     write_graph(&reread, &clean2).unwrap();
     assert_eq!(
         std::fs::read(clean.with_extension("v")).unwrap(),
@@ -174,7 +169,12 @@ fn weighted_golden_graph() -> EdgeListGraph {
 #[test]
 fn weighted_lf_files_parse_to_exact_fixed_point() {
     let dir = scratch("w-lf");
-    let prefix = write_pair(&dir, "g", "0\n1\n2\n3\n7\n", "0 1 2\n1 2 0.5\n2 3 1.5\n");
+    let prefix = write_pair(
+        dir.path(),
+        "g",
+        "0\n1\n2\n3\n7\n",
+        "0 1 2\n1 2 0.5\n2 3 1.5\n",
+    );
     assert_eq!(
         read_weighted_graph(&prefix, false).unwrap(),
         weighted_golden_graph()
@@ -185,7 +185,7 @@ fn weighted_lf_files_parse_to_exact_fixed_point() {
 fn weighted_crlf_bom_and_comments_parse_identically() {
     let dir = scratch("w-messy");
     let prefix = write_pair(
-        &dir,
+        dir.path(),
         "g",
         "\u{feff}# ids\n0\r\n1\r\n2\n3\n7\n",
         "\u{feff}# src dst w\n0 1 2.0\r\n1 2 0.500000\r\n2 3 1.5\n\n",
@@ -199,7 +199,7 @@ fn weighted_crlf_bom_and_comments_parse_identically() {
 #[test]
 fn missing_weight_is_a_parse_error_with_line_context() {
     let dir = scratch("w-missing");
-    let epath = dir.join("g.e");
+    let epath = dir.path().join("g.e");
     std::fs::write(&epath, "0 1 2\n1 2\n2 3 1.5\n").expect("write");
     match read_weighted_edge_file(&epath).unwrap_err() {
         GraphError::Parse { line, content, .. } => {
@@ -214,7 +214,7 @@ fn missing_weight_is_a_parse_error_with_line_context() {
 fn negative_and_malformed_weights_are_rejected() {
     let dir = scratch("w-bad");
     for (i, bad) in ["-1", "-0.5", "1e3", "0.1234567", "nan"].iter().enumerate() {
-        let epath = dir.join(format!("g{i}.e"));
+        let epath = dir.path().join(format!("g{i}.e"));
         std::fs::write(&epath, format!("0 1 {bad}\n")).expect("write");
         match read_weighted_edge_file(&epath).unwrap_err() {
             GraphError::Parse { line, .. } => assert_eq!(line, 1, "weight {bad:?}"),
@@ -228,7 +228,7 @@ fn duplicate_weighted_edges_keep_the_minimum_weight() {
     let dir = scratch("w-dup");
     // The same undirected edge three times (once reversed) with different
     // weights; canonicalization keeps one arc with the minimum.
-    let prefix = write_pair(&dir, "g", "0\n1\n", "0 1 3\n1 0 1.25\n0 1 2\n");
+    let prefix = write_pair(dir.path(), "g", "0\n1\n", "0 1 3\n1 0 1.25\n0 1 2\n");
     let g = read_weighted_graph(&prefix, false).unwrap();
     assert_eq!(g.edges(), &[(0, 1)]);
     assert_eq!(g.weights(), &[WEIGHT_SCALE + WEIGHT_SCALE / 4]);
@@ -238,7 +238,7 @@ fn duplicate_weighted_edges_keep_the_minimum_weight() {
 fn weighted_read_write_round_trip_is_byte_stable() {
     let dir = scratch("w-fixpoint");
     let g = weighted_golden_graph();
-    let clean = dir.join("clean");
+    let clean = dir.path().join("clean");
     write_graph(&g, &clean).unwrap();
     assert_eq!(
         std::fs::read_to_string(clean.with_extension("e")).unwrap(),
@@ -246,7 +246,7 @@ fn weighted_read_write_round_trip_is_byte_stable() {
     );
     let reread = read_weighted_graph(&clean, false).unwrap();
     assert_eq!(reread, g);
-    let clean2 = dir.join("clean2");
+    let clean2 = dir.path().join("clean2");
     write_graph(&reread, &clean2).unwrap();
     assert_eq!(
         std::fs::read(clean.with_extension("e")).unwrap(),
@@ -258,7 +258,7 @@ fn weighted_read_write_round_trip_is_byte_stable() {
 fn directed_graphs_round_trip_with_orientation() {
     let dir = scratch("directed");
     let g = EdgeListGraph::directed_from_edges(vec![(1, 0), (0, 1), (2, 0)]);
-    let prefix = dir.join("g");
+    let prefix = dir.path().join("g");
     write_graph(&g, &prefix).unwrap();
     assert_eq!(read_graph(&prefix, true).unwrap(), g);
 }

@@ -12,10 +12,8 @@
 /// runtime the kernels run on, the fault-injection plan (same seed
 /// must fault the same sites on every run), the binary codec every
 /// snapshot and wire frame is written in, the observability layer
-/// (profiles and choke-point reports are derived from span *structure*;
-/// the `Duration` naming the profiler's sampling interval carries an
-/// explicit `lint:allow(determinism-time)` pragma, the clock and thread
-/// behind it belong to `core::sampler`), the serving plane (job
+/// (profiles and choke-point reports are folds of finished spans; no
+/// clock is read there), the serving plane (job
 /// timestamps flow from the shared `Tracer` epoch clock so event streams
 /// and artifacts stay replayable), and the distributed runtime (the
 /// master/worker protocol must replay byte-identically; its socket

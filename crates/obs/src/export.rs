@@ -2,7 +2,7 @@
 //!
 //! The SVG flamegraph is fully self-contained (inline styles, no script
 //! dependencies beyond hover titles) and renders as an icicle: root on
-//! top, callees below, frame width proportional to sample count. The
+//! top, callees below, frame width proportional to self time. The
 //! Chrome export emits the `trace_event` format's complete ("X") events —
 //! `{name, cat, ph, ts, pid, tid, dur, args}` with timestamps in
 //! microseconds — which `chrome://tracing` and Perfetto open directly.
@@ -79,14 +79,14 @@ fn render_node(
     node: &FrameNode,
     x: f64,
     depth: usize,
-    per_sample: f64,
+    per_micro: f64,
     root_total: u64,
 ) {
-    let width = node.total as f64 * per_sample;
+    let width = node.total as f64 * per_micro;
     if let Some(name) = name {
         let y = TOP_MARGIN + depth as f64 * FRAME_HEIGHT;
         let pct = 100.0 * node.total as f64 / root_total as f64;
-        let title = format!("{name} ({} samples, {pct:.2}%)", node.total);
+        let title = format!("{name} ({} µs, {pct:.2}%)", node.total);
         out.push_str(&format!(
             "<g><title>{}</title><rect x=\"{:.2}\" y=\"{:.1}\" width=\"{:.2}\" \
              height=\"{:.1}\" fill=\"{}\" rx=\"2\"/>",
@@ -123,10 +123,10 @@ fn render_node(
             child,
             child_x,
             child_depth,
-            per_sample,
+            per_micro,
             root_total,
         );
-        child_x += child.total as f64 * per_sample;
+        child_x += child.total as f64 * per_micro;
     }
 }
 
@@ -158,8 +158,8 @@ pub fn flamegraph_svg(profile: &Profile, title: &str) -> String {
             TOP_MARGIN + FRAME_HEIGHT,
         ));
     } else {
-        let per_sample = SVG_WIDTH / root.total as f64;
-        render_node(&mut out, None, &root, 0.0, 0, per_sample, root.total);
+        let per_micro = SVG_WIDTH / root.total as f64;
+        render_node(&mut out, None, &root, 0.0, 0, per_micro, root.total);
     }
     out.push_str("</svg>\n");
     out
@@ -283,7 +283,6 @@ mod tests {
             .insert("run;run.execute;pregel.superstep".into(), 6);
         p.folded.insert("run;run.execute".into(), 2);
         p.folded.insert("run;run.validate".into(), 2);
-        p.ticks = 10;
         p
     }
 

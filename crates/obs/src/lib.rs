@@ -5,10 +5,8 @@
 //! raw data (§2.3). The tracing layer *records* spans and counters; this
 //! crate *interprets* them:
 //!
-//! * [`profiler`] — a span-stack sampling profiler: a background thread
-//!   periodically snapshots every worker thread's open-span stack (threads
-//!   register through the TLS hook in `graphalytics_core::trace`) and
-//!   aggregates folded stacks;
+//! * [`profiler`] — the span fold: [`Profile::from_spans`] turns finished
+//!   spans into folded stacks weighted by each span's self time;
 //! * [`export`] — exporters for flamegraph folded-stack text, a
 //!   self-contained SVG flamegraph, and Chrome `trace_event` JSON that
 //!   opens directly in `chrome://tracing` / Perfetto;
@@ -16,9 +14,9 @@
 //!   run's spans and counters onto the paper's four choke points
 //!   (network, memory, locality, skew).
 //!
-//! Everything here is analysis-only: with no profiler attached and no
-//! exporter invoked, nothing in this crate runs and platform outputs are
-//! untouched.
+//! Everything here is analysis-only: it reads finished spans after a run,
+//! so with no exporter invoked nothing in this crate runs and platform
+//! outputs are untouched.
 
 pub mod chokepoints;
 pub mod export;
@@ -26,4 +24,4 @@ pub mod profiler;
 
 pub use chokepoints::{attribute, RunChokePoints};
 pub use export::{chrome_trace, flamegraph_svg};
-pub use profiler::{Profile, SamplingProfiler};
+pub use profiler::Profile;

@@ -1,185 +1,166 @@
-//! The span-stack sampling profiler.
+//! The span fold: a flamegraph profile built from finished spans.
 //!
-//! A [`PeriodicSampler`] calls [`Tracer::sample_stacks`] every `interval`
-//! — which reads the shared open-span stacks every traced thread mirrors
-//! through a TLS hook — and folds each observed stack into a
-//! `frame;frame;frame → count` multiset, the flamegraph community's
-//! folded-stack format.
+//! The tracer already records every span exactly — parent, thread and
+//! start/end — so the profile is a fold of that record, not a sample of
+//! it. Each span contributes its *self time* to the stack of names from
+//! its outermost ancestor down to itself, giving the flamegraph
+//! community's folded-stack format: `frame;frame;frame → weight`.
 //!
-//! Overhead contract: one sample costs `O(threads × stack depth)` string
-//! work under short uncontended locks; worker threads only ever pay one
-//! `Arc` clone plus a mutex push/pop per span, whether or not a sampler
-//! is attached. With no profiler started, nothing here runs at all, and
-//! a *disabled* tracer never registers sampling frames in the first
-//! place. Sampling timestamps never reach run outputs — the profile is
-//! a histogram of stack shapes, not of wall-clock values.
+//! Self time is a span's duration minus its direct children's that ran in
+//! the same *lane* — the same thread of the same process (`proc` field,
+//! set on spans merged from distributed workers). A child in another lane
+//! ran concurrently with its parent, so it is prefixed by the parent's
+//! stack but not subtracted from it. No thread runs and no clock is read:
+//! the fold is a pure function of the spans.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
-// lint:allow(determinism-time): sampling cadence only; nothing derived from it reaches run outputs
-use std::time::Duration;
 
-use graphalytics_core::sampler::PeriodicSampler;
-use graphalytics_core::trace::{StackSample, Tracer};
+use graphalytics_core::trace::Span;
 
-/// Default sampling interval: 2 ms (≈500 Hz), fine enough to see
-/// supersteps at scale 16+ while keeping sampler CPU use negligible.
-pub const DEFAULT_INTERVAL: Duration = Duration::from_millis(2);
-
-/// An aggregated profile: folded stacks and how many sampling ticks
-/// produced them.
+/// An aggregated profile: folded stacks and the self time spent in them.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Profile {
-    /// `frame;frame;frame` (outermost first) → times observed.
+    /// `frame;frame;frame` (outermost first) → self time in whole µs.
     pub folded: BTreeMap<String, u64>,
-    /// Sampling ticks taken (including ticks that saw no open spans).
-    pub ticks: u64,
 }
 
 impl Profile {
-    /// Folds one snapshot of per-thread stacks into the profile.
-    pub fn record(&mut self, stacks: &[StackSample]) {
-        self.ticks += 1;
-        for stack in stacks {
-            *self.folded.entry(stack.frames.join(";")).or_insert(0) += 1;
+    /// Folds finished spans into stacks weighted by self time. A span
+    /// whose parent is not in `spans` starts its own stack; stacks whose
+    /// weight rounds to zero µs (events, instant spans) are left out.
+    pub fn from_spans(spans: &[Span]) -> Self {
+        fn lane(s: &Span) -> (u64, Option<&str>) {
+            (s.thread, s.field("proc").and_then(|p| p.as_str()))
         }
+        let by_id: BTreeMap<u64, &Span> = spans.iter().map(|s| (s.id, s)).collect();
+        let mut children_seconds: BTreeMap<u64, f64> = BTreeMap::new();
+        for span in spans {
+            if let Some(parent) = span.parent.and_then(|p| by_id.get(&p)) {
+                if lane(parent) == lane(span) {
+                    *children_seconds.entry(parent.id).or_default() += span.duration_seconds();
+                }
+            }
+        }
+        let mut folded = BTreeMap::new();
+        for span in spans {
+            let self_seconds =
+                span.duration_seconds() - children_seconds.get(&span.id).copied().unwrap_or(0.0);
+            let micros = (self_seconds.max(0.0) * 1e6).round() as u64;
+            if micros == 0 {
+                continue;
+            }
+            let mut frames = vec![span.name.as_str()];
+            let mut cursor = span;
+            while let Some(parent) = cursor.parent.and_then(|p| by_id.get(&p)) {
+                frames.push(parent.name.as_str());
+                cursor = parent;
+            }
+            frames.reverse();
+            *folded.entry(frames.join(";")).or_insert(0) += micros;
+        }
+        Self { folded }
     }
 
-    /// Total folded-stack observations (≥ number of busy ticks).
-    pub fn total_samples(&self) -> u64 {
+    /// Total folded self time in µs.
+    pub fn total_micros(&self) -> u64 {
         self.folded.values().sum()
     }
 
-    /// True when no stack was ever observed.
+    /// True when no stack carries any weight.
     pub fn is_empty(&self) -> bool {
         self.folded.is_empty()
     }
 
-    /// The canonical folded-stack text: one `stack count` line per
+    /// The canonical folded-stack text: one `stack weight` line per
     /// distinct stack, sorted — the input format of flamegraph tooling.
     pub fn folded_text(&self) -> String {
         let mut out = String::new();
-        for (stack, count) in &self.folded {
+        for (stack, weight) in &self.folded {
             out.push_str(stack);
             out.push(' ');
-            out.push_str(&count.to_string());
+            out.push_str(&weight.to_string());
             out.push('\n');
         }
         out
     }
 }
 
-/// The background sampler. Start one next to a run, stop it afterwards,
-/// and export the returned [`Profile`]. Dropping it unstopped still ends
-/// the sampling thread.
-pub struct SamplingProfiler {
-    sampler: PeriodicSampler<Profile>,
-}
-
-impl SamplingProfiler {
-    /// Starts sampling `tracer` at [`DEFAULT_INTERVAL`].
-    pub fn start(tracer: Arc<Tracer>) -> Self {
-        Self::start_with_interval(tracer, DEFAULT_INTERVAL)
-    }
-
-    /// Starts sampling with an explicit interval.
-    pub fn start_with_interval(tracer: Arc<Tracer>, interval: Duration) -> Self {
-        let sampler = PeriodicSampler::start(interval, Profile::default(), move |profile| {
-            profile.record(&tracer.sample_stacks());
-        });
-        Self { sampler }
-    }
-
-    /// Stops the sampler and returns the aggregated profile.
-    pub fn stop(self) -> Profile {
-        self.sampler.stop()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use graphalytics_core::trace::{FieldValue, Tracer};
 
-    #[test]
-    fn profile_folds_stacks() {
-        let mut p = Profile::default();
-        let s = |frames: &[&str]| StackSample {
-            thread: 1,
-            thread_name: "t".to_string(),
-            frames: frames.iter().map(|f| f.to_string()).collect(),
-        };
-        p.record(&[s(&["run", "run.execute"]), s(&["run"])]);
-        p.record(&[s(&["run", "run.execute"])]);
-        p.record(&[]);
-        assert_eq!(p.ticks, 3);
-        assert_eq!(p.total_samples(), 3);
-        assert_eq!(p.folded.get("run;run.execute"), Some(&2));
-        assert_eq!(p.folded.get("run"), Some(&1));
-        let text = p.folded_text();
-        assert!(text.contains("run;run.execute 2\n"));
-        assert!(text.contains("run 1\n"));
+    fn span(id: u64, parent: Option<u64>, name: &str, ms: (u64, u64), thread: u64) -> Span {
+        Span {
+            id,
+            parent,
+            name: name.to_string(),
+            start_seconds: ms.0 as f64 / 1e3,
+            end_seconds: ms.1 as f64 / 1e3,
+            thread,
+            fields: Vec::new(),
+        }
     }
 
     #[test]
-    fn sampler_observes_a_busy_span() {
-        let tracer = Arc::new(Tracer::new());
-        let profiler =
-            SamplingProfiler::start_with_interval(Arc::clone(&tracer), Duration::from_micros(200));
-        {
+    fn from_spans_folds_self_time_per_lane() {
+        let mut worker = span(6, Some(2), "distrib.worker.compute", (10, 25), 1);
+        worker
+            .fields
+            .push(("proc".to_string(), FieldValue::Str("w0:i0".to_string())));
+        let spans = vec![
+            // Thread 1: run [0,100] ⊃ execute [10,70] ⊃ superstep [20,50].
+            span(1, None, "run", (0, 100), 1),
+            span(2, Some(1), "run.execute", (10, 70), 1),
+            span(3, Some(2), "pregel.superstep", (20, 50), 1),
+            // A fanned-out child on thread 2: prefixed, not subtracted.
+            span(4, Some(2), "pregel.partition", (20, 60), 2),
+            // A zero-duration event: omitted.
+            span(5, Some(1), "monitor.sample", (30, 30), 1),
+            // A merged worker span on the master's thread, another lane.
+            worker,
+            // An orphan: its parent is not in the slice.
+            span(7, Some(99), "suite.etl", (0, 4), 3),
+        ];
+        assert_eq!(
+            Profile::from_spans(&spans).folded_text(),
+            "run 40000\n\
+             run;run.execute 30000\n\
+             run;run.execute;distrib.worker.compute 15000\n\
+             run;run.execute;pregel.partition 40000\n\
+             run;run.execute;pregel.superstep 30000\n\
+             suite.etl 4000\n"
+        );
+    }
+
+    #[test]
+    fn a_busy_span_weighs_at_least_its_measured_self_time() {
+        let tracer = Tracer::new();
+        let measured = {
             let _busy = tracer.span("busy.loop");
-            // Spin long enough for several sampling ticks to land.
+            let t0 = std::time::Instant::now();
             let mut x = 1u64;
-            let deadline = 5_000_000;
-            for i in 0..deadline {
+            for i in 0..2_000_000u64 {
                 x = x.wrapping_mul(6364136223846793005).wrapping_add(i);
             }
             assert_ne!(x, 0);
-            std::thread::sleep(Duration::from_millis(20));
-        }
-        let profile = profiler.stop();
-        assert!(profile.ticks > 0);
+            t0.elapsed()
+        };
+        let profile = Profile::from_spans(&tracer.finished_spans());
+        let weight = profile.folded.get("busy.loop").copied().unwrap_or(0);
         assert!(
-            profile.folded.keys().any(|k| k.contains("busy.loop")),
-            "sampler saw the open span: {:?}",
+            weight >= measured.as_micros() as u64,
+            "{weight} µs < measured {measured:?}: {:?}",
             profile.folded
         );
     }
 
     #[test]
-    fn stop_is_a_wake_up_not_a_poll() {
-        // The fastest fifth of 50 sessions: a sampler sleeping through
-        // stop() is slow every time, a woken one only on a busy box.
-        let tracer = Arc::new(Tracer::new());
-        let mut latencies: Vec<Duration> = (0..50)
-            .map(|_| {
-                let profiler = SamplingProfiler::start(Arc::clone(&tracer));
-                // Long enough for the sampler thread to be waiting.
-                std::thread::sleep(Duration::from_micros(500));
-                let t0 = std::time::Instant::now();
-                assert!(profiler.stop().ticks > 0);
-                t0.elapsed()
-            })
-            .collect();
-        latencies.sort();
-        assert!(
-            latencies[9] < Duration::from_millis(1),
-            "10th fastest stop() of 50 took {:?}, median {:?}",
-            latencies[9],
-            latencies[25]
-        );
-    }
-
-    #[test]
-    fn sampler_on_disabled_tracer_sees_nothing() {
-        let tracer = Arc::new(Tracer::disabled());
-        let profiler =
-            SamplingProfiler::start_with_interval(Arc::clone(&tracer), Duration::from_micros(200));
+    fn disabled_tracer_folds_to_nothing() {
+        let tracer = Tracer::disabled();
         {
-            let _busy = tracer.span("invisible");
-            std::thread::sleep(Duration::from_millis(5));
+            let _s = tracer.span("invisible");
         }
-        let profile = profiler.stop();
-        assert!(profile.is_empty());
-        assert!(profile.ticks > 0);
+        assert!(Profile::from_spans(&tracer.finished_spans()).is_empty());
     }
 }

@@ -20,7 +20,9 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 use graphalytics_core::config::{parse_algorithm, parse_dataset};
 use graphalytics_core::json::Json;
+use graphalytics_core::trace::Span;
 use graphalytics_core::Tracer;
+use graphalytics_obs::{chrome_trace, flamegraph_svg, Profile};
 
 /// What a client submits: one benchmark cell plus its admission deadline.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -138,13 +140,14 @@ impl JobEvent {
 }
 
 /// Post-mortem artifacts of a completed job, served under
-/// `/jobs/{id}/artifacts/`.
+/// `/jobs/{id}/artifacts/`. The job's spans are kept as recorded;
+/// `flamegraph.svg` and `trace.json` are rendered from them on each GET.
 #[derive(Debug, Clone, Default)]
 pub struct Artifacts {
-    /// Flamegraph of the job's sampled span stacks.
-    pub flamegraph_svg: String,
-    /// Chrome `trace_event` JSON of the job's spans.
-    pub trace_json: String,
+    /// The job tracer's finished spans.
+    pub spans: Vec<Span>,
+    /// The flamegraph's title.
+    pub title: String,
     /// Run records in the results-database JSONL schema.
     pub results_jsonl: String,
 }
@@ -441,14 +444,17 @@ impl JobStore {
         Some((out, job.state.is_terminal()))
     }
 
-    /// One artifact of a terminal job: `(content type, body)`.
+    /// One artifact of a terminal job: `(content type, body)`, rendered
+    /// outside the store lock.
     pub fn artifact(&self, id: u64, name: &str) -> Option<(&'static str, String)> {
-        let inner = self.lock();
-        let artifacts = inner.jobs.get(&id)?.artifacts.as_ref()?;
+        let artifacts = self.lock().jobs.get(&id)?.artifacts.clone()?;
         match name {
-            "flamegraph.svg" => Some(("image/svg+xml", artifacts.flamegraph_svg.clone())),
-            "trace.json" => Some(("application/json", artifacts.trace_json.clone())),
-            "results.jsonl" => Some(("application/jsonl", artifacts.results_jsonl.clone())),
+            "flamegraph.svg" => Some((
+                "image/svg+xml",
+                flamegraph_svg(&Profile::from_spans(&artifacts.spans), &artifacts.title),
+            )),
+            "trace.json" => Some(("application/json", chrome_trace(&artifacts.spans))),
+            "results.jsonl" => Some(("application/jsonl", artifacts.results_jsonl)),
             _ => None,
         }
     }

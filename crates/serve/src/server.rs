@@ -33,7 +33,6 @@ use graphalytics_core::report::record_to_json;
 use graphalytics_core::runner::RunStatus;
 use graphalytics_core::validator::Validation;
 use graphalytics_core::{BenchmarkConfig, BenchmarkSuite, Tracer};
-use graphalytics_obs::{chrome_trace, flamegraph_svg, SamplingProfiler};
 
 use crate::http::{read_request, Request, Response};
 use crate::jobs::{Artifacts, JobSpec, JobState, JobStore, SubmitError};
@@ -482,7 +481,7 @@ fn submit_job(ctx: &Arc<ServerCtx>, request: &Request) -> Response {
 
 /// Executes one job on a worker thread: graph via the registry, platform
 /// via the factory, the cell through the traced runner, artifacts from
-/// the job's own tracer/profiler, and every outcome into the store and
+/// the job's own tracer, and every outcome into the store and
 /// the server metrics.
 fn run_job(ctx: &Arc<ServerCtx>, id: u64) {
     let Some(job) = ctx.store.snapshot(id) else {
@@ -541,8 +540,8 @@ fn run_job(ctx: &Arc<ServerCtx>, id: u64) {
     };
 
     // The job gets its own tracer (span ids and timestamps relative to
-    // this job) bridged into the store's event log, plus a sampling
-    // profiler for the flamegraph artifact.
+    // this job) bridged into the store's event log; its spans become the
+    // job's trace and flamegraph artifacts.
     let job_tracer = Arc::new(Tracer::new());
     {
         let ctx2 = Arc::clone(ctx);
@@ -562,8 +561,6 @@ fn run_job(ctx: &Arc<ServerCtx>, id: u64) {
             }
         });
     }
-    let profiler = SamplingProfiler::start(Arc::clone(&job_tracer));
-
     ctx.store.set_state(id, JobState::Running);
     refresh_gauges(ctx);
 
@@ -579,7 +576,6 @@ fn run_job(ctx: &Arc<ServerCtx>, id: u64) {
     );
     let result = suite.run_traced_on_graph(&mut platforms, &dataset, &graph, &job_tracer);
 
-    let profile = profiler.stop();
     let spans = job_tracer.finished_spans();
     // Fold the job's per-worker fleet metrics (distributed runs only) into
     // the server registry so /metrics exposes the `graphalytics_worker_*`
@@ -616,14 +612,11 @@ fn run_job(ctx: &Arc<ServerCtx>, id: u64) {
         results_jsonl.push('\n');
     }
     let artifacts = Artifacts {
-        flamegraph_svg: flamegraph_svg(
-            &profile,
-            &format!(
-                "j-{id}: {}/{}/{}",
-                spec.platform, spec.algorithm, spec.graph
-            ),
+        spans,
+        title: format!(
+            "j-{id}: {}/{}/{}",
+            spec.platform, spec.algorithm, spec.graph
         ),
-        trace_json: chrome_trace(&spans),
         results_jsonl,
     };
 

@@ -3,9 +3,9 @@
 //! same process — leaves offline benchmark outputs byte-identical.
 //!
 //! This is the serve-crate extension of
-//! `crates/bench/tests/observability.rs`: the server owns its own tracer,
-//! its own job tracers, and its own profiler samples, none of which may
-//! leak into an unobserved offline suite.
+//! `crates/bench/tests/observability.rs`: the server owns its own tracer
+//! and its own job tracers, whose spans become the job artifacts; none of
+//! them may leak into an unobserved offline suite.
 
 use graphalytics_core::json::parse as parse_json;
 use graphalytics_core::{BenchmarkConfig, BenchmarkSuite, Dataset, Platform, ReferencePlatform};

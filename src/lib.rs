@@ -19,7 +19,7 @@
 //! | [`graphdb`] | Neo4j stand-in (record stores + traversals) |
 //! | [`columnar`] | Virtuoso stand-in (compressed columns + transitive SQL) |
 //! | [`platforms`] | the platform registry: every engine above (plus the multi-process `distributed-pregel`) by configuration name |
-//! | [`obs`] | choke-point profiler: span-stack sampler, flamegraph/Chrome-trace export, choke-point attribution |
+//! | [`obs`] | choke-point profiler: self-time span fold, flamegraph/Chrome-trace export, choke-point attribution |
 //!
 //! ## Quickstart
 //!
