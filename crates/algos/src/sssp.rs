@@ -55,6 +55,9 @@ const DELTA: u64 = WEIGHT_SCALE;
 /// minimum writes, and integer weights admit a unique shortest-distance
 /// fixpoint, so the settled values — hence the output — are byte-identical
 /// to [`sssp`] for any thread count. Only the relaxation *order* varies.
+///
+/// Each round's improved vertices are sorted and deduplicated: a frontier
+/// in vertex order keeps its CSR reads local.
 pub fn sssp_parallel(g: &CsrGraph, source: VertexId, threads: usize) -> Vec<u64> {
     let threads = threads.max(1);
     let n = g.num_vertices();
@@ -72,38 +75,37 @@ pub fn sssp_parallel(g: &CsrGraph, source: VertexId, threads: usize) -> Vec<u64>
         // settle the bucket by draining it until no member re-enters it.
         while !buckets[i].is_empty() {
             let frontier = std::mem::take(&mut buckets[i]);
-            let parts: Vec<Vec<(Vid, u64)>> =
-                par::map_chunks(threads, frontier.len(), |_, range| {
-                    let mut relaxed = Vec::new();
-                    for &v in &frontier[range] {
-                        let dv = dist[v as usize].load(Ordering::Relaxed);
-                        if dv == INFINITY || dv / DELTA != i as u64 {
-                            continue; // Stale entry: v moved to another bucket.
-                        }
-                        for (&u, &w) in g.neighbors(v).iter().zip(g.neighbor_weights(v)) {
-                            let nd = dv.saturating_add(w);
-                            let mut cur = dist[u as usize].load(Ordering::Relaxed);
-                            while nd < cur {
-                                match dist[u as usize].compare_exchange_weak(
-                                    cur,
-                                    nd,
-                                    Ordering::Relaxed,
-                                    Ordering::Relaxed,
-                                ) {
-                                    Ok(_) => {
-                                        relaxed.push((u, nd));
-                                        break;
-                                    }
-                                    Err(seen) => cur = seen,
+            let parts: Vec<Vec<Vid>> = par::map_chunks(threads, frontier.len(), |_, range| {
+                let mut relaxed = Vec::new();
+                for &v in &frontier[range] {
+                    let dv = dist[v as usize].load(Ordering::Relaxed);
+                    if dv == INFINITY || dv / DELTA != i as u64 {
+                        continue; // Stale entry: v moved to another bucket.
+                    }
+                    for (&u, &w) in g.neighbors(v).iter().zip(g.neighbor_weights(v)) {
+                        let nd = dv.saturating_add(w);
+                        let mut cur = dist[u as usize].load(Ordering::Relaxed);
+                        while nd < cur {
+                            match dist[u as usize].compare_exchange_weak(
+                                cur,
+                                nd,
+                                Ordering::Relaxed,
+                                Ordering::Relaxed,
+                            ) {
+                                Ok(_) => {
+                                    relaxed.push(u);
+                                    break;
                                 }
+                                Err(seen) => cur = seen,
                             }
                         }
                     }
-                    relaxed
-                });
+                }
+                relaxed
+            });
             // Requeue each improved vertex once, into the bucket of its
             // *current* distance (it may have been lowered again since).
-            let mut updates: Vec<Vid> = parts.into_iter().flatten().map(|(u, _)| u).collect();
+            let mut updates = parts.concat();
             updates.sort_unstable();
             updates.dedup();
             for u in updates {
@@ -238,6 +240,38 @@ mod tests {
         for source in [0u64, 5] {
             for threads in [1usize, 4] {
                 assert_eq!(sssp_parallel(&g, source, threads), sssp(&g, source));
+            }
+        }
+    }
+
+    /// A 0.3-unit path off hub leaf 1 re-enters bucket 1 round after round.
+    /// Vertex 150 is lowered from the hub (to bucket 40) and again, rounds
+    /// later, by the path, so it must re-enter an earlier bucket; vertex 151
+    /// behind it shows whether it did. Fifty leaves lower vertex 160 in one
+    /// round, each by less, and vertex 199 ends a 200-vertex id range.
+    fn frontier_shape() -> CsrGraph {
+        let mut edges: Vec<(u64, u64, u64)> = (1..=100).map(|i| (0, i, w(1))).collect();
+        edges.extend((1..=50).map(|k| (k, 160, w(2) - k * 10_000)));
+        edges.push((1, 101, 300_000));
+        edges.extend((101..130).map(|i| (i, i + 1, 300_000)));
+        edges.extend([(0, 150, w(40)), (110, 150, 100_000), (150, 151, w(1))]);
+        edges.extend([(0, 199, w(1)), (199, 198, 1)]);
+        CsrGraph::from_edge_list(&EdgeListGraph::new_weighted(
+            (0..200).collect(),
+            edges,
+            false,
+        ))
+    }
+
+    #[test]
+    fn frontier_matches_dijkstra_with_sub_unit_weights() {
+        let g = frontier_shape();
+        for source in [0u64, 115, 199] {
+            let expected = sssp(&g, source);
+            for threads in [1usize, 2, 3, 8] {
+                let first = sssp_parallel(&g, source, threads);
+                assert_eq!(first, expected, "source={source} threads={threads}");
+                assert_eq!(sssp_parallel(&g, source, threads), first);
             }
         }
     }
