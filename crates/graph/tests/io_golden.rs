@@ -262,3 +262,59 @@ fn directed_graphs_round_trip_with_orientation() {
     write_graph(&g, &prefix).unwrap();
     assert_eq!(read_graph(&prefix, true).unwrap(), g);
 }
+
+/// A malformed line after every kind of line the reader skips or rewrites
+/// (BOM, comment, blank, CRLF): its error names its 1-based line in the
+/// file, counting the skipped lines too.
+#[test]
+fn malformed_line_after_skipped_lines_reports_its_file_line() {
+    let dir = scratch("lineno");
+    let vpath = dir.path().join("g.v");
+    std::fs::write(&vpath, "\u{feff}# ids\r\n\r\n0\r\n1\r\nx7\r\n3\n").expect("write");
+    match read_vertex_file(&vpath).unwrap_err() {
+        GraphError::Parse { line, content, .. } => {
+            assert_eq!(line, 5);
+            assert_eq!(content, "x7");
+        }
+        other => panic!("expected Parse error, got {other:?}"),
+    }
+    let epath = dir.path().join("g.e");
+    std::fs::write(
+        &epath,
+        "\u{feff}# src dst\r\n\r\n0 1\r\n1 2\r\n2 three\r\n3 4\n",
+    )
+    .expect("write");
+    match read_edge_file(&epath).unwrap_err() {
+        GraphError::Parse { line, content, .. } => {
+            assert_eq!(line, 5);
+            assert_eq!(content, "2 three");
+        }
+        other => panic!("expected Parse error, got {other:?}"),
+    }
+}
+
+/// A byte that is not UTF-8 is an I/O error of kind `InvalidData` from
+/// every reader, not a panic and not a silently skipped line.
+#[test]
+fn invalid_utf8_is_an_error_not_a_panic() {
+    let dir = scratch("utf8");
+    let cases: [(&str, &[u8]); 3] = [
+        ("g.v", b"0\n1\xff\n2\n"),
+        ("g.e", b"0 1\n1 \xfe2\n"),
+        ("w.e", b"0 1 0.5\n\xc3\n"),
+    ];
+    for (name, bytes) in cases {
+        let path = dir.path().join(name);
+        std::fs::write(&path, bytes).expect("write");
+        let err = match name {
+            "g.v" => read_vertex_file(&path).map(|_| ()),
+            "g.e" => read_edge_file(&path).map(|_| ()),
+            _ => read_weighted_edge_file(&path).map(|_| ()),
+        }
+        .unwrap_err();
+        match err {
+            GraphError::Io(e) => assert_eq!(e.kind(), std::io::ErrorKind::InvalidData, "{name}"),
+            other => panic!("{name}: expected an InvalidData i/o error, got {other:?}"),
+        }
+    }
+}
