@@ -46,17 +46,34 @@ pub struct CsrGraph {
 /// vertex at `slot`.
 type Placement = (Vid, Vid);
 
-/// Builds one adjacency side (offsets + sorted targets) in parallel:
+/// Builds one adjacency side — offsets, targets and the weights parallel
+/// to the targets — in one counting pass and one fill pass over pre-sized
+/// arrays:
 ///
 /// 1. **per-chunk degree counting** — each worker counts its fixed edge
 ///    chunk into a private array;
 /// 2. **prefix-sum placement** — per-chunk counts are turned into exclusive
 ///    per-chunk cursors (column-wise prefix over the chunk dimension), so
-///    every worker writes its arcs to slots no other worker touches;
-/// 3. **per-vertex sort** — each adjacency run is sorted, which makes the
-///    final arrays independent of the chunking (and thus of the thread
-///    count).
-fn build_adjacency<E>(threads: usize, n: usize, edges: &[Edge], emit: E) -> (Vec<usize>, Vec<Vid>)
+///    every worker writes each of its arcs, with the weight of the edge
+///    behind it, to a slot no other worker touches.
+///
+/// Chunk `c`'s cursors start after every arc of chunks `0..c`, so each run
+/// holds its arcs in edge-list order whatever the chunking: the arrays are
+/// independent of the thread count. That order is also sorted, so no run
+/// needs a sort: `edges` is strictly ascending by `(s, t)` (the invariant
+/// of [`EdgeListGraph`]), the id map is monotone, and `emit` places `t` in
+/// row `s` and/or `s` in row `t`. A row `s` receives its targets `t` in
+/// ascending order, a row `t` its sources `s` in ascending order, and an
+/// undirected row `v` gets the sources `s < v` of its edges `(s, v)` before
+/// the targets `t > v` of its edges `(v, t)`, because every `(s, v)`
+/// precedes every `(v, t)` in the edge list.
+fn build_adjacency<E>(
+    threads: usize,
+    n: usize,
+    edges: &[Edge],
+    weights: &[Weight],
+    emit: E,
+) -> (Vec<usize>, Vec<Vid>, Vec<Weight>)
 where
     E: Fn(&Edge) -> (Placement, Option<Placement>) + Sync,
 {
@@ -108,69 +125,45 @@ where
         offsets[v + 1] = offsets[v] + totals[v];
     }
 
-    // Phase 2b: placement. Worker c scatters its edge chunk to
-    // `offsets[v] + chunk_cursor[v]` — disjoint slots by construction.
+    // Phase 2b: placement. Worker c scatters its edge chunk, target and
+    // weight alike, to `offsets[v] + chunk_cursor[v]` — disjoint slots by
+    // construction.
     let mut targets = vec![0 as Vid; offsets[n]];
+    let mut arc_weights = vec![0 as Weight; offsets[n]];
     {
-        let scatter = par::SharedSlice::new(&mut targets);
+        let target_slots = par::SharedSlice::new(&mut targets);
+        let weight_slots = par::SharedSlice::new(&mut arc_weights);
         let nchunks = chunk_counts.len();
         par::for_each_chunk_mut(nchunks, &mut chunk_counts, |_, first, mine| {
             for (off, cursors) in mine.iter_mut().enumerate() {
-                let chunk = first + off;
-                for e in &edges[edge_chunks[chunk].clone()] {
+                let range = edge_chunks[first + off].clone();
+                for (e, &w) in edges[range.clone()].iter().zip(&weights[range]) {
                     let (a, b) = emit(e);
                     for (slot, target) in std::iter::once(a).chain(b) {
                         let pos = offsets[slot as usize] + cursors[slot as usize] as usize;
                         cursors[slot as usize] += 1;
-                        // SAFETY[e6ddcc60]: `pos` lies in the half-open
+                        // SAFETY[573894ae]: `pos` lies in the half-open
                         // cursor range this chunk owns within vertex
                         // `slot`'s run; the ranges of distinct
-                        // (chunk, vertex) pairs are disjoint, and `targets`
-                        // is not read until the scope joins.
-                        unsafe { scatter.write(pos, target) };
+                        // (chunk, vertex) pairs are disjoint, and neither
+                        // array is read until the scope joins.
+                        unsafe {
+                            target_slots.write(pos, target);
+                            weight_slots.write(pos, w);
+                        }
                     }
                 }
             }
         });
     }
+    debug_assert!(
+        (0..n).all(|v| targets[offsets[v]..offsets[v + 1]]
+            .windows(2)
+            .all(|w| w[0] < w[1])),
+        "edge-order placement left an adjacency run unsorted"
+    );
 
-    // Phase 3: sort each adjacency run; parts are split at vertex-chunk
-    // boundaries so workers own disjoint sub-slices.
-    let vertex_chunks = par::chunk_ranges(n, threads);
-    let bounds: Vec<usize> = vertex_chunks.iter().map(|r| offsets[r.end]).collect();
-    par::for_each_part_mut(&mut targets, &bounds, |part, base, slice| {
-        for v in vertex_chunks[part].clone() {
-            slice[offsets[v] - base..offsets[v + 1] - base].sort_unstable();
-        }
-    });
-
-    (offsets, targets)
-}
-
-/// Attaches a weight to every arc of one adjacency side: `weights[i]` is
-/// the weight of the edge behind `targets[i]`. Each worker fills the arc
-/// runs of its fixed vertex chunk, so the result is independent of the
-/// thread count (chunk results concatenate in chunk order).
-fn build_weights<W>(
-    threads: usize,
-    n: usize,
-    offsets: &[usize],
-    targets: &[Vid],
-    weight_of: W,
-) -> Vec<Weight>
-where
-    W: Fn(Vid, Vid) -> Weight + Sync,
-{
-    par::map_chunks(threads, n, |_, range| {
-        let mut part = Vec::with_capacity(offsets[range.end] - offsets[range.start]);
-        for v in range {
-            for &t in &targets[offsets[v]..offsets[v + 1]] {
-                part.push(weight_of(v as Vid, t));
-            }
-        }
-        part
-    })
-    .concat()
+    (offsets, targets, arc_weights)
 }
 
 impl CsrGraph {
@@ -182,8 +175,9 @@ impl CsrGraph {
     /// Builds a CSR graph from an edge list on up to `threads` workers.
     ///
     /// Deterministic: the resulting structure is byte-identical for every
-    /// thread count (see [`build_adjacency`] — sorted adjacency runs erase
-    /// the chunking from the final arrays).
+    /// thread count (see [`build_adjacency`] — each arc is placed, with its
+    /// edge's weight beside it, in edge-list order, which leaves no trace
+    /// of the chunking in the final arrays).
     pub fn from_edge_list_with_threads(g: &EdgeListGraph, threads: usize) -> Self {
         let threads = threads.max(1);
         let ext_ids = g.vertices().to_vec();
@@ -199,34 +193,23 @@ impl CsrGraph {
         };
 
         let directed = g.is_directed();
-        let edges = g.edges();
-        let (out_offsets, out_targets) = if directed {
-            build_adjacency(threads, n, edges, |&(s, t)| ((lookup(s), lookup(t)), None))
+        let (edges, weights) = (g.edges(), g.weights());
+        let (out_offsets, out_targets, out_weights) = if directed {
+            build_adjacency(threads, n, edges, weights, |&(s, t)| {
+                ((lookup(s), lookup(t)), None)
+            })
         } else {
-            build_adjacency(threads, n, edges, |&(s, t)| {
+            build_adjacency(threads, n, edges, weights, |&(s, t)| {
                 let (si, ti) = (lookup(s), lookup(t));
                 ((si, ti), Some((ti, si)))
             })
         };
-        let (in_offsets, in_targets) = if directed {
-            build_adjacency(threads, n, edges, |&(s, t)| ((lookup(t), lookup(s)), None))
+        let (in_offsets, in_targets, in_weights) = if directed {
+            build_adjacency(threads, n, edges, weights, |&(s, t)| {
+                ((lookup(t), lookup(s)), None)
+            })
         } else {
-            (Vec::new(), Vec::new())
-        };
-
-        // Arc weights come from the (sorted, deduplicated) edge list; the
-        // endpoint pair is guaranteed present there.
-        let weight_of = |a: Vid, b: Vid| -> Weight {
-            g.edge_weight(ext_ids[a as usize], ext_ids[b as usize])
-                .expect("arc endpoint pair in edge list")
-        };
-        let out_weights = build_weights(threads, n, &out_offsets, &out_targets, |v, t| {
-            weight_of(v, t)
-        });
-        let in_weights = if directed {
-            build_weights(threads, n, &in_offsets, &in_targets, |v, s| weight_of(s, v))
-        } else {
-            Vec::new()
+            (Vec::new(), Vec::new(), Vec::new())
         };
 
         Self {

@@ -143,6 +143,10 @@ impl EdgeListGraph {
     }
 
     /// The weight of an edge (respecting directedness), if it exists.
+    ///
+    /// A binary search over the edge list: the oracle that tests compare
+    /// CSR arc weights against. The CSR build does not call it; it places
+    /// each edge's weight beside the edge's arcs.
     pub fn edge_weight(&self, s: VertexId, t: VertexId) -> Option<Weight> {
         let key = if self.directed || s <= t {
             (s, t)

@@ -12,6 +12,7 @@
 use std::fs::File;
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::path::Path;
+use std::str::SplitWhitespace;
 
 use crate::edgelist::{Edge, EdgeListGraph, VertexId, Weight, WeightedEdge, WEIGHT_SCALE};
 use crate::GraphError;
@@ -108,48 +109,15 @@ pub fn read_weighted_graph(prefix: &Path, directed: bool) -> Result<EdgeListGrap
 /// Reads a `.v` vertex file: one decimal vertex id per non-empty line;
 /// `#`-prefixed lines are comments.
 pub fn read_vertex_file(path: &Path) -> Result<Vec<VertexId>, GraphError> {
-    let reader = BufReader::new(File::open(path)?);
-    let mut vertices = Vec::new();
-    for (lineno, line) in reader.lines().enumerate() {
-        let line = line?;
-        let line = strip_bom(&line, lineno).trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let id = line
-            .split_whitespace()
-            .next()
-            .ok_or_else(|| parse_err(path, lineno, line))?
-            .parse::<VertexId>()
-            .map_err(|_| parse_err(path, lineno, line))?;
-        vertices.push(id);
-    }
-    Ok(vertices)
+    read_records(path, |parts| parts.next()?.parse().ok())
 }
 
 /// Reads a `.e` edge file: `src dst [weight]` per non-empty line;
 /// `#`-prefixed lines are comments. Weights are accepted and discarded.
 pub fn read_edge_file(path: &Path) -> Result<Vec<Edge>, GraphError> {
-    let reader = BufReader::new(File::open(path)?);
-    let mut edges = Vec::new();
-    for (lineno, line) in reader.lines().enumerate() {
-        let line = line?;
-        let line = strip_bom(&line, lineno).trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let mut parts = line.split_whitespace();
-        let src = parts
-            .next()
-            .and_then(|p| p.parse::<VertexId>().ok())
-            .ok_or_else(|| parse_err(path, lineno, line))?;
-        let dst = parts
-            .next()
-            .and_then(|p| p.parse::<VertexId>().ok())
-            .ok_or_else(|| parse_err(path, lineno, line))?;
-        edges.push((src, dst));
-    }
-    Ok(edges)
+    read_records(path, |parts| {
+        Some((parts.next()?.parse().ok()?, parts.next()?.parse().ok()?))
+    })
 }
 
 /// Reads a weighted `.e` edge file: `src dst weight` per non-empty line;
@@ -158,48 +126,49 @@ pub fn read_edge_file(path: &Path) -> Result<Vec<Edge>, GraphError> {
 /// digits, and is parsed exactly to fixed point ([`WEIGHT_SCALE`]) — a
 /// missing or negative weight is a parse error with file/line context.
 pub fn read_weighted_edge_file(path: &Path) -> Result<Vec<WeightedEdge>, GraphError> {
-    let reader = BufReader::new(File::open(path)?);
-    let mut edges = Vec::new();
-    for (lineno, line) in reader.lines().enumerate() {
-        let line = line?;
-        let line = strip_bom(&line, lineno).trim();
+    read_records(path, |parts| {
+        Some((
+            parts.next()?.parse().ok()?,
+            parts.next()?.parse().ok()?,
+            parse_weight(parts.next()?)?,
+        ))
+    })
+}
+
+/// The line loop of the three readers: reads `path` line by line into one
+/// reused buffer and turns every data line into a record with `parse`,
+/// which gets the line's whitespace-separated fields. A UTF-8 byte-order
+/// mark on line 1 is stripped (spreadsheet and Windows-editor exports
+/// prepend one); blank and `#`-prefixed lines are skipped; `None` from
+/// `parse` is a [`GraphError::Parse`] naming the 1-based file line.
+fn read_records<T>(
+    path: &Path,
+    parse: impl Fn(&mut SplitWhitespace<'_>) -> Option<T>,
+) -> Result<Vec<T>, GraphError> {
+    let mut reader = BufReader::new(File::open(path)?);
+    let mut records = Vec::new();
+    let mut buf = String::new();
+    for lineno in 1.. {
+        buf.clear();
+        if reader.read_line(&mut buf)? == 0 {
+            break;
+        }
+        let line = match lineno {
+            1 => buf.strip_prefix('\u{feff}').unwrap_or(&buf),
+            _ => &buf,
+        }
+        .trim();
         if line.is_empty() || line.starts_with('#') {
             continue;
         }
-        let mut parts = line.split_whitespace();
-        let src = parts
-            .next()
-            .and_then(|p| p.parse::<VertexId>().ok())
-            .ok_or_else(|| parse_err(path, lineno, line))?;
-        let dst = parts
-            .next()
-            .and_then(|p| p.parse::<VertexId>().ok())
-            .ok_or_else(|| parse_err(path, lineno, line))?;
-        let weight = parts
-            .next()
-            .and_then(parse_weight)
-            .ok_or_else(|| parse_err(path, lineno, line))?;
-        edges.push((src, dst, weight));
+        let record = parse(&mut line.split_whitespace()).ok_or_else(|| GraphError::Parse {
+            file: path.display().to_string(),
+            line: lineno,
+            content: line.chars().take(60).collect(),
+        })?;
+        records.push(record);
     }
-    Ok(edges)
-}
-
-/// Strips a UTF-8 byte-order mark from the first line of a file
-/// (spreadsheet and Windows-editor exports prepend one).
-fn strip_bom(line: &str, lineno: usize) -> &str {
-    if lineno == 0 {
-        line.strip_prefix('\u{feff}').unwrap_or(line)
-    } else {
-        line
-    }
-}
-
-fn parse_err(path: &Path, lineno: usize, line: &str) -> GraphError {
-    GraphError::Parse {
-        file: path.display().to_string(),
-        line: lineno + 1,
-        content: line.chars().take(60).collect(),
-    }
+    Ok(records)
 }
 
 #[cfg(test)]

@@ -37,6 +37,38 @@ fn arb_weighted_graph() -> impl Strategy<Value = EdgeListGraph> {
         })
 }
 
+/// Strategy: an arbitrary small weighted graph, directed or undirected,
+/// with sparse external ids (`id * 7 + 3`), three vertices that no edge
+/// touches, and every edge listed twice with different weights (half of
+/// the repeats reversed, which is a duplicate only when undirected).
+fn arb_sparse_weighted_graph() -> impl Strategy<Value = EdgeListGraph> {
+    (
+        2u64..40,
+        proptest::collection::vec((0u64..40, 0u64..40, 1u64..10_000_000), 0..120),
+        any::<bool>(),
+    )
+        .prop_map(|(n, raw_edges, directed)| {
+            let id = |v: u64| v * 7 + 3;
+            let mut edges: Vec<(u64, u64, u64)> = raw_edges
+                .into_iter()
+                .map(|(a, b, w)| (id(a % n), id(b % n), w))
+                .collect();
+            let repeats: Vec<(u64, u64, u64)> = edges
+                .iter()
+                .enumerate()
+                .map(|(i, &(s, t, w))| {
+                    if i % 2 == 0 {
+                        (s, t, w / 2 + 1)
+                    } else {
+                        (t, s, w + 1)
+                    }
+                })
+                .collect();
+            edges.extend(repeats);
+            EdgeListGraph::new_weighted((0..n + 3).map(id).collect(), edges, directed)
+        })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -45,6 +77,30 @@ proptest! {
         let csr = CsrGraph::from_edge_list(&g);
         prop_assert_eq!(csr.to_edge_list(), g);
         csr.validate().unwrap();
+    }
+
+    #[test]
+    fn csr_weights_follow_their_edges_at_every_thread_count(g in arb_sparse_weighted_graph()) {
+        let base = CsrGraph::from_edge_list_with_threads(&g, 1);
+        for threads in [1usize, 2, 3, 8] {
+            let csr = CsrGraph::from_edge_list_with_threads(&g, threads);
+            csr.validate().unwrap();
+            prop_assert_eq!(&csr, &base, "threads={}", threads);
+            let n = csr.num_vertices() as u32;
+            prop_assert_eq!((0..n).map(|v| csr.in_degree(v)).sum::<usize>(), csr.num_arcs());
+            // `EdgeListGraph::edge_weight` is the oracle for every arc, on
+            // the out-side and on the in-side.
+            for v in 0..n {
+                let ext = csr.external_id(v);
+                for (&t, &w) in csr.neighbors(v).iter().zip(csr.neighbor_weights(v)) {
+                    prop_assert_eq!(Some(w), g.edge_weight(ext, csr.external_id(t)));
+                }
+                for (&s, &w) in csr.in_neighbors(v).iter().zip(csr.in_neighbor_weights(v)) {
+                    prop_assert_eq!(Some(w), g.edge_weight(csr.external_id(s), ext));
+                }
+            }
+            prop_assert_eq!(&csr.to_edge_list(), &g);
+        }
     }
 
     #[test]
