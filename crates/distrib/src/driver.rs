@@ -17,10 +17,9 @@ use graphalytics_core::platform::{GraphHandle, GraphTable, Platform, PlatformErr
 use graphalytics_core::ScratchDir;
 use graphalytics_graph::CsrGraph;
 use graphalytics_pregel::programs::{dispatch, ProgramVisitor};
-use graphalytics_pregel::VertexProgram;
+use graphalytics_pregel::{Placement, VertexProgram};
 
 use crate::master::{coordinate, MasterConfig};
-use crate::partition::PartitionPlan;
 
 /// Configuration of the distributed runtime.
 #[derive(Debug, Clone)]
@@ -200,7 +199,7 @@ impl ProgramVisitor for FleetRun<'_> {
         // Dropped on every way out of this run, failures included.
         let checkpoints = ScratchDir::new(Some(loaded.dir.path()), "run")
             .map_err(|e| PlatformError::TransientIo(format!("checkpoint dir: {e}")))?;
-        let part = PartitionPlan::new(graph, config.workers.max(1) as usize);
+        let part = Placement::new(graph, config.workers.max(1) as usize);
         let cfg = MasterConfig {
             workers: config.workers.max(1),
             checkpoint_interval: config.checkpoint_interval,

@@ -8,8 +8,6 @@
 //!   payloads in the `graphalytics-codec` encoding;
 //! * [`net`] — the one place a stream is opened: `TCP_NODELAY` and the read
 //!   timeout on every master and peer connection;
-//! * [`partition`] — deterministic vertex→worker assignment (computed
-//!   independently by master and workers) and ordered output merge;
 //! * [`worker`] — the worker process: local compute over its partition,
 //!   message shuffle to peers, checkpoint write/restore;
 //! * [`master`] — partition planning, superstep barrier, checkpoint
@@ -29,13 +27,11 @@
 pub mod driver;
 pub mod master;
 pub mod net;
-pub mod partition;
 pub mod protocol;
 pub mod telemetry;
 pub mod worker;
 
 pub use driver::{DistribConfig, DistributedPlatform};
 pub use master::{coordinate, MasterConfig, MasterStats};
-pub use partition::PartitionPlan;
 pub use protocol::{read_frame, write_frame, write_frames, Frame, PlanFrame, StepReport};
 pub use telemetry::{SpanKind, TelemetryBuffer, TelemetryMerger, WireSpan};

@@ -14,9 +14,9 @@ use graphalytics_algos::Algorithm;
 use graphalytics_codec::Codec;
 use graphalytics_core::faults::{FaultPlan, FaultSite, RecoveryAction};
 use graphalytics_core::platform::{PlatformError, RunContext};
+use graphalytics_pregel::Placement;
 
 use crate::net::{self, io_timeout};
-use crate::partition::PartitionPlan;
 use crate::protocol::{
     decode_blob, expect_frame, read_frame_counted, write_frame, Frame, PlanFrame, StepReport,
 };
@@ -374,7 +374,7 @@ pub fn coordinate<S: Codec + Clone>(
     cfg: &MasterConfig,
     algorithm: &Algorithm,
     fault_plan: &FaultPlan,
-    part: &PartitionPlan,
+    part: &Placement,
     ctx: &RunContext,
 ) -> Result<(Vec<S>, MasterStats), PlatformError> {
     let mut stats = MasterStats::default();
@@ -404,7 +404,7 @@ pub fn coordinate<S: Codec + Clone>(
             Ok(per_worker) => {
                 stats.network_bytes += fleet.take_control_bytes();
                 let merged = part
-                    .merge(&per_worker)
+                    .merge(per_worker)
                     .ok_or_else(|| PlatformError::Internal("output size mismatch".to_string()))?;
                 return Ok((merged, stats));
             }

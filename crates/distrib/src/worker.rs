@@ -1,13 +1,12 @@
 //! The worker process: owns one partition, exchanges shuffle batches with
 //! its peers, and reports superstep results to the master.
 //!
-//! A worker's compute phase is [`compute_partition`] — the *same function*
-//! the in-process engine runs in its worker threads — over global-length
-//! state buffers restricted to the worker's partition list. Incoming
-//! shuffle batches are applied in sender-worker-id order, which reproduces
-//! the in-process barrier's message-routing order exactly; together these
-//! make a distributed run's output byte-identical to a single-process run
-//! with the same worker count.
+//! A worker owns one [`Partition`] — the *same type* the in-process engine's
+//! worker threads own — and computes it with the same call. Its outboxes,
+//! one per destination worker, are the shuffle batches; the batches it
+//! receives are delivered in sender-worker-id order, the in-process
+//! engine's delivery order. Together these make a distributed run's output
+//! byte-identical to a single-process run with the same worker count.
 
 use std::fs;
 use std::io::Write as _;
@@ -18,12 +17,12 @@ use std::time::Duration;
 
 use graphalytics_algos::Output;
 use graphalytics_core::faults::{FaultSite, Snapshot};
-use graphalytics_graph::{io as graph_io, CsrGraph, Vid};
+use graphalytics_graph::{io as graph_io, CsrGraph};
+use graphalytics_pregel::engine::Envelope;
 use graphalytics_pregel::programs::{dispatch, ProgramVisitor};
-use graphalytics_pregel::{compute_partition, VertexProgram};
+use graphalytics_pregel::{Partition, Placement, VertexProgram};
 
 use crate::net;
-use crate::partition::PartitionPlan;
 use crate::protocol::{
     decode_blob, encode_blob, expect_frame, read_frame, write_frame, write_frames, Frame,
     PlanFrame, StepReport,
@@ -127,10 +126,6 @@ fn checkpoint_path(dir: &Path, worker: u32, superstep: u64) -> PathBuf {
     dir.join(format!("worker-{worker}.s{superstep}.ckpt"))
 }
 
-/// Per-sender shuffle slots for one superstep: `None` until that sender's
-/// batch arrives (own batch is placed immediately).
-type ShuffleSlots<M> = Vec<Option<Vec<(Vid, M)>>>;
-
 /// The generic worker loop for one vertex program.
 fn run_program<P: VertexProgram>(
     program: &P,
@@ -145,14 +140,12 @@ fn run_program<P: VertexProgram>(
     // anchored by the Plan frame's clock origin). Disabled when the master
     // runs untraced — then no Telemetry frame ever leaves this process.
     let mut telemetry = TelemetryBuffer::new(plan.trace, plan.clock_origin);
-    let n = graph.num_vertices();
-    let part = PartitionPlan::new(graph, workers);
-    let mine: &[Vid] = &part.worker_vertices[me];
-
-    // Global-length buffers; only this worker's entries are authoritative.
-    let mut states: Vec<P::State> = (0..n as Vid).map(|v| program.init(v, graph)).collect();
-    let mut active: Vec<bool> = vec![true; n];
-    let mut inbox: Vec<Vec<P::Message>> = vec![Vec::new(); n];
+    let placement = Placement::new(graph, workers);
+    let routes = placement.routes();
+    let mut part = Partition::new(program, graph, placement.members(me));
+    // One outbox per worker: sends by destination after compute, received
+    // batches by sender after the shuffle.
+    let mut mail: Vec<Vec<Envelope<P::Message>>> = (0..workers).map(|_| Vec::new()).collect();
 
     if plan.resume {
         let path = checkpoint_path(
@@ -164,26 +157,15 @@ fn run_program<P: VertexProgram>(
             fs::read(&path).map_err(|e| format!("read checkpoint {}: {e}", path.display()))?;
         let snap: Snapshot<P::State, P::Message> = Snapshot::decode(&bytes)
             .ok_or_else(|| format!("corrupt checkpoint {}", path.display()))?;
-        if snap.superstep != plan.resume_superstep
-            || snap.states.len() != mine.len()
-            || snap.active.len() != mine.len()
-            || snap.inbox.len() != mine.len()
-        {
+        if snap.superstep != plan.resume_superstep || !part.restore(snap, &mut mail[me]) {
             return Err(format!("checkpoint {} does not match plan", path.display()));
         }
-        for (i, &v) in mine.iter().enumerate() {
-            states[v as usize] = snap.states[i].clone();
-            active[v as usize] = snap.active[i];
-            inbox[v as usize] = snap.inbox[i].clone();
-        }
+        part.deliver(&mut mail);
     }
 
     let listener = TcpListener::bind("127.0.0.1:0").map_err(|e| format!("bind peer: {e}"))?;
     let peer_port = listener.local_addr().map_err(|e| e.to_string())?.port() as u32;
-    let runnable = mine
-        .iter()
-        .filter(|&&v| active[v as usize] || !inbox[v as usize].is_empty())
-        .count() as u64;
+    let runnable = part.runnable() as u64;
     write_frame(
         &mut master,
         &Frame::Ready {
@@ -228,7 +210,6 @@ fn run_program<P: VertexProgram>(
     }
     write_frame(&mut master, &Frame::MeshReady).map_err(|e| format!("mesh ready: {e}"))?;
 
-    let combiner = program.combiner();
     loop {
         let frame = read_frame(&mut master).map_err(|e| format!("await superstep: {e}"))?;
         // The master answered: the barrier wait that began after the last
@@ -242,14 +223,7 @@ fn run_program<P: VertexProgram>(
             } => {
                 if checkpoint {
                     let ckpt_start = telemetry.now();
-                    let snap = Snapshot {
-                        superstep,
-                        states: part.gather(me, &states),
-                        inbox: part.gather(me, &inbox),
-                        active: part.gather(me, &active),
-                        aggregate: prev_aggregate,
-                    };
-                    let bytes = snap.encode();
+                    let bytes = part.snapshot(superstep, prev_aggregate).encode();
                     let dir = Path::new(&plan.checkpoint_dir);
                     fs::create_dir_all(dir).map_err(|e| format!("checkpoint dir: {e}"))?;
                     let path = checkpoint_path(dir, plan.worker, superstep);
@@ -292,50 +266,32 @@ fn run_program<P: VertexProgram>(
                     std::process::exit(EXIT_INJECTED_FAULT);
                 }
                 let compute_start = telemetry.now();
-                let out = compute_partition(
-                    graph,
+                let done = part.compute(
                     program,
+                    graph,
+                    routes,
                     superstep as usize,
                     prev_aggregate,
-                    mine,
-                    &states,
-                    &active,
-                    &inbox,
+                    &mut mail,
                 );
                 telemetry.record(
                     SpanKind::Compute,
                     superstep,
                     compute_start,
                     telemetry.now(),
-                    out.active_count as u64,
+                    done.computed as u64,
                 );
-
-                // Split outgoing messages by destination owner, preserving
-                // generation order within each batch.
-                let mut batches: Vec<Vec<(Vid, P::Message)>> =
-                    (0..workers).map(|_| Vec::new()).collect();
-                for (to, msg) in out.outgoing {
-                    batches[part.owner[to as usize] as usize].push((to, msg));
-                }
-                let sent = out.messages as u64;
-                let sent_remote = batches
-                    .iter()
-                    .enumerate()
-                    .filter(|&(j, _)| j != me)
-                    .map(|(_, b)| b.len() as u64)
-                    .sum::<u64>();
+                let sent = mail.iter().map(|b| b.len() as u64).sum::<u64>();
+                let sent_remote = sent - mail[me].len() as u64;
 
                 // Shuffle: one frame to every peer (even when empty, so
                 // receives can't starve), written from per-peer threads so
                 // a send can never deadlock against a peer that is also
                 // mid-send; receives run on this thread.
                 let shuffle_start = telemetry.now();
-                let mut bytes_sent = 0u64;
-                let mut incoming: ShuffleSlots<P::Message> = (0..workers).map(|_| None).collect();
-                incoming[me] = Some(std::mem::take(&mut batches[me]));
                 let send_result: Result<u64, String> = std::thread::scope(|scope| {
                     let mut handles = Vec::new();
-                    for (j, batch) in batches.iter().enumerate() {
+                    for (j, outbox) in mail.iter_mut().enumerate() {
                         if j == me {
                             continue;
                         }
@@ -347,8 +303,9 @@ fn run_program<P: VertexProgram>(
                         let frame = Frame::Shuffle {
                             from: plan.worker,
                             superstep,
-                            batch: encode_blob(batch),
+                            batch: encode_blob(outbox),
                         };
+                        outbox.clear();
                         // lint:allow(spawn-audit): scoped per-peer writer threads prevent shuffle write-write deadlock
                         handles.push(scope.spawn(move || {
                             write_frame(&mut writer, &frame)
@@ -377,10 +334,8 @@ fn run_program<P: VertexProgram>(
                                 "misrouted shuffle: from={from} step={step} on stream {j}"
                             ));
                         }
-                        incoming[j] = Some(
-                            decode_blob::<Vec<(Vid, P::Message)>>(&batch)
-                                .ok_or_else(|| format!("corrupt shuffle from {j}"))?,
-                        );
+                        mail[j] = decode_blob::<Vec<Envelope<P::Message>>>(&batch)
+                            .ok_or_else(|| format!("corrupt shuffle from {j}"))?;
                     }
                     let mut total = 0u64;
                     for h in handles {
@@ -390,7 +345,7 @@ fn run_program<P: VertexProgram>(
                     }
                     Ok(total)
                 });
-                bytes_sent += send_result?;
+                let bytes_sent = send_result?;
                 telemetry.record(
                     SpanKind::Shuffle,
                     superstep,
@@ -399,33 +354,11 @@ fn run_program<P: VertexProgram>(
                     bytes_sent,
                 );
 
-                // Barrier: clear inboxes, apply this worker's updates, then
-                // deliver batches in sender-worker-id order — the exact
-                // routing order of the in-process barrier, so combiner
-                // folds and message-list order match bit for bit.
-                for b in inbox.iter_mut() {
-                    b.clear();
-                }
-                for (v, state, stay_active) in out.updates {
-                    states[v as usize] = state;
-                    active[v as usize] = stay_active;
-                }
-                for (w, slot) in incoming.iter_mut().enumerate() {
-                    let batch = slot
-                        .take()
-                        .ok_or_else(|| format!("missing shuffle batch from {w}"))?;
-                    for (to, msg) in batch {
-                        let slot = &mut inbox[to as usize];
-                        match (combiner, slot.last_mut()) {
-                            (Some(combine), Some(acc)) => combine(acc, msg),
-                            _ => slot.push(msg),
-                        }
-                    }
-                }
-                let active_after = mine
-                    .iter()
-                    .filter(|&&v| active[v as usize] || !inbox[v as usize].is_empty())
-                    .count() as u64;
+                // Deliver in sender-worker-id order, the in-process
+                // engine's order, so combiner folds and message-list order
+                // match bit for bit.
+                part.deliver(&mut mail);
+                let active_after = part.runnable() as u64;
                 // Ship this superstep's spans piggybacked on the barrier:
                 // the Telemetry frame (if any) goes out in the same write
                 // as the StepDone the master is blocked on.
@@ -435,12 +368,12 @@ fn run_program<P: VertexProgram>(
                     .collect();
                 frames.push(Frame::StepDone(StepReport {
                     superstep,
-                    computed: out.active_count as u64,
+                    computed: done.computed as u64,
                     active_after,
                     sent,
                     sent_remote,
                     bytes_sent,
-                    aggregate: out.aggregate,
+                    aggregate: done.aggregate,
                 }));
                 write_frames(&mut master, &frames).map_err(|e| format!("step done: {e}"))?;
                 telemetry.start_barrier(superstep);
@@ -454,7 +387,7 @@ fn run_program<P: VertexProgram>(
                     .collect();
                 frames.push(Frame::Output {
                     worker: plan.worker,
-                    states: encode_blob(&part.gather(me, &states)),
+                    states: encode_blob(&part.into_states()),
                 });
                 write_frames(&mut master, &frames).map_err(|e| format!("output: {e}"))?;
                 return Ok(());

@@ -16,10 +16,10 @@ use graphalytics_core::platform::{Platform, RunContext};
 use graphalytics_core::trace::Tracer;
 use graphalytics_core::ScratchDir;
 use graphalytics_distrib::{
-    coordinate, DistribConfig, DistributedPlatform, MasterConfig, MasterStats, PartitionPlan,
+    coordinate, DistribConfig, DistributedPlatform, MasterConfig, MasterStats,
 };
 use graphalytics_graph::{CsrGraph, EdgeListGraph, WEIGHT_SCALE};
-use graphalytics_pregel::{GiraphPlatform, PregelConfig};
+use graphalytics_pregel::{GiraphPlatform, Placement, PregelConfig};
 
 fn worker_bin() -> PathBuf {
     PathBuf::from(env!("CARGO_BIN_EXE_gx-distrib-worker"))
@@ -187,7 +187,7 @@ fn e2e_telemetry_is_off_the_output_path() {
     let dir = ScratchDir::new(None, "gx-telemetry-e2e").expect("scratch dir");
     let prefix = dir.path().join("graph");
     graphalytics_graph::io::write_graph(&graph.to_edge_list(), &prefix).expect("write dataset");
-    let part = PartitionPlan::new(&graph, 4);
+    let part = Placement::new(&graph, 4);
     // Fixed iteration count: both runs execute the same superstep schedule.
     let alg = Algorithm::PageRank {
         iterations: 6,

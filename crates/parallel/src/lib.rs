@@ -245,37 +245,13 @@ where
     T: Send,
     F: Fn(usize, usize, &mut [T]) + Sync,
 {
-    let bounds: Vec<usize> = chunk_ranges(data.len(), threads)
-        .into_iter()
-        .map(|r| r.end)
-        .collect();
-    for_each_part_mut(data, &bounds, f);
-}
-
-/// Splits `data` at the given ascending end offsets (`bounds[last]` must
-/// equal `data.len()`) and runs `f(part_index, part_start, &mut part)` for
-/// every part on its own scoped worker. Used where parts must align to
-/// caller-defined boundaries (e.g. CSR adjacency runs grouped by vertex
-/// chunk).
-pub fn for_each_part_mut<T, F>(data: &mut [T], bounds: &[usize], f: F)
-where
-    T: Send,
-    F: Fn(usize, usize, &mut [T]) + Sync,
-{
-    assert_eq!(
-        bounds.last().copied().unwrap_or(0),
-        data.len(),
-        "bounds must end at data.len()"
-    );
-    let mut parts = Vec::with_capacity(bounds.len());
+    let ranges = chunk_ranges(data.len(), threads);
+    let mut parts = Vec::with_capacity(ranges.len());
     let mut rest = data;
-    let mut start = 0usize;
-    for &end in bounds {
-        assert!(end >= start, "bounds must be ascending");
-        let (part, tail) = rest.split_at_mut(end - start);
+    for range in ranges {
+        let (part, tail) = rest.split_at_mut(range.len());
         rest = tail;
-        parts.push((start, part));
-        start = end;
+        parts.push((range.start, part));
     }
     map_each(parts, |i, (start, part)| f(i, start, part));
 }
@@ -481,29 +457,6 @@ mod tests {
             }
             assert_eq!(v, part * 1000 + i);
         }
-    }
-
-    #[test]
-    fn for_each_part_mut_respects_custom_bounds() {
-        let mut data = vec![0u32; 10];
-        for_each_part_mut(&mut data, &[2, 2, 7, 10], |part, start, slice| {
-            if part == 1 {
-                assert!(slice.is_empty());
-            }
-            for (off, slot) in slice.iter_mut().enumerate() {
-                *slot = (part * 100 + start + off) as u32;
-            }
-        });
-        assert_eq!(data[0..2], [0, 1]);
-        assert_eq!(data[2..7], [202, 203, 204, 205, 206]);
-        assert_eq!(data[7..10], [307, 308, 309]);
-    }
-
-    #[test]
-    #[should_panic(expected = "bounds must end at data.len()")]
-    fn for_each_part_mut_rejects_short_bounds() {
-        let mut data = vec![0u8; 4];
-        for_each_part_mut(&mut data, &[2], |_, _, _| {});
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //!
 //! Faithfully modeled pieces:
 //!
-//! * workers own hash-partitioned vertex sets; vertex state lives with its
-//!   worker;
+//! * workers own hash-partitioned vertex sets; vertex state and the inbox
+//!   live with their worker (see [`crate::partition`]);
 //! * per-superstep message exchange with an optional **combiner**;
 //!   messages whose source and destination workers differ are counted as
 //!   *network* messages (the "excessive network utilization" choke point);
@@ -27,6 +27,9 @@ use graphalytics_graph::partition::{
 };
 use graphalytics_graph::{CsrGraph, Vid};
 use std::sync::Arc;
+use std::time::Instant;
+
+use crate::partition::{Partition, Placement, Route};
 
 /// Vertex-placement strategy for the workers (see
 /// `graphalytics_graph::partition`). Giraph defaults to hash partitioning;
@@ -44,7 +47,8 @@ pub enum PartitionerKind {
 }
 
 impl PartitionerKind {
-    fn partition(&self, graph: &CsrGraph, workers: usize) -> Vec<u32> {
+    /// The owning worker of every vertex.
+    pub(crate) fn partition(&self, graph: &CsrGraph, workers: usize) -> Vec<u32> {
         match self {
             PartitionerKind::Hash => HashPartitioner.partition(graph, workers),
             PartitionerKind::Range => RangePartitioner.partition(graph, workers),
@@ -88,7 +92,8 @@ impl Default for PregelConfig {
     }
 }
 
-/// A message addressed to a vertex.
+/// A message in an outbox, addressed by its destination vertex's position
+/// in the destination worker's partition.
 pub type Envelope<M> = (Vid, M);
 
 /// Execution statistics of one Pregel run — the raw material for the
@@ -148,15 +153,18 @@ pub struct ComputeContext<'a, M> {
     pub graph: &'a CsrGraph,
     /// Value of the global aggregator from the *previous* superstep.
     pub prev_aggregate: f64,
-    outgoing: Vec<Envelope<M>>,
-    halt: bool,
-    aggregate: f64,
+    pub(crate) routes: &'a [Route],
+    pub(crate) outboxes: &'a mut [Vec<Envelope<M>>],
+    pub(crate) halt: bool,
+    pub(crate) aggregate: f64,
 }
 
-impl<'a, M> ComputeContext<'a, M> {
-    /// Sends `msg` to vertex `to` (delivered next superstep).
+impl<M> ComputeContext<'_, M> {
+    /// Sends `msg` to vertex `to` (delivered next superstep): appended to
+    /// the outbox for `to`'s worker, addressed by its local position.
     pub fn send(&mut self, to: Vid, msg: M) {
-        self.outgoing.push((to, msg));
+        let route = self.routes[to as usize];
+        self.outboxes[route.worker as usize].push((route.local, msg));
     }
 
     /// Sends `msg` to every out-neighbor.
@@ -164,8 +172,12 @@ impl<'a, M> ComputeContext<'a, M> {
     where
         M: Clone,
     {
-        for &u in self.graph.neighbors(self.vertex) {
-            self.outgoing.push((u, msg.clone()));
+        let graph = self.graph;
+        if let Some((&last, rest)) = graph.neighbors(self.vertex).split_last() {
+            for &u in rest {
+                self.send(u, msg.clone());
+            }
+            self.send(last, msg);
         }
     }
 
@@ -194,8 +206,8 @@ impl<'a, M> ComputeContext<'a, M> {
 pub trait VertexProgram: Sync {
     /// Per-vertex state.
     type State: Clone + Send + Sync + Codec;
-    /// Message type.
-    type Message: Clone + Send + Sync + Codec;
+    /// Message type. `Default` fills the inbox's unused slots.
+    type Message: Clone + Default + Send + Sync + Codec;
 
     /// Initial state of a vertex.
     fn init(&self, vertex: Vid, graph: &CsrGraph) -> Self::State;
@@ -230,6 +242,12 @@ pub struct PregelResult<S> {
 
 /// Runs `program` on `graph` to completion (all vertices halted and no
 /// messages in flight), a superstep cap, or deadline expiry.
+///
+/// Each worker owns a [`Partition`]. A superstep is one fan-out in which
+/// worker `d` delivers the outboxes addressed to it, in sender-worker
+/// order, and computes its vertices in place, its sends landing in its
+/// own outboxes. The serial barrier after it only frees the messages just
+/// read, sums the statistics and hands every outbox to its receiver.
 pub fn run<P: VertexProgram>(
     graph: &Arc<CsrGraph>,
     program: &P,
@@ -239,7 +257,7 @@ pub fn run<P: VertexProgram>(
     let n = graph.num_vertices();
     let workers = config.workers.max(1);
     if let Some(budget) = config.memory_budget {
-        let need = estimated_footprint::<P>(graph);
+        let need = estimated_footprint(program, graph, workers);
         if need > budget {
             return Err(PlatformError::OutOfMemory {
                 required: need,
@@ -247,52 +265,61 @@ pub fn run<P: VertexProgram>(
             });
         }
     }
-    let assignment = config.partitioner.partition(graph, workers);
-    let mut worker_vertices: Vec<Vec<Vid>> = vec![Vec::new(); workers];
-    for v in 0..n as Vid {
-        worker_vertices[assignment[v as usize] as usize].push(v);
-    }
-    let owner: Vec<u32> = assignment;
-
-    let mut states: Vec<P::State> = (0..n as Vid).map(|v| program.init(v, graph)).collect();
-    let mut active: Vec<bool> = vec![true; n];
-    // Inbox per vertex, double buffered.
-    let mut inbox: Vec<Vec<P::Message>> = vec![Vec::new(); n];
+    let placement = Placement::from_owner(&config.partitioner.partition(graph, workers), workers);
+    let routes = placement.routes();
+    let mut parts: Vec<Partition<P>> = (0..workers)
+        .map(|w| Partition::new(program, graph, placement.members(w)))
+        .collect();
+    // The outbox matrix, `workers` rows of `workers` outboxes. Between
+    // supersteps row `d` holds what worker `d` receives, one outbox per
+    // sender. In the fan-out worker `d` empties row `d` into its inbox and
+    // refills it with its sends, one outbox per destination; the barrier
+    // transposes the matrix. The outboxes keep their capacity throughout.
+    // They are reserved here, on the calling thread, at an even share of
+    // one message per arc: grown from empty inside the fan-out, they sit
+    // in the worker threads' allocator arenas, which kept PageRank's peak
+    // RSS at scale 13 on two workers ~4 MB higher.
+    let share = graph.num_arcs() / (workers * workers);
+    let mut mail: Vec<Vec<Envelope<P::Message>>> = (0..workers * workers)
+        .map(|_| Vec::with_capacity(share))
+        .collect();
     let mut stats = PregelStats::default();
     let mut prev_aggregate = 0.0f64;
 
-    // Superstep-boundary checkpointing (Giraph-style): the encoded last
-    // snapshot, plus the incarnation counter that makes re-executed
-    // supersteps distinguishable fault-plan sites (a crash decided for
-    // incarnation 0 does not re-fire after the restart).
-    let mut latest_checkpoint: Option<Vec<u8>> = None;
+    // Superstep-boundary checkpointing (Giraph-style): the last snapshot,
+    // one encoded per partition as the distributed workers write it, plus
+    // the incarnation counter that makes re-executed supersteps
+    // distinguishable fault-plan sites (a crash decided for incarnation 0
+    // does not re-fire after the restart).
+    let mut latest_checkpoint: Option<Vec<Vec<u8>>> = None;
+    let corrupt = || PlatformError::Internal("corrupt pregel checkpoint".to_string());
     let mut incarnation: u32 = 0;
 
     let mut superstep = 0usize;
     while superstep < config.max_supersteps {
         ctx.check_deadline()?;
-        // A vertex is runnable when it hasn't voted to halt *or* has
-        // pending messages (message receipt reactivates halted vertices).
-        let any_runnable = active.iter().any(|&a| a) || inbox.iter().any(|m| !m.is_empty());
-        if !any_runnable {
+        // Every vertex starts active and a superstep that leaves nothing
+        // runnable ends the run below, so only an empty graph stops here.
+        if n == 0 {
             break;
         }
         // Checkpoint before computing, so a crash in superstep k with a
-        // due checkpoint restores to k itself, not k - interval.
-        if config
+        // due checkpoint restores to k itself, not k - interval. The
+        // snapshot holds delivered messages, so this superstep's fan-out
+        // skips delivery.
+        let delivered = config
             .checkpoint_interval
-            .is_some_and(|i| i > 0 && superstep.is_multiple_of(i))
-        {
-            let snap = Snapshot {
-                superstep: superstep as u64,
-                states: states.clone(),
-                inbox: inbox.clone(),
-                active: active.clone(),
-                aggregate: prev_aggregate,
-            };
-            let bytes = snap.encode();
-            ctx.note_checkpoint(superstep as u64, bytes.len());
-            latest_checkpoint = Some(bytes);
+            .is_some_and(|i| i > 0 && superstep.is_multiple_of(i));
+        if delivered {
+            for (part, row) in parts.iter_mut().zip(mail.chunks_mut(workers)) {
+                part.deliver(row);
+            }
+            let snaps: Vec<Vec<u8>> = parts
+                .iter()
+                .map(|p| p.snapshot(superstep as u64, prev_aggregate).encode())
+                .collect();
+            ctx.note_checkpoint(superstep as u64, snaps.iter().map(Vec::len).sum());
+            latest_checkpoint = Some(snaps);
         }
         // Worker-crash injection point: each worker is probed against the
         // fault plan before the compute phase. A crashed worker either
@@ -309,16 +336,17 @@ pub fn run<P: VertexProgram>(
             });
             if let Some((site, err)) = crashed {
                 match &latest_checkpoint {
-                    Some(bytes) if incarnation < config.max_restarts => {
-                        let snap: Snapshot<P::State, P::Message> = Snapshot::decode(bytes)
-                            .ok_or_else(|| {
-                                PlatformError::Internal("corrupt pregel checkpoint".to_string())
-                            })?;
-                        states = snap.states;
-                        inbox = snap.inbox;
-                        active = snap.active;
-                        prev_aggregate = snap.aggregate;
-                        superstep = snap.superstep as usize;
+                    Some(snaps) if incarnation < config.max_restarts => {
+                        mail.iter_mut().for_each(Vec::clear);
+                        for (w, (part, bytes)) in parts.iter_mut().zip(snaps).enumerate() {
+                            let snap: Snapshot<P::State, P::Message> =
+                                Snapshot::decode(bytes).ok_or_else(corrupt)?;
+                            superstep = snap.superstep as usize;
+                            prev_aggregate = snap.aggregate;
+                            if !part.restore(snap, &mut mail[w * workers + w]) {
+                                return Err(corrupt());
+                            }
+                        }
                         incarnation += 1;
                         ctx.note_recovery(RecoveryAction::CheckpointRestart, Some(site), 0);
                         continue;
@@ -328,45 +356,50 @@ pub fn run<P: VertexProgram>(
             }
         }
         // One span per superstep, carrying the same counts the engine
-        // accumulates into `PregelStats`.
+        // accumulates into `PregelStats`, with the fan-out and the barrier
+        // as its two children.
         let mut step_span = ctx.tracer().span("pregel.superstep");
         step_span.field("superstep", superstep);
-        let remote_before = stats.messages_remote;
-        // --- Compute phase: one worker per partition reads the shared
-        // state, inbox and active vectors and returns its updates; a
-        // panicking `compute` fails the run instead of unwinding out of it.
-        let mut per_worker_active = vec![0usize; workers];
-        let worker_outputs: Vec<WorkerOutput<P>> =
-            graphalytics_parallel::try_map_each(&worker_vertices, |_, vertices| {
-                compute_partition(
-                    graph,
-                    program,
-                    superstep,
-                    prev_aggregate,
-                    vertices,
-                    &states,
-                    &active,
-                    &inbox,
-                )
-            })
-            .map_err(|payload| PlatformError::worker_panicked("pregel", payload))?;
-
-        // --- Barrier: apply updates, route messages. ---
-        for v in inbox.iter_mut() {
-            v.clear();
-        }
-        let mut sent_this_step = 0usize;
-        let mut any_message = false;
-        let mut step_aggregate = 0.0f64;
-        let mut max_worker_messages = 0usize;
-        let mut step_active = 0usize;
-        let combiner = program.combiner();
         let step_span_id = step_span.id();
-        for (w, out) in worker_outputs.into_iter().enumerate() {
-            per_worker_active[w] = out.active_count;
-            stats.active_total += out.active_count;
-            step_active += out.active_count;
-            max_worker_messages = max_worker_messages.max(out.messages);
+        // A panicking `compute` fails the run instead of unwinding out of it.
+        let tasks = {
+            let _compute = ctx.tracer().span("pregel.compute");
+            graphalytics_parallel::try_map_each(
+                parts.iter_mut().zip(mail.chunks_mut(workers)),
+                |_, (part, outboxes)| {
+                    let start = Instant::now();
+                    if !delivered {
+                        part.deliver(outboxes);
+                    }
+                    let read = Instant::now();
+                    let done =
+                        part.compute(program, graph, routes, superstep, prev_aggregate, outboxes);
+                    let deliver_ns = (read - start).as_nanos() as u64;
+                    (done, deliver_ns, read.elapsed().as_nanos() as u64)
+                },
+            )
+            .map_err(|payload| PlatformError::worker_panicked("pregel", payload))?
+        };
+
+        let _barrier = ctx.tracer().span("pregel.barrier");
+        // Read messages are freed here, on the calling thread. Freed inside
+        // the fan-out, LCC's neighbour-list messages have the allocator
+        // return their pages, which the next run faults back in: ~30-57k
+        // minor faults per LCC run at scale 13 on two workers, against ~0.
+        parts.iter_mut().for_each(Partition::clear_inbox);
+        let (mut sent_step, mut remote_step, mut active_step, mut awake) = (0, 0, 0, 0);
+        let (mut max_worker_active, mut max_worker_messages) = (0, 0);
+        let mut step_aggregate = 0.0f64;
+        for (w, (done, deliver_ns, compute_ns)) in tasks.into_iter().enumerate() {
+            let outboxes = &mail[w * workers..(w + 1) * workers];
+            let sent: usize = outboxes.iter().map(Vec::len).sum();
+            sent_step += sent;
+            remote_step += sent - outboxes[w].len();
+            active_step += done.computed;
+            awake += done.awake;
+            max_worker_active = max_worker_active.max(done.computed);
+            max_worker_messages = max_worker_messages.max(sent);
+            step_aggregate += done.aggregate;
             // One work-distribution event per worker per superstep — the
             // skew choke point is the Gini over these within a superstep.
             ctx.tracer().event(
@@ -374,126 +407,71 @@ pub fn run<P: VertexProgram>(
                 step_span_id,
                 vec![
                     ("worker".to_string(), (w as u64).into()),
-                    ("work".to_string(), out.active_count.into()),
-                    ("messages".to_string(), out.messages.into()),
+                    ("work".to_string(), done.computed.into()),
+                    ("messages".to_string(), sent.into()),
+                    ("deliver_ns".to_string(), deliver_ns.into()),
+                    ("compute_ns".to_string(), compute_ns.into()),
                 ],
             );
-            step_aggregate += out.aggregate;
-            for (v, state, stay_active) in out.updates {
-                states[v as usize] = state;
-                active[v as usize] = stay_active;
-            }
-            sent_this_step += out.messages;
-            for (to, msg) in out.outgoing {
-                if owner[to as usize] as usize != w {
-                    stats.messages_remote += 1;
-                }
-                any_message = true;
-                let slot = &mut inbox[to as usize];
-                match (combiner, slot.last_mut()) {
-                    (Some(combine), Some(acc)) => combine(acc, msg),
-                    _ => slot.push(msg),
-                }
-            }
         }
+        transpose(&mut mail, workers);
         prev_aggregate = step_aggregate;
-        stats.messages_total += sent_this_step;
-        stats.max_worker_active += per_worker_active.iter().copied().max().unwrap_or(0);
+        stats.messages_total += sent_step;
+        stats.messages_remote += remote_step;
+        stats.active_total += active_step;
+        stats.max_worker_active += max_worker_active;
         stats.max_worker_messages += max_worker_messages;
-        stats.active_per_superstep.push(step_active);
+        stats.active_per_superstep.push(active_step);
         stats.supersteps += 1;
         step_span
-            .field("active_vertices", step_active)
-            .field("messages_sent", sent_this_step)
-            .field("messages_remote", stats.messages_remote - remote_before)
+            .field("active_vertices", active_step)
+            .field("messages_sent", sent_step)
+            .field("messages_remote", remote_step)
             .field("aggregate", step_aggregate)
             // Locality proxies: vertex state is scanned sequentially per
-            // active vertex; every routed message is a random inbox write.
-            .field("seq_accesses", step_active)
-            .field("rand_accesses", sent_this_step);
-        if !any_message && !active.iter().any(|&a| a) {
+            // active vertex; every delivered message is a random inbox write.
+            .field("seq_accesses", active_step)
+            .field("rand_accesses", sent_step);
+        if sent_step == 0 && awake == 0 {
             break;
         }
         superstep += 1;
     }
+    let states = placement
+        .merge(parts.into_iter().map(Partition::into_states).collect())
+        .ok_or_else(|| PlatformError::Internal("pregel partition size mismatch".to_string()))?;
     Ok(PregelResult { states, stats })
 }
 
-/// What one worker's compute phase produced over its partition: the unit of
-/// work the barrier merges — and, in the distributed runtime, the unit a
-/// worker process ships across the wire per superstep.
-pub struct WorkerOutput<P: VertexProgram> {
-    /// `(vertex, new state, stays active)` for every computed vertex, in
-    /// partition-list order.
-    pub updates: Vec<(Vid, P::State, bool)>,
-    /// Messages generated this superstep, in generation order.
-    pub outgoing: Vec<Envelope<P::Message>>,
-    /// Sum of the worker's aggregator contributions.
-    pub aggregate: f64,
-    /// Vertices computed (runnable) this superstep.
-    pub active_count: usize,
-    /// Messages generated (`outgoing.len()`).
-    pub messages: usize,
-}
-
-/// One worker's compute phase: runs `program` over the runnable vertices of
-/// `vertices` (a partition list) against the *global-length* `states`,
-/// `active`, and `inbox` slices, exactly as the in-process engine does
-/// inside its worker threads. Public so the distributed runtime executes
-/// byte-identical supersteps: same iteration order, same skip rule, same
-/// aggregate accumulation order.
-#[allow(clippy::too_many_arguments)]
-pub fn compute_partition<P: VertexProgram>(
-    graph: &CsrGraph,
-    program: &P,
-    superstep: usize,
-    prev_aggregate: f64,
-    vertices: &[Vid],
-    states: &[P::State],
-    active: &[bool],
-    inbox: &[Vec<P::Message>],
-) -> WorkerOutput<P> {
-    let mut out = WorkerOutput::<P> {
-        updates: Vec::new(),
-        outgoing: Vec::new(),
-        aggregate: 0.0,
-        active_count: 0,
-        messages: 0,
-    };
-    for &v in vertices {
-        let msgs = &inbox[v as usize];
-        if !active[v as usize] && msgs.is_empty() {
-            continue;
+/// Swaps outbox `(s, d)` with `(d, s)` for every pair of workers: what
+/// `s` sent to `d` becomes `d`'s input from `s`.
+fn transpose<T>(matrix: &mut [T], side: usize) {
+    for s in 0..side {
+        for d in s + 1..side {
+            matrix.swap(s * side + d, d * side + s);
         }
-        out.active_count += 1;
-        let mut cctx = ComputeContext {
-            superstep,
-            vertex: v,
-            graph,
-            prev_aggregate,
-            outgoing: Vec::new(),
-            halt: false,
-            aggregate: 0.0,
-        };
-        let mut state = states[v as usize].clone();
-        program.compute(&mut state, msgs, &mut cctx);
-        out.aggregate += cctx.aggregate;
-        out.messages += cctx.outgoing.len();
-        out.updates.push((v, state, !cctx.halt));
-        out.outgoing.extend(cctx.outgoing);
     }
-    out
 }
 
-/// Rough memory estimate for the budget check: graph + one state and one
-/// inbox slot per vertex. Heap payloads nested inside states/messages
-/// (e.g. the STATS program's neighbor-list messages) are not counted;
-/// the budget meters the structural footprint.
-fn estimated_footprint<P: VertexProgram>(graph: &CsrGraph) -> usize {
-    let per_vertex = std::mem::size_of::<P::State>()
-        + std::mem::size_of::<Vec<P::Message>>()
-        + std::mem::size_of::<bool>();
-    graph.memory_footprint() + graph.num_vertices() * per_vertex
+/// Memory estimate for the budget check: the graph, what the engine keeps
+/// per vertex (state, active flag, route, partition member), and the
+/// message store, at one message per arc per superstep as the built-in
+/// programs send: the inbox (a slot per vertex plus a presence bitmap
+/// with a combiner, offsets plus a flat array without) and the outboxes.
+/// Heap payloads nested inside states/messages (e.g. the LCC program's
+/// neighbor-list messages) are not counted; the budget meters the
+/// structural footprint.
+fn estimated_footprint<P: VertexProgram>(program: &P, graph: &CsrGraph, workers: usize) -> usize {
+    use std::mem::size_of;
+    let (n, arcs) = (graph.num_vertices(), graph.num_arcs());
+    let per_vertex =
+        size_of::<P::State>() + size_of::<bool>() + size_of::<Route>() + size_of::<Vid>();
+    let inbox = match program.combiner() {
+        Some(_) => n * size_of::<P::Message>() + (n / 64 + workers) * size_of::<u64>(),
+        None => (n + workers) * size_of::<usize>() + arcs * size_of::<P::Message>(),
+    };
+    let outboxes = arcs * size_of::<Envelope<P::Message>>();
+    graph.memory_footprint() + n * per_vertex + inbox + outboxes
 }
 
 #[cfg(test)]
@@ -579,6 +557,53 @@ mod tests {
     }
 
     #[test]
+    fn superstep_children_nest_and_every_worker_reports_a_task() {
+        use graphalytics_core::trace::{FieldValue, Tracer};
+
+        let g = graph(vec![(0, 1), (1, 2), (2, 3), (3, 4), (5, 6)]);
+        let tracer = std::sync::Arc::new(Tracer::new());
+        let ctx = RunContext::unbounded().with_tracer(std::sync::Arc::clone(&tracer));
+        let config = PregelConfig {
+            workers: 3,
+            ..Default::default()
+        };
+        let result = run(&g, &MinLabel, &config, &ctx).unwrap();
+        let spans = tracer.finished_spans();
+        let named = |name: &str| spans.iter().filter(|s| s.name == name).count();
+        assert_eq!(named("pregel.superstep"), result.stats.supersteps);
+        assert_eq!(named("pregel.compute"), result.stats.supersteps);
+        assert_eq!(named("pregel.barrier"), result.stats.supersteps);
+        assert_eq!(named("pregel.task"), 3 * result.stats.supersteps);
+        for step in spans.iter().filter(|s| s.name == "pregel.superstep") {
+            let child = |name: &str| {
+                let mut found = spans
+                    .iter()
+                    .filter(|s| s.name == name && s.parent == Some(step.id));
+                let only = found.next().expect("one child");
+                assert!(found.next().is_none(), "{name} twice");
+                only
+            };
+            let (compute, barrier) = (child("pregel.compute"), child("pregel.barrier"));
+            // The fan-out, then the barrier, both inside the superstep.
+            assert!(step.start_seconds <= compute.start_seconds);
+            assert!(compute.end_seconds <= barrier.start_seconds);
+            assert!(barrier.end_seconds <= step.end_seconds);
+            let mut workers: Vec<i64> = spans
+                .iter()
+                .filter(|s| s.name == "pregel.task" && s.parent == Some(step.id))
+                .map(|t| {
+                    for key in ["deliver_ns", "compute_ns"] {
+                        assert!(t.field(key).and_then(FieldValue::as_i64).is_some(), "{key}");
+                    }
+                    t.field("worker").and_then(FieldValue::as_i64).unwrap()
+                })
+                .collect();
+            workers.sort_unstable();
+            assert_eq!(workers, [0, 1, 2]);
+        }
+    }
+
+    #[test]
     fn worker_count_does_not_change_result() {
         let g = graph((0..50).map(|i| (i, (i * 7 + 1) % 50)).collect());
         let one = run(
@@ -647,6 +672,41 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, PlatformError::OutOfMemory { .. }));
+    }
+
+    /// Runs `program` with a budget equal to the estimate (it fits) and one
+    /// byte under it (out of memory); returns the estimate.
+    fn fits_at_the_estimate<P: VertexProgram>(program: &P, g: &Arc<CsrGraph>) -> usize {
+        let need = estimated_footprint(program, g, 4);
+        let config = |budget| PregelConfig {
+            memory_budget: Some(budget),
+            ..Default::default()
+        };
+        let ctx = RunContext::unbounded();
+        assert!(run(g, program, &config(need), &ctx).is_ok());
+        assert_eq!(
+            run(g, program, &config(need - 1), &ctx).err(),
+            Some(PlatformError::OutOfMemory {
+                required: need,
+                budget: need - 1
+            })
+        );
+        need
+    }
+
+    #[test]
+    fn budget_at_the_estimate_runs() {
+        use std::mem::size_of;
+
+        let g = graph((0..100).map(|i| (i, (i * 7 + 1) % 100)).collect());
+        let (n, arcs) = (g.num_vertices(), g.num_arcs());
+        // With a combiner: a slot per vertex and the outboxes are charged.
+        let combined = fits_at_the_estimate(&MinLabel, &g);
+        assert!(combined >= g.memory_footprint() + n * size_of::<u32>() + arcs * 8);
+        // Without one: the flat inbox array and the outboxes.
+        let lists = fits_at_the_estimate(&crate::programs::LccProgram, &g);
+        let message = size_of::<Vec<Vid>>();
+        assert!(lists >= g.memory_footprint() + arcs * (message + size_of::<(Vid, Vec<Vid>)>()));
     }
 
     #[test]

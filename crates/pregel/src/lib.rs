@@ -6,16 +6,19 @@
 //!
 //! * [`engine`] — workers, supersteps, message passing with combiners,
 //!   aggregators, vote-to-halt, remote-message accounting;
+//! * [`partition`] — the partition-local message store both Pregel
+//!   runtimes run on (this engine and `graphalytics-distrib`'s workers);
 //! * [`programs`] — the five workload kernels (plus PageRank) as vertex
 //!   programs;
 //! * [`platform`] — the [`GiraphPlatform`] harness adapter.
 
 pub mod engine;
+pub mod partition;
 pub mod platform;
 pub mod programs;
 
 pub use engine::{
-    compute_partition, run, ComputeContext, PartitionerKind, PregelConfig, PregelResult,
-    PregelStats, VertexProgram, WorkerOutput,
+    run, ComputeContext, PartitionerKind, PregelConfig, PregelResult, PregelStats, VertexProgram,
 };
+pub use partition::{Partition, Placement};
 pub use platform::GiraphPlatform;

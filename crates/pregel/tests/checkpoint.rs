@@ -7,7 +7,9 @@
 use graphalytics_core::faults::{FaultInjector, FaultPlan, FaultSite, Snapshot};
 use graphalytics_core::platform::RunContext;
 use graphalytics_graph::{CsrGraph, EdgeListGraph};
-use graphalytics_pregel::programs::{BfsProgram, ConnProgram, PageRankProgram};
+use graphalytics_pregel::programs::{
+    BfsProgram, CdProgram, ConnProgram, LccProgram, PageRankProgram,
+};
 use graphalytics_pregel::{run, PregelConfig};
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -75,15 +77,18 @@ proptest! {
 
     // A run that crashes and restores from a checkpoint converges to the
     // same states as the uninterrupted run — the differential recovery
-    // property, over arbitrary graphs, programs, and crash points.
+    // property, over arbitrary graphs, programs, and crash points. BFS,
+    // CONN and PageRank combine their messages (the slot inbox); LCC and
+    // CD do not (the offsets-plus-flat inbox).
     #[test]
     fn recovery_is_differentially_transparent(
         g in arb_graph(),
         interval in 1usize..4,
         crash_superstep in 0u64..6,
-        program_idx in 0usize..3,
-        workers in 1usize..4,
+        program_idx in 0usize..5,
+        three_workers in any::<bool>(),
     ) {
+        let workers = if three_workers { 3 } else { 1 };
         let config = PregelConfig {
             workers,
             checkpoint_interval: Some(interval),
@@ -108,6 +113,22 @@ proptest! {
                 let base = run(&g, &ConnProgram, &config, &clean).unwrap();
                 let rec = run(&g, &ConnProgram, &config, &faulty).unwrap();
                 prop_assert_eq!(rec.states, base.states);
+            }
+            2 => {
+                let base = run(&g, &LccProgram, &config, &clean).unwrap();
+                let rec = run(&g, &LccProgram, &config, &faulty).unwrap();
+                let base_bits: Vec<u64> = base.states.iter().map(|s| s.to_bits()).collect();
+                let rec_bits: Vec<u64> = rec.states.iter().map(|s| s.to_bits()).collect();
+                prop_assert_eq!(rec_bits, base_bits);
+            }
+            3 => {
+                let p = CdProgram { iterations: 5, hop_attenuation: 0.05, degree_exponent: 0.1 };
+                let base = run(&g, &p, &config, &clean).unwrap();
+                let rec = run(&g, &p, &config, &faulty).unwrap();
+                let bits = |s: &[graphalytics_pregel::programs::CdState]| -> Vec<(u32, u64)> {
+                    s.iter().map(|c| (c.label, c.score.to_bits())).collect()
+                };
+                prop_assert_eq!(bits(&rec.states), bits(&base.states));
             }
             _ => {
                 let p = PageRankProgram { iterations: 8, damping: 0.85 };
