@@ -137,6 +137,23 @@ impl Codec for () {
     }
 }
 
+/// A presence byte (a `bool`), then the value when there is one.
+impl<T: Codec> Codec for Option<T> {
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        self.is_some().encode_into(out);
+        if let Some(value) = self {
+            value.encode_into(out);
+        }
+    }
+    fn decode_from(buf: &[u8], pos: &mut usize) -> Option<Self> {
+        if bool::decode_from(buf, pos)? {
+            Some(Some(T::decode_from(buf, pos)?))
+        } else {
+            Some(None)
+        }
+    }
+}
+
 /// A `u64` byte length, then the UTF-8 bytes.
 impl Codec for String {
     fn encode_into(&self, out: &mut Vec<u8>) {
@@ -341,6 +358,8 @@ mod tests {
         roundtrip(String::from("gx/ckpt ✓"));
         roundtrip([0.5f64, -1.0, 2.0, 0.0]);
         roundtrip(vec![0u8, 1, 255]);
+        roundtrip(Some(9u64));
+        roundtrip(None::<u64>);
     }
 
     #[test]
@@ -387,9 +406,9 @@ mod tests {
 
     /// The layouts that have a fixed spelling elsewhere: a string is a
     /// `u64` length and its bytes, an array its elements with no prefix,
-    /// a `usize` a `u64`.
+    /// a `usize` a `u64`, an option a presence byte and its value.
     #[test]
-    fn string_array_and_usize_layouts_are_pinned() {
+    fn string_array_usize_and_option_layouts_are_pinned() {
         assert_eq!(
             encoded(&String::from("ab")),
             [2, 0, 0, 0, 0, 0, 0, 0, b'a', b'b']
@@ -397,6 +416,11 @@ mod tests {
         assert_eq!(encoded(&[1u32, 2]), [1, 0, 0, 0, 2, 0, 0, 0]);
         assert_eq!(encoded(&7usize), encoded(&7u64));
         assert_eq!(encoded(&vec![9u8, 8]), [2, 0, 0, 0, 0, 0, 0, 0, 9, 8]);
+        assert_eq!(encoded(&Some(7u32)), [1, 7, 0, 0, 0]);
+        assert_eq!(encoded(&None::<u32>), [0]);
+        // A presence byte other than 0 or 1 is malformed.
+        let mut pos = 0;
+        assert!(Option::<u32>::decode_from(&[2, 7, 0, 0, 0], &mut pos).is_none());
     }
 
     #[derive(Debug, Clone, PartialEq)]

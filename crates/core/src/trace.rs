@@ -24,6 +24,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
+use graphalytics_codec::layout;
+
 use crate::json::Json;
 use crate::sync::lock;
 
@@ -53,6 +55,13 @@ pub enum FieldValue {
     /// Boolean.
     Bool(bool),
 }
+
+layout!(enum FieldValue {
+    1 => I64(value),
+    2 => F64(value),
+    3 => Str(value),
+    4 => Bool(value),
+});
 
 impl FieldValue {
     /// Integer accessor (integers only; floats are not coerced).
@@ -152,6 +161,9 @@ pub struct Span {
     /// Typed key-value fields.
     pub fields: Vec<(String, FieldValue)>,
 }
+
+// How a distributed worker ships its spans to the master.
+layout!(struct Span { id, parent, name, start_seconds, end_seconds, thread, fields });
 
 impl Span {
     /// Span duration in seconds (never negative).
@@ -444,6 +456,14 @@ impl Tracer {
     /// Snapshot of all finished spans, in start (id) order.
     pub fn finished_spans(&self) -> Vec<Span> {
         let mut spans = lock(&self.inner).finished.clone();
+        spans.sort_by_key(|s| s.id);
+        spans
+    }
+
+    /// Drains the finished spans, in start (id) order: a process that ships
+    /// its spans elsewhere (a distributed worker) sends each one once.
+    pub fn take_finished(&self) -> Vec<Span> {
+        let mut spans = std::mem::take(&mut lock(&self.inner).finished);
         spans.sort_by_key(|s| s.id);
         spans
     }
@@ -1606,6 +1626,61 @@ gx_run_seconds_count 2
             Tracer::disabled().record_span("x", None, 0.0, 1.0, vec![]),
             None
         );
+    }
+
+    #[test]
+    fn take_finished_drains_in_start_order() {
+        let tracer = Tracer::new();
+        {
+            let _outer = tracer.span("outer");
+            let _inner = tracer.span("inner");
+        }
+        let names: Vec<String> = tracer.take_finished().into_iter().map(|s| s.name).collect();
+        assert_eq!(names, ["outer", "inner"]);
+        assert!(tracer.take_finished().is_empty(), "a span ships once");
+        tracer.span("later");
+        assert_eq!(tracer.take_finished().len(), 1);
+        let disabled = Tracer::disabled();
+        disabled.span("x");
+        assert!(disabled.take_finished().is_empty());
+    }
+
+    /// Golden fixture: the exact bytes of one `Span`, the record a
+    /// distributed worker ships inside a versioned `Telemetry` frame. A
+    /// layout change breaks this test: bump the protocol version and
+    /// regenerate deliberately.
+    #[test]
+    fn golden_span_layout_is_pinned() {
+        use graphalytics_codec::Codec;
+        let span = Span {
+            id: 5,
+            parent: Some(2),
+            name: "compute".to_string(),
+            start_seconds: 1.5,
+            end_seconds: 2.25,
+            thread: 1,
+            fields: vec![("work".to_string(), FieldValue::I64(640))],
+        };
+        let mut blob = Vec::new();
+        span.encode_into(&mut blob);
+        let expected: Vec<u8> = [
+            &[5, 0, 0, 0, 0, 0, 0, 0][..],      // id 5
+            &[1, 2, 0, 0, 0, 0, 0, 0, 0],       // parent Some(2)
+            &[7, 0, 0, 0, 0, 0, 0, 0],          // name length 7
+            b"compute",                         // name
+            &[0, 0, 0, 0, 0, 0, 0xf8, 0x3f],    // f64 1.5 bits
+            &[0, 0, 0, 0, 0, 0, 0x02, 0x40],    // f64 2.25 bits
+            &[1, 0, 0, 0, 0, 0, 0, 0],          // thread 1
+            &[1, 0, 0, 0, 0, 0, 0, 0],          // one field
+            &[4, 0, 0, 0, 0, 0, 0, 0],          // key length 4
+            b"work",                            // key
+            &[1, 0x80, 0x02, 0, 0, 0, 0, 0, 0], // I64 640
+        ]
+        .concat();
+        assert_eq!(blob, expected);
+        let mut pos = 0;
+        assert_eq!(Span::decode_from(&blob, &mut pos), Some(span));
+        assert_eq!(pos, blob.len());
     }
 
     #[test]

@@ -12,9 +12,9 @@
 //!   message shuffle to peers, checkpoint write/restore;
 //! * [`master`] — partition planning, superstep barrier, checkpoint
 //!   coordination, worker health tracking, fleet restart recovery;
-//! * [`telemetry`] — fleet observability: worker span buffering on the
-//!   shared logical clock, Telemetry-frame shipping, and seq-deduplicated
-//!   merging into the master's tracer with per-process lanes;
+//! * `telemetry` — fleet observability: merging the spans a worker's
+//!   own tracer shipped in Telemetry frames into the master's tracer, on
+//!   the master's clock and with per-process lanes;
 //! * [`driver`] — the self-spawning harness: [`DistributedPlatform`]
 //!   implements the `Platform` API by forking `gx-distrib-worker`
 //!   processes.
@@ -28,10 +28,9 @@ pub mod driver;
 pub mod master;
 pub mod net;
 pub mod protocol;
-pub mod telemetry;
+mod telemetry;
 pub mod worker;
 
 pub use driver::{DistribConfig, DistributedPlatform};
 pub use master::{coordinate, MasterConfig, MasterStats};
 pub use protocol::{read_frame, write_frame, write_frames, Frame, PlanFrame, StepReport};
-pub use telemetry::{SpanKind, TelemetryBuffer, TelemetryMerger, WireSpan};

@@ -14,13 +14,14 @@ use graphalytics_algos::Algorithm;
 use graphalytics_codec::Codec;
 use graphalytics_core::faults::{FaultPlan, FaultSite, RecoveryAction};
 use graphalytics_core::platform::{PlatformError, RunContext};
+use graphalytics_core::trace::FieldValue;
 use graphalytics_pregel::Placement;
 
 use crate::net::{self, io_timeout};
 use crate::protocol::{
     decode_blob, expect_frame, read_frame_counted, write_frame, Frame, PlanFrame, StepReport,
 };
-use crate::telemetry::TelemetryMerger;
+use crate::telemetry;
 
 /// Master-side configuration for one distributed run.
 #[derive(Debug, Clone)]
@@ -89,6 +90,9 @@ struct Fleet {
     /// merge. Deliberately excluded from `control_bytes` so the reported
     /// wire accounting is identical with tracing on or off.
     pending_telemetry: Vec<(u32, u32, Vec<u8>)>,
+    /// Per worker, the run tracer's clock when its Plan was sent: where
+    /// that worker's span clock starts on the master's timeline.
+    origins: Vec<f64>,
 }
 
 impl Fleet {
@@ -126,6 +130,7 @@ impl Fleet {
             runnable: 0,
             control_bytes: 0,
             pending_telemetry: Vec::new(),
+            origins: Vec::with_capacity(workers),
         };
         for w in 0..workers {
             let mut command = Command::new(&cfg.worker_bin);
@@ -227,8 +232,10 @@ impl Fleet {
                 fault_plan: fault_plan.clone(),
                 trace: ctx.tracer().enabled(),
                 run_id: cfg.run_id,
-                clock_origin: ctx.tracer().now_seconds(),
             });
+            // Read before the send, so a worker span is never translated
+            // late: the worker's clock starts after the plan arrives.
+            fleet.origins.push(ctx.tracer().now_seconds());
             fleet
                 .send_to(w, &plan)
                 .map_err(|e| PlatformError::TransientIo(format!("send plan to {w}: {e}")))?;
@@ -380,26 +387,15 @@ pub fn coordinate<S: Codec + Clone>(
     let mut stats = MasterStats::default();
     let mut incarnation = 0u32;
     let mut progress = Progress::default();
-    // One merger across all incarnations: its `(worker, incarnation, seq)`
-    // dedup is what keeps a restarted worker's re-shipped spans from
-    // double-counting in the merged trace.
-    let mut merger = TelemetryMerger::new();
     loop {
         ctx.check_deadline()?;
         let resume = progress.last_checkpoint;
         let mut fleet = Fleet::launch(cfg, algorithm, fault_plan, incarnation, resume, ctx)?;
-        let outcome = run_fleet::<S>(cfg, &mut fleet, &mut progress, &mut merger, &mut stats, ctx);
+        let outcome = run_fleet::<S>(cfg, &mut fleet, &mut progress, &mut stats, ctx);
         // Workers flush their remaining spans right before Output, and a
-        // loss keeps whatever the fleet shipped before it — the merger's
-        // seq dedup makes a later re-shipment harmless. Merge them under
+        // loss keeps whatever the fleet shipped before it. Merge them under
         // the caller's current span.
-        drain_telemetry(
-            &mut fleet,
-            &mut merger,
-            ctx,
-            ctx.tracer().current_span_id(),
-            &mut stats,
-        );
+        drain_telemetry(&mut fleet, ctx, ctx.tracer().current_span_id(), &mut stats);
         match outcome {
             Ok(per_worker) => {
                 stats.network_bytes += fleet.take_control_bytes();
@@ -424,10 +420,10 @@ fn run_fleet<S: Codec>(
     cfg: &MasterConfig,
     fleet: &mut Fleet,
     progress: &mut Progress,
-    merger: &mut TelemetryMerger,
     stats: &mut MasterStats,
     ctx: &RunContext,
 ) -> Result<Vec<Vec<S>>, Loss> {
+    let tracer = ctx.tracer();
     let workers = cfg.workers.max(1) as usize;
     progress.superstep = progress.last_checkpoint.map_or(0, |r| r.0);
     let mut prev_aggregate = progress.last_checkpoint.map_or(0.0, |r| r.1);
@@ -438,6 +434,10 @@ fn run_fleet<S: Codec>(
         let checkpoint = cfg
             .checkpoint_interval
             .is_some_and(|i| i > 0 && superstep.is_multiple_of(i));
+        // The superstep span covers the workers' time, so it starts before
+        // they are told to run; it is recorded only once every report is
+        // in, so a superstep lost to a crash leaves none.
+        let step_start = tracer.now_seconds();
         let start = Frame::StartSuperstep {
             superstep,
             prev_aggregate,
@@ -485,18 +485,25 @@ fn run_fleet<S: Codec>(
         let shuffle_bytes: u64 = reports.iter().map(|r| r.bytes_sent).sum();
         let step_aggregate: f64 = reports.iter().map(|r| r.aggregate).sum();
         let step_bytes = shuffle_bytes + fleet.take_control_bytes();
-        let mut span = ctx.tracer().span("distrib.superstep");
-        span.field("superstep", superstep)
-            .field("active_vertices", computed)
-            .field("messages_sent", sent)
-            .field("messages_remote", remote)
-            .field("network_bytes", step_bytes)
-            .field("aggregate", step_aggregate)
-            .field("seq_accesses", computed)
-            .field("rand_accesses", sent);
-        let span_id = span.id();
+        let fields: [(&str, FieldValue); 8] = [
+            ("superstep", superstep.into()),
+            ("active_vertices", computed.into()),
+            ("messages_sent", sent.into()),
+            ("messages_remote", remote.into()),
+            ("network_bytes", step_bytes.into()),
+            ("aggregate", step_aggregate.into()),
+            ("seq_accesses", computed.into()),
+            ("rand_accesses", sent.into()),
+        ];
+        let span_id = tracer.record_span(
+            "distrib.superstep",
+            tracer.current_span_id(),
+            step_start,
+            tracer.now_seconds(),
+            fields.map(|(key, value)| (key.to_string(), value)).into(),
+        );
         for (w, r) in reports.iter().enumerate() {
-            ctx.tracer().event(
+            tracer.event(
                 "distrib.task",
                 span_id,
                 vec![
@@ -508,8 +515,8 @@ fn run_fleet<S: Codec>(
         }
         // Merge the worker spans shipped alongside this barrier under
         // the superstep span, so the fleet timeline nests per superstep.
-        drain_telemetry(fleet, merger, ctx, span_id, stats);
-        let metrics = ctx.tracer().metrics();
+        drain_telemetry(fleet, ctx, span_id, stats);
+        let metrics = tracer.metrics();
         metrics.inc_counter(
             "graphalytics_network_bytes_total",
             &[PLATFORM_LABEL],
@@ -555,14 +562,16 @@ fn run_fleet<S: Codec>(
 /// `parent` and counts the frames into `stats`.
 fn drain_telemetry(
     fleet: &mut Fleet,
-    merger: &mut TelemetryMerger,
     ctx: &RunContext,
     parent: Option<u64>,
     stats: &mut MasterStats,
 ) {
     for (worker, incarnation, blob) in std::mem::take(&mut fleet.pending_telemetry) {
         stats.telemetry_frames += 1;
-        merger.merge(worker, incarnation, &blob, ctx.tracer(), parent);
+        // A frame naming a worker this fleet never planned merges nothing.
+        if let Some(&origin) = fleet.origins.get(worker as usize) {
+            telemetry::merge(ctx.tracer(), origin, worker, incarnation, &blob, parent);
+        }
     }
 }
 

@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! magic   u32 LE   0x4758_4450 ("GXDP")
-//! version u32 LE   2
+//! version u32 LE   3
 //! tag     u8       frame type (see [`Frame`])
 //! length  u64 LE   payload byte count
 //! crc     u32 LE   CRC-32 (IEEE) of the payload
@@ -25,10 +25,10 @@ use std::io::{self, Read, Write};
 
 /// Frame magic: `"GXDP"` (GraphalyticX Distributed Pregel).
 pub const MAGIC: u32 = 0x4758_4450;
-/// Wire protocol version. Bump on any layout change. Version 2 added the
-/// trace context to [`PlanFrame`] (`trace`/`run_id`/`clock_origin`) and
-/// the [`Frame::Telemetry`] message.
-pub const VERSION: u32 = 2;
+/// Wire protocol version. Bump on any layout change. Version 3 ships
+/// `core::trace::Span`s in [`Frame::Telemetry`] and drops the Plan's clock
+/// origin: the master keeps that itself.
+pub const VERSION: u32 = 3;
 /// Header bytes before the payload: magic, version, tag, length, CRC.
 const HEADER_LEN: usize = 21;
 /// Upper bound on a payload length; larger claims are treated as corrupt
@@ -120,18 +120,14 @@ pub struct PlanFrame {
     pub resume_superstep: u64,
     /// Fault plan (workers probe their own crash sites).
     pub fault_plan: FaultPlan,
-    /// Whether the master's tracer is enabled. Workers buffer and ship
-    /// telemetry only when set; a disabled tracer produces zero
+    /// Whether the master's tracer is enabled. The worker records spans
+    /// on an enabled tracer of its own only when set, and its span clock
+    /// starts when it reads this plan; otherwise it ships zero
     /// [`Frame::Telemetry`] frames (the byte-identity contract).
     pub trace: bool,
-    /// Master-side run sequence number, stamped on every shipped span so
-    /// fleet traces from different runs are distinguishable.
+    /// Master-side run sequence number, so fleet traces from different
+    /// runs are distinguishable.
     pub run_id: u64,
-    /// The master tracer's clock reading (seconds since its epoch) at the
-    /// moment this plan was encoded. Workers timestamp spans as
-    /// `clock_origin + local elapsed since plan receipt`, which puts the
-    /// whole fleet on one logical clock.
-    pub clock_origin: f64,
 }
 
 layout!(struct PlanFrame {
@@ -149,7 +145,6 @@ layout!(struct PlanFrame {
     fault_plan,
     trace,
     run_id,
-    clock_origin,
 });
 
 /// Per-superstep result summary a worker reports at the barrier.
@@ -240,17 +235,18 @@ pub enum Frame {
         /// The dialing worker's id.
         from: u32,
     },
-    /// Worker → master: a batch of locally buffered telemetry spans,
-    /// piggybacked immediately before `StepDone` (and flushed before
-    /// `Output` at EOF). Never sent when the plan's `trace` flag is off.
+    /// Worker → master: the spans the worker's tracer finished since its
+    /// last Telemetry frame, piggybacked immediately before `StepDone` (and
+    /// before `Output` at EOF). Never sent when the plan's `trace` flag is
+    /// off.
     Telemetry {
         /// Reporting worker.
         worker: u32,
         /// The worker process's fleet incarnation (spans from distinct
-        /// incarnations are distinct lanes, never deduplicated).
+        /// incarnations land on distinct lanes).
         incarnation: u32,
-        /// Encoded `Vec<WireSpan>` (see `telemetry::WireSpan`), each
-        /// carrying a per-process sequence number for dedup.
+        /// Encoded `Vec<core::trace::Span>`, timed on the worker's span
+        /// clock, which starts when the worker reads its Plan.
         spans: Vec<u8>,
     },
 }
@@ -420,7 +416,7 @@ mod tests {
         };
         let expected: Vec<u8> = vec![
             0x50, 0x44, 0x58, 0x47, // magic "GXDP" little-endian
-            0x02, 0x00, 0x00, 0x00, // version 2
+            0x03, 0x00, 0x00, 0x00, // version 3
             0x06, // tag StartSuperstep
             0x11, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // payload length 17
             0xb9, 0x5a, 0x0a, 0x69, // crc32 of payload
@@ -438,7 +434,7 @@ mod tests {
         let frame = Frame::Hello { worker: 2 };
         let expected: Vec<u8> = vec![
             0x50, 0x44, 0x58, 0x47, // magic
-            0x02, 0x00, 0x00, 0x00, // version
+            0x03, 0x00, 0x00, 0x00, // version
             0x01, // tag Hello
             0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // payload length 4
             0x97, 0x17, 0x4d, 0x8b, // crc32 of payload
@@ -447,8 +443,8 @@ mod tests {
         assert_eq!(frame.encode(), expected);
     }
 
-    /// Golden fixture for the `Telemetry` frame (worker span shipping):
-    /// pins the trace-context wire layout introduced in protocol version 2.
+    /// Golden fixture for the `Telemetry` frame (worker span shipping). The
+    /// span blob's own layout is `core::trace::Span`'s, pinned there.
     #[test]
     fn golden_telemetry_layout_is_pinned() {
         let frame = Frame::Telemetry {
@@ -458,7 +454,7 @@ mod tests {
         };
         let expected: Vec<u8> = vec![
             0x50, 0x44, 0x58, 0x47, // magic "GXDP" little-endian
-            0x02, 0x00, 0x00, 0x00, // version 2
+            0x03, 0x00, 0x00, 0x00, // version 3
             0x0D, // tag Telemetry
             0x13, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // payload length 19
             0xf9, 0xbf, 0x82, 0x7d, // crc32 of payload

@@ -17,6 +17,7 @@ use std::time::Duration;
 
 use graphalytics_algos::Output;
 use graphalytics_core::faults::{FaultSite, Snapshot};
+use graphalytics_core::trace::Tracer;
 use graphalytics_graph::{io as graph_io, CsrGraph};
 use graphalytics_pregel::engine::Envelope;
 use graphalytics_pregel::programs::{dispatch, ProgramVisitor};
@@ -27,7 +28,6 @@ use crate::protocol::{
     decode_blob, encode_blob, expect_frame, read_frame, write_frame, write_frames, Frame,
     PlanFrame, StepReport,
 };
-use crate::telemetry::{SpanKind, TelemetryBuffer};
 
 /// Exit code of a worker killed by an injected fault (distinguishes a
 /// planned crash from the collateral exits of peers that lost it).
@@ -83,6 +83,14 @@ pub fn worker_main(args: &[String], timeout: Duration) -> Result<(), String> {
             plan.worker, args.worker
         ));
     }
+    // The span clock starts now: the master noted its own clock when it
+    // sent this plan and adds that origin when it merges these spans.
+    let tracer = if plan.trace {
+        Tracer::new()
+    } else {
+        Tracer::disabled()
+    };
+    let load = tracer.span("distrib.worker.load");
     let prefix = PathBuf::from(&plan.graph_prefix);
     let edge_list = if plan.weighted {
         graph_io::read_weighted_graph(&prefix, plan.directed)
@@ -91,9 +99,11 @@ pub fn worker_main(args: &[String], timeout: Duration) -> Result<(), String> {
     }
     .map_err(|e| format!("read graph {}: {e:?}", prefix.display()))?;
     let graph = CsrGraph::from_edge_list(&edge_list);
+    drop(load);
     let superstep_loop = SuperstepLoop {
         graph: &graph,
         plan: &plan,
+        tracer: &tracer,
         master,
         timeout,
     };
@@ -106,6 +116,7 @@ pub fn worker_main(args: &[String], timeout: Duration) -> Result<(), String> {
 struct SuperstepLoop<'a> {
     graph: &'a CsrGraph,
     plan: &'a PlanFrame,
+    tracer: &'a Tracer,
     master: TcpStream,
     timeout: Duration,
 }
@@ -118,7 +129,14 @@ impl ProgramVisitor for SuperstepLoop<'_> {
         program: &P,
         _output: fn(&CsrGraph, Vec<P::State>) -> Output,
     ) -> Self::Out {
-        run_program(program, self.graph, self.plan, self.master, self.timeout)
+        run_program(
+            program,
+            self.graph,
+            self.plan,
+            self.tracer,
+            self.master,
+            self.timeout,
+        )
     }
 }
 
@@ -126,20 +144,28 @@ fn checkpoint_path(dir: &Path, worker: u32, superstep: u64) -> PathBuf {
     dir.join(format!("worker-{worker}.s{superstep}.ckpt"))
 }
 
+/// The spans `tracer` finished since the last call, as a Telemetry frame;
+/// `None` when there are none, so a disabled tracer ships no frame.
+fn telemetry(tracer: &Tracer, plan: &PlanFrame) -> Option<Frame> {
+    let spans = tracer.take_finished();
+    (!spans.is_empty()).then(|| Frame::Telemetry {
+        worker: plan.worker,
+        incarnation: plan.incarnation,
+        spans: encode_blob(&spans),
+    })
+}
+
 /// The generic worker loop for one vertex program.
 fn run_program<P: VertexProgram>(
     program: &P,
     graph: &CsrGraph,
     plan: &PlanFrame,
+    tracer: &Tracer,
     mut master: TcpStream,
     timeout: Duration,
 ) -> Result<(), String> {
     let me = plan.worker as usize;
     let workers = plan.workers as usize;
-    // Span buffer on the fleet logical clock (the master's tracer epoch,
-    // anchored by the Plan frame's clock origin). Disabled when the master
-    // runs untraced — then no Telemetry frame ever leaves this process.
-    let mut telemetry = TelemetryBuffer::new(plan.trace, plan.clock_origin);
     let placement = Placement::new(graph, workers);
     let routes = placement.routes();
     let mut part = Partition::new(program, graph, placement.members(me));
@@ -210,11 +236,11 @@ fn run_program<P: VertexProgram>(
     }
     write_frame(&mut master, &Frame::MeshReady).map_err(|e| format!("mesh ready: {e}"))?;
 
+    // Open from each StepDone until the master's next frame arrives.
+    let mut barrier = None;
     loop {
         let frame = read_frame(&mut master).map_err(|e| format!("await superstep: {e}"))?;
-        // The master answered: the barrier wait that began after the last
-        // StepDone (if any) ends now.
-        telemetry.finish_barrier();
+        drop(barrier.take());
         match frame {
             Frame::StartSuperstep {
                 superstep,
@@ -222,7 +248,8 @@ fn run_program<P: VertexProgram>(
                 checkpoint,
             } => {
                 if checkpoint {
-                    let ckpt_start = telemetry.now();
+                    let mut span = tracer.span("distrib.worker.checkpoint");
+                    span.field("superstep", superstep);
                     let bytes = part.snapshot(superstep, prev_aggregate).encode();
                     let dir = Path::new(&plan.checkpoint_dir);
                     fs::create_dir_all(dir).map_err(|e| format!("checkpoint dir: {e}"))?;
@@ -235,13 +262,8 @@ fn run_program<P: VertexProgram>(
                         .map_err(|e| format!("checkpoint write: {e}"))?;
                     drop(file);
                     fs::rename(&tmp, &path).map_err(|e| format!("checkpoint rename: {e}"))?;
-                    telemetry.record(
-                        SpanKind::Checkpoint,
-                        superstep,
-                        ckpt_start,
-                        telemetry.now(),
-                        bytes.len() as u64,
-                    );
+                    span.field("bytes", bytes.len());
+                    drop(span);
                     write_frame(
                         &mut master,
                         &Frame::CheckpointDone {
@@ -265,7 +287,8 @@ fn run_program<P: VertexProgram>(
                 {
                     std::process::exit(EXIT_INJECTED_FAULT);
                 }
-                let compute_start = telemetry.now();
+                let mut span = tracer.span("distrib.worker.compute");
+                span.field("superstep", superstep);
                 let done = part.compute(
                     program,
                     graph,
@@ -274,13 +297,8 @@ fn run_program<P: VertexProgram>(
                     prev_aggregate,
                     &mut mail,
                 );
-                telemetry.record(
-                    SpanKind::Compute,
-                    superstep,
-                    compute_start,
-                    telemetry.now(),
-                    done.computed as u64,
-                );
+                span.field("work", done.computed);
+                drop(span);
                 let sent = mail.iter().map(|b| b.len() as u64).sum::<u64>();
                 let sent_remote = sent - mail[me].len() as u64;
 
@@ -288,7 +306,8 @@ fn run_program<P: VertexProgram>(
                 // receives can't starve), written from per-peer threads so
                 // a send can never deadlock against a peer that is also
                 // mid-send; receives run on this thread.
-                let shuffle_start = telemetry.now();
+                let mut span = tracer.span("distrib.worker.shuffle");
+                span.field("superstep", superstep);
                 let send_result: Result<u64, String> = std::thread::scope(|scope| {
                     let mut handles = Vec::new();
                     for (j, outbox) in mail.iter_mut().enumerate() {
@@ -346,26 +365,21 @@ fn run_program<P: VertexProgram>(
                     Ok(total)
                 });
                 let bytes_sent = send_result?;
-                telemetry.record(
-                    SpanKind::Shuffle,
-                    superstep,
-                    shuffle_start,
-                    telemetry.now(),
-                    bytes_sent,
-                );
+                span.field("bytes", bytes_sent);
+                drop(span);
 
                 // Deliver in sender-worker-id order, the in-process
                 // engine's order, so combiner folds and message-list order
                 // match bit for bit.
+                let mut span = tracer.span("distrib.worker.deliver");
+                span.field("superstep", superstep);
                 part.deliver(&mut mail);
                 let active_after = part.runnable() as u64;
+                drop(span);
                 // Ship this superstep's spans piggybacked on the barrier:
                 // the Telemetry frame (if any) goes out in the same write
                 // as the StepDone the master is blocked on.
-                let mut frames: Vec<Frame> = telemetry
-                    .take_frame(plan.worker, plan.incarnation)
-                    .into_iter()
-                    .collect();
+                let mut frames: Vec<Frame> = telemetry(tracer, plan).into_iter().collect();
                 frames.push(Frame::StepDone(StepReport {
                     superstep,
                     computed: done.computed as u64,
@@ -376,15 +390,14 @@ fn run_program<P: VertexProgram>(
                     aggregate: done.aggregate,
                 }));
                 write_frames(&mut master, &frames).map_err(|e| format!("step done: {e}"))?;
-                telemetry.start_barrier(superstep);
+                let mut span = tracer.span("distrib.worker.barrier");
+                span.field("superstep", superstep).field("waited_for", 0u64);
+                barrier = Some(span);
             }
             Frame::Finish => {
                 // EOF flush: the final barrier wait (closed above) has not
                 // shipped yet — it goes out in one write with the Output.
-                let mut frames: Vec<Frame> = telemetry
-                    .take_frame(plan.worker, plan.incarnation)
-                    .into_iter()
-                    .collect();
+                let mut frames: Vec<Frame> = telemetry(tracer, plan).into_iter().collect();
                 frames.push(Frame::Output {
                     worker: plan.worker,
                     states: encode_blob(&part.into_states()),

@@ -32,10 +32,15 @@ fn scale() -> u32 {
         .unwrap_or(8)
 }
 
-/// A deterministic weighted test graph: a ring for connectivity, chords
-/// for cycles and triangles, and a hub for degree skew.
 fn test_graph() -> Arc<CsrGraph> {
-    let n: u64 = 1 << scale();
+    graph_at(scale())
+}
+
+/// A deterministic weighted test graph of `2^scale` vertices: a ring for
+/// connectivity, chords for cycles and triangles, and a hub for degree
+/// skew.
+fn graph_at(scale: u32) -> Arc<CsrGraph> {
+    let n: u64 = 1 << scale;
     let mut edges = Vec::new();
     for i in 0..n {
         edges.push((
@@ -310,6 +315,91 @@ fn e2e_telemetry_is_off_the_output_path() {
     assert!(
         rendered.contains("worker=\"0\"") && rendered.contains("worker=\"3\""),
         "missing worker label:\n{rendered}"
+    );
+}
+
+/// Worker spans land on the master's timeline: the worker's graph load
+/// lies inside `distrib.launch`, and it computes neither before the launch
+/// ends nor outside its `distrib.superstep`. Translated worker times are
+/// never late, so the load check is exact; they are early by the time from
+/// the Plan's send to the worker reading it, which is usually well under
+/// 1 ms but on a busy machine reaches several ms. A clock that starts
+/// after the load puts every worker span early by the whole load, so the
+/// compute checks allow a quarter of the load: 2^15 vertices make that
+/// several ms even in an optimized build. One worker, so its wake-up does
+/// not also wait behind a sibling's load.
+#[test]
+fn e2e_worker_spans_land_inside_the_master_timeline() {
+    let graph = graph_at(15);
+    let dir = ScratchDir::new(None, "gx-clock-e2e").expect("scratch dir");
+    let prefix = dir.path().join("graph");
+    graphalytics_graph::io::write_graph(&graph.to_edge_list(), &prefix).expect("write dataset");
+    let cfg = MasterConfig {
+        workers: 1,
+        checkpoint_interval: None,
+        max_supersteps: 10_000,
+        max_restarts: 0,
+        worker_bin: worker_bin(),
+        graph_prefix: prefix,
+        directed: graph.is_directed(),
+        weighted: true,
+        checkpoint_dir: dir.path().join("ckpt"),
+        run_id: 1,
+    };
+    let alg = Algorithm::PageRank {
+        iterations: 3,
+        damping: 0.85,
+    };
+    let tracer = Arc::new(Tracer::new());
+    let ctx = RunContext::unbounded().with_tracer(Arc::clone(&tracer));
+    let part = Placement::new(&graph, 1);
+    coordinate::<f64>(&cfg, &alg, &FaultPlan::disabled(), &part, &ctx).expect("traced run");
+
+    let spans = tracer.finished_spans();
+    let named = |name: &'static str| spans.iter().filter(move |s| s.name == name);
+    let launch = named("distrib.launch").next().expect("launch span");
+    let loads: Vec<_> = named("distrib.worker.load").collect();
+    assert_eq!(loads.len(), 1, "one load span per worker");
+    assert!(
+        launch.start_seconds <= loads[0].start_seconds
+            && loads[0].end_seconds <= launch.end_seconds,
+        "load [{}, {}] outside launch [{}, {}]",
+        loads[0].start_seconds,
+        loads[0].end_seconds,
+        launch.start_seconds,
+        launch.end_seconds
+    );
+    let slack = loads[0].duration_seconds() / 4.0;
+    let computes: Vec<_> = named("distrib.worker.compute").collect();
+    assert!(!computes.is_empty(), "no worker compute spans");
+    for compute in computes {
+        assert!(
+            compute.start_seconds >= launch.end_seconds - slack,
+            "compute starts {} s before the launch ends",
+            launch.end_seconds - compute.start_seconds
+        );
+        let step = spans
+            .iter()
+            .find(|s| Some(s.id) == compute.parent)
+            .expect("compute span has its superstep as parent");
+        assert_eq!(step.name, "distrib.superstep");
+        assert_eq!(step.field("superstep"), compute.field("superstep"));
+        // Durations need no translation: the compute ran within the
+        // superstep, so it cannot be the longer of the two.
+        assert!(
+            compute.duration_seconds() <= step.duration_seconds()
+                && compute.start_seconds >= step.start_seconds - slack
+                && compute.end_seconds <= step.end_seconds,
+            "compute [{}, {}] outside its superstep [{}, {}]",
+            compute.start_seconds,
+            compute.end_seconds,
+            step.start_seconds,
+            step.end_seconds
+        );
+    }
+    assert_eq!(
+        named("distrib.worker.deliver").count(),
+        named("distrib.superstep").count()
     );
 }
 

@@ -13,8 +13,10 @@ use graphalytics_algos::Algorithm;
 use graphalytics_core::faults::{FaultInjector, FaultPlan, FaultSite, RecoveryAction};
 use graphalytics_core::platform::{Platform, PlatformError, RunContext};
 use graphalytics_core::trace::Tracer;
-use graphalytics_distrib::{DistribConfig, DistributedPlatform};
+use graphalytics_core::ScratchDir;
+use graphalytics_distrib::{coordinate, DistribConfig, DistributedPlatform, MasterConfig};
 use graphalytics_graph::{CsrGraph, EdgeListGraph};
+use graphalytics_pregel::Placement;
 
 fn worker_bin() -> PathBuf {
     PathBuf::from(env!("CARGO_BIN_EXE_gx-distrib-worker"))
@@ -180,6 +182,41 @@ fn e2e_recovery_trace_dedups_spans_and_tags_incarnations() {
             "worker {w} has no incarnation-1 lane: {lanes:?}"
         );
     }
+}
+
+/// A `distrib.superstep` span is recorded only once every worker reported,
+/// so the superstep a crash interrupted leaves none: the span count is the
+/// master's superstep count, re-executed supersteps included.
+#[test]
+fn e2e_superstep_spans_count_the_supersteps_run() {
+    let graph = test_graph();
+    let dir = ScratchDir::new(None, "gx-recovery-spans-e2e").expect("scratch dir");
+    let prefix = dir.path().join("graph");
+    graphalytics_graph::io::write_graph(&graph.to_edge_list(), &prefix).expect("write dataset");
+    let cfg = MasterConfig {
+        workers: 4,
+        checkpoint_interval: Some(2),
+        max_supersteps: 10_000,
+        max_restarts: 8,
+        worker_bin: worker_bin(),
+        graph_prefix: prefix,
+        directed: graph.is_directed(),
+        weighted: false,
+        checkpoint_dir: dir.path().join("ckpt"),
+        run_id: 1,
+    };
+    let tracer = Arc::new(Tracer::new());
+    let ctx = RunContext::unbounded().with_tracer(Arc::clone(&tracer));
+    let part = Placement::new(&graph, 4);
+    let (_, stats) =
+        coordinate::<f64>(&cfg, &algorithm(), &crash_plan(), &part, &ctx).expect("recovered run");
+    assert_eq!(stats.restarts, 1, "expected one fleet restart");
+    let steps = tracer
+        .finished_spans()
+        .iter()
+        .filter(|s| s.name == "distrib.superstep")
+        .count();
+    assert_eq!(steps as u64, stats.supersteps);
 }
 
 /// Without checkpointing there is nothing to restore: the loss escalates

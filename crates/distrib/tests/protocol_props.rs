@@ -8,8 +8,9 @@
 use graphalytics_algos::Algorithm;
 use graphalytics_codec::Codec;
 use graphalytics_core::faults::{FaultKind, FaultPlan, FaultSite, Snapshot};
+use graphalytics_core::trace::{FieldValue, Span};
 use graphalytics_distrib::protocol::{crc32, read_frame, write_frame, MAGIC, VERSION};
-use graphalytics_distrib::{Frame, PlanFrame, SpanKind, StepReport, WireSpan};
+use graphalytics_distrib::{Frame, PlanFrame, StepReport};
 use graphalytics_pregel::programs::CdState;
 use proptest::prelude::*;
 
@@ -35,7 +36,6 @@ fn sample_plan() -> PlanFrame {
         fault_plan: sample_fault_plan(),
         trace: true,
         run_id: 41,
-        clock_origin: 1.75,
     }
 }
 
@@ -109,20 +109,40 @@ fn sample_snapshot() -> CdSnapshot {
     }
 }
 
-fn sample_spans() -> Vec<WireSpan> {
-    let span = |seq, kind, value| WireSpan {
-        seq,
-        kind,
-        superstep: 3,
+/// Worker spans with and without a parent, carrying every field type.
+fn sample_spans() -> Vec<Span> {
+    let span = |id, parent, name: &str, field: (&str, FieldValue)| Span {
+        id,
+        parent,
+        name: name.to_string(),
         start_seconds: 1.5,
         end_seconds: 2.25,
-        value,
+        thread: 1,
+        fields: vec![
+            ("superstep".to_string(), FieldValue::I64(3)),
+            (field.0.to_string(), field.1),
+        ],
     };
     vec![
-        span(0, SpanKind::Compute, 640),
-        span(1, SpanKind::Shuffle, 9000),
-        span(2, SpanKind::BarrierWait, 0),
-        span(3, SpanKind::Checkpoint, 4096),
+        span(
+            1,
+            None,
+            "distrib.worker.compute",
+            ("work", FieldValue::I64(640)),
+        ),
+        span(
+            2,
+            Some(1),
+            "distrib.worker.shuffle",
+            ("share", FieldValue::F64(0.5)),
+        ),
+        span(3, None, "distrib.worker.barrier", ("note", "late".into())),
+        span(
+            4,
+            None,
+            "distrib.worker.checkpoint",
+            ("synced", true.into()),
+        ),
     ]
 }
 
@@ -156,9 +176,9 @@ fn every_decoder_survives(bytes: &[u8]) {
     decode_canonical::<Algorithm>(bytes);
     decode_canonical::<FaultSite>(bytes);
     decode_canonical::<FaultPlan>(bytes);
-    decode_canonical::<SpanKind>(bytes);
-    decode_canonical::<WireSpan>(bytes);
-    decode_canonical::<Vec<WireSpan>>(bytes);
+    decode_canonical::<FieldValue>(bytes);
+    decode_canonical::<Span>(bytes);
+    decode_canonical::<Vec<Span>>(bytes);
     decode_canonical::<CdState>(bytes);
     decode_canonical::<Vec<(u32, f64, f64)>>(bytes);
     decode_canonical::<String>(bytes);
@@ -230,13 +250,17 @@ fn corrupted_layouts_are_rejected_or_canonical() {
     for cut in 0..plan.len() {
         assert!(decode_canonical::<FaultPlan>(&plan[..cut]).is_none());
     }
+    let span = encoded(&sample_spans()[1]);
     for cut in 0..spans.len() {
-        assert!(decode_canonical::<Vec<WireSpan>>(&spans[..cut]).is_none());
+        assert!(decode_canonical::<Vec<Span>>(&spans[..cut]).is_none());
+    }
+    for cut in 0..span.len() {
+        assert!(decode_canonical::<Span>(&span[..cut]).is_none());
     }
     for cut in 0..plan_frame.len() {
         assert!(decode_canonical::<PlanFrame>(&plan_frame[..cut]).is_none());
     }
-    for blob in [&snapshot, &plan, &spans, &plan_frame] {
+    for blob in [&snapshot, &plan, &spans, &span, &plan_frame] {
         for bad in corruptions(blob) {
             every_decoder_survives(&bad);
         }

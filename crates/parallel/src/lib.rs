@@ -42,7 +42,7 @@
 
 use std::ops::Range;
 
-/// Default block size for [`map_blocks`]/[`sum_blocks`]: big enough to
+/// Default block size for [`map_blocks`]: big enough to
 /// amortize dispatch, small enough to load-balance skewed work.
 pub const DEFAULT_BLOCK: usize = 4096;
 
@@ -147,18 +147,10 @@ where
 }
 
 /// Runs `f(part_index, range)` over the fixed chunking of `0..n` on up to
-/// `threads` scoped workers. Worker `i` owns exactly chunk `i`; with
-/// `threads <= 1` (or a single chunk) everything runs inline on the
-/// calling thread. Panics in workers propagate to the caller.
-pub fn run_chunks<F>(threads: usize, n: usize, f: F)
-where
-    F: Fn(usize, Range<usize>) + Sync,
-{
-    map_chunks(threads, n, f);
-}
-
-/// Like [`run_chunks`], but collects each chunk's result **in chunk
-/// order** — the combination order is independent of completion order.
+/// `threads` scoped workers and collects each chunk's result **in chunk
+/// order**, independent of completion order. Worker `i` owns exactly chunk
+/// `i`; with `threads <= 1` (or a single chunk) everything runs inline on
+/// the calling thread. Panics in workers propagate to the caller.
 pub fn map_chunks<T, F>(threads: usize, n: usize, f: F) -> Vec<T>
 where
     T: Send,
@@ -226,15 +218,6 @@ where
         }
     });
     out
-}
-
-/// Thread-count-invariant parallel float sum: per-block partial sums via
-/// [`map_blocks`], folded sequentially in block order.
-pub fn sum_blocks<F>(threads: usize, n: usize, block: usize, f: F) -> f64
-where
-    F: Fn(Range<usize>) -> f64 + Sync,
-{
-    map_blocks(threads, n, block, f).into_iter().sum()
 }
 
 /// Splits `data` into the fixed chunking of its index space and hands each
@@ -369,10 +352,10 @@ mod tests {
     }
 
     #[test]
-    fn run_chunks_visits_every_index_once() {
+    fn map_chunks_visits_every_index_once() {
         for threads in [1usize, 2, 8] {
             let hits: Vec<AtomicUsize> = (0..100).map(|_| AtomicUsize::new(0)).collect();
-            run_chunks(threads, hits.len(), |_, range| {
+            map_chunks(threads, hits.len(), |_, range| {
                 for i in range {
                     hits[i].fetch_add(1, Ordering::Relaxed);
                 }
@@ -427,7 +410,11 @@ mod tests {
             .collect();
         let sums: Vec<f64> = [1usize, 2, 3, 8]
             .iter()
-            .map(|&t| sum_blocks(t, values.len(), 128, |r| r.map(|i| values[i]).sum()))
+            .map(|&t| {
+                map_blocks(t, values.len(), 128, |r| r.map(|i| values[i]).sum::<f64>())
+                    .into_iter()
+                    .sum::<f64>()
+            })
             .collect();
         assert!(sums.windows(2).all(|w| w[0].to_bits() == w[1].to_bits()));
     }
@@ -464,7 +451,7 @@ mod tests {
         let mut data = vec![0u64; 1000];
         {
             let view = SharedSlice::new(&mut data);
-            run_chunks(8, view.len(), |_, range| {
+            map_chunks(8, view.len(), |_, range| {
                 for i in range {
                     // SAFETY: each index is visited by exactly one chunk.
                     unsafe { view.write(i, (i * 3) as u64) };
@@ -477,7 +464,7 @@ mod tests {
     #[test]
     fn worker_panics_propagate() {
         let caught = std::panic::catch_unwind(|| {
-            run_chunks(4, 100, |_, range| {
+            map_chunks(4, 100, |_, range| {
                 if range.contains(&60) {
                     panic!("worker failure");
                 }
