@@ -51,26 +51,21 @@ impl RmatConfig {
     }
 }
 
-/// Samples one R-MAT edge by recursive quadrant descent.
+/// Samples one R-MAT edge by recursive quadrant descent. Each level draws
+/// one uniform `r` and picks the first quadrant whose cumulative bound
+/// exceeds it: top-left below `a`, top-right below `a + b`, bottom-left
+/// below `a + b + c`, else bottom-right. The pick is computed from the three
+/// comparisons rather than branched on, since the branches are random.
 fn sample_edge(cfg: &RmatConfig, rng: &mut Xoshiro256) -> Edge {
     let mut src = 0u64;
     let mut dst = 0u64;
     let ab = cfg.a + cfg.b;
     let abc = ab + cfg.c;
     for _ in 0..cfg.scale {
-        src <<= 1;
-        dst <<= 1;
         let r = rng.next_f64();
-        if r < cfg.a {
-            // Top-left quadrant.
-        } else if r < ab {
-            dst |= 1;
-        } else if r < abc {
-            src |= 1;
-        } else {
-            src |= 1;
-            dst |= 1;
-        }
+        let (below_a, below_ab, below_abc) = (r < cfg.a, r < ab, r < abc);
+        src = src << 1 | (!below_a & !below_ab) as u64;
+        dst = dst << 1 | (!below_a & (below_ab | !below_abc)) as u64;
     }
     (src, dst)
 }

@@ -33,6 +33,7 @@ use std::path::{Path, PathBuf};
 
 use graphalytics_core::faults::{fingerprint, FaultSite, RecoveryAction};
 use graphalytics_core::platform::{PlatformError, RunContext};
+use graphalytics_graph::io::push_u64;
 use graphalytics_graph::partition::mix64;
 
 /// Capacity of each of an [`Emitter`]'s buffers. Buffers of one fixed
@@ -226,6 +227,8 @@ impl<R: Reducer> CountingReducer for R {
 /// [`Emitter`] buffers and [`Records`] reads.
 pub struct RecordWriter {
     out: BufWriter<File>,
+    /// The record [`RecordWriter::write_numbers`] builds.
+    line: Vec<u8>,
 }
 
 impl RecordWriter {
@@ -234,12 +237,36 @@ impl RecordWriter {
         let file = File::create(path).map_err(io_err)?;
         Ok(Self {
             out: BufWriter::with_capacity(WRITE_BUFFER, file),
+            line: Vec::new(),
         })
     }
 
     /// Appends one record.
     pub fn write(&mut self, key: impl Display, value: impl Display) -> Result<(), PlatformError> {
         writeln!(self.out, "{key}\t{value}").map_err(io_err)
+    }
+
+    /// Appends one record of numbers, `key\t<tag><field> <field>…`, written
+    /// by the decimal codec of the `.e` writer rather than through `fmt`.
+    pub fn write_numbers(
+        &mut self,
+        key: u64,
+        tag: &str,
+        fields: &[u64],
+    ) -> Result<(), PlatformError> {
+        let line = &mut self.line;
+        line.clear();
+        push_u64(line, key);
+        line.push(b'\t');
+        line.extend_from_slice(tag.as_bytes());
+        for (i, &field) in fields.iter().enumerate() {
+            if i > 0 {
+                line.push(b' ');
+            }
+            push_u64(line, field);
+        }
+        line.push(b'\n');
+        self.out.write_all(line).map_err(io_err)
     }
 
     /// Flushes the file; a write error surfaces here, not at drop.

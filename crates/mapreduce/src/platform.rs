@@ -51,10 +51,14 @@ struct LoadedGraph {
 }
 
 impl LoadedGraph {
-    /// The internal id of external vertex id `external`, if present.
+    /// The internal id of external vertex id `external`, if present. The
+    /// ids are a CSR's, ascending, so this is a binary search.
     fn internal_id(&self, external: u64) -> Option<u32> {
-        let position = self.external_ids.iter().position(|&e| e == external);
-        position.map(|i| i as u32)
+        debug_assert!(self.external_ids.windows(2).all(|w| w[0] < w[1]));
+        self.external_ids
+            .binary_search(&external)
+            .ok()
+            .map(|i| i as u32)
     }
 }
 
@@ -127,8 +131,8 @@ impl Platform for MapReducePlatform {
             for v in (i..graph.num_vertices()).step_by(splits) {
                 let v = v as Vid;
                 for (&u, &w) in graph.neighbors(v).iter().zip(graph.neighbor_weights(v)) {
-                    edges.write(v, format_args!("E {u}"))?;
-                    weighted.write(v, format_args!("W {u} {w}"))?;
+                    edges.write_numbers(v.into(), "E ", &[u.into()])?;
+                    weighted.write_numbers(v.into(), "W ", &[u.into(), w])?;
                 }
             }
             edges.finish()?;
@@ -431,6 +435,42 @@ mod tests {
         };
         assert_eq!((stats.num_vertices, stats.num_edges), (4, 4));
         assert_eq!(stats.num_edges, g.num_edges());
+    }
+
+    #[test]
+    fn bfs_and_sssp_find_first_last_and_absent_sources() {
+        // Sparse external ids, so an internal id is not its external one.
+        let g = Arc::new(CsrGraph::from_edge_list(&EdgeListGraph::new_weighted(
+            vec![5, 900],
+            vec![
+                (10, 20, 2_000_000),
+                (20, 30, 500_000),
+                (30, 700, 1_500_000),
+                (5, 700, 4_000_000),
+            ],
+            false,
+        )));
+        let mut p = MapReducePlatform::with_defaults();
+        let handle = p.load_graph(&g).unwrap();
+        for source in [5, 900, 700, 6, 1_000, 0] {
+            for alg in [Algorithm::Bfs { source }, Algorithm::Sssp { source }] {
+                let out = p.run(handle, &alg, &RunContext::unbounded()).unwrap();
+                assert!(reference(&g, &alg).equivalent(&out), "{alg:?}: {out:?}");
+            }
+        }
+        // An absent source reaches nothing.
+        let out = p
+            .run(
+                handle,
+                &Algorithm::Sssp { source: 6 },
+                &RunContext::unbounded(),
+            )
+            .unwrap();
+        let Output::Distances(distances) = out else {
+            panic!("sssp output shape: {out:?}")
+        };
+        assert_eq!(distances, vec![graphalytics_algos::INFINITY; 6]);
+        p.unload(handle);
     }
 
     #[test]

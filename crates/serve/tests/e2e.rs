@@ -212,10 +212,13 @@ fn full_queue_refuses_with_429() {
         ..Default::default()
     });
     // The graph is not preloaded, so the first job pins the single worker
-    // in its load phase (hundreds of milliseconds at scale 14 in debug
-    // mode) — far longer than the submission window below.
+    // in its load phase, far longer than the submission window below. A
+    // release build generates and runs a scale-14 job inside that window,
+    // so the pinning job is at scale 16 (~0.35 s in release, ~3 s in debug
+    // mode).
+    let pin = r#"{"platform":"reference","algorithm":"pagerank","graph":"graph500-16"}"#;
     let job = r#"{"platform":"reference","algorithm":"pagerank","graph":"graph500-14"}"#;
-    let (status, _) = post(&addr, "/jobs", job);
+    let (status, _) = post(&addr, "/jobs", pin);
     assert_eq!(status, 202);
     // Give the worker a moment to pick the first job up.
     std::thread::sleep(core::time::Duration::from_millis(100));
