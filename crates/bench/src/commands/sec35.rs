@@ -1,75 +1,33 @@
-//! §3.5 — "Code Quality": runs the static analyzer over this repository's
-//! own sources and prints the per-crate quality report (the in-repo
-//! substitute for the paper's SonarQube/Jenkins pipeline).
+//! §3.5 — "Code Quality": prints `graphalytics_lint::quality`'s report over
+//! this repository's own sources (the in-repo substitute for the paper's
+//! SonarQube/Jenkins pipeline).
 
-use graphalytics_core::quality::{analyze_tree, quality_report, QualityMetrics};
-use std::path::PathBuf;
+use std::path::Path;
 use std::process::ExitCode;
 
-use crate::Args;
+use graphalytics_lint::quality;
+
+use crate::{or_exit, Args};
 
 /// `bench sec35`.
 pub fn run(args: &Args) -> ExitCode {
     let root = args.knob_path("GX_REPO_ROOT").unwrap_or_else(|| {
         // Two levels above this crate: the checkout the binary was built from.
-        PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-            .parent()
-            .and_then(|p| p.parent())
-            .expect("repo root")
+        let manifest = Path::new(env!("CARGO_MANIFEST_DIR"));
+        manifest
+            .ancestors()
+            .nth(2)
+            .unwrap_or(manifest)
             .to_path_buf()
     });
+    let units = if root.join("crates").is_dir() {
+        quality::workspace(&root).map_err(|e| e.to_string())
+    } else {
+        Err("no crates directory".to_string())
+    };
+    let units =
+        or_exit(units.map_err(|why| format!("config error: GX_REPO_ROOT = {root:?}: {why}")));
     println!("§3.5: code-quality report for {}\n", root.display());
-
-    let mut units: Vec<QualityMetrics> = Vec::new();
-    let crates_dir = root.join("crates");
-    let mut crate_dirs: Vec<PathBuf> = std::fs::read_dir(&crates_dir)
-        .expect("crates dir")
-        .filter_map(|e| e.ok())
-        .map(|e| e.path())
-        .filter(|p| p.is_dir())
-        .collect();
-    crate_dirs.sort();
-    for dir in crate_dirs {
-        let name = dir
-            .file_name()
-            .map(|n| n.to_string_lossy().to_string())
-            .unwrap_or_default();
-        let src = dir.join("src");
-        if src.exists() {
-            units.push(analyze_tree(&name, &src).expect("analyze"));
-        }
-    }
-    for extra in ["src", "tests", "examples"] {
-        let dir = root.join(extra);
-        if dir.exists() {
-            units.push(analyze_tree(extra, &dir).expect("analyze"));
-        }
-    }
-    println!("{}", quality_report(&units));
-
-    let totals = units.iter().fold(QualityMetrics::default(), |mut acc, m| {
-        acc.files += m.files;
-        acc.code_lines += m.code_lines;
-        acc.comment_lines += m.comment_lines;
-        acc.test_functions += m.test_functions;
-        acc.functions += m.functions;
-        acc.branch_points += m.branch_points;
-        acc.unwraps_non_test += m.unwraps_non_test;
-        acc
-    });
-    println!(
-        "totals: {} files, {} code lines, {} comment lines ({:.0}% density), {} tests, {} fns",
-        totals.files,
-        totals.code_lines,
-        totals.comment_lines,
-        100.0 * totals.comment_density(),
-        totals.test_functions,
-        totals.functions,
-    );
-    println!(
-        "quality gates: mean complexity {:.1} per fn, {:.1} unwraps/kloc outside tests",
-        totals.mean_complexity(),
-        totals.unwrap_density()
-    );
+    print!("{}", quality::report(&units));
     ExitCode::SUCCESS
 }

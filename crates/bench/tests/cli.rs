@@ -178,6 +178,12 @@ fn mistakes_exit_2_and_say_what_was_wrong() {
         failure(&["table1", "extra"], TINY),
         "table1 takes no positional arguments (got [\"extra\"])\nusage: bench table1\n"
     );
+    // A root with no crates directory is a config mistake, not a panic.
+    let root = dir.path().to_str().unwrap();
+    assert_eq!(
+        failure(&["sec35"], &[("GX_REPO_ROOT", root)]),
+        format!("config error: GX_REPO_ROOT = {root:?}: no crates directory\n")
+    );
     let typo = failure(&["datagen", "snb", "g", "person=800"], &[]);
     let unknown = "config error: unknown key \"person\" (known: seed, persons,";
     assert!(typo.contains(unknown), "{typo}");

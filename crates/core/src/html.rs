@@ -12,8 +12,8 @@ use crate::trace::MetricsRegistry;
 use crate::validator::Validation;
 use std::fmt::Write as _;
 
-/// Escapes text for HTML.
-fn escape(text: &str) -> String {
+/// Escapes text for HTML and XML: `&`, `<`, `>` and `"`.
+pub fn escape(text: &str) -> String {
     let mut out = String::with_capacity(text.len());
     for c in text.chars() {
         match c {

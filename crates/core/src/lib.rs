@@ -19,7 +19,6 @@
 //!   JSON);
 //! * [`results`] — the Results database (JSONL submissions);
 //! * [`metrics`] — runtime and TEPS accounting;
-//! * [`quality`] — code-quality reports (§3.5's SonarQube stand-in);
 //! * [`trace`] — structured spans, metrics registry (Prometheus text +
 //!   JSONL export), and per-run phase timelines;
 //! * [`json`] — the minimal JSON model used by reports and results.
@@ -42,7 +41,6 @@ pub mod json;
 pub mod metrics;
 pub mod monitor;
 pub mod platform;
-pub mod quality;
 pub mod reference_platform;
 pub mod report;
 pub mod results;

@@ -206,7 +206,7 @@ fn must(id: &str) -> &'static Rule {
 
 /// Whether the path is test-only territory (integration tests, benches,
 /// examples): every component is checked so nested dirs count too.
-fn is_test_path(rel_path: &str) -> bool {
+pub(crate) fn is_test_path(rel_path: &str) -> bool {
     rel_path
         .split('/')
         .any(|c| c == "tests" || c == "benches" || c == "examples")
@@ -225,7 +225,7 @@ fn crate_of(rel_path: &str) -> &str {
 }
 
 /// Line of the first `#[cfg(test)]` attribute, if any.
-fn first_cfg_test_line(toks: &[Tok]) -> Option<u32> {
+pub(crate) fn first_cfg_test_line(toks: &[Tok]) -> Option<u32> {
     let code: Vec<&Tok> = toks
         .iter()
         .filter(|t| !matches!(t.kind, TokKind::LineComment | TokKind::BlockComment))
@@ -379,37 +379,36 @@ fn determinism_hash(path: &str, code: &[&Tok], findings: &mut Vec<Finding>) {
 }
 
 fn panic_safety(path: &str, code: &[&Tok], findings: &mut Vec<Finding>) {
-    const MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"];
-    for i in 0..code.len() {
-        let t = code[i];
-        if t.kind != TokKind::Ident {
+    for (i, t) in code.iter().enumerate() {
+        if !panics_at(code, i) {
             continue;
         }
-        // `.unwrap()`.
-        if t.text == "unwrap"
-            && i > 0
-            && code[i - 1].is_punct('.')
-            && code.get(i + 1).is_some_and(|n| n.is_punct('('))
-            && code.get(i + 2).is_some_and(|n| n.is_punct(')'))
-        {
-            push(
-                findings,
-                "panic-safety",
-                path,
-                t.line,
-                "`.unwrap()` in a platform crate: propagate PlatformError instead \
-                 (a failed run must become a report cell, not a crash)"
-                    .to_string(),
-            );
-        }
-        // `.expect(...)` not immediately followed by `?` — the trailing `?`
-        // marks a Result-returning parser-combinator `expect`, not
-        // `Result::expect`/`Option::expect`.
-        if t.text == "expect"
-            && i > 0
-            && code[i - 1].is_punct('.')
-            && code.get(i + 1).is_some_and(|n| n.is_punct('('))
-        {
+        let message = match t.text.as_str() {
+            "unwrap" => "`.unwrap()` in a platform crate: propagate PlatformError instead \
+                         (a failed run must become a report cell, not a crash)"
+                .to_string(),
+            "expect" => "`.expect(..)` in a platform crate: propagate PlatformError instead, \
+                         or allow with a written infallibility argument"
+                .to_string(),
+            name => format!("`{name}!` in a platform crate: propagate PlatformError instead"),
+        };
+        push(findings, "panic-safety", path, t.line, message);
+    }
+}
+
+/// Whether `code[i]` is a call that panics: `.unwrap()`, a panic-family
+/// macro, or `.expect(..)` not immediately followed by `?` — the trailing
+/// `?` marks a Result-returning parser-combinator `expect`, not
+/// `Result::expect`/`Option::expect`.
+pub(crate) fn panics_at(code: &[&Tok], i: usize) -> bool {
+    const MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"];
+    let at = |j: usize, c: char| code.get(j).is_some_and(|n| n.is_punct(c));
+    let t = code[i];
+    let method = i > 0 && at(i - 1, '.') && at(i + 1, '(');
+    match t.text.as_str() {
+        _ if t.kind != TokKind::Ident => false,
+        "unwrap" => method && at(i + 2, ')'),
+        "expect" if method => {
             let mut depth = 0usize;
             let mut j = i + 1;
             while let Some(n) = code.get(j) {
@@ -423,31 +422,9 @@ fn panic_safety(path: &str, code: &[&Tok], findings: &mut Vec<Finding>) {
                 }
                 j += 1;
             }
-            if !code.get(j + 1).is_some_and(|n| n.is_punct('?')) {
-                push(
-                    findings,
-                    "panic-safety",
-                    path,
-                    t.line,
-                    "`.expect(..)` in a platform crate: propagate PlatformError instead, \
-                     or allow with a written infallibility argument"
-                        .to_string(),
-                );
-            }
+            !at(j + 1, '?')
         }
-        // panic-family macros.
-        if MACROS.contains(&t.text.as_str()) && code.get(i + 1).is_some_and(|n| n.is_punct('!')) {
-            push(
-                findings,
-                "panic-safety",
-                path,
-                t.line,
-                format!(
-                    "`{}!` in a platform crate: propagate PlatformError instead",
-                    t.text
-                ),
-            );
-        }
+        name => MACROS.contains(&name) && at(i + 1, '!'),
     }
 }
 

@@ -30,6 +30,9 @@
 //! | `swallowed-result` | platforms, serve, faults | no `let _ =` on fallible calls |
 //! | `spawn-audit` | determinism + platform crates | threads come from the parallel runtime's fork-join |
 //!
+//! The same tokens, file walk and test territory feed the §3.5
+//! code-quality report ([`quality`], printed by `bench sec35`).
+//!
 //! Escape hatch: `// lint:allow(<rule>): <reason>` on the offending line or
 //! the line above suppresses one rule there; the reason is mandatory and an
 //! allow that suppresses nothing is itself an error — annotations cannot
@@ -41,6 +44,7 @@ pub mod check;
 pub mod lexer;
 pub mod lockgraph;
 pub mod parse;
+pub mod quality;
 pub mod regions;
 pub mod rules;
 pub mod walk;
@@ -54,12 +58,7 @@ use std::path::Path;
 /// one unit — the lock-acquisition graph spans all of them — and returns
 /// all findings, sorted by path then line.
 pub fn check_workspace(root: &Path) -> io::Result<Vec<Finding>> {
-    let mut files = Vec::new();
-    for rel in walk::rust_files(root)? {
-        let src = std::fs::read_to_string(root.join(&rel))?;
-        files.push((rel, src));
-    }
-    let mut findings = check_sources(&files);
+    let mut findings = check_sources(&walk::sources(root)?);
     findings.sort_by(|a, b| (&a.path, a.line, a.rule).cmp(&(&b.path, b.line, b.rule)));
     Ok(findings)
 }

@@ -22,6 +22,16 @@ pub fn rust_files(root: &Path) -> io::Result<Vec<String>> {
     Ok(out)
 }
 
+/// Every file of [`rust_files`] with its contents, as `(path, source)`.
+pub fn sources(root: &Path) -> io::Result<Vec<(String, String)>> {
+    let mut files = Vec::new();
+    for rel in rust_files(root)? {
+        let src = std::fs::read_to_string(root.join(&rel))?;
+        files.push((rel, src));
+    }
+    Ok(files)
+}
+
 fn visit(root: &Path, dir: &Path, out: &mut Vec<String>) -> io::Result<()> {
     let mut entries: Vec<PathBuf> = std::fs::read_dir(dir)?
         .map(|e| e.map(|e| e.path()))
@@ -49,11 +59,12 @@ fn visit(root: &Path, dir: &Path, out: &mut Vec<String>) -> io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use graphalytics_graph::scratch::ScratchDir;
 
     #[test]
     fn skips_fixture_and_vendor_dirs() {
-        let dir = std::env::temp_dir().join(format!("gx-lint-walk-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let scratch = ScratchDir::new(None, "gx-lint-walk").unwrap();
+        let dir = scratch.path();
         for sub in ["src", "vendor/fake/src", "tests/fixtures", "target/debug"] {
             std::fs::create_dir_all(dir.join(sub)).unwrap();
         }
@@ -61,8 +72,7 @@ mod tests {
         std::fs::write(dir.join("vendor/fake/src/lib.rs"), "").unwrap();
         std::fs::write(dir.join("tests/fixtures/bad.rs"), "").unwrap();
         std::fs::write(dir.join("target/debug/junk.rs"), "").unwrap();
-        let files = rust_files(&dir).unwrap();
+        let files = rust_files(dir).unwrap();
         assert_eq!(files, vec!["src/lib.rs"]);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -22,6 +22,7 @@
 
 use std::collections::BTreeMap;
 
+use graphalytics_core::html::escape;
 use graphalytics_core::json::Json;
 use graphalytics_core::trace::{FieldValue, Span};
 
@@ -457,11 +458,6 @@ pub fn render_text(reports: &[RunChokePoints]) -> String {
 /// The choke-point section of the HTML report: one row per run with all
 /// four attributions, ready to splice into `html_report_with`.
 pub fn html_section(reports: &[RunChokePoints]) -> String {
-    fn esc(s: &str) -> String {
-        s.replace('&', "&amp;")
-            .replace('<', "&lt;")
-            .replace('>', "&gt;")
-    }
     let mut out = String::new();
     out.push_str("<h2>Choke-point attribution</h2>\n");
     out.push_str(
@@ -479,9 +475,9 @@ pub fn html_section(reports: &[RunChokePoints]) -> String {
         out.push_str(&format!(
             "<tr><td>{}</td><td>{}</td><td>{}</td><td>{}</td><td>{}</td>\
              <td>{}</td><td>{}</td><td>{:.2}</td><td>{:.3}</td><td>{:.3}</td><td>{}</td></tr>\n",
-            esc(&r.platform),
-            esc(&r.dataset),
-            esc(&r.algorithm),
+            escape(&r.platform),
+            escape(&r.dataset),
+            escape(&r.algorithm),
             r.network.remote_messages,
             r.network.shuffle_records,
             r.network.spill_bytes,
@@ -489,7 +485,7 @@ pub fn html_section(reports: &[RunChokePoints]) -> String {
             r.memory.amplification,
             r.locality.random_fraction,
             r.skew.max_gini,
-            esc(&r.skew.source),
+            escape(&r.skew.source),
         ));
     }
     out.push_str("</table>\n");
@@ -511,9 +507,9 @@ pub fn html_section(reports: &[RunChokePoints]) -> String {
                 out.push_str(&format!(
                     "<tr><td>{}</td><td>{}</td><td>{}</td><td>{}</td><td>{}</td>\
                      <td>{:.6}</td><td>w{}</td><td>{:.6}</td><td>{:.3}</td></tr>\n",
-                    esc(&r.platform),
-                    esc(&r.dataset),
-                    esc(&r.algorithm),
+                    escape(&r.platform),
+                    escape(&r.dataset),
+                    escape(&r.algorithm),
                     row.superstep,
                     row.workers,
                     row.max_compute_seconds,

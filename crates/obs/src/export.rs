@@ -9,6 +9,7 @@
 
 use std::collections::BTreeMap;
 
+use graphalytics_core::html::escape;
 use graphalytics_core::json::Json;
 use graphalytics_core::trace::Span;
 
@@ -59,20 +60,6 @@ fn frame_color(name: &str) -> String {
     format!("rgb({r},{g},{b})")
 }
 
-fn xml_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '&' => out.push_str("&amp;"),
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            '"' => out.push_str("&quot;"),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 fn render_node(
     out: &mut String,
     name: Option<&str>,
@@ -90,7 +77,7 @@ fn render_node(
         out.push_str(&format!(
             "<g><title>{}</title><rect x=\"{:.2}\" y=\"{:.1}\" width=\"{:.2}\" \
              height=\"{:.1}\" fill=\"{}\" rx=\"2\"/>",
-            xml_escape(&title),
+            escape(&title),
             x,
             y,
             (width - 0.5).max(0.5),
@@ -109,7 +96,7 @@ fn render_node(
                 "<text x=\"{:.2}\" y=\"{:.1}\">{}</text>",
                 x + 3.0,
                 y + FRAME_HEIGHT - 5.0,
-                xml_escape(&label),
+                escape(&label),
             ));
         }
         out.push_str("</g>\n");
@@ -149,7 +136,7 @@ pub fn flamegraph_svg(profile: &Profile, title: &str) -> String {
     out.push_str(&format!(
         "<text x=\"{:.0}\" y=\"17\" text-anchor=\"middle\" font-size=\"14\">{}</text>\n",
         SVG_WIDTH / 2.0,
-        xml_escape(title),
+        escape(title),
     ));
     if root.total == 0 {
         out.push_str(&format!(

@@ -12,7 +12,7 @@
 //! | [`graph`] | graph structures, `.v`/`.e` I/O, metrics, distribution fitting, partitioners, deterministic RNG |
 //! | [`datagen`] | LDBC-Datagen-style social network generator with degree-distribution plugins, rewiring, cluster/single deployments, R-MAT |
 //! | [`algos`] | the workload (STATS, BFS, CONN, CD, EVO + PageRank) and its reference implementations |
-//! | [`core`] | the benchmark harness: platform API, datasets, runner, validator, monitor, reports, results DB, code-quality analyzer |
+//! | [`core`] | the benchmark harness: platform API, datasets, runner, validator, monitor, reports, results DB |
 //! | [`pregel`] | Giraph stand-in (BSP vertex-centric engine) |
 //! | [`dataflow`] | GraphX/Spark stand-in (partitioned datasets + graph layer) |
 //! | [`mapreduce`] | Hadoop stand-in (disk-backed MapReduce job chains) |
