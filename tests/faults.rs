@@ -9,11 +9,38 @@
 //!   every output byte-identical to a run with no injector at all;
 //! * a fault-matrix smoke across all four injection kinds (worker crash,
 //!   partition loss, task I/O, allocation failure), one engine each.
+//!
+//! The seeded runs also pin absolute counts and a digest of the recovery
+//! log, so a changed attempt bound or a moved recovery note fails here
+//! even when two runs of the changed code still agree with each other.
 
 use graphalytics::prelude::*;
 use graphalytics_core::faults::{FaultInjector, FaultKind, FaultPlan, FaultSite};
 use graphalytics_pregel::PregelConfig;
 use std::sync::Arc;
+
+/// FNV-1a over the canonical recovery log: each event's action name, its
+/// site's description (or `-`) and its backoff, in log order.
+fn recovery_digest(injector: &FaultInjector) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for event in injector.recoveries() {
+        let site = event.site.as_ref().map_or("-".to_string(), |s| s.describe());
+        let line = format!("{} {site} {}\n", event.action.name(), event.backoff_ms);
+        for b in line.bytes() {
+            h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// `(injected, recoveries, checkpoints)` of one injector's logs.
+fn counts(injector: &FaultInjector) -> (usize, usize, usize) {
+    (
+        injector.injected_count(),
+        injector.recovery_count(),
+        injector.checkpoint_count(),
+    )
+}
 
 /// The differential gate runs the full ISSUE scale in release CI; debug
 /// `cargo test` uses a smaller graph so the tier-1 suite stays quick.
@@ -132,6 +159,7 @@ fn same_seed_produces_identical_fault_logs_and_outputs() {
         first_out, baseline,
         "recovered outputs differ from fault-free baseline"
     );
+    assert_eq!(counts(&first), (15, 15, 14), "seed 0x5EED fleet counts moved");
 }
 
 /// Faults disabled (the default) ⇒ every hook is a no-op and outputs are
@@ -159,27 +187,33 @@ fn fault_matrix_smoke_covers_all_kinds() {
         platform: Box<dyn Platform>,
         kind: FaultKind,
         plan: FaultPlan,
+        /// `(injected, recoveries, checkpoints, recovery_digest)`.
+        pins: (usize, usize, usize, u64),
     }
     let cases = vec![
         Case {
             platform: Box::new(checkpointing_giraph(1)),
             kind: FaultKind::WorkerCrash,
             plan: FaultPlan::seeded(1729).with_rate(FaultKind::WorkerCrash, 0.05),
+            pins: (3, 3, 7, 8396256190925908355),
         },
         Case {
             platform: Box::new(GraphXPlatform::with_defaults()),
             kind: FaultKind::PartitionLoss,
             plan: FaultPlan::seeded(1729).with_rate(FaultKind::PartitionLoss, 0.1),
+            pins: (4, 4, 0, 17514068924322102535),
         },
         Case {
             platform: Box::new(GraphXPlatform::with_defaults()),
             kind: FaultKind::AllocFailure,
             plan: FaultPlan::seeded(1729).with_rate(FaultKind::AllocFailure, 0.1),
+            pins: (1, 1, 0, 12206784615435661079),
         },
         Case {
             platform: Box::new(MapReducePlatform::with_defaults()),
             kind: FaultKind::TaskIo,
             plan: FaultPlan::seeded(1729).with_rate(FaultKind::TaskIo, 0.1),
+            pins: (2, 2, 0, 11668748438431144227),
         },
         Case {
             // Virtuoso probes once per BFS round; on a small graph's
@@ -192,6 +226,7 @@ fn fault_matrix_smoke_covers_all_kinds() {
                 sequence: 2,
                 attempt: 0,
             }),
+            pins: (1, 1, 0, 4598972437528277859),
         },
     ];
     for mut case in cases {
@@ -226,6 +261,14 @@ fn fault_matrix_smoke_covers_all_kinds() {
         assert!(
             reference_depths.equivalent(&out),
             "{} {:?}: recovered output is wrong",
+            case.platform.name(),
+            case.kind
+        );
+        let (injected, recoveries, checkpoints) = counts(&injector);
+        assert_eq!(
+            (injected, recoveries, checkpoints, recovery_digest(&injector)),
+            case.pins,
+            "{} {:?}: pinned fault counts or recovery log moved",
             case.platform.name(),
             case.kind
         );
