@@ -11,8 +11,9 @@
 //!   partition loss, task I/O, allocation failure), one engine each.
 //!
 //! The seeded runs also pin absolute counts and a digest of the recovery
-//! log, so a changed attempt bound or a moved recovery note fails here
-//! even when two runs of the changed code still agree with each other.
+//! log, and a rate-1.0 run pins every bounded attempt loop, so a changed
+//! attempt bound or a moved recovery note fails here even when two runs
+//! of the changed code still agree with each other.
 
 use graphalytics::prelude::*;
 use graphalytics_core::faults::{FaultInjector, FaultKind, FaultPlan, FaultSite};
@@ -24,7 +25,10 @@ use std::sync::Arc;
 fn recovery_digest(injector: &FaultInjector) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for event in injector.recoveries() {
-        let site = event.site.as_ref().map_or("-".to_string(), |s| s.describe());
+        let site = event
+            .site
+            .as_ref()
+            .map_or("-".to_string(), |s| s.describe());
         let line = format!("{} {site} {}\n", event.action.name(), event.backoff_ms);
         for b in line.bytes() {
             h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
@@ -159,7 +163,11 @@ fn same_seed_produces_identical_fault_logs_and_outputs() {
         first_out, baseline,
         "recovered outputs differ from fault-free baseline"
     );
-    assert_eq!(counts(&first), (15, 15, 14), "seed 0x5EED fleet counts moved");
+    assert_eq!(
+        counts(&first),
+        (15, 15, 14),
+        "seed 0x5EED fleet counts moved"
+    );
 }
 
 /// Faults disabled (the default) ⇒ every hook is a no-op and outputs are
@@ -266,11 +274,66 @@ fn fault_matrix_smoke_covers_all_kinds() {
         );
         let (injected, recoveries, checkpoints) = counts(&injector);
         assert_eq!(
-            (injected, recoveries, checkpoints, recovery_digest(&injector)),
+            (
+                injected,
+                recoveries,
+                checkpoints,
+                recovery_digest(&injector)
+            ),
             case.pins,
             "{} {:?}: pinned fault counts or recovery log moved",
             case.platform.name(),
             case.kind
+        );
+    }
+}
+
+/// Every bounded attempt loop, pinned: under a rate-1.0 plan every probe
+/// fires, so each site the run reaches is probed exactly the engine's
+/// attempt bound (GraphX and Virtuoso 3, MapReduce 4), recovered once
+/// fewer, and the last fault fails the run. MapReduce's first job runs
+/// all four of its map tasks, so its site count is four.
+#[test]
+fn attempt_bounds_are_pinned() {
+    let graph = Dataset::graph500(8).load().expect("generate");
+    /// `(platform, kind, (injected, recoveries))`.
+    type Case = (Box<dyn Platform>, FaultKind, (usize, usize));
+    let cases: Vec<Case> = vec![
+        (
+            Box::new(GraphXPlatform::with_defaults()),
+            FaultKind::AllocFailure,
+            (3, 2),
+        ),
+        (
+            Box::new(GraphXPlatform::with_defaults()),
+            FaultKind::PartitionLoss,
+            (3, 2),
+        ),
+        (
+            Box::new(VirtuosoPlatform::with_defaults()),
+            FaultKind::AllocFailure,
+            (3, 2),
+        ),
+        (
+            Box::new(MapReducePlatform::with_defaults()),
+            FaultKind::TaskIo,
+            (16, 12),
+        ),
+    ];
+    for (mut platform, kind, pins) in cases {
+        let plan = FaultPlan::seeded(1729).with_rate(kind, 1.0);
+        let injector = Arc::new(FaultInjector::new(plan));
+        let ctx = RunContext::unbounded().with_faults(Arc::clone(&injector));
+        let handle = platform.load_graph(&graph).expect("load");
+        let err = platform
+            .run(handle, &Algorithm::default_bfs(), &ctx)
+            .expect_err("every attempt failed, so the run must fail");
+        assert!(err.is_transient(), "{} {kind:?}: {err}", platform.name());
+        assert_eq!(
+            (injector.injected_count(), injector.recovery_count()),
+            pins,
+            "{} {kind:?}: attempts per site moved",
+            platform.name()
         );
     }
 }
