@@ -177,13 +177,6 @@ impl Encoded {
         }
     }
 
-    fn len(&self) -> usize {
-        match self {
-            Encoded::Plain(v) => v.len(),
-            Encoded::For { len, .. } | Encoded::Delta { len, .. } => *len as usize,
-        }
-    }
-
     fn bytes(&self) -> usize {
         match self {
             Encoded::Plain(v) => v.len() * 8,
@@ -251,15 +244,6 @@ impl Column {
         } else {
             out.clear();
             out.extend_from_slice(&self.tail);
-        }
-    }
-
-    /// Length of block `b`.
-    pub fn block_len(&self, b: usize) -> usize {
-        if b < self.blocks.len() {
-            self.blocks[b].len()
-        } else {
-            self.tail.len()
         }
     }
 

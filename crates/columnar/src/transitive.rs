@@ -111,24 +111,16 @@ pub fn transitive_closure(
         ctx.check_deadline()?;
         depth += 1;
         profile.rounds += 1;
-        if ctx.faults().is_some() {
-            let mut attempt = 0u32;
-            loop {
-                let site = FaultSite::Alloc {
-                    scope: alloc_scope,
-                    sequence: profile.rounds as u64,
-                    attempt,
-                };
-                match ctx.inject(site.clone()) {
-                    Ok(()) => break,
-                    Err(e) if attempt + 1 >= MAX_ALLOC_ATTEMPTS => return Err(e),
-                    Err(_) => {
-                        ctx.note_recovery(RecoveryAction::AllocRetry, Some(site), 0);
-                        attempt += 1;
-                    }
-                }
-            }
-        }
+        ctx.retry_injected(
+            MAX_ALLOC_ATTEMPTS,
+            RecoveryAction::AllocRetry,
+            |attempt| FaultSite::Alloc {
+                scope: alloc_scope,
+                sequence: profile.rounds as u64,
+                attempt,
+            },
+            || {},
+        )?;
         let mut round_span = ctx.tracer().span("virtuoso.round");
         round_span
             .field("round", profile.rounds)

@@ -35,7 +35,6 @@ pub use graphalytics_faults as faults;
 
 pub mod config;
 pub mod datasets;
-pub mod faultwire;
 pub mod html;
 pub mod json;
 pub mod metrics;

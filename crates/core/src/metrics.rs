@@ -16,24 +16,9 @@ pub fn teps(edges_traversed: usize, seconds: f64) -> f64 {
     edges_traversed as f64 / seconds
 }
 
-/// Thousands of traversed edges per second (Figure 5's unit).
-pub fn kteps(edges_traversed: usize, seconds: f64) -> f64 {
-    teps(edges_traversed, seconds) / 1e3
-}
-
 /// Millions of traversed edges per second (§3.4's unit).
 pub fn mteps(edges_traversed: usize, seconds: f64) -> f64 {
     teps(edges_traversed, seconds) / 1e6
-}
-
-/// Edges-plus-vertices per second — the LDBC Graphalytics specification's
-/// EVPS throughput metric: graph size (|V| + |E|) over processing time,
-/// which normalizes runtimes across datasets of different shapes.
-pub fn evps(vertices: usize, edges: usize, seconds: f64) -> f64 {
-    if seconds <= 0.0 {
-        return 0.0;
-    }
-    (vertices + edges) as f64 / seconds
 }
 
 /// Number of edges an algorithm run "traversed" for TEPS purposes:
@@ -57,11 +42,8 @@ mod tests {
     #[test]
     fn unit_conversions() {
         assert_eq!(teps(10_000, 2.0), 5_000.0);
-        assert_eq!(kteps(10_000, 2.0), 5.0);
         assert_eq!(mteps(2_000_000, 1.0), 2.0);
         assert_eq!(teps(100, 0.0), 0.0);
-        assert_eq!(evps(100, 900, 2.0), 500.0);
-        assert_eq!(evps(1, 1, 0.0), 0.0);
     }
 
     #[test]

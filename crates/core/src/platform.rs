@@ -13,10 +13,9 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use graphalytics_algos::{Algorithm, Output};
-use graphalytics_faults::{FaultInjector, FaultSite, RecoveryAction};
+use graphalytics_faults::{FaultInjector, FaultSite, RecoveryAction, RecoveryEvent};
 use graphalytics_graph::CsrGraph;
 
-use crate::faultwire;
 use crate::trace::Tracer;
 
 /// Opaque handle to a graph loaded into a platform's own storage.
@@ -219,43 +218,117 @@ impl RunContext {
         self.tracer.as_deref().unwrap_or(Tracer::noop())
     }
 
-    /// The attached tracer, if any, by `Arc` — for platforms that stash the
-    /// tracer in long-lived internal state (e.g. the dataflow context).
-    pub fn tracer_arc(&self) -> Option<Arc<Tracer>> {
-        self.tracer.clone()
-    }
-
     /// The fault injector, when robustness benchmarking armed one.
     pub fn faults(&self) -> Option<&Arc<FaultInjector>> {
         self.faults.as_ref()
     }
 
     /// Fault injection point: consults the plan about `site` and, when it
-    /// fires, records + traces the injection and returns the matching
-    /// transient error for the platform to propagate (or recover from).
-    /// With no injector armed this is a branch and nothing more.
+    /// fires, records the injection, traces it (a `faults.injected` span
+    /// and `graphalytics_faults_injected_total{kind}`) and returns the
+    /// matching transient error for the platform to propagate (or recover
+    /// from). With no injector armed this is a branch and nothing more.
     pub fn inject(&self, site: FaultSite) -> Result<(), PlatformError> {
-        match &self.faults {
-            Some(inj) => faultwire::inject_fault(self.tracer(), inj, site),
-            None => Ok(()),
+        let Some(injector) = &self.faults else {
+            return Ok(());
+        };
+        if !injector.decide(&site) {
+            return Ok(());
+        }
+        let err = error_for(&site);
+        let tracer = self.tracer();
+        {
+            let mut span = tracer.span("faults.injected");
+            span.field("kind", site.kind().name());
+            span.field("site", site.describe());
+        }
+        tracer.metrics().inc_counter(
+            "graphalytics_faults_injected_total",
+            &[("kind", site.kind().name())],
+            1,
+        );
+        injector.record_injection(site);
+        Err(err)
+    }
+
+    /// A bounded attempt loop around one injection point: probes
+    /// `site_of_attempt(0)`, `site_of_attempt(1)`, … and, on each injected
+    /// fault before attempt `max_attempts - 1`, notes `action` for that
+    /// site and runs `recover`; the fault of the last attempt is returned.
+    /// `Ok` at once when no injector is armed.
+    pub fn retry_injected(
+        &self,
+        max_attempts: u32,
+        action: RecoveryAction,
+        mut site_of_attempt: impl FnMut(u32) -> FaultSite,
+        mut recover: impl FnMut(),
+    ) -> Result<(), PlatformError> {
+        if self.faults.is_none() {
+            return Ok(());
+        }
+        let mut attempt = 0;
+        loop {
+            let site = site_of_attempt(attempt);
+            match self.inject(site.clone()) {
+                Ok(()) => return Ok(()),
+                Err(e) if attempt + 1 >= max_attempts => return Err(e),
+                Err(_) => {
+                    self.note_recovery(action, Some(site), 0);
+                    recover();
+                    attempt += 1;
+                }
+            }
         }
     }
 
     /// Records + traces a recovery action a platform just performed
-    /// (checkpoint restart, lineage recompute, task retry, ...).
+    /// (checkpoint restart, lineage recompute, task retry, ...): a
+    /// `recovery.restart` span and `graphalytics_recoveries_total{action}`.
     pub fn note_recovery(&self, action: RecoveryAction, site: Option<FaultSite>, backoff_ms: u64) {
-        faultwire::note_recovery(
-            self.tracer(),
-            self.faults.as_deref(),
-            action,
-            site,
-            backoff_ms,
+        let tracer = self.tracer();
+        {
+            let mut span = tracer.span("recovery.restart");
+            span.field("action", action.name());
+            if let Some(site) = &site {
+                span.field("site", site.describe());
+            }
+            if backoff_ms > 0 {
+                span.field("backoff_ms", backoff_ms);
+            }
+        }
+        tracer.metrics().inc_counter(
+            "graphalytics_recoveries_total",
+            &[("action", action.name())],
+            1,
         );
+        if let Some(injector) = &self.faults {
+            injector.record_recovery(RecoveryEvent {
+                action,
+                site,
+                backoff_ms,
+            });
+        }
     }
 
-    /// Records + traces one checkpoint a platform just took.
+    /// Records + traces one checkpoint a platform just took: a
+    /// `recovery.checkpoint` span and `graphalytics_checkpoints_total`.
     pub fn note_checkpoint(&self, superstep: u64, bytes: usize) {
-        faultwire::note_checkpoint(self.tracer(), self.faults.as_deref(), superstep, bytes);
+        let tracer = self.tracer();
+        {
+            let mut span = tracer.span("recovery.checkpoint");
+            span.field("superstep", superstep);
+            span.field("bytes", bytes);
+        }
+        tracer
+            .metrics()
+            .inc_counter("graphalytics_checkpoints_total", &[], 1);
+        if let Some(injector) = &self.faults {
+            injector.record_recovery(RecoveryEvent {
+                action: RecoveryAction::Checkpoint,
+                site: None,
+                backoff_ms: 0,
+            });
+        }
     }
 
     /// True when the deadline has passed.
@@ -277,6 +350,29 @@ impl RunContext {
 impl Default for RunContext {
     fn default() -> Self {
         Self::unbounded()
+    }
+}
+
+/// The transient error a platform would surface if the fault injected at
+/// `site` were real.
+fn error_for(site: &FaultSite) -> PlatformError {
+    match site {
+        FaultSite::PregelWorker {
+            superstep, worker, ..
+        } => PlatformError::WorkerLost {
+            worker: *worker,
+            superstep: *superstep as usize,
+        },
+        FaultSite::ShufflePartition {
+            shuffle, partition, ..
+        } => PlatformError::PartitionLost {
+            shuffle: *shuffle,
+            partition: *partition,
+        },
+        FaultSite::TaskIo { job, task, attempt } => PlatformError::TransientIo(format!(
+            "injected i/o fault (job {job:#x}, task {task}, attempt {attempt})"
+        )),
+        FaultSite::Alloc { .. } => PlatformError::AllocFailed { bytes: 0 },
     }
 }
 
@@ -309,6 +405,167 @@ pub trait Platform: Send {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use graphalytics_faults::FaultPlan;
+
+    fn armed(tracer: &Arc<Tracer>, injector: &Arc<FaultInjector>) -> RunContext {
+        RunContext::unbounded()
+            .with_tracer(Arc::clone(tracer))
+            .with_faults(Arc::clone(injector))
+    }
+
+    #[test]
+    fn disabled_injector_never_fires() {
+        let tracer = Arc::new(Tracer::new());
+        let inj = Arc::new(FaultInjector::disabled());
+        let ctx = armed(&tracer, &inj);
+        for w in 0..64 {
+            let site = FaultSite::PregelWorker {
+                superstep: 1,
+                worker: w,
+                incarnation: 0,
+            };
+            assert!(ctx.inject(site).is_ok());
+        }
+        assert_eq!(inj.injected_count(), 0);
+        assert!(tracer.finished_spans().is_empty());
+    }
+
+    #[test]
+    fn forced_fault_fires_and_is_traced() {
+        let tracer = Arc::new(Tracer::new());
+        let site = FaultSite::ShufflePartition {
+            shuffle: 0,
+            partition: 3,
+            attempt: 0,
+        };
+        let inj = Arc::new(FaultInjector::new(FaultPlan::seeded(7).force(site.clone())));
+        let err = armed(&tracer, &inj).inject(site.clone()).unwrap_err();
+        assert_eq!(
+            err,
+            PlatformError::PartitionLost {
+                shuffle: 0,
+                partition: 3
+            }
+        );
+        assert!(err.is_transient());
+        assert_eq!(inj.injected(), vec![site]);
+        let spans = tracer.finished_spans();
+        assert_eq!(spans.len(), 1);
+        assert_eq!(spans[0].name, "faults.injected");
+        assert_eq!(
+            tracer.metrics().counter_value(
+                "graphalytics_faults_injected_total",
+                &[("kind", "partition_loss")]
+            ),
+            1
+        );
+    }
+
+    #[test]
+    fn checkpoint_and_recovery_are_counted() {
+        let tracer = Arc::new(Tracer::new());
+        let inj = Arc::new(FaultInjector::new(
+            FaultPlan::seeded(1).with_uniform_rate(0.0),
+        ));
+        let ctx = armed(&tracer, &inj);
+        ctx.note_checkpoint(4, 128);
+        ctx.note_recovery(RecoveryAction::CheckpointRestart, None, 20);
+        assert_eq!(
+            tracer
+                .metrics()
+                .counter_value("graphalytics_checkpoints_total", &[]),
+            1
+        );
+        assert_eq!(
+            tracer.metrics().counter_value(
+                "graphalytics_recoveries_total",
+                &[("action", "checkpoint_restart")]
+            ),
+            1
+        );
+        assert_eq!(inj.checkpoint_count(), 1);
+        assert_eq!(inj.recovery_count(), 1);
+        let names: Vec<String> = tracer
+            .finished_spans()
+            .into_iter()
+            .map(|s| s.name)
+            .collect();
+        assert_eq!(names, vec!["recovery.checkpoint", "recovery.restart"]);
+    }
+
+    #[test]
+    fn every_site_kind_maps_to_a_transient_error() {
+        let sites = [
+            FaultSite::PregelWorker {
+                superstep: 2,
+                worker: 1,
+                incarnation: 0,
+            },
+            FaultSite::ShufflePartition {
+                shuffle: 1,
+                partition: 0,
+                attempt: 1,
+            },
+            FaultSite::TaskIo {
+                job: 9,
+                task: 3,
+                attempt: 0,
+            },
+            FaultSite::Alloc {
+                scope: 5,
+                sequence: 2,
+                attempt: 0,
+            },
+        ];
+        for site in sites {
+            assert!(error_for(&site).is_transient(), "{site:?}");
+        }
+    }
+
+    #[test]
+    fn retry_injected_probes_exactly_max_attempts() {
+        let site = |attempt| FaultSite::Alloc {
+            scope: 1,
+            sequence: 0,
+            attempt,
+        };
+        // Every attempt of the site fails: attempts 0..3 are probed, the
+        // first two are noted and recovered, the third fault escalates.
+        let plan = (0..8).fold(FaultPlan::disabled(), |p, a| p.force(site(a)));
+        let inj = Arc::new(FaultInjector::new(plan));
+        let ctx = RunContext::unbounded().with_faults(Arc::clone(&inj));
+        let mut recovered = 0;
+        let res = ctx.retry_injected(3, RecoveryAction::AllocRetry, site, || recovered += 1);
+        assert_eq!(res, Err(PlatformError::AllocFailed { bytes: 0 }));
+        assert_eq!(inj.injected(), vec![site(0), site(1), site(2)]);
+        assert_eq!(recovered, 2);
+        let noted: Vec<_> = inj.recoveries().into_iter().map(|e| e.site).collect();
+        assert_eq!(noted, vec![Some(site(0)), Some(site(1))]);
+
+        // Only attempt 0 fails: one recovery, then success.
+        let inj = Arc::new(FaultInjector::new(FaultPlan::disabled().force(site(0))));
+        let ctx = RunContext::unbounded().with_faults(Arc::clone(&inj));
+        let mut recovered = 0;
+        let res = ctx.retry_injected(3, RecoveryAction::AllocRetry, site, || recovered += 1);
+        assert_eq!(res, Ok(()));
+        assert_eq!(
+            (inj.injected_count(), inj.recovery_count(), recovered),
+            (1, 1, 1)
+        );
+
+        // No injector armed: nothing is probed, nothing recovers.
+        let mut probed = 0;
+        let res = RunContext::unbounded().retry_injected(
+            3,
+            RecoveryAction::AllocRetry,
+            |a| {
+                probed += 1;
+                site(a)
+            },
+            || unreachable!(),
+        );
+        assert_eq!((res, probed), (Ok(()), 0));
+    }
 
     #[test]
     fn graph_table_never_reuses_a_handle() {

@@ -13,11 +13,10 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use graphalytics_algos::Algorithm;
-use graphalytics_faults::{FaultInjector, RecoveryAction, RetryPolicy, VirtualClock};
+use graphalytics_faults::{FaultInjector, RecoveryAction, RetryPolicy};
 use graphalytics_graph::CsrGraph;
 
 use crate::datasets::Dataset;
-use crate::faultwire;
 use crate::metrics;
 use crate::monitor::SystemMonitor;
 use crate::platform::{Platform, PlatformError, RunContext};
@@ -388,13 +387,12 @@ impl BenchmarkSuite {
         let run_started = Instant::now();
         let monitor = SystemMonitor::start(self.config.monitor_interval);
         let mut last_output = None;
-        let mut backoff_clock = VirtualClock::new();
         for rep in 0..reps {
             let phase_start = run_started.elapsed().as_secs_f64();
             let started = Instant::now();
             // The attempt loop: transient failures (lost workers, lost
             // partitions, flaky I/O) re-run the whole repetition under the
-            // retry policy; backoff is charged to a virtual clock so the
+            // retry policy. The backoff is recorded, never slept, so the
             // schedule is deterministic and costs no wall time.
             let mut attempt: u32 = 0;
             let outcome = loop {
@@ -417,14 +415,7 @@ impl BenchmarkSuite {
                 match res {
                     Err(e) if e.is_transient() && self.config.retry.allows(attempt + 1) => {
                         let backoff_ms = self.config.retry.backoff_ms(attempt);
-                        backoff_clock.advance(backoff_ms);
-                        faultwire::note_recovery(
-                            tracer,
-                            self.config.faults.as_deref(),
-                            RecoveryAction::RunRetry,
-                            None,
-                            backoff_ms,
-                        );
+                        ctx.note_recovery(RecoveryAction::RunRetry, None, backoff_ms);
                         record.retries += 1;
                         attempt += 1;
                     }

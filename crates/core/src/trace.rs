@@ -39,8 +39,6 @@ pub mod phase {
     pub const EXECUTE: &str = "execute";
     /// Output validation against the reference implementation.
     pub const VALIDATE: &str = "validate";
-    /// Report generation.
-    pub const REPORT: &str = "report";
 }
 
 /// A typed field value attached to spans and events.

@@ -88,9 +88,7 @@ impl Platform for GraphXPlatform {
         let loaded = self.graphs.get(handle)?;
         // Arm (or disarm) the engine's injection points — shuffle fetches
         // and allocations — from this run's context.
-        loaded
-            .ctx
-            .arm_faults(ctx.faults().cloned(), ctx.tracer_arc());
+        loaded.ctx.arm(ctx);
         let graph = &loaded.graph;
         let frame = &loaded.frame;
         let mut job_span = ctx.tracer().span("graphx.job");

@@ -13,11 +13,9 @@
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-use graphalytics_core::faults::{fingerprint, FaultInjector, FaultSite, RecoveryAction};
-use graphalytics_core::faultwire;
-use graphalytics_core::platform::PlatformError;
+use graphalytics_core::faults::{fingerprint, FaultSite, RecoveryAction};
+use graphalytics_core::platform::{PlatformError, RunContext};
 use graphalytics_core::sync::lock;
-use graphalytics_core::trace::Tracer;
 use graphalytics_graph::partition::mix64;
 
 /// Tracks live dataset bytes against an optional budget.
@@ -88,14 +86,6 @@ pub struct ShuffleStats {
 /// escalated (Spark's `spark.shuffle.io.maxRetries`-style bound).
 const MAX_FETCH_ATTEMPTS: u32 = 3;
 
-/// The armed fault hook: set by the platform at run start, consulted at
-/// the engine's injection points (shuffle fetches, allocations).
-#[derive(Default)]
-struct FaultHook {
-    injector: Option<Arc<FaultInjector>>,
-    tracer: Option<Arc<Tracer>>,
-}
-
 /// The per-job context: partition count, memory manager, statistics.
 pub struct SparkContext {
     /// Number of partitions for new datasets and shuffles.
@@ -103,7 +93,10 @@ pub struct SparkContext {
     /// Memory accounting.
     pub memory: Arc<MemoryManager>,
     stats: Mutex<ShuffleStats>,
-    faults: Mutex<FaultHook>,
+    /// The run this context is armed with: its fault injector, if any, is
+    /// consulted at the engine's injection points (shuffle fetches,
+    /// allocations) and its tracer records what fires.
+    run: Mutex<RunContext>,
     alloc_seq: AtomicU64,
 }
 
@@ -114,16 +107,16 @@ impl SparkContext {
             partitions: partitions.max(1),
             memory: Arc::new(MemoryManager::new(memory_budget)),
             stats: Mutex::new(ShuffleStats::default()),
-            faults: Mutex::new(FaultHook::default()),
+            run: Mutex::new(RunContext::unbounded()),
             alloc_seq: AtomicU64::new(0),
         })
     }
 
-    /// Arms (or, with `None`, disarms) fault injection for subsequent
-    /// operations on this context. The platform calls this at run start
-    /// from the harness's `RunContext`.
-    pub fn arm_faults(&self, injector: Option<Arc<FaultInjector>>, tracer: Option<Arc<Tracer>>) {
-        *lock(&self.faults) = FaultHook { injector, tracer };
+    /// Arms this context's injection points with `run`'s fault injector
+    /// (none disarms them) and tracer, for every later operation. The
+    /// platform calls this at the start of each run.
+    pub fn arm(&self, run: &RunContext) {
+        *lock(&self.run) = run.clone();
     }
 
     /// Snapshot of the shuffle statistics.
@@ -131,25 +124,11 @@ impl SparkContext {
         *lock(&self.stats)
     }
 
-    fn fault_armed(&self) -> bool {
-        lock(&self.faults).injector.is_some()
-    }
-
-    fn probe(&self, site: FaultSite) -> Result<(), PlatformError> {
-        let hook = lock(&self.faults);
-        match &hook.injector {
-            Some(inj) => {
-                let tracer = hook.tracer.as_deref().unwrap_or_else(|| Tracer::noop());
-                faultwire::inject_fault(tracer, inj, site)
-            }
-            None => Ok(()),
-        }
-    }
-
-    fn recover(&self, action: RecoveryAction, site: FaultSite) {
-        let hook = lock(&self.faults);
-        let tracer = hook.tracer.as_deref().unwrap_or_else(|| Tracer::noop());
-        faultwire::note_recovery(tracer, hook.injector.as_deref(), action, Some(site), 0);
+    /// The armed run when it carries a fault injector, copied out so that
+    /// no lock is held while a probe runs.
+    fn armed(&self) -> Option<RunContext> {
+        let run = lock(&self.run);
+        run.faults().is_some().then(|| run.clone())
     }
 
     /// Budget-checked allocation with a transient-failure injection point:
@@ -157,25 +136,19 @@ impl SparkContext {
     /// retried (bounded), modeling executor memory pressure distinct from
     /// a deterministic budget excess.
     fn alloc(&self, bytes: usize) -> Result<(), PlatformError> {
-        if self.fault_armed() {
+        if let Some(run) = self.armed() {
             let scope = fingerprint("graphx.alloc");
             let sequence = self.alloc_seq.fetch_add(1, Ordering::Relaxed);
-            let mut attempt = 0u32;
-            loop {
-                let site = FaultSite::Alloc {
+            run.retry_injected(
+                MAX_FETCH_ATTEMPTS,
+                RecoveryAction::AllocRetry,
+                |attempt| FaultSite::Alloc {
                     scope,
                     sequence,
                     attempt,
-                };
-                match self.probe(site.clone()) {
-                    Ok(()) => break,
-                    Err(e) if attempt + 1 >= MAX_FETCH_ATTEMPTS => return Err(e),
-                    Err(_) => {
-                        self.recover(RecoveryAction::AllocRetry, site);
-                        attempt += 1;
-                    }
-                }
-            }
+                },
+                || {},
+            )?;
         }
         self.memory.allocate(bytes)
     }
@@ -415,35 +388,30 @@ where
                 parts[dest].push((k.clone(), v.clone()));
             }
         }
-        if self.ctx.fault_armed() {
+        if let Some(run) = self.ctx.armed() {
             for (dest, dest_part) in parts.iter_mut().enumerate() {
-                let mut attempt = 0u32;
-                loop {
-                    let site = FaultSite::ShufflePartition {
+                run.retry_injected(
+                    MAX_FETCH_ATTEMPTS,
+                    RecoveryAction::LineageRecompute,
+                    |attempt| FaultSite::ShufflePartition {
                         shuffle: shuffle_id,
                         partition: dest as u32,
                         attempt,
-                    };
-                    match self.ctx.probe(site.clone()) {
-                        Ok(()) => break,
-                        Err(e) if attempt + 1 >= MAX_FETCH_ATTEMPTS => return Err(e),
-                        Err(_) => {
-                            // Lineage recompute: rebuild the lost partition
-                            // from the parent partitions, in the same order
-                            // as the original scatter — byte-identical.
-                            dest_part.clear();
-                            for part in &self.parts {
-                                for (k, v) in part {
-                                    if key_partition(k, p) == dest {
-                                        dest_part.push((k.clone(), v.clone()));
-                                    }
+                    },
+                    || {
+                        // Lineage recompute: rebuild the lost partition from
+                        // the parent partitions, in the same order as the
+                        // original scatter — byte-identical.
+                        dest_part.clear();
+                        for part in &self.parts {
+                            for (k, v) in part {
+                                if key_partition(k, p) == dest {
+                                    dest_part.push((k.clone(), v.clone()));
                                 }
                             }
-                            self.ctx.recover(RecoveryAction::LineageRecompute, site);
-                            attempt += 1;
                         }
-                    }
-                }
+                    },
+                )?;
             }
         }
         self.ctx.note_shuffle(moved);
@@ -454,6 +422,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use graphalytics_core::faults::FaultInjector;
 
     fn ctx() -> Arc<SparkContext> {
         SparkContext::new(4, None)
@@ -581,7 +550,7 @@ mod tests {
                 attempt: 0,
             }),
         ));
-        c.arm_faults(Some(Arc::clone(&injector)), None);
+        c.arm(&RunContext::unbounded().with_faults(Arc::clone(&injector)));
         let d = Dataset::from_vec(&c, pairs).unwrap();
         let out = d.reduce_by_key(|a, b| a + b).unwrap().collect();
         assert_eq!(out, baseline); // Lineage rebuild is byte-identical.
@@ -600,7 +569,7 @@ mod tests {
                 attempt,
             });
         }
-        c.arm_faults(Some(Arc::new(FaultInjector::new(plan))), None);
+        c.arm(&RunContext::unbounded().with_faults(Arc::new(FaultInjector::new(plan))));
         let d = Dataset::from_vec(&c, vec![(1u32, 1u32), (2, 2)]).unwrap();
         match d.shuffle_by_key() {
             Err(e) => assert_eq!(
@@ -626,7 +595,7 @@ mod tests {
                 attempt: 0,
             }),
         ));
-        c.arm_faults(Some(Arc::clone(&injector)), None);
+        c.arm(&RunContext::unbounded().with_faults(Arc::clone(&injector)));
         let d = Dataset::from_vec(&c, (0..10u32).collect()).unwrap();
         assert_eq!(d.count(), 10);
         assert_eq!(injector.injected_count(), 1);
@@ -641,7 +610,7 @@ mod tests {
                 attempt,
             });
         }
-        c.arm_faults(Some(Arc::new(FaultInjector::new(plan))), None);
+        c.arm(&RunContext::unbounded().with_faults(Arc::new(FaultInjector::new(plan))));
         match Dataset::from_vec(&c, (0..10u32).collect()) {
             Err(e) => assert!(matches!(e, PlatformError::AllocFailed { .. })),
             Ok(_) => panic!("expected alloc failure to escalate"),

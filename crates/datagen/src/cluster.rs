@@ -47,15 +47,6 @@ pub struct DiskModel {
     pub bytes_per_sec: f64,
 }
 
-impl DiskModel {
-    /// A commodity HDD, roughly what the paper's nodes used (2 TB HDDs).
-    pub fn hdd() -> Self {
-        Self {
-            bytes_per_sec: 150.0 * 1024.0 * 1024.0,
-        }
-    }
-}
-
 /// A writer that counts the bytes passing through it.
 struct CountingWriter<W: Write> {
     inner: W,

@@ -64,12 +64,6 @@ impl DatagenConfig {
         }
     }
 
-    /// Sets the degree distribution plugin.
-    pub fn with_distribution(mut self, d: DegreeDistribution) -> Self {
-        self.degree_distribution = d;
-        self
-    }
-
     /// Sets the number of generation threads.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);

@@ -20,10 +20,10 @@
 //!   re-rolls the dice instead of deterministically failing forever.
 //! * [`FaultInjector`] — wraps a plan with thread-safe injection and
 //!   recovery logs, the evidence the determinism tests compare.
-//! * [`RetryPolicy`] / [`VirtualClock`] — bounded attempts with
-//!   exponential backoff and seed-derived jitter over a virtual
-//!   millisecond clock (nothing sleeps; determinism-critical code never
-//!   reads real time).
+//! * [`RetryPolicy`] — bounded attempts with exponential backoff and
+//!   seed-derived jitter in virtual milliseconds: the backoff is recorded
+//!   with each retry, never slept (determinism-critical code never reads
+//!   real time).
 //! * [`Snapshot`] — the pregel engine's superstep-boundary checkpoint
 //!   (vertex state + pending messages) in the `graphalytics-codec`
 //!   encoding, round-trip-exact by construction.
@@ -40,4 +40,4 @@ mod retry;
 pub use checkpoint::Snapshot;
 pub use injector::{FaultInjector, RecoveryAction, RecoveryEvent};
 pub use plan::{fingerprint, FaultKind, FaultPlan, FaultSite};
-pub use retry::{RetryPolicy, VirtualClock};
+pub use retry::RetryPolicy;

@@ -1,11 +1,11 @@
 //! Retry policy: bounded attempts, exponential backoff, seed-derived
-//! jitter — over a **virtual** clock.
+//! jitter — in **virtual** milliseconds.
 //!
-//! The backoff never sleeps and never reads real time. Delays are plain
-//! `u64` milliseconds accumulated on a [`VirtualClock`], so the retry
-//! schedule is byte-reproducible (this crate is inside the lint's
-//! determinism scope: no `Instant`, no OS entropy) and a faulty benchmark
-//! run costs no extra wall time waiting.
+//! The backoff never sleeps and never reads real time. A delay is a plain
+//! `u64` of milliseconds that the harness records with the retry it
+//! precedes, so the retry schedule is byte-reproducible (this crate is
+//! inside the lint's determinism scope: no `Instant`, no OS entropy) and a
+//! faulty benchmark run costs no extra wall time waiting.
 
 /// Jitter hash (SplitMix64 finalizer, same as in `plan.rs`).
 fn jitter_hash(x: u64) -> u64 {
@@ -79,31 +79,6 @@ impl Default for RetryPolicy {
     }
 }
 
-/// A monotonically advancing millisecond counter standing in for the wall
-/// clock wherever backoff must be charged without sleeping.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct VirtualClock {
-    now_ms: u64,
-}
-
-impl VirtualClock {
-    /// A clock at t = 0.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Advances by `ms` and returns the new now.
-    pub fn advance(&mut self, ms: u64) -> u64 {
-        self.now_ms = self.now_ms.saturating_add(ms);
-        self.now_ms
-    }
-
-    /// Current virtual time in milliseconds.
-    pub fn now_ms(&self) -> u64 {
-        self.now_ms
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -144,15 +119,5 @@ mod tests {
         let seq = |p: &RetryPolicy| (0..5).map(|i| p.backoff_ms(i)).collect::<Vec<_>>();
         assert_eq!(seq(&a), seq(&b));
         assert_ne!(seq(&a), seq(&c));
-    }
-
-    #[test]
-    fn virtual_clock_accumulates() {
-        let mut clock = VirtualClock::new();
-        assert_eq!(clock.now_ms(), 0);
-        assert_eq!(clock.advance(100), 100);
-        assert_eq!(clock.advance(50), 150);
-        assert_eq!(clock.now_ms(), 150);
-        assert_eq!(clock.advance(u64::MAX), u64::MAX);
     }
 }

@@ -12,9 +12,7 @@
 
 pub mod algorithms;
 pub mod platform;
-pub mod properties;
 pub mod store;
 
 pub use platform::{Neo4jConfig, Neo4jPlatform};
-pub use properties::PropertyStore;
 pub use store::{GraphStore, NodeStore, RelationshipStore};

@@ -34,8 +34,11 @@ pub struct QualityMetrics {
     pub test_functions: usize,
     /// `fn` items (a `fn` keyword followed by a name).
     pub functions: usize,
-    /// Branch points: `if`, `while`, `for` and `match` keywords and `=>`,
-    /// `&&` and `||` tokens — a summed cyclomatic-complexity estimate.
+    /// Branch points: `if`, `while` and `match` keywords, a loop's `for`
+    /// (one with an `in` before the next `{` or `;`, so not the `for` of
+    /// `impl Trait for Type`), `=>` tokens, and `&&` and `||` after an
+    /// operand (so not a reference to a reference or a closure's empty
+    /// parameter list) — a summed cyclomatic-complexity estimate.
     pub branch_points: usize,
     /// Calls that panic outside test territory: `.unwrap()`, `.expect(..)`
     /// and the `panic!` family, as the `panic-safety` rule finds them.
@@ -91,7 +94,17 @@ impl QualityMetrics {
             let before = i.wrapping_sub(1);
             match t.kind {
                 TokKind::Ident => match t.text.as_str() {
-                    "if" | "while" | "for" | "match" => self.branch_points += 1,
+                    "if" | "while" | "match" => self.branch_points += 1,
+                    "for" => {
+                        // The first `in` ident, `{` or `;`: a loop if it is the `in`.
+                        let stop = code[i + 1..].iter().find(|n| {
+                            (n.kind == TokKind::Ident && n.text == "in")
+                                || n.is_punct('{')
+                                || n.is_punct(';')
+                        });
+                        let loop_in = stop.is_some_and(|n| n.kind == TokKind::Ident);
+                        self.branch_points += usize::from(loop_in);
+                    }
                     "fn" if code.get(i + 1).is_some_and(|n| n.kind == TokKind::Ident) => {
                         self.functions += 1
                     }
@@ -108,11 +121,30 @@ impl QualityMetrics {
                     let pair = [('=', '>'), ('&', '&'), ('|', '|')]
                         .iter()
                         .any(|&(a, b)| t.is_punct(a) && at(i + 1, b) && !at(before, a));
-                    self.branch_points += usize::from(pair);
+                    // `&&` and `||` are operators only after an operand; else
+                    // they open a closure or take a reference (`|&&x|`).
+                    let operator = t.is_punct('=') || code.get(before).is_some_and(ends_operand);
+                    self.branch_points += usize::from(pair && operator);
                 }
                 _ => {}
             }
         }
+    }
+}
+
+/// Keywords an expression or a pattern can follow, so a `||` or `&&`
+/// after one is not a binary operator (`move ||`, `return &&x`).
+const NOT_OPERANDS: &[&str] = &[
+    "break", "for", "if", "in", "let", "match", "move", "mut", "return", "while", "yield",
+];
+
+/// True when `t` can end an operand: a non-keyword identifier, a literal,
+/// `)`, `]` or `?`.
+fn ends_operand(t: &&Tok) -> bool {
+    match t.kind {
+        TokKind::Ident => !NOT_OPERANDS.contains(&t.text.as_str()),
+        TokKind::Str | TokKind::Char | TokKind::Num => true,
+        _ => t.is_punct(')') || t.is_punct(']') || t.is_punct('?'),
     }
 }
 
@@ -269,6 +301,19 @@ mod tests {
         // A parser-combinator `expect(..)?` returns a Result; `todo!` panics.
         let sql = "fn f() { p.expect(\"(\")?; q.expect(\"ok\"); todo!() }";
         assert_eq!(metrics("crates/x/src/sql.rs", sql).unwraps_non_test, 2);
+        // A `for` branches only as a loop, `||` and `&&` only after an
+        // operand.
+        for (src, branches) in [
+            ("impl Display for X {}", 0),
+            (".map(|| 1)", 0),
+            ("a || b", 1),
+            ("for x in y {}", 1),
+            ("let f = move || x?.y || z[0] || g() || true;", 3),
+            ("v.iter().filter(|&&x| x > 0 && ok)", 1),
+        ] {
+            let m = metrics("crates/x/src/lib.rs", src);
+            assert_eq!(m.branch_points, branches, "{src}");
+        }
         for test_file in [
             "tests/sample.rs",
             "examples/sample.rs",

@@ -408,21 +408,12 @@ const MAX_TASK_ATTEMPTS: u32 = 4;
 /// retries the attempt (bounded) on an injected transient I/O error, the
 /// Hadoop speculative-reexecution model in miniature.
 fn probe_task_attempts(ctx: &RunContext, job: u64, task: u32) -> Result<(), PlatformError> {
-    if ctx.faults().is_none() {
-        return Ok(());
-    }
-    let mut attempt = 0u32;
-    loop {
-        let site = FaultSite::TaskIo { job, task, attempt };
-        match ctx.inject(site.clone()) {
-            Ok(()) => return Ok(()),
-            Err(e) if attempt + 1 >= MAX_TASK_ATTEMPTS => return Err(e),
-            Err(_) => {
-                ctx.note_recovery(RecoveryAction::TaskRetry, Some(site), 0);
-                attempt += 1;
-            }
-        }
-    }
+    ctx.retry_injected(
+        MAX_TASK_ATTEMPTS,
+        RecoveryAction::TaskRetry,
+        |attempt| FaultSite::TaskIo { job, task, attempt },
+        || {},
+    )
 }
 
 /// A map output record's place in the sort: its partition, then its key
