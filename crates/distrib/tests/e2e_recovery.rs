@@ -54,6 +54,41 @@ fn algorithm() -> Algorithm {
     }
 }
 
+/// FNV-1a over the canonical recovery log: each event's action name, its
+/// site's description (or `-`) and its backoff, in log order.
+fn recovery_digest(injector: &FaultInjector) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for event in injector.recoveries() {
+        let site = event
+            .site
+            .as_ref()
+            .map_or("-".to_string(), |s| s.describe());
+        let line = format!("{} {site} {}\n", event.action.name(), event.backoff_ms);
+        for b in line.bytes() {
+            h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// `(injected, recoveries, checkpoints)` of one injector's logs.
+fn counts(injector: &FaultInjector) -> (usize, usize, usize) {
+    (
+        injector.injected_count(),
+        injector.recovery_count(),
+        injector.checkpoint_count(),
+    )
+}
+
+/// How many spans named `name` the tracer finished.
+fn span_count(tracer: &Tracer, name: &str) -> usize {
+    tracer
+        .finished_spans()
+        .iter()
+        .filter(|s| s.name == name)
+        .count()
+}
+
 fn crash_plan() -> FaultPlan {
     FaultPlan::seeded(11).force(FaultSite::PregelWorker {
         superstep: 3,
@@ -76,12 +111,23 @@ fn e2e_killed_worker_recovers_byte_identically() {
     // Kill worker 1's *process* at superstep 3; checkpoints land at even
     // supersteps, so the fleet restarts from superstep 2.
     let injector = Arc::new(FaultInjector::new(crash_plan()));
-    let ctx = RunContext::unbounded().with_faults(Arc::clone(&injector));
+    let tracer = Arc::new(Tracer::new());
+    let ctx = RunContext::unbounded()
+        .with_faults(Arc::clone(&injector))
+        .with_tracer(Arc::clone(&tracer));
     let recovered = p.run(handle, &algorithm(), &ctx).unwrap();
     assert_eq!(baseline, recovered, "recovered output differs");
 
     assert_eq!(injector.injected_count(), 1);
     assert_eq!(injector.recovery_count(), 1);
+    // Absolute pins, so a moved crash or recovery note fails here even
+    // when two runs of the changed code still agree with each other.
+    assert_eq!(counts(&injector), (1, 1, 5));
+    assert_eq!(recovery_digest(&injector), 0x2fa7_10b4_bad2_8a5e);
+    // Two fleets ran (one restart); every superstep that completed left
+    // one `distrib.superstep` span.
+    assert_eq!(span_count(&tracer, "distrib.launch"), 2);
+    assert_eq!(span_count(&tracer, "distrib.superstep"), 8);
     // recoveries() also logs checkpoint saves; the actual restart carries
     // the killed worker's site.
     let restarts: Vec<_> = injector
@@ -211,12 +257,37 @@ fn e2e_superstep_spans_count_the_supersteps_run() {
     let (_, stats) =
         coordinate::<f64>(&cfg, &algorithm(), &crash_plan(), &part, &ctx).expect("recovered run");
     assert_eq!(stats.restarts, 1, "expected one fleet restart");
-    let steps = tracer
-        .finished_spans()
-        .iter()
-        .filter(|s| s.name == "distrib.superstep")
-        .count();
+    let steps = span_count(&tracer, "distrib.superstep");
     assert_eq!(steps as u64, stats.supersteps);
+    assert_eq!((stats.restarts, stats.supersteps), (1, 8));
+}
+
+/// Two workers forced to crash at the same `(superstep, incarnation)`
+/// cost one injection and one fleet restart — the lower worker id is the
+/// one lost, as in the in-process engine's probe — and the output is
+/// still byte-identical to an unfaulted run.
+#[test]
+fn e2e_two_workers_crashing_together_cost_one_restart() {
+    let graph = test_graph();
+    let mut p = platform(Some(2));
+    let handle = p.load_graph(&graph).unwrap();
+    let baseline = p
+        .run(handle, &algorithm(), &RunContext::unbounded())
+        .unwrap();
+    let site = |worker| FaultSite::PregelWorker {
+        superstep: 3,
+        worker,
+        incarnation: 0,
+    };
+    let plan = FaultPlan::seeded(11).force(site(1)).force(site(2));
+    let injector = Arc::new(FaultInjector::new(plan));
+    let ctx = RunContext::unbounded().with_faults(Arc::clone(&injector));
+    let recovered = p.run(handle, &algorithm(), &ctx).unwrap();
+    p.unload(handle);
+    assert_eq!(baseline, recovered, "recovered output differs");
+    assert_eq!(injector.injected(), vec![site(1)]);
+    assert_eq!(counts(&injector), (1, 1, 5));
+    assert_eq!(recovery_digest(&injector), 0x2fa7_10b4_bad2_8a5e);
 }
 
 /// Without checkpointing there is nothing to restore: the loss escalates
