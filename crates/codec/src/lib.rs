@@ -2,8 +2,7 @@
 //!
 //! The one binary codec behind every byte layout the workspace writes:
 //! the pregel engine's checkpoint snapshots, the distributed runtime's
-//! wire frames, the fault plans shipped to worker processes and the
-//! telemetry spans they ship back.
+//! wire frames and the telemetry spans its worker processes ship back.
 //!
 //! The format is deliberately dumb — little-endian fixed-width fields,
 //! length-prefixed sequences, no compression — so `decode(encode(x)) == x`
@@ -181,16 +180,6 @@ impl<T: Codec> Codec for Vec<T> {
     }
 }
 
-/// The `N` elements with no length prefix: the length is in the type.
-impl<T: Codec, const N: usize> Codec for [T; N] {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        T::encode_slice(self, out);
-    }
-    fn decode_from(buf: &[u8], pos: &mut usize) -> Option<Self> {
-        T::decode_vec(buf, pos, N)?.try_into().ok()
-    }
-}
-
 impl<A: Codec, B: Codec> Codec for (A, B) {
     fn encode_into(&self, out: &mut Vec<u8>) {
         self.0.encode_into(out);
@@ -356,7 +345,6 @@ mod tests {
         roundtrip(0xABu8);
         roundtrip(usize::MAX);
         roundtrip(String::from("gx/ckpt ✓"));
-        roundtrip([0.5f64, -1.0, 2.0, 0.0]);
         roundtrip(vec![0u8, 1, 255]);
         roundtrip(Some(9u64));
         roundtrip(None::<u64>);
@@ -405,15 +393,14 @@ mod tests {
     }
 
     /// The layouts that have a fixed spelling elsewhere: a string is a
-    /// `u64` length and its bytes, an array its elements with no prefix,
-    /// a `usize` a `u64`, an option a presence byte and its value.
+    /// `u64` length and its bytes, a `usize` a `u64`, an option a presence
+    /// byte and its value.
     #[test]
-    fn string_array_usize_and_option_layouts_are_pinned() {
+    fn string_usize_and_option_layouts_are_pinned() {
         assert_eq!(
             encoded(&String::from("ab")),
             [2, 0, 0, 0, 0, 0, 0, 0, b'a', b'b']
         );
-        assert_eq!(encoded(&[1u32, 2]), [1, 0, 0, 0, 2, 0, 0, 0]);
         assert_eq!(encoded(&7usize), encoded(&7u64));
         assert_eq!(encoded(&vec![9u8, 8]), [2, 0, 0, 0, 0, 0, 0, 0, 9, 8]);
         assert_eq!(encoded(&Some(7u32)), [1, 7, 0, 0, 0]);

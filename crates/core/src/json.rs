@@ -161,11 +161,17 @@ impl From<bool> for Json {
     }
 }
 
+/// Deepest array/object nesting [`parse`] accepts. Each level is one
+/// recursive call, so an unbounded depth lets a 10 KB run of `[` overflow
+/// the parsing thread's stack.
+pub const MAX_DEPTH: usize = 128;
+
 /// A tolerant parser for the subset emitted by [`Json`]; used by the results
-/// database to read its own JSONL files back.
+/// database to read its own JSONL files back. Documents nested deeper than
+/// [`MAX_DEPTH`] are rejected.
 pub fn parse(input: &str) -> Option<Json> {
     let mut chars = input.char_indices().peekable();
-    let value = parse_value(input, &mut chars)?;
+    let value = parse_value(input, &mut chars, 0)?;
     skip_ws(&mut chars);
     if chars.next().is_some() {
         return None; // Trailing garbage.
@@ -181,9 +187,13 @@ fn skip_ws(chars: &mut Chars) {
     }
 }
 
-fn parse_value(src: &str, chars: &mut Chars) -> Option<Json> {
+/// Parses one value whose enclosing arrays and objects are `depth` deep.
+fn parse_value(src: &str, chars: &mut Chars, depth: usize) -> Option<Json> {
     skip_ws(chars);
     let &(start, c) = chars.peek()?;
+    if matches!(c, '[' | '{') && depth >= MAX_DEPTH {
+        return None;
+    }
     match c {
         'n' => expect_word(src, chars, "null").then_some(Json::Null),
         't' => expect_word(src, chars, "true").then_some(Json::Bool(true)),
@@ -198,7 +208,7 @@ fn parse_value(src: &str, chars: &mut Chars) -> Option<Json> {
                 return Some(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(src, chars)?);
+                items.push(parse_value(src, chars, depth + 1)?);
                 skip_ws(chars);
                 match chars.next() {
                     Some((_, ',')) => continue,
@@ -222,7 +232,7 @@ fn parse_value(src: &str, chars: &mut Chars) -> Option<Json> {
                 if !matches!(chars.next(), Some((_, ':'))) {
                     return None;
                 }
-                map.insert(key, parse_value(src, chars)?);
+                map.insert(key, parse_value(src, chars, depth + 1)?);
                 skip_ws(chars);
                 match chars.next() {
                     Some((_, ',')) => continue,
@@ -348,6 +358,16 @@ mod tests {
     fn parse_accepts_whitespace_and_nesting() {
         let v = parse(" { \"a\" : [ 1 , { \"b\" : null } ] } ").unwrap();
         assert!(v.get("a").is_some());
+    }
+
+    #[test]
+    fn nesting_deeper_than_the_limit_is_rejected_not_a_stack_overflow() {
+        let nested = |d: usize| "[".repeat(d) + &"]".repeat(d);
+        assert!(parse(&nested(MAX_DEPTH)).is_some());
+        assert!(parse(&nested(MAX_DEPTH + 1)).is_none());
+        let objects = "{\"a\":".repeat(MAX_DEPTH + 1) + "1" + &"}".repeat(MAX_DEPTH + 1);
+        assert!(parse(&objects).is_none());
+        assert!(parse(&"[".repeat(100_000)).is_none());
     }
 
     #[test]

@@ -206,7 +206,7 @@ impl RunContext {
     }
 
     /// Attaches a fault injector. Platform injection points stay no-ops
-    /// unless this is set *and* the injector's plan is enabled.
+    /// unless this is set *and* the injector's plan fires at their site.
     pub fn with_faults(mut self, faults: Arc<FaultInjector>) -> Self {
         self.faults = Some(faults);
         self
@@ -279,6 +279,32 @@ impl RunContext {
                 }
             }
         }
+    }
+
+    /// The worker-crash probe of both Pregel runtimes: injects at
+    /// `PregelWorker { superstep, worker, incarnation }` for workers 0,
+    /// 1, … in order and returns the first fault with its site. `None` at
+    /// once when no injector is armed.
+    ///
+    /// A crash is recovered by a checkpoint restart, which replays from
+    /// the checkpoint under the next incarnation instead of probing this
+    /// site again, so callers bound restarts by their `max_restarts`, not
+    /// by [`RunContext::retry_injected`].
+    pub fn crashed_worker(
+        &self,
+        superstep: u64,
+        workers: u32,
+        incarnation: u32,
+    ) -> Option<(FaultSite, PlatformError)> {
+        self.faults.as_ref()?;
+        (0..workers).find_map(|worker| {
+            let site = FaultSite::PregelWorker {
+                superstep,
+                worker,
+                incarnation,
+            };
+            self.inject(site.clone()).err().map(|e| (site, e))
+        })
     }
 
     /// Records + traces a recovery action a platform just performed
@@ -565,6 +591,35 @@ mod tests {
             || unreachable!(),
         );
         assert_eq!((res, probed), (Ok(()), 0));
+    }
+
+    #[test]
+    fn crashed_worker_returns_the_lowest_crashing_worker_only() {
+        let site = |worker| FaultSite::PregelWorker {
+            superstep: 3,
+            worker,
+            incarnation: 1,
+        };
+        let plan = FaultPlan::disabled().force(site(2)).force(site(1));
+        let inj = Arc::new(FaultInjector::new(plan));
+        let ctx = RunContext::unbounded().with_faults(Arc::clone(&inj));
+        let (crashed, err) = ctx.crashed_worker(3, 4, 1).expect("a crash");
+        assert_eq!(crashed, site(1));
+        assert_eq!(
+            err,
+            PlatformError::WorkerLost {
+                worker: 1,
+                superstep: 3
+            }
+        );
+        // Only the chosen worker's fault is injected.
+        assert_eq!(inj.injected(), vec![site(1)]);
+        // Another incarnation, or a fleet too small to hold the worker,
+        // crashes nobody.
+        assert!(ctx.crashed_worker(3, 4, 2).is_none());
+        assert!(ctx.crashed_worker(3, 1, 1).is_none());
+        assert!(RunContext::unbounded().crashed_worker(3, 4, 1).is_none());
+        assert_eq!(inj.injected_count(), 1);
     }
 
     #[test]

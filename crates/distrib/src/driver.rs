@@ -12,7 +12,6 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use graphalytics_algos::{Algorithm, Output};
-use graphalytics_core::faults::FaultPlan;
 use graphalytics_core::platform::{GraphHandle, GraphTable, Platform, PlatformError, RunContext};
 use graphalytics_core::ScratchDir;
 use graphalytics_graph::CsrGraph;
@@ -71,7 +70,6 @@ struct LoadedGraph {
 pub struct DistributedPlatform {
     config: DistribConfig,
     graphs: GraphTable<LoadedGraph>,
-    run_seq: u64,
 }
 
 impl DistributedPlatform {
@@ -80,7 +78,6 @@ impl DistributedPlatform {
         Self {
             config,
             graphs: GraphTable::default(),
-            run_seq: 0,
         }
     }
 
@@ -144,7 +141,6 @@ impl Platform for DistributedPlatform {
         algorithm: &Algorithm,
         ctx: &RunContext,
     ) -> Result<Output, PlatformError> {
-        self.run_seq += 1;
         let loaded = self.graphs.get(handle)?;
         let fleet = FleetRun {
             platform: self,
@@ -210,14 +206,8 @@ impl ProgramVisitor for FleetRun<'_> {
             directed: graph.is_directed(),
             weighted: loaded.weighted,
             checkpoint_dir: checkpoints.path().to_path_buf(),
-            run_id: self.platform.run_seq,
         };
-        let fault_plan = ctx
-            .faults()
-            .map(|f| f.plan().clone())
-            .unwrap_or_else(FaultPlan::disabled);
-        let (states, _stats) =
-            coordinate::<P::State>(&cfg, self.algorithm, &fault_plan, &part, ctx)?;
+        let (states, _stats) = coordinate::<P::State>(&cfg, self.algorithm, &part, ctx)?;
         Ok(output(graph, states))
     }
 }

@@ -9,9 +9,12 @@
 //! * [`net`] — the one place a stream is opened: `TCP_NODELAY` and the read
 //!   timeout on every master and peer connection;
 //! * [`worker`] — the worker process: local compute over its partition,
-//!   message shuffle to peers, checkpoint write/restore;
+//!   message shuffle to peers, checkpoint write/restore, and a real exit
+//!   when the master tells it to crash;
 //! * [`master`] — partition planning, superstep barrier, checkpoint
-//!   coordination, worker health tracking, fleet restart recovery;
+//!   coordination, worker health tracking, fleet restart recovery, and
+//!   the crash decision: the master probes the run's `RunContext` with
+//!   the in-process engine's `crashed_worker` and ships no fault plan;
 //! * `telemetry` — fleet observability: merging the spans a worker's
 //!   own tracer shipped in Telemetry frames into the master's tracer, on
 //!   the master's clock and with per-process lanes;

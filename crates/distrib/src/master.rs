@@ -12,7 +12,7 @@ use std::time::Duration;
 
 use graphalytics_algos::Algorithm;
 use graphalytics_codec::Codec;
-use graphalytics_core::faults::{FaultPlan, FaultSite, RecoveryAction};
+use graphalytics_core::faults::{FaultSite, RecoveryAction};
 use graphalytics_core::platform::{PlatformError, RunContext};
 use graphalytics_core::trace::FieldValue;
 use graphalytics_pregel::Placement;
@@ -45,9 +45,6 @@ pub struct MasterConfig {
     pub weighted: bool,
     /// Directory for checkpoint files.
     pub checkpoint_dir: PathBuf,
-    /// Run identifier stamped into the trace context every worker receives
-    /// (the driver's per-platform run sequence number).
-    pub run_id: u64,
 }
 
 /// Fleet-level execution statistics of one coordinated run.
@@ -102,9 +99,8 @@ impl Fleet {
     fn launch(
         cfg: &MasterConfig,
         algorithm: &Algorithm,
-        fault_plan: &FaultPlan,
         incarnation: u32,
-        resume: Option<(u64, f64)>,
+        resume: Option<u64>,
         ctx: &RunContext,
     ) -> Result<Fleet, PlatformError> {
         let workers = cfg.workers.max(1) as usize;
@@ -225,13 +221,9 @@ impl Fleet {
                 directed: cfg.directed,
                 weighted: cfg.weighted,
                 checkpoint_dir: cfg.checkpoint_dir.display().to_string(),
-                checkpoint_interval: cfg.checkpoint_interval.unwrap_or(0),
                 incarnation,
-                resume: resume.is_some(),
-                resume_superstep: resume.map_or(0, |r| r.0),
-                fault_plan: fault_plan.clone(),
+                resume,
                 trace: ctx.tracer().enabled(),
-                run_id: cfg.run_id,
             });
             // Read before the send, so a worker span is never translated
             // late: the worker's clock starts after the plan arrives.
@@ -359,18 +351,25 @@ impl Loss {
     }
 }
 
-/// How far the run has come: the superstep under way, and the last one
+/// How far the run has come: the fleet incarnation, the superstep under
+/// way, the crash the fault probe injected into it, and the last superstep
 /// whose checkpoints all landed, with its incoming aggregate — where a
 /// restarted fleet resumes.
 #[derive(Default)]
 struct Progress {
+    incarnation: u32,
     superstep: u64,
+    crash: Option<(FaultSite, PlatformError)>,
     last_checkpoint: Option<(u64, f64)>,
 }
 
 /// Runs `algorithm` on a fleet of worker processes to completion and
 /// returns the merged global state vector (internal-id order — the same
 /// vector the in-process engine returns) plus fleet statistics.
+///
+/// The master alone decides injected crashes: before each superstep it
+/// probes `ctx` with [`RunContext::crashed_worker`], the in-process
+/// engine's probe, and tells only the chosen worker to exit.
 ///
 /// Recovery is a *fleet restart*: when a worker process dies, the fleet is
 /// dropped (which kills it), the incarnation counter bumps, and a fresh
@@ -380,17 +379,15 @@ struct Progress {
 pub fn coordinate<S: Codec + Clone>(
     cfg: &MasterConfig,
     algorithm: &Algorithm,
-    fault_plan: &FaultPlan,
     part: &Placement,
     ctx: &RunContext,
 ) -> Result<(Vec<S>, MasterStats), PlatformError> {
     let mut stats = MasterStats::default();
-    let mut incarnation = 0u32;
     let mut progress = Progress::default();
     loop {
         ctx.check_deadline()?;
-        let resume = progress.last_checkpoint;
-        let mut fleet = Fleet::launch(cfg, algorithm, fault_plan, incarnation, resume, ctx)?;
+        let resume = progress.last_checkpoint.map(|r| r.0);
+        let mut fleet = Fleet::launch(cfg, algorithm, progress.incarnation, resume, ctx)?;
         let outcome = run_fleet::<S>(cfg, &mut fleet, &mut progress, &mut stats, ctx);
         // Workers flush their remaining spans right before Output, and a
         // loss keeps whatever the fleet shipped before it. Merge them under
@@ -406,8 +403,8 @@ pub fn coordinate<S: Codec + Clone>(
             }
             Err(Loss::Fatal(e)) => return Err(e),
             Err(Loss::Worker(w)) => {
-                recover(cfg, fault_plan, &mut fleet, w, &progress, incarnation, ctx)?;
-                incarnation += 1;
+                recover(cfg, &mut fleet, w, &mut progress, ctx)?;
+                progress.incarnation += 1;
                 stats.restarts += 1;
             }
         }
@@ -434,16 +431,24 @@ fn run_fleet<S: Codec>(
         let checkpoint = cfg
             .checkpoint_interval
             .is_some_and(|i| i > 0 && superstep.is_multiple_of(i));
+        // Worker-crash injection point: only the worker the probe chose is
+        // told to crash, after its due checkpoint and before compute.
+        progress.crash = ctx.crashed_worker(superstep, workers as u32, progress.incarnation);
         // The superstep span covers the workers' time, so it starts before
         // they are told to run; it is recorded only once every report is
         // in, so a superstep lost to a crash leaves none.
         let step_start = tracer.now_seconds();
-        let start = Frame::StartSuperstep {
-            superstep,
-            prev_aggregate,
-            checkpoint,
-        };
         for w in 0..workers {
+            let crash = matches!(
+                &progress.crash,
+                Some((FaultSite::PregelWorker { worker, .. }, _)) if *worker as usize == w
+            );
+            let start = Frame::StartSuperstep {
+                superstep,
+                prev_aggregate,
+                checkpoint,
+                crash,
+            };
             fleet
                 .send_to(w, &start)
                 .map_err(|_| Loss::Worker(w as u32))?;
@@ -575,49 +580,36 @@ fn drain_telemetry(
     }
 }
 
-/// Attributes a worker loss, records the injection and recovery against the
-/// run context, and either green-lights a fleet restart from
-/// `progress.last_checkpoint` or escalates.
+/// Attributes a worker loss, records the recovery against the run context,
+/// and either green-lights a fleet restart from `progress.last_checkpoint`
+/// or escalates: with the injected error, or `WorkerLost` for a death no
+/// probe injected.
 fn recover(
     cfg: &MasterConfig,
-    fault_plan: &FaultPlan,
     fleet: &mut Fleet,
     eof_worker: u32,
-    progress: &Progress,
-    incarnation: u32,
+    progress: &mut Progress,
     ctx: &RunContext,
 ) -> Result<(), PlatformError> {
-    let superstep = progress.superstep;
-    // Attribute the loss. The fault plan is pure, so the master re-derives
-    // which worker the plan killed this superstep — scanning worker ids in
-    // ascending order, exactly like the in-process engine's probe — and
-    // only falls back to observed child exits for unplanned deaths.
-    let planned = (0..cfg.workers.max(1)).find(|&w| {
-        fault_plan.enabled()
-            && fault_plan.decides(&FaultSite::PregelWorker {
-                superstep,
-                worker: w,
-                incarnation,
-            })
+    let (superstep, incarnation) = (progress.superstep, progress.incarnation);
+    // The crash the probe injected is the loss. An unplanned death is the
+    // first child seen exited, or else the worker whose connection failed.
+    let (site, err) = progress.crash.take().unwrap_or_else(|| {
+        let worker = fleet.first_dead().map_or(eof_worker, |(w, _)| w);
+        let lost = PlatformError::WorkerLost {
+            worker,
+            superstep: superstep as usize,
+        };
+        let site = FaultSite::PregelWorker {
+            superstep,
+            worker,
+            incarnation,
+        };
+        (site, lost)
     });
-    let dead = planned
-        .or_else(|| fleet.first_dead().map(|(w, _)| w))
-        .unwrap_or(eof_worker);
-    let site = FaultSite::PregelWorker {
-        superstep,
-        worker: dead,
-        incarnation,
-    };
-    // Record the injection (the injector's log is the seed-stability
-    // evidence); for a planned site this returns the transient error the
-    // plan dictates, which recovery absorbs.
-    let injected_err = ctx.inject(site.clone()).err();
     if progress.last_checkpoint.is_some() && incarnation < cfg.max_restarts {
         ctx.note_recovery(RecoveryAction::CheckpointRestart, Some(site), 0);
         return Ok(());
     }
-    Err(injected_err.unwrap_or(PlatformError::WorkerLost {
-        worker: dead,
-        superstep: superstep as usize,
-    }))
+    Err(err)
 }

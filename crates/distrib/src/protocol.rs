@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! magic   u32 LE   0x4758_4450 ("GXDP")
-//! version u32 LE   3
+//! version u32 LE   4
 //! tag     u8       frame type (see [`Frame`])
 //! length  u64 LE   payload byte count
 //! crc     u32 LE   CRC-32 (IEEE) of the payload
@@ -20,15 +20,14 @@
 
 use graphalytics_algos::Algorithm;
 use graphalytics_codec::{layout, Codec};
-use graphalytics_core::faults::FaultPlan;
 use std::io::{self, Read, Write};
 
 /// Frame magic: `"GXDP"` (GraphalyticX Distributed Pregel).
 pub const MAGIC: u32 = 0x4758_4450;
-/// Wire protocol version. Bump on any layout change. Version 3 ships
-/// `core::trace::Span`s in [`Frame::Telemetry`] and drops the Plan's clock
-/// origin: the master keeps that itself.
-pub const VERSION: u32 = 3;
+/// Wire protocol version. Bump on any layout change. Version 4 tells a
+/// worker to crash in [`Frame::StartSuperstep`] instead of shipping it the
+/// fault plan, and the Plan carries only what a worker reads.
+pub const VERSION: u32 = 4;
 /// Header bytes before the payload: magic, version, tag, length, CRC.
 const HEADER_LEN: usize = 21;
 /// Upper bound on a payload length; larger claims are treated as corrupt
@@ -110,24 +109,16 @@ pub struct PlanFrame {
     pub weighted: bool,
     /// Directory for checkpoint files.
     pub checkpoint_dir: String,
-    /// Checkpoint every N supersteps; 0 disables checkpointing.
-    pub checkpoint_interval: u64,
     /// Fleet incarnation (bumped on every checkpoint restart).
     pub incarnation: u32,
-    /// Restore local state from the checkpoint at this superstep.
-    pub resume: bool,
-    /// The superstep to restore when `resume` is set.
-    pub resume_superstep: u64,
-    /// Fault plan (workers probe their own crash sites).
-    pub fault_plan: FaultPlan,
+    /// When set, restore local state from the checkpoint at this
+    /// superstep.
+    pub resume: Option<u64>,
     /// Whether the master's tracer is enabled. The worker records spans
     /// on an enabled tracer of its own only when set, and its span clock
     /// starts when it reads this plan; otherwise it ships zero
     /// [`Frame::Telemetry`] frames (the byte-identity contract).
     pub trace: bool,
-    /// Master-side run sequence number, so fleet traces from different
-    /// runs are distinguishable.
-    pub run_id: u64,
 }
 
 layout!(struct PlanFrame {
@@ -138,13 +129,9 @@ layout!(struct PlanFrame {
     directed,
     weighted,
     checkpoint_dir,
-    checkpoint_interval,
     incarnation,
     resume,
-    resume_superstep,
-    fault_plan,
     trace,
-    run_id,
 });
 
 /// Per-superstep result summary a worker reports at the barrier.
@@ -201,6 +188,10 @@ pub enum Frame {
         prev_aggregate: f64,
         /// Write a checkpoint before computing.
         checkpoint: bool,
+        /// Exit with [`EXIT_INJECTED_FAULT`](crate::worker::EXIT_INJECTED_FAULT)
+        /// after the checkpoint and before computing: the crash the
+        /// master's fault probe chose for this worker.
+        crash: bool,
     },
     /// Worker → master: checkpoint written durably.
     CheckpointDone {
@@ -257,7 +248,7 @@ layout!(enum Frame {
     3 => Ready { peer_port, runnable },
     4 => Peers { ports },
     5 => MeshReady,
-    6 => StartSuperstep { superstep, prev_aggregate, checkpoint },
+    6 => StartSuperstep { superstep, prev_aggregate, checkpoint, crash },
     7 => CheckpointDone { superstep, bytes },
     8 => StepDone(report),
     9 => Finish,
@@ -413,16 +404,18 @@ mod tests {
             superstep: 7,
             prev_aggregate: 2.5,
             checkpoint: true,
+            crash: false,
         };
         let expected: Vec<u8> = vec![
             0x50, 0x44, 0x58, 0x47, // magic "GXDP" little-endian
-            0x03, 0x00, 0x00, 0x00, // version 3
+            0x04, 0x00, 0x00, 0x00, // version 4
             0x06, // tag StartSuperstep
-            0x11, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // payload length 17
-            0xb9, 0x5a, 0x0a, 0x69, // crc32 of payload
+            0x12, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // payload length 18
+            0xff, 0xee, 0xd6, 0x60, // crc32 of payload
             0x07, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // superstep 7
             0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x04, 0x40, // f64 2.5 bits
             0x01, // checkpoint = true
+            0x00, // crash = false
         ];
         assert_eq!(frame.encode(), expected);
     }
@@ -434,7 +427,7 @@ mod tests {
         let frame = Frame::Hello { worker: 2 };
         let expected: Vec<u8> = vec![
             0x50, 0x44, 0x58, 0x47, // magic
-            0x03, 0x00, 0x00, 0x00, // version
+            0x04, 0x00, 0x00, 0x00, // version
             0x01, // tag Hello
             0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // payload length 4
             0x97, 0x17, 0x4d, 0x8b, // crc32 of payload
@@ -454,7 +447,7 @@ mod tests {
         };
         let expected: Vec<u8> = vec![
             0x50, 0x44, 0x58, 0x47, // magic "GXDP" little-endian
-            0x03, 0x00, 0x00, 0x00, // version 3
+            0x04, 0x00, 0x00, 0x00, // version 4
             0x0D, // tag Telemetry
             0x13, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // payload length 19
             0xf9, 0xbf, 0x82, 0x7d, // crc32 of payload

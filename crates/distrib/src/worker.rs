@@ -16,7 +16,7 @@ use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 use graphalytics_algos::Output;
-use graphalytics_core::faults::{FaultSite, Snapshot};
+use graphalytics_core::faults::Snapshot;
 use graphalytics_core::trace::Tracer;
 use graphalytics_graph::{io as graph_io, CsrGraph};
 use graphalytics_pregel::engine::Envelope;
@@ -29,8 +29,8 @@ use crate::protocol::{
     PlanFrame, StepReport,
 };
 
-/// Exit code of a worker killed by an injected fault (distinguishes a
-/// planned crash from the collateral exits of peers that lost it).
+/// Exit code of a worker the master told to crash (distinguishes an
+/// injected crash from the collateral exits of peers that lost it).
 pub const EXIT_INJECTED_FAULT: i32 = 3;
 
 /// Parsed command line of `gx-distrib-worker`.
@@ -173,17 +173,13 @@ fn run_program<P: VertexProgram>(
     // batches by sender after the shuffle.
     let mut mail: Vec<Vec<Envelope<P::Message>>> = (0..workers).map(|_| Vec::new()).collect();
 
-    if plan.resume {
-        let path = checkpoint_path(
-            Path::new(&plan.checkpoint_dir),
-            plan.worker,
-            plan.resume_superstep,
-        );
+    if let Some(superstep) = plan.resume {
+        let path = checkpoint_path(Path::new(&plan.checkpoint_dir), plan.worker, superstep);
         let bytes =
             fs::read(&path).map_err(|e| format!("read checkpoint {}: {e}", path.display()))?;
         let snap: Snapshot<P::State, P::Message> = Snapshot::decode(&bytes)
             .ok_or_else(|| format!("corrupt checkpoint {}", path.display()))?;
-        if snap.superstep != plan.resume_superstep || !part.restore(snap, &mut mail[me]) {
+        if snap.superstep != superstep || !part.restore(snap, &mut mail[me]) {
             return Err(format!("checkpoint {} does not match plan", path.display()));
         }
         part.deliver(&mut mail);
@@ -246,6 +242,7 @@ fn run_program<P: VertexProgram>(
                 superstep,
                 prev_aggregate,
                 checkpoint,
+                crash,
             } => {
                 if checkpoint {
                     let mut span = tracer.span("distrib.worker.checkpoint");
@@ -273,18 +270,12 @@ fn run_program<P: VertexProgram>(
                     )
                     .map_err(|e| format!("checkpoint done: {e}"))?;
                 }
-                // Fault-plan probe: a planned crash at this (superstep,
-                // worker, incarnation) site kills the *process* — the real
-                // failure mode, not a simulated one. Probed after the
-                // checkpoint so a crash with a due checkpoint restores to
-                // this superstep, exactly like the in-process engine.
-                if plan.fault_plan.enabled()
-                    && plan.fault_plan.decides(&FaultSite::PregelWorker {
-                        superstep,
-                        worker: plan.worker,
-                        incarnation: plan.incarnation,
-                    })
-                {
+                // The crash the master's fault probe chose kills the
+                // *process*: the real failure mode, not a simulated one.
+                // It comes after the checkpoint, so a crash with a due
+                // checkpoint restores to this superstep, exactly like the
+                // in-process engine.
+                if crash {
                     std::process::exit(EXIT_INJECTED_FAULT);
                 }
                 let mut span = tracer.span("distrib.worker.compute");

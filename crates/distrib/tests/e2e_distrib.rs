@@ -11,7 +11,6 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use graphalytics_algos::{Algorithm, Output};
-use graphalytics_core::faults::FaultPlan;
 use graphalytics_core::platform::{Platform, RunContext};
 use graphalytics_core::trace::Tracer;
 use graphalytics_core::ScratchDir;
@@ -198,7 +197,6 @@ fn e2e_telemetry_is_off_the_output_path() {
         iterations: 6,
         damping: 0.85,
     };
-    let plan = FaultPlan::disabled();
     let cfg = |run_id: u64| MasterConfig {
         workers: 4,
         checkpoint_interval: Some(2),
@@ -209,12 +207,11 @@ fn e2e_telemetry_is_off_the_output_path() {
         directed: graph.is_directed(),
         weighted: true,
         checkpoint_dir: dir.path().join(format!("ckpt-{run_id}")),
-        run_id,
     };
 
     // Disabled tracer: the pre-PR behaviour, frame for frame.
     let (plain, stats_off) =
-        coordinate::<f64>(&cfg(1), &alg, &plan, &part, &RunContext::unbounded()).expect("plain");
+        coordinate::<f64>(&cfg(1), &alg, &part, &RunContext::unbounded()).expect("plain");
     assert_eq!(
         stats_off.telemetry_frames, 0,
         "disabled tracing must ship zero telemetry frames"
@@ -229,7 +226,7 @@ fn e2e_telemetry_is_off_the_output_path() {
         run.field("platform", "distributed-pregel")
             .field("dataset", "ring")
             .field("algorithm", "PageRank");
-        coordinate::<f64>(&cfg(2), &alg, &plan, &part, &ctx).expect("traced")
+        coordinate::<f64>(&cfg(2), &alg, &part, &ctx).expect("traced")
     };
 
     // Output is bit-identical with tracing on.
@@ -344,7 +341,6 @@ fn e2e_worker_spans_land_inside_the_master_timeline() {
         directed: graph.is_directed(),
         weighted: true,
         checkpoint_dir: dir.path().join("ckpt"),
-        run_id: 1,
     };
     let alg = Algorithm::PageRank {
         iterations: 3,
@@ -353,7 +349,7 @@ fn e2e_worker_spans_land_inside_the_master_timeline() {
     let tracer = Arc::new(Tracer::new());
     let ctx = RunContext::unbounded().with_tracer(Arc::clone(&tracer));
     let part = Placement::new(&graph, 1);
-    coordinate::<f64>(&cfg, &alg, &FaultPlan::disabled(), &part, &ctx).expect("traced run");
+    coordinate::<f64>(&cfg, &alg, &part, &ctx).expect("traced run");
 
     let spans = tracer.finished_spans();
     let named = |name: &'static str| spans.iter().filter(move |s| s.name == name);

@@ -1,7 +1,11 @@
-//! Crash-recovery end-to-end tests: a worker *process* is killed
-//! mid-superstep by the fault plan; the master restores the fleet from the
-//! last complete checkpoint, and the final output is byte-identical to an
-//! unfaulted run. Injection and recovery logs are seed-stable run to run.
+//! Crash-recovery end-to-end tests: the master's fault probe
+//! (`RunContext::crashed_worker`) tells one worker *process* to exit at a
+//! superstep boundary; the master restores the fleet from the last
+//! complete checkpoint, and the final output is byte-identical to an
+//! unfaulted run. Injection and recovery logs are seed-stable run to run,
+//! and the forced crash pins absolute injection, recovery and checkpoint
+//! counts, a recovery-log digest and the superstep count, so a moved
+//! crash fails here even when two runs still agree with each other.
 //!
 //! Named `e2e_*` so sanitizer CI jobs can `--skip e2e_`.
 
@@ -249,13 +253,13 @@ fn e2e_superstep_spans_count_the_supersteps_run() {
         directed: graph.is_directed(),
         weighted: false,
         checkpoint_dir: dir.path().join("ckpt"),
-        run_id: 1,
     };
     let tracer = Arc::new(Tracer::new());
-    let ctx = RunContext::unbounded().with_tracer(Arc::clone(&tracer));
+    let ctx = RunContext::unbounded()
+        .with_tracer(Arc::clone(&tracer))
+        .with_faults(Arc::new(FaultInjector::new(crash_plan())));
     let part = Placement::new(&graph, 4);
-    let (_, stats) =
-        coordinate::<f64>(&cfg, &algorithm(), &crash_plan(), &part, &ctx).expect("recovered run");
+    let (_, stats) = coordinate::<f64>(&cfg, &algorithm(), &part, &ctx).expect("recovered run");
     assert_eq!(stats.restarts, 1, "expected one fleet restart");
     let steps = span_count(&tracer, "distrib.superstep");
     assert_eq!(steps as u64, stats.supersteps);

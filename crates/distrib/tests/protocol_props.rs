@@ -7,7 +7,7 @@
 
 use graphalytics_algos::Algorithm;
 use graphalytics_codec::Codec;
-use graphalytics_core::faults::{FaultKind, FaultPlan, FaultSite, Snapshot};
+use graphalytics_core::faults::Snapshot;
 use graphalytics_core::trace::{FieldValue, Span};
 use graphalytics_distrib::protocol::{crc32, read_frame, write_frame, MAGIC, VERSION};
 use graphalytics_distrib::{Frame, PlanFrame, StepReport};
@@ -29,24 +29,10 @@ fn sample_plan() -> PlanFrame {
         directed: false,
         weighted: true,
         checkpoint_dir: "/tmp/gx/ckpt".to_string(),
-        checkpoint_interval: 4,
         incarnation: 2,
-        resume: true,
-        resume_superstep: 8,
-        fault_plan: sample_fault_plan(),
+        resume: Some(8),
         trace: true,
-        run_id: 41,
     }
-}
-
-fn sample_fault_plan() -> FaultPlan {
-    FaultPlan::seeded(7)
-        .with_rate(FaultKind::TaskIo, 0.25)
-        .force(FaultSite::PregelWorker {
-            superstep: 9,
-            worker: 1,
-            incarnation: 2,
-        })
 }
 
 fn sample_frames() -> Vec<Frame> {
@@ -65,6 +51,7 @@ fn sample_frames() -> Vec<Frame> {
             superstep: 12,
             prev_aggregate: 0.25,
             checkpoint: true,
+            crash: true,
         },
         Frame::CheckpointDone {
             superstep: 12,
@@ -174,8 +161,6 @@ fn every_decoder_survives(bytes: &[u8]) {
     decode_canonical::<PlanFrame>(bytes);
     decode_canonical::<StepReport>(bytes);
     decode_canonical::<Algorithm>(bytes);
-    decode_canonical::<FaultSite>(bytes);
-    decode_canonical::<FaultPlan>(bytes);
     decode_canonical::<FieldValue>(bytes);
     decode_canonical::<Span>(bytes);
     decode_canonical::<Vec<Span>>(bytes);
@@ -241,14 +226,10 @@ fn corrupted_frames_are_rejected() {
 #[test]
 fn corrupted_layouts_are_rejected_or_canonical() {
     let snapshot = sample_snapshot().encode();
-    let plan = encoded(&sample_fault_plan());
     let spans = encoded(&sample_spans());
     let plan_frame = encoded(&sample_plan());
     for cut in 0..snapshot.len() {
         assert!(CdSnapshot::decode(&snapshot[..cut]).is_none());
-    }
-    for cut in 0..plan.len() {
-        assert!(decode_canonical::<FaultPlan>(&plan[..cut]).is_none());
     }
     let span = encoded(&sample_spans()[1]);
     for cut in 0..spans.len() {
@@ -260,7 +241,7 @@ fn corrupted_layouts_are_rejected_or_canonical() {
     for cut in 0..plan_frame.len() {
         assert!(decode_canonical::<PlanFrame>(&plan_frame[..cut]).is_none());
     }
-    for blob in [&snapshot, &plan, &spans, &span, &plan_frame] {
+    for blob in [&snapshot, &spans, &span, &plan_frame] {
         for bad in corruptions(blob) {
             every_decoder_survives(&bad);
         }

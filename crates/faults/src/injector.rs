@@ -86,16 +86,6 @@ impl FaultInjector {
         Self::new(FaultPlan::disabled())
     }
 
-    /// The plan.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
-    /// True when the plan can ever fire.
-    pub fn enabled(&self) -> bool {
-        self.plan.enabled()
-    }
-
     /// Pure decision: does a fault strike at `site`? Does not log.
     pub fn decide(&self, site: &FaultSite) -> bool {
         self.plan.decides(site)
@@ -168,7 +158,6 @@ mod tests {
     #[test]
     fn disabled_injector_is_inert() {
         let inj = FaultInjector::disabled();
-        assert!(!inj.enabled());
         assert!(!inj.decide(&site(0)));
         assert_eq!(inj.injected_count(), 0);
         assert_eq!(inj.recovery_count(), 0);

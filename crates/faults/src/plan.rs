@@ -6,8 +6,6 @@
 //! thread scheduling, call order, and how many *other* sites were probed
 //! first — the property the fault-determinism tests pin.
 
-use graphalytics_codec::layout;
-
 /// One SplitMix64 output step — the same finalizer as
 /// `graphalytics_graph::rng::SplitMix64`, repeated here because this crate
 /// sits below the graph crate.
@@ -192,17 +190,6 @@ impl FaultSite {
     }
 }
 
-// Wire layout: a one-byte variant tag, then the variant's fields. The
-// distributed runtime ships plans to worker processes in it; the encoding
-// round-trips exactly, so a worker's plan decides the same sites as the
-// master's.
-layout!(enum FaultSite {
-    0 => PregelWorker { superstep, worker, incarnation },
-    1 => ShufflePartition { shuffle, partition, attempt },
-    2 => TaskIo { job, task, attempt },
-    3 => Alloc { scope, sequence, attempt },
-});
-
 /// A seed-derived fault schedule: per-kind probabilities plus an explicit
 /// list of forced sites (for differential tests that need "worker 0
 /// crashes at superstep 2" exactly once).
@@ -212,8 +199,6 @@ pub struct FaultPlan {
     rates: [f64; 4],
     forced: Vec<FaultSite>,
 }
-
-layout!(struct FaultPlan { seed, rates, forced });
 
 impl FaultPlan {
     /// The all-off plan: decides `false` everywhere.
@@ -255,11 +240,6 @@ impl FaultPlan {
         self.seed
     }
 
-    /// True when the plan can ever decide `true`.
-    pub fn enabled(&self) -> bool {
-        !self.forced.is_empty() || self.rates.iter().any(|&r| r > 0.0)
-    }
-
     /// Does a fault strike at `site`? Pure: same plan + same site ⇒ same
     /// answer, regardless of when or from which thread it is asked.
     pub fn decides(&self, site: &FaultSite) -> bool {
@@ -291,7 +271,6 @@ mod tests {
     #[test]
     fn disabled_plan_never_fires() {
         let plan = FaultPlan::disabled();
-        assert!(!plan.enabled());
         for s in 0..100 {
             assert!(!plan.decides(&site(s, 0)));
         }
@@ -332,7 +311,6 @@ mod tests {
     #[test]
     fn forced_sites_match_exact_identity_only() {
         let plan = FaultPlan::seeded(0).force(site(2, 0));
-        assert!(plan.enabled());
         assert!(plan.decides(&site(2, 0)));
         assert!(!plan.decides(&site(2, 1)));
         assert!(!plan.decides(&site(3, 0)));
@@ -369,38 +347,6 @@ mod tests {
             sequence: 0,
             attempt: 0,
         }));
-    }
-
-    #[test]
-    fn plan_and_site_wire_round_trip() {
-        use graphalytics_codec::Codec;
-
-        let plan = FaultPlan::seeded(42)
-            .with_rate(FaultKind::WorkerCrash, 0.25)
-            .force(site(2, 0))
-            .force(FaultSite::Alloc {
-                scope: 7,
-                sequence: 9,
-                attempt: 1,
-            });
-        let mut buf = Vec::new();
-        plan.encode_into(&mut buf);
-        let mut pos = 0;
-        let back = FaultPlan::decode_from(&buf, &mut pos).expect("decodes");
-        assert_eq!(pos, buf.len());
-        assert_eq!(back, plan);
-        // The decoded plan makes identical decisions.
-        for s in 0..32 {
-            for w in 0..4 {
-                assert_eq!(plan.decides(&site(s, w)), back.decides(&site(s, w)));
-            }
-        }
-        // A truncated plan fails cleanly.
-        let mut pos = 0;
-        assert!(FaultPlan::decode_from(&buf[..buf.len() - 1], &mut pos).is_none());
-        // An unknown site tag fails cleanly.
-        let mut pos = 0;
-        assert!(FaultSite::decode_from(&[9u8; 16], &mut pos).is_none());
     }
 
     #[test]

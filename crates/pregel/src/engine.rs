@@ -20,7 +20,7 @@
 //! * cooperative deadlines checked at every barrier.
 
 use graphalytics_codec::Codec;
-use graphalytics_core::faults::{FaultSite, RecoveryAction, Snapshot};
+use graphalytics_core::faults::{RecoveryAction, Snapshot};
 use graphalytics_core::platform::{PlatformError, RunContext};
 use graphalytics_graph::partition::{
     HashPartitioner, LdgPartitioner, Partitioner, RangePartitioner,
@@ -321,38 +321,28 @@ pub fn run<P: VertexProgram>(
             ctx.note_checkpoint(superstep as u64, snaps.iter().map(Vec::len).sum());
             latest_checkpoint = Some(snaps);
         }
-        // Worker-crash injection point: each worker is probed against the
-        // fault plan before the compute phase. A crashed worker either
-        // restarts the computation from the last checkpoint or escalates
-        // the loss to the harness.
-        if ctx.faults().is_some() {
-            let crashed = (0..workers as u32).find_map(|w| {
-                let site = FaultSite::PregelWorker {
-                    superstep: superstep as u64,
-                    worker: w,
-                    incarnation,
-                };
-                ctx.inject(site.clone()).err().map(|e| (site, e))
-            });
-            if let Some((site, err)) = crashed {
-                match &latest_checkpoint {
-                    Some(snaps) if incarnation < config.max_restarts => {
-                        mail.iter_mut().for_each(Vec::clear);
-                        for (w, (part, bytes)) in parts.iter_mut().zip(snaps).enumerate() {
-                            let snap: Snapshot<P::State, P::Message> =
-                                Snapshot::decode(bytes).ok_or_else(corrupt)?;
-                            superstep = snap.superstep as usize;
-                            prev_aggregate = snap.aggregate;
-                            if !part.restore(snap, &mut mail[w * workers + w]) {
-                                return Err(corrupt());
-                            }
+        // Worker-crash injection point, probed before the compute phase. A
+        // crashed worker either restarts the computation from the last
+        // checkpoint or escalates the loss to the harness.
+        if let Some((site, err)) = ctx.crashed_worker(superstep as u64, workers as u32, incarnation)
+        {
+            match &latest_checkpoint {
+                Some(snaps) if incarnation < config.max_restarts => {
+                    mail.iter_mut().for_each(Vec::clear);
+                    for (w, (part, bytes)) in parts.iter_mut().zip(snaps).enumerate() {
+                        let snap: Snapshot<P::State, P::Message> =
+                            Snapshot::decode(bytes).ok_or_else(corrupt)?;
+                        superstep = snap.superstep as usize;
+                        prev_aggregate = snap.aggregate;
+                        if !part.restore(snap, &mut mail[w * workers + w]) {
+                            return Err(corrupt());
                         }
-                        incarnation += 1;
-                        ctx.note_recovery(RecoveryAction::CheckpointRestart, Some(site), 0);
-                        continue;
                     }
-                    _ => return Err(err),
+                    incarnation += 1;
+                    ctx.note_recovery(RecoveryAction::CheckpointRestart, Some(site), 0);
+                    continue;
                 }
+                _ => return Err(err),
             }
         }
         // One span per superstep, carrying the same counts the engine
@@ -746,7 +736,7 @@ mod tests {
 
     #[test]
     fn injected_crash_recovers_from_checkpoint() {
-        use graphalytics_core::faults::{FaultInjector, FaultPlan};
+        use graphalytics_core::faults::{FaultInjector, FaultPlan, FaultSite};
 
         let g = graph((0..50).map(|i| (i, (i * 7 + 1) % 50)).collect());
         let baseline = run(
@@ -779,7 +769,7 @@ mod tests {
 
     #[test]
     fn crash_without_checkpoint_escalates() {
-        use graphalytics_core::faults::{FaultInjector, FaultPlan};
+        use graphalytics_core::faults::{FaultInjector, FaultPlan, FaultSite};
 
         let g = graph(vec![(0, 1), (1, 2)]);
         let plan = FaultPlan::seeded(1).force(FaultSite::PregelWorker {
@@ -800,7 +790,7 @@ mod tests {
 
     #[test]
     fn restart_budget_is_bounded() {
-        use graphalytics_core::faults::{FaultInjector, FaultPlan};
+        use graphalytics_core::faults::{FaultInjector, FaultPlan, FaultSite};
 
         let g = graph(vec![(0, 1), (1, 2)]);
         // Crash worker 0 at superstep 0 for every incarnation: the engine

@@ -54,10 +54,35 @@ pub fn read_request(reader: &mut BufReader<TcpStream>) -> Result<Request, String
         .get_ref()
         .set_read_timeout(Some(READ_TIMEOUT))
         .map_err(|e| format!("set_read_timeout: {e}"))?;
+    parse_request(reader)
+}
+
+/// Reads one line into the header section's byte budget `used`. The read
+/// stops one byte past the budget, so a line that never ends costs at most
+/// `MAX_HEADER_BYTES + 1` bytes of memory before it is rejected.
+fn read_header_line(
+    reader: &mut impl BufRead,
+    used: &mut usize,
+    what: &str,
+) -> Result<String, String> {
     let mut line = String::new();
+    let left = MAX_HEADER_BYTES - *used + 1;
     reader
+        .take(left as u64)
         .read_line(&mut line)
-        .map_err(|e| format!("read request line: {e}"))?;
+        .map_err(|e| format!("read {what}: {e}"))?;
+    *used += line.len();
+    if *used > MAX_HEADER_BYTES {
+        return Err("header section too large".to_string());
+    }
+    Ok(line)
+}
+
+/// Parses one request off `reader`: the request line and headers within
+/// `MAX_HEADER_BYTES` together, then a body of at most [`MAX_BODY_BYTES`].
+fn parse_request(reader: &mut impl BufRead) -> Result<Request, String> {
+    let mut header_bytes = 0;
+    let line = read_header_line(reader, &mut header_bytes, "request line")?;
     let mut parts = line.split_whitespace();
     let method = parts
         .next()
@@ -72,16 +97,8 @@ pub fn read_request(reader: &mut BufReader<TcpStream>) -> Result<Request, String
         return Err(format!("unsupported protocol {version:?}"));
     }
     let mut content_length = 0usize;
-    let mut header_bytes = line.len();
     loop {
-        let mut header = String::new();
-        reader
-            .read_line(&mut header)
-            .map_err(|e| format!("read header: {e}"))?;
-        header_bytes += header.len();
-        if header_bytes > MAX_HEADER_BYTES {
-            return Err("header section too large".to_string());
-        }
+        let header = read_header_line(reader, &mut header_bytes, "header")?;
         let header = header.trim_end();
         if header.is_empty() {
             break;
@@ -246,6 +263,21 @@ mod tests {
         assert_eq!(req.query_param("since"), Some("5"));
         assert_eq!(req.query_param("format"), Some("jsonl"));
         assert_eq!(req.query_param("missing"), None);
+    }
+
+    /// A line that never ends is cut off at the header cap, not buffered
+    /// for as long as the client keeps sending.
+    #[test]
+    fn an_endless_line_is_rejected_at_the_header_cap() {
+        let endless = || io::repeat(b'a').take(64 << 20);
+        let mut reader = BufReader::new(endless());
+        assert!(parse_request(&mut reader).is_err());
+        assert!(reader.get_ref().limit() >= 60 << 20);
+
+        let mut reader = BufReader::new(b"GET / HTTP/1.1\r\nX-Pad: ".chain(endless()));
+        let err = parse_request(&mut reader).unwrap_err();
+        assert_eq!(err, "header section too large");
+        assert!(reader.get_ref().get_ref().1.limit() >= 60 << 20);
     }
 
     #[test]

@@ -8,7 +8,9 @@
 //! * `/metrics` — the exposition parses under a Prometheus text-format
 //!   grammar check (HELP before TYPE, histogram `_bucket`/`_sum`/`_count`
 //!   consistency, label escaping) and carries the expected job counters;
-//! * admission control — a full queue turns submissions into 429s.
+//! * admission control — a full queue turns submissions into 429s;
+//! * hostile bodies — a job body nested past the JSON depth limit is a
+//!   400, and the server keeps answering.
 
 use graphalytics_core::json::{parse as parse_json, Json};
 use graphalytics_serve::http::http_call;
@@ -233,6 +235,22 @@ fn full_queue_refuses_with_429() {
     // Both admitted jobs still drain to completion.
     await_terminal(&addr, "j-1");
     await_terminal(&addr, "j-2");
+    handle.shutdown();
+}
+
+/// The JSON parser recurses once per `[` on the connection thread's stack;
+/// past its nesting limit the body is a client error, not an overflow that
+/// aborts the server process.
+#[test]
+fn deeply_nested_job_body_is_a_400_and_the_server_lives_on() {
+    let (handle, addr) = ready_server(ServerConfig {
+        addr: "127.0.0.1:0".into(),
+        ..Default::default()
+    });
+    let (status, body) = post(&addr, "/jobs", &"[".repeat(100_000));
+    assert_eq!(status, 400, "{body}");
+    assert!(body.contains("not valid JSON"), "{body}");
+    assert_eq!(get(&addr, "/healthz"), (200, "ok\n".to_string()));
     handle.shutdown();
 }
 
