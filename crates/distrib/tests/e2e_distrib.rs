@@ -399,6 +399,82 @@ fn e2e_worker_spans_land_inside_the_master_timeline() {
     );
 }
 
+/// LCC and STATS through two worker processes on a fixed graph that has
+/// what a degree orientation must get right: a clique and a ring whose
+/// degrees tie (ids break the ties), a star, two hubs sharing leaves, and
+/// isolated vertices. Bit-equal to the definition, as the in-process
+/// engines are in the root `lcc_differential` suite.
+#[test]
+fn e2e_lcc_and_stats_match_the_definition() {
+    let mut edges: Vec<(u64, u64)> = Vec::new();
+    edges.extend((0..5).flat_map(|i| (i + 1..5).map(move |j| (i, j))));
+    edges.extend((10..16).map(|i| (i, 10 + (i - 9) % 6)));
+    edges.extend((21..28).map(|leaf| (20, leaf)));
+    edges.extend((32..38).flat_map(|leaf| [(30, leaf), (31, leaf)]));
+    edges.extend([(30, 31), (4, 20), (15, 30), (0, 0), (1, 0)]);
+    let graph = CsrGraph::from_edge_list(&EdgeListGraph::new((0..42).collect(), edges, false));
+    let want: Vec<u64> = graph
+        .vertex_ids()
+        .map(|v| graphalytics_graph::metrics::local_clustering_coefficient(&graph, v).to_bits())
+        .collect();
+    let mut p = distrib(2);
+    let handle = p.load_graph(&graph).expect("load");
+    let ctx = RunContext::unbounded();
+    let Output::LocalClustering(got) = p.run(handle, &Algorithm::Lcc, &ctx).expect("LCC") else {
+        panic!("LCC must emit coefficients")
+    };
+    let got: Vec<u64> = got.iter().map(|c| c.to_bits()).collect();
+    assert_eq!(got, want);
+    let stats = p.run(handle, &Algorithm::Stats, &ctx).expect("STATS");
+    assert_eq!(
+        stats,
+        graphalytics_algos::reference(&graph, &Algorithm::Stats)
+    );
+    p.unload(handle);
+}
+
+/// LCC's wire volume on Graph500 10 (R-MAT seed 1) over two worker
+/// processes, as the benchmark's `engine-fleet` workload runs it: remote
+/// messages per superstep and the shuffle frames' bytes, both exact. The
+/// run's `network_bytes` adds the control frames, whose scratch paths
+/// vary in length with the process id, so it is pinned to a band.
+#[test]
+fn e2e_lcc_wire_volume_is_pinned() {
+    let graph = CsrGraph::from_edge_list(&graphalytics_datagen::rmat::generate(
+        &graphalytics_datagen::RmatConfig::graph500(10, 1),
+    ));
+    let mut p = distrib(2);
+    let handle = p.load_graph(&graph).expect("load");
+    let tracer = Arc::new(Tracer::new());
+    let ctx = RunContext::unbounded().with_tracer(Arc::clone(&tracer));
+    p.run(handle, &Algorithm::Lcc, &ctx).expect("LCC");
+    p.unload(handle);
+    let spans = tracer.finished_spans();
+    let int = |s: &graphalytics_core::trace::Span, key: &str| {
+        s.field(key).and_then(|f| f.as_i64()).expect(key)
+    };
+    let remote: Vec<i64> = spans
+        .iter()
+        .filter(|s| s.name == "distrib.superstep")
+        .map(|s| int(s, "messages_remote"))
+        .collect();
+    let network: i64 = spans
+        .iter()
+        .filter(|s| s.name == "distrib.superstep")
+        .map(|s| int(s, "network_bytes"))
+        .sum();
+    let shuffle: i64 = spans
+        .iter()
+        .filter(|s| s.name == "distrib.worker.shuffle")
+        .map(|s| int(s, "bytes"))
+        .sum();
+    let computed = format!("remote {remote:?}, shuffle {shuffle}, network {network}");
+    assert_eq!(remote, [10_628, 0], "{computed}");
+    assert_eq!(shuffle, 4_297_440, "{computed}");
+    // 1006 control bytes under /tmp with a five-digit process id.
+    assert!((900..1_600).contains(&(network - shuffle)), "{computed}");
+}
+
 /// An empty graph runs without spawning any fleet.
 #[test]
 fn e2e_empty_graph_short_circuits() {
