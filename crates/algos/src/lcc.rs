@@ -23,15 +23,6 @@ pub fn local_clustering_parallel(g: &CsrGraph, threads: usize) -> Vec<f64> {
     metrics::local_clustering_coefficients(g, threads)
 }
 
-/// The coefficient of a degree-`d` vertex from its *link count*: the hits
-/// of intersecting `N(v)` with the list of each of its neighbors. Every
-/// edge among the neighbors is hit from both its ends, so the triangles
-/// through `v` are `links / 2`; what every engine's LCC and STATS step
-/// computes after its intersections.
-pub fn coefficient_from_links(links: usize, d: usize) -> f64 {
-    metrics::closed_pair_fraction(links / 2, d)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -180,6 +180,18 @@ impl<T: Codec> Codec for Vec<T> {
     }
 }
 
+/// A shared sequence travels as a `Vec` does: a `u64` element count, then
+/// the elements. Each decoded value owns its allocation.
+impl<T: Codec> Codec for std::sync::Arc<[T]> {
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        (self.len() as u64).encode_into(out);
+        T::encode_slice(self, out);
+    }
+    fn decode_from(buf: &[u8], pos: &mut usize) -> Option<Self> {
+        Vec::decode_from(buf, pos).map(Self::from)
+    }
+}
+
 impl<A: Codec, B: Codec> Codec for (A, B) {
     fn encode_into(&self, out: &mut Vec<u8>) {
         self.0.encode_into(out);
@@ -348,6 +360,9 @@ mod tests {
         roundtrip(vec![0u8, 1, 255]);
         roundtrip(Some(9u64));
         roundtrip(None::<u64>);
+        let shared: std::sync::Arc<[u32]> = vec![4u32, 5, 6].into();
+        roundtrip(std::sync::Arc::clone(&shared));
+        assert_eq!(encoded(&shared), encoded(&vec![4u32, 5, 6]));
     }
 
     #[test]

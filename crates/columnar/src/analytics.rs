@@ -7,9 +7,9 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use graphalytics_algos::{lcc, INFINITY};
+use graphalytics_algos::INFINITY;
 use graphalytics_core::platform::{PlatformError, RunContext};
-use graphalytics_graph::metrics;
+use graphalytics_graph::metrics::{self, OrientedAdjacency};
 
 use crate::table::{EdgeTable, LookupScratch};
 
@@ -64,8 +64,8 @@ pub fn sssp(
 
 /// Local clustering coefficient per vertex: one full scan projects the
 /// (already sorted, dedup'd) adjacency lists out of the column store, then
-/// sorted-merge intersections count the edges among each neighborhood.
-/// Degree-<2 vertices score 0.
+/// the shared degree-oriented count of `graph::metrics` finds each
+/// triangle once. Degree-<2 vertices score 0.
 pub fn local_clustering(
     table: &EdgeTable,
     num_vertices: usize,
@@ -76,29 +76,18 @@ pub fn local_clustering(
     let mut adjacency: Vec<Vec<u64>> = vec![Vec::new(); num_vertices];
     table.scan(|from, to| {
         for (&f, &t) in from.iter().zip(to) {
-            if (f as usize) < num_vertices {
+            if (f as usize) < num_vertices && (t as usize) < num_vertices {
                 adjacency[f as usize].push(t);
             }
         }
     });
-    let mut coefficients = vec![0.0f64; num_vertices];
-    for (v, list) in adjacency.iter().enumerate() {
-        if v.is_multiple_of(DEADLINE_STRIDE) {
-            ctx.check_deadline()?;
-        }
-        if list.len() < 2 {
-            continue;
-        }
-        let mut links = 0usize;
-        for &u in list {
-            if (u as usize) < num_vertices {
-                links += metrics::sorted_intersection_len(list, &adjacency[u as usize]);
-            }
-        }
-        coefficients[v] = lcc::coefficient_from_links(links, list.len());
-    }
+    ctx.check_deadline()?;
+    let triangles = OrientedAdjacency::build(num_vertices, |v| &adjacency[v]).triangles(1);
     span.field("vertices", num_vertices);
-    Ok(coefficients)
+    Ok(metrics::coefficients(
+        &triangles,
+        adjacency.iter().map(Vec::len),
+    ))
 }
 
 #[cfg(test)]

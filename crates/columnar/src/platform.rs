@@ -33,6 +33,7 @@ struct LoadedGraph {
     table: EdgeTable,
     external_ids: Vec<u64>,
     num_vertices: usize,
+    directed: bool,
 }
 
 impl LoadedGraph {
@@ -117,6 +118,7 @@ impl Platform for VirtuosoPlatform {
                 .map(|v| graph.external_id(v))
                 .collect(),
             num_vertices: graph.num_vertices(),
+            directed: graph.is_directed(),
         }))
     }
 
@@ -155,6 +157,7 @@ impl Platform for VirtuosoPlatform {
             }
             Algorithm::Lcc => {
                 let loaded = self.graphs.get(handle)?;
+                PlatformError::refuse_directed_triangles(algorithm, loaded.directed)?;
                 Ok(Output::LocalClustering(analytics::local_clustering(
                     &loaded.table,
                     loaded.num_vertices,
@@ -236,6 +239,21 @@ mod tests {
             .run(handle, &Algorithm::Lcc, &RunContext::unbounded())
             .unwrap();
         assert!(reference(&g, &Algorithm::Lcc).equivalent(&out), "{out:?}");
+    }
+
+    #[test]
+    fn lcc_and_stats_refuse_a_directed_graph() {
+        let g = CsrGraph::from_edge_list(&EdgeListGraph::directed_from_edges(vec![
+            (0, 1),
+            (1, 2),
+            (2, 0),
+        ]));
+        let mut p = VirtuosoPlatform::with_defaults();
+        let handle = p.load_graph(&g).unwrap();
+        for alg in [Algorithm::Lcc, Algorithm::Stats] {
+            let err = p.run(handle, &alg, &RunContext::unbounded()).unwrap_err();
+            assert!(matches!(err, PlatformError::Unsupported(_)), "{alg:?}");
+        }
     }
 
     #[test]

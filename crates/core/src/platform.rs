@@ -138,6 +138,24 @@ impl PlatformError {
             .unwrap_or("non-string panic payload");
         PlatformError::Internal(format!("{what} worker panicked: {message}"))
     }
+
+    /// `Unsupported` for LCC and STATS on a directed graph, `Ok` otherwise.
+    /// Every engine counts triangles on the degree-oriented *undirected*
+    /// adjacency, so on directed input it refuses these two kernels rather
+    /// than answer wrongly; the reference platform keeps its out-neighbour
+    /// definition.
+    pub fn refuse_directed_triangles(
+        algorithm: &Algorithm,
+        directed: bool,
+    ) -> Result<(), PlatformError> {
+        if directed && matches!(algorithm, Algorithm::Lcc | Algorithm::Stats) {
+            return Err(PlatformError::Unsupported(format!(
+                "{} on a directed graph",
+                algorithm.name()
+            )));
+        }
+        Ok(())
+    }
 }
 
 impl std::fmt::Display for PlatformError {

@@ -12,7 +12,7 @@
 
 use std::sync::Arc;
 
-use graphalytics_algos::{cd, lcc};
+use graphalytics_algos::cd;
 use graphalytics_core::platform::{PlatformError, RunContext};
 use graphalytics_graph::{metrics, CsrGraph, Edge, Vid};
 
@@ -238,11 +238,18 @@ impl GraphFrame {
         Ok(labels)
     }
 
-    /// Per-vertex local clustering coefficients, computed entirely in
-    /// dataflow: neighbor lists are built with `group_by_key`, shipped
-    /// across the edges with a join, and intersected per destination.
-    /// Vertices that receive no lists (degree < 2) stay at 0.
-    pub fn local_clustering(&self, ctx: &RunContext) -> Result<Vec<f64>, PlatformError> {
+    /// Per-vertex local clustering coefficients on the degree-oriented
+    /// adjacency `N⁺` (`graph::metrics`): the oriented arcs are a narrow
+    /// filter against the broadcast `degrees`. A join ships `N⁺(src)`, one
+    /// shared list, to every `dst ∈ N⁺(src)`; a second meets it with
+    /// `N⁺(dst)`, and each common `w` is a triangle `(src, dst, w)`. Each
+    /// partition sums its credits before one `reduce_by_key`, so at most
+    /// partitions × n credit records exist.
+    pub fn local_clustering(
+        &self,
+        degrees: &[usize],
+        ctx: &RunContext,
+    ) -> Result<Vec<f64>, PlatformError> {
         ctx.check_deadline()?;
         let n = self.num_vertices;
         let mut coefficients = vec![0.0f64; n];
@@ -252,28 +259,35 @@ impl GraphFrame {
         let mut span = ctx.tracer().span("graphx.iteration");
         span.field("job", "lcc").field("iteration", 0usize);
         let stages_before = self.ctx.stats().stages;
-        // (v, sorted neighbor list).
-        let adjacency = self.arcs.group_by_key()?.map(|(v, ns)| {
+        let degree = |v: u32| degrees[v as usize];
+        let oriented = self
+            .arcs
+            .filter(|&(v, u)| metrics::outranks(degree(u), u, degree(v), v))?;
+        // (v, N⁺(v)), sorted and shared by every record that carries it.
+        let lists = oriented.group_by_key()?.map(|(v, ns)| {
             let mut sorted = ns.clone();
             sorted.sort_unstable();
-            (*v, sorted)
+            (*v, Arc::<[u32]>::from(sorted))
         })?;
-        // Ship each source's list to every neighbor: (dst, N(src)).
-        let shipped = self.arcs.join(&adjacency)?;
-        let lists_at_dst = shipped.map(|(_src, (dst, list))| (*dst, list.clone()))?;
-        let gathered = lists_at_dst.group_by_key()?;
+        // (dst, (src, N⁺(src))), then N⁺(dst) beside it.
+        let shipped = oriented
+            .join(&lists)?
+            .map(|(src, (dst, list))| (*dst, (*src, Arc::clone(list))))?;
         ctx.check_deadline()?;
-        // Intersect with the local list.
-        let with_own = gathered.join(&adjacency)?;
-        let coefficient = with_own.map(|(v, (lists, own))| {
-            let links = lists
-                .iter()
-                .map(|list| metrics::sorted_intersection_len(own, list))
-                .sum();
-            (*v, lcc::coefficient_from_links(links, own.len()))
+        let met = shipped.join(&lists)?;
+        let credits = met.map_partitions(|part| {
+            let mut credit = vec![0usize; n];
+            for (dst, ((src, theirs), mine)) in part {
+                metrics::for_each_common(theirs, mine, |w| {
+                    credit[*src as usize] += 1;
+                    credit[*dst as usize] += 1;
+                    credit[w as usize] += 1;
+                });
+            }
+            (0..n as u32).zip(credit).filter(|&(_, c)| c > 0).collect()
         })?;
-        for (v, c) in coefficient.collect() {
-            coefficients[v as usize] = c;
+        for (v, triangles) in credits.reduce_by_key(|a, b| a + b)?.collect() {
+            coefficients[v as usize] = metrics::closed_pair_fraction(triangles, degree(v));
         }
         span.field("stages", self.ctx.stats().stages - stages_before);
         Ok(coefficients)
@@ -408,7 +422,9 @@ mod tests {
     #[test]
     fn local_clustering_matches_reference() {
         let (_c, g, frame) = setup(test_edges());
-        let lccs = frame.local_clustering(&RunContext::unbounded()).unwrap();
+        let lccs = frame
+            .local_clustering(&g.degrees(), &RunContext::unbounded())
+            .unwrap();
         assert_eq!(lccs, algos::lcc::local_clustering(&g));
     }
 
@@ -433,7 +449,9 @@ mod tests {
     #[test]
     fn stats_matches_reference() {
         let (_c, g, frame) = setup(test_edges());
-        let lccs = frame.local_clustering(&RunContext::unbounded()).unwrap();
+        let lccs = frame
+            .local_clustering(&g.degrees(), &RunContext::unbounded())
+            .unwrap();
         assert_eq!(
             algos::stats::from_coefficients(g.num_edges(), &lccs),
             algos::stats::stats(&g)

@@ -93,13 +93,14 @@ impl Platform for GraphXPlatform {
         let frame = &loaded.frame;
         let mut job_span = ctx.tracer().span("graphx.job");
         job_span.field("job", algorithm.name());
+        PlatformError::refuse_directed_triangles(algorithm, graph.is_directed())?;
         let stats_before = loaded.ctx.stats();
         let stages_before = stats_before.stages;
         let shuffle_before = stats_before.shuffle_records;
         let result = match algorithm {
             Algorithm::Stats => Ok(Output::Stats(graphalytics_algos::stats::from_coefficients(
                 graph.num_edges(),
-                &frame.local_clustering(ctx)?,
+                &frame.local_clustering(&graph.degrees(), ctx)?,
             ))),
             Algorithm::Bfs { source } => {
                 Ok(Output::Depths(frame.bfs(graph.internal_id(*source), ctx)?))
@@ -137,7 +138,9 @@ impl Platform for GraphXPlatform {
             Algorithm::Sssp { source } => Ok(Output::Distances(
                 frame.sssp(graph.internal_id(*source), ctx)?,
             )),
-            Algorithm::Lcc => Ok(Output::LocalClustering(frame.local_clustering(ctx)?)),
+            Algorithm::Lcc => Ok(Output::LocalClustering(
+                frame.local_clustering(&graph.degrees(), ctx)?,
+            )),
             Algorithm::PageRank {
                 iterations,
                 damping,
@@ -211,6 +214,21 @@ mod tests {
         let alg = Algorithm::default_pagerank();
         let out = p.run(handle, &alg, &RunContext::unbounded()).unwrap();
         assert!(reference(&graph, &alg).equivalent(&out));
+    }
+
+    #[test]
+    fn lcc_and_stats_refuse_a_directed_graph() {
+        let g = CsrGraph::from_edge_list(&EdgeListGraph::directed_from_edges(vec![
+            (0, 1),
+            (1, 2),
+            (2, 0),
+        ]));
+        let mut p = GraphXPlatform::with_defaults();
+        let handle = p.load_graph(&g).unwrap();
+        for alg in [Algorithm::Lcc, Algorithm::Stats] {
+            let err = p.run(handle, &alg, &RunContext::unbounded()).unwrap_err();
+            assert!(matches!(err, PlatformError::Unsupported(_)), "{alg:?}");
+        }
     }
 
     #[test]

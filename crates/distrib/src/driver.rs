@@ -142,6 +142,7 @@ impl Platform for DistributedPlatform {
         ctx: &RunContext,
     ) -> Result<Output, PlatformError> {
         let loaded = self.graphs.get(handle)?;
+        PlatformError::refuse_directed_triangles(algorithm, loaded.graph.is_directed())?;
         let fleet = FleetRun {
             platform: self,
             loaded,

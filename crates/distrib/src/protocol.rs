@@ -26,8 +26,10 @@ use std::io::{self, Read, Write};
 pub const MAGIC: u32 = 0x4758_4450;
 /// Wire protocol version. Bump on any layout change. Version 4 tells a
 /// worker to crash in [`Frame::StartSuperstep`] instead of shipping it the
-/// fault plan, and the Plan carries only what a worker reads.
-pub const VERSION: u32 = 4;
+/// fault plan, and the Plan carries only what a worker reads. Version 5
+/// ships LCC's `pregel::programs::LccMessage` in Shuffle batches: a
+/// sender's degree-oriented list or a triangle credit.
+pub const VERSION: u32 = 5;
 /// Header bytes before the payload: magic, version, tag, length, CRC.
 const HEADER_LEN: usize = 21;
 /// Upper bound on a payload length; larger claims are treated as corrupt
@@ -408,7 +410,7 @@ mod tests {
         };
         let expected: Vec<u8> = vec![
             0x50, 0x44, 0x58, 0x47, // magic "GXDP" little-endian
-            0x04, 0x00, 0x00, 0x00, // version 4
+            0x05, 0x00, 0x00, 0x00, // version 5
             0x06, // tag StartSuperstep
             0x12, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // payload length 18
             0xff, 0xee, 0xd6, 0x60, // crc32 of payload
@@ -427,7 +429,7 @@ mod tests {
         let frame = Frame::Hello { worker: 2 };
         let expected: Vec<u8> = vec![
             0x50, 0x44, 0x58, 0x47, // magic
-            0x04, 0x00, 0x00, 0x00, // version
+            0x05, 0x00, 0x00, 0x00, // version
             0x01, // tag Hello
             0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // payload length 4
             0x97, 0x17, 0x4d, 0x8b, // crc32 of payload
@@ -447,7 +449,7 @@ mod tests {
         };
         let expected: Vec<u8> = vec![
             0x50, 0x44, 0x58, 0x47, // magic "GXDP" little-endian
-            0x04, 0x00, 0x00, 0x00, // version 4
+            0x05, 0x00, 0x00, 0x00, // version 5
             0x0D, // tag Telemetry
             0x13, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // payload length 19
             0xf9, 0xbf, 0x82, 0x7d, // crc32 of payload

@@ -469,10 +469,32 @@ fn e2e_lcc_wire_volume_is_pinned() {
         .map(|s| int(s, "bytes"))
         .sum();
     let computed = format!("remote {remote:?}, shuffle {shuffle}, network {network}");
-    assert_eq!(remote, [10_628, 0], "{computed}");
-    assert_eq!(shuffle, 4_297_440, "{computed}");
-    // 1006 control bytes under /tmp with a five-digit process id.
-    assert!((900..1_600).contains(&(network - shuffle)), "{computed}");
+    assert_eq!(remote, [5_293, 7_453, 0], "{computed}");
+    assert_eq!(shuffle, 648_424, "{computed}");
+    // 1238 control bytes under /tmp with a five-digit process id.
+    assert!((1_100..1_800).contains(&(network - shuffle)), "{computed}");
+}
+
+/// LCC and STATS on a directed graph are refused before any fleet starts.
+#[test]
+fn e2e_directed_lcc_and_stats_are_refused() {
+    let graph = CsrGraph::from_edge_list(&EdgeListGraph::directed_from_edges(vec![
+        (0, 1),
+        (1, 2),
+        (2, 0),
+    ]));
+    let mut p = distrib(2);
+    let handle = p.load_graph(&graph).unwrap();
+    for alg in [Algorithm::Lcc, Algorithm::Stats] {
+        let err = p.run(handle, &alg, &RunContext::unbounded()).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                graphalytics_core::platform::PlatformError::Unsupported(_)
+            ),
+            "{alg:?}: {err:?}"
+        );
+    }
 }
 
 /// An empty graph runs without spawning any fleet.

@@ -193,7 +193,7 @@ impl FaultSite {
 /// A seed-derived fault schedule: per-kind probabilities plus an explicit
 /// list of forced sites (for differential tests that need "worker 0
 /// crashes at superstep 2" exactly once).
-#[derive(Debug, Clone, PartialEq, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct FaultPlan {
     seed: u64,
     rates: [f64; 4],
@@ -233,11 +233,6 @@ impl FaultPlan {
     pub fn force(mut self, site: FaultSite) -> Self {
         self.forced.push(site);
         self
-    }
-
-    /// The plan's seed.
-    pub fn seed(&self) -> u64 {
-        self.seed
     }
 
     /// Does a fault strike at `site`? Pure: same plan + same site ⇒ same

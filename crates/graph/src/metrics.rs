@@ -60,69 +60,118 @@ pub fn triangles_at(g: &CsrGraph, v: Vid) -> usize {
 }
 
 /// Triangles through every vertex of an undirected graph, in internal-id
-/// order, on up to `threads` workers — the one triangle-counting routine
-/// behind LCC, STATS, the clustering coefficients and [`triangle_count`].
-///
-/// Degree-oriented (GAP's baseline, arXiv 1508.03619): neighbor `u` of `v`
-/// is kept iff `(deg u, u) > (deg v, v)`, so every triangle has exactly one
-/// corner whose oriented list holds the other two, is found once there by
-/// merging two *oriented* lists, and is credited to all three corners. Hub
-/// lists shrink to their few higher-ranked neighbors, which removes the
-/// hub×hub merges that dominate the unoriented count on skewed graphs.
-///
-/// Deterministic: vertex ranges are cut at equal oriented-arc prefix sums
-/// (a pure function of the graph and `threads`), each worker credits a
-/// private integer vector, and the vectors are added in part order — the
-/// counts are identical at every thread count and equal [`triangles_at`]
-/// for every vertex.
+/// order, on up to `threads` workers: [`OrientedAdjacency::triangles`]
+/// over the CSR's lists, the one triangle count behind LCC, STATS, the
+/// clustering coefficients and [`triangle_count`]. Equal to
+/// [`triangles_at`] for every vertex at every thread count.
 pub fn triangles_per_vertex(g: &CsrGraph, threads: usize) -> Vec<usize> {
     assert!(
         !g.is_directed(),
         "triangles are counted on the undirected projection"
     );
-    let n = g.num_vertices();
-    let rank = |v: Vid| (g.degree(v), v);
-    let mut offsets = Vec::with_capacity(n + 1);
-    let mut targets: Vec<Vid> = Vec::with_capacity(g.num_arcs() / 2);
-    offsets.push(0usize);
-    for v in 0..n as Vid {
-        let rv = rank(v);
-        targets.extend(g.neighbors(v).iter().filter(|&&u| rank(u) > rv));
-        offsets.push(targets.len());
-    }
-    let oriented = |v: Vid| &targets[offsets[v as usize]..offsets[v as usize + 1]];
+    OrientedAdjacency::build(g.num_vertices(), |v| g.neighbors(v as Vid)).triangles(threads)
+}
 
-    let parts = par::map_ranges(par::weighted_ranges(&offsets, threads), |_, range| {
-        let mut credit = vec![0usize; n];
-        for v in range {
-            let nv = oriented(v as Vid);
-            for &u in nv {
-                let nu = oriented(u);
-                let (mut i, mut j) = (0, 0);
-                while i < nv.len() && j < nu.len() {
-                    match nv[i].cmp(&nu[j]) {
-                        std::cmp::Ordering::Less => i += 1,
-                        std::cmp::Ordering::Greater => j += 1,
-                        std::cmp::Ordering::Equal => {
-                            credit[v] += 1;
-                            credit[u as usize] += 1;
-                            credit[nv[i] as usize] += 1;
-                            i += 1;
-                            j += 1;
-                        }
-                    }
+/// The degree orientation: neighbour `u` (of degree `deg_u`) stays in the
+/// oriented list of `v` (of degree `deg_v`) iff `(deg_u, u) > (deg_v, v)`,
+/// so exactly one direction of every edge is kept and ids break ties.
+pub fn outranks<T: Ord>(deg_u: usize, u: T, deg_v: usize, v: T) -> bool {
+    (deg_u, u) > (deg_v, v)
+}
+
+/// The degree-oriented adjacency (GAP's baseline, arXiv 1508.03619): every
+/// list keeps the neighbours that [`outranks`] its vertex. A triangle then
+/// has exactly one corner, its lowest-ranked, whose list holds the other
+/// two; it is found once there by merging two oriented lists and credited
+/// to all three corners. Hub lists shrink to their few higher-ranked
+/// neighbours, which removes the hub×hub merges of an unoriented count.
+/// Generic over the id width (the column scan keeps `u64` ids).
+#[derive(Debug, Clone)]
+pub struct OrientedAdjacency<T> {
+    offsets: Vec<usize>,
+    targets: Vec<T>,
+}
+
+impl<T: Copy + Ord + Into<u64>> OrientedAdjacency<T> {
+    /// Orients the `n` lists `neighbors(0..n)`: sorted, duplicate-free,
+    /// symmetric, ids below `n`; a list's length is its vertex's degree.
+    pub fn build<'a>(n: usize, neighbors: impl Fn(usize) -> &'a [T]) -> Self
+    where
+        T: 'a,
+    {
+        let mut offsets = Vec::with_capacity(n + 1);
+        offsets.push(0);
+        // Every edge keeps exactly one of its two arcs.
+        let arcs: usize = (0..n).map(|v| neighbors(v).len()).sum();
+        let mut targets = Vec::with_capacity(arcs / 2);
+        for v in 0..n {
+            let nv = neighbors(v);
+            let keep = |&&u: &&T| outranks(neighbors(index(u)).len(), u.into(), nv.len(), v as u64);
+            targets.extend(nv.iter().filter(keep));
+            offsets.push(targets.len());
+        }
+        Self { offsets, targets }
+    }
+
+    /// The oriented list of `v`, sorted.
+    pub fn list(&self, v: usize) -> &[T] {
+        &self.targets[self.offsets[v]..self.offsets[v + 1]]
+    }
+
+    /// Triangles through every vertex, in id order, on up to `threads`
+    /// workers. Deterministic: vertex ranges are cut at equal oriented-arc
+    /// prefix sums (a pure function of the lists and `threads`), each
+    /// worker credits a private integer vector, and the vectors are added
+    /// in part order, so the counts are the same at every thread count.
+    pub fn triangles(&self, threads: usize) -> Vec<usize>
+    where
+        T: Send + Sync,
+    {
+        let n = self.offsets.len() - 1;
+        let parts = par::map_ranges(par::weighted_ranges(&self.offsets, threads), |_, range| {
+            let mut credit = vec![0usize; n];
+            for v in range {
+                let nv = self.list(v);
+                for &u in nv {
+                    for_each_common(nv, self.list(index(u)), |w| {
+                        credit[v] += 1;
+                        credit[index(u)] += 1;
+                        credit[index(w)] += 1;
+                    });
                 }
             }
+            credit
+        });
+        let mut total = vec![0usize; n];
+        for part in parts {
+            for (t, c) in total.iter_mut().zip(part) {
+                *t += c;
+            }
         }
-        credit
-    });
-    let mut total = vec![0usize; n];
-    for part in parts {
-        for (t, c) in total.iter_mut().zip(part) {
-            *t += c;
+        total
+    }
+}
+
+/// An id as a vector index.
+fn index<T: Into<u64>>(id: T) -> usize {
+    id.into() as usize
+}
+
+/// Calls `hit(w)` for every `w` in both sorted, duplicate-free lists, in
+/// ascending order: on oriented lists, each hit is one triangle.
+pub fn for_each_common<T: Ord + Copy>(a: &[T], b: &[T], mut hit: impl FnMut(T)) {
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        match a[i].cmp(&b[j]) {
+            std::cmp::Ordering::Less => i += 1,
+            std::cmp::Ordering::Greater => j += 1,
+            std::cmp::Ordering::Equal => {
+                hit(a[i]);
+                i += 1;
+                j += 1;
+            }
         }
     }
-    total
 }
 
 /// `2·tri / (d·(d−1))`, the fraction of a degree-`d` vertex's neighbor
@@ -159,11 +208,15 @@ pub fn local_clustering_coefficients(g: &CsrGraph, threads: usize) -> Vec<f64> {
             .map(|v| local_clustering_coefficient(g, v))
             .collect();
     }
-    triangles_per_vertex(g, threads)
-        .into_iter()
-        .zip(g.vertex_ids())
-        .map(|(tri, v)| closed_pair_fraction(tri, g.degree(v)))
-        .collect()
+    let degrees = g.vertex_ids().map(|v| g.degree(v));
+    coefficients(&triangles_per_vertex(g, threads), degrees)
+}
+
+/// [`closed_pair_fraction`] of every vertex, from its triangle count and
+/// its degree, both in vertex order.
+pub fn coefficients(triangles: &[usize], degrees: impl IntoIterator<Item = usize>) -> Vec<f64> {
+    let fraction = |(&tri, d)| closed_pair_fraction(tri, d);
+    triangles.iter().zip(degrees).map(fraction).collect()
 }
 
 /// Computes `(global_cc, avg_local_cc)` together, sharing the per-vertex
@@ -258,9 +311,9 @@ pub fn degree_histogram(g: &CsrGraph) -> Vec<(usize, usize)> {
 }
 
 /// Length of the intersection of two sorted slices (merge-based; falls back
-/// to galloping when lengths are very uneven). Generic over the id type so
-/// the engines that keep `u64` lists (MapReduce records, column scans)
-/// share it with the `Vid` adjacency of the CSR.
+/// to galloping when lengths are very uneven): the unoriented point query
+/// [`triangles_at`] and the rewiring generator's neighbourhood-overlap
+/// check. Generic over the id type.
 pub fn sorted_intersection_len<T: Ord + Copy>(a: &[T], b: &[T]) -> usize {
     let (short, long) = if a.len() <= b.len() { (a, b) } else { (b, a) };
     if short.is_empty() {
@@ -432,6 +485,22 @@ mod tests {
     }
 
     #[test]
+    fn oriented_lists_keep_the_higher_ranked_end_of_every_edge() {
+        // Paw: triangle 0-1-2 plus pendant 3 on 0. Degrees 3, 2, 2, 1:
+        // 3 < 1 < 2 < 0 by (degree, id), so 0's list is empty and the
+        // triangle is found once, at 1.
+        let lists: Vec<Vec<u64>> = vec![vec![1, 2, 3], vec![0, 2], vec![0, 1], vec![0]];
+        let oriented = OrientedAdjacency::build(4, |v| &lists[v]);
+        let kept: Vec<&[u64]> = (0..4).map(|v| oriented.list(v)).collect();
+        assert_eq!(kept, [&[][..], &[0, 2], &[0], &[0]]);
+        assert_eq!(oriented.triangles(1), [1, 1, 1, 0]);
+        assert!(outranks(2, 1u64, 2, 0) && !outranks(2, 0u64, 2, 1));
+        let mut common = Vec::new();
+        for_each_common(&[1u32, 4, 6, 9], &[0, 4, 5, 9], |w| common.push(w));
+        assert_eq!(common, [4, 9]);
+    }
+
+    #[test]
     fn directed_input_keeps_the_out_neighbor_definition() {
         // Pinned output of a directed CSR: `d` is the out-degree and `tri`
         // is half the arcs among out-neighbors, rounded down. Vertex 1 has
@@ -530,9 +599,8 @@ mod tests {
         assert_eq!(sorted_intersection_len(&a, &b), expected);
         assert_eq!(sorted_intersection_len(&b, &a), expected);
         assert_eq!(sorted_intersection_len(&[], &b), 0);
-        // The same lists as `u64` ids, as MapReduce and the column store
-        // hold them: the merge path, then the galloping one (4 against 400
-        // values, of which only 0 is shared).
+        // The same lists as `u64` ids: the merge path, then the galloping
+        // one (4 against 400 values, of which only 0 is shared).
         let wide = |list: &[Vid]| list.iter().map(|&x| x as u64).collect::<Vec<u64>>();
         assert_eq!(sorted_intersection_len(&wide(&a), &wide(&b)), expected);
         assert_eq!(sorted_intersection_len(&wide(&a[..4]), &wide(&b)), 1);

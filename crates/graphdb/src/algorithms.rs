@@ -5,9 +5,9 @@
 //! the relationship chains. "Its performance is generally the best due to
 //! its non-distributed nature" (paper §3.2) at the scales it can hold.
 
-use graphalytics_algos::{cd, lcc};
+use graphalytics_algos::cd;
 use graphalytics_core::platform::{PlatformError, RunContext};
-use graphalytics_graph::metrics;
+use graphalytics_graph::metrics::{self, OrientedAdjacency};
 use std::collections::VecDeque;
 
 use crate::store::GraphStore;
@@ -151,13 +151,14 @@ pub fn project_adjacency(store: &GraphStore) -> Vec<Vec<u32>> {
     adjacency
 }
 
-/// Per-vertex local clustering coefficients over the projected adjacency
-/// (nodes of degree < 2 stay at 0).
+/// Per-vertex local clustering coefficients over the projected adjacency,
+/// by the shared degree-oriented count of `graph::metrics`: each triangle
+/// is found once, at its lowest-ranked corner (nodes of degree < 2 stay
+/// at 0).
 pub fn local_clustering(store: &GraphStore, ctx: &RunContext) -> Result<Vec<f64>, PlatformError> {
     let n = store.nodes.len();
-    let mut coefficients = vec![0.0f64; n];
     if n == 0 {
-        return Ok(coefficients);
+        return Ok(Vec::new());
     }
     let mut span = ctx.tracer().span("neo4j.lcc");
     span.field("nodes", n);
@@ -165,29 +166,25 @@ pub fn local_clustering(store: &GraphStore, ctx: &RunContext) -> Result<Vec<f64>
         let _project = ctx.tracer().span("neo4j.project");
         project_adjacency(store)
     };
-    let mut seq_scans = 0usize;
-    let mut chain_hops = 0usize;
-    for (v, mine) in adjacency.iter().enumerate() {
-        if v.is_multiple_of(4096) {
-            ctx.check_deadline()?;
-        }
-        if mine.len() < 2 {
-            continue;
-        }
-        let mut links = 0usize;
+    ctx.check_deadline()?;
+    let oriented = OrientedAdjacency::build(n, |v| &adjacency[v]);
+    let triangles = oriented.triangles(1);
+    // Each oriented arc jumps to its target's list, then the merge scans
+    // both oriented lists sequentially.
+    let (mut seq_scans, mut list_jumps) = (0usize, 0usize);
+    for v in 0..n {
+        let mine = oriented.list(v);
         for &u in mine {
-            let theirs = &adjacency[u as usize];
-            chain_hops += 1;
-            seq_scans += mine.len() + theirs.len();
-            links += metrics::sorted_intersection_len(mine, theirs);
+            list_jumps += 1;
+            seq_scans += mine.len() + oriented.list(u as usize).len();
         }
-        coefficients[v] = lcc::coefficient_from_links(links, mine.len());
     }
-    // Each neighbor lookup jumps to a random adjacency list, then the
-    // intersection merges both sorted lists sequentially.
     span.field("seq_accesses", seq_scans)
-        .field("rand_accesses", chain_hops);
-    Ok(coefficients)
+        .field("rand_accesses", list_jumps);
+    Ok(metrics::coefficients(
+        &triangles,
+        adjacency.iter().map(Vec::len),
+    ))
 }
 
 /// Community detection: the deterministic Leung spec over the chains.

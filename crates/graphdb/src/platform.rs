@@ -24,6 +24,7 @@ struct LoadedGraph {
     rel_weights: Vec<u64>,
     external_ids: Vec<u64>,
     num_edges: usize,
+    directed: bool,
 }
 
 impl LoadedGraph {
@@ -83,6 +84,7 @@ impl Platform for Neo4jPlatform {
                 .map(|v| graph.external_id(v))
                 .collect(),
             num_edges: graph.num_edges(),
+            directed: graph.is_directed(),
         }))
     }
 
@@ -94,6 +96,7 @@ impl Platform for Neo4jPlatform {
     ) -> Result<Output, PlatformError> {
         let loaded = self.graphs.get(handle)?;
         let store = &loaded.store;
+        PlatformError::refuse_directed_triangles(algorithm, loaded.directed)?;
         match algorithm {
             Algorithm::Stats => Ok(Output::Stats(graphalytics_algos::stats::from_coefficients(
                 loaded.num_edges,
@@ -228,6 +231,21 @@ mod tests {
         let alg = Algorithm::default_pagerank();
         let out = p.run(handle, &alg, &RunContext::unbounded()).unwrap();
         assert!(reference(&g, &alg).equivalent(&out));
+    }
+
+    #[test]
+    fn lcc_and_stats_refuse_a_directed_graph() {
+        let g = CsrGraph::from_edge_list(&EdgeListGraph::directed_from_edges(vec![
+            (0, 1),
+            (1, 2),
+            (2, 0),
+        ]));
+        let mut p = Neo4jPlatform::with_defaults();
+        let handle = p.load_graph(&g).unwrap();
+        for alg in [Algorithm::Lcc, Algorithm::Stats] {
+            let err = p.run(handle, &alg, &RunContext::unbounded()).unwrap_err();
+            assert!(matches!(err, PlatformError::Unsupported(_)), "{alg:?}");
+        }
     }
 
     #[test]

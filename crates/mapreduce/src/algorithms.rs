@@ -12,13 +12,16 @@
 //!   weight, one record per arc — the SSSP inputs);
 //! * label/state files: value = `L <label>` (CONN), `D <depth>` (BFS),
 //!   `T <distance>` (SSSP), `S <label> <score>` (CD), `R <rank>`
-//!   (PageRank), `N <n1,n2,...>` (adjacency lists).
+//!   (PageRank), `N <n1,n2,...>` (adjacency lists);
+//! * LCC's job outputs: `D <neighbor> <degree>`, `OWN <degree> <N⁺>`,
+//!   `NB <sender> <N⁺>`, `G <degree> <credits>`, `C <credits>` and
+//!   `LCC <coefficient>` (see [`lcc_parts`]).
 
-use std::fmt::{self, Display};
+use std::fmt::{self, Display, Write as _};
 use std::path::PathBuf;
 use std::str::FromStr;
 
-use graphalytics_algos::{cd, lcc};
+use graphalytics_algos::cd;
 use graphalytics_core::platform::{PlatformError, RunContext};
 use graphalytics_graph::metrics;
 
@@ -463,82 +466,143 @@ impl Display for CommaList<'_> {
     }
 }
 
-/// Ships each adjacency list to every neighbor (map side) so the reducer
-/// at each vertex can intersect.
-struct ShipListsMapper;
-
-impl Mapper for ShipListsMapper {
-    fn map(&self, key: &str, value: &str, out: &mut Emitter) {
-        let Some(list) = value.strip_prefix("N ") else {
-            return;
-        };
-        out.emit(key, format_args!("OWN {list}"));
-        for n in list.split(',').filter(|s| !s.is_empty()) {
-            out.emit(n, format_args!("NB {list}"));
-        }
-    }
-}
-
-/// Computes the local clustering coefficient per vertex.
-struct LccReducer;
-
-impl Reducer for LccReducer {
-    fn reduce(&self, key: &str, values: &[&str], out: &mut Emitter) {
-        let own = values
-            .iter()
-            .rev()
-            .find_map(|v| v.strip_prefix("OWN "))
-            .map_or_else(Vec::new, parse_list);
-        // One buffer for every received list, parsed in turn.
-        let mut list = Vec::new();
-        let mut links = 0;
-        for received in values.iter().filter_map(|v| v.strip_prefix("NB ")) {
-            list.clear();
-            list.extend(parse_ids(received));
-            links += metrics::sorted_intersection_len(&own, &list);
-        }
-        let coefficient = lcc::coefficient_from_links(links, own.len());
-        out.emit(key, format_args!("LCC {coefficient}"));
-    }
-}
-
 fn parse_list(list: &str) -> Vec<u64> {
     parse_ids(list).collect()
 }
 
+/// The ids of a `CommaList`. Plain digit runs are folded directly, which
+/// LCC's triangle job does for every id it receives; anything else goes
+/// through `str::parse`, so a malformed id is skipped as before.
 fn parse_ids(list: &str) -> impl Iterator<Item = u64> + '_ {
-    list.split(',')
-        .filter(|s| !s.is_empty())
-        .filter_map(|s| s.trim().parse().ok())
+    list.split(',').filter_map(|id| match id.as_bytes() {
+        digits @ [_, ..] if digits.len() < 20 && digits.iter().all(u8::is_ascii_digit) => {
+            Some(digits.iter().fold(0, |n, &d| n * 10 + u64::from(d - b'0')))
+        }
+        _ => id.trim().parse().ok(),
+    })
 }
 
-/// Runs the adjacency job followed by the list-shipping triangle job and
-/// returns the part files of per-vertex `LCC <coefficient>` records.
+/// A reducer that is one function.
+struct ReduceFn(fn(&str, &[&str], &mut Emitter));
+
+impl Reducer for ReduceFn {
+    fn reduce(&self, key: &str, values: &[&str], out: &mut Emitter) {
+        (self.0)(key, values, out)
+    }
+}
+
+/// LCC job 1: `D <self> <degree>` to every neighbour.
+fn send_degrees(key: &str, values: &[&str], out: &mut Emitter) {
+    let neighbours = || values.iter().filter_map(|v| v.strip_prefix("E "));
+    out.emit_each(
+        neighbours(),
+        format_args!("D {key} {}", neighbours().count()),
+    );
+}
+
+/// LCC job 2: the `D` records are the neighbours and their degrees, so the
+/// vertex knows its degree and its oriented list `N⁺`
+/// (`metrics::outranks`). It keeps `OWN <degree> <N⁺>` and sends
+/// `NB <self> <N⁺>`, formatted once, to every member of a list of two or
+/// more.
+fn ship_oriented_lists(key: &str, values: &[&str], out: &mut Emitter) {
+    let Ok(me) = key.parse::<u64>() else { return };
+    let degree = values.len();
+    let mut mine: Vec<(u64, &str)> = values
+        .iter()
+        .filter_map(|v| {
+            let (id, deg) = v.strip_prefix("D ")?.split_once(' ')?;
+            let u = id.parse().ok()?;
+            metrics::outranks(deg.parse().ok()?, u, degree, me).then_some((u, id))
+        })
+        .collect();
+    mine.sort_unstable();
+    let ids: Vec<u64> = mine.iter().map(|&(u, _)| u).collect();
+    out.emit(key, format_args!("OWN {degree} {}", CommaList(&ids)));
+    if ids.len() >= 2 {
+        let members = mine.iter().map(|&(_, id)| id);
+        out.emit_each(members, format_args!("NB {key} {}", CommaList(&ids)));
+    }
+}
+
+/// LCC job 3: merges every received `N⁺(u)` with the own `N⁺(v)`; each
+/// common `w` is a triangle `(u, v, w)`. The vertex keeps
+/// `G <degree> <its credits>` and sends one summed `C <count>` to each `u`
+/// and `w` it credits.
+fn credit_triangles(key: &str, values: &[&str], out: &mut Emitter) {
+    let own = values
+        .iter()
+        .find_map(|v| v.strip_prefix("OWN ")?.split_once(' '));
+    let Some((degree, own)) = own else { return };
+    let own = parse_list(own);
+    let (mut mine, mut theirs, mut per_w) = (0usize, Vec::new(), vec![0usize; own.len()]);
+    for (from, list) in values
+        .iter()
+        .filter_map(|v| v.strip_prefix("NB ")?.split_once(' '))
+    {
+        theirs.clear();
+        theirs.extend(parse_ids(list));
+        let mut hits = 0usize;
+        metrics::for_each_common(&theirs, &own, |w| {
+            hits += 1;
+            per_w[own.partition_point(|&x| x < w)] += 1;
+        });
+        if hits > 0 {
+            out.emit(from, format_args!("C {hits}"));
+        }
+        mine += hits;
+    }
+    let mut target = String::new();
+    for (w, &count) in own.iter().zip(&per_w).filter(|&(_, &c)| c > 0) {
+        target.clear();
+        let _ = write!(target, "{w}");
+        out.emit(&target, format_args!("C {count}"));
+    }
+    out.emit(key, format_args!("G {degree} {mine}"));
+}
+
+/// LCC job 4: adds the credits and writes `LCC <coefficient>`.
+fn sum_credits(key: &str, values: &[&str], out: &mut Emitter) {
+    let (mut degree, mut triangles) = (None, 0usize);
+    for v in values {
+        let mut parts = v.split_whitespace();
+        match parts.next() {
+            Some("C") => triangles += field::<usize>(&mut parts).unwrap_or(0),
+            Some("G") => {
+                degree = field(&mut parts);
+                triangles += field::<usize>(&mut parts).unwrap_or(0);
+            }
+            _ => {}
+        }
+    }
+    if let Some(degree) = degree {
+        let coefficient = metrics::closed_pair_fraction(triangles, degree);
+        out.emit(key, format_args!("LCC {coefficient}"));
+    }
+}
+
+/// Chains the four LCC jobs over the edge files; returns the part files of
+/// the `LCC <coefficient>` records, one for every vertex of degree ≥ 1.
 fn lcc_parts(
     config: &JobConfig,
     edge_files: &[PathBuf],
     ctx: &RunContext,
 ) -> Result<Vec<PathBuf>, PlatformError> {
-    let (_, adjacency) = run_named_job(
-        config,
-        "stats-adjacency",
-        edge_files,
-        &IdentityMapper,
-        &AdjacencyReducer,
-        ctx,
-    )?;
-    let (_, coefficients) = run_named_job(
-        config,
-        "stats-lcc",
-        &part_files(&adjacency)?,
-        &ShipListsMapper,
-        &LccReducer,
-        ctx,
-    )?;
-    part_files(&coefficients)
+    let jobs = [
+        ("stats-degrees", ReduceFn(send_degrees)),
+        ("stats-orient", ReduceFn(ship_oriented_lists)),
+        ("stats-triangles", ReduceFn(credit_triangles)),
+        ("stats-lcc", ReduceFn(sum_credits)),
+    ];
+    let mut inputs = edge_files.to_vec();
+    for (name, reducer) in &jobs {
+        let (_, dir) = run_named_job(config, name, &inputs, &IdentityMapper, reducer, ctx)?;
+        inputs = part_files(&dir)?;
+    }
+    Ok(inputs)
 }
 
-/// STATS: adjacency job, then the list-shipping triangle job; the mean is
+/// STATS: the four LCC jobs of [`lcc_parts`]; the mean is
 /// computed client-side from the per-vertex LCC records, summed as the
 /// reduce partitions return them. That is not vertex order, so the mean's
 /// last bits differ from `stats::from_coefficients` over the same values —

@@ -45,6 +45,7 @@ struct LoadedGraph {
     num_vertices: usize,
     /// Logical edge count of the loaded graph (what STATS reports).
     num_edges: usize,
+    directed: bool,
     external_ids: Vec<u64>,
     /// Input splits plus one `run-<tag>-<n>` job directory per run.
     work_dir: ScratchDir,
@@ -148,6 +149,7 @@ impl Platform for MapReducePlatform {
             weighted_edge_files,
             num_vertices: graph.num_vertices(),
             num_edges: graph.num_edges(),
+            directed: graph.is_directed(),
             external_ids,
             work_dir: scratch,
         }))
@@ -161,6 +163,7 @@ impl Platform for MapReducePlatform {
     ) -> Result<Output, PlatformError> {
         self.run_seq += 1;
         let loaded = self.graphs.get(handle)?;
+        PlatformError::refuse_directed_triangles(algorithm, loaded.directed)?;
         let n = loaded.num_vertices;
         // Job directories are named after the kernel: run-stats-1, run-pr-2, …
         let config = self.job_config(loaded, &algorithm.name().to_lowercase())?;
@@ -415,10 +418,7 @@ mod tests {
     }
 
     #[test]
-    fn stats_on_a_directed_graph_reports_the_logical_edge_count() {
-        // Four arcs, none reciprocated. STATS used to re-read the arc files
-        // and halve the record count (2 here), which is only the edge count
-        // of an undirected graph, stored as two arcs per edge.
+    fn lcc_and_stats_refuse_a_directed_graph() {
         let g = CsrGraph::from_edge_list(&EdgeListGraph::directed_from_edges(vec![
             (0, 1),
             (1, 2),
@@ -427,14 +427,10 @@ mod tests {
         ]));
         let mut p = MapReducePlatform::with_defaults();
         let handle = p.load_graph(&g).unwrap();
-        let out = p
-            .run(handle, &Algorithm::Stats, &RunContext::unbounded())
-            .unwrap();
-        let Output::Stats(stats) = out else {
-            panic!("stats output shape: {out:?}")
-        };
-        assert_eq!((stats.num_vertices, stats.num_edges), (4, 4));
-        assert_eq!(stats.num_edges, g.num_edges());
+        for alg in [Algorithm::Lcc, Algorithm::Stats] {
+            let err = p.run(handle, &alg, &RunContext::unbounded()).unwrap_err();
+            assert!(matches!(err, PlatformError::Unsupported(_)), "{alg:?}");
+        }
     }
 
     #[test]

@@ -449,7 +449,7 @@ fn transpose<T>(matrix: &mut [T], side: usize) {
 /// programs send: the inbox (a slot per vertex plus a presence bitmap
 /// with a combiner, offsets plus a flat array without) and the outboxes.
 /// Heap payloads nested inside states/messages (e.g. the LCC program's
-/// neighbor-list messages) are not counted; the budget meters the
+/// shared neighbour lists) are not counted; the budget meters the
 /// structural footprint.
 fn estimated_footprint<P: VertexProgram>(program: &P, graph: &CsrGraph, workers: usize) -> usize {
     use std::mem::size_of;
@@ -695,8 +695,9 @@ mod tests {
         assert!(combined >= g.memory_footprint() + n * size_of::<u32>() + arcs * 8);
         // Without one: the flat inbox array and the outboxes.
         let lists = fits_at_the_estimate(&crate::programs::LccProgram, &g);
-        let message = size_of::<Vec<Vid>>();
-        assert!(lists >= g.memory_footprint() + arcs * (message + size_of::<(Vid, Vec<Vid>)>()));
+        type Message = crate::programs::LccMessage;
+        let message = size_of::<Message>();
+        assert!(lists >= g.memory_footprint() + arcs * (message + size_of::<Envelope<Message>>()));
     }
 
     #[test]

@@ -79,6 +79,7 @@ impl Platform for GiraphPlatform {
         ctx: &RunContext,
     ) -> Result<Output, PlatformError> {
         let graph = Arc::clone(self.graphs.get(handle)?);
+        PlatformError::refuse_directed_triangles(algorithm, graph.is_directed())?;
         let threads = InProcess {
             graph: &graph,
             config: &self.config,
@@ -150,6 +151,21 @@ mod tests {
         let alg = Algorithm::default_pagerank();
         let out = p.run(handle, &alg, &RunContext::unbounded()).unwrap();
         assert!(reference(&graph, &alg).equivalent(&out));
+    }
+
+    #[test]
+    fn lcc_and_stats_refuse_a_directed_graph() {
+        let g = CsrGraph::from_edge_list(&EdgeListGraph::directed_from_edges(vec![
+            (0, 1),
+            (1, 2),
+            (2, 0),
+        ]));
+        let mut p = GiraphPlatform::with_defaults();
+        let handle = p.load_graph(&g).unwrap();
+        for alg in [Algorithm::Lcc, Algorithm::Stats] {
+            let err = p.run(handle, &alg, &RunContext::unbounded()).unwrap_err();
+            assert!(matches!(err, PlatformError::Unsupported(_)), "{alg:?}");
+        }
     }
 
     #[test]

@@ -1,8 +1,10 @@
 //! The Graphalytics workload expressed as Pregel vertex programs, and the
 //! one [`dispatch`] from an [`Algorithm`] to its program.
 
+use std::sync::Arc;
+
 use crate::engine::{ComputeContext, VertexProgram};
-use graphalytics_algos::{cd, lcc, stats, Algorithm, Output};
+use graphalytics_algos::{cd, stats, Algorithm, Output};
 use graphalytics_graph::{metrics, CsrGraph, Vid};
 
 /// What an engine does with a kernel's vertex program: the in-process
@@ -32,10 +34,13 @@ pub fn dispatch<V: ProgramVisitor>(
     visitor: V,
 ) -> Option<V::Out> {
     Some(match *algorithm {
-        Algorithm::Stats => visitor.visit(&LccProgram, |g, coefficients| {
+        Algorithm::Stats => visitor.visit(&LccProgram, |g, triangles| {
+            let coefficients = metrics::coefficients(&triangles, g.degrees());
             Output::Stats(stats::from_coefficients(g.num_edges(), &coefficients))
         }),
-        Algorithm::Lcc => visitor.visit(&LccProgram, |_, s| Output::LocalClustering(s)),
+        Algorithm::Lcc => visitor.visit(&LccProgram, |g, triangles| {
+            Output::LocalClustering(metrics::coefficients(&triangles, g.degrees()))
+        }),
         Algorithm::Bfs { source } => {
             let source = graph.internal_id(source);
             visitor.visit(&BfsProgram { source }, |_, s| Output::Depths(s))
@@ -156,46 +161,94 @@ impl VertexProgram for SsspProgram {
     }
 }
 
-/// LCC, and the clustering half of STATS (which averages these states):
-/// superstep 0 sends every vertex's adjacency list to all its neighbors (an
-/// intentionally network-heavy step — this kernel stresses the network
-/// choke point); superstep 1 intersects received lists with the local one
-/// and stores the local clustering coefficient.
+/// LCC, and the clustering half of STATS (which averages it), on the
+/// degree-oriented adjacency `N⁺` of `graph::metrics`; a state is its
+/// vertex's triangle count. Superstep 0: `v` sends `N⁺(v)`, one shared
+/// allocation, to every `u ∈ N⁺(v)`. Superstep 1: `u` merges each list
+/// with `N⁺(u)`; each common `w` is a triangle `(v, u, w)`, which `u`
+/// credits to itself and, summed per target, to `v` and `w` in one message
+/// each. Superstep 2: credits are added. The lists still cross the wire,
+/// so LCC keeps its network choke point, but only along oriented arcs:
+/// Σ |N⁺(v)|² ids instead of Σ deg(v)².
 pub struct LccProgram;
 
-impl VertexProgram for LccProgram {
-    type State = f64;
-    type Message = Vec<Vid>;
+/// A message of [`LccProgram`].
+#[derive(Debug, Clone, PartialEq)]
+pub enum LccMessage {
+    /// The oriented list `N⁺(from)`.
+    List(Vid, Arc<[Vid]>),
+    /// Triangles credited to the receiver.
+    Credit(usize),
+}
 
-    fn init(&self, _vertex: Vid, _graph: &CsrGraph) -> f64 {
-        0.0
+impl Default for LccMessage {
+    fn default() -> Self {
+        LccMessage::Credit(0)
+    }
+}
+
+graphalytics_codec::layout!(enum LccMessage { 0 => List(from, ids), 1 => Credit(count) });
+
+/// `N⁺(v)`, sorted.
+fn oriented(graph: &CsrGraph, v: Vid) -> Vec<Vid> {
+    let d = graph.degree(v);
+    let keep = |&&u: &&Vid| metrics::outranks(graph.degree(u), u, d, v);
+    graph.neighbors(v).iter().filter(keep).copied().collect()
+}
+
+impl VertexProgram for LccProgram {
+    type State = usize;
+    type Message = LccMessage;
+
+    fn init(&self, _vertex: Vid, _graph: &CsrGraph) -> usize {
+        0
     }
 
     fn compute(
         &self,
-        state: &mut f64,
-        messages: &[Vec<Vid>],
-        ctx: &mut ComputeContext<'_, Vec<Vid>>,
+        state: &mut usize,
+        messages: &[LccMessage],
+        ctx: &mut ComputeContext<'_, LccMessage>,
     ) {
-        match ctx.superstep {
-            0 => {
-                if ctx.degree() >= 2 {
-                    let mine: Vec<Vid> = ctx.graph.neighbors(ctx.vertex).to_vec();
-                    ctx.send_to_neighbors(mine);
-                } else {
-                    ctx.vote_to_halt();
+        let (graph, me) = (ctx.graph, ctx.vertex);
+        if ctx.superstep == 0 {
+            // A list of one id closes no triangle at its receiver.
+            let mine: Arc<[Vid]> = oriented(graph, me).into();
+            if mine.len() >= 2 {
+                for &u in mine.iter() {
+                    ctx.send(u, LccMessage::List(me, Arc::clone(&mine)));
                 }
             }
-            _ => {
-                let mine = ctx.graph.neighbors(ctx.vertex);
-                let links: usize = messages
-                    .iter()
-                    .map(|their| metrics::sorted_intersection_len(mine, their))
-                    .sum();
-                *state = lcc::coefficient_from_links(links, mine.len());
-                ctx.vote_to_halt();
+        } else {
+            // Each member's credits and N⁺(me), built at the first list.
+            let mut own: Option<(Vec<usize>, Vec<Vid>)> = None;
+            for message in messages {
+                match message {
+                    LccMessage::Credit(count) => *state += count,
+                    LccMessage::List(from, theirs) => {
+                        let (per_w, mine) = own.get_or_insert_with(|| {
+                            let list = oriented(graph, me);
+                            (vec![0; list.len()], list)
+                        });
+                        let mut hits = 0;
+                        metrics::for_each_common(theirs, mine, |w| {
+                            hits += 1;
+                            per_w[mine.partition_point(|&x| x < w)] += 1;
+                        });
+                        if hits > 0 {
+                            *state += hits;
+                            ctx.send(*from, LccMessage::Credit(hits));
+                        }
+                    }
+                }
+            }
+            if let Some((per_w, mine)) = own {
+                for (&w, &count) in mine.iter().zip(&per_w).filter(|&(_, &c)| c > 0) {
+                    ctx.send(w, LccMessage::Credit(count));
+                }
             }
         }
+        ctx.vote_to_halt();
     }
 }
 
@@ -416,9 +469,32 @@ mod tests {
 
     #[test]
     fn lcc_program_matches_reference() {
-        let g = graph(vec![(0, 1), (1, 2), (0, 2), (0, 3), (3, 4)]);
-        let lccs = run_default(&g, &LccProgram);
-        assert_eq!(lccs, graphalytics_algos::lcc::local_clustering(&g));
+        let g = graph(vec![(0, 1), (1, 2), (0, 2), (0, 3), (3, 4), (1, 3)]);
+        let triangles = run_default(&g, &LccProgram);
+        assert_eq!(triangles, metrics::triangles_per_vertex(&g, 1));
+        assert_eq!(
+            metrics::coefficients(&triangles, g.degrees()),
+            graphalytics_algos::lcc::local_clustering(&g)
+        );
+    }
+
+    /// The Shuffle payload of an LCC superstep: a tag byte, then the
+    /// sender and its list as a `Vec` travels, or the credit.
+    #[test]
+    fn lcc_message_layout_is_pinned() {
+        use graphalytics_codec::Codec;
+        let encoded = |m: LccMessage| {
+            let mut out = Vec::new();
+            m.encode_into(&mut out);
+            out
+        };
+        let list = LccMessage::List(3, vec![5, 9].into());
+        let mut want = vec![0u8, 3, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0];
+        want.extend([5, 0, 0, 0, 9, 0, 0, 0]);
+        assert_eq!(encoded(list.clone()), want);
+        assert_eq!(encoded(LccMessage::Credit(2)), [1, 2, 0, 0, 0, 0, 0, 0, 0]);
+        let mut pos = 0;
+        assert_eq!(LccMessage::decode_from(&want, &mut pos), Some(list));
     }
 
     #[test]
@@ -457,7 +533,7 @@ mod tests {
     #[test]
     fn stats_program_matches_reference_lcc() {
         let g = graph(vec![(0, 1), (1, 2), (0, 2), (0, 3), (3, 4)]);
-        let lccs = run_default(&g, &LccProgram);
+        let lccs = metrics::coefficients(&run_default(&g, &LccProgram), g.degrees());
         let mean = lccs.iter().sum::<f64>() / lccs.len() as f64;
         let expected = graphalytics_algos::stats::stats(&g).mean_local_cc;
         assert!(

@@ -117,9 +117,7 @@ proptest! {
             2 => {
                 let base = run(&g, &LccProgram, &config, &clean).unwrap();
                 let rec = run(&g, &LccProgram, &config, &faulty).unwrap();
-                let base_bits: Vec<u64> = base.states.iter().map(|s| s.to_bits()).collect();
-                let rec_bits: Vec<u64> = rec.states.iter().map(|s| s.to_bits()).collect();
-                prop_assert_eq!(rec_bits, base_bits);
+                prop_assert_eq!(rec.states, base.states);
             }
             3 => {
                 let p = CdProgram { iterations: 5, hop_attenuation: 0.05, degree_exponent: 0.1 };

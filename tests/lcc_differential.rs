@@ -109,7 +109,7 @@ fn assert_engines_match(g: &EdgeListGraph, case: &str) {
         // differ; every other engine sums in vertex order.
         if name == "MapReduce" {
             assert!(
-                Output::Stats(want_stats.clone()).equivalent(&Output::Stats(got.clone())),
+                Output::Stats(want_stats).equivalent(&Output::Stats(got)),
                 "{name} STATS on {case}: {got:?}"
             );
         } else {

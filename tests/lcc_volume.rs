@@ -46,7 +46,11 @@ fn giraph_messages_per_superstep_are_pinned() {
         .map(|s| (int(s, "messages_sent"), int(s, "messages_remote")))
         .collect();
     // (messages sent, of which remote) per superstep.
-    assert_eq!(steps, [(20_969, 10_628), (0, 0)], "computed: {steps:?}");
+    assert_eq!(
+        steps,
+        [(10_438, 5_293), (14_740, 7_453), (0, 0)],
+        "computed: {steps:?}"
+    );
 }
 
 #[test]
@@ -68,7 +72,7 @@ fn graphx_shuffle_stats_are_pinned() {
         after.stages - before.stages,
     );
     // (records moved between partitions, shuffles, stages).
-    assert_eq!(lcc, (29_432, 6, 7), "computed: {lcc:?}");
+    assert_eq!(lcc, (15_522, 6, 8), "computed: {lcc:?}");
 }
 
 #[test]
@@ -82,5 +86,5 @@ fn neo4j_access_counts_are_pinned() {
         panic!("one neo4j.lcc span")
     };
     let counts = (int(lcc, "seq_accesses"), int(lcc, "rand_accesses"));
-    assert_eq!(counts, (4_102_838, 20_969), "computed: {counts:?}");
+    assert_eq!(counts, (436_310, 10_530), "computed: {counts:?}");
 }

@@ -4,7 +4,8 @@
 //! returns; this pins what crosses its disk, so a change to the record path
 //! (buffers, spills, merge) must leave every byte and counter where it was.
 //! The constants were recorded before the record path lost its per-record
-//! allocations.
+//! allocations; the LCC row was re-recorded when LCC's two jobs (adjacency,
+//! unoriented list shipping) became the four of the degree-oriented plan.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -54,7 +55,7 @@ fn hash_files(h: &mut Fnv, files: &[PathBuf]) {
 const KERNELS: &[(&str, usize, u64, u64)] = &[
     ("CONN", 6, 0x5c188ae6878475ab, 0x9c5e2535d04e5a5f),
     ("PR", 40, 0xc94d60dc44652a3c, 0x50c519d585f01982),
-    ("LCC", 2, 0xe98c7befc84a27ab, 0x642ee72362de8732),
+    ("LCC", 4, 0x3a5dd0b221e5f99d, 0xf72334f2717ddd63),
 ];
 
 /// Digest of the `edges-*` and `wedges-*` splits.
