@@ -82,7 +82,8 @@ pub fn local_clustering(
         }
     });
     ctx.check_deadline()?;
-    let triangles = OrientedAdjacency::build(num_vertices, |v| &adjacency[v]).triangles(1);
+    let oriented = OrientedAdjacency::build(num_vertices, |v| &adjacency[v]);
+    let triangles = oriented.triangles(1, || ctx.check_deadline())?;
     span.field("vertices", num_vertices);
     Ok(metrics::coefficients(
         &triangles,

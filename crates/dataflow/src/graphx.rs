@@ -278,10 +278,10 @@ impl GraphFrame {
         let credits = met.map_partitions(|part| {
             let mut credit = vec![0usize; n];
             for (dst, ((src, theirs), mine)) in part {
-                metrics::for_each_common(theirs, mine, |w| {
+                metrics::for_each_common(theirs, mine, |j| {
                     credit[*src as usize] += 1;
                     credit[*dst as usize] += 1;
-                    credit[w as usize] += 1;
+                    credit[mine[j] as usize] += 1;
                 });
             }
             (0..n as u32).zip(credit).filter(|&(_, c)| c > 0).collect()

@@ -69,7 +69,9 @@ pub fn triangles_per_vertex(g: &CsrGraph, threads: usize) -> Vec<usize> {
         !g.is_directed(),
         "triangles are counted on the undirected projection"
     );
-    OrientedAdjacency::build(g.num_vertices(), |v| g.neighbors(v as Vid)).triangles(threads)
+    let oriented = OrientedAdjacency::build(g.num_vertices(), |v| g.neighbors(v as Vid));
+    let Ok(triangles) = oriented.triangles(threads, || Ok::<_, std::convert::Infallible>(()));
+    triangles
 }
 
 /// The degree orientation: neighbour `u` (of degree `deg_u`) stays in the
@@ -123,7 +125,14 @@ impl<T: Copy + Ord + Into<u64>> OrientedAdjacency<T> {
     /// prefix sums (a pure function of the lists and `threads`), each
     /// worker credits a private integer vector, and the vectors are added
     /// in part order, so the counts are the same at every thread count.
-    pub fn triangles(&self, threads: usize) -> Vec<usize>
+    /// Each worker calls `check` before every 4096th vertex of its range
+    /// and stops at its first error, which is returned: an engine's
+    /// deadline reaches into the count.
+    pub fn triangles<E: Send>(
+        &self,
+        threads: usize,
+        check: impl Fn() -> Result<(), E> + Sync,
+    ) -> Result<Vec<usize>, E>
     where
         T: Send + Sync,
     {
@@ -131,24 +140,28 @@ impl<T: Copy + Ord + Into<u64>> OrientedAdjacency<T> {
         let parts = par::map_ranges(par::weighted_ranges(&self.offsets, threads), |_, range| {
             let mut credit = vec![0usize; n];
             for v in range {
+                if v.is_multiple_of(4096) {
+                    check()?;
+                }
                 let nv = self.list(v);
                 for &u in nv {
-                    for_each_common(nv, self.list(index(u)), |w| {
+                    let nu = self.list(index(u));
+                    for_each_common(nv, nu, |j| {
                         credit[v] += 1;
                         credit[index(u)] += 1;
-                        credit[index(w)] += 1;
+                        credit[index(nu[j])] += 1;
                     });
                 }
             }
-            credit
+            Ok(credit)
         });
         let mut total = vec![0usize; n];
         for part in parts {
-            for (t, c) in total.iter_mut().zip(part) {
+            for (t, c) in total.iter_mut().zip(part?) {
                 *t += c;
             }
         }
-        total
+        Ok(total)
     }
 }
 
@@ -157,21 +170,35 @@ fn index<T: Into<u64>>(id: T) -> usize {
     id.into() as usize
 }
 
-/// Calls `hit(w)` for every `w` in both sorted, duplicate-free lists, in
-/// ascending order: on oriented lists, each hit is one triangle.
-pub fn for_each_common<T: Ord + Copy>(a: &[T], b: &[T], mut hit: impl FnMut(T)) {
+/// Calls `hit(j)` for every `b[j]` that is also in `a`, in ascending
+/// order; both lists sorted and duplicate-free. On oriented lists, each
+/// hit is one triangle.
+pub fn for_each_common<T: Ord>(a: &[T], b: &[T], mut hit: impl FnMut(usize)) {
     let (mut i, mut j) = (0, 0);
     while i < a.len() && j < b.len() {
         match a[i].cmp(&b[j]) {
             std::cmp::Ordering::Less => i += 1,
             std::cmp::Ordering::Greater => j += 1,
             std::cmp::Ordering::Equal => {
-                hit(a[i]);
+                hit(j);
                 i += 1;
                 j += 1;
             }
         }
     }
+}
+
+/// The receiving end of an oriented list-shipping plan: every member
+/// `own[j]` of the own list `N⁺(u)` that is also in a received `N⁺(v)`
+/// closes the triangle `(v, u, own[j])`. Adds one to `per_member[j]` per
+/// hit and returns the hit count, which is `v`'s credit and `u`'s own.
+pub fn credit_members<T: Ord>(theirs: &[T], own: &[T], per_member: &mut [usize]) -> usize {
+    let mut hits = 0;
+    for_each_common(theirs, own, |j| {
+        hits += 1;
+        per_member[j] += 1;
+    });
+    hits
 }
 
 /// `2·tri / (d·(d−1))`, the fraction of a degree-`d` vertex's neighbor
@@ -493,11 +520,21 @@ mod tests {
         let oriented = OrientedAdjacency::build(4, |v| &lists[v]);
         let kept: Vec<&[u64]> = (0..4).map(|v| oriented.list(v)).collect();
         assert_eq!(kept, [&[][..], &[0, 2], &[0], &[0]]);
-        assert_eq!(oriented.triangles(1), [1, 1, 1, 0]);
+        assert_eq!(
+            oriented.triangles(1, || Ok::<_, ()>(())),
+            Ok(vec![1, 1, 1, 0])
+        );
+        assert_eq!(oriented.triangles(1, || Err("late")), Err("late"));
         assert!(outranks(2, 1u64, 2, 0) && !outranks(2, 0u64, 2, 1));
         let mut common = Vec::new();
-        for_each_common(&[1u32, 4, 6, 9], &[0, 4, 5, 9], |w| common.push(w));
-        assert_eq!(common, [4, 9]);
+        for_each_common(&[1u32, 4, 6, 9], &[0, 4, 5, 9], |j| common.push(j));
+        assert_eq!(common, [1, 3]);
+        let mut per_member = [0; 4];
+        assert_eq!(
+            credit_members(&[1u32, 4, 6, 9], &[0, 4, 5, 9], &mut per_member),
+            2
+        );
+        assert_eq!(per_member, [0, 1, 0, 1]);
     }
 
     #[test]

@@ -168,7 +168,7 @@ pub fn local_clustering(store: &GraphStore, ctx: &RunContext) -> Result<Vec<f64>
     };
     ctx.check_deadline()?;
     let oriented = OrientedAdjacency::build(n, |v| &adjacency[v]);
-    let triangles = oriented.triangles(1);
+    let triangles = oriented.triangles(1, || ctx.check_deadline())?;
     // Each oriented arc jumps to its target's list, then the merge scans
     // both oriented lists sequentially.
     let (mut seq_scans, mut list_jumps) = (0usize, 0usize);

@@ -17,7 +17,7 @@
 //!   `NB <sender> <N⁺>`, `G <degree> <credits>`, `C <credits>` and
 //!   `LCC <coefficient>` (see [`lcc_parts`]).
 
-use std::fmt::{self, Display, Write as _};
+use std::fmt::{self, Display};
 use std::path::PathBuf;
 use std::str::FromStr;
 
@@ -466,20 +466,11 @@ impl Display for CommaList<'_> {
     }
 }
 
+/// The ids of a `CommaList`; a malformed id is skipped.
 fn parse_list(list: &str) -> Vec<u64> {
-    parse_ids(list).collect()
-}
-
-/// The ids of a `CommaList`. Plain digit runs are folded directly, which
-/// LCC's triangle job does for every id it receives; anything else goes
-/// through `str::parse`, so a malformed id is skipped as before.
-fn parse_ids(list: &str) -> impl Iterator<Item = u64> + '_ {
-    list.split(',').filter_map(|id| match id.as_bytes() {
-        digits @ [_, ..] if digits.len() < 20 && digits.iter().all(u8::is_ascii_digit) => {
-            Some(digits.iter().fold(0, |n, &d| n * 10 + u64::from(d - b'0')))
-        }
-        _ => id.trim().parse().ok(),
-    })
+    list.split(',')
+        .filter_map(|s| s.trim().parse().ok())
+        .collect()
 }
 
 /// A reducer that is one function.
@@ -535,28 +526,19 @@ fn credit_triangles(key: &str, values: &[&str], out: &mut Emitter) {
         .find_map(|v| v.strip_prefix("OWN ")?.split_once(' '));
     let Some((degree, own)) = own else { return };
     let own = parse_list(own);
-    let (mut mine, mut theirs, mut per_w) = (0usize, Vec::new(), vec![0usize; own.len()]);
+    let (mut mine, mut per_w) = (0usize, vec![0usize; own.len()]);
     for (from, list) in values
         .iter()
         .filter_map(|v| v.strip_prefix("NB ")?.split_once(' '))
     {
-        theirs.clear();
-        theirs.extend(parse_ids(list));
-        let mut hits = 0usize;
-        metrics::for_each_common(&theirs, &own, |w| {
-            hits += 1;
-            per_w[own.partition_point(|&x| x < w)] += 1;
-        });
+        let hits = metrics::credit_members(&parse_list(list), &own, &mut per_w);
         if hits > 0 {
             out.emit(from, format_args!("C {hits}"));
         }
         mine += hits;
     }
-    let mut target = String::new();
     for (w, &count) in own.iter().zip(&per_w).filter(|&(_, &c)| c > 0) {
-        target.clear();
-        let _ = write!(target, "{w}");
-        out.emit(&target, format_args!("C {count}"));
+        out.emit(&w.to_string(), format_args!("C {count}"));
     }
     out.emit(key, format_args!("G {degree} {mine}"));
 }

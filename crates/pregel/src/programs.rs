@@ -220,21 +220,18 @@ impl VertexProgram for LccProgram {
                 }
             }
         } else {
-            // Each member's credits and N⁺(me), built at the first list.
-            let mut own: Option<(Vec<usize>, Vec<Vid>)> = None;
+            // The lists arrive in superstep 1, the credits in superstep 2.
+            let mine = if ctx.superstep == 1 {
+                oriented(graph, me)
+            } else {
+                Vec::new()
+            };
+            let mut per_w = vec![0; mine.len()];
             for message in messages {
                 match message {
                     LccMessage::Credit(count) => *state += count,
                     LccMessage::List(from, theirs) => {
-                        let (per_w, mine) = own.get_or_insert_with(|| {
-                            let list = oriented(graph, me);
-                            (vec![0; list.len()], list)
-                        });
-                        let mut hits = 0;
-                        metrics::for_each_common(theirs, mine, |w| {
-                            hits += 1;
-                            per_w[mine.partition_point(|&x| x < w)] += 1;
-                        });
+                        let hits = metrics::credit_members(theirs, &mine, &mut per_w);
                         if hits > 0 {
                             *state += hits;
                             ctx.send(*from, LccMessage::Credit(hits));
@@ -242,10 +239,8 @@ impl VertexProgram for LccProgram {
                     }
                 }
             }
-            if let Some((per_w, mine)) = own {
-                for (&w, &count) in mine.iter().zip(&per_w).filter(|&(_, &c)| c > 0) {
-                    ctx.send(w, LccMessage::Credit(count));
-                }
+            for (&w, &count) in mine.iter().zip(&per_w).filter(|&(_, &c)| c > 0) {
+                ctx.send(w, LccMessage::Credit(count));
             }
         }
         ctx.vote_to_halt();
