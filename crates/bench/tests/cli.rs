@@ -194,7 +194,10 @@ fn mistakes_exit_2_and_say_what_was_wrong() {
 /// what the parent commit's `table1`, `fig1` and `datagen` binaries wrote
 /// for the same knobs, recorded before the fold. `chokepoints` and
 /// `robustness` print only counts, so their output is pinned too: the same
-/// `GX_FAULT_SEED` must print the same robustness report.
+/// `GX_FAULT_SEED` must print the same robustness report. Its fault counts
+/// were re-pinned when MapReduce went to one job per round: job names are
+/// its fault sites, so fewer jobs roll fewer faults (the success table did
+/// not move).
 #[test]
 fn deterministic_outputs_match_the_separate_binaries() {
     let dir = ScratchDir::new(None, "gx-bench-cli").unwrap();
@@ -202,7 +205,7 @@ fn deterministic_outputs_match_the_separate_binaries() {
         ("table1", 0xaf53_fd37_de53_d3f9_u64),
         ("fig1", 0x3cc3_bffd_2adb_2b04),
         ("chokepoints", 0x48e1_373f_3642_a44d),
-        ("robustness", 0xa8e0_b15a_e239_963f),
+        ("robustness", 0xbb80_1579_09a8_11af),
     ] {
         let out = bench(&[command], TINY, dir.path());
         assert!(out.status.success(), "bench {command}");

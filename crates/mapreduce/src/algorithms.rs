@@ -1,22 +1,28 @@
 //! The Graphalytics workload as iterative MapReduce job chains.
 //!
 //! Every kernel is a driver loop over [`run_job`] invocations; state between
-//! iterations lives in files, and every iteration re-reads the edge files —
-//! the structural reason MapReduce graph processing is "two orders of
-//! magnitude slower than Giraph and GraphX" (paper §3.3) while never
-//! running out of memory.
+//! rounds lives in files, and every round reads and writes the whole graph,
+//! because each vertex's adjacency travels with its state — the structural
+//! reason MapReduce graph processing is "two orders of magnitude slower
+//! than Giraph and GraphX" (paper §3.3) while never running out of memory.
 //!
 //! Record formats (key `\t` value):
-//! * edge files: key = vertex, value = `E <neighbor>` (one record per arc);
-//! * weighted edge files: value = `W <neighbor> <weight>` (fixed-point
-//!   weight, one record per arc — the SSSP inputs);
-//! * label/state files: value = `L <label>` (CONN), `D <depth>` (BFS),
-//!   `T <distance>` (SSSP), `S <label> <score>` (CD), `R <rank>`
-//!   (PageRank), `N <n1,n2,...>` (adjacency lists);
+//! * adjacency splits (`adj-*`, written at load): value = `N <u1> <u2> …`,
+//!   one record per vertex, isolated vertices included (empty list);
+//! * weighted adjacency splits (`wadj-*`): value = `W <u1> <w1> <u2> <w2> …`
+//!   (fixed-point weights — the SSSP inputs);
+//! * chain state files: value = `<state>\t<adjacency>`, the vertex's state
+//!   followed by its split value as is; the state is `L <label>` (CONN),
+//!   `D <depth>` (BFS), `T <distance>` (SSSP), `S <label> <score>` (CD) or
+//!   `R <received>` (PageRank: the sorted sum of the shares received);
+//! * messages along arcs: `C <payload>`;
 //! * LCC's job outputs: `D <neighbor> <degree>`, `OWN <degree> <N⁺>`,
 //!   `NB <sender> <N⁺>`, `G <degree> <credits>`, `C <credits>` and
 //!   `LCC <coefficient>` (see [`lcc_parts`]).
+//!
+//! [`run_job`]: crate::job::run_job
 
+use std::collections::BTreeMap;
 use std::fmt::{self, Display};
 use std::path::PathBuf;
 use std::str::FromStr;
@@ -27,7 +33,7 @@ use graphalytics_graph::metrics;
 
 use crate::job::{
     for_each_record, part_files, run_job_traced, CountingReducer, Emitter, JobConfig, JobCounters,
-    Mapper, RecordWriter, ReduceContext, Reducer,
+    Mapper, ReduceContext, Reducer,
 };
 
 /// Identity mapper: inputs are already keyed correctly.
@@ -43,19 +49,17 @@ fn internal_err(what: &str) -> PlatformError {
     PlatformError::Internal(format!("malformed record: {what}"))
 }
 
-/// Parses the per-vertex records `v -> "X payload"` of `files` into a
-/// dense vector indexed by vertex id.
+/// Parses the per-vertex records `v -> "<tag>payload"` of `files` into a
+/// dense vector indexed by vertex id; a state record's adjacency is not
+/// part of its payload. A vertex with no such record gets `missing(v)`.
 fn collect_per_vertex<T>(
     files: &[PathBuf],
     n: usize,
     tag: &str,
     parse: impl Fn(&str) -> Option<T>,
-    default: T,
-) -> Result<Vec<T>, PlatformError>
-where
-    T: Clone,
-{
-    let mut out = vec![default; n];
+    missing: impl Fn(u32) -> T,
+) -> Result<Vec<T>, PlatformError> {
+    let mut out: Vec<T> = (0..n as u32).map(missing).collect();
     for_each_record(files, |k, v| {
         let Some(rest) = v.strip_prefix(tag) else {
             return Ok(());
@@ -64,7 +68,8 @@ where
         if idx >= n {
             return Err(internal_err(k));
         }
-        out[idx] = parse(rest.trim()).ok_or_else(|| internal_err(v))?;
+        let payload = rest.split_once('\t').map_or(rest, |(state, _)| state);
+        out[idx] = parse(payload.trim()).ok_or_else(|| internal_err(v))?;
         Ok(())
     })?;
     Ok(out)
@@ -73,6 +78,48 @@ where
 /// The next whitespace-separated field of a record payload, parsed.
 fn field<T: FromStr>(parts: &mut std::str::SplitWhitespace<'_>) -> Option<T> {
     parts.next()?.parse().ok()
+}
+
+/// The arcs of an adjacency value, as `(neighbor, weight)`: `N <u>…` arcs
+/// weigh 1, `W <u> <w>…` arcs carry their weight.
+#[derive(Clone)]
+struct Arcs<'a> {
+    fields: std::str::SplitWhitespace<'a>,
+    weighted: bool,
+}
+
+impl<'a> Arcs<'a> {
+    /// The arcs of `adjacency`; `None` for a value with neither tag.
+    fn of(adjacency: &'a str) -> Option<Self> {
+        let (weighted, list) = match adjacency.strip_prefix("N ") {
+            Some(list) => (false, list),
+            None => (true, adjacency.strip_prefix("W ")?),
+        };
+        Some(Self {
+            fields: list.split_whitespace(),
+            weighted,
+        })
+    }
+
+    /// The neighbors alone.
+    fn neighbors(self) -> impl Iterator<Item = &'a str> + Clone {
+        self.map(|(u, _)| u)
+    }
+}
+
+impl<'a> Iterator for Arcs<'a> {
+    type Item = (&'a str, u64);
+
+    /// The next arc; a weight that does not parse ends the list.
+    fn next(&mut self) -> Option<Self::Item> {
+        let u = self.fields.next()?;
+        let weight = if self.weighted {
+            field(&mut self.fields)?
+        } else {
+            1
+        };
+        Some((u, weight))
+    }
 }
 
 /// Runs job `name` into `<work_dir>/<name>`, after a deadline check (jobs
@@ -94,72 +141,142 @@ fn run_named_job<M: Mapper, R: CountingReducer>(
 
 // --------------------------------------------------------------- chains --
 
-/// The iterative job chain behind CONN, BFS, SSSP, CD and PageRank. The
-/// initial state is the file `<kernel>-<state>-0`; round `k` joins state
-/// `k` with the arc files in job `<kernel>-prop-<k>` and folds the
-/// proposals per vertex in job `<kernel>-update-<k>`, whose part files are
-/// state `k + 1`, read by the next round where they lie.
+/// What one round of a chain kernel does at a vertex: its sends, on the
+/// map side, and the fold of what it received into its next state, on the
+/// reduce side.
+trait Step: Sync {
+    /// The state, as written after the chain's tag.
+    type State: FromStr + Display;
+
+    /// Emits the `C <payload>` messages of a vertex holding `own`.
+    fn send(&self, own: &Self::State, arcs: Arcs<'_>, out: &mut Emitter);
+
+    /// The next state of a vertex holding `own`, from the payloads of its
+    /// messages in byte order; bumps `changed` when the state changed.
+    fn fold<'v>(
+        &self,
+        own: Self::State,
+        arcs: Arcs<'_>,
+        messages: impl Iterator<Item = &'v str>,
+        counters: &mut BTreeMap<String, i64>,
+    ) -> Self::State;
+}
+
+/// The iterative job chain behind CONN, BFS, SSSP, CD and PageRank: round
+/// `k` is the one job `<kernel>-round-<k>`. Its mapper reads each vertex's
+/// record — round 0 the load split, later the vertex's state record —
+/// re-emits the state with the adjacency and sends messages along the
+/// arcs; its reducer folds them into the next state, written with the
+/// adjacency again, and its part files are read by the next round where
+/// they lie.
 struct Chain<'a> {
     config: &'a JobConfig,
-    arc_files: &'a [PathBuf],
+    /// The load's adjacency splits, round 0's input.
+    splits: &'a [PathBuf],
     kernel: &'a str,
-    state: &'a str,
-    /// Record tag of a state value, with its trailing space.
+    /// Record tag of a state, with its trailing space.
     tag: &'a str,
     /// Round cap.
     max_rounds: usize,
-    /// Whether a round whose update job counted no `changed` vertex ends
-    /// the chain (PageRank runs its rounds out regardless).
+    /// Whether a round whose job counted no `changed` vertex ends the
+    /// chain (PageRank runs its rounds out regardless).
     stop_when_unchanged: bool,
     ctx: &'a RunContext,
 }
 
 impl Chain<'_> {
-    /// Runs the chain from the state `<tag><init(v)>` of each of the `n`
-    /// vertices and returns the files of the last state. The update reducer
-    /// of a round is built from the counters of that round's propagate job.
-    fn run<T: Display, P: CountingReducer, U: CountingReducer>(
+    /// Runs the chain from the state `init(v)` of every vertex of the
+    /// splits. Each round's step is built from the counters of the round
+    /// before (`None` for round 0). Returns the files of the last state and
+    /// the last round's counters; with no round at all, the splits and
+    /// `None`.
+    fn run<S: Step, I: Fn(u32) -> S::State + Sync>(
         &self,
-        n: usize,
-        init: impl Fn(u32) -> T,
-        propagate: &P,
-        update: impl Fn(&JobCounters) -> U,
-    ) -> Result<Vec<PathBuf>, PlatformError> {
-        let Chain {
-            config,
-            kernel,
-            state,
-            tag,
-            ctx,
-            ..
-        } = *self;
-        let init_file = config.work_dir.join(format!("{kernel}-{state}-0"));
-        let mut writer = RecordWriter::create(&init_file)?;
-        for v in 0..n as u32 {
-            writer.write(v, format_args!("{tag}{}", init(v)))?;
-        }
-        writer.finish()?;
-        let mut state_files = vec![init_file];
+        init: &I,
+        step: impl Fn(Option<&JobCounters>) -> S,
+    ) -> Result<(Vec<PathBuf>, Option<JobCounters>), PlatformError> {
+        let mut state_files = self.splits.to_vec();
+        let mut last: Option<JobCounters> = None;
         for round in 0..self.max_rounds {
-            let inputs = [self.arc_files, &state_files].concat();
-            let job = format!("{kernel}-prop-{round}");
-            let (proposed, dir) =
-                run_named_job(config, &job, &inputs, &IdentityMapper, propagate, ctx)?;
-            let job = format!("{kernel}-update-{round}");
-            let (updated, dir) = run_named_job(
-                config,
-                &job,
-                &part_files(&dir)?,
-                &IdentityMapper,
-                &update(&proposed),
-                ctx,
-            )?;
+            let step = step(last.as_ref());
+            let mapper = RoundMapper {
+                step: &step,
+                tag: self.tag,
+                init: (round == 0).then_some(init),
+            };
+            let reducer = RoundReducer {
+                step: &step,
+                tag: self.tag,
+            };
+            let job = format!("{}-round-{round}", self.kernel);
+            let (counters, dir) =
+                run_named_job(self.config, &job, &state_files, &mapper, &reducer, self.ctx)?;
             state_files = part_files(&dir)?;
-            if self.stop_when_unchanged && updated.user_counter("changed") == 0 {
+            let unchanged = counters.user_counter("changed") == 0;
+            last = Some(counters);
+            if self.stop_when_unchanged && unchanged {
                 break;
             }
         }
-        Ok(state_files)
+        Ok((state_files, last))
+    }
+}
+
+/// A round's mapper: parses the vertex's state (round 0: `init` of its
+/// id), re-emits it with the adjacency and lets the step send.
+struct RoundMapper<'a, S, I> {
+    step: &'a S,
+    tag: &'a str,
+    /// The initial state, in round 0 only.
+    init: Option<&'a I>,
+}
+
+impl<S: Step, I: Fn(u32) -> S::State + Sync> Mapper for RoundMapper<'_, S, I> {
+    fn map(&self, key: &str, value: &str, out: &mut Emitter) {
+        let state = match self.init {
+            Some(init) => key.parse().ok().map(|v| (init(v), value)),
+            None => value
+                .strip_prefix(self.tag)
+                .and_then(|rest| rest.split_once('\t'))
+                .and_then(|(own, adjacency)| Some((own.parse().ok()?, adjacency))),
+        };
+        let Some((own, adjacency)) = state else {
+            return;
+        };
+        let Some(arcs) = Arcs::of(adjacency) else {
+            return;
+        };
+        if self.init.is_some() {
+            out.emit(key, format_args!("{}{own}\t{adjacency}", self.tag));
+        } else {
+            out.emit_str(key, value);
+        }
+        self.step.send(&own, arcs, out);
+    }
+}
+
+/// A round's reducer: folds the messages of a vertex that has a state
+/// record into its next state record.
+struct RoundReducer<'a, S> {
+    step: &'a S,
+    tag: &'a str,
+}
+
+impl<S: Step> CountingReducer for RoundReducer<'_, S> {
+    fn reduce(&self, key: &str, values: &[&str], ctx: &mut ReduceContext<'_>) {
+        let state = values
+            .iter()
+            .find_map(|v| v.strip_prefix(self.tag)?.split_once('\t'));
+        let Some((own, adjacency)) = state else {
+            return;
+        };
+        let (Ok(own), Some(arcs)) = (own.parse(), Arcs::of(adjacency)) else {
+            return;
+        };
+        let messages = values.iter().filter_map(|v| v.strip_prefix("C "));
+        let next = self.step.fold(own, arcs, messages, ctx.counters);
+        ctx.out
+            .emit(key, format_args!("{}{next}\t{adjacency}", self.tag));
     }
 }
 
@@ -169,121 +286,89 @@ impl Chain<'_> {
 /// toward a minimum: CONN labels (`L`), BFS depths (`D`) and SSSP distances
 /// (`T`). They differ in the tag, in what a vertex sends along an arc, and
 /// in when a candidate replaces the own value.
+#[derive(Clone, Copy)]
 struct MinKernel<T> {
     kernel: &'static str,
-    state: &'static str,
     /// Record tag of the state value, with its trailing space.
     tag: &'static str,
     /// The candidate a vertex holding the first argument sends along an
-    /// arc of the given weight (1 for unweighted `E` arcs), if any.
-    send: fn(T, u64) -> Option<T>,
+    /// arc of the given weight (1 for unweighted arcs), if any.
+    candidate: fn(T, u64) -> Option<T>,
     /// Whether a candidate (first) replaces the own value (second).
     improves: fn(T, T) -> bool,
 }
 
-impl<T: Copy + Ord + FromStr + Display> MinKernel<T> {
-    /// Chains propagate/update rounds from `init` until no value changes.
+impl<T: Copy + Ord + FromStr + Display + Sync> MinKernel<T> {
+    /// Chains rounds from `init` until no value changes.
     fn run(
         &self,
         config: &JobConfig,
-        arc_files: &[PathBuf],
+        splits: &[PathBuf],
         n: usize,
-        init: impl Fn(u32) -> T,
-        missing: T,
+        init: impl Fn(u32) -> T + Sync,
         ctx: &RunContext,
     ) -> Result<Vec<T>, PlatformError> {
         let chain = Chain {
             config,
-            arc_files,
+            splits,
             kernel: self.kernel,
-            state: self.state,
             tag: self.tag,
             max_rounds: usize::MAX,
             stop_when_unchanged: true,
             ctx,
         };
-        let state = chain.run(n, init, &PropagateValue(self), |_| UpdateMin(self))?;
-        collect_per_vertex(&state, n, self.tag, |s| s.parse().ok(), missing)
+        let (state, _) = chain.run(&init, |_| *self)?;
+        collect_per_vertex(&state, n, self.tag, |s| s.parse().ok(), init)
     }
 }
 
-/// Propagation reducer: joins the state value with the arcs at each vertex,
-/// re-emits the value and sends a `C <candidate>` along every arc
-/// (`E <neighbor>`, or `W <neighbor> <weight>`) the kernel sends one on.
-struct PropagateValue<'a, T>(&'a MinKernel<T>);
+/// Sends a candidate along every arc the kernel sends one on, and adopts
+/// the minimum candidate when it improves on the own value.
+impl<T: Copy + Ord + FromStr + Display + Sync> Step for MinKernel<T> {
+    type State = T;
 
-impl<T: Copy + FromStr + Display> Reducer for PropagateValue<'_, T> {
-    fn reduce(&self, key: &str, values: &[&str], out: &mut Emitter) {
-        let own = values
-            .iter()
-            .rev()
-            .find_map(|v| v.strip_prefix(self.0.tag))
-            .and_then(|x| x.trim().parse().ok());
-        let Some(own) = own else { return };
-        out.emit(key, format_args!("{}{own}", self.0.tag));
-        for v in values {
-            let arc = if let Some(n) = v.strip_prefix("E ") {
-                Some((n, 1))
-            } else if let Some(a) = v.strip_prefix("W ") {
-                let mut parts = a.split_whitespace();
-                parts.next().zip(field(&mut parts))
-            } else {
-                None
-            };
-            let Some((n, w)) = arc else { continue };
-            if let Some(candidate) = (self.0.send)(own, w) {
-                out.emit(n, format_args!("C {candidate}"));
+    fn send(&self, own: &T, arcs: Arcs<'_>, out: &mut Emitter) {
+        for (u, w) in arcs {
+            if let Some(candidate) = (self.candidate)(*own, w) {
+                out.emit(u, format_args!("C {candidate}"));
             }
         }
     }
-}
 
-/// Update reducer: takes the own value plus candidates, adopts the minimum
-/// candidate when it improves on the own value, and counts changes.
-struct UpdateMin<'a, T>(&'a MinKernel<T>);
-
-impl<T: Copy + Ord + FromStr + Display> CountingReducer for UpdateMin<'_, T> {
-    fn reduce(&self, key: &str, values: &[&str], ctx: &mut ReduceContext<'_>) {
-        let mut own: Option<T> = None;
-        let mut best: Option<T> = None;
-        for v in values {
-            if let Some(x) = v.strip_prefix(self.0.tag) {
-                own = x.trim().parse().ok();
-            } else if let Some(c) = v.strip_prefix("C ") {
-                if let Ok(c) = c.trim().parse::<T>() {
-                    best = Some(best.map_or(c, |b| b.min(c)));
-                }
-            }
-        }
-        let Some(own) = own else { return };
-        let new = match best {
-            Some(best) if (self.0.improves)(best, own) => {
-                *ctx.counters.entry("changed".into()).or_insert(0) += 1;
+    fn fold<'v>(
+        &self,
+        own: T,
+        _arcs: Arcs<'_>,
+        messages: impl Iterator<Item = &'v str>,
+        counters: &mut BTreeMap<String, i64>,
+    ) -> T {
+        let best = messages.filter_map(|c| c.trim().parse::<T>().ok()).min();
+        match best {
+            Some(best) if (self.improves)(best, own) => {
+                *counters.entry("changed".into()).or_insert(0) += 1;
                 best
             }
             _ => own,
-        };
-        ctx.out.emit(key, format_args!("{}{new}", self.0.tag));
+        }
     }
 }
 
 /// Connected components: every vertex sends its label and keeps the
-/// minimum it sees, until no label changes. `edge_files` hold `E`-tagged
-/// arcs; `n` is the vertex count.
+/// minimum it sees, until no label changes. `splits` hold the `N`-tagged
+/// adjacency records; `n` is the vertex count.
 pub fn connected_components(
     config: &JobConfig,
-    edge_files: &[PathBuf],
+    splits: &[PathBuf],
     n: usize,
     ctx: &RunContext,
 ) -> Result<Vec<u32>, PlatformError> {
     let conn = MinKernel::<u32> {
         kernel: "conn",
-        state: "labels",
         tag: "L ",
-        send: |label, _| Some(label),
+        candidate: |label, _| Some(label),
         improves: |candidate, own| candidate < own,
     };
-    conn.run(config, edge_files, n, |v| v, 0, ctx)
+    conn.run(config, splits, n, |v| v, ctx)
 }
 
 /// BFS from `source` (internal id; `None` = unreachable everywhere):
@@ -291,29 +376,28 @@ pub fn connected_components(
 /// minimum candidate.
 pub fn bfs(
     config: &JobConfig,
-    edge_files: &[PathBuf],
+    splits: &[PathBuf],
     n: usize,
     source: Option<u32>,
     ctx: &RunContext,
 ) -> Result<Vec<i64>, PlatformError> {
     let bfs = MinKernel::<i64> {
         kernel: "bfs",
-        state: "depths",
         tag: "D ",
-        send: |depth, _| (depth >= 0).then(|| depth + 1),
+        candidate: |depth, _| (depth >= 0).then(|| depth + 1),
         improves: |_, own| own < 0,
     };
     let init = |v| if Some(v) == source { 0 } else { -1 };
-    bfs.run(config, edge_files, n, init, -1, ctx)
+    bfs.run(config, splits, n, init, ctx)
 }
 
 /// SSSP from `source` (internal id; `None` = unreachable everywhere):
-/// Bellman-Ford rounds over the weighted edge files (`W <neighbor>
-/// <weight>` records) — vertices with a finite distance send `dist +
-/// weight` — until no distance improves.
+/// Bellman-Ford rounds over the weighted splits (`W <u1> <w1> …` records)
+/// — vertices with a finite distance send `dist + weight` — until no
+/// distance improves.
 pub fn sssp(
     config: &JobConfig,
-    weighted_edge_files: &[PathBuf],
+    weighted_splits: &[PathBuf],
     n: usize,
     source: Option<u32>,
     ctx: &RunContext,
@@ -321,87 +405,90 @@ pub fn sssp(
     let inf = graphalytics_algos::INFINITY;
     let sssp = MinKernel::<u64> {
         kernel: "sssp",
-        state: "dists",
         tag: "T ",
-        send: |dist, weight| {
+        candidate: |dist, weight| {
             (dist != graphalytics_algos::INFINITY).then(|| dist.saturating_add(weight))
         },
         improves: |candidate, own| candidate < own,
     };
     let init = |v| if Some(v) == source { 0 } else { inf };
-    sssp.run(config, weighted_edge_files, n, init, inf, ctx)
+    sssp.run(config, weighted_splits, n, init, ctx)
 }
 
 // ------------------------------------------------------------------ CD --
 
-/// The `<label> <score>` payload of a CD state record.
-fn cd_state(payload: &str) -> Option<(u32, f64)> {
-    let mut parts = payload.split_whitespace();
-    Some((field(&mut parts)?, field(&mut parts)?))
+/// A CD state: the label and its score, written `<label> <score>`.
+#[derive(Clone, Copy)]
+struct Community(u32, f64);
+
+impl FromStr for Community {
+    type Err = ();
+
+    fn from_str(s: &str) -> Result<Self, ()> {
+        let mut parts = s.split_whitespace();
+        Ok(Community(
+            field(&mut parts).ok_or(())?,
+            field(&mut parts).ok_or(())?,
+        ))
+    }
 }
 
-/// CD propagate: each vertex ships `(label, score, influence)` to all
-/// neighbors; influence uses the vertex's degree (the count of E records).
-struct PropagateCommunities {
+impl Display for Community {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{} {}", self.0, self.1)
+    }
+}
+
+/// CD round: each vertex ships `(label, score, influence)` to all
+/// neighbors, the influence from its degree; each then takes the canonical
+/// adopt-or-keep step of the shared spec.
+#[derive(Clone, Copy)]
+struct CommunityStep {
+    hop_attenuation: f64,
     degree_exponent: f64,
 }
 
-impl Reducer for PropagateCommunities {
-    fn reduce(&self, key: &str, values: &[&str], out: &mut Emitter) {
-        let mut state: Option<(u32, f64)> = None;
-        let mut degree = 0;
-        for v in values {
-            if let Some(s) = v.strip_prefix("S ") {
-                state = cd_state(s).or(state);
-            } else if v.starts_with("E ") {
-                degree += 1;
-            }
-        }
-        let Some((label, score)) = state else { return };
-        out.emit(key, format_args!("S {label} {score}"));
-        let influence = cd::influence(score, degree, self.degree_exponent);
+impl Step for CommunityStep {
+    type State = Community;
+
+    fn send(&self, &Community(label, score): &Community, arcs: Arcs<'_>, out: &mut Emitter) {
+        let influence = cd::influence(score, arcs.clone().count(), self.degree_exponent);
         out.emit_each(
-            values.iter().filter_map(|v| v.strip_prefix("E ")),
+            arcs.neighbors(),
             format_args!("C {label} {score} {influence}"),
         );
     }
-}
 
-/// CD update: the canonical adopt-or-keep step from the shared spec.
-struct UpdateCommunities {
-    hop_attenuation: f64,
-}
-
-impl CountingReducer for UpdateCommunities {
-    fn reduce(&self, key: &str, values: &[&str], ctx: &mut ReduceContext<'_>) {
-        let mut own: Option<(u32, f64)> = None;
+    fn fold<'v>(
+        &self,
+        own: Community,
+        _arcs: Arcs<'_>,
+        messages: impl Iterator<Item = &'v str>,
+        counters: &mut BTreeMap<String, i64>,
+    ) -> Community {
         let mut weight = cd::LabelWeights::default();
-        for v in values {
-            if let Some(s) = v.strip_prefix("S ") {
-                own = cd_state(s).or(own);
-            } else if let Some(c) = v.strip_prefix("C ") {
-                let mut parts = c.split_whitespace();
-                if let (Some(label), Some(score), Some(influence)) =
-                    (field(&mut parts), field(&mut parts), field(&mut parts))
-                {
-                    cd::add_vote(&mut weight, label, score, influence);
-                }
+        for c in messages {
+            let mut parts = c.split_whitespace();
+            if let (Some(label), Some(score), Some(influence)) =
+                (field(&mut parts), field(&mut parts), field(&mut parts))
+            {
+                cd::add_vote(&mut weight, label, score, influence);
             }
         }
-        let Some(own) = own else { return };
-        let (label, score, adopted) = cd::adopt_or_keep(own, &mut weight, self.hop_attenuation);
+        let (label, score, adopted) =
+            cd::adopt_or_keep((own.0, own.1), &mut weight, self.hop_attenuation);
         if adopted {
-            *ctx.counters.entry("changed".into()).or_insert(0) += 1;
+            *counters.entry("changed".into()).or_insert(0) += 1;
         }
-        ctx.out.emit(key, format_args!("S {label} {score}"));
+        Community(label, score)
     }
 }
 
-/// Community detection: `iterations` propagate/update rounds with the
-/// reference's early stop.
+/// Community detection: `iterations` rounds with the reference's early
+/// stop.
 pub fn community_detection(
     config: &JobConfig,
-    edge_files: &[PathBuf],
+    splits: &[PathBuf],
     n: usize,
     iterations: usize,
     hop_attenuation: f64,
@@ -410,46 +497,28 @@ pub fn community_detection(
 ) -> Result<Vec<u32>, PlatformError> {
     let chain = Chain {
         config,
-        arc_files: edge_files,
+        splits,
         kernel: "cd",
-        state: "state",
         tag: "S ",
         max_rounds: iterations,
         stop_when_unchanged: true,
         ctx,
     };
-    let state = chain.run(
-        n,
-        |v| format!("{v} 1"),
-        &PropagateCommunities { degree_exponent },
-        |_| UpdateCommunities { hop_attenuation },
-    )?;
+    let step = CommunityStep {
+        hop_attenuation,
+        degree_exponent,
+    };
+    let (state, _) = chain.run(&|v| Community(v, 1.0), |_| step)?;
     collect_per_vertex(
         &state,
         n,
-        "S",
+        "S ",
         |s| s.split_whitespace().next()?.parse().ok(),
-        0u32,
+        |v| v,
     )
 }
 
 // --------------------------------------------------------------- STATS --
-
-/// Builds sorted adjacency lists.
-struct AdjacencyReducer;
-
-impl Reducer for AdjacencyReducer {
-    fn reduce(&self, key: &str, values: &[&str], out: &mut Emitter) {
-        let mut neighbors: Vec<u64> = values
-            .iter()
-            .filter_map(|v| v.strip_prefix("E "))
-            .filter_map(|n| n.trim().parse().ok())
-            .collect();
-        neighbors.sort_unstable();
-        neighbors.dedup();
-        out.emit(key, format_args!("N {}", CommaList(&neighbors)));
-    }
-}
 
 /// A list written as `a,b,c`.
 struct CommaList<'a>(&'a [u64]);
@@ -482,17 +551,26 @@ impl Reducer for ReduceFn {
     }
 }
 
-/// LCC job 1: `D <self> <degree>` to every neighbour.
-fn send_degrees(key: &str, values: &[&str], out: &mut Emitter) {
-    let neighbours = || values.iter().filter_map(|v| v.strip_prefix("E "));
-    out.emit_each(
-        neighbours(),
-        format_args!("D {key} {}", neighbours().count()),
-    );
+/// LCC job 1's mapper: `D <self> <degree>` to every neighbour on the
+/// vertex's adjacency record. A record whose id does not parse sends
+/// nothing, as in the chains, so such a neighbour is not counted either:
+/// both ends of an edge must agree on each other's degree.
+struct SendDegrees;
+
+impl Mapper for SendDegrees {
+    fn map(&self, key: &str, value: &str, out: &mut Emitter) {
+        if key.parse::<u64>().is_err() {
+            return;
+        }
+        let Some(arcs) = Arcs::of(value) else { return };
+        let ids = arcs.neighbors().filter(|u| u.parse::<u64>().is_ok());
+        let degree = ids.clone().count();
+        out.emit_each(ids, format_args!("D {key} {degree}"));
+    }
 }
 
-/// LCC job 2: the `D` records are the neighbours and their degrees, so the
-/// vertex knows its degree and its oriented list `N⁺`
+/// LCC job 1's reducer: the `D` records are the neighbours and their
+/// degrees, so the vertex knows its degree and its oriented list `N⁺`
 /// (`metrics::outranks`). It keeps `OWN <degree> <N⁺>` and sends
 /// `NB <self> <N⁺>`, formatted once, to every member of a list of two or
 /// more.
@@ -516,7 +594,7 @@ fn ship_oriented_lists(key: &str, values: &[&str], out: &mut Emitter) {
     }
 }
 
-/// LCC job 3: merges every received `N⁺(u)` with the own `N⁺(v)`; each
+/// LCC job 2: merges every received `N⁺(u)` with the own `N⁺(v)`; each
 /// common `w` is a triangle `(u, v, w)`. The vertex keeps
 /// `G <degree> <its credits>` and sends one summed `C <count>` to each `u`
 /// and `w` it credits.
@@ -543,7 +621,7 @@ fn credit_triangles(key: &str, values: &[&str], out: &mut Emitter) {
     out.emit(key, format_args!("G {degree} {mine}"));
 }
 
-/// LCC job 4: adds the credits and writes `LCC <coefficient>`.
+/// LCC job 3: adds the credits and writes `LCC <coefficient>`.
 fn sum_credits(key: &str, values: &[&str], out: &mut Emitter) {
     let (mut degree, mut triangles) = (None, 0usize);
     for v in values {
@@ -563,35 +641,35 @@ fn sum_credits(key: &str, values: &[&str], out: &mut Emitter) {
     }
 }
 
-/// Chains the four LCC jobs over the edge files; returns the part files of
-/// the `LCC <coefficient>` records, one for every vertex of degree ≥ 1.
+/// Chains the three LCC jobs over the adjacency splits; returns the part
+/// files of the `LCC <coefficient>` records, one for every vertex of
+/// degree ≥ 1.
 fn lcc_parts(
     config: &JobConfig,
-    edge_files: &[PathBuf],
+    splits: &[PathBuf],
     ctx: &RunContext,
 ) -> Result<Vec<PathBuf>, PlatformError> {
-    let jobs = [
-        ("stats-degrees", ReduceFn(send_degrees)),
-        ("stats-orient", ReduceFn(ship_oriented_lists)),
+    let orient = ReduceFn(ship_oriented_lists);
+    let (_, dir) = run_named_job(config, "stats-orient", splits, &SendDegrees, &orient, ctx)?;
+    let mut inputs = part_files(&dir)?;
+    for (name, reducer) in [
         ("stats-triangles", ReduceFn(credit_triangles)),
         ("stats-lcc", ReduceFn(sum_credits)),
-    ];
-    let mut inputs = edge_files.to_vec();
-    for (name, reducer) in &jobs {
-        let (_, dir) = run_named_job(config, name, &inputs, &IdentityMapper, reducer, ctx)?;
+    ] {
+        let (_, dir) = run_named_job(config, name, &inputs, &IdentityMapper, &reducer, ctx)?;
         inputs = part_files(&dir)?;
     }
     Ok(inputs)
 }
 
-/// STATS: the four LCC jobs of [`lcc_parts`]; the mean is
+/// STATS: the three LCC jobs of [`lcc_parts`]; the mean is
 /// computed client-side from the per-vertex LCC records, summed as the
 /// reduce partitions return them. That is not vertex order, so the mean's
 /// last bits differ from `stats::from_coefficients` over the same values —
 /// the one STATS mean that keeps its own expression.
 pub fn mean_local_cc(
     config: &JobConfig,
-    edge_files: &[PathBuf],
+    splits: &[PathBuf],
     n: usize,
     ctx: &RunContext,
 ) -> Result<f64, PlatformError> {
@@ -599,7 +677,7 @@ pub fn mean_local_cc(
         return Ok(0.0);
     }
     let mut sum = 0.0f64;
-    for_each_record(&lcc_parts(config, edge_files, ctx)?, |_, v| {
+    for_each_record(&lcc_parts(config, splits, ctx)?, |_, v| {
         if let Some(x) = v.strip_prefix("LCC ") {
             sum += x.trim().parse::<f64>().unwrap_or(0.0);
         }
@@ -612,86 +690,85 @@ pub fn mean_local_cc(
 /// the output (vertices with no record — degree < 2 — stay at 0).
 pub fn local_clustering(
     config: &JobConfig,
-    edge_files: &[PathBuf],
+    splits: &[PathBuf],
     n: usize,
     ctx: &RunContext,
 ) -> Result<Vec<f64>, PlatformError> {
     if n == 0 {
         return Ok(Vec::new());
     }
-    let parts = lcc_parts(config, edge_files, ctx)?;
-    collect_per_vertex(&parts, n, "LCC", |s| s.parse().ok(), 0.0f64)
+    let parts = lcc_parts(config, splits, ctx)?;
+    collect_per_vertex(&parts, n, "LCC", |s| s.parse().ok(), |_| 0.0f64)
 }
 
 // ------------------------------------------------------------ PageRank --
 
-/// PR propagate: each vertex sends `rank / degree` to neighbors; dangling
-/// rank goes into a user counter (micro-units) the driver carries to the
-/// next round through the job configuration.
-struct PropagateRank;
+/// PageRank round: each vertex sends `rank / degree` to its neighbors and
+/// keeps the sorted sum of the shares it receives. A vertex's rank is
+/// evaluated from its state by the next round, or by the final collect, as
+/// `base + damping · received`, where `base` comes from the dangling rank
+/// of the round before: the reducer adds it up, in micro-units, in a user
+/// counter.
+#[derive(Clone, Copy)]
+struct RankStep {
+    damping: f64,
+    /// The `base` a vertex's state adds to; `None` in round 0, where the
+    /// state is the initial rank itself.
+    base: Option<f64>,
+}
 
-impl CountingReducer for PropagateRank {
-    fn reduce(&self, key: &str, values: &[&str], ctx: &mut ReduceContext<'_>) {
-        let mut rank: Option<f64> = None;
-        let mut degree = 0;
-        for v in values {
-            if let Some(r) = v.strip_prefix("R ") {
-                rank = r.trim().parse().ok();
-            } else if v.starts_with("E ") {
-                degree += 1;
-            }
-        }
-        let Some(rank) = rank else { return };
-        ctx.out.emit(key, format_args!("R {rank}"));
-        if degree == 0 {
-            // Fixed-point micro-units so the counter is an integer.
-            let micros = (rank * 1e12).round() as i64;
-            *ctx.counters.entry("dangling_micros".into()).or_insert(0) += micros;
-        } else {
-            let share = rank / degree as f64;
-            ctx.out.emit_each(
-                values.iter().filter_map(|v| v.strip_prefix("E ")),
-                format_args!("C {share}"),
-            );
+impl RankStep {
+    /// The step of the round after the one that reported `counters`.
+    fn after(damping: f64, n: f64, counters: Option<&JobCounters>) -> Self {
+        let base = counters.map(|c| {
+            let dangling = c.user_counter("dangling_micros") as f64 / 1e12;
+            (1.0 - damping) / n + damping * dangling / n
+        });
+        Self { damping, base }
+    }
+
+    /// The rank of a vertex holding `state`.
+    fn rank(&self, state: f64) -> f64 {
+        match self.base {
+            Some(base) => base + self.damping * state,
+            None => state,
         }
     }
 }
 
-/// PR update with the round's dangling mass injected by the driver.
-struct UpdateRank {
-    damping: f64,
-    n: f64,
-    dangling: f64,
-}
+impl Step for RankStep {
+    type State = f64;
 
-impl Reducer for UpdateRank {
-    fn reduce(&self, key: &str, values: &[&str], out: &mut Emitter) {
-        let mut seen = false;
-        let mut contributions: Vec<f64> = Vec::new();
-        for v in values {
-            if v.starts_with("R ") {
-                seen = true;
-            } else if let Some(c) = v.strip_prefix("C ") {
-                if let Ok(x) = c.trim().parse::<f64>() {
-                    contributions.push(x);
-                }
-            }
+    fn send(&self, &own: &f64, arcs: Arcs<'_>, out: &mut Emitter) {
+        let degree = arcs.clone().count();
+        if degree > 0 {
+            let share = self.rank(own) / degree as f64;
+            out.emit_each(arcs.neighbors(), format_args!("C {share}"));
         }
-        if !seen {
-            return;
+    }
+
+    fn fold<'v>(
+        &self,
+        own: f64,
+        mut arcs: Arcs<'_>,
+        messages: impl Iterator<Item = &'v str>,
+        counters: &mut BTreeMap<String, i64>,
+    ) -> f64 {
+        if arcs.next().is_none() {
+            // Fixed-point micro-units so the counter is an integer.
+            *counters.entry("dangling_micros".into()).or_insert(0) +=
+                (self.rank(own) * 1e12).round() as i64;
         }
+        let mut contributions: Vec<f64> = messages.filter_map(|c| c.trim().parse().ok()).collect();
         contributions.sort_by(|a, b| a.total_cmp(b));
-        let received: f64 = contributions.iter().sum();
-        let base = (1.0 - self.damping) / self.n + self.damping * self.dangling / self.n;
-        let rank = base + self.damping * received;
-        out.emit(key, format_args!("R {rank}"));
+        contributions.iter().sum()
     }
 }
 
 /// PageRank: fixed iteration count.
 pub fn pagerank(
     config: &JobConfig,
-    edge_files: &[PathBuf],
+    splits: &[PathBuf],
     n: usize,
     iterations: usize,
     damping: f64,
@@ -702,36 +779,34 @@ pub fn pagerank(
     }
     let chain = Chain {
         config,
-        arc_files: edge_files,
+        splits,
         kernel: "pr",
-        state: "ranks",
         tag: "R ",
         max_rounds: iterations,
         stop_when_unchanged: false,
         ctx,
     };
-    let state = chain.run(
+    let initial = 1.0 / n as f64;
+    let (state, last) = chain.run(&|_| initial, |counters| {
+        RankStep::after(damping, n as f64, counters)
+    })?;
+    let last = RankStep::after(damping, n as f64, last.as_ref());
+    collect_per_vertex(
+        &state,
         n,
-        |_| 1.0 / n as f64,
-        &PropagateRank,
-        |proposed| UpdateRank {
-            damping,
-            n: n as f64,
-            dangling: proposed.user_counter("dangling_micros") as f64 / 1e12,
-        },
-    )?;
-    collect_per_vertex(&state, n, "R", |s| s.parse().ok(), 1.0 / n as f64)
+        "R ",
+        |s| Some(last.rank(s.parse().ok()?)),
+        |_| initial,
+    )
 }
 
 // ----------------------------------------------------------------- EVO --
 
-/// EVO: one adjacency job, then the spec'd forest-fire walk runs in the
-/// driver over the job output (the Hadoop pattern for small sequential
-/// post-processing).
-#[allow(clippy::too_many_arguments)]
+/// EVO: the spec'd forest-fire walk runs in the driver over the adjacency
+/// splits as the load wrote them (the Hadoop pattern for small sequential
+/// post-processing); no job runs.
 pub fn forest_fire(
-    config: &JobConfig,
-    edge_files: &[PathBuf],
+    splits: &[PathBuf],
     external_ids: &[u64],
     new_vertices: usize,
     p_forward: f64,
@@ -743,24 +818,16 @@ pub fn forest_fire(
     if n == 0 || new_vertices == 0 {
         return Ok(Vec::new());
     }
-    let (_, adj_dir) = run_named_job(
-        config,
-        "evo-adjacency",
-        edge_files,
-        &IdentityMapper,
-        &AdjacencyReducer,
-        ctx,
-    )?;
     let mut adjacency: Vec<Vec<u32>> = vec![Vec::new(); n];
-    for_each_record(&part_files(&adj_dir)?, |k, v| {
-        let Some(list) = v.strip_prefix("N ") else {
+    for_each_record(splits, |k, v| {
+        let Some(arcs) = Arcs::of(v) else {
             return Ok(());
         };
         let idx: usize = k.parse().map_err(|_| internal_err(k))?;
         if idx >= n {
             return Err(internal_err(k));
         }
-        adjacency[idx] = parse_list(list).into_iter().map(|x| x as u32).collect();
+        adjacency[idx] = arcs.neighbors().filter_map(|u| u.parse().ok()).collect();
         Ok(())
     })?;
     ctx.check_deadline()?;
@@ -777,90 +844,108 @@ pub fn forest_fire(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::job::RecordWriter;
     use graphalytics_core::ScratchDir;
 
-    /// Re-emits every record: the state passes through the propagate job.
-    struct Echo;
-    impl Reducer for Echo {
-        fn reduce(&self, key: &str, values: &[&str], out: &mut Emitter) {
-            values.iter().for_each(|v| out.emit(key, v));
-        }
-    }
-
-    /// Counts `X <k>` down to zero, reporting each step as a change.
+    /// Counts its state down to zero, reporting each step as a change; sends
+    /// nothing.
     struct CountDown;
-    impl CountingReducer for CountDown {
-        fn reduce(&self, key: &str, values: &[&str], ctx: &mut ReduceContext<'_>) {
-            let x: u32 = values[0].strip_prefix("X ").unwrap().parse().unwrap();
-            if x > 0 {
-                *ctx.counters.entry("changed".into()).or_insert(0) += 1;
+    impl Step for CountDown {
+        type State = u32;
+
+        fn send(&self, _own: &u32, _arcs: Arcs<'_>, _out: &mut Emitter) {}
+
+        fn fold<'v>(
+            &self,
+            own: u32,
+            _arcs: Arcs<'_>,
+            _messages: impl Iterator<Item = &'v str>,
+            counters: &mut BTreeMap<String, i64>,
+        ) -> u32 {
+            if own > 0 {
+                *counters.entry("changed".into()).or_insert(0) += 1;
             }
-            ctx.out.emit(key, format_args!("X {}", x.saturating_sub(1)));
+            own.saturating_sub(1)
         }
     }
 
-    /// Runs the countdown from 3 and returns the final value and the update
-    /// jobs the chain ran, by output directory.
+    /// Runs the countdown from 3 on one isolated vertex and returns the
+    /// final record and the round jobs the chain ran, by output directory.
     fn count_down(max_rounds: usize, stop_when_unchanged: bool) -> (String, Vec<String>) {
         let scratch = ScratchDir::new(None, "gx-mr-chain").unwrap();
+        let split = scratch.path().join("adj-0");
+        let mut writer = RecordWriter::create(&split).unwrap();
+        writer.write_numbers(0, "N ", []).unwrap();
+        writer.finish().unwrap();
         let config = JobConfig::new(scratch.path());
         let chain = Chain {
             config: &config,
-            arc_files: &[],
+            splits: &[split],
             kernel: "tick",
-            state: "x",
             tag: "X ",
             max_rounds,
             stop_when_unchanged,
             ctx: &RunContext::unbounded(),
         };
-        let state = chain.run(1, |_| 3, &Echo, |_| CountDown).unwrap();
+        let (state, _) = chain.run(&|_| 3, |_| CountDown).unwrap();
         let mut last = Vec::new();
         for_each_record(&state, |_, v| {
             last.push(v.to_string());
             Ok(())
         })
         .unwrap();
-        let mut updates: Vec<String> = std::fs::read_dir(scratch.path())
+        let mut rounds: Vec<String> = std::fs::read_dir(scratch.path())
             .unwrap()
             .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
-            .filter(|name| name.starts_with("tick-update-"))
+            .filter(|name| name.starts_with("tick-"))
             .collect();
-        updates.sort();
-        (last.concat(), updates)
+        rounds.sort();
+        (last.concat(), rounds)
     }
 
     #[test]
     fn chain_stops_on_a_round_without_changes_and_keeps_every_state_file() {
         // 3 → 2 → 1 → 0 change; the fourth round changes nothing and ends
-        // the chain, its update output still kept as state 4.
-        let (last, updates) = count_down(usize::MAX, true);
-        assert_eq!(last, "X 0");
+        // the chain, its output still kept as state 4.
+        let (last, rounds) = count_down(usize::MAX, true);
+        assert_eq!(last, "X 0\tN ");
         let expected = [
-            "tick-update-0",
-            "tick-update-1",
-            "tick-update-2",
-            "tick-update-3",
+            "tick-round-0",
+            "tick-round-1",
+            "tick-round-2",
+            "tick-round-3",
         ];
-        assert_eq!(updates, expected);
+        assert_eq!(rounds, expected);
     }
 
     #[test]
     fn chain_stops_at_the_round_cap() {
-        let (last, updates) = count_down(2, true);
-        assert_eq!(last, "X 1");
-        assert_eq!(updates, ["tick-update-0", "tick-update-1"]);
-        // No rounds at all: the initial state is the result.
-        let (last, updates) = count_down(0, true);
-        assert_eq!(last, "X 3");
-        assert!(updates.is_empty());
+        let (last, rounds) = count_down(2, true);
+        assert_eq!(last, "X 1\tN ");
+        assert_eq!(rounds, ["tick-round-0", "tick-round-1"]);
+        // No rounds at all: the splits are the result.
+        let (last, rounds) = count_down(0, true);
+        assert_eq!(last, "N ");
+        assert!(rounds.is_empty());
     }
 
     #[test]
     fn chain_runs_its_rounds_out_when_changes_do_not_stop_it() {
         // PageRank's mode: rounds 5 and 6 change nothing and still run.
-        let (last, updates) = count_down(6, false);
-        assert_eq!(last, "X 0");
-        assert_eq!(updates.len(), 6);
+        let (last, rounds) = count_down(6, false);
+        assert_eq!(last, "X 0\tN ");
+        assert_eq!(rounds.len(), 6);
+    }
+
+    #[test]
+    fn arcs_read_both_adjacency_tags() {
+        let arcs: Vec<_> = Arcs::of("N 3 14").unwrap().collect();
+        assert_eq!(arcs, [("3", 1), ("14", 1)]);
+        let arcs: Vec<_> = Arcs::of("W 3 500 14 7").unwrap().collect();
+        assert_eq!(arcs, [("3", 500), ("14", 7)]);
+        assert_eq!(Arcs::of("N ").unwrap().count(), 0);
+        // A weight that does not parse ends the list; no tag, no arcs.
+        assert_eq!(Arcs::of("W 3 x 14 7").unwrap().count(), 0);
+        assert!(Arcs::of("3 14").is_none());
     }
 }

@@ -252,14 +252,14 @@ impl RecordWriter {
         &mut self,
         key: u64,
         tag: &str,
-        fields: &[u64],
+        fields: impl IntoIterator<Item = u64>,
     ) -> Result<(), PlatformError> {
         let line = &mut self.line;
         line.clear();
         push_u64(line, key);
         line.push(b'\t');
         line.extend_from_slice(tag.as_bytes());
-        for (i, &field) in fields.iter().enumerate() {
+        for (i, field) in fields.into_iter().enumerate() {
             if i > 0 {
                 line.push(b' ');
             }

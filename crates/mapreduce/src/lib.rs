@@ -8,7 +8,7 @@
 //!   partition's sorted segments, counters; all intermediates cross real
 //!   files, and a task holds its whole output (map) or partition (reduce)
 //!   in memory;
-//! * [`algorithms`] — the kernels as propagate/update job chains;
+//! * [`algorithms`] — the kernels as job chains, one job per round;
 //! * [`platform`] — the [`MapReducePlatform`] harness adapter.
 
 pub mod algorithms;

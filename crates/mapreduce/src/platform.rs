@@ -1,6 +1,6 @@
 //! The Hadoop MapReduce platform adapter.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use graphalytics_algos::{Algorithm, Output};
 use graphalytics_core::platform::{GraphHandle, GraphTable, Platform, PlatformError, RunContext};
@@ -17,7 +17,7 @@ pub struct MapReduceConfig {
     pub map_tasks: usize,
     /// Reduce partitions per job.
     pub reduce_tasks: usize,
-    /// Edge input splits written at ETL time (HDFS block count).
+    /// Adjacency input splits written at ETL time (HDFS block count).
     pub input_splits: usize,
     /// Root scratch directory ("HDFS"); empty (the default) means the
     /// system temp dir. Every loaded graph gets its own [`ScratchDir`]
@@ -37,11 +37,49 @@ impl Default for MapReduceConfig {
     }
 }
 
+/// The input splits of a loaded graph: one adjacency record per vertex,
+/// isolated vertices included.
+#[derive(Debug, Clone)]
+pub struct Splits {
+    /// `adj-*`: `v\tN u1 u2 …`.
+    pub adjacency: Vec<PathBuf>,
+    /// `wadj-*`: `v\tW u1 w1 u2 w2 …` — the SSSP inputs (fixed-point
+    /// weights survive the text round-trip exactly).
+    pub weighted: Vec<PathBuf>,
+}
+
+/// Writes `graph` into `dir` as `splits` pairs of split files: split `i`
+/// holds the records of vertices `i`, `i + splits`, …, one split (two
+/// files) written at a time, each record through the decimal codec of
+/// [`RecordWriter::write_numbers`].
+pub fn write_splits(graph: &CsrGraph, dir: &Path, splits: usize) -> Result<Splits, PlatformError> {
+    let splits = splits.max(1);
+    let mut files = Splits {
+        adjacency: Vec::with_capacity(splits),
+        weighted: Vec::with_capacity(splits),
+    };
+    for i in 0..splits {
+        let path = dir.join(format!("adj-{i:05}"));
+        let weighted_path = dir.join(format!("wadj-{i:05}"));
+        let mut adjacency = RecordWriter::create(&path)?;
+        let mut weighted = RecordWriter::create(&weighted_path)?;
+        for v in (i..graph.num_vertices()).step_by(splits) {
+            let v = v as Vid;
+            let neighbors = graph.neighbors(v);
+            adjacency.write_numbers(v.into(), "N ", neighbors.iter().map(|&u| u.into()))?;
+            let arcs = neighbors.iter().zip(graph.neighbor_weights(v));
+            weighted.write_numbers(v.into(), "W ", arcs.flat_map(|(&u, &w)| [u.into(), w]))?;
+        }
+        adjacency.finish()?;
+        weighted.finish()?;
+        files.adjacency.push(path);
+        files.weighted.push(weighted_path);
+    }
+    Ok(files)
+}
+
 struct LoadedGraph {
-    edge_files: Vec<PathBuf>,
-    /// `W <neighbor> <weight>` records, one file per split — the SSSP
-    /// inputs (fixed-point weights survive the text round-trip exactly).
-    weighted_edge_files: Vec<PathBuf>,
+    splits: Splits,
     num_vertices: usize,
     /// Logical edge count of the loaded graph (what STATS reports).
     num_edges: usize,
@@ -113,40 +151,18 @@ impl Platform for MapReducePlatform {
     }
 
     fn load_graph(&mut self, graph: &CsrGraph) -> Result<GraphHandle, PlatformError> {
-        // ETL: write the arc records as `input_splits` HDFS-style files.
+        // ETL: write the adjacency records as `input_splits` HDFS-style
+        // files.
         let root = &self.config.work_root;
         let root = (!root.as_os_str().is_empty()).then_some(root.as_path());
         let scratch = ScratchDir::new(root, "gx-hadoop")
             .map_err(|e| PlatformError::TransientIo(format!("i/o: {e}")))?;
-        let work_dir = scratch.path();
-        // Split `i` holds the arcs of vertices `i`, `i + splits`, …, one
-        // split (two files) written at a time.
-        let splits = self.config.input_splits.max(1);
-        let mut edge_files = Vec::with_capacity(splits);
-        let mut weighted_edge_files = Vec::with_capacity(splits);
-        for i in 0..splits {
-            let path = work_dir.join(format!("edges-{i:05}"));
-            let weighted_path = work_dir.join(format!("wedges-{i:05}"));
-            let mut edges = RecordWriter::create(&path)?;
-            let mut weighted = RecordWriter::create(&weighted_path)?;
-            for v in (i..graph.num_vertices()).step_by(splits) {
-                let v = v as Vid;
-                for (&u, &w) in graph.neighbors(v).iter().zip(graph.neighbor_weights(v)) {
-                    edges.write_numbers(v.into(), "E ", &[u.into()])?;
-                    weighted.write_numbers(v.into(), "W ", &[u.into(), w])?;
-                }
-            }
-            edges.finish()?;
-            weighted.finish()?;
-            edge_files.push(path);
-            weighted_edge_files.push(weighted_path);
-        }
+        let splits = write_splits(graph, scratch.path(), self.config.input_splits)?;
         let external_ids = (0..graph.num_vertices() as Vid)
             .map(|v| graph.external_id(v))
             .collect();
         Ok(self.graphs.insert(LoadedGraph {
-            edge_files,
-            weighted_edge_files,
+            splits,
             num_vertices: graph.num_vertices(),
             num_edges: graph.num_edges(),
             directed: graph.is_directed(),
@@ -167,29 +183,29 @@ impl Platform for MapReducePlatform {
         let n = loaded.num_vertices;
         // Job directories are named after the kernel: run-stats-1, run-pr-2, …
         let config = self.job_config(loaded, &algorithm.name().to_lowercase())?;
-        let edge_files = &loaded.edge_files;
+        let splits = &loaded.splits.adjacency;
         Ok(match algorithm {
             // |V| and |E| come from the load-time manifest; only the
             // clustering coefficient needs jobs.
             Algorithm::Stats => Output::Stats(graphalytics_algos::StatsResult {
                 num_vertices: n,
                 num_edges: loaded.num_edges,
-                mean_local_cc: algorithms::mean_local_cc(&config, edge_files, n, ctx)?,
+                mean_local_cc: algorithms::mean_local_cc(&config, splits, n, ctx)?,
             }),
             Algorithm::Bfs { source } => {
                 let source = loaded.internal_id(*source);
-                Output::Depths(algorithms::bfs(&config, edge_files, n, source, ctx)?)
+                Output::Depths(algorithms::bfs(&config, splits, n, source, ctx)?)
             }
-            Algorithm::Conn => Output::Components(algorithms::connected_components(
-                &config, edge_files, n, ctx,
-            )?),
+            Algorithm::Conn => {
+                Output::Components(algorithms::connected_components(&config, splits, n, ctx)?)
+            }
             Algorithm::Cd {
                 iterations,
                 hop_attenuation,
                 degree_exponent,
             } => Output::Communities(algorithms::community_detection(
                 &config,
-                edge_files,
+                splits,
                 n,
                 *iterations,
                 *hop_attenuation,
@@ -202,8 +218,7 @@ impl Platform for MapReducePlatform {
                 max_burst,
                 seed,
             } => Output::Evolution(algorithms::forest_fire(
-                &config,
-                edge_files,
+                splits,
                 &loaded.external_ids,
                 *new_vertices,
                 *p_forward,
@@ -213,20 +228,20 @@ impl Platform for MapReducePlatform {
             )?),
             Algorithm::Sssp { source } => Output::Distances(algorithms::sssp(
                 &config,
-                &loaded.weighted_edge_files,
+                &loaded.splits.weighted,
                 n,
                 loaded.internal_id(*source),
                 ctx,
             )?),
             Algorithm::Lcc => {
-                Output::LocalClustering(algorithms::local_clustering(&config, edge_files, n, ctx)?)
+                Output::LocalClustering(algorithms::local_clustering(&config, splits, n, ctx)?)
             }
             Algorithm::PageRank {
                 iterations,
                 damping,
             } => Output::Ranks(algorithms::pagerank(
                 &config,
-                edge_files,
+                splits,
                 n,
                 *iterations,
                 *damping,

@@ -2,12 +2,15 @@
 //! inputs, map spill segments and part files. Each malformed file is a
 //! typed `PlatformError::Internal`, never a panic, and no read allocates
 //! more than the file holds: a spill segment claimed longer than its file
-//! is refused before anything is allocated for it.
+//! is refused before anything is allocated for it. An adjacency split whose
+//! record has a non-numeric id or no `N` tag is skipped by the chains'
+//! mappers, so the kernels answer from the records they can read.
 
 use std::path::{Path, PathBuf};
 
-use graphalytics_core::platform::PlatformError;
+use graphalytics_core::platform::{PlatformError, RunContext};
 use graphalytics_core::ScratchDir;
+use graphalytics_mapreduce::algorithms;
 use graphalytics_mapreduce::job::{
     for_each_record, part_files, read_segment, run_job, Emitter, JobConfig, Mapper, Records,
     Reducer,
@@ -136,4 +139,46 @@ fn a_segment_claimed_past_a_short_file_allocates_nothing() {
         let what = format!("segment {offset}+{len} of a 12-byte spill");
         assert_malformed(&what, spill_segment(&spill, offset, len));
     }
+}
+
+/// Runs CONN and LCC over one adjacency split holding `bytes`, for three
+/// vertices, with the jobs under `<dir>/<name>-jobs`.
+fn kernels_over_split(
+    dir: &Path,
+    name: &str,
+    bytes: &[u8],
+) -> (
+    Result<Vec<u32>, PlatformError>,
+    Result<Vec<f64>, PlatformError>,
+) {
+    let split = dir.join(name);
+    std::fs::write(&split, bytes).unwrap();
+    let jobs = dir.join(format!("{name}-jobs"));
+    std::fs::create_dir_all(&jobs).unwrap();
+    let config = JobConfig::new(jobs);
+    let splits = [split];
+    let ctx = RunContext::unbounded();
+    (
+        algorithms::connected_components(&config, &splits, 3, &ctx),
+        algorithms::local_clustering(&config, &splits, 3, &ctx),
+    )
+}
+
+#[test]
+fn malformed_adjacency_records_are_skipped() {
+    let scratch = ScratchDir::new(None, "gx-mr-hostile-adj").unwrap();
+    let dir = scratch.path();
+    // A triangle whose vertex 1 also lists `x`, which has a record of its
+    // own. That record sends nothing, the label sent to `x` is dropped, and
+    // 1's degree counts only 0 and 2.
+    let triangle = b"0\tN 1 2\n1\tN 0 2 x\n2\tN 0 1\nx\tN 1\n";
+    let (conn, lcc) = kernels_over_split(dir, "adj-bad-id", triangle);
+    assert_eq!(conn, Ok(vec![0, 0, 0]));
+    assert_eq!(lcc, Ok(vec![1.0, 1.0, 1.0]));
+    // Vertex 1's record has no `N` tag: it sends nothing and keeps its own
+    // label, the messages sent to it find no state, and 0 and 2 each see
+    // one neighbour.
+    let (conn, lcc) = kernels_over_split(dir, "adj-no-tag", b"0\tN 1 2\n1\t0 2\n2\tN 0 1\n");
+    assert_eq!(conn, Ok(vec![0, 1, 0]));
+    assert_eq!(lcc, Ok(vec![0.0, 0.0, 0.0]));
 }

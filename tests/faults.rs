@@ -163,9 +163,11 @@ fn same_seed_produces_identical_fault_logs_and_outputs() {
         first_out, baseline,
         "recovered outputs differ from fault-free baseline"
     );
+    // MapReduce's BFS and CONN run half the jobs they ran with a propagate
+    // and an update job per round, so fewer task sites are rolled.
     assert_eq!(
         counts(&first),
-        (15, 15, 14),
+        (11, 11, 14),
         "seed 0x5EED fleet counts moved"
     );
 }
@@ -221,7 +223,9 @@ fn fault_matrix_smoke_covers_all_kinds() {
             platform: Box::new(MapReducePlatform::with_defaults()),
             kind: FaultKind::TaskIo,
             plan: FaultPlan::seeded(1729).with_rate(FaultKind::TaskIo, 0.1),
-            pins: (2, 2, 0, 11668748438431144227),
+            // Job names are the TaskIo fingerprints: re-pinned when the
+            // chains went to one `<kernel>-round-<k>` job per round.
+            pins: (2, 2, 0, 13062366451912713603),
         },
         Case {
             // Virtuoso probes once per BFS round; on a small graph's

@@ -1,11 +1,13 @@
-//! The MapReduce engine's on-disk bytes: a checksum of every edge split the
-//! load writes and of every job's part files and counters for CONN,
-//! PageRank and LCC on graph500-7. `engine_goldens` pins what the engine
-//! returns; this pins what crosses its disk, so a change to the record path
-//! (buffers, spills, merge) must leave every byte and counter where it was.
-//! The constants were recorded before the record path lost its per-record
-//! allocations; the LCC row was re-recorded when LCC's two jobs (adjacency,
-//! unoriented list shipping) became the four of the degree-oriented plan.
+//! The MapReduce engine's on-disk bytes: a checksum of every adjacency
+//! split the load writes and of every job's part files and counters for
+//! CONN, PageRank and LCC on graph500-7. `engine_goldens` pins what the
+//! engine returns; this pins what crosses its disk, so a change to the
+//! record path (buffers, spills, merge) must leave every byte and counter
+//! where it was. The constants were re-recorded when the per-arc
+//! `edges-*`/`wedges-*` splits became one adjacency record per vertex and
+//! every chain went from a propagate and an update job per round to one
+//! job per round (CONN 6 → 3 jobs, PageRank 40 → 20), and LCC's degree job
+//! became the mapper of its orientation job (4 → 3).
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -53,13 +55,13 @@ fn hash_files(h: &mut Fnv, files: &[PathBuf]) {
 /// counters)`.
 #[rustfmt::skip]
 const KERNELS: &[(&str, usize, u64, u64)] = &[
-    ("CONN", 6, 0x5c188ae6878475ab, 0x9c5e2535d04e5a5f),
-    ("PR", 40, 0xc94d60dc44652a3c, 0x50c519d585f01982),
-    ("LCC", 4, 0x3a5dd0b221e5f99d, 0xf72334f2717ddd63),
+    ("CONN", 3, 0xffd337a55663a60d, 0x96c1bad10d2fdbcc),
+    ("PR", 20, 0xd96df5bd834f7930, 0x1114724654e11e74),
+    ("LCC", 3, 0xdbfa6304652cf092, 0xbb0e103863f82f3c),
 ];
 
-/// Digest of the `edges-*` and `wedges-*` splits.
-const SPLITS: u64 = 0xb9a3a9f8c6afa0dc;
+/// Digest of the `adj-*` and `wadj-*` splits.
+const SPLITS: u64 = 0x543d1869e93be10f;
 
 #[test]
 fn mapreduce_splits_parts_and_counters_are_unchanged() {
@@ -77,7 +79,7 @@ fn mapreduce_splits_parts_and_counters_are_unchanged() {
     hash_files(
         &mut splits,
         &entries(graph_dir, |n| {
-            n.starts_with("edges-") || n.starts_with("wedges-")
+            n.starts_with("adj-") || n.starts_with("wadj-")
         }),
     );
 
@@ -133,7 +135,7 @@ fn mapreduce_splits_parts_and_counters_are_unchanged() {
         .map(|(k, jobs, p, c)| format!("    ({k:?}, {jobs}, {p:#018x}, {c:#018x}),"))
         .collect();
     let rendered = format!("splits {:#018x}\n{}", splits.0, rendered.join("\n"));
-    assert_eq!(splits.0, SPLITS, "edge splits moved; computed:\n{rendered}");
+    assert_eq!(splits.0, SPLITS, "splits moved; computed:\n{rendered}");
     for (got, want) in table.iter().zip(KERNELS) {
         assert_eq!(*got, *want, "computed:\n{rendered}");
     }
