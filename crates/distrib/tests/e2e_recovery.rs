@@ -14,13 +14,14 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use graphalytics_algos::Algorithm;
+use graphalytics_algos::Output;
 use graphalytics_core::faults::{FaultInjector, FaultPlan, FaultSite, RecoveryAction};
 use graphalytics_core::platform::{Platform, PlatformError, RunContext};
 use graphalytics_core::trace::Tracer;
 use graphalytics_core::ScratchDir;
 use graphalytics_distrib::{coordinate, DistribConfig, DistributedPlatform, MasterConfig};
 use graphalytics_graph::{CsrGraph, EdgeListGraph};
-use graphalytics_pregel::Placement;
+use graphalytics_pregel::{GiraphPlatform, Placement, PregelConfig};
 
 fn worker_bin() -> PathBuf {
     PathBuf::from(env!("CARGO_BIN_EXE_gx-distrib-worker"))
@@ -46,6 +47,15 @@ fn platform(checkpoint_interval: Option<u64>) -> DistributedPlatform {
         checkpoint_interval,
         worker_bin: Some(worker_bin()),
         ..DistribConfig::default()
+    })
+}
+
+/// In-process Giraph on 4 worker threads, the fleet's counterpart.
+fn giraph(checkpoint_interval: Option<usize>) -> GiraphPlatform {
+    GiraphPlatform::new(PregelConfig {
+        workers: 4,
+        checkpoint_interval,
+        ..PregelConfig::default()
     })
 }
 
@@ -231,6 +241,74 @@ fn e2e_recovery_trace_dedups_spans_and_tags_incarnations() {
             lanes.contains(format!("w{w}:i1").as_str()),
             "worker {w} has no incarnation-1 lane: {lanes:?}"
         );
+    }
+}
+
+/// What one runtime did under one fault plan: the output's bits or the
+/// error the loss escalated to, `(injected, recoveries, checkpoints)`,
+/// the recovery-log digest, and the supersteps that completed.
+#[derive(Debug, PartialEq)]
+struct Recovered {
+    output: Result<Vec<u64>, PlatformError>,
+    counts: (usize, usize, usize),
+    digest: u64,
+    supersteps: usize,
+}
+
+/// Runs [`algorithm`] on `platform` under `plan`, counting the
+/// supersteps by their `step_span` spans.
+fn recover_on(platform: &mut dyn Platform, step_span: &str, plan: FaultPlan) -> Recovered {
+    let handle = platform.load_graph(&test_graph()).unwrap();
+    let injector = Arc::new(FaultInjector::new(plan));
+    let tracer = Arc::new(Tracer::new());
+    let ctx = RunContext::unbounded()
+        .with_faults(Arc::clone(&injector))
+        .with_tracer(Arc::clone(&tracer));
+    let output = platform
+        .run(handle, &algorithm(), &ctx)
+        .map(|out| match out {
+            Output::Ranks(ranks) => ranks.iter().map(|r| r.to_bits()).collect(),
+            other => panic!("PageRank must emit ranks: {other:?}"),
+        });
+    platform.unload(handle);
+    Recovered {
+        output,
+        counts: counts(&injector),
+        digest: recovery_digest(&injector),
+        supersteps: span_count(&tracer, step_span),
+    }
+}
+
+/// Giraph's 4 threads and the fleet's 4 processes take the same
+/// decisions under the same plan: the crash at superstep 3 on worker 1,
+/// the same crash on workers 1 and 2 together (both with a checkpoint
+/// every 2 supersteps), and the crash with no checkpoint. Each runtime
+/// gives the same output bits or escalation error, the same logs and the
+/// same superstep count.
+#[test]
+fn e2e_giraph_and_the_fleet_recover_alike() {
+    let site = |worker| FaultSite::PregelWorker {
+        superstep: 3,
+        worker,
+        incarnation: 0,
+    };
+    let plans = [
+        ("one worker", Some(2), crash_plan()),
+        (
+            "two workers",
+            Some(2),
+            FaultPlan::seeded(11).force(site(1)).force(site(2)),
+        ),
+        ("no checkpoint", None, crash_plan()),
+    ];
+    for (name, interval, plan) in plans {
+        let threads = recover_on(
+            &mut giraph(interval.map(|i| i as usize)),
+            "pregel.superstep",
+            plan.clone(),
+        );
+        let processes = recover_on(&mut platform(interval), "distrib.superstep", plan);
+        assert_eq!(threads, processes, "{name}: the runtimes disagree");
     }
 }
 
