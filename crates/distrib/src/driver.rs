@@ -25,11 +25,12 @@ use crate::master::{coordinate, MasterConfig};
 pub struct DistribConfig {
     /// Worker process count.
     pub workers: u32,
-    /// Checkpoint every N supersteps (`None` disables checkpointing and
-    /// therefore crash recovery).
-    pub checkpoint_interval: Option<u64>,
+    /// Checkpoint every N supersteps. `None` (the default, as in
+    /// `PregelConfig` and Giraph's `giraph.checkpointFrequency = 0`) never
+    /// checkpoints, so a worker loss fails the run.
+    pub checkpoint_interval: Option<usize>,
     /// Hard superstep cap.
-    pub max_supersteps: u64,
+    pub max_supersteps: usize,
     /// Fleet restarts allowed before a worker loss escalates.
     pub max_restarts: u32,
     /// Explicit path of the `gx-distrib-worker` binary; when `None` the
@@ -47,7 +48,7 @@ impl Default for DistribConfig {
     fn default() -> Self {
         Self {
             workers: 4,
-            checkpoint_interval: Some(8),
+            checkpoint_interval: None,
             max_supersteps: 10_000,
             max_restarts: 8,
             worker_bin: None,
@@ -81,8 +82,7 @@ impl DistributedPlatform {
         }
     }
 
-    /// Default configuration: 4 worker processes, checkpoints every 8
-    /// supersteps.
+    /// Default configuration: 4 worker processes, no checkpoints.
     pub fn with_defaults() -> Self {
         Self::new(DistribConfig::default())
     }
@@ -199,8 +199,8 @@ impl ProgramVisitor for FleetRun<'_> {
         let part = Placement::new(graph, config.workers.max(1) as usize);
         let cfg = MasterConfig {
             workers: config.workers.max(1),
-            checkpoint_interval: config.checkpoint_interval,
-            max_supersteps: config.max_supersteps,
+            checkpoint_interval: config.checkpoint_interval.map(|i| i as u64),
+            max_supersteps: config.max_supersteps as u64,
             max_restarts: config.max_restarts,
             worker_bin: self.platform.resolve_worker_bin()?,
             graph_prefix: loaded.prefix.clone(),

@@ -41,7 +41,7 @@ fn test_graph() -> CsrGraph {
     CsrGraph::from_edge_list(&EdgeListGraph::new((0..n).collect(), edges, false))
 }
 
-fn platform(checkpoint_interval: Option<u64>) -> DistributedPlatform {
+fn platform(checkpoint_interval: Option<usize>) -> DistributedPlatform {
     DistributedPlatform::new(DistribConfig {
         workers: 4,
         checkpoint_interval,
@@ -302,11 +302,7 @@ fn e2e_giraph_and_the_fleet_recover_alike() {
         ("no checkpoint", None, crash_plan()),
     ];
     for (name, interval, plan) in plans {
-        let threads = recover_on(
-            &mut giraph(interval.map(|i| i as usize)),
-            "pregel.superstep",
-            plan.clone(),
-        );
+        let threads = recover_on(&mut giraph(interval), "pregel.superstep", plan.clone());
         let processes = recover_on(&mut platform(interval), "distrib.superstep", plan);
         assert_eq!(threads, processes, "{name}: the runtimes disagree");
     }
