@@ -511,13 +511,16 @@ impl SpanGuard<'_> {
     pub fn id(&self) -> Option<u64> {
         self.open.as_ref().map(|o| o.id)
     }
-}
 
-impl Drop for SpanGuard<'_> {
-    fn drop(&mut self) {
-        let Some(open) = self.open.take() else {
-            return;
-        };
+    /// Closes the span without recording it: work that a failure undid
+    /// leaves no span.
+    pub fn discard(mut self) {
+        self.close();
+    }
+
+    /// Takes the open span off this thread's stack.
+    fn close(&mut self) -> Option<OpenSpan> {
+        let open = self.open.take()?;
         SPAN_STACK.with(|s| {
             let mut stack = s.borrow_mut();
             if let Some(pos) = stack
@@ -527,6 +530,15 @@ impl Drop for SpanGuard<'_> {
                 stack.remove(pos);
             }
         });
+        Some(open)
+    }
+}
+
+impl Drop for SpanGuard<'_> {
+    fn drop(&mut self) {
+        let Some(open) = self.close() else {
+            return;
+        };
         let end_seconds = self.tracer.now_seconds();
         self.tracer.finish(Span {
             id: open.id,
@@ -1179,6 +1191,22 @@ mod tests {
         assert!(inner.start_seconds >= outer.start_seconds);
         assert!(inner.end_seconds <= outer.end_seconds);
         assert_eq!(outer.field("k").and_then(FieldValue::as_i64), Some(1));
+    }
+
+    #[test]
+    fn a_discarded_span_is_not_recorded_and_leaves_the_stack() {
+        let tracer = Tracer::new();
+        let outer = tracer.span("outer");
+        tracer.span("lost").discard();
+        let after = tracer.span("after");
+        assert_eq!(tracer.current_span_id(), after.id());
+        drop(after);
+        assert_eq!(tracer.current_span_id(), outer.id());
+        drop(outer);
+        let spans = tracer.finished_spans();
+        let names: Vec<&str> = spans.iter().map(|s| s.name.as_str()).collect();
+        assert_eq!(names, ["outer", "after"]);
+        assert_eq!(spans[1].parent, Some(spans[0].id));
     }
 
     #[test]

@@ -5,8 +5,9 @@
 //! Graphalytics `.v`/`.e` file format in a scratch directory, and every
 //! worker process loads and partitions it independently (the assignment is
 //! a pure function of the dataset, so nothing but messages travels the
-//! wire). `run` coordinates the fleet and reassembles per-worker outputs
-//! into the same global vectors the in-process engine produces.
+//! wire). `run` drives the Pregel superstep loop over the fleet transport
+//! and reassembles per-worker outputs into the same global vectors the
+//! in-process engine produces.
 
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -16,9 +17,9 @@ use graphalytics_core::platform::{GraphHandle, GraphTable, Platform, PlatformErr
 use graphalytics_core::ScratchDir;
 use graphalytics_graph::CsrGraph;
 use graphalytics_pregel::programs::{dispatch, ProgramVisitor};
-use graphalytics_pregel::{Placement, VertexProgram};
+use graphalytics_pregel::{drive, Limits, Placement, VertexProgram};
 
-use crate::master::{coordinate, MasterConfig};
+use crate::master::{FleetTransport, Launch, MasterStats};
 
 /// Configuration of the distributed runtime.
 #[derive(Debug, Clone)]
@@ -87,6 +88,35 @@ impl DistributedPlatform {
         Self::new(DistribConfig::default())
     }
 
+    /// [`Platform::run`], also returning the run's statistics (default
+    /// ones for EVO, which runs on the master, and for an empty graph).
+    pub fn run_with_stats(
+        &mut self,
+        handle: GraphHandle,
+        algorithm: &Algorithm,
+        ctx: &RunContext,
+    ) -> Result<(Output, MasterStats), PlatformError> {
+        let loaded = self.graphs.get(handle)?;
+        PlatformError::refuse_directed_triangles(algorithm, loaded.graph.is_directed())?;
+        let fleet = FleetRun {
+            platform: self,
+            loaded,
+            algorithm,
+            ctx,
+        };
+        match dispatch(algorithm, &loaded.graph, fleet) {
+            Some(result) => result,
+            None => {
+                // EVO is coordinator-driven (the fires walk the adjacency
+                // from the master), exactly as in the in-process Giraph
+                // stand-in.
+                ctx.check_deadline()?;
+                let output = graphalytics_algos::reference(&loaded.graph, algorithm);
+                Ok((output, MasterStats::default()))
+            }
+        }
+    }
+
     fn resolve_worker_bin(&self) -> Result<PathBuf, PlatformError> {
         if let Some(bin) = &self.config.worker_bin {
             return Ok(bin.clone());
@@ -141,24 +171,8 @@ impl Platform for DistributedPlatform {
         algorithm: &Algorithm,
         ctx: &RunContext,
     ) -> Result<Output, PlatformError> {
-        let loaded = self.graphs.get(handle)?;
-        PlatformError::refuse_directed_triangles(algorithm, loaded.graph.is_directed())?;
-        let fleet = FleetRun {
-            platform: self,
-            loaded,
-            algorithm,
-            ctx,
-        };
-        match dispatch(algorithm, &loaded.graph, fleet) {
-            Some(result) => result,
-            None => {
-                // EVO is coordinator-driven (the fires walk the adjacency
-                // from the master), exactly as in the in-process Giraph
-                // stand-in.
-                ctx.check_deadline()?;
-                Ok(graphalytics_algos::reference(&loaded.graph, algorithm))
-            }
-        }
+        self.run_with_stats(handle, algorithm, ctx)
+            .map(|(output, _)| output)
     }
 
     fn unload(&mut self, handle: GraphHandle) {
@@ -177,7 +191,7 @@ struct FleetRun<'a> {
 }
 
 impl ProgramVisitor for FleetRun<'_> {
-    type Out = Result<Output, PlatformError>;
+    type Out = Result<(Output, MasterStats), PlatformError>;
 
     fn visit<P: VertexProgram>(
         self,
@@ -191,24 +205,38 @@ impl ProgramVisitor for FleetRun<'_> {
         // superstep.
         if graph.num_vertices() == 0 {
             ctx.check_deadline()?;
-            return Ok(output(graph, Vec::new()));
+            return Ok((output(graph, Vec::new()), MasterStats::default()));
         }
-        // Dropped on every way out of this run, failures included.
-        let checkpoints = ScratchDir::new(Some(loaded.dir.path()), "run")
+        // Dropped on every way out of this run, failures included. Runs on
+        // one graph take turns, so the path is the same for each.
+        let checkpoints = ScratchDir::named(loaded.dir.path(), "checkpoints")
             .map_err(|e| PlatformError::TransientIo(format!("checkpoint dir: {e}")))?;
-        let part = Placement::new(graph, config.workers.max(1) as usize);
-        let cfg = MasterConfig {
-            workers: config.workers.max(1),
-            checkpoint_interval: config.checkpoint_interval.map(|i| i as u64),
-            max_supersteps: config.max_supersteps as u64,
-            max_restarts: config.max_restarts,
+        let workers = config.workers.max(1);
+        let launch = Launch {
+            workers,
             worker_bin: self.platform.resolve_worker_bin()?,
-            graph_prefix: loaded.prefix.clone(),
+            graph_prefix: &loaded.prefix,
             directed: graph.is_directed(),
             weighted: loaded.weighted,
-            checkpoint_dir: checkpoints.path().to_path_buf(),
+            checkpoint_dir: checkpoints.path(),
+            algorithm: self.algorithm,
         };
-        let (states, _stats) = coordinate::<P::State>(&cfg, self.algorithm, &part, ctx)?;
-        Ok(output(graph, states))
+        let limits = Limits {
+            max_supersteps: config.max_supersteps,
+            checkpoint_interval: config.checkpoint_interval,
+            max_restarts: config.max_restarts,
+        };
+        let placement = Placement::new(graph, workers as usize);
+        let mut fleet = FleetTransport::<P::State>::launch(launch, ctx)?;
+        let driven = drive(&mut fleet, &placement, limits, ctx);
+        // A run that escalates keeps what its fleet shipped before the loss.
+        fleet.drain_telemetry();
+        let result = driven?;
+        let stats = MasterStats {
+            pregel: result.stats,
+            network_bytes: fleet.network_bytes,
+            telemetry_frames: fleet.telemetry_frames,
+        };
+        Ok((output(graph, result.states), stats))
     }
 }

@@ -11,20 +11,21 @@
 //! * [`worker`] — the worker process: local compute over its partition,
 //!   message shuffle to peers, checkpoint write/restore, and a real exit
 //!   when the master tells it to crash;
-//! * [`master`] — partition planning, superstep barrier, checkpoint
-//!   coordination, worker health tracking, fleet restart recovery, and
-//!   the crash decision: the master probes the run's `RunContext` with
-//!   the in-process engine's `crashed_worker` and ships no fault plan;
+//! * [`master`] — the fleet transport of `graphalytics_pregel::drive`,
+//!   the superstep loop in-process Giraph runs too: fleet launch,
+//!   superstep exchange, checkpoint collection and relaunch from a
+//!   checkpoint. The loop makes every decision (crash probe, restart,
+//!   fold, halt), so the master ships no fault plan;
 //! * `telemetry` — fleet observability: merging the spans a worker's
 //!   own tracer shipped in Telemetry frames into the master's tracer, on
 //!   the master's clock and with per-process lanes;
 //! * [`driver`] — the self-spawning harness: [`DistributedPlatform`]
-//!   implements the `Platform` API by forking `gx-distrib-worker`
-//!   processes.
+//!   implements the `Platform` API by driving the loop over a fleet of
+//!   `gx-distrib-worker` processes.
 //!
 //! Determinism is load-bearing: workers iterate partitions in ascending
 //! internal-id order, shuffle batches apply in sender-worker-id order, and
-//! the master folds aggregates in worker-id order, so an N-process run's
+//! the loop folds aggregates in worker-id order, so an N-process run's
 //! output is byte-identical to the in-process engine's with N workers.
 
 pub mod driver;
@@ -35,5 +36,5 @@ mod telemetry;
 pub mod worker;
 
 pub use driver::{DistribConfig, DistributedPlatform};
-pub use master::{coordinate, MasterConfig, MasterStats};
+pub use master::MasterStats;
 pub use protocol::{read_frame, write_frame, write_frames, Frame, PlanFrame, StepReport};

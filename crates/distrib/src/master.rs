@@ -1,10 +1,12 @@
-//! The master process side: spawns the worker fleet, drives the superstep
-//! barrier, coordinates checkpoints, and restarts the fleet from the last
-//! complete checkpoint when a worker process dies.
+//! The master process side: the fleet transport of the Pregel superstep
+//! loop ([`graphalytics_pregel::drive`]). It spawns the worker fleet, runs
+//! each superstep on it, collects checkpoints and reports, and relaunches
+//! the fleet from a checkpoint when the loop restarts it.
 
 use std::io::{self, BufRead, BufReader};
+use std::marker::PhantomData;
 use std::net::{TcpListener, TcpStream};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Child, Command, ExitStatus, Stdio};
 use std::thread::JoinHandle;
 // lint:allow(determinism-time): socket timeouts bound the wait for lost workers
@@ -12,58 +14,44 @@ use std::time::Duration;
 
 use graphalytics_algos::Algorithm;
 use graphalytics_codec::Codec;
-use graphalytics_core::faults::{FaultSite, RecoveryAction};
 use graphalytics_core::platform::{PlatformError, RunContext};
-use graphalytics_core::trace::FieldValue;
-use graphalytics_pregel::Placement;
+use graphalytics_pregel::{Interrupt, PregelStats, Report, Step, Stepped, Transport};
 
 use crate::net::{self, io_timeout};
 use crate::protocol::{
-    decode_blob, expect_frame, read_frame_counted, write_frame, Frame, PlanFrame, StepReport,
+    decode_blob, expect_frame, read_frame_counted, write_frame, Frame, PlanFrame,
 };
 use crate::telemetry;
 
-/// Master-side configuration for one distributed run.
-#[derive(Debug, Clone)]
-pub struct MasterConfig {
+/// Execution statistics of one distributed run.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct MasterStats {
+    /// The superstep loop's statistics, folded as for in-process Giraph.
+    pub pregel: PregelStats,
+    /// Real wire bytes: shuffle frames between workers plus control frames
+    /// on the master connections.
+    pub network_bytes: u64,
+    /// Telemetry frames received from workers. Zero whenever the master's
+    /// tracer is disabled — the differential gate pins this.
+    pub telemetry_frames: u64,
+}
+
+/// What every fleet of one run is launched with.
+pub(crate) struct Launch<'a> {
     /// Worker process count.
     pub workers: u32,
-    /// Checkpoint every N supersteps (`None` never checkpoints — and a
-    /// worker loss then fails the run, as in the in-process engine).
-    pub checkpoint_interval: Option<u64>,
-    /// Hard superstep cap.
-    pub max_supersteps: u64,
-    /// Fleet restarts allowed before a worker loss escalates.
-    pub max_restarts: u32,
     /// Path of the `gx-distrib-worker` binary.
     pub worker_bin: PathBuf,
     /// Dataset prefix workers read (`prefix.v` / `prefix.e`).
-    pub graph_prefix: PathBuf,
+    pub graph_prefix: &'a Path,
     /// Whether the dataset is directed.
     pub directed: bool,
     /// Whether the edge file carries weights.
     pub weighted: bool,
     /// Directory for checkpoint files.
-    pub checkpoint_dir: PathBuf,
-}
-
-/// Fleet-level execution statistics of one coordinated run.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct MasterStats {
-    /// Supersteps executed (re-executed supersteps count again).
-    pub supersteps: u64,
-    /// Total messages generated.
-    pub messages_total: u64,
-    /// Messages that crossed worker processes.
-    pub messages_remote: u64,
-    /// Real wire bytes: shuffle frames between workers plus control frames
-    /// on the master connections.
-    pub network_bytes: u64,
-    /// Fleet restarts performed (checkpoint recoveries).
-    pub restarts: u32,
-    /// Telemetry frames received from workers. Zero whenever the master's
-    /// tracer is disabled — the differential gate pins this.
-    pub telemetry_frames: u64,
+    pub checkpoint_dir: &'a Path,
+    /// The kernel the workers run.
+    pub algorithm: &'a Algorithm,
 }
 
 /// The label every distributed-runtime metric carries.
@@ -78,8 +66,6 @@ struct Fleet {
     conns: Vec<TcpStream>,
     /// Stderr relay threads, one per worker; joined on drop.
     relays: Vec<JoinHandle<()>>,
-    /// Fleet-wide runnable-vertex count reported at `Ready`.
-    runnable: u64,
     /// Control-plane wire bytes (frames sent and received on the master
     /// connections) since the last [`Fleet::take_control_bytes`].
     control_bytes: u64,
@@ -97,8 +83,7 @@ impl Fleet {
     /// `Plan` → `Ready` → `Peers` → `MeshReady`), and returns the
     /// connected fleet.
     fn launch(
-        cfg: &MasterConfig,
-        algorithm: &Algorithm,
+        cfg: &Launch<'_>,
         incarnation: u32,
         resume: Option<u64>,
         ctx: &RunContext,
@@ -123,7 +108,6 @@ impl Fleet {
             children: Vec::with_capacity(workers),
             conns: Vec::new(),
             relays: Vec::with_capacity(workers),
-            runnable: 0,
             control_bytes: 0,
             pending_telemetry: Vec::new(),
             origins: Vec::with_capacity(workers),
@@ -216,7 +200,7 @@ impl Fleet {
             let plan = Frame::Plan(PlanFrame {
                 worker: w as u32,
                 workers: workers as u32,
-                algorithm: algorithm.clone(),
+                algorithm: cfg.algorithm.clone(),
                 graph_prefix: cfg.graph_prefix.display().to_string(),
                 directed: cfg.directed,
                 weighted: cfg.weighted,
@@ -232,19 +216,17 @@ impl Fleet {
                 .send_to(w, &plan)
                 .map_err(|e| PlatformError::TransientIo(format!("send plan to {w}: {e}")))?;
         }
-        // Collect Ready (peer ports + runnable counts), broadcast the
-        // port map, and wait for every worker's mesh.
+        // Collect Ready (peer ports), broadcast the port map, and wait for
+        // every worker's mesh.
         let mut ports = vec![0u32; workers];
         for (w, port) in ports.iter_mut().enumerate() {
-            let (peer_port, runnable) = expect_frame!(
+            *port = expect_frame!(
                 fleet.recv_from(w),
-                Frame::Ready { peer_port, runnable } => (peer_port, runnable),
+                Frame::Ready { peer_port, .. } => peer_port,
                 "Ready from {w}"
             )
             .map_err(|e| PlatformError::TransientIo(format!("ready from {w}: {e}")))?
             .map_err(PlatformError::Internal)?;
-            *port = peer_port;
-            fleet.runnable += runnable;
         }
         let peers = Frame::Peers { ports };
         for w in 0..workers {
@@ -279,6 +261,20 @@ impl Fleet {
         std::mem::take(&mut self.control_bytes)
     }
 
+    /// Kills and reaps every worker process, then joins the stderr relays
+    /// (their pipes close when the children die).
+    fn kill(&mut self) {
+        for child in &mut self.children {
+            let _ = child.kill();
+        }
+        for mut child in self.children.drain(..) {
+            let _ = child.wait();
+        }
+        for relay in self.relays.drain(..) {
+            let _ = relay.join();
+        }
+    }
+
     /// First child that has exited, if any, with its exit status.
     fn first_dead(&mut self) -> Option<(u32, ExitStatus)> {
         for (w, child) in self.children.iter_mut().enumerate() {
@@ -291,18 +287,8 @@ impl Fleet {
 }
 
 impl Drop for Fleet {
-    /// Kills and reaps every worker process, then joins the stderr relays
-    /// (their pipes close when the children die).
     fn drop(&mut self) {
-        for child in &mut self.children {
-            let _ = child.kill();
-        }
-        for child in &mut self.children {
-            let _ = child.wait();
-        }
-        for relay in self.relays.drain(..) {
-            let _ = relay.join();
-        }
+        self.kill();
     }
 }
 
@@ -333,195 +319,137 @@ fn recv_control(
     }
 }
 
-/// What interrupted a fleet's run: the lost worker, or a hard error.
-enum Loss {
-    Worker(u32),
-    Fatal(PlatformError),
+/// The fleet transport: one fleet of worker processes at a time, and the
+/// wire accounting the in-process transport has no use for. A restore
+/// kills the fleet and launches the next incarnation from the checkpoint;
+/// dropping the transport kills the last one.
+pub(crate) struct FleetTransport<'a, S> {
+    launch: Launch<'a>,
+    fleet: Fleet,
+    ctx: &'a RunContext,
+    /// Wire bytes so far (see [`MasterStats::network_bytes`]).
+    pub network_bytes: u64,
+    /// Telemetry frames so far (see [`MasterStats::telemetry_frames`]).
+    pub telemetry_frames: u64,
+    states: PhantomData<S>,
 }
 
-impl Loss {
+impl<'a, S: Codec> FleetTransport<'a, S> {
+    /// Launches the run's first fleet.
+    pub fn launch(launch: Launch<'a>, ctx: &'a RunContext) -> Result<Self, PlatformError> {
+        let fleet = Fleet::launch(&launch, 0, None, ctx)?;
+        Ok(Self {
+            launch,
+            fleet,
+            ctx,
+            network_bytes: 0,
+            telemetry_frames: 0,
+            states: PhantomData,
+        })
+    }
+
+    /// Merges every absorbed Telemetry frame into the run tracer under the
+    /// innermost open span and counts the frames.
+    pub fn drain_telemetry(&mut self) {
+        let parent = self.ctx.tracer().current_span_id();
+        for (worker, incarnation, blob) in std::mem::take(&mut self.fleet.pending_telemetry) {
+            self.telemetry_frames += 1;
+            // A frame naming a worker this fleet never planned merges nothing.
+            if let Some(&origin) = self.fleet.origins.get(worker as usize) {
+                telemetry::merge(
+                    self.ctx.tracer(),
+                    origin,
+                    worker,
+                    incarnation,
+                    &blob,
+                    parent,
+                );
+            }
+        }
+    }
+
+    /// Worker `w`'s connection failed: the lost worker is the first child
+    /// seen exited, or else `w`.
+    fn lost(&mut self, w: usize) -> Interrupt {
+        Interrupt::Lost(self.fleet.first_dead().map_or(w as u32, |(dead, _)| dead))
+    }
+
     /// Maps an [`expect_frame!`] receive from worker `w`: a failed read
-    /// lost the worker, any other frame is fatal.
-    fn expected<T>(w: usize, received: io::Result<Result<T, String>>) -> Result<T, Loss> {
+    /// lost the worker, any other frame fails the run.
+    fn expected<T>(
+        &mut self,
+        w: usize,
+        received: io::Result<Result<T, String>>,
+    ) -> Result<T, Interrupt> {
         match received {
             Ok(Ok(value)) => Ok(value),
-            Ok(Err(unexpected)) => Err(Loss::Fatal(PlatformError::Internal(unexpected))),
-            Err(_) => Err(Loss::Worker(w as u32)),
+            Ok(Err(unexpected)) => Err(PlatformError::Internal(unexpected).into()),
+            Err(_) => Err(self.lost(w)),
         }
     }
-}
 
-/// How far the run has come: the fleet incarnation, the superstep under
-/// way, the crash the fault probe injected into it, and the last superstep
-/// whose checkpoints all landed, with its incoming aggregate — where a
-/// restarted fleet resumes.
-#[derive(Default)]
-struct Progress {
-    incarnation: u32,
-    superstep: u64,
-    crash: Option<(FaultSite, PlatformError)>,
-    last_checkpoint: Option<(u64, f64)>,
-}
-
-/// Runs `algorithm` on a fleet of worker processes to completion and
-/// returns the merged global state vector (internal-id order — the same
-/// vector the in-process engine returns) plus fleet statistics.
-///
-/// The master alone decides injected crashes: before each superstep it
-/// probes `ctx` with [`RunContext::crashed_worker`], the in-process
-/// engine's probe, and tells only the chosen worker to exit.
-///
-/// Recovery is a *fleet restart*: when a worker process dies, the fleet is
-/// dropped (which kills it), the incarnation counter bumps, and a fresh
-/// fleet resumes from the last superstep whose checkpoints all landed.
-/// Without a complete checkpoint (or past the restart budget) the loss
-/// escalates as [`PlatformError::WorkerLost`].
-pub fn coordinate<S: Codec + Clone>(
-    cfg: &MasterConfig,
-    algorithm: &Algorithm,
-    part: &Placement,
-    ctx: &RunContext,
-) -> Result<(Vec<S>, MasterStats), PlatformError> {
-    let mut stats = MasterStats::default();
-    let mut progress = Progress::default();
-    loop {
-        ctx.check_deadline()?;
-        let resume = progress.last_checkpoint.map(|r| r.0);
-        let mut fleet = Fleet::launch(cfg, algorithm, progress.incarnation, resume, ctx)?;
-        let outcome = run_fleet::<S>(cfg, &mut fleet, &mut progress, &mut stats, ctx);
-        // Workers flush their remaining spans right before Output, and a
-        // loss keeps whatever the fleet shipped before it. Merge them under
-        // the caller's current span.
-        drain_telemetry(&mut fleet, ctx, ctx.tracer().current_span_id(), &mut stats);
-        match outcome {
-            Ok(per_worker) => {
-                stats.network_bytes += fleet.take_control_bytes();
-                let merged = part
-                    .merge(per_worker)
-                    .ok_or_else(|| PlatformError::Internal("output size mismatch".to_string()))?;
-                return Ok((merged, stats));
-            }
-            Err(Loss::Fatal(e)) => return Err(e),
-            Err(Loss::Worker(w)) => {
-                recover(cfg, &mut fleet, w, &mut progress, ctx)?;
-                progress.incarnation += 1;
-                stats.restarts += 1;
-            }
-        }
-    }
-}
-
-/// Drives one fleet from its resume point through the last superstep, then
-/// collects every worker's final states.
-fn run_fleet<S: Codec>(
-    cfg: &MasterConfig,
-    fleet: &mut Fleet,
-    progress: &mut Progress,
-    stats: &mut MasterStats,
-    ctx: &RunContext,
-) -> Result<Vec<Vec<S>>, Loss> {
-    let tracer = ctx.tracer();
-    let workers = cfg.workers.max(1) as usize;
-    progress.superstep = progress.last_checkpoint.map_or(0, |r| r.0);
-    let mut prev_aggregate = progress.last_checkpoint.map_or(0.0, |r| r.1);
-    let mut runnable = fleet.runnable > 0;
-    while runnable && progress.superstep < cfg.max_supersteps {
-        ctx.check_deadline().map_err(Loss::Fatal)?;
-        let superstep = progress.superstep;
-        let checkpoint = cfg
-            .checkpoint_interval
-            .is_some_and(|i| i > 0 && superstep.is_multiple_of(i));
-        // Worker-crash injection point: only the worker the probe chose is
-        // told to crash, after its due checkpoint and before compute.
-        progress.crash = ctx.crashed_worker(superstep, workers as u32, progress.incarnation);
-        // The superstep span covers the workers' time, so it starts before
-        // they are told to run; it is recorded only once every report is
-        // in, so a superstep lost to a crash leaves none.
-        let step_start = tracer.now_seconds();
+    /// Sends `step` to every worker, collects the checkpoint into
+    /// `checkpoint` when one is due, then every report; returns the
+    /// reports and the superstep's wire bytes.
+    fn exchange(
+        &mut self,
+        step: Step,
+        checkpoint: &mut Option<usize>,
+    ) -> Result<(Vec<Report>, u64), Interrupt> {
+        let workers = self.launch.workers as usize;
+        let superstep = step.superstep;
         for w in 0..workers {
-            let crash = matches!(
-                &progress.crash,
-                Some((FaultSite::PregelWorker { worker, .. }, _)) if *worker as usize == w
-            );
+            // Only the worker the probe chose is told to crash, after its
+            // due checkpoint and before compute.
             let start = Frame::StartSuperstep {
                 superstep,
-                prev_aggregate,
-                checkpoint,
-                crash,
+                prev_aggregate: step.prev_aggregate,
+                checkpoint: step.checkpoint,
+                crash: step.crash == Some(w as u32),
             };
-            fleet
-                .send_to(w, &start)
-                .map_err(|_| Loss::Worker(w as u32))?;
+            if self.fleet.send_to(w, &start).is_err() {
+                return Err(self.lost(w));
+            }
         }
-        if checkpoint {
+        if step.checkpoint {
             let mut total = 0u64;
             for w in 0..workers {
-                total += Loss::expected(
-                    w,
-                    expect_frame!(
-                        fleet.recv_from(w),
-                        Frame::CheckpointDone { superstep: s, bytes } if s == superstep => bytes,
-                        "CheckpointDone from {w}"
-                    ),
-                )?;
+                let received = expect_frame!(
+                    self.fleet.recv_from(w),
+                    Frame::CheckpointDone { superstep: s, bytes } if s == superstep => bytes,
+                    "CheckpointDone from {w}"
+                );
+                total += self.expected(w, received)?;
             }
             // All N checkpoint files are durable: this superstep is now
             // the fleet's restore point.
-            ctx.note_checkpoint(superstep, total as usize);
-            progress.last_checkpoint = Some((superstep, prev_aggregate));
+            *checkpoint = Some(total as usize);
         }
-        let mut reports: Vec<StepReport> = Vec::with_capacity(workers);
+        let mut reports = Vec::with_capacity(workers);
+        let mut shuffle_bytes = 0;
         for w in 0..workers {
-            reports.push(Loss::expected(
-                w,
-                expect_frame!(
-                    fleet.recv_from(w),
-                    Frame::StepDone(r) if r.superstep == superstep => r,
-                    "StepDone from {w}"
-                ),
-            )?);
-        }
-        // Barrier bookkeeping: aggregates fold in worker-id order so
-        // the f64 sum is bitwise-identical to the in-process engine's.
-        let computed: u64 = reports.iter().map(|r| r.computed).sum();
-        let active_after: u64 = reports.iter().map(|r| r.active_after).sum();
-        let sent: u64 = reports.iter().map(|r| r.sent).sum();
-        let remote: u64 = reports.iter().map(|r| r.sent_remote).sum();
-        let shuffle_bytes: u64 = reports.iter().map(|r| r.bytes_sent).sum();
-        let step_aggregate: f64 = reports.iter().map(|r| r.aggregate).sum();
-        let step_bytes = shuffle_bytes + fleet.take_control_bytes();
-        let fields: [(&str, FieldValue); 8] = [
-            ("superstep", superstep.into()),
-            ("active_vertices", computed.into()),
-            ("messages_sent", sent.into()),
-            ("messages_remote", remote.into()),
-            ("network_bytes", step_bytes.into()),
-            ("aggregate", step_aggregate.into()),
-            ("seq_accesses", computed.into()),
-            ("rand_accesses", sent.into()),
-        ];
-        let span_id = tracer.record_span(
-            "distrib.superstep",
-            tracer.current_span_id(),
-            step_start,
-            tracer.now_seconds(),
-            fields.map(|(key, value)| (key.to_string(), value)).into(),
-        );
-        for (w, r) in reports.iter().enumerate() {
-            tracer.event(
-                "distrib.task",
-                span_id,
-                vec![
-                    ("worker".to_string(), (w as u64).into()),
-                    ("work".to_string(), r.computed.into()),
-                    ("messages".to_string(), r.sent.into()),
-                ],
+            let received = expect_frame!(
+                self.fleet.recv_from(w),
+                Frame::StepDone(r) if r.superstep == superstep => r,
+                "StepDone from {w}"
             );
+            let r = self.expected(w, received)?;
+            shuffle_bytes += r.bytes_sent;
+            reports.push(Report {
+                computed: r.computed as usize,
+                awake: r.active_after as usize,
+                sent: r.sent as usize,
+                sent_remote: r.sent_remote as usize,
+                aggregate: r.aggregate,
+                timing: None,
+            });
         }
-        // Merge the worker spans shipped alongside this barrier under
-        // the superstep span, so the fleet timeline nests per superstep.
-        drain_telemetry(fleet, ctx, span_id, stats);
-        let metrics = tracer.metrics();
+        // Merge the worker spans shipped alongside this barrier under the
+        // superstep span, so the fleet timeline nests per superstep.
+        self.drain_telemetry();
+        let step_bytes = shuffle_bytes + self.fleet.take_control_bytes();
+        let remote: usize = reports.iter().map(|r| r.sent_remote).sum();
+        let metrics = self.ctx.tracer().metrics();
         metrics.inc_counter(
             "graphalytics_network_bytes_total",
             &[PLATFORM_LABEL],
@@ -530,86 +458,72 @@ fn run_fleet<S: Codec>(
         metrics.inc_counter(
             "graphalytics_network_messages_total",
             &[PLATFORM_LABEL],
-            remote,
+            remote as u64,
         );
-        stats.supersteps += 1;
-        stats.messages_total += sent;
-        stats.messages_remote += remote;
-        stats.network_bytes += step_bytes;
-        prev_aggregate = step_aggregate;
-        runnable = sent > 0 || active_after > 0;
-        progress.superstep += 1;
+        self.network_bytes += step_bytes;
+        Ok((reports, step_bytes))
     }
-    // Drain final states from every worker.
-    let mut per_worker: Vec<Vec<S>> = Vec::with_capacity(workers);
-    for w in 0..workers {
-        fleet
-            .send_to(w, &Frame::Finish)
-            .map_err(|_| Loss::Worker(w as u32))?;
-        let states = Loss::expected(
-            w,
-            expect_frame!(
-                fleet.recv_from(w),
+
+    /// Asks every worker for its final states.
+    fn collect(&mut self) -> Result<Vec<Vec<S>>, Interrupt> {
+        let workers = self.launch.workers as usize;
+        let mut per_worker = Vec::with_capacity(workers);
+        for w in 0..workers {
+            if self.fleet.send_to(w, &Frame::Finish).is_err() {
+                return Err(self.lost(w));
+            }
+            let received = expect_frame!(
+                self.fleet.recv_from(w),
                 Frame::Output { worker, states } if worker as usize == w => states,
                 "Output from {w}"
-            ),
-        )?;
-        per_worker.push(decode_blob(&states).ok_or_else(|| {
-            Loss::Fatal(PlatformError::Internal(format!(
-                "corrupt output blob from worker {w}"
-            )))
-        })?);
+            );
+            let states = self.expected(w, received)?;
+            per_worker.push(decode_blob(&states).ok_or_else(|| {
+                PlatformError::Internal(format!("corrupt output blob from worker {w}"))
+            })?);
+        }
+        Ok(per_worker)
     }
-    Ok(per_worker)
 }
 
-/// Merges every absorbed Telemetry frame into the run tracer under
-/// `parent` and counts the frames into `stats`.
-fn drain_telemetry(
-    fleet: &mut Fleet,
-    ctx: &RunContext,
-    parent: Option<u64>,
-    stats: &mut MasterStats,
-) {
-    for (worker, incarnation, blob) in std::mem::take(&mut fleet.pending_telemetry) {
-        stats.telemetry_frames += 1;
-        // A frame naming a worker this fleet never planned merges nothing.
-        if let Some(&origin) = fleet.origins.get(worker as usize) {
-            telemetry::merge(ctx.tracer(), origin, worker, incarnation, &blob, parent);
+impl<S: Codec> Transport for FleetTransport<'_, S> {
+    type State = S;
+    const SUPERSTEP_SPAN: &'static str = "distrib.superstep";
+    const TASK_EVENT: &'static str = "distrib.task";
+
+    fn workers(&self) -> u32 {
+        self.launch.workers
+    }
+
+    fn superstep(&mut self, step: Step) -> Stepped {
+        let mut checkpoint = None;
+        let (reports, network_bytes) = match self.exchange(step, &mut checkpoint) {
+            Ok((reports, bytes)) => (Ok(reports), Some(bytes)),
+            Err(interrupt) => (Err(interrupt), None),
+        };
+        Stepped {
+            checkpoint,
+            reports,
+            network_bytes,
         }
     }
-}
 
-/// Attributes a worker loss, records the recovery against the run context,
-/// and either green-lights a fleet restart from `progress.last_checkpoint`
-/// or escalates: with the injected error, or `WorkerLost` for a death no
-/// probe injected.
-fn recover(
-    cfg: &MasterConfig,
-    fleet: &mut Fleet,
-    eof_worker: u32,
-    progress: &mut Progress,
-    ctx: &RunContext,
-) -> Result<(), PlatformError> {
-    let (superstep, incarnation) = (progress.superstep, progress.incarnation);
-    // The crash the probe injected is the loss. An unplanned death is the
-    // first child seen exited, or else the worker whose connection failed.
-    let (site, err) = progress.crash.take().unwrap_or_else(|| {
-        let worker = fleet.first_dead().map_or(eof_worker, |(w, _)| w);
-        let lost = PlatformError::WorkerLost {
-            worker,
-            superstep: superstep as usize,
-        };
-        let site = FaultSite::PregelWorker {
-            superstep,
-            worker,
-            incarnation,
-        };
-        (site, lost)
-    });
-    if progress.last_checkpoint.is_some() && incarnation < cfg.max_restarts {
-        ctx.note_recovery(RecoveryAction::CheckpointRestart, Some(site), 0);
-        return Ok(());
+    fn restore(&mut self, superstep: u64, incarnation: u32) -> Result<(), PlatformError> {
+        // A loss keeps whatever the lost fleet shipped before it.
+        self.drain_telemetry();
+        // The lost fleet dies before the next one forks.
+        self.fleet.kill();
+        self.fleet = Fleet::launch(&self.launch, incarnation, Some(superstep), self.ctx)?;
+        Ok(())
     }
-    Err(err)
+
+    fn finish(&mut self) -> Result<Vec<Vec<S>>, Interrupt> {
+        let per_worker = self.collect();
+        // Workers flush their remaining spans right before Output.
+        self.drain_telemetry();
+        if per_worker.is_ok() {
+            self.network_bytes += self.fleet.take_control_bytes();
+        }
+        per_worker
+    }
 }

@@ -13,12 +13,9 @@ use std::sync::Arc;
 use graphalytics_algos::{Algorithm, Output};
 use graphalytics_core::platform::{Platform, RunContext};
 use graphalytics_core::trace::Tracer;
-use graphalytics_core::ScratchDir;
-use graphalytics_distrib::{
-    coordinate, DistribConfig, DistributedPlatform, MasterConfig, MasterStats,
-};
+use graphalytics_distrib::{DistribConfig, DistributedPlatform, MasterStats};
 use graphalytics_graph::{CsrGraph, EdgeListGraph, WEIGHT_SCALE};
-use graphalytics_pregel::{GiraphPlatform, Placement, PregelConfig};
+use graphalytics_pregel::{GiraphPlatform, PregelConfig};
 
 fn worker_bin() -> PathBuf {
     PathBuf::from(env!("CARGO_BIN_EXE_gx-distrib-worker"))
@@ -188,30 +185,25 @@ fn e2e_one_vs_four_workers_differential() {
 #[test]
 fn e2e_telemetry_is_off_the_output_path() {
     let graph = test_graph();
-    let dir = ScratchDir::new(None, "gx-telemetry-e2e").expect("scratch dir");
-    let prefix = dir.path().join("graph");
-    graphalytics_graph::io::write_graph(&graph.to_edge_list(), &prefix).expect("write dataset");
-    let part = Placement::new(&graph, 4);
+    let mut p = DistributedPlatform::new(DistribConfig {
+        workers: 4,
+        checkpoint_interval: Some(2),
+        worker_bin: Some(worker_bin()),
+        ..DistribConfig::default()
+    });
+    let handle = p.load_graph(&graph).expect("load");
     // Fixed iteration count: both runs execute the same superstep schedule.
     let alg = Algorithm::PageRank {
         iterations: 6,
         damping: 0.85,
     };
-    let cfg = |run_id: u64| MasterConfig {
-        workers: 4,
-        checkpoint_interval: Some(2),
-        max_supersteps: 10_000,
-        max_restarts: 8,
-        worker_bin: worker_bin(),
-        graph_prefix: prefix.clone(),
-        directed: graph.is_directed(),
-        weighted: true,
-        checkpoint_dir: dir.path().join(format!("ckpt-{run_id}")),
+    let ranks = |run: Result<(Output, MasterStats), _>| match run {
+        Ok((Output::Ranks(ranks), stats)) => (ranks, stats),
+        other => panic!("PageRank must emit ranks: {other:?}"),
     };
 
     // Disabled tracer: the pre-PR behaviour, frame for frame.
-    let (plain, stats_off) =
-        coordinate::<f64>(&cfg(1), &alg, &part, &RunContext::unbounded()).expect("plain");
+    let (plain, stats_off) = ranks(p.run_with_stats(handle, &alg, &RunContext::unbounded()));
     assert_eq!(
         stats_off.telemetry_frames, 0,
         "disabled tracing must ship zero telemetry frames"
@@ -226,8 +218,9 @@ fn e2e_telemetry_is_off_the_output_path() {
         run.field("platform", "distributed-pregel")
             .field("dataset", "ring")
             .field("algorithm", "PageRank");
-        coordinate::<f64>(&cfg(2), &alg, &part, &ctx).expect("traced")
+        ranks(p.run_with_stats(handle, &alg, &ctx))
     };
+    p.unload(handle);
 
     // Output is bit-identical with tracing on.
     assert_eq!(plain.len(), traced.len());
@@ -328,28 +321,16 @@ fn e2e_telemetry_is_off_the_output_path() {
 #[test]
 fn e2e_worker_spans_land_inside_the_master_timeline() {
     let graph = graph_at(15);
-    let dir = ScratchDir::new(None, "gx-clock-e2e").expect("scratch dir");
-    let prefix = dir.path().join("graph");
-    graphalytics_graph::io::write_graph(&graph.to_edge_list(), &prefix).expect("write dataset");
-    let cfg = MasterConfig {
-        workers: 1,
-        checkpoint_interval: None,
-        max_supersteps: 10_000,
-        max_restarts: 0,
-        worker_bin: worker_bin(),
-        graph_prefix: prefix,
-        directed: graph.is_directed(),
-        weighted: true,
-        checkpoint_dir: dir.path().join("ckpt"),
-    };
+    let mut p = distrib(1);
+    let handle = p.load_graph(&graph).expect("load");
     let alg = Algorithm::PageRank {
         iterations: 3,
         damping: 0.85,
     };
     let tracer = Arc::new(Tracer::new());
     let ctx = RunContext::unbounded().with_tracer(Arc::clone(&tracer));
-    let part = Placement::new(&graph, 1);
-    coordinate::<f64>(&cfg, &alg, &part, &ctx).expect("traced run");
+    p.run(handle, &alg, &ctx).expect("traced run");
+    p.unload(handle);
 
     let spans = tracer.finished_spans();
     let named = |name: &'static str| spans.iter().filter(move |s| s.name == name);

@@ -13,15 +13,13 @@ use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use graphalytics_algos::Algorithm;
-use graphalytics_algos::Output;
+use graphalytics_algos::{Algorithm, Output};
 use graphalytics_core::faults::{FaultInjector, FaultPlan, FaultSite, RecoveryAction};
 use graphalytics_core::platform::{Platform, PlatformError, RunContext};
 use graphalytics_core::trace::Tracer;
-use graphalytics_core::ScratchDir;
-use graphalytics_distrib::{coordinate, DistribConfig, DistributedPlatform, MasterConfig};
+use graphalytics_distrib::{DistribConfig, DistributedPlatform};
 use graphalytics_graph::{CsrGraph, EdgeListGraph};
-use graphalytics_pregel::{GiraphPlatform, Placement, PregelConfig};
+use graphalytics_pregel::{GiraphPlatform, PregelConfig};
 
 fn worker_bin() -> PathBuf {
     PathBuf::from(env!("CARGO_BIN_EXE_gx-distrib-worker"))
@@ -314,29 +312,20 @@ fn e2e_giraph_and_the_fleet_recover_alike() {
 #[test]
 fn e2e_superstep_spans_count_the_supersteps_run() {
     let graph = test_graph();
-    let dir = ScratchDir::new(None, "gx-recovery-spans-e2e").expect("scratch dir");
-    let prefix = dir.path().join("graph");
-    graphalytics_graph::io::write_graph(&graph.to_edge_list(), &prefix).expect("write dataset");
-    let cfg = MasterConfig {
-        workers: 4,
-        checkpoint_interval: Some(2),
-        max_supersteps: 10_000,
-        max_restarts: 8,
-        worker_bin: worker_bin(),
-        graph_prefix: prefix,
-        directed: graph.is_directed(),
-        weighted: false,
-        checkpoint_dir: dir.path().join("ckpt"),
-    };
+    let mut p = platform(Some(2));
+    let handle = p.load_graph(&graph).unwrap();
     let tracer = Arc::new(Tracer::new());
     let ctx = RunContext::unbounded()
         .with_tracer(Arc::clone(&tracer))
         .with_faults(Arc::new(FaultInjector::new(crash_plan())));
-    let part = Placement::new(&graph, 4);
-    let (_, stats) = coordinate::<f64>(&cfg, &algorithm(), &part, &ctx).expect("recovered run");
+    let (_, stats) = p
+        .run_with_stats(handle, &algorithm(), &ctx)
+        .expect("recovered run");
+    p.unload(handle);
+    let stats = stats.pregel;
     assert_eq!(stats.restarts, 1, "expected one fleet restart");
     let steps = span_count(&tracer, "distrib.superstep");
-    assert_eq!(steps as u64, stats.supersteps);
+    assert_eq!(steps, stats.supersteps);
     assert_eq!((stats.restarts, stats.supersteps), (1, 8));
 }
 

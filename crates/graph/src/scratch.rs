@@ -22,10 +22,17 @@ impl ScratchDir {
             std::process::id(),
             NEXT.fetch_add(1, Ordering::Relaxed)
         );
-        let path = match root {
-            Some(root) => root.join(name),
-            None => std::env::temp_dir().join(name),
-        };
+        match root {
+            Some(root) => Self::named(root, &name),
+            None => Self::named(&std::env::temp_dir(), &name),
+        }
+    }
+
+    /// Creates `<root>/<name>` for an owner that alone names entries under
+    /// `root` (itself a scratch directory), so the path is the same for
+    /// every owner in turn.
+    pub fn named(root: &Path, name: &str) -> std::io::Result<Self> {
+        let path = root.join(name);
         std::fs::create_dir_all(&path)?;
         Ok(Self { path })
     }

@@ -20,8 +20,9 @@
 //! * cooperative deadlines checked at every barrier.
 
 use graphalytics_codec::Codec;
-use graphalytics_core::faults::{RecoveryAction, Snapshot};
+use graphalytics_core::faults::Snapshot;
 use graphalytics_core::platform::{PlatformError, RunContext};
+use graphalytics_core::trace::Tracer;
 use graphalytics_graph::partition::{
     HashPartitioner, LdgPartitioner, Partitioner, RangePartitioner,
 };
@@ -29,6 +30,7 @@ use graphalytics_graph::{CsrGraph, Vid};
 use std::sync::Arc;
 use std::time::Instant;
 
+use crate::drive::{drive, Interrupt, Limits, Report, Step, Stepped, Transport};
 use crate::partition::{Partition, Placement, Route};
 
 /// Vertex-placement strategy for the workers (see
@@ -120,6 +122,8 @@ pub struct PregelStats {
     /// low-work iterations is visible here (the paper's "there can
     /// sometimes be many of such final iterations with little work").
     pub active_per_superstep: Vec<usize>,
+    /// Checkpoint restarts performed.
+    pub restarts: u32,
 }
 
 impl PregelStats {
@@ -241,20 +245,14 @@ pub struct PregelResult<S> {
 }
 
 /// Runs `program` on `graph` to completion (all vertices halted and no
-/// messages in flight), a superstep cap, or deadline expiry.
-///
-/// Each worker owns a [`Partition`]. A superstep is one fan-out in which
-/// worker `d` delivers the outboxes addressed to it, in sender-worker
-/// order, and computes its vertices in place, its sends landing in its
-/// own outboxes. The serial barrier after it only frees the messages just
-/// read, sums the statistics and hands every outbox to its receiver.
+/// messages in flight), a superstep cap, or deadline expiry: the
+/// [`drive`] loop over worker threads.
 pub fn run<P: VertexProgram>(
     graph: &Arc<CsrGraph>,
     program: &P,
     config: &PregelConfig,
     ctx: &RunContext,
 ) -> Result<PregelResult<P::State>, PlatformError> {
-    let n = graph.num_vertices();
     let workers = config.workers.max(1);
     if let Some(budget) = config.memory_budget {
         let need = estimated_footprint(program, graph, workers);
@@ -265,172 +263,182 @@ pub fn run<P: VertexProgram>(
             });
         }
     }
-    let placement = Placement::from_owner(&config.partitioner.partition(graph, workers), workers);
-    let routes = placement.routes();
-    let mut parts: Vec<Partition<P>> = (0..workers)
-        .map(|w| Partition::new(program, graph, placement.members(w)))
-        .collect();
-    // The outbox matrix, `workers` rows of `workers` outboxes. Between
-    // supersteps row `d` holds what worker `d` receives, one outbox per
-    // sender. In the fan-out worker `d` empties row `d` into its inbox and
-    // refills it with its sends, one outbox per destination; the barrier
-    // transposes the matrix. The outboxes keep their capacity throughout.
-    // They are reserved here, on the calling thread, at an even share of
-    // one message per arc: grown from empty inside the fan-out, they sit
-    // in the worker threads' allocator arenas, which kept PageRank's peak
-    // RSS at scale 13 on two workers ~4 MB higher.
-    let share = graph.num_arcs() / (workers * workers);
-    let mut mail: Vec<Vec<Envelope<P::Message>>> = (0..workers * workers)
-        .map(|_| Vec::with_capacity(share))
-        .collect();
-    let mut stats = PregelStats::default();
-    let mut prev_aggregate = 0.0f64;
-
-    // Superstep-boundary checkpointing (Giraph-style): the last snapshot,
-    // one encoded per partition as the distributed workers write it, plus
-    // the incarnation counter that makes re-executed supersteps
-    // distinguishable fault-plan sites (a crash decided for incarnation 0
-    // does not re-fire after the restart).
-    let mut latest_checkpoint: Option<Vec<Vec<u8>>> = None;
-    let corrupt = || PlatformError::Internal("corrupt pregel checkpoint".to_string());
-    let mut incarnation: u32 = 0;
-
-    let mut superstep = 0usize;
-    while superstep < config.max_supersteps {
+    // Every vertex starts active and a superstep that leaves nothing
+    // runnable ends the run, so only an empty graph needs no superstep.
+    if graph.num_vertices() == 0 {
         ctx.check_deadline()?;
-        // Every vertex starts active and a superstep that leaves nothing
-        // runnable ends the run below, so only an empty graph stops here.
-        if n == 0 {
-            break;
+        return Ok(PregelResult {
+            states: Vec::new(),
+            stats: PregelStats::default(),
+        });
+    }
+    let placement = Placement::from_owner(&config.partitioner.partition(graph, workers), workers);
+    // The outboxes are reserved here, on the calling thread, at an even
+    // share of one message per arc: grown from empty inside the fan-out,
+    // they sit in the worker threads' allocator arenas, which kept
+    // PageRank's peak RSS at scale 13 on two workers ~4 MB higher.
+    let share = graph.num_arcs() / (workers * workers);
+    let mut threads = Threads {
+        program,
+        graph,
+        routes: placement.routes(),
+        parts: (0..workers)
+            .map(|w| Partition::new(program, graph, placement.members(w)))
+            .collect(),
+        mail: (0..workers * workers)
+            .map(|_| Vec::with_capacity(share))
+            .collect(),
+        checkpoint: None,
+        tracer: ctx.tracer(),
+    };
+    let limits = Limits {
+        max_supersteps: config.max_supersteps,
+        checkpoint_interval: config.checkpoint_interval,
+        max_restarts: config.max_restarts,
+    };
+    drive(&mut threads, &placement, limits, ctx)
+}
+
+/// The in-process transport: one [`Partition`] per worker thread and the
+/// outbox matrix between them. A superstep is one fan-out in which worker
+/// `d` delivers the outboxes addressed to it, in sender-worker order, and
+/// computes its vertices in place, its sends landing in its own outboxes.
+/// The serial barrier after it only frees the messages just read, counts
+/// each worker's sends and hands every outbox to its receiver.
+struct Threads<'a, P: VertexProgram> {
+    program: &'a P,
+    graph: &'a CsrGraph,
+    routes: &'a [Route],
+    parts: Vec<Partition<P>>,
+    /// The outbox matrix, `workers` rows of `workers` outboxes. Between
+    /// supersteps row `d` holds what worker `d` receives, one outbox per
+    /// sender. In the fan-out worker `d` empties row `d` into its inbox and
+    /// refills it with its sends, one outbox per destination; the barrier
+    /// transposes the matrix. The outboxes keep their capacity throughout.
+    mail: Vec<Vec<Envelope<P::Message>>>,
+    /// The last checkpoint, one encoded snapshot per partition, as the
+    /// distributed workers write them.
+    checkpoint: Option<Vec<Vec<u8>>>,
+    tracer: &'a Tracer,
+}
+
+impl<P: VertexProgram> Threads<'_, P> {
+    /// Delivers every inbox and snapshots every partition; returns the
+    /// encoded bytes. The snapshot holds delivered messages, so the
+    /// superstep's fan-out then skips delivery.
+    fn checkpoint(&mut self, step: Step) -> usize {
+        let workers = self.parts.len();
+        for (part, row) in self.parts.iter_mut().zip(self.mail.chunks_mut(workers)) {
+            part.deliver(row);
         }
-        // Checkpoint before computing, so a crash in superstep k with a
-        // due checkpoint restores to k itself, not k - interval. The
-        // snapshot holds delivered messages, so this superstep's fan-out
-        // skips delivery.
-        let delivered = config
-            .checkpoint_interval
-            .is_some_and(|i| i > 0 && superstep.is_multiple_of(i));
-        if delivered {
-            for (part, row) in parts.iter_mut().zip(mail.chunks_mut(workers)) {
-                part.deliver(row);
-            }
-            let snaps: Vec<Vec<u8>> = parts
-                .iter()
-                .map(|p| p.snapshot(superstep as u64, prev_aggregate).encode())
-                .collect();
-            ctx.note_checkpoint(superstep as u64, snaps.iter().map(Vec::len).sum());
-            latest_checkpoint = Some(snaps);
-        }
-        // Worker-crash injection point, probed before the compute phase. A
-        // crashed worker either restarts the computation from the last
-        // checkpoint or escalates the loss to the harness.
-        if let Some((site, err)) = ctx.crashed_worker(superstep as u64, workers as u32, incarnation)
-        {
-            match &latest_checkpoint {
-                Some(snaps) if incarnation < config.max_restarts => {
-                    mail.iter_mut().for_each(Vec::clear);
-                    for (w, (part, bytes)) in parts.iter_mut().zip(snaps).enumerate() {
-                        let snap: Snapshot<P::State, P::Message> =
-                            Snapshot::decode(bytes).ok_or_else(corrupt)?;
-                        superstep = snap.superstep as usize;
-                        prev_aggregate = snap.aggregate;
-                        if !part.restore(snap, &mut mail[w * workers + w]) {
-                            return Err(corrupt());
-                        }
-                    }
-                    incarnation += 1;
-                    ctx.note_recovery(RecoveryAction::CheckpointRestart, Some(site), 0);
-                    continue;
-                }
-                _ => return Err(err),
-            }
-        }
-        // One span per superstep, carrying the same counts the engine
-        // accumulates into `PregelStats`, with the fan-out and the barrier
-        // as its two children.
-        let mut step_span = ctx.tracer().span("pregel.superstep");
-        step_span.field("superstep", superstep);
-        let step_span_id = step_span.id();
+        let snaps: Vec<Vec<u8>> = self
+            .parts
+            .iter()
+            .map(|p| p.snapshot(step.superstep, step.prev_aggregate).encode())
+            .collect();
+        let bytes = snaps.iter().map(Vec::len).sum();
+        self.checkpoint = Some(snaps);
+        bytes
+    }
+
+    /// The fan-out and the barrier; one report per worker.
+    fn compute(&mut self, step: Step) -> Result<Vec<Report>, PlatformError> {
+        let workers = self.parts.len();
+        let (tracer, program, graph, routes) = (self.tracer, self.program, self.graph, self.routes);
+        let superstep = step.superstep as usize;
         // A panicking `compute` fails the run instead of unwinding out of it.
         let tasks = {
-            let _compute = ctx.tracer().span("pregel.compute");
+            let _compute = tracer.span("pregel.compute");
             graphalytics_parallel::try_map_each(
-                parts.iter_mut().zip(mail.chunks_mut(workers)),
+                self.parts.iter_mut().zip(self.mail.chunks_mut(workers)),
                 |_, (part, outboxes)| {
                     let start = Instant::now();
-                    if !delivered {
+                    if !step.checkpoint {
                         part.deliver(outboxes);
                     }
                     let read = Instant::now();
-                    let done =
-                        part.compute(program, graph, routes, superstep, prev_aggregate, outboxes);
+                    let done = part.compute(
+                        program,
+                        graph,
+                        routes,
+                        superstep,
+                        step.prev_aggregate,
+                        outboxes,
+                    );
                     let deliver_ns = (read - start).as_nanos() as u64;
                     (done, deliver_ns, read.elapsed().as_nanos() as u64)
                 },
             )
             .map_err(|payload| PlatformError::worker_panicked("pregel", payload))?
         };
-
-        let _barrier = ctx.tracer().span("pregel.barrier");
+        let _barrier = tracer.span("pregel.barrier");
         // Read messages are freed here, on the calling thread. Freed inside
         // the fan-out, LCC's neighbour-list messages have the allocator
         // return their pages, which the next run faults back in: ~30-57k
         // minor faults per LCC run at scale 13 on two workers, against ~0.
-        parts.iter_mut().for_each(Partition::clear_inbox);
-        let (mut sent_step, mut remote_step, mut active_step, mut awake) = (0, 0, 0, 0);
-        let (mut max_worker_active, mut max_worker_messages) = (0, 0);
-        let mut step_aggregate = 0.0f64;
-        for (w, (done, deliver_ns, compute_ns)) in tasks.into_iter().enumerate() {
-            let outboxes = &mail[w * workers..(w + 1) * workers];
-            let sent: usize = outboxes.iter().map(Vec::len).sum();
-            sent_step += sent;
-            remote_step += sent - outboxes[w].len();
-            active_step += done.computed;
-            awake += done.awake;
-            max_worker_active = max_worker_active.max(done.computed);
-            max_worker_messages = max_worker_messages.max(sent);
-            step_aggregate += done.aggregate;
-            // One work-distribution event per worker per superstep — the
-            // skew choke point is the Gini over these within a superstep.
-            ctx.tracer().event(
-                "pregel.task",
-                step_span_id,
-                vec![
-                    ("worker".to_string(), (w as u64).into()),
-                    ("work".to_string(), done.computed.into()),
-                    ("messages".to_string(), sent.into()),
-                    ("deliver_ns".to_string(), deliver_ns.into()),
-                    ("compute_ns".to_string(), compute_ns.into()),
-                ],
-            );
-        }
-        transpose(&mut mail, workers);
-        prev_aggregate = step_aggregate;
-        stats.messages_total += sent_step;
-        stats.messages_remote += remote_step;
-        stats.active_total += active_step;
-        stats.max_worker_active += max_worker_active;
-        stats.max_worker_messages += max_worker_messages;
-        stats.active_per_superstep.push(active_step);
-        stats.supersteps += 1;
-        step_span
-            .field("active_vertices", active_step)
-            .field("messages_sent", sent_step)
-            .field("messages_remote", remote_step)
-            .field("aggregate", step_aggregate)
-            // Locality proxies: vertex state is scanned sequentially per
-            // active vertex; every delivered message is a random inbox write.
-            .field("seq_accesses", active_step)
-            .field("rand_accesses", sent_step);
-        if sent_step == 0 && awake == 0 {
-            break;
-        }
-        superstep += 1;
+        self.parts.iter_mut().for_each(Partition::clear_inbox);
+        let reports = tasks
+            .into_iter()
+            .zip(self.mail.chunks(workers))
+            .enumerate()
+            .map(|(w, ((done, deliver_ns, compute_ns), outboxes))| {
+                let sent: usize = outboxes.iter().map(Vec::len).sum();
+                Report {
+                    computed: done.computed,
+                    awake: done.awake,
+                    sent,
+                    sent_remote: sent - outboxes[w].len(),
+                    aggregate: done.aggregate,
+                    timing: Some((deliver_ns, compute_ns)),
+                }
+            })
+            .collect();
+        transpose(&mut self.mail, workers);
+        Ok(reports)
     }
-    let states = placement
-        .merge(parts.into_iter().map(Partition::into_states).collect())
-        .ok_or_else(|| PlatformError::Internal("pregel partition size mismatch".to_string()))?;
-    Ok(PregelResult { states, stats })
+}
+
+impl<P: VertexProgram> Transport for Threads<'_, P> {
+    type State = P::State;
+    const SUPERSTEP_SPAN: &'static str = "pregel.superstep";
+    const TASK_EVENT: &'static str = "pregel.task";
+
+    fn workers(&self) -> u32 {
+        self.parts.len() as u32
+    }
+
+    fn superstep(&mut self, step: Step) -> Stepped {
+        let checkpoint = step.checkpoint.then(|| self.checkpoint(step));
+        let reports = match step.crash {
+            Some(worker) => Err(Interrupt::Lost(worker)),
+            None => self.compute(step).map_err(Interrupt::from),
+        };
+        Stepped {
+            checkpoint,
+            reports,
+            network_bytes: None,
+        }
+    }
+
+    fn restore(&mut self, superstep: u64, _incarnation: u32) -> Result<(), PlatformError> {
+        let corrupt = || PlatformError::Internal("corrupt pregel checkpoint".to_string());
+        let workers = self.parts.len();
+        let snaps = self.checkpoint.as_ref().ok_or_else(corrupt)?;
+        self.mail.iter_mut().for_each(Vec::clear);
+        for (w, (part, bytes)) in self.parts.iter_mut().zip(snaps).enumerate() {
+            let snap: Snapshot<P::State, P::Message> =
+                Snapshot::decode(bytes).ok_or_else(corrupt)?;
+            if snap.superstep != superstep || !part.restore(snap, &mut self.mail[w * workers + w]) {
+                return Err(corrupt());
+            }
+        }
+        Ok(())
+    }
+
+    fn finish(&mut self) -> Result<Vec<Vec<P::State>>, Interrupt> {
+        let parts = std::mem::take(&mut self.parts);
+        Ok(parts.into_iter().map(Partition::into_states).collect())
+    }
 }
 
 /// Swaps outbox `(s, d)` with `(d, s)` for every pair of workers: what

@@ -4,6 +4,8 @@
 //! (paper §3.2: "Giraph is an Apache open-source project implementing the
 //! Pregel programming model introduced by Google"):
 //!
+//! * [`drive`] — the one superstep loop, over worker threads here and
+//!   over `graphalytics-distrib`'s worker processes;
 //! * [`engine`] — workers, supersteps, message passing with combiners,
 //!   aggregators, vote-to-halt, remote-message accounting;
 //! * [`partition`] — the partition-local message store both Pregel
@@ -12,11 +14,13 @@
 //!   programs;
 //! * [`platform`] — the [`GiraphPlatform`] harness adapter.
 
+pub mod drive;
 pub mod engine;
 pub mod partition;
 pub mod platform;
 pub mod programs;
 
+pub use drive::{drive, Interrupt, Limits, Report, Step, Stepped, Transport};
 pub use engine::{
     run, ComputeContext, PartitionerKind, PregelConfig, PregelResult, PregelStats, VertexProgram,
 };
