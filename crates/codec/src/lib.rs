@@ -63,7 +63,7 @@ macro_rules! impl_codec_le {
     )*};
 }
 
-impl_codec_le!(u32, u64, i64);
+impl_codec_le!(u16, u32, u64, i64);
 
 impl Codec for u8 {
     #[inline]

@@ -222,7 +222,7 @@ impl Fleet {
         for (w, port) in ports.iter_mut().enumerate() {
             *port = expect_frame!(
                 fleet.recv_from(w),
-                Frame::Ready { peer_port, .. } => peer_port,
+                Frame::Ready { peer_port } => u32::from(peer_port),
                 "Ready from {w}"
             )
             .map_err(|e| PlatformError::TransientIo(format!("ready from {w}: {e}")))?

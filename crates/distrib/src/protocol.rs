@@ -28,8 +28,11 @@ pub const MAGIC: u32 = 0x4758_4450;
 /// worker to crash in [`Frame::StartSuperstep`] instead of shipping it the
 /// fault plan, and the Plan carries only what a worker reads. Version 5
 /// ships LCC's `pregel::programs::LccMessage` in Shuffle batches: a
-/// sender's degree-oriented list or a triangle credit.
-pub const VERSION: u32 = 5;
+/// sender's degree-oriented list or a triangle credit. Version 6 drops
+/// `Ready`'s runnable count (a fleet always has a superstep to run) and
+/// sends its port as the `u16` it is, so `Ready`'s payload cannot be
+/// taken for `Hello`'s when a bit of the tag flips.
+pub const VERSION: u32 = 6;
 /// Header bytes before the payload: magic, version, tag, length, CRC.
 const HEADER_LEN: usize = 21;
 /// Upper bound on a payload length; larger claims are treated as corrupt
@@ -171,9 +174,7 @@ pub enum Frame {
     /// Worker → master: graph loaded, peer listener bound.
     Ready {
         /// Port of the worker's peer-mesh listener on 127.0.0.1.
-        peer_port: u32,
-        /// Local runnable-vertex count (active or with pending messages).
-        runnable: u64,
+        peer_port: u16,
     },
     /// Master → worker: peer listener ports, indexed by worker id.
     Peers {
@@ -247,7 +248,7 @@ pub enum Frame {
 layout!(enum Frame {
     1 => Hello { worker },
     2 => Plan(plan),
-    3 => Ready { peer_port, runnable },
+    3 => Ready { peer_port },
     4 => Peers { ports },
     5 => MeshReady,
     6 => StartSuperstep { superstep, prev_aggregate, checkpoint, crash },
@@ -410,7 +411,7 @@ mod tests {
         };
         let expected: Vec<u8> = vec![
             0x50, 0x44, 0x58, 0x47, // magic "GXDP" little-endian
-            0x05, 0x00, 0x00, 0x00, // version 5
+            0x06, 0x00, 0x00, 0x00, // version 6
             0x06, // tag StartSuperstep
             0x12, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // payload length 18
             0xff, 0xee, 0xd6, 0x60, // crc32 of payload
@@ -429,7 +430,7 @@ mod tests {
         let frame = Frame::Hello { worker: 2 };
         let expected: Vec<u8> = vec![
             0x50, 0x44, 0x58, 0x47, // magic
-            0x05, 0x00, 0x00, 0x00, // version
+            0x06, 0x00, 0x00, 0x00, // version
             0x01, // tag Hello
             0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // payload length 4
             0x97, 0x17, 0x4d, 0x8b, // crc32 of payload
@@ -449,7 +450,7 @@ mod tests {
         };
         let expected: Vec<u8> = vec![
             0x50, 0x44, 0x58, 0x47, // magic "GXDP" little-endian
-            0x05, 0x00, 0x00, 0x00, // version 5
+            0x06, 0x00, 0x00, 0x00, // version 6
             0x0D, // tag Telemetry
             0x13, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // payload length 19
             0xf9, 0xbf, 0x82, 0x7d, // crc32 of payload
@@ -493,11 +494,7 @@ mod tests {
 
     #[test]
     fn truncated_stream_is_rejected() {
-        let bytes = Frame::Ready {
-            peer_port: 1,
-            runnable: 2,
-        }
-        .encode();
+        let bytes = Frame::Ready { peer_port: 1 }.encode();
         for cut in 0..bytes.len() {
             let err = read_frame(&mut &bytes[..cut]).unwrap_err();
             assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "cut at {cut}");

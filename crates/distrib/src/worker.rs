@@ -186,16 +186,8 @@ fn run_program<P: VertexProgram>(
     }
 
     let listener = TcpListener::bind("127.0.0.1:0").map_err(|e| format!("bind peer: {e}"))?;
-    let peer_port = listener.local_addr().map_err(|e| e.to_string())?.port() as u32;
-    let runnable = part.runnable() as u64;
-    write_frame(
-        &mut master,
-        &Frame::Ready {
-            peer_port,
-            runnable,
-        },
-    )
-    .map_err(|e| format!("ready: {e}"))?;
+    let peer_port = listener.local_addr().map_err(|e| e.to_string())?.port();
+    write_frame(&mut master, &Frame::Ready { peer_port }).map_err(|e| format!("ready: {e}"))?;
 
     let ports = expect_frame!(read_frame(&mut master), Frame::Peers { ports } => ports, "Peers")
         .map_err(|e| format!("peers: {e}"))??;

@@ -39,10 +39,7 @@ fn sample_frames() -> Vec<Frame> {
     vec![
         Frame::Hello { worker: 3 },
         Frame::Plan(sample_plan()),
-        Frame::Ready {
-            peer_port: 40123,
-            runnable: 77,
-        },
+        Frame::Ready { peer_port: 40123 },
         Frame::Peers {
             ports: vec![40123, 40124, 40125, 40126],
         },
