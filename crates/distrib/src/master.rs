@@ -491,10 +491,6 @@ impl<S: Codec> Transport for FleetTransport<'_, S> {
     const SUPERSTEP_SPAN: &'static str = "distrib.superstep";
     const TASK_EVENT: &'static str = "distrib.task";
 
-    fn workers(&self) -> u32 {
-        self.launch.workers
-    }
-
     fn superstep(&mut self, step: Step) -> Stepped {
         let mut checkpoint = None;
         let (reports, network_bytes) = match self.exchange(step, &mut checkpoint) {

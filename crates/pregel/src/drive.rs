@@ -101,9 +101,6 @@ pub trait Transport {
     /// Name of the per-worker event under it.
     const TASK_EVENT: &'static str;
 
-    /// Worker count.
-    fn workers(&self) -> u32;
-
     /// Runs one superstep on every worker.
     fn superstep(&mut self, step: Step) -> Stepped;
 
@@ -137,7 +134,7 @@ pub fn drive<T: Transport>(
     ctx: &RunContext,
 ) -> Result<PregelResult<T::State>, PlatformError> {
     let tracer = ctx.tracer();
-    let workers = transport.workers();
+    let workers = placement.workers() as u32;
     let mut stats = PregelStats::default();
     let (mut superstep, mut prev_aggregate, mut halted) = (0u64, 0.0f64, false);
     // The last superstep whose checkpoint every worker completed, with the

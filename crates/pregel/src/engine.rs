@@ -403,10 +403,6 @@ impl<P: VertexProgram> Transport for Threads<'_, P> {
     const SUPERSTEP_SPAN: &'static str = "pregel.superstep";
     const TASK_EVENT: &'static str = "pregel.task";
 
-    fn workers(&self) -> u32 {
-        self.parts.len() as u32
-    }
-
     fn superstep(&mut self, step: Step) -> Stepped {
         let checkpoint = step.checkpoint.then(|| self.checkpoint(step));
         let reports = match step.crash {

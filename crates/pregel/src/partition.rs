@@ -69,6 +69,11 @@ impl Placement {
         Self { routes, members }
     }
 
+    /// Worker count.
+    pub fn workers(&self) -> usize {
+        self.members.len()
+    }
+
     /// Route per vertex, indexed by internal id.
     pub fn routes(&self) -> &[Route] {
         &self.routes
