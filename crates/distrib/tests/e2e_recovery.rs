@@ -450,7 +450,7 @@ fn e2e_failed_run_leaves_no_checkpoint_directory() {
     assert_eq!(
         entries(&graph_dir),
         dataset_files,
-        "the failed run left its run-* directory behind"
+        "the failed run left its checkpoint directory behind"
     );
 
     p.unload(handle);
