@@ -33,6 +33,7 @@ use std::path::{Path, PathBuf};
 
 use graphalytics_core::faults::{fingerprint, FaultSite, RecoveryAction};
 use graphalytics_core::platform::{PlatformError, RunContext};
+use graphalytics_core::trace::Tracer;
 use graphalytics_graph::io::push_u64;
 use graphalytics_graph::partition::mix64;
 
@@ -473,9 +474,11 @@ impl Drop for Spills {
     }
 }
 
-/// Runs one map task over the inputs `task`, `task + map_tasks`, …: maps
-/// every record into one buffer, sorts its index by (partition, key,
-/// value) and writes the one spill file.
+/// Runs one map task over the inputs `task`, `task + map_tasks`, …: reads
+/// them, maps every record into one buffer, sorts its index by (partition,
+/// key, value) and writes the one spill file. Each of the four steps is a
+/// `mapreduce.map.<step>` span under `parent`.
+#[allow(clippy::too_many_arguments)]
 fn map_task<M: Mapper>(
     inputs: &[PathBuf],
     task: usize,
@@ -483,18 +486,29 @@ fn map_task<M: Mapper>(
     reduce_tasks: usize,
     mapper: &M,
     spill: &Path,
+    tracer: &Tracer,
+    parent: Option<u64>,
 ) -> Result<MapTask, PlatformError> {
-    let mut input = Vec::new();
+    let step = tracer.span_with_parent("mapreduce.map.read", parent);
+    let mut files = Vec::new();
+    for path in inputs.iter().skip(task).step_by(map_tasks) {
+        let mut bytes = Vec::new();
+        read_file(path, &mut bytes)?;
+        files.push(bytes);
+    }
+    drop(step);
+    let step = tracer.span_with_parent("mapreduce.map.mapper", parent);
     let mut out = Emitter::default();
     let mut input_count = 0usize;
-    for path in inputs.iter().skip(task).step_by(map_tasks) {
-        read_file(path, &mut input)?;
-        for record in Records::new(&input)? {
+    for bytes in &files {
+        for record in Records::new(bytes)? {
             let (key, value) = record?;
             input_count += 1;
             mapper.map(key, value, &mut out);
         }
     }
+    drop((step, files));
+    let step = tracer.span_with_parent("mapreduce.map.sort", parent);
     let spans = &out.spans;
     if u32::try_from(spans.len()).is_err() {
         return Err(PlatformError::Internal(format!(
@@ -527,6 +541,8 @@ fn map_task<M: Mapper>(
                 _ => std::cmp::Ordering::Equal,
             })
     });
+    drop(step);
+    let step = tracer.span_with_parent("mapreduce.map.spill", parent);
     let mut file = BufWriter::with_capacity(WRITE_BUFFER, File::create(spill).map_err(io_err)?);
     let mut pieces: Vec<Piece> = Vec::new();
     let mut written = 0u64;
@@ -548,6 +564,7 @@ fn map_task<M: Mapper>(
         written += len;
     }
     file.flush().map_err(io_err)?;
+    drop(step);
     Ok(MapTask {
         input: input_count,
         output: spans.len(),
@@ -577,15 +594,20 @@ impl<'a> Segment<'a> {
 }
 
 /// Runs reduce task `p`: reads segment `p` of every spill, k-way merges the
-/// sorted segments, reduces each key group and writes `part-<p>`. Returns
-/// the records written and the user counter deltas.
+/// sorted segments, reduces each key group and writes `part-<p>`. Each of
+/// the four steps is a `mapreduce.reduce.<step>` span under `parent`.
+/// Returns the records written and the user counter deltas.
+#[allow(clippy::too_many_arguments)]
 fn reduce_task<R: CountingReducer>(
     spills: &[PathBuf],
     maps: &[MapTask],
     p: usize,
     reducer: &R,
     part: &Path,
+    tracer: &Tracer,
+    parent: Option<u64>,
 ) -> Result<(usize, std::collections::BTreeMap<String, i64>), PlatformError> {
+    let step = tracer.span_with_parent("mapreduce.reduce.read", parent);
     let mut segments: Vec<Vec<Vec<u8>>> = Vec::with_capacity(maps.len());
     for (spill, map) in spills.iter().zip(maps) {
         let mut pieces = Vec::new();
@@ -596,6 +618,8 @@ fn reduce_task<R: CountingReducer>(
         }
         segments.push(pieces);
     }
+    drop(step);
+    let step = tracer.span_with_parent("mapreduce.reduce.merge", parent);
     // One cursor per map task's segment, each with its next record.
     let mut cursors = Vec::with_capacity(segments.len());
     for pieces in &segments {
@@ -608,19 +632,22 @@ fn reduce_task<R: CountingReducer>(
     }
     // The next record in byte order, by a linear scan over the heads: there
     // are as few segments as map tasks.
-    let mut next_record = || -> Result<Option<(&str, &str)>, PlatformError> {
+    let mut merged: Vec<(&str, &str)> = Vec::new();
+    loop {
         let smallest = cursors
             .iter()
             .enumerate()
             .filter_map(|(i, (head, _))| head.map(|record| (record, i)))
             .min();
         let Some((record, i)) = smallest else {
-            return Ok(None);
+            break;
         };
+        merged.push(record);
         let (head, segment) = &mut cursors[i];
         *head = segment.next()?;
-        Ok(Some(record))
-    };
+    }
+    drop(step);
+    let step = tracer.span_with_parent("mapreduce.reduce.reducer", parent);
     let mut out = Emitter::default();
     let mut user = std::collections::BTreeMap::new();
     let mut ctx = ReduceContext {
@@ -628,21 +655,15 @@ fn reduce_task<R: CountingReducer>(
         counters: &mut user,
     };
     let mut values: Vec<&str> = Vec::new();
-    let mut group: Option<&str> = None;
-    loop {
-        let record = next_record()?;
-        if let Some(key) = group {
-            if record.map(|(k, _)| k) != Some(key) {
-                reducer.reduce(key, &values, &mut ctx);
-                values.clear();
-            }
-        }
-        let Some((key, value)) = record else {
-            break;
-        };
-        group = Some(key);
+    for (i, &(key, value)) in merged.iter().enumerate() {
         values.push(value);
+        if merged.get(i + 1).is_none_or(|&(next, _)| next != key) {
+            reducer.reduce(key, &values, &mut ctx);
+            values.clear();
+        }
     }
+    drop(step);
+    let _step = tracer.span_with_parent("mapreduce.reduce.write", parent);
     out.write_to_file(part)?;
     Ok((out.spans.len(), user))
 }
@@ -671,8 +692,11 @@ pub fn run_job<M: Mapper, R: CountingReducer>(
 /// [`run_job`] with observability and fault hooks from the harness's
 /// [`RunContext`]: emits one `mapreduce.job` span carrying the job name
 /// and final [`JobCounters`], with nested `mapreduce.map` /
-/// `mapreduce.reduce` phase spans; when a fault plan is armed, every task
-/// is a transient-I/O injection point with bounded attempt retries.
+/// `mapreduce.reduce` phase spans, and under those one span per task and
+/// step: `mapreduce.map.{read,mapper,sort,spill}` and
+/// `mapreduce.reduce.{read,merge,reducer,write}`. When a fault plan is
+/// armed, every task is a transient-I/O injection point with bounded
+/// attempt retries.
 #[allow(clippy::too_many_arguments)]
 pub fn run_job_traced<M: Mapper, R: CountingReducer>(
     config: &JobConfig,
@@ -700,15 +724,24 @@ pub fn run_job_traced<M: Mapper, R: CountingReducer>(
     );
     let mut map_span = tracer.span("mapreduce.map");
     map_span.field("job", job_name).field("tasks", map_tasks);
+    let map_span_id = map_span.id();
     // A task returns its own Result; a panicking mapper is an `Err` from the
     // fork-join — a failed map task becomes a failed job, not a harness crash.
     let map_results = graphalytics_parallel::try_map_each(&spills.0, |task, spill| {
         probe_task_attempts(ctx, map_job_fp, task as u32)?;
-        map_task(inputs, task, map_tasks, reduce_tasks, mapper, spill)
+        map_task(
+            inputs,
+            task,
+            map_tasks,
+            reduce_tasks,
+            mapper,
+            spill,
+            tracer,
+            map_span_id,
+        )
     })
     .map_err(|payload| PlatformError::worker_panicked("map", payload))?;
     let mut counters = JobCounters::default();
-    let map_span_id = map_span.id();
     let mut maps = Vec::with_capacity(map_tasks);
     for (task, r) in map_results.into_iter().enumerate() {
         let map = r?;
@@ -745,13 +778,13 @@ pub fn run_job_traced<M: Mapper, R: CountingReducer>(
     reduce_span
         .field("job", job_name)
         .field("tasks", reduce_tasks);
+    let reduce_span_id = reduce_span.id();
     let reduce_results = graphalytics_parallel::try_map_each(0..reduce_tasks, |_, p| {
         probe_task_attempts(ctx, reduce_job_fp, p as u32)?;
         let part = output_dir.join(format!("part-{p:05}"));
-        reduce_task(&spills.0, &maps, p, reducer, &part)
+        reduce_task(&spills.0, &maps, p, reducer, &part, tracer, reduce_span_id)
     })
     .map_err(|payload| PlatformError::worker_panicked("reduce", payload))?;
-    let reduce_span_id = reduce_span.id();
     for (task, r) in reduce_results.into_iter().enumerate() {
         let (count, user) = r?;
         tracer.event(
@@ -903,9 +936,20 @@ mod tests {
             job.field("reduce_output").and_then(|f| f.as_i64()),
             Some(counters.reduce_output as i64)
         );
-        for phase in ["mapreduce.map", "mapreduce.reduce"] {
+        for (phase, steps) in [
+            ("mapreduce.map", ["read", "mapper", "sort", "spill"]),
+            ("mapreduce.reduce", ["read", "merge", "reducer", "write"]),
+        ] {
             let s = spans.iter().find(|s| s.name == phase).unwrap();
             assert_eq!(s.parent, Some(job.id), "{phase} nests under the job");
+            // One map task (one input); four reduce tasks by default.
+            let tasks = s.field("tasks").and_then(|f| f.as_i64()).unwrap() as usize;
+            for step in steps {
+                let name = format!("{phase}.{step}");
+                let under: Vec<_> = spans.iter().filter(|c| c.name == name).collect();
+                assert_eq!(under.len(), tasks, "{name}");
+                assert!(under.iter().all(|c| c.parent == Some(s.id)), "{name}");
+            }
         }
     }
 
