@@ -662,32 +662,9 @@ fn lcc_parts(
     Ok(inputs)
 }
 
-/// STATS: the three LCC jobs of [`lcc_parts`]; the mean is
-/// computed client-side from the per-vertex LCC records, summed as the
-/// reduce partitions return them. That is not vertex order, so the mean's
-/// last bits differ from `stats::from_coefficients` over the same values —
-/// the one STATS mean that keeps its own expression.
-pub fn mean_local_cc(
-    config: &JobConfig,
-    splits: &[PathBuf],
-    n: usize,
-    ctx: &RunContext,
-) -> Result<f64, PlatformError> {
-    if n == 0 {
-        return Ok(0.0);
-    }
-    let mut sum = 0.0f64;
-    for_each_record(&lcc_parts(config, splits, ctx)?, |_, v| {
-        if let Some(x) = v.strip_prefix("LCC ") {
-            sum += x.trim().parse::<f64>().unwrap_or(0.0);
-        }
-        Ok(())
-    })?;
-    Ok(sum / n as f64)
-}
-
-/// LCC: the same job chain as STATS, but the per-vertex coefficients are
-/// the output (vertices with no record — degree < 2 — stay at 0).
+/// LCC, and STATS' coefficients: the three jobs of [`lcc_parts`], their
+/// per-vertex records collected in vertex order (vertices with no record —
+/// degree < 2 — stay at 0).
 pub fn local_clustering(
     config: &JobConfig,
     splits: &[PathBuf],

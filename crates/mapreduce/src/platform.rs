@@ -185,13 +185,13 @@ impl Platform for MapReducePlatform {
         let config = self.job_config(loaded, &algorithm.name().to_lowercase())?;
         let splits = &loaded.splits.adjacency;
         Ok(match algorithm {
-            // |V| and |E| come from the load-time manifest; only the
-            // clustering coefficient needs jobs.
-            Algorithm::Stats => Output::Stats(graphalytics_algos::StatsResult {
-                num_vertices: n,
-                num_edges: loaded.num_edges,
-                mean_local_cc: algorithms::mean_local_cc(&config, splits, n, ctx)?,
-            }),
+            // |E| comes from the load-time manifest; only the clustering
+            // coefficients need jobs, and their mean is summed in vertex
+            // order, as every engine sums it.
+            Algorithm::Stats => Output::Stats(graphalytics_algos::stats::from_coefficients(
+                loaded.num_edges,
+                &algorithms::local_clustering(&config, splits, n, ctx)?,
+            )),
             Algorithm::Bfs { source } => {
                 let source = loaded.internal_id(*source);
                 Output::Depths(algorithms::bfs(&config, splits, n, source, ctx)?)
