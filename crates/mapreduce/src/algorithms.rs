@@ -6,42 +6,71 @@
 //! reason MapReduce graph processing is "two orders of magnitude slower
 //! than Giraph and GraphX" (paper §3.3) while never running out of memory.
 //!
-//! Record formats (key `\t` value):
-//! * adjacency splits (`adj-*`, written at load): value = `N <u1> <u2> …`,
+//! Record values. Every record is keyed by a vertex id (the framing is
+//! [`crate::job`]'s). A value is a one-byte tag, then `crates/codec` fields:
+//! ids are `u32`s, weights, degrees and counts `u64`s, and f64s travel as
+//! their bits, so no number is ever printed or parsed.
+//! * adjacency splits (`adj-*`, written at load): `N`, then the neighbours,
 //!   one record per vertex, isolated vertices included (empty list);
-//! * weighted adjacency splits (`wadj-*`): value = `W <u1> <w1> <u2> <w2> …`
-//!   (fixed-point weights — the SSSP inputs);
-//! * chain state files: value = `<state>\t<adjacency>`, the vertex's state
-//!   followed by its split value as is; the state is `L <label>` (CONN),
-//!   `D <depth>` (BFS), `T <distance>` (SSSP), `S <label> <score>` (CD) or
-//!   `R <received>` (PageRank: the sorted sum of the shares received);
-//! * messages along arcs: `C <payload>`;
-//! * LCC's job outputs: `D <neighbor> <degree>`, `OWN <degree> <N⁺>`,
-//!   `NB <sender> <N⁺>`, `G <degree> <credits>`, `C <credits>` and
-//!   `LCC <coefficient>` (see [`lcc_parts`]).
+//! * weighted adjacency splits (`wadj-*`, written for a weighted graph
+//!   only): `W`, then `(neighbour, weight)` pairs with fixed-point weights —
+//!   the SSSP input. An `N` arc weighs [`WEIGHT_SCALE`], one hop, so on an
+//!   unweighted graph SSSP reads `adj-*`;
+//! * chain state records: the state's tag and the state, then the vertex's
+//!   split value as is; the state is `L` + label (CONN), `D` + `i64` depth
+//!   (BFS), `T` + distance (SSSP), `S` + label + score (CD) or `R` + the
+//!   sorted sum of the shares received (PageRank);
+//! * messages along arcs: `C` + the kernel's message;
+//! * LCC's job outputs: `D` + neighbour + degree, `O` + degree + `N⁺`,
+//!   `B` + sender + `N⁺`, `G` + degree + credits, `C` + credits and
+//!   `F` + the coefficient (see [`lcc_parts`]); a list runs to the end of
+//!   its value.
+//!
+//! A value with another tag, or whose fields do not fill it, is skipped.
 //!
 //! [`run_job`]: crate::job::run_job
 
 use std::collections::BTreeMap;
-use std::fmt::{self, Display};
 use std::path::PathBuf;
-use std::str::FromStr;
 
 use graphalytics_algos::cd;
+use graphalytics_codec::{layout, Codec};
 use graphalytics_core::platform::{PlatformError, RunContext};
-use graphalytics_graph::metrics;
+use graphalytics_graph::{metrics, Weight, WEIGHT_SCALE};
 
 use crate::job::{
     for_each_record, part_files, run_job_traced, CountingReducer, Emitter, JobConfig, JobCounters,
     Mapper, ReduceContext, Reducer,
 };
 
+/// Tag of an adjacency value, `N` + neighbours.
+const ADJACENCY: u8 = b'N';
+/// Tag of a weighted adjacency value, `W` + `(neighbour, weight)` pairs.
+const WEIGHTED: u8 = b'W';
+/// Tag of a message along an arc.
+const MESSAGE: u8 = b'C';
+
+/// Appends the adjacency value of a vertex with `neighbors`.
+pub(crate) fn push_adjacency(bytes: &mut Vec<u8>, neighbors: &[u32]) {
+    bytes.push(ADJACENCY);
+    u32::encode_slice(neighbors, bytes);
+}
+
+/// Appends the weighted adjacency value of a vertex with `neighbors`, arc
+/// `i` weighing `weights[i]`.
+pub(crate) fn push_weighted_adjacency(bytes: &mut Vec<u8>, neighbors: &[u32], weights: &[Weight]) {
+    bytes.push(WEIGHTED);
+    for (&u, &w) in neighbors.iter().zip(weights) {
+        (u, w).encode_into(bytes);
+    }
+}
+
 /// Identity mapper: inputs are already keyed correctly.
 struct IdentityMapper;
 
 impl Mapper for IdentityMapper {
-    fn map(&self, key: &str, value: &str, out: &mut Emitter) {
-        out.emit_str(key, value);
+    fn map(&self, key: u32, value: &[u8], out: &mut Emitter) {
+        out.emit_bytes(key, value);
     }
 }
 
@@ -49,77 +78,144 @@ fn internal_err(what: &str) -> PlatformError {
     PlatformError::Internal(format!("malformed record: {what}"))
 }
 
-/// Parses the per-vertex records `v -> "<tag>payload"` of `files` into a
-/// dense vector indexed by vertex id; a state record's adjacency is not
-/// part of its payload. A vertex with no such record gets `missing(v)`.
-fn collect_per_vertex<T>(
+/// The bytes after `value`'s tag, when its tag is `tag`.
+fn tagged(value: &[u8], tag: u8) -> Option<&[u8]> {
+    match value.split_first() {
+        Some((&first, rest)) if first == tag => Some(rest),
+        _ => None,
+    }
+}
+
+/// Appends `tag`, then `fields`.
+fn put(bytes: &mut Vec<u8>, tag: u8, fields: &impl Codec) {
+    bytes.push(tag);
+    fields.encode_into(bytes);
+}
+
+/// A `T` decoded from the start of `bytes`, and the bytes after it.
+fn decode<T: Codec>(bytes: &[u8]) -> Option<(T, &[u8])> {
+    let mut pos = 0;
+    let value = T::decode_from(bytes, &mut pos)?;
+    Some((value, &bytes[pos..]))
+}
+
+/// A `T` that fills `bytes` exactly.
+fn decode_exact<T: Codec>(bytes: &[u8]) -> Option<T> {
+    match decode(bytes)? {
+        (value, []) => Some(value),
+        _ => None,
+    }
+}
+
+/// Replaces `ids` with the `u32`s that fill `bytes`. False, and `ids`
+/// empty, when `bytes` is not a whole number of them.
+fn read_ids(bytes: &[u8], ids: &mut Vec<u32>) -> bool {
+    ids.clear();
+    if !bytes.len().is_multiple_of(4) {
+        return false;
+    }
+    let mut rest = bytes;
+    while let Some((id, after)) = decode(rest) {
+        ids.push(id);
+        rest = after;
+    }
+    true
+}
+
+/// Decodes the values tagged `tag` in `files` into a dense vector indexed
+/// by vertex id: `value` of the `S` that starts each one (a state record's
+/// adjacency follows its state). A vertex with no such record gets
+/// `missing(v)`; a record keyed past `n`, or too short for an `S`, is an
+/// error.
+fn collect_per_vertex<S: Codec, T>(
     files: &[PathBuf],
     n: usize,
-    tag: &str,
-    parse: impl Fn(&str) -> Option<T>,
+    tag: u8,
+    value: impl Fn(S) -> T,
     missing: impl Fn(u32) -> T,
 ) -> Result<Vec<T>, PlatformError> {
     let mut out: Vec<T> = (0..n as u32).map(missing).collect();
     for_each_record(files, |k, v| {
-        let Some(rest) = v.strip_prefix(tag) else {
+        let Some(payload) = tagged(v, tag) else {
             return Ok(());
         };
-        let idx: usize = k.parse().map_err(|_| internal_err(k))?;
-        if idx >= n {
-            return Err(internal_err(k));
-        }
-        let payload = rest.split_once('\t').map_or(rest, |(state, _)| state);
-        out[idx] = parse(payload.trim()).ok_or_else(|| internal_err(v))?;
+        let slot = out
+            .get_mut(k as usize)
+            .ok_or_else(|| internal_err(&format!("vertex {k} of {n}")))?;
+        let (state, _) = decode(payload)
+            .ok_or_else(|| internal_err(&format!("vertex {k}'s value of {} bytes", v.len())))?;
+        *slot = value(state);
         Ok(())
     })?;
     Ok(out)
 }
 
-/// The next whitespace-separated field of a record payload, parsed.
-fn field<T: FromStr>(parts: &mut std::str::SplitWhitespace<'_>) -> Option<T> {
-    parts.next()?.parse().ok()
-}
-
-/// The arcs of an adjacency value, as `(neighbor, weight)`: `N <u>…` arcs
-/// weigh 1, `W <u> <w>…` arcs carry their weight.
+/// The arcs of an adjacency value, as `(neighbor, weight)`: `N` arcs weigh
+/// [`WEIGHT_SCALE`], `W` arcs carry their weight.
 #[derive(Clone)]
 struct Arcs<'a> {
-    fields: std::str::SplitWhitespace<'a>,
+    list: &'a [u8],
     weighted: bool,
 }
 
 impl<'a> Arcs<'a> {
-    /// The arcs of `adjacency`; `None` for a value with neither tag.
-    fn of(adjacency: &'a str) -> Option<Self> {
-        let (weighted, list) = match adjacency.strip_prefix("N ") {
-            Some(list) => (false, list),
-            None => (true, adjacency.strip_prefix("W ")?),
+    /// The arcs of vertex `v`'s value `adjacency` in a graph of `n`
+    /// vertices. `None`, so that the record is skipped, for a value with
+    /// neither tag, a list that is not a whole number of arcs, or a `v` or
+    /// neighbour that the graph does not have.
+    fn of(v: u32, adjacency: &'a [u8], n: usize) -> Option<Self> {
+        let (&tag, list) = adjacency.split_first()?;
+        let weighted = match tag {
+            ADJACENCY => false,
+            WEIGHTED => true,
+            _ => return None,
         };
-        Some(Self {
-            fields: list.split_whitespace(),
-            weighted,
-        })
+        let arcs = Self { list, weighted };
+        let within = |u: u32| (u as usize) < n;
+        (list.len().is_multiple_of(arcs.width())
+            && within(v)
+            && arcs.clone().all(|(u, _)| within(u)))
+        .then_some(arcs)
+    }
+
+    /// Bytes per arc.
+    fn width(&self) -> usize {
+        if self.weighted {
+            12
+        } else {
+            4
+        }
+    }
+
+    /// The number of arcs.
+    fn degree(&self) -> usize {
+        self.list.len() / self.width()
     }
 
     /// The neighbors alone.
-    fn neighbors(self) -> impl Iterator<Item = &'a str> + Clone {
+    fn neighbors(self) -> impl Iterator<Item = u32> + Clone + 'a {
         self.map(|(u, _)| u)
     }
 }
 
-impl<'a> Iterator for Arcs<'a> {
-    type Item = (&'a str, u64);
+impl Iterator for Arcs<'_> {
+    type Item = (u32, u64);
 
-    /// The next arc; a weight that does not parse ends the list.
     fn next(&mut self) -> Option<Self::Item> {
-        let u = self.fields.next()?;
-        let weight = if self.weighted {
-            field(&mut self.fields)?
+        let (arc, rest) = if self.weighted {
+            decode(self.list)?
         } else {
-            1
+            let (u, rest) = decode(self.list)?;
+            ((u, WEIGHT_SCALE), rest)
         };
-        Some((u, weight))
+        self.list = rest;
+        Some(arc)
     }
+}
+
+/// Emits `message` to every vertex of `to` as a `C` record, written once.
+fn send_each(out: &mut Emitter, to: impl IntoIterator<Item = u32>, message: &impl Codec) {
+    out.emit_each(to, |bytes| put(bytes, MESSAGE, message));
 }
 
 /// Runs job `name` into `<work_dir>/<name>`, after a deadline check (jobs
@@ -146,18 +242,20 @@ fn run_named_job<M: Mapper, R: CountingReducer>(
 /// reduce side.
 trait Step: Sync {
     /// The state, as written after the chain's tag.
-    type State: FromStr + Display;
+    type State: Codec;
+    /// What a vertex sends along an arc.
+    type Message: Codec;
 
-    /// Emits the `C <payload>` messages of a vertex holding `own`.
+    /// Emits the messages of a vertex holding `own`.
     fn send(&self, own: &Self::State, arcs: Arcs<'_>, out: &mut Emitter);
 
-    /// The next state of a vertex holding `own`, from the payloads of its
-    /// messages in byte order; bumps `changed` when the state changed.
-    fn fold<'v>(
+    /// The next state of a vertex holding `own`, from its messages; bumps
+    /// `changed` when the state changed.
+    fn fold(
         &self,
         own: Self::State,
         arcs: Arcs<'_>,
-        messages: impl Iterator<Item = &'v str>,
+        messages: impl Iterator<Item = Self::Message>,
         counters: &mut BTreeMap<String, i64>,
     ) -> Self::State;
 }
@@ -173,9 +271,11 @@ struct Chain<'a> {
     config: &'a JobConfig,
     /// The load's adjacency splits, round 0's input.
     splits: &'a [PathBuf],
+    /// The graph's vertex count.
+    n: usize,
     kernel: &'a str,
-    /// Record tag of a state, with its trailing space.
-    tag: &'a str,
+    /// Value tag of a state record.
+    tag: u8,
     /// Round cap.
     max_rounds: usize,
     /// Whether a round whose job counted no `changed` vertex ends the
@@ -202,11 +302,13 @@ impl Chain<'_> {
             let mapper = RoundMapper {
                 step: &step,
                 tag: self.tag,
+                n: self.n,
                 init: (round == 0).then_some(init),
             };
             let reducer = RoundReducer {
                 step: &step,
                 tag: self.tag,
+                n: self.n,
             };
             let job = format!("{}-round-{round}", self.kernel);
             let (counters, dir) =
@@ -222,34 +324,35 @@ impl Chain<'_> {
     }
 }
 
-/// A round's mapper: parses the vertex's state (round 0: `init` of its
+/// A round's mapper: decodes the vertex's state (round 0: `init` of its
 /// id), re-emits it with the adjacency and lets the step send.
 struct RoundMapper<'a, S, I> {
     step: &'a S,
-    tag: &'a str,
+    tag: u8,
+    n: usize,
     /// The initial state, in round 0 only.
     init: Option<&'a I>,
 }
 
 impl<S: Step, I: Fn(u32) -> S::State + Sync> Mapper for RoundMapper<'_, S, I> {
-    fn map(&self, key: &str, value: &str, out: &mut Emitter) {
+    fn map(&self, key: u32, value: &[u8], out: &mut Emitter) {
         let state = match self.init {
-            Some(init) => key.parse().ok().map(|v| (init(v), value)),
-            None => value
-                .strip_prefix(self.tag)
-                .and_then(|rest| rest.split_once('\t'))
-                .and_then(|(own, adjacency)| Some((own.parse().ok()?, adjacency))),
+            Some(init) => Some((init(key), value)),
+            None => tagged(value, self.tag).and_then(decode),
         };
         let Some((own, adjacency)) = state else {
             return;
         };
-        let Some(arcs) = Arcs::of(adjacency) else {
+        let Some(arcs) = Arcs::of(key, adjacency, self.n) else {
             return;
         };
         if self.init.is_some() {
-            out.emit(key, format_args!("{}{own}\t{adjacency}", self.tag));
+            out.emit(key, |bytes| {
+                put(bytes, self.tag, &own);
+                bytes.extend_from_slice(adjacency);
+            });
         } else {
-            out.emit_str(key, value);
+            out.emit_bytes(key, value);
         }
         self.step.send(&own, arcs, out);
     }
@@ -259,24 +362,29 @@ impl<S: Step, I: Fn(u32) -> S::State + Sync> Mapper for RoundMapper<'_, S, I> {
 /// record into its next state record.
 struct RoundReducer<'a, S> {
     step: &'a S,
-    tag: &'a str,
+    tag: u8,
+    n: usize,
 }
 
 impl<S: Step> CountingReducer for RoundReducer<'_, S> {
-    fn reduce(&self, key: &str, values: &[&str], ctx: &mut ReduceContext<'_>) {
+    fn reduce(&self, key: u32, values: &[&[u8]], ctx: &mut ReduceContext<'_>) {
         let state = values
             .iter()
-            .find_map(|v| v.strip_prefix(self.tag)?.split_once('\t'));
+            .find_map(|v| decode::<S::State>(tagged(v, self.tag)?));
         let Some((own, adjacency)) = state else {
             return;
         };
-        let (Ok(own), Some(arcs)) = (own.parse(), Arcs::of(adjacency)) else {
+        let Some(arcs) = Arcs::of(key, adjacency, self.n) else {
             return;
         };
-        let messages = values.iter().filter_map(|v| v.strip_prefix("C "));
+        let messages = values
+            .iter()
+            .filter_map(|v| decode_exact(tagged(v, MESSAGE)?));
         let next = self.step.fold(own, arcs, messages, ctx.counters);
-        ctx.out
-            .emit(key, format_args!("{}{next}\t{adjacency}", self.tag));
+        ctx.out.emit(key, |bytes| {
+            put(bytes, self.tag, &next);
+            bytes.extend_from_slice(adjacency);
+        });
     }
 }
 
@@ -289,16 +397,16 @@ impl<S: Step> CountingReducer for RoundReducer<'_, S> {
 #[derive(Clone, Copy)]
 struct MinKernel<T> {
     kernel: &'static str,
-    /// Record tag of the state value, with its trailing space.
-    tag: &'static str,
+    /// Value tag of the state.
+    tag: u8,
     /// The candidate a vertex holding the first argument sends along an
-    /// arc of the given weight (1 for unweighted arcs), if any.
+    /// arc of the given weight, if any.
     candidate: fn(T, u64) -> Option<T>,
     /// Whether a candidate (first) replaces the own value (second).
     improves: fn(T, T) -> bool,
 }
 
-impl<T: Copy + Ord + FromStr + Display + Sync> MinKernel<T> {
+impl<T: Copy + Ord + Codec + Sync> MinKernel<T> {
     /// Chains rounds from `init` until no value changes.
     fn run(
         &self,
@@ -311,6 +419,7 @@ impl<T: Copy + Ord + FromStr + Display + Sync> MinKernel<T> {
         let chain = Chain {
             config,
             splits,
+            n,
             kernel: self.kernel,
             tag: self.tag,
             max_rounds: usize::MAX,
@@ -318,32 +427,32 @@ impl<T: Copy + Ord + FromStr + Display + Sync> MinKernel<T> {
             ctx,
         };
         let (state, _) = chain.run(&init, |_| *self)?;
-        collect_per_vertex(&state, n, self.tag, |s| s.parse().ok(), init)
+        collect_per_vertex(&state, n, self.tag, |s| s, init)
     }
 }
 
 /// Sends a candidate along every arc the kernel sends one on, and adopts
 /// the minimum candidate when it improves on the own value.
-impl<T: Copy + Ord + FromStr + Display + Sync> Step for MinKernel<T> {
+impl<T: Copy + Ord + Codec + Sync> Step for MinKernel<T> {
     type State = T;
+    type Message = T;
 
     fn send(&self, own: &T, arcs: Arcs<'_>, out: &mut Emitter) {
         for (u, w) in arcs {
             if let Some(candidate) = (self.candidate)(*own, w) {
-                out.emit(u, format_args!("C {candidate}"));
+                out.emit(u, |bytes| put(bytes, MESSAGE, &candidate));
             }
         }
     }
 
-    fn fold<'v>(
+    fn fold(
         &self,
         own: T,
         _arcs: Arcs<'_>,
-        messages: impl Iterator<Item = &'v str>,
+        messages: impl Iterator<Item = T>,
         counters: &mut BTreeMap<String, i64>,
     ) -> T {
-        let best = messages.filter_map(|c| c.trim().parse::<T>().ok()).min();
-        match best {
+        match messages.min() {
             Some(best) if (self.improves)(best, own) => {
                 *counters.entry("changed".into()).or_insert(0) += 1;
                 best
@@ -354,8 +463,8 @@ impl<T: Copy + Ord + FromStr + Display + Sync> Step for MinKernel<T> {
 }
 
 /// Connected components: every vertex sends its label and keeps the
-/// minimum it sees, until no label changes. `splits` hold the `N`-tagged
-/// adjacency records; `n` is the vertex count.
+/// minimum it sees, until no label changes. `splits` hold the adjacency
+/// records; `n` is the vertex count.
 pub fn connected_components(
     config: &JobConfig,
     splits: &[PathBuf],
@@ -364,7 +473,7 @@ pub fn connected_components(
 ) -> Result<Vec<u32>, PlatformError> {
     let conn = MinKernel::<u32> {
         kernel: "conn",
-        tag: "L ",
+        tag: b'L',
         candidate: |label, _| Some(label),
         improves: |candidate, own| candidate < own,
     };
@@ -383,7 +492,7 @@ pub fn bfs(
 ) -> Result<Vec<i64>, PlatformError> {
     let bfs = MinKernel::<i64> {
         kernel: "bfs",
-        tag: "D ",
+        tag: b'D',
         candidate: |depth, _| (depth >= 0).then(|| depth + 1),
         improves: |_, own| own < 0,
     };
@@ -392,12 +501,12 @@ pub fn bfs(
 }
 
 /// SSSP from `source` (internal id; `None` = unreachable everywhere):
-/// Bellman-Ford rounds over the weighted splits (`W <u1> <w1> …` records)
-/// — vertices with a finite distance send `dist + weight` — until no
-/// distance improves.
+/// Bellman-Ford rounds over the weighted splits, or the adjacency splits of
+/// an unweighted graph — vertices with a finite distance send
+/// `dist + weight` — until no distance improves.
 pub fn sssp(
     config: &JobConfig,
-    weighted_splits: &[PathBuf],
+    splits: &[PathBuf],
     n: usize,
     source: Option<u32>,
     ctx: &RunContext,
@@ -405,39 +514,26 @@ pub fn sssp(
     let inf = graphalytics_algos::INFINITY;
     let sssp = MinKernel::<u64> {
         kernel: "sssp",
-        tag: "T ",
+        tag: b'T',
         candidate: |dist, weight| {
             (dist != graphalytics_algos::INFINITY).then(|| dist.saturating_add(weight))
         },
         improves: |candidate, own| candidate < own,
     };
     let init = |v| if Some(v) == source { 0 } else { inf };
-    sssp.run(config, weighted_splits, n, init, ctx)
+    sssp.run(config, splits, n, init, ctx)
 }
 
 // ------------------------------------------------------------------ CD --
 
-/// A CD state: the label and its score, written `<label> <score>`.
+/// A CD state: the label and its score.
 #[derive(Clone, Copy)]
-struct Community(u32, f64);
-
-impl FromStr for Community {
-    type Err = ();
-
-    fn from_str(s: &str) -> Result<Self, ()> {
-        let mut parts = s.split_whitespace();
-        Ok(Community(
-            field(&mut parts).ok_or(())?,
-            field(&mut parts).ok_or(())?,
-        ))
-    }
+struct Community {
+    label: u32,
+    score: f64,
 }
 
-impl Display for Community {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} {}", self.0, self.1)
-    }
-}
+layout!(struct Community { label, score });
 
 /// CD round: each vertex ships `(label, score, influence)` to all
 /// neighbors, the influence from its degree; each then takes the canonical
@@ -450,37 +546,30 @@ struct CommunityStep {
 
 impl Step for CommunityStep {
     type State = Community;
+    type Message = (u32, f64, f64);
 
-    fn send(&self, &Community(label, score): &Community, arcs: Arcs<'_>, out: &mut Emitter) {
-        let influence = cd::influence(score, arcs.clone().count(), self.degree_exponent);
-        out.emit_each(
-            arcs.neighbors(),
-            format_args!("C {label} {score} {influence}"),
-        );
+    fn send(&self, own: &Community, arcs: Arcs<'_>, out: &mut Emitter) {
+        let influence = cd::influence(own.score, arcs.degree(), self.degree_exponent);
+        send_each(out, arcs.neighbors(), &(own.label, own.score, influence));
     }
 
-    fn fold<'v>(
+    fn fold(
         &self,
         own: Community,
         _arcs: Arcs<'_>,
-        messages: impl Iterator<Item = &'v str>,
+        messages: impl Iterator<Item = (u32, f64, f64)>,
         counters: &mut BTreeMap<String, i64>,
     ) -> Community {
         let mut weight = cd::LabelWeights::default();
-        for c in messages {
-            let mut parts = c.split_whitespace();
-            if let (Some(label), Some(score), Some(influence)) =
-                (field(&mut parts), field(&mut parts), field(&mut parts))
-            {
-                cd::add_vote(&mut weight, label, score, influence);
-            }
+        for (label, score, influence) in messages {
+            cd::add_vote(&mut weight, label, score, influence);
         }
         let (label, score, adopted) =
-            cd::adopt_or_keep((own.0, own.1), &mut weight, self.hop_attenuation);
+            cd::adopt_or_keep((own.label, own.score), &mut weight, self.hop_attenuation);
         if adopted {
             *counters.entry("changed".into()).or_insert(0) += 1;
         }
-        Community(label, score)
+        Community { label, score }
     }
 }
 
@@ -498,8 +587,9 @@ pub fn community_detection(
     let chain = Chain {
         config,
         splits,
+        n,
         kernel: "cd",
-        tag: "S ",
+        tag: b'S',
         max_rounds: iterations,
         stop_when_unchanged: true,
         ctx,
@@ -508,89 +598,69 @@ pub fn community_detection(
         hop_attenuation,
         degree_exponent,
     };
-    let (state, _) = chain.run(&|v| Community(v, 1.0), |_| step)?;
-    collect_per_vertex(
-        &state,
-        n,
-        "S ",
-        |s| s.split_whitespace().next()?.parse().ok(),
-        |v| v,
-    )
+    let init = |label| Community { label, score: 1.0 };
+    let (state, _) = chain.run(&init, |_| step)?;
+    collect_per_vertex(&state, n, b'S', |c: Community| c.label, |v| v)
 }
 
-// --------------------------------------------------------------- STATS --
+// ----------------------------------------------------------------- LCC --
 
-/// A list written as `a,b,c`.
-struct CommaList<'a>(&'a [u64]);
-
-impl Display for CommaList<'_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for (i, x) in self.0.iter().enumerate() {
-            if i > 0 {
-                f.write_str(",")?;
-            }
-            write!(f, "{x}")?;
-        }
-        Ok(())
-    }
-}
-
-/// The ids of a `CommaList`; a malformed id is skipped.
-fn parse_list(list: &str) -> Vec<u64> {
-    list.split(',')
-        .filter_map(|s| s.trim().parse().ok())
-        .collect()
-}
+/// LCC's value tags.
+const DEGREE: u8 = b'D';
+const OWN: u8 = b'O';
+const LIST: u8 = b'B';
+const TALLY: u8 = b'G';
+const CREDIT: u8 = b'C';
+const COEFFICIENT: u8 = b'F';
 
 /// A reducer that is one function.
-struct ReduceFn(fn(&str, &[&str], &mut Emitter));
+struct ReduceFn(fn(u32, &[&[u8]], &mut Emitter));
 
 impl Reducer for ReduceFn {
-    fn reduce(&self, key: &str, values: &[&str], out: &mut Emitter) {
+    fn reduce(&self, key: u32, values: &[&[u8]], out: &mut Emitter) {
         (self.0)(key, values, out)
     }
 }
 
 /// LCC job 1's mapper: `D <self> <degree>` to every neighbour on the
-/// vertex's adjacency record. A record whose id does not parse sends
-/// nothing, as in the chains, so such a neighbour is not counted either:
-/// both ends of an edge must agree on each other's degree.
-struct SendDegrees;
+/// vertex's adjacency record, in a graph of `n` vertices.
+struct SendDegrees {
+    n: usize,
+}
 
 impl Mapper for SendDegrees {
-    fn map(&self, key: &str, value: &str, out: &mut Emitter) {
-        if key.parse::<u64>().is_err() {
+    fn map(&self, key: u32, value: &[u8], out: &mut Emitter) {
+        let Some(arcs) = Arcs::of(key, value, self.n) else {
             return;
-        }
-        let Some(arcs) = Arcs::of(value) else { return };
-        let ids = arcs.neighbors().filter(|u| u.parse::<u64>().is_ok());
-        let degree = ids.clone().count();
-        out.emit_each(ids, format_args!("D {key} {degree}"));
+        };
+        let degree = arcs.degree();
+        out.emit_each(arcs.neighbors(), |bytes| put(bytes, DEGREE, &(key, degree)));
     }
 }
 
 /// LCC job 1's reducer: the `D` records are the neighbours and their
 /// degrees, so the vertex knows its degree and its oriented list `N⁺`
-/// (`metrics::outranks`). It keeps `OWN <degree> <N⁺>` and sends
-/// `NB <self> <N⁺>`, formatted once, to every member of a list of two or
+/// (`metrics::outranks`). It keeps `O <degree> <N⁺>` and sends
+/// `B <self> <N⁺>`, written once, to every member of a list of two or
 /// more.
-fn ship_oriented_lists(key: &str, values: &[&str], out: &mut Emitter) {
-    let Ok(me) = key.parse::<u64>() else { return };
+fn ship_oriented_lists(key: u32, values: &[&[u8]], out: &mut Emitter) {
     let degree = values.len();
-    let mut mine: Vec<(u64, &str)> = values
+    let mut mine: Vec<u32> = values
         .iter()
-        .filter_map(|v| {
-            let (id, deg) = v.strip_prefix("D ")?.split_once(' ')?;
-            let u = id.parse().ok()?;
-            metrics::outranks(deg.parse().ok()?, u, degree, me).then_some((u, id))
-        })
+        .filter_map(|v| decode_exact::<(u32, usize)>(tagged(v, DEGREE)?))
+        .filter(|&(u, deg)| metrics::outranks(deg, u, degree, key))
+        .map(|(u, _)| u)
         .collect();
     mine.sort_unstable();
-    let ids: Vec<u64> = mine.iter().map(|&(u, _)| u).collect();
-    out.emit(key, format_args!("OWN {degree} {}", CommaList(&ids)));
-    if ids.len() >= 2 {
-        let members = mine.iter().map(|&(_, id)| id);
-        out.emit_each(members, format_args!("NB {key} {}", CommaList(&ids)));
+    out.emit(key, |bytes| {
+        put(bytes, OWN, &degree);
+        u32::encode_slice(&mine, bytes);
+    });
+    if mine.len() >= 2 {
+        out.emit_each(mine.iter().copied(), |bytes| {
+            put(bytes, LIST, &key);
+            u32::encode_slice(&mine, bytes);
+        });
     }
 }
 
@@ -598,59 +668,62 @@ fn ship_oriented_lists(key: &str, values: &[&str], out: &mut Emitter) {
 /// common `w` is a triangle `(u, v, w)`. The vertex keeps
 /// `G <degree> <its credits>` and sends one summed `C <count>` to each `u`
 /// and `w` it credits.
-fn credit_triangles(key: &str, values: &[&str], out: &mut Emitter) {
-    let own = values
-        .iter()
-        .find_map(|v| v.strip_prefix("OWN ")?.split_once(' '));
+fn credit_triangles(key: u32, values: &[&[u8]], out: &mut Emitter) {
+    let own = values.iter().find_map(|v| decode::<usize>(tagged(v, OWN)?));
     let Some((degree, own)) = own else { return };
-    let own = parse_list(own);
-    let (mut mine, mut per_w) = (0usize, vec![0usize; own.len()]);
+    let (mut ids, mut theirs) = (Vec::new(), Vec::new());
+    if !read_ids(own, &mut ids) {
+        return;
+    }
+    let (mut mine, mut per_w) = (0usize, vec![0usize; ids.len()]);
     for (from, list) in values
         .iter()
-        .filter_map(|v| v.strip_prefix("NB ")?.split_once(' '))
+        .filter_map(|v| decode::<u32>(tagged(v, LIST)?))
     {
-        let hits = metrics::credit_members(&parse_list(list), &own, &mut per_w);
+        if !read_ids(list, &mut theirs) {
+            continue;
+        }
+        let hits = metrics::credit_members(&theirs, &ids, &mut per_w);
         if hits > 0 {
-            out.emit(from, format_args!("C {hits}"));
+            out.emit(from, |bytes| put(bytes, CREDIT, &hits));
         }
         mine += hits;
     }
-    for (w, &count) in own.iter().zip(&per_w).filter(|&(_, &c)| c > 0) {
-        out.emit(&w.to_string(), format_args!("C {count}"));
+    for (&w, &count) in ids.iter().zip(&per_w).filter(|&(_, &c)| c > 0) {
+        out.emit(w, |bytes| put(bytes, CREDIT, &count));
     }
-    out.emit(key, format_args!("G {degree} {mine}"));
+    out.emit(key, |bytes| put(bytes, TALLY, &(degree, mine)));
 }
 
-/// LCC job 3: adds the credits and writes `LCC <coefficient>`.
-fn sum_credits(key: &str, values: &[&str], out: &mut Emitter) {
+/// LCC job 3: adds the credits and writes `F <coefficient>`.
+fn sum_credits(key: u32, values: &[&[u8]], out: &mut Emitter) {
     let (mut degree, mut triangles) = (None, 0usize);
     for v in values {
-        let mut parts = v.split_whitespace();
-        match parts.next() {
-            Some("C") => triangles += field::<usize>(&mut parts).unwrap_or(0),
-            Some("G") => {
-                degree = field(&mut parts);
-                triangles += field::<usize>(&mut parts).unwrap_or(0);
-            }
-            _ => {}
+        if let Some(credits) = tagged(v, CREDIT).and_then(decode_exact::<usize>) {
+            triangles = triangles.saturating_add(credits);
+        } else if let Some((d, credits)) = tagged(v, TALLY).and_then(decode_exact::<(usize, usize)>)
+        {
+            degree = Some(d);
+            triangles = triangles.saturating_add(credits);
         }
     }
     if let Some(degree) = degree {
         let coefficient = metrics::closed_pair_fraction(triangles, degree);
-        out.emit(key, format_args!("LCC {coefficient}"));
+        out.emit(key, |bytes| put(bytes, COEFFICIENT, &coefficient));
     }
 }
 
 /// Chains the three LCC jobs over the adjacency splits; returns the part
-/// files of the `LCC <coefficient>` records, one for every vertex of
+/// files of the `F <coefficient>` records, one for every vertex of
 /// degree ≥ 1.
 fn lcc_parts(
     config: &JobConfig,
     splits: &[PathBuf],
+    n: usize,
     ctx: &RunContext,
 ) -> Result<Vec<PathBuf>, PlatformError> {
-    let orient = ReduceFn(ship_oriented_lists);
-    let (_, dir) = run_named_job(config, "stats-orient", splits, &SendDegrees, &orient, ctx)?;
+    let (send, orient) = (SendDegrees { n }, ReduceFn(ship_oriented_lists));
+    let (_, dir) = run_named_job(config, "stats-orient", splits, &send, &orient, ctx)?;
     let mut inputs = part_files(&dir)?;
     for (name, reducer) in [
         ("stats-triangles", ReduceFn(credit_triangles)),
@@ -674,8 +747,8 @@ pub fn local_clustering(
     if n == 0 {
         return Ok(Vec::new());
     }
-    let parts = lcc_parts(config, splits, ctx)?;
-    collect_per_vertex(&parts, n, "LCC", |s| s.parse().ok(), |_| 0.0f64)
+    let parts = lcc_parts(config, splits, n, ctx)?;
+    collect_per_vertex(&parts, n, COEFFICIENT, |c: f64| c, |_| 0.0)
 }
 
 // ------------------------------------------------------------ PageRank --
@@ -715,28 +788,29 @@ impl RankStep {
 
 impl Step for RankStep {
     type State = f64;
+    type Message = f64;
 
     fn send(&self, &own: &f64, arcs: Arcs<'_>, out: &mut Emitter) {
-        let degree = arcs.clone().count();
+        let degree = arcs.degree();
         if degree > 0 {
             let share = self.rank(own) / degree as f64;
-            out.emit_each(arcs.neighbors(), format_args!("C {share}"));
+            send_each(out, arcs.neighbors(), &share);
         }
     }
 
-    fn fold<'v>(
+    fn fold(
         &self,
         own: f64,
-        mut arcs: Arcs<'_>,
-        messages: impl Iterator<Item = &'v str>,
+        arcs: Arcs<'_>,
+        messages: impl Iterator<Item = f64>,
         counters: &mut BTreeMap<String, i64>,
     ) -> f64 {
-        if arcs.next().is_none() {
+        if arcs.degree() == 0 {
             // Fixed-point micro-units so the counter is an integer.
             *counters.entry("dangling_micros".into()).or_insert(0) +=
                 (self.rank(own) * 1e12).round() as i64;
         }
-        let mut contributions: Vec<f64> = messages.filter_map(|c| c.trim().parse().ok()).collect();
+        let mut contributions: Vec<f64> = messages.collect();
         contributions.sort_by(|a, b| a.total_cmp(b));
         contributions.iter().sum()
     }
@@ -757,8 +831,9 @@ pub fn pagerank(
     let chain = Chain {
         config,
         splits,
+        n,
         kernel: "pr",
-        tag: "R ",
+        tag: b'R',
         max_rounds: iterations,
         stop_when_unchanged: false,
         ctx,
@@ -768,13 +843,7 @@ pub fn pagerank(
         RankStep::after(damping, n as f64, counters)
     })?;
     let last = RankStep::after(damping, n as f64, last.as_ref());
-    collect_per_vertex(
-        &state,
-        n,
-        "R ",
-        |s| Some(last.rank(s.parse().ok()?)),
-        |_| initial,
-    )
+    collect_per_vertex(&state, n, b'R', |s| last.rank(s), |_| initial)
 }
 
 // ----------------------------------------------------------------- EVO --
@@ -797,14 +866,9 @@ pub fn forest_fire(
     }
     let mut adjacency: Vec<Vec<u32>> = vec![Vec::new(); n];
     for_each_record(splits, |k, v| {
-        let Some(arcs) = Arcs::of(v) else {
-            return Ok(());
-        };
-        let idx: usize = k.parse().map_err(|_| internal_err(k))?;
-        if idx >= n {
-            return Err(internal_err(k));
+        if let Some(arcs) = Arcs::of(k, v, n) {
+            adjacency[k as usize] = arcs.neighbors().collect();
         }
-        adjacency[idx] = arcs.neighbors().filter_map(|u| u.parse().ok()).collect();
         Ok(())
     })?;
     ctx.check_deadline()?;
@@ -821,7 +885,6 @@ pub fn forest_fire(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::job::RecordWriter;
     use graphalytics_core::ScratchDir;
 
     /// Counts its state down to zero, reporting each step as a change; sends
@@ -829,14 +892,15 @@ mod tests {
     struct CountDown;
     impl Step for CountDown {
         type State = u32;
+        type Message = ();
 
         fn send(&self, _own: &u32, _arcs: Arcs<'_>, _out: &mut Emitter) {}
 
-        fn fold<'v>(
+        fn fold(
             &self,
             own: u32,
             _arcs: Arcs<'_>,
-            _messages: impl Iterator<Item = &'v str>,
+            _messages: impl Iterator<Item = ()>,
             counters: &mut BTreeMap<String, i64>,
         ) -> u32 {
             if own > 0 {
@@ -847,19 +911,21 @@ mod tests {
     }
 
     /// Runs the countdown from 3 on one isolated vertex and returns the
-    /// final record and the round jobs the chain ran, by output directory.
-    fn count_down(max_rounds: usize, stop_when_unchanged: bool) -> (String, Vec<String>) {
+    /// final record's value and the round jobs the chain ran, by output
+    /// directory.
+    fn count_down(max_rounds: usize, stop_when_unchanged: bool) -> (Vec<u8>, Vec<String>) {
         let scratch = ScratchDir::new(None, "gx-mr-chain").unwrap();
         let split = scratch.path().join("adj-0");
-        let mut writer = RecordWriter::create(&split).unwrap();
-        writer.write_numbers(0, "N ", []).unwrap();
-        writer.finish().unwrap();
+        let mut records = Emitter::default();
+        records.emit(0, |bytes| push_adjacency(bytes, &[]));
+        records.write_to_file(&split).unwrap();
         let config = JobConfig::new(scratch.path());
         let chain = Chain {
             config: &config,
             splits: &[split],
+            n: 1,
             kernel: "tick",
-            tag: "X ",
+            tag: b'X',
             max_rounds,
             stop_when_unchanged,
             ctx: &RunContext::unbounded(),
@@ -867,7 +933,7 @@ mod tests {
         let (state, _) = chain.run(&|_| 3, |_| CountDown).unwrap();
         let mut last = Vec::new();
         for_each_record(&state, |_, v| {
-            last.push(v.to_string());
+            last.extend_from_slice(v);
             Ok(())
         })
         .unwrap();
@@ -877,7 +943,15 @@ mod tests {
             .filter(|name| name.starts_with("tick-"))
             .collect();
         rounds.sort();
-        (last.concat(), rounds)
+        (last, rounds)
+    }
+
+    /// A countdown state record: `X`, the count, the empty adjacency.
+    fn state(count: u32) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        put(&mut bytes, b'X', &count);
+        push_adjacency(&mut bytes, &[]);
+        bytes
     }
 
     #[test]
@@ -885,7 +959,7 @@ mod tests {
         // 3 → 2 → 1 → 0 change; the fourth round changes nothing and ends
         // the chain, its output still kept as state 4.
         let (last, rounds) = count_down(usize::MAX, true);
-        assert_eq!(last, "X 0\tN ");
+        assert_eq!(last, state(0));
         let expected = [
             "tick-round-0",
             "tick-round-1",
@@ -898,11 +972,11 @@ mod tests {
     #[test]
     fn chain_stops_at_the_round_cap() {
         let (last, rounds) = count_down(2, true);
-        assert_eq!(last, "X 1\tN ");
+        assert_eq!(last, state(1));
         assert_eq!(rounds, ["tick-round-0", "tick-round-1"]);
         // No rounds at all: the splits are the result.
         let (last, rounds) = count_down(0, true);
-        assert_eq!(last, "N ");
+        assert_eq!(last, b"N");
         assert!(rounds.is_empty());
     }
 
@@ -910,19 +984,31 @@ mod tests {
     fn chain_runs_its_rounds_out_when_changes_do_not_stop_it() {
         // PageRank's mode: rounds 5 and 6 change nothing and still run.
         let (last, rounds) = count_down(6, false);
-        assert_eq!(last, "X 0\tN ");
+        assert_eq!(last, state(0));
         assert_eq!(rounds.len(), 6);
     }
 
     #[test]
     fn arcs_read_both_adjacency_tags() {
-        let arcs: Vec<_> = Arcs::of("N 3 14").unwrap().collect();
-        assert_eq!(arcs, [("3", 1), ("14", 1)]);
-        let arcs: Vec<_> = Arcs::of("W 3 500 14 7").unwrap().collect();
-        assert_eq!(arcs, [("3", 500), ("14", 7)]);
-        assert_eq!(Arcs::of("N ").unwrap().count(), 0);
-        // A weight that does not parse ends the list; no tag, no arcs.
-        assert_eq!(Arcs::of("W 3 x 14 7").unwrap().count(), 0);
-        assert!(Arcs::of("3 14").is_none());
+        let mut plain = Vec::new();
+        push_adjacency(&mut plain, &[3, 14]);
+        assert_eq!(plain, [b'N', 3, 0, 0, 0, 14, 0, 0, 0]);
+        let of = |v, adjacency| Arcs::of(v, adjacency, 15);
+        let arcs: Vec<_> = of(0, &plain).unwrap().collect();
+        assert_eq!(arcs, [(3, WEIGHT_SCALE), (14, WEIGHT_SCALE)]);
+        let mut weighted = Vec::new();
+        push_weighted_adjacency(&mut weighted, &[3, 14], &[500, 7]);
+        let arcs: Vec<_> = of(14, &weighted).unwrap().collect();
+        assert_eq!(arcs, [(3, 500), (14, 7)]);
+        assert_eq!(of(0, &weighted).unwrap().degree(), 2);
+        assert_eq!(of(0, b"N").unwrap().count(), 0);
+        // A list that is not whole arcs, no known tag, or a vertex past the
+        // graph's 14: no arcs at all.
+        assert!(of(0, &plain[..8]).is_none());
+        assert!(of(0, &weighted[..20]).is_none());
+        assert!(of(0, &plain[1..]).is_none());
+        assert!(of(0, b"").is_none());
+        assert!(of(15, b"N").is_none());
+        assert!(Arcs::of(0, &plain, 14).is_none());
     }
 }

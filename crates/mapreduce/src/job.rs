@@ -8,16 +8,22 @@
 //!
 //! This runtime reproduces that cost with real I/O, not simulation, and
 //! moves records the way Hadoop's `MapOutputBuffer`, IFile and merge do:
-//! * a map task reads each of its input files once into a byte buffer and
-//!   hands the mapper `&str` slices of it; the mapper emits into the task's
-//!   [`Emitter`], fixed-size byte buffers already in the on-disk layout
-//!   `key\tvalue\n`;
-//! * the task sorts an index of its output records by (partition, key,
-//!   value) and writes **one** spill file, `<job>-map-<task>` in the job's
-//!   work directory, holding each reduce partition as a sorted segment
-//!   whose offsets stay in memory (Hadoop's `file.out` + `file.out.index`);
+//! * every file holds records in one binary layout, Hadoop's `Writable`
+//!   stand-in: the key, a vertex id, as four big-endian bytes — so records
+//!   order by their first bytes as they order by id, the property of
+//!   Hadoop's raw comparators — then the value's length as a `crates/codec`
+//!   `u32`, then the value's bytes. Load splits, spill segments, part files
+//!   and the chains' state files are all such records;
+//! * a map task reads each of its input files into a byte buffer and hands
+//!   the mapper the key and a slice of the value; the mapper emits into the
+//!   task's [`Emitter`], fixed-size byte buffers already in the file layout;
+//! * the task sorts an index of its output records, one integer per record
+//!   holding (partition, key, record number), by an LSD radix sort, and
+//!   writes **one** spill file, `<job>-map-<task>` in the job's work
+//!   directory, holding each reduce partition as a sorted segment whose
+//!   offsets stay in memory (Hadoop's `file.out` + `file.out.index`);
 //! * a reduce task reads its segment of every spill, k-way merges the
-//!   sorted segments, groups by key and writes `part-NNNNN`.
+//!   sorted segments by key, groups by key and writes `part-NNNNN`.
 //!
 //! So a map task holds its whole output and a reduce task its whole
 //! partition in memory: one spill per map task, as in Hadoop when the sort
@@ -26,15 +32,14 @@
 //! memory *between* jobs. The framework allocates per buffer, never per
 //! record.
 
-use std::fmt::Display;
 use std::fs::File;
 use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
+use graphalytics_codec::Codec;
 use graphalytics_core::faults::{fingerprint, FaultSite, RecoveryAction};
 use graphalytics_core::platform::{PlatformError, RunContext};
 use graphalytics_core::trace::Tracer;
-use graphalytics_graph::io::push_u64;
 use graphalytics_graph::partition::mix64;
 
 /// Capacity of each of an [`Emitter`]'s buffers. Buffers of one fixed
@@ -47,57 +52,43 @@ const CHUNK: usize = 1 << 18;
 /// of the current one.
 const CHUNK_SLACK: usize = 1 << 14;
 
-/// Where one record sits in an [`Emitter`]: in buffer `chunk`, `start..tab`
-/// is the key, `tab + 1..end` the value and `end` the newline.
+/// Bytes before a record's value: the key and the value's length.
+const HEADER: usize = 8;
+
+/// Appends one record: `key` big-endian, the length of the value `value`
+/// writes, then that value.
+fn push_record(bytes: &mut Vec<u8>, key: u32, value: impl FnOnce(&mut Vec<u8>)) {
+    let start = bytes.len();
+    bytes.extend_from_slice(&key.to_be_bytes());
+    0u32.encode_into(bytes);
+    value(bytes);
+    // A value is at most one adjacency list and a few words: far below
+    // 4 GiB, so its length fits the `u32`.
+    let len = (bytes.len() - start - HEADER) as u32;
+    bytes[start + 4..start + HEADER].copy_from_slice(&len.to_le_bytes());
+}
+
+/// Where one record starts in an [`Emitter`]: buffer `chunk`, byte `start`.
 #[derive(Debug, Clone, Copy)]
 struct Span {
-    chunk: usize,
-    start: usize,
-    tab: usize,
-    end: usize,
+    chunk: u32,
+    start: u32,
 }
 
 /// Collects emitted records from mappers and reducers, in byte buffers laid
-/// out as the files are: `key\tvalue\n` per record.
+/// out as the files are.
 #[derive(Debug, Default)]
 pub struct Emitter {
     chunks: Vec<Vec<u8>>,
     spans: Vec<Span>,
-    /// The value [`Emitter::emit_each`] formats once.
+    /// The value [`Emitter::emit_each`] writes once.
     value: Vec<u8>,
 }
 
 impl Emitter {
-    /// Emits a record. The value is written through [`Display`], so a
-    /// `format_args!` value builds no `String`.
-    pub fn emit(&mut self, key: &str, value: impl Display) {
-        self.push(key, |bytes| {
-            // Writing into a `Vec` fails only when a `Display` impl reports
-            // an error, and the numbers, strings and `format_args!` emitted
-            // here never do.
-            let _ = write!(bytes, "{value}");
-        });
-    }
-
-    /// Emits a record whose value is copied as is.
-    pub fn emit_str(&mut self, key: &str, value: &str) {
-        self.push(key, |bytes| bytes.extend_from_slice(value.as_bytes()));
-    }
-
-    /// Emits one record per key, all with `value`, which is formatted once.
-    pub fn emit_each<'k>(&mut self, keys: impl IntoIterator<Item = &'k str>, value: impl Display) {
-        let mut bytes = std::mem::take(&mut self.value);
-        bytes.clear();
-        // As in `emit`: only a failing `Display` impl could fail this.
-        let _ = write!(bytes, "{value}");
-        for key in keys {
-            self.push(key, |out| out.extend_from_slice(&bytes));
-        }
-        self.value = bytes;
-    }
-
-    /// Appends `key`, a tab, what `value` writes and a newline.
-    fn push(&mut self, key: &str, value: impl FnOnce(&mut Vec<u8>)) {
+    /// Emits a record whose value is what `value` appends to the buffer it
+    /// is given.
+    pub fn emit(&mut self, key: u32, value: impl FnOnce(&mut Vec<u8>)) {
         if self
             .chunks
             .last()
@@ -107,36 +98,44 @@ impl Emitter {
         }
         let chunk = self.chunks.len() - 1;
         let bytes = &mut self.chunks[chunk];
-        let start = bytes.len();
-        bytes.extend_from_slice(key.as_bytes());
-        let tab = bytes.len();
-        bytes.push(b'\t');
-        value(bytes);
-        let end = bytes.len();
-        bytes.push(b'\n');
         self.spans.push(Span {
-            chunk,
-            start,
-            tab,
-            end,
+            chunk: chunk as u32,
+            start: bytes.len() as u32,
         });
+        push_record(bytes, key, value);
     }
 
-    /// The record at `span`, newline included.
-    fn line(&self, span: &Span) -> &[u8] {
-        &self.chunks[span.chunk][span.start..=span.end]
+    /// Emits a record whose value is `value`, copied as is.
+    pub fn emit_bytes(&mut self, key: u32, value: &[u8]) {
+        self.emit(key, |bytes| bytes.extend_from_slice(value));
     }
 
-    fn key(&self, span: &Span) -> &[u8] {
-        &self.chunks[span.chunk][span.start..span.tab]
+    /// Emits one record per key, all with the value `value` appends, which
+    /// is written once.
+    pub fn emit_each(
+        &mut self,
+        keys: impl IntoIterator<Item = u32>,
+        value: impl FnOnce(&mut Vec<u8>),
+    ) {
+        let mut bytes = std::mem::take(&mut self.value);
+        bytes.clear();
+        value(&mut bytes);
+        for key in keys {
+            self.emit_bytes(key, &bytes);
+        }
+        self.value = bytes;
     }
 
-    fn value(&self, span: &Span) -> &[u8] {
-        &self.chunks[span.chunk][span.tab + 1..span.end]
+    /// The record at `span`: its key and its bytes, header included.
+    fn record(&self, span: &Span) -> (u32, &[u8]) {
+        let bytes = &self.chunks[span.chunk as usize][span.start as usize..];
+        let key = u32::from_be_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
+        let len = u32::from_le_bytes([bytes[4], bytes[5], bytes[6], bytes[7]]) as usize;
+        (key, &bytes[..HEADER + len])
     }
 
     /// Writes every record, in emission order, to a new file at `path`.
-    fn write_to_file(&self, path: &Path) -> Result<(), PlatformError> {
+    pub fn write_to_file(&self, path: &Path) -> Result<(), PlatformError> {
         let mut file = File::create(path).map_err(io_err)?;
         for chunk in &self.chunks {
             file.write_all(chunk).map_err(io_err)?;
@@ -148,13 +147,14 @@ impl Emitter {
 /// A map function over input records.
 pub trait Mapper: Sync {
     /// Processes one input record.
-    fn map(&self, key: &str, value: &str, out: &mut Emitter);
+    fn map(&self, key: u32, value: &[u8], out: &mut Emitter);
 }
 
 /// A reduce function over grouped records.
 pub trait Reducer: Sync {
-    /// Processes one key and all its values, in byte order.
-    fn reduce(&self, key: &str, values: &[&str], out: &mut Emitter);
+    /// Processes one key and all its values: map task by map task, and
+    /// each map task's in the order it emitted them.
+    fn reduce(&self, key: u32, values: &[&[u8]], out: &mut Emitter);
 }
 
 /// Job configuration: task parallelism and working directory.
@@ -215,103 +215,56 @@ pub struct ReduceContext<'a> {
 /// via a blanket adapter in [`run_job`]).
 pub trait CountingReducer: Sync {
     /// Processes one key group with counter access.
-    fn reduce(&self, key: &str, values: &[&str], ctx: &mut ReduceContext<'_>);
+    fn reduce(&self, key: u32, values: &[&[u8]], ctx: &mut ReduceContext<'_>);
 }
 
 impl<R: Reducer> CountingReducer for R {
-    fn reduce(&self, key: &str, values: &[&str], ctx: &mut ReduceContext<'_>) {
+    fn reduce(&self, key: u32, values: &[&[u8]], ctx: &mut ReduceContext<'_>) {
         Reducer::reduce(self, key, values, ctx.out)
     }
 }
 
-/// Streams records into a file, one `key\tvalue\n` per record — the layout
-/// [`Emitter`] buffers and [`Records`] reads.
-pub struct RecordWriter {
-    out: BufWriter<File>,
-    /// The record [`RecordWriter::write_numbers`] builds.
-    line: Vec<u8>,
-}
-
-impl RecordWriter {
-    /// Creates (or truncates) `path`.
-    pub fn create(path: &Path) -> Result<Self, PlatformError> {
-        let file = File::create(path).map_err(io_err)?;
-        Ok(Self {
-            out: BufWriter::with_capacity(WRITE_BUFFER, file),
-            line: Vec::new(),
-        })
-    }
-
-    /// Appends one record.
-    pub fn write(&mut self, key: impl Display, value: impl Display) -> Result<(), PlatformError> {
-        writeln!(self.out, "{key}\t{value}").map_err(io_err)
-    }
-
-    /// Appends one record of numbers, `key\t<tag><field> <field>…`, written
-    /// by the decimal codec of the `.e` writer rather than through `fmt`.
-    pub fn write_numbers(
-        &mut self,
-        key: u64,
-        tag: &str,
-        fields: impl IntoIterator<Item = u64>,
-    ) -> Result<(), PlatformError> {
-        let line = &mut self.line;
-        line.clear();
-        push_u64(line, key);
-        line.push(b'\t');
-        line.extend_from_slice(tag.as_bytes());
-        for (i, field) in fields.into_iter().enumerate() {
-            if i > 0 {
-                line.push(b' ');
-            }
-            push_u64(line, field);
-        }
-        line.push(b'\n');
-        self.out.write_all(line).map_err(io_err)
-    }
-
-    /// Flushes the file; a write error surfaces here, not at drop.
-    pub fn finish(mut self) -> Result<(), PlatformError> {
-        self.out.flush().map_err(io_err)
-    }
-}
-
-/// Buffer size of every file the engine writes record by record.
-const WRITE_BUFFER: usize = 1 << 16;
-
-/// The records of a byte buffer in the on-disk layout, as `(key, value)`
-/// slices borrowed from it. Each malformed line is an error item: a line
-/// with no tab, or a last line with no newline (a truncated file).
+/// The records of a byte buffer in the file layout, as `(key, value)`, the
+/// value borrowed from the buffer. A record whose header or value runs past
+/// the end of the buffer (a truncated file, or a corrupt length) is an
+/// error item, and the last: a length is never trusted beyond the bytes
+/// that are there.
 #[derive(Debug, Clone)]
 pub struct Records<'a> {
-    rest: &'a str,
+    rest: &'a [u8],
 }
 
 impl<'a> Records<'a> {
-    /// Checks that `bytes` is UTF-8; an empty buffer holds no records.
-    pub fn new(bytes: &'a [u8]) -> Result<Self, PlatformError> {
-        let rest = std::str::from_utf8(bytes)
-            .map_err(|e| malformed(&format!("not UTF-8 at byte {}", e.valid_up_to())))?;
-        Ok(Self { rest })
+    /// The records of `bytes`; an empty buffer holds none.
+    pub fn new(bytes: &'a [u8]) -> Self {
+        Self { rest: bytes }
     }
 }
 
 impl<'a> Iterator for Records<'a> {
-    type Item = Result<(&'a str, &'a str), PlatformError>;
+    type Item = Result<(u32, &'a [u8]), PlatformError>;
 
     fn next(&mut self) -> Option<Self::Item> {
         if self.rest.is_empty() {
             return None;
         }
-        let Some((line, rest)) = self.rest.split_once('\n') else {
-            self.rest = "";
-            return Some(Err(malformed("last line has no newline")));
+        let bytes = std::mem::take(&mut self.rest);
+        let mut pos = 4;
+        let (Some(key), Some(len)) = (bytes.get(..4), u32::decode_from(bytes, &mut pos)) else {
+            return Some(Err(malformed(&format!(
+                "record header cut short: {} bytes",
+                bytes.len()
+            ))));
         };
-        self.rest = rest;
-        Some(
-            line.split_once('\t')
-                .ok_or_else(|| malformed("line has no tab")),
-        )
+        let Some(value) = bytes[HEADER..].get(..len as usize) else {
+            return Some(Err(malformed(&format!(
+                "record of {len} bytes with {} left",
+                bytes.len() - HEADER
+            ))));
+        };
+        self.rest = &bytes[HEADER + value.len()..];
+        let key = u32::from_be_bytes([key[0], key[1], key[2], key[3]]);
+        Some(Ok((key, value)))
     }
 }
 
@@ -365,12 +318,12 @@ pub fn read_segment(
 /// into one reused buffer.
 pub fn for_each_record(
     files: &[PathBuf],
-    mut f: impl FnMut(&str, &str) -> Result<(), PlatformError>,
+    mut f: impl FnMut(u32, &[u8]) -> Result<(), PlatformError>,
 ) -> Result<(), PlatformError> {
     let mut buf = Vec::new();
     for path in files {
         read_file(path, &mut buf)?;
-        for record in Records::new(&buf)? {
+        for record in Records::new(&buf) {
             let (key, value) = record?;
             f(key, value)?;
         }
@@ -417,28 +370,42 @@ fn probe_task_attempts(ctx: &RunContext, job: u64, task: u32) -> Result<(), Plat
     )
 }
 
-/// A map output record's place in the sort: its partition, then its key
-/// and value as [`word`]s, which order records by their bytes without
-/// reading the buffer until two words tie.
-#[derive(Clone, Copy)]
-struct SortEntry {
-    value: u128,
-    key: u64,
-    partition: u32,
-    /// The record's index in the map task's [`Emitter`].
-    index: u32,
+/// A map output record's place in the sort, as one integer: its partition
+/// in bits 64.., its key in bits 32..64 and its number in emission order
+/// in bits 0..32.
+fn sort_entry(partition: u32, key: u32, index: u32) -> u128 {
+    (u128::from(partition) << 64) | (u128::from(key) << 32) | u128::from(index)
 }
 
-/// The first `N - 1` bytes of `bytes`, zero-padded, followed by
-/// `min(len, N)`, as a big-endian word. Words order as the bytes do; equal
-/// words mean equal bytes unless both are longer than `N - 1` bytes (last
-/// byte `N`).
-fn word<const N: usize>(bytes: &[u8]) -> [u8; N] {
-    let mut word = [0u8; N];
-    let n = bytes.len().min(N - 1);
-    word[..n].copy_from_slice(&bytes[..n]);
-    word[N - 1] = bytes.len().min(N) as u8;
-    word
+/// Sorts `entries` — [`sort_entry`]s in index order — by partition, then
+/// key, then index: one stable LSD radix pass per byte of the partition and
+/// key, skipping each byte that every entry shares.
+fn radix_sort(entries: &mut Vec<u128>) {
+    const DIGITS: usize = 8;
+    let mut counts = [[0usize; 256]; DIGITS];
+    for &entry in entries.iter() {
+        for (digit, count) in counts.iter_mut().enumerate() {
+            count[(entry >> (32 + 8 * digit)) as u8 as usize] += 1;
+        }
+    }
+    let mut sorted = vec![0u128; entries.len()];
+    for (digit, count) in counts.iter().enumerate() {
+        if count.contains(&entries.len()) {
+            continue;
+        }
+        let mut next = [0usize; 256];
+        let mut at = 0;
+        for (slot, &n) in next.iter_mut().zip(count) {
+            *slot = at;
+            at += n;
+        }
+        for &entry in entries.iter() {
+            let byte = (entry >> (32 + 8 * digit)) as u8 as usize;
+            sorted[next[byte]] = entry;
+            next[byte] += 1;
+        }
+        std::mem::swap(entries, &mut sorted);
+    }
 }
 
 /// What a finished map task reports: its counts and where each reduce
@@ -476,7 +443,7 @@ impl Drop for Spills {
 
 /// Runs one map task over the inputs `task`, `task + map_tasks`, …: reads
 /// them, maps every record into one buffer, sorts its index by (partition,
-/// key, value) and writes the one spill file. Each of the four steps is a
+/// key) and writes the one spill file. Each of the four steps is a
 /// `mapreduce.map.<step>` span under `parent`.
 #[allow(clippy::too_many_arguments)]
 fn map_task<M: Mapper>(
@@ -501,7 +468,7 @@ fn map_task<M: Mapper>(
     let mut out = Emitter::default();
     let mut input_count = 0usize;
     for bytes in &files {
-        for record in Records::new(bytes)? {
+        for record in Records::new(bytes) {
             let (key, value) = record?;
             input_count += 1;
             mapper.map(key, value, &mut out);
@@ -516,40 +483,24 @@ fn map_task<M: Mapper>(
             spans.len()
         )));
     }
-    let mut order: Vec<SortEntry> = spans
+    let mut order: Vec<u128> = spans
         .iter()
         .zip(0u32..)
-        .map(|(span, index)| SortEntry {
-            value: u128::from_be_bytes(word(out.value(span))),
-            key: u64::from_be_bytes(word(out.key(span))),
-            partition: (mix64(fx_hash(out.key(span))) % reduce_tasks as u64) as u32,
-            index,
+        .map(|(span, index)| {
+            let (key, _) = out.record(span);
+            sort_entry(partition(key, reduce_tasks), key, index)
         })
         .collect();
-    let span = |e: &SortEntry| &spans[e.index as usize];
-    order.sort_unstable_by(|a, b| {
-        (a.partition, a.key)
-            .cmp(&(b.partition, b.key))
-            // Tied words of keys longer than 7 bytes: compare the keys.
-            .then_with(|| match a.key as u8 {
-                8 => out.key(span(a)).cmp(out.key(span(b))),
-                _ => std::cmp::Ordering::Equal,
-            })
-            .then(a.value.cmp(&b.value))
-            .then_with(|| match a.value as u8 {
-                16 => out.value(span(a)).cmp(out.value(span(b))),
-                _ => std::cmp::Ordering::Equal,
-            })
-    });
+    radix_sort(&mut order);
     drop(step);
     let step = tracer.span_with_parent("mapreduce.map.spill", parent);
     let mut file = BufWriter::with_capacity(WRITE_BUFFER, File::create(spill).map_err(io_err)?);
     let mut pieces: Vec<Piece> = Vec::new();
     let mut written = 0u64;
-    for entry in &order {
-        let partition = entry.partition as usize;
-        let line = out.line(span(entry));
-        let len = line.len() as u64;
+    for &entry in &order {
+        let partition = (entry >> 64) as usize;
+        let (_, record) = out.record(&spans[entry as u32 as usize]);
+        let len = record.len() as u64;
         match pieces.last_mut() {
             Some(piece) if piece.partition == partition && piece.len + len <= CHUNK as u64 => {
                 piece.len += len;
@@ -560,7 +511,7 @@ fn map_task<M: Mapper>(
                 len,
             }),
         }
-        file.write_all(line).map_err(io_err)?;
+        file.write_all(record).map_err(io_err)?;
         written += len;
     }
     file.flush().map_err(io_err)?;
@@ -573,6 +524,9 @@ fn map_task<M: Mapper>(
     })
 }
 
+/// Buffer size of the spill file writer.
+const WRITE_BUFFER: usize = 1 << 16;
+
 /// The records of one map task's sorted segment, piece after piece.
 struct Segment<'a> {
     pieces: std::slice::Iter<'a, Vec<u8>>,
@@ -580,7 +534,7 @@ struct Segment<'a> {
 }
 
 impl<'a> Segment<'a> {
-    fn next(&mut self) -> Result<Option<(&'a str, &'a str)>, PlatformError> {
+    fn next(&mut self) -> Result<Option<(u32, &'a [u8])>, PlatformError> {
         loop {
             if let Some(record) = self.records.next() {
                 return record.map(Some);
@@ -588,7 +542,7 @@ impl<'a> Segment<'a> {
             let Some(piece) = self.pieces.next() else {
                 return Ok(None);
             };
-            self.records = Records::new(piece)?;
+            self.records = Records::new(piece);
         }
     }
 }
@@ -625,25 +579,26 @@ fn reduce_task<R: CountingReducer>(
     for pieces in &segments {
         let mut segment = Segment {
             pieces: pieces.iter(),
-            records: Records { rest: "" },
+            records: Records::new(&[]),
         };
         let head = segment.next()?;
         cursors.push((head, segment));
     }
-    // The next record in byte order, by a linear scan over the heads: there
-    // are as few segments as map tasks.
-    let mut merged: Vec<(&str, &str)> = Vec::new();
+    // The record with the smallest key next, the earlier map task's on a
+    // tie, by a linear scan over the heads: there are as few segments as
+    // map tasks.
+    let mut merged: Vec<(u32, &[u8])> = Vec::new();
     loop {
         let smallest = cursors
             .iter()
             .enumerate()
-            .filter_map(|(i, (head, _))| head.map(|record| (record, i)))
+            .filter_map(|(i, (head, _))| head.map(|(key, _)| (key, i)))
             .min();
-        let Some((record, i)) = smallest else {
+        let Some((_, i)) = smallest else {
             break;
         };
-        merged.push(record);
         let (head, segment) = &mut cursors[i];
+        merged.extend(*head);
         *head = segment.next()?;
     }
     drop(step);
@@ -654,7 +609,7 @@ fn reduce_task<R: CountingReducer>(
         out: &mut out,
         counters: &mut user,
     };
-    let mut values: Vec<&str> = Vec::new();
+    let mut values: Vec<&[u8]> = Vec::new();
     for (i, &(key, value)) in merged.iter().enumerate() {
         values.push(value);
         if merged.get(i + 1).is_none_or(|&(next, _)| next != key) {
@@ -815,15 +770,10 @@ pub fn run_job_traced<M: Mapper, R: CountingReducer>(
     Ok(counters)
 }
 
-/// The partitioner's hash: FxHash over the key's `str` bytes (with the
-/// `0xff` terminator `str::hash` writes, so partitions stay where they were
-/// when keys were `String`s).
-fn fx_hash(key: &[u8]) -> u64 {
-    use std::hash::Hasher;
-    let mut h = rustc_hash::FxHasher::default();
-    h.write(key);
-    h.write_u8(0xff);
-    h.finish()
+/// The reduce partition of `key`: a hash of the key, so that neighbouring
+/// ids spread over the partitions.
+fn partition(key: u32, reduce_tasks: usize) -> u32 {
+    (mix64(u64::from(key)) % reduce_tasks as u64) as u32
 }
 
 #[cfg(test)]
@@ -835,51 +785,62 @@ mod tests {
         ScratchDir::new(None, &format!("gx-mr-{name}")).unwrap()
     }
 
-    fn write_records(path: &Path, records: &[(&str, &str)]) {
-        let mut writer = RecordWriter::create(path).unwrap();
-        for (k, v) in records {
-            writer.write(k, v).unwrap();
+    fn write_records(path: &Path, records: &[(u32, &[u8])]) {
+        let mut out = Emitter::default();
+        for &(k, v) in records {
+            out.emit_bytes(k, v);
         }
-        writer.finish().unwrap();
+        out.write_to_file(path).unwrap();
     }
 
     /// Every record of a job's output, in part-file order.
-    fn read_output(dir: &Path) -> Vec<(String, String)> {
+    fn read_output(dir: &Path) -> Vec<(u32, Vec<u8>)> {
         let mut out = Vec::new();
         for_each_record(&part_files(dir).unwrap(), |k, v| {
-            out.push((k.to_string(), v.to_string()));
+            out.push((k, v.to_vec()));
             Ok(())
         })
         .unwrap();
         out
     }
 
-    /// The canonical word count.
+    /// A value of `u32` tokens.
+    fn tokens(ids: &[u32]) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        u32::encode_slice(ids, &mut bytes);
+        bytes
+    }
+
+    /// The canonical word count, over ids: one `1` per token of the value.
     struct TokenMapper;
     impl Mapper for TokenMapper {
-        fn map(&self, _key: &str, value: &str, out: &mut Emitter) {
-            for token in value.split_whitespace() {
-                out.emit(token, "1");
+        fn map(&self, _key: u32, value: &[u8], out: &mut Emitter) {
+            for token in value.chunks_exact(4) {
+                let token = u32::from_le_bytes([token[0], token[1], token[2], token[3]]);
+                out.emit(token, |bytes| 1u64.encode_into(bytes));
             }
         }
     }
 
     struct SumReducer;
     impl Reducer for SumReducer {
-        fn reduce(&self, key: &str, values: &[&str], out: &mut Emitter) {
-            let total: u64 = values.iter().map(|v| v.parse::<u64>().unwrap_or(0)).sum();
-            out.emit(key, total);
+        fn reduce(&self, key: u32, values: &[&[u8]], out: &mut Emitter) {
+            let total: u64 = values
+                .iter()
+                .filter_map(|v| u64::decode_from(v, &mut 0))
+                .sum();
+            out.emit(key, |bytes| total.encode_into(bytes));
         }
     }
 
     #[test]
-    fn word_count_end_to_end() {
+    fn token_count_end_to_end() {
         let scratch = tmp("wc");
         let dir = scratch.path();
         let input = dir.join("input-0");
         write_records(
             &input,
-            &[("0", "the quick brown fox"), ("1", "the lazy dog the end")],
+            &[(0, &tokens(&[7, 3, 9, 1])), (1, &tokens(&[7, 2, 5, 7, 4]))],
         );
         let config = JobConfig::new(dir);
         let out_dir = dir.join("out");
@@ -894,11 +855,12 @@ mod tests {
         .unwrap();
         assert_eq!(counters.map_input, 2);
         assert_eq!(counters.map_output, 9);
-        assert!(counters.spill_bytes > 0);
+        // Each of the 9 records is a header and a `u64`.
+        assert_eq!(counters.spill_bytes, 9 * (HEADER + 8));
         let mut output = read_output(&out_dir);
         output.sort();
-        let the = output.iter().find(|(k, _)| k == "the").unwrap();
-        assert_eq!(the.1, "3");
+        let seven = output.iter().find(|(k, _)| *k == 7).unwrap();
+        assert_eq!(seven.1, 3u64.to_le_bytes());
         assert_eq!(output.len(), 7);
         assert_eq!(counters.reduce_output, 7);
     }
@@ -911,7 +873,7 @@ mod tests {
         let scratch = tmp("spans");
         let dir = scratch.path();
         let input = dir.join("input-0");
-        write_records(&input, &[("0", "a b a")]);
+        write_records(&input, &[(0, &tokens(&[1, 2, 1]))]);
         let tracer = Arc::new(Tracer::new());
         let ctx = RunContext::unbounded().with_tracer(Arc::clone(&tracer));
         let counters = run_job_traced(
@@ -957,15 +919,15 @@ mod tests {
     fn a_panicking_mapper_fails_the_job() {
         struct PanickingMapper;
         impl Mapper for PanickingMapper {
-            fn map(&self, _key: &str, value: &str, _out: &mut Emitter) {
-                assert_ne!(value, "poison", "cannot map it");
+            fn map(&self, _key: u32, value: &[u8], _out: &mut Emitter) {
+                assert_ne!(value, b"poison", "cannot map it");
             }
         }
         let scratch = tmp("panic");
         let dir = scratch.path();
         let inputs = [dir.join("input-0"), dir.join("input-1")];
-        write_records(&inputs[0], &[("0", "fine")]);
-        write_records(&inputs[1], &[("0", "poison")]);
+        write_records(&inputs[0], &[(0, b"fine")]);
+        write_records(&inputs[1], &[(0, b"poison")]);
         // Two inputs are two map tasks on their own threads; one input is
         // one task on the calling thread.
         for inputs in [&inputs[..], &inputs[1..]] {
@@ -991,31 +953,40 @@ mod tests {
         let scratch = tmp("rt");
         let dir = scratch.path();
         let path = dir.join("part-00000");
-        write_records(&path, &[("a", "1 2"), ("b", ""), ("c", "x\ty")]);
+        let records: [(u32, &[u8]); 4] = [
+            (0, b"1 2"),
+            (u32::MAX, b""),
+            (256, b"\n\t\0\xff"),
+            (7, &[0; 300]),
+        ];
+        write_records(&path, &records);
         assert_eq!(
             read_output(dir),
-            [("a", "1 2"), ("b", ""), ("c", "x\ty")].map(|(k, v)| (k.to_string(), v.to_string()))
+            records.map(|(k, v)| (k, v.to_vec())).to_vec()
         );
     }
 
     #[test]
     fn emitter_buffers_the_file_layout() {
         let mut out = Emitter::default();
-        out.emit("7", format_args!("E {}", 8));
-        out.emit_str("", "");
-        out.emit("9", 0.5);
-        out.emit_each(["1", "22"], format_args!("C {}", 0.25));
-        out.emit_each([], "never");
+        out.emit(7, |bytes| bytes.extend_from_slice(b"E8"));
+        out.emit_bytes(0x0102_0304, b"");
+        out.emit_each([1, 256], |bytes| bytes.push(b'C'));
+        out.emit_each([], |bytes| bytes.push(b'!'));
         assert_eq!(
             out.chunks.concat(),
-            b"7\tE 8\n\t\n9\t0.5\n1\tC 0.25\n22\tC 0.25\n"
+            [
+                &[0, 0, 0, 7, 2, 0, 0, 0, b'E', b'8'][..],
+                &[1, 2, 3, 4, 0, 0, 0, 0],
+                &[0, 0, 0, 1, 1, 0, 0, 0, b'C'],
+                &[0, 0, 1, 0, 1, 0, 0, 0, b'C'],
+            ]
+            .concat()
         );
-        let spans: Vec<(usize, usize, usize)> =
-            out.spans.iter().map(|s| (s.start, s.tab, s.end)).collect();
-        assert_eq!(
-            spans,
-            [(0, 1, 5), (6, 6, 7), (8, 9, 13), (14, 15, 22), (23, 25, 32)]
-        );
+        let starts: Vec<u32> = out.spans.iter().map(|s| s.start).collect();
+        assert_eq!(starts, [0, 10, 18, 27]);
+        let keys: Vec<u32> = out.spans.iter().map(|s| out.record(s).0).collect();
+        assert_eq!(keys, [7, 0x0102_0304, 1, 256]);
     }
 
     #[test]
@@ -1023,53 +994,50 @@ mod tests {
         // Three buffers' worth of records: each buffer keeps the capacity it
         // was created with, and every record reads back whole.
         let mut out = Emitter::default();
-        let value = "v".repeat(1000);
+        let value = [b'v'; 1000];
         let records = 3 * CHUNK / 1000;
-        for i in 0..records {
-            out.emit(&i.to_string(), &value);
+        for i in 0..records as u32 {
+            out.emit_bytes(i, &value);
         }
         assert_eq!(out.chunks.len(), 4);
         assert!(out.chunks.iter().all(|c| c.capacity() == CHUNK));
         for (i, span) in out.spans.iter().enumerate() {
-            assert_eq!(out.line(span), format!("{i}\t{value}\n").as_bytes());
+            let (key, record) = out.record(span);
+            assert_eq!(key, i as u32);
+            assert_eq!(&record[HEADER..], value);
+        }
+    }
+
+    /// Keeps every record as it is, on both sides.
+    struct Keep;
+    impl Mapper for Keep {
+        fn map(&self, key: u32, value: &[u8], out: &mut Emitter) {
+            out.emit_bytes(key, value);
+        }
+    }
+    impl Reducer for Keep {
+        fn reduce(&self, key: u32, values: &[&[u8]], out: &mut Emitter) {
+            values.iter().for_each(|v| out.emit_bytes(key, v));
         }
     }
 
     #[test]
-    fn spill_order_is_byte_order_for_keys_and_values_of_any_length() {
-        struct Keep;
-        impl Mapper for Keep {
-            fn map(&self, key: &str, value: &str, out: &mut Emitter) {
-                out.emit_str(key, value);
-            }
-        }
-        struct Echo;
-        impl Reducer for Echo {
-            fn reduce(&self, key: &str, values: &[&str], out: &mut Emitter) {
-                values.iter().for_each(|v| out.emit_str(key, v));
-            }
-        }
-        // Keys and values around the 7- and 15-byte word widths, with NUL
-        // bytes where zero padding could tie.
+    fn spill_order_is_key_order_and_stable() {
+        // Keys on both sides of every byte boundary of the sort's digits.
         let keys = [
-            "",
-            "a",
-            "a\0",
-            "abcdefg",
-            "abcdefg\0",
-            "abcdefgh",
-            "abcdefgh\0",
-            "b",
+            0,
+            1,
+            255,
+            256,
+            257,
+            65_535,
+            65_536,
+            1 << 24,
+            u32::MAX - 1,
+            u32::MAX,
         ];
-        let values = [
-            "",
-            "x",
-            "x\0",
-            "0123456789abcde",
-            "0123456789abcde\0",
-            "0123456789abcdef",
-        ];
-        let mut records: Vec<(&str, &str)> = keys
+        let values: [&[u8]; 3] = [b"", b"b", b"a"];
+        let mut records: Vec<(u32, &[u8])> = keys
             .iter()
             .flat_map(|&k| values.iter().map(move |&v| (k, v)))
             .collect();
@@ -1077,8 +1045,9 @@ mod tests {
         records.reverse();
         let scratch = tmp("order");
         let dir = scratch.path();
-        let inputs: Vec<PathBuf> = records
-            .chunks(7)
+        let chunks: Vec<&[(u32, &[u8])]> = records.chunks(7).collect();
+        let inputs: Vec<PathBuf> = chunks
+            .iter()
             .enumerate()
             .map(|(i, chunk)| {
                 let path = dir.join(format!("in-{i}"));
@@ -1091,28 +1060,57 @@ mod tests {
             reduce_tasks: 1,
             work_dir: dir.to_path_buf(),
         };
-        run_job(&config, "order", &inputs, &Keep, &Echo, &dir.join("out")).unwrap();
-        records.sort();
-        let expected: Vec<(String, String)> = records
-            .iter()
-            .map(|&(k, v)| (k.to_string(), v.to_string()))
+        run_job(&config, "order", &inputs, &Keep, &Keep, &dir.join("out")).unwrap();
+        // Map task t reads inputs t, t + 3, …; each key's values come map
+        // task by map task, in the order each task read them.
+        let mut expected: Vec<(usize, (u32, &[u8]))> = Vec::new();
+        for task in 0..3 {
+            for chunk in chunks.iter().skip(task).step_by(3) {
+                expected.extend(chunk.iter().map(|&record| (task, record)));
+            }
+        }
+        expected.sort_by_key(|&(task, (key, _))| (key, task));
+        let expected: Vec<(u32, Vec<u8>)> = expected
+            .into_iter()
+            .map(|(_, (k, v))| (k, v.to_vec()))
             .collect();
         assert_eq!(read_output(&dir.join("out")), expected);
+    }
+
+    #[test]
+    fn radix_sort_is_a_stable_sort_by_partition_and_key() {
+        // Entries in index order, with every digit of the partition and key
+        // varying somewhere, and one digit shared by all.
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut entries: Vec<u128> = (0..5_000u32)
+            .map(|index| {
+                state = mix64(state);
+                let key = (state as u32) & 0xff00_ffff;
+                sort_entry((state >> 40) as u32 % 300, key, index)
+            })
+            .collect();
+        let mut expected = entries.clone();
+        expected.sort_unstable();
+        radix_sort(&mut entries);
+        assert_eq!(entries, expected);
+        let mut empty = Vec::new();
+        radix_sort(&mut empty);
+        assert!(empty.is_empty());
     }
 
     #[test]
     fn user_counters_propagate() {
         struct CountingRed;
         impl CountingReducer for CountingRed {
-            fn reduce(&self, key: &str, values: &[&str], ctx: &mut ReduceContext<'_>) {
+            fn reduce(&self, key: u32, values: &[&[u8]], ctx: &mut ReduceContext<'_>) {
                 *ctx.counters.entry("keys".into()).or_insert(0) += 1;
-                ctx.out.emit(key, values.len());
+                ctx.out.emit(key, |bytes| values.len().encode_into(bytes));
             }
         }
         let scratch = tmp("counters");
         let dir = scratch.path();
         let input = dir.join("in");
-        write_records(&input, &[("x", "a b a"), ("y", "c")]);
+        write_records(&input, &[(0, &tokens(&[1, 2, 1])), (1, &tokens(&[3]))]);
         let counters = run_job(
             &JobConfig::new(dir),
             "count",
@@ -1122,7 +1120,7 @@ mod tests {
             &dir.join("out"),
         )
         .unwrap();
-        assert_eq!(counters.user_counter("keys"), 3); // a, b, c.
+        assert_eq!(counters.user_counter("keys"), 3); // 1, 2, 3.
         assert_eq!(counters.user_counter("missing"), 0);
     }
 
@@ -1133,7 +1131,7 @@ mod tests {
         let mut inputs = Vec::new();
         for i in 0..6 {
             let p = dir.join(format!("in-{i}"));
-            write_records(&p, &[(i.to_string().as_str(), format!("w{i}").as_str())]);
+            write_records(&p, &[(i, &tokens(&[100 + i]))]);
             inputs.push(p);
         }
         let counters = run_job(
@@ -1176,7 +1174,7 @@ mod tests {
         let scratch = tmp("taskio");
         let dir = scratch.path();
         let input = dir.join("in");
-        write_records(&input, &[("0", "a b a")]);
+        write_records(&input, &[(0, &tokens(&[1, 2, 1]))]);
         let baseline = run_job(
             &JobConfig::new(dir),
             "flaky",
@@ -1222,7 +1220,7 @@ mod tests {
         let scratch = tmp("taskio-fatal");
         let dir = scratch.path();
         let input = dir.join("in");
-        write_records(&input, &[("0", "a")]);
+        write_records(&input, &[(0, &tokens(&[1]))]);
         let mut plan = FaultPlan::disabled();
         for attempt in 0..MAX_TASK_ATTEMPTS {
             plan = plan.force(FaultSite::TaskIo {
@@ -1255,7 +1253,7 @@ mod tests {
         let scratch = tmp("clean");
         let dir = scratch.path();
         let input = dir.join("in");
-        write_records(&input, &[("0", "a")]);
+        write_records(&input, &[(0, &tokens(&[1]))]);
         run_job(
             &JobConfig::new(dir),
             "cleanme",
@@ -1274,28 +1272,22 @@ mod tests {
     }
 
     #[test]
-    fn reducers_see_values_merged_in_byte_order() {
-        struct Keep;
-        impl Mapper for Keep {
-            fn map(&self, key: &str, value: &str, out: &mut Emitter) {
-                out.emit(key, value);
-            }
-        }
+    fn reducers_see_values_map_task_by_map_task() {
         struct Join;
         impl Reducer for Join {
-            fn reduce(&self, key: &str, values: &[&str], out: &mut Emitter) {
-                out.emit(key, values.join(","));
+            fn reduce(&self, key: u32, values: &[&[u8]], out: &mut Emitter) {
+                out.emit(key, |bytes| values.iter().for_each(|v| bytes.extend(*v)));
             }
         }
         let scratch = tmp("merge");
         let dir = scratch.path();
-        // Four inputs over two map tasks: each reduce partition merges two
-        // sorted segments that interleave.
+        // Four inputs over two map tasks: task 0 reads inputs 0 and 2, task
+        // 1 inputs 1 and 3, and each reduce partition merges two segments.
         let inputs: Vec<PathBuf> = (0..4).map(|i| dir.join(format!("in-{i}"))).collect();
-        write_records(&inputs[0], &[("k", "d"), ("j", "2")]);
-        write_records(&inputs[1], &[("k", "c"), ("j", "1")]);
-        write_records(&inputs[2], &[("k", "b"), ("k", "d")]);
-        write_records(&inputs[3], &[("k", "a"), ("j", "0")]);
+        write_records(&inputs[0], &[(2, b"d"), (1, b"2")]);
+        write_records(&inputs[1], &[(2, b"c"), (1, b"1")]);
+        write_records(&inputs[2], &[(2, b"b"), (2, b"d")]);
+        write_records(&inputs[3], &[(2, b"a"), (1, b"0")]);
         let config = JobConfig {
             map_tasks: 2,
             reduce_tasks: 2,
@@ -1304,9 +1296,6 @@ mod tests {
         run_job(&config, "merge", &inputs, &Keep, &Join, &dir.join("out")).unwrap();
         let mut output = read_output(&dir.join("out"));
         output.sort();
-        assert_eq!(
-            output,
-            [("j", "0,1,2"), ("k", "a,b,c,d,d")].map(|(k, v)| (k.to_string(), v.to_string()))
-        );
+        assert_eq!(output, [(1, b"210".to_vec()), (2, b"dbdca".to_vec())]);
     }
 }

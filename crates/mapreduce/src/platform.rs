@@ -8,7 +8,7 @@ use graphalytics_core::ScratchDir;
 use graphalytics_graph::{CsrGraph, Vid};
 
 use crate::algorithms;
-use crate::job::{JobConfig, RecordWriter};
+use crate::job::{Emitter, JobConfig};
 
 /// MapReduce platform configuration.
 #[derive(Debug, Clone)]
@@ -38,20 +38,20 @@ impl Default for MapReduceConfig {
 }
 
 /// The input splits of a loaded graph: one adjacency record per vertex,
-/// isolated vertices included.
+/// isolated vertices included (the value layouts are
+/// [`crate::algorithms`]').
 #[derive(Debug, Clone)]
 pub struct Splits {
-    /// `adj-*`: `v\tN u1 u2 …`.
+    /// `adj-*`: each vertex's neighbours.
     pub adjacency: Vec<PathBuf>,
-    /// `wadj-*`: `v\tW u1 w1 u2 w2 …` — the SSSP inputs (fixed-point
-    /// weights survive the text round-trip exactly).
+    /// `wadj-*`: each vertex's neighbours with the arcs' fixed-point
+    /// weights, the SSSP input.
     pub weighted: Vec<PathBuf>,
 }
 
 /// Writes `graph` into `dir` as `splits` pairs of split files: split `i`
 /// holds the records of vertices `i`, `i + splits`, …, one split (two
-/// files) written at a time, each record through the decimal codec of
-/// [`RecordWriter::write_numbers`].
+/// files) written at a time.
 pub fn write_splits(graph: &CsrGraph, dir: &Path, splits: usize) -> Result<Splits, PlatformError> {
     let splits = splits.max(1);
     let mut files = Splits {
@@ -61,17 +61,17 @@ pub fn write_splits(graph: &CsrGraph, dir: &Path, splits: usize) -> Result<Split
     for i in 0..splits {
         let path = dir.join(format!("adj-{i:05}"));
         let weighted_path = dir.join(format!("wadj-{i:05}"));
-        let mut adjacency = RecordWriter::create(&path)?;
-        let mut weighted = RecordWriter::create(&weighted_path)?;
+        let (mut adjacency, mut weighted) = (Emitter::default(), Emitter::default());
         for v in (i..graph.num_vertices()).step_by(splits) {
             let v = v as Vid;
             let neighbors = graph.neighbors(v);
-            adjacency.write_numbers(v.into(), "N ", neighbors.iter().map(|&u| u.into()))?;
-            let arcs = neighbors.iter().zip(graph.neighbor_weights(v));
-            weighted.write_numbers(v.into(), "W ", arcs.flat_map(|(&u, &w)| [u.into(), w]))?;
+            adjacency.emit(v, |bytes| algorithms::push_adjacency(bytes, neighbors));
+            weighted.emit(v, |bytes| {
+                algorithms::push_weighted_adjacency(bytes, neighbors, graph.neighbor_weights(v))
+            });
         }
-        adjacency.finish()?;
-        weighted.finish()?;
+        adjacency.write_to_file(&path)?;
+        weighted.write_to_file(&weighted_path)?;
         files.adjacency.push(path);
         files.weighted.push(weighted_path);
     }

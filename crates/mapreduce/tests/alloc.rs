@@ -10,7 +10,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use graphalytics_core::ScratchDir;
-use graphalytics_mapreduce::job::{run_job, Emitter, JobConfig, Mapper, RecordWriter, Reducer};
+use graphalytics_mapreduce::job::{run_job, Emitter, JobConfig, Mapper, Reducer};
 
 /// The system allocator, counting allocations and reallocations.
 struct Counting;
@@ -45,17 +45,17 @@ static GLOBAL: Counting = Counting;
 struct Identity;
 
 impl Mapper for Identity {
-    fn map(&self, key: &str, value: &str, out: &mut Emitter) {
-        out.emit(key, value);
+    fn map(&self, key: u32, value: &[u8], out: &mut Emitter) {
+        out.emit_bytes(key, value);
     }
 }
 
 struct Echo;
 
 impl Reducer for Echo {
-    fn reduce(&self, key: &str, values: &[&str], out: &mut Emitter) {
+    fn reduce(&self, key: u32, values: &[&[u8]], out: &mut Emitter) {
         for value in values {
-            out.emit(key, value);
+            out.emit_bytes(key, value);
         }
     }
 }
@@ -65,11 +65,13 @@ impl Reducer for Echo {
 fn allocations(dir: &Path, records: usize) -> usize {
     let inputs: Vec<PathBuf> = (0..2).map(|i| dir.join(format!("in-{i}"))).collect();
     for (i, path) in inputs.iter().enumerate() {
-        let mut writer = RecordWriter::create(path).unwrap();
+        let mut writer = Emitter::default();
         for r in (i..records).step_by(2) {
-            writer.write(r / 4, format_args!("E {r}")).unwrap();
+            writer.emit((r / 4) as u32, |bytes| {
+                bytes.extend_from_slice(&r.to_le_bytes())
+            });
         }
-        writer.finish().unwrap();
+        writer.write_to_file(path).unwrap();
     }
     let config = JobConfig {
         map_tasks: 2,
