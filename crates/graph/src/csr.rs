@@ -286,6 +286,12 @@ impl CsrGraph {
         }
     }
 
+    /// True if any arc carries a non-unit weight (the CSR of an unweighted
+    /// graph carries [`WEIGHT_SCALE`](crate::WEIGHT_SCALE) everywhere).
+    pub fn is_weighted(&self) -> bool {
+        self.out_weights.iter().any(|&w| w != crate::WEIGHT_SCALE)
+    }
+
     /// Weights of the out-arcs of `v`, parallel to [`Self::neighbors`].
     #[inline]
     pub fn neighbor_weights(&self, v: Vid) -> &[Weight] {
@@ -534,10 +540,12 @@ mod tests {
         assert_eq!(g.in_neighbor_weights(1), &[5, 7]);
         assert_eq!(g.to_edge_list(), dir);
         g.validate().unwrap();
+        assert!(g.is_weighted());
 
         // Unweighted construction carries unit weights everywhere.
         let plain = path_graph();
         assert!(plain.neighbor_weights(1).iter().all(|&w| w == WEIGHT_SCALE));
+        assert!(!plain.is_weighted());
     }
 
     #[test]

@@ -44,36 +44,54 @@ impl Default for MapReduceConfig {
 pub struct Splits {
     /// `adj-*`: each vertex's neighbours.
     pub adjacency: Vec<PathBuf>,
-    /// `wadj-*`: each vertex's neighbours with the arcs' fixed-point
-    /// weights, the SSSP input.
-    pub weighted: Vec<PathBuf>,
+    /// `wadj-*`, for a weighted graph only: each vertex's neighbours with
+    /// the arcs' fixed-point weights, the SSSP input.
+    pub weighted: Option<Vec<PathBuf>>,
 }
 
-/// Writes `graph` into `dir` as `splits` pairs of split files: split `i`
-/// holds the records of vertices `i`, `i + splits`, …, one split (two
-/// files) written at a time.
+impl Splits {
+    /// SSSP's input: the weighted splits, or on an unweighted graph the
+    /// adjacency splits, whose arcs weigh one hop.
+    pub fn sssp(&self) -> &[PathBuf] {
+        self.weighted.as_deref().unwrap_or(&self.adjacency)
+    }
+}
+
+/// Writes `graph` into `dir` as `splits` adjacency split files, and as
+/// many weighted ones when the graph is weighted: split `i` holds the
+/// records of vertices `i`, `i + splits`, …, one split written at a time.
 pub fn write_splits(graph: &CsrGraph, dir: &Path, splits: usize) -> Result<Splits, PlatformError> {
     let splits = splits.max(1);
     let mut files = Splits {
         adjacency: Vec::with_capacity(splits),
-        weighted: Vec::with_capacity(splits),
+        weighted: graph.is_weighted().then(|| Vec::with_capacity(splits)),
     };
     for i in 0..splits {
+        let vertices = (i..graph.num_vertices()).step_by(splits).map(|v| v as Vid);
         let path = dir.join(format!("adj-{i:05}"));
-        let weighted_path = dir.join(format!("wadj-{i:05}"));
-        let (mut adjacency, mut weighted) = (Emitter::default(), Emitter::default());
-        for v in (i..graph.num_vertices()).step_by(splits) {
-            let v = v as Vid;
-            let neighbors = graph.neighbors(v);
-            adjacency.emit(v, |bytes| algorithms::push_adjacency(bytes, neighbors));
-            weighted.emit(v, |bytes| {
-                algorithms::push_weighted_adjacency(bytes, neighbors, graph.neighbor_weights(v))
+        let mut records = Emitter::default();
+        for v in vertices.clone() {
+            records.emit(v, |bytes| {
+                algorithms::push_adjacency(bytes, graph.neighbors(v));
             });
         }
-        adjacency.write_to_file(&path)?;
-        weighted.write_to_file(&weighted_path)?;
+        records.write_to_file(&path)?;
         files.adjacency.push(path);
-        files.weighted.push(weighted_path);
+        if let Some(weighted) = &mut files.weighted {
+            let path = dir.join(format!("wadj-{i:05}"));
+            let mut records = Emitter::default();
+            for v in vertices {
+                records.emit(v, |bytes| {
+                    algorithms::push_weighted_adjacency(
+                        bytes,
+                        graph.neighbors(v),
+                        graph.neighbor_weights(v),
+                    );
+                });
+            }
+            records.write_to_file(&path)?;
+            weighted.push(path);
+        }
     }
     Ok(files)
 }
@@ -228,7 +246,7 @@ impl Platform for MapReducePlatform {
             )?),
             Algorithm::Sssp { source } => Output::Distances(algorithms::sssp(
                 &config,
-                &loaded.splits.weighted,
+                loaded.splits.sssp(),
                 n,
                 loaded.internal_id(*source),
                 ctx,
@@ -319,6 +337,41 @@ mod tests {
         let out = p.run(handle, &alg, &RunContext::unbounded()).unwrap();
         assert!(reference(&g, &alg).equivalent(&out), "{out:?}");
         p.unload(handle);
+    }
+
+    #[test]
+    fn only_a_weighted_graph_gets_weighted_splits() {
+        let weighted = Arc::new(CsrGraph::from_edge_list(&EdgeListGraph::new_weighted(
+            Vec::new(),
+            vec![(0, 1, 2_000_000), (1, 2, 500_000), (0, 2, 4_000_000)],
+            false,
+        )));
+        for (g, is_weighted) in [(test_graph(), false), (weighted, true)] {
+            let mut p = MapReducePlatform::with_defaults();
+            let handle = p.load_graph(&g).unwrap();
+            let wadj = std::fs::read_dir(scratch_of(&p, handle))
+                .unwrap()
+                .filter(|e| {
+                    let name = e.as_ref().unwrap().file_name();
+                    name.to_string_lossy().starts_with("wadj-")
+                })
+                .count();
+            let splits = &p.graphs.get(handle).unwrap().splits;
+            if is_weighted {
+                assert_eq!(wadj, 4);
+                assert_eq!(Some(splits.sssp()), splits.weighted.as_deref());
+            } else {
+                assert_eq!(wadj, 0);
+                assert_eq!(splits.sssp(), splits.adjacency);
+            }
+            // An unweighted graph's SSSP, at one hop an arc, and a weighted
+            // one's, over its own weights, both match the reference.
+            for source in [0, 2] {
+                let alg = Algorithm::Sssp { source };
+                let out = p.run(handle, &alg, &RunContext::unbounded()).unwrap();
+                assert!(reference(&g, &alg).equivalent(&out), "{out:?}");
+            }
+        }
     }
 
     #[test]
