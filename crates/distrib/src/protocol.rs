@@ -4,10 +4,10 @@
 //!
 //! ```text
 //! magic   u32 LE   0x4758_4450 ("GXDP")
-//! version u32 LE   4
+//! version u32 LE   7
 //! tag     u8       frame type (see [`Frame`])
 //! length  u64 LE   payload byte count
-//! crc     u32 LE   CRC-32 (IEEE) of the payload
+//! crc     u32 LE   CRC-32 (IEEE) of the tag, the length and the payload
 //! payload [u8]     the frame's fields in the `graphalytics-codec` encoding
 //! ```
 //!
@@ -31,8 +31,10 @@ pub const MAGIC: u32 = 0x4758_4450;
 /// sender's degree-oriented list or a triangle credit. Version 6 drops
 /// `Ready`'s runnable count (a fleet always has a superstep to run) and
 /// sends its port as the `u16` it is, so `Ready`'s payload cannot be
-/// taken for `Hello`'s when a bit of the tag flips.
-pub const VERSION: u32 = 6;
+/// taken for `Hello`'s when a bit of the tag flips. Version 7's CRC covers
+/// the tag and the length as well as the payload, so no flipped tag bit
+/// decodes as another frame, whatever the two payloads' layouts.
+pub const VERSION: u32 = 7;
 /// Header bytes before the payload: magic, version, tag, length, CRC.
 const HEADER_LEN: usize = 21;
 /// Upper bound on a payload length; larger claims are treated as corrupt
@@ -76,8 +78,19 @@ const fn crc_tables() -> [[u32; 256]; 8] {
 
 /// CRC-32 (IEEE 802.3) of `data`, eight bytes per step (slicing-by-8).
 pub fn crc32(data: &[u8]) -> u32 {
+    !crc32_fold(!0, data)
+}
+
+/// A frame's CRC: the CRC-32 of its header's tag and length bytes, then its
+/// payload.
+fn frame_crc(tag_and_length: &[u8], payload: &[u8]) -> u32 {
+    !crc32_fold(crc32_fold(!0, tag_and_length), payload)
+}
+
+/// The CRC register `c` after `data`, without the initial and final
+/// inversions, so that a CRC can run over several slices.
+fn crc32_fold(mut c: u32, data: &[u8]) -> u32 {
     let t = &CRC_TABLES;
-    let mut c = 0xFFFF_FFFFu32;
     let mut chunks = data.chunks_exact(8);
     for chunk in &mut chunks {
         let lo = c ^ u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
@@ -94,7 +107,7 @@ pub fn crc32(data: &[u8]) -> u32 {
     for &b in chunks.remainder() {
         c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
-    c ^ 0xFFFF_FFFF
+    c
 }
 
 /// The run plan a master hands each worker right after `Hello`.
@@ -281,7 +294,8 @@ impl Frame {
         self.encode_payload(out);
         let (header, payload) = out[start..].split_at_mut(HEADER_LEN);
         header[9..17].copy_from_slice(&(payload.len() as u64).to_le_bytes());
-        header[17..].copy_from_slice(&crc32(payload).to_le_bytes());
+        let crc = frame_crc(&header[8..17], payload);
+        header[17..].copy_from_slice(&crc.to_le_bytes());
     }
 }
 
@@ -345,7 +359,7 @@ pub fn read_frame_counted(r: &mut impl Read) -> io::Result<(Frame, usize)> {
             "truncated frame payload",
         ));
     }
-    if crc32(&payload) != crc {
+    if frame_crc(&header[8..17], &payload) != crc {
         return Err(bad("frame CRC mismatch"));
     }
     let mut pos = 0usize;
@@ -411,10 +425,10 @@ mod tests {
         };
         let expected: Vec<u8> = vec![
             0x50, 0x44, 0x58, 0x47, // magic "GXDP" little-endian
-            0x06, 0x00, 0x00, 0x00, // version 6
+            0x07, 0x00, 0x00, 0x00, // version 7
             0x06, // tag StartSuperstep
             0x12, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // payload length 18
-            0xff, 0xee, 0xd6, 0x60, // crc32 of payload
+            0xd1, 0x3e, 0xf6, 0x1e, // crc32 of tag, length and payload
             0x07, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // superstep 7
             0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x04, 0x40, // f64 2.5 bits
             0x01, // checkpoint = true
@@ -430,10 +444,10 @@ mod tests {
         let frame = Frame::Hello { worker: 2 };
         let expected: Vec<u8> = vec![
             0x50, 0x44, 0x58, 0x47, // magic
-            0x06, 0x00, 0x00, 0x00, // version
+            0x07, 0x00, 0x00, 0x00, // version
             0x01, // tag Hello
             0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // payload length 4
-            0x97, 0x17, 0x4d, 0x8b, // crc32 of payload
+            0xf3, 0x6c, 0xed, 0x7b, // crc32 of tag, length and payload
             0x02, 0x00, 0x00, 0x00, // worker 2
         ];
         assert_eq!(frame.encode(), expected);
@@ -450,10 +464,10 @@ mod tests {
         };
         let expected: Vec<u8> = vec![
             0x50, 0x44, 0x58, 0x47, // magic "GXDP" little-endian
-            0x06, 0x00, 0x00, 0x00, // version 6
+            0x07, 0x00, 0x00, 0x00, // version 7
             0x0D, // tag Telemetry
             0x13, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // payload length 19
-            0xf9, 0xbf, 0x82, 0x7d, // crc32 of payload
+            0x68, 0x66, 0xd7, 0xc0, // crc32 of tag, length and payload
             0x01, 0x00, 0x00, 0x00, // worker 1
             0x02, 0x00, 0x00, 0x00, // incarnation 2
             0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // spans blob length 3
@@ -510,7 +524,7 @@ mod tests {
         VERSION.encode_into(&mut bytes);
         bytes.push(Frame::Finish.tag());
         (payload.len() as u64).encode_into(&mut bytes);
-        crc32(&payload).encode_into(&mut bytes);
+        frame_crc(&bytes[8..], &payload).encode_into(&mut bytes);
         bytes.extend_from_slice(&payload);
         let err = read_frame(&mut &bytes[..]).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);

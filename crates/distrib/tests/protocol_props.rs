@@ -217,6 +217,23 @@ fn corrupted_frames_are_rejected() {
     }
 }
 
+/// The CRC covers the header's tag and length: a flip of any of their
+/// bits is an error, never another frame, and never the same frame read
+/// from a different length.
+#[test]
+fn flipped_tag_and_length_bits_are_errors() {
+    for frame in sample_frames() {
+        let wire = frame.encode();
+        // Bytes 8..17 are the tag and the length.
+        for bit in 8 * 8..17 * 8 {
+            let mut bad = wire.clone();
+            bad[bit / 8] ^= 1 << (bit % 8);
+            let read = read_frame(&mut &bad[..]);
+            assert!(read.is_err(), "tag {} bit {bit}: {read:?}", frame.tag());
+        }
+    }
+}
+
 /// Unframed layouts carry no checksum: a flipped bit may decode as a
 /// different value, but only as the one those bytes encode, and every cut
 /// is rejected.
@@ -337,7 +354,8 @@ proptest! {
         VERSION.encode_into(&mut wire);
         wire.push(tag);
         (payload.len() as u64).encode_into(&mut wire);
-        crc32(&payload).encode_into(&mut wire);
+        // The CRC covers the tag and length bytes, then the payload.
+        crc32(&[&wire[8..], &payload[..]].concat()).encode_into(&mut wire);
         wire.extend_from_slice(&payload);
         if let Ok(frame) = read_frame(&mut &wire[..]) {
             prop_assert_eq!(frame.encode(), wire);
