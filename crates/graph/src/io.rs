@@ -48,7 +48,7 @@ pub fn write_graph(g: &EdgeListGraph, prefix: &Path) -> Result<(), GraphError> {
 
 /// Appends the decimal digits of `v` to `out`, as `write!(out, "{v}")`
 /// would.
-pub fn push_u64(out: &mut Vec<u8>, mut v: u64) {
+fn push_u64(out: &mut Vec<u8>, mut v: u64) {
     let mut digits = [0u8; 20];
     let mut at = digits.len();
     loop {

@@ -80,10 +80,7 @@ fn internal_err(what: &str) -> PlatformError {
 
 /// The bytes after `value`'s tag, when its tag is `tag`.
 fn tagged(value: &[u8], tag: u8) -> Option<&[u8]> {
-    match value.split_first() {
-        Some((&first, rest)) if first == tag => Some(rest),
-        _ => None,
-    }
+    value.strip_prefix(&[tag])
 }
 
 /// Appends `tag`, then `fields`.
@@ -101,25 +98,17 @@ fn decode<T: Codec>(bytes: &[u8]) -> Option<(T, &[u8])> {
 
 /// A `T` that fills `bytes` exactly.
 fn decode_exact<T: Codec>(bytes: &[u8]) -> Option<T> {
-    match decode(bytes)? {
-        (value, []) => Some(value),
-        _ => None,
-    }
+    decode(bytes)
+        .filter(|(_, rest)| rest.is_empty())
+        .map(|(value, _)| value)
 }
 
-/// Replaces `ids` with the `u32`s that fill `bytes`. False, and `ids`
-/// empty, when `bytes` is not a whole number of them.
+/// Replaces `ids` with the `u32`s that fill `bytes`; false when `bytes` is
+/// not a whole number of them.
 fn read_ids(bytes: &[u8], ids: &mut Vec<u32>) -> bool {
     ids.clear();
-    if !bytes.len().is_multiple_of(4) {
-        return false;
-    }
-    let mut rest = bytes;
-    while let Some((id, after)) = decode(rest) {
-        ids.push(id);
-        rest = after;
-    }
-    true
+    ids.extend(bytes.chunks_exact(4).filter_map(decode_exact::<u32>));
+    bytes.len().is_multiple_of(4)
 }
 
 /// Decodes the values tagged `tag` in `files` into a dense vector indexed
@@ -155,7 +144,8 @@ fn collect_per_vertex<S: Codec, T>(
 #[derive(Clone)]
 struct Arcs<'a> {
     list: &'a [u8],
-    weighted: bool,
+    /// Bytes per arc: 4 for an id, 12 for an id and a weight.
+    width: usize,
 }
 
 impl<'a> Arcs<'a> {
@@ -165,31 +155,20 @@ impl<'a> Arcs<'a> {
     /// neighbour that the graph does not have.
     fn of(v: u32, adjacency: &'a [u8], n: usize) -> Option<Self> {
         let (&tag, list) = adjacency.split_first()?;
-        let weighted = match tag {
-            ADJACENCY => false,
-            WEIGHTED => true,
+        let width = match tag {
+            ADJACENCY => 4,
+            WEIGHTED => 12,
             _ => return None,
         };
-        let arcs = Self { list, weighted };
+        let arcs = Self { list, width };
         let within = |u: u32| (u as usize) < n;
-        (list.len().is_multiple_of(arcs.width())
-            && within(v)
-            && arcs.clone().all(|(u, _)| within(u)))
-        .then_some(arcs)
-    }
-
-    /// Bytes per arc.
-    fn width(&self) -> usize {
-        if self.weighted {
-            12
-        } else {
-            4
-        }
+        (list.len().is_multiple_of(width) && within(v) && arcs.clone().all(|(u, _)| within(u)))
+            .then_some(arcs)
     }
 
     /// The number of arcs.
     fn degree(&self) -> usize {
-        self.list.len() / self.width()
+        self.list.len() / self.width
     }
 
     /// The neighbors alone.
@@ -202,7 +181,7 @@ impl Iterator for Arcs<'_> {
     type Item = (u32, u64);
 
     fn next(&mut self) -> Option<Self::Item> {
-        let (arc, rest) = if self.weighted {
+        let (arc, rest) = if self.width == 12 {
             decode(self.list)?
         } else {
             let (u, rest) = decode(self.list)?;

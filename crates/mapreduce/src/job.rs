@@ -55,19 +55,6 @@ const CHUNK_SLACK: usize = 1 << 14;
 /// Bytes before a record's value: the key and the value's length.
 const HEADER: usize = 8;
 
-/// Appends one record: `key` big-endian, the length of the value `value`
-/// writes, then that value.
-fn push_record(bytes: &mut Vec<u8>, key: u32, value: impl FnOnce(&mut Vec<u8>)) {
-    let start = bytes.len();
-    bytes.extend_from_slice(&key.to_be_bytes());
-    0u32.encode_into(bytes);
-    value(bytes);
-    // A value is at most one adjacency list and a few words: far below
-    // 4 GiB, so its length fits the `u32`.
-    let len = (bytes.len() - start - HEADER) as u32;
-    bytes[start + 4..start + HEADER].copy_from_slice(&len.to_le_bytes());
-}
-
 /// Where one record starts in an [`Emitter`]: buffer `chunk`, byte `start`.
 #[derive(Debug, Clone, Copy)]
 struct Span {
@@ -98,11 +85,18 @@ impl Emitter {
         }
         let chunk = self.chunks.len() - 1;
         let bytes = &mut self.chunks[chunk];
+        let start = bytes.len();
         self.spans.push(Span {
             chunk: chunk as u32,
-            start: bytes.len() as u32,
+            start: start as u32,
         });
-        push_record(bytes, key, value);
+        bytes.extend_from_slice(&key.to_be_bytes());
+        0u32.encode_into(bytes);
+        value(bytes);
+        // A value is at most one adjacency list and a few words: far below
+        // 4 GiB, so its length fits the `u32`.
+        let len = (bytes.len() - start - HEADER) as u32;
+        bytes[start + 4..start + HEADER].copy_from_slice(&len.to_le_bytes());
     }
 
     /// Emits a record whose value is `value`, copied as is.
@@ -129,9 +123,8 @@ impl Emitter {
     /// The record at `span`: its key and its bytes, header included.
     fn record(&self, span: &Span) -> (u32, &[u8]) {
         let bytes = &self.chunks[span.chunk as usize][span.start as usize..];
-        let key = u32::from_be_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
         let len = u32::from_le_bytes([bytes[4], bytes[5], bytes[6], bytes[7]]) as usize;
-        (key, &bytes[..HEADER + len])
+        (key_of(bytes), &bytes[..HEADER + len])
     }
 
     /// Writes every record, in emission order, to a new file at `path`.
@@ -249,8 +242,7 @@ impl<'a> Iterator for Records<'a> {
             return None;
         }
         let bytes = std::mem::take(&mut self.rest);
-        let mut pos = 4;
-        let (Some(key), Some(len)) = (bytes.get(..4), u32::decode_from(bytes, &mut pos)) else {
+        let Some(len) = u32::decode_from(bytes, &mut 4) else {
             return Some(Err(malformed(&format!(
                 "record header cut short: {} bytes",
                 bytes.len()
@@ -263,9 +255,13 @@ impl<'a> Iterator for Records<'a> {
             ))));
         };
         self.rest = &bytes[HEADER + value.len()..];
-        let key = u32::from_be_bytes([key[0], key[1], key[2], key[3]]);
-        Some(Ok((key, value)))
+        Some(Ok((key_of(bytes), value)))
     }
+}
+
+/// The key of the record that starts `bytes`, which holds its header.
+fn key_of(bytes: &[u8]) -> u32 {
+    u32::from_be_bytes([bytes[0], bytes[1], bytes[2], bytes[3]])
 }
 
 fn malformed(what: &str) -> PlatformError {
@@ -488,7 +484,9 @@ fn map_task<M: Mapper>(
         .zip(0u32..)
         .map(|(span, index)| {
             let (key, _) = out.record(span);
-            sort_entry(partition(key, reduce_tasks), key, index)
+            // The partitioner hashes the key, so neighbouring ids spread.
+            let partition = mix64(u64::from(key)) % reduce_tasks as u64;
+            sort_entry(partition as u32, key, index)
         })
         .collect();
     radix_sort(&mut order);
@@ -768,12 +766,6 @@ pub fn run_job_traced<M: Mapper, R: CountingReducer>(
         .field("reduce_output", counters.reduce_output)
         .field("spill_bytes", counters.spill_bytes);
     Ok(counters)
-}
-
-/// The reduce partition of `key`: a hash of the key, so that neighbouring
-/// ids spread over the partitions.
-fn partition(key: u32, reduce_tasks: usize) -> u32 {
-    (mix64(u64::from(key)) % reduce_tasks as u64) as u32
 }
 
 #[cfg(test)]

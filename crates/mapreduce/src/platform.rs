@@ -67,30 +67,25 @@ pub fn write_splits(graph: &CsrGraph, dir: &Path, splits: usize) -> Result<Split
         weighted: graph.is_weighted().then(|| Vec::with_capacity(splits)),
     };
     for i in 0..splits {
-        let vertices = (i..graph.num_vertices()).step_by(splits).map(|v| v as Vid);
-        let path = dir.join(format!("adj-{i:05}"));
-        let mut records = Emitter::default();
-        for v in vertices.clone() {
-            records.emit(v, |bytes| {
-                algorithms::push_adjacency(bytes, graph.neighbors(v));
-            });
-        }
-        records.write_to_file(&path)?;
-        files.adjacency.push(path);
-        if let Some(weighted) = &mut files.weighted {
-            let path = dir.join(format!("wadj-{i:05}"));
-            let mut records = Emitter::default();
-            for v in vertices {
-                records.emit(v, |bytes| {
-                    algorithms::push_weighted_adjacency(
-                        bytes,
-                        graph.neighbors(v),
-                        graph.neighbor_weights(v),
-                    );
+        let (mut adjacency, mut weighted) = (Emitter::default(), Emitter::default());
+        for v in (i..graph.num_vertices()).step_by(splits) {
+            let v = v as Vid;
+            let neighbors = graph.neighbors(v);
+            adjacency.emit(v, |bytes| algorithms::push_adjacency(bytes, neighbors));
+            if files.weighted.is_some() {
+                let weights = graph.neighbor_weights(v);
+                weighted.emit(v, |bytes| {
+                    algorithms::push_weighted_adjacency(bytes, neighbors, weights)
                 });
             }
-            records.write_to_file(&path)?;
-            weighted.push(path);
+        }
+        let path = dir.join(format!("adj-{i:05}"));
+        adjacency.write_to_file(&path)?;
+        files.adjacency.push(path);
+        if let Some(files) = &mut files.weighted {
+            let path = dir.join(format!("wadj-{i:05}"));
+            weighted.write_to_file(&path)?;
+            files.push(path);
         }
     }
     Ok(files)
