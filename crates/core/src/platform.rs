@@ -306,8 +306,8 @@ impl RunContext {
     ///
     /// A crash is recovered by a checkpoint restart, which replays from
     /// the checkpoint under the next incarnation instead of probing this
-    /// site again, so callers bound restarts by their `max_restarts`, not
-    /// by [`RunContext::retry_injected`].
+    /// site again, so `graphalytics_pregel::drive` bounds restarts by its
+    /// `MAX_RESTARTS`, not by [`RunContext::retry_injected`].
     pub fn crashed_worker(
         &self,
         superstep: u64,

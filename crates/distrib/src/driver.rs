@@ -17,9 +17,10 @@ use graphalytics_core::platform::{GraphHandle, GraphTable, Platform, PlatformErr
 use graphalytics_core::ScratchDir;
 use graphalytics_graph::CsrGraph;
 use graphalytics_pregel::programs::{dispatch, ProgramVisitor};
-use graphalytics_pregel::{drive, Limits, Placement, VertexProgram};
+use graphalytics_pregel::{drive, Placement, VertexProgram};
 
 use crate::master::{FleetTransport, Launch, MasterStats};
+use crate::protocol::PlanFrame;
 
 /// Configuration of the distributed runtime.
 #[derive(Debug, Clone)]
@@ -30,10 +31,6 @@ pub struct DistribConfig {
     /// `PregelConfig` and Giraph's `giraph.checkpointFrequency = 0`) never
     /// checkpoints, so a worker loss fails the run.
     pub checkpoint_interval: Option<usize>,
-    /// Hard superstep cap.
-    pub max_supersteps: usize,
-    /// Fleet restarts allowed before a worker loss escalates.
-    pub max_restarts: u32,
     /// Explicit path of the `gx-distrib-worker` binary; when `None` the
     /// `GX_DISTRIB_WORKER_BIN` environment variable is consulted, then the
     /// directory of the current executable and its parent (where Cargo
@@ -50,8 +47,6 @@ impl Default for DistribConfig {
         Self {
             workers: 4,
             checkpoint_interval: None,
-            max_supersteps: 10_000,
-            max_restarts: 8,
             worker_bin: None,
             work_dir: None,
         }
@@ -81,11 +76,6 @@ impl DistributedPlatform {
             config,
             graphs: GraphTable::default(),
         }
-    }
-
-    /// Default configuration: 4 worker processes, no checkpoints.
-    pub fn with_defaults() -> Self {
-        Self::new(DistribConfig::default())
     }
 
     /// [`Platform::run`], also returning the run's statistics (default
@@ -213,29 +203,29 @@ impl ProgramVisitor for FleetRun<'_> {
             .map_err(|e| PlatformError::TransientIo(format!("checkpoint dir: {e}")))?;
         let workers = config.workers.max(1);
         let launch = Launch {
-            workers,
             worker_bin: self.platform.resolve_worker_bin()?,
-            graph_prefix: &loaded.prefix,
-            directed: graph.is_directed(),
-            weighted: loaded.weighted,
-            checkpoint_dir: checkpoints.path(),
-            algorithm: self.algorithm,
-        };
-        let limits = Limits {
-            max_supersteps: config.max_supersteps,
-            checkpoint_interval: config.checkpoint_interval,
-            max_restarts: config.max_restarts,
+            plan: PlanFrame {
+                worker: 0,
+                workers,
+                algorithm: self.algorithm.clone(),
+                graph_prefix: loaded.prefix.display().to_string(),
+                directed: graph.is_directed(),
+                weighted: loaded.weighted,
+                checkpoint_dir: checkpoints.path().display().to_string(),
+                incarnation: 0,
+                resume: None,
+                trace: false,
+            },
         };
         let placement = Placement::new(graph, workers as usize);
         let mut fleet = FleetTransport::<P::State>::launch(launch, ctx)?;
-        let driven = drive(&mut fleet, &placement, limits, ctx);
+        let driven = drive(&mut fleet, &placement, config.checkpoint_interval, ctx);
         // A run that escalates keeps what its fleet shipped before the loss.
         fleet.drain_telemetry();
         let result = driven?;
         let stats = MasterStats {
             pregel: result.stats,
-            network_bytes: fleet.network_bytes,
-            telemetry_frames: fleet.telemetry_frames,
+            ..fleet.stats
         };
         Ok((output(graph, result.states), stats))
     }

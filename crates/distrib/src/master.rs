@@ -6,16 +6,15 @@
 use std::io::{self, BufRead, BufReader};
 use std::marker::PhantomData;
 use std::net::{TcpListener, TcpStream};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::process::{Child, Command, ExitStatus, Stdio};
 use std::thread::JoinHandle;
 // lint:allow(determinism-time): socket timeouts bound the wait for lost workers
 use std::time::Duration;
 
-use graphalytics_algos::Algorithm;
 use graphalytics_codec::Codec;
 use graphalytics_core::platform::{PlatformError, RunContext};
-use graphalytics_pregel::{Interrupt, PregelStats, Report, Step, Stepped, Transport};
+use graphalytics_pregel::{PregelStats, Report, Step, Transport};
 
 use crate::net::{self, io_timeout};
 use crate::protocol::{
@@ -37,21 +36,12 @@ pub struct MasterStats {
 }
 
 /// What every fleet of one run is launched with.
-pub(crate) struct Launch<'a> {
-    /// Worker process count.
-    pub workers: u32,
+pub(crate) struct Launch {
     /// Path of the `gx-distrib-worker` binary.
     pub worker_bin: PathBuf,
-    /// Dataset prefix workers read (`prefix.v` / `prefix.e`).
-    pub graph_prefix: &'a Path,
-    /// Whether the dataset is directed.
-    pub directed: bool,
-    /// Whether the edge file carries weights.
-    pub weighted: bool,
-    /// Directory for checkpoint files.
-    pub checkpoint_dir: &'a Path,
-    /// The kernel the workers run.
-    pub algorithm: &'a Algorithm,
+    /// The plan every worker gets; each worker's copy names the worker,
+    /// the incarnation, the resume superstep and the trace flag.
+    pub plan: PlanFrame,
 }
 
 /// The label every distributed-runtime metric carries.
@@ -83,12 +73,12 @@ impl Fleet {
     /// `Plan` → `Ready` → `Peers` → `MeshReady`), and returns the
     /// connected fleet.
     fn launch(
-        cfg: &Launch<'_>,
+        cfg: &Launch,
         incarnation: u32,
         resume: Option<u64>,
         ctx: &RunContext,
     ) -> Result<Fleet, PlatformError> {
-        let workers = cfg.workers.max(1) as usize;
+        let workers = cfg.plan.workers as usize;
         // A malformed knob fails the run before a process is forked.
         let timeout = io_timeout().map_err(|e| PlatformError::Internal(e.to_string()))?;
         let listener = TcpListener::bind("127.0.0.1:0")
@@ -199,15 +189,10 @@ impl Fleet {
         for w in 0..workers {
             let plan = Frame::Plan(PlanFrame {
                 worker: w as u32,
-                workers: workers as u32,
-                algorithm: cfg.algorithm.clone(),
-                graph_prefix: cfg.graph_prefix.display().to_string(),
-                directed: cfg.directed,
-                weighted: cfg.weighted,
-                checkpoint_dir: cfg.checkpoint_dir.display().to_string(),
                 incarnation,
                 resume,
                 trace: ctx.tracer().enabled(),
+                ..cfg.plan.clone()
             });
             // Read before the send, so a worker span is never translated
             // late: the worker's clock starts after the plan arrives.
@@ -324,26 +309,27 @@ fn recv_control(
 /// kills the fleet and launches the next incarnation from the checkpoint;
 /// dropping the transport kills the last one.
 pub(crate) struct FleetTransport<'a, S> {
-    launch: Launch<'a>,
+    launch: Launch,
     fleet: Fleet,
     ctx: &'a RunContext,
-    /// Wire bytes so far (see [`MasterStats::network_bytes`]).
-    pub network_bytes: u64,
-    /// Telemetry frames so far (see [`MasterStats::telemetry_frames`]).
-    pub telemetry_frames: u64,
+    /// The superstep running, or between supersteps the next one: where a
+    /// lost worker is reported.
+    superstep: u64,
+    /// Wire bytes and telemetry frames so far; `pregel` stays default.
+    pub stats: MasterStats,
     states: PhantomData<S>,
 }
 
 impl<'a, S: Codec> FleetTransport<'a, S> {
     /// Launches the run's first fleet.
-    pub fn launch(launch: Launch<'a>, ctx: &'a RunContext) -> Result<Self, PlatformError> {
+    pub fn launch(launch: Launch, ctx: &'a RunContext) -> Result<Self, PlatformError> {
         let fleet = Fleet::launch(&launch, 0, None, ctx)?;
         Ok(Self {
             launch,
             fleet,
             ctx,
-            network_bytes: 0,
-            telemetry_frames: 0,
+            superstep: 0,
+            stats: MasterStats::default(),
             states: PhantomData,
         })
     }
@@ -353,7 +339,7 @@ impl<'a, S: Codec> FleetTransport<'a, S> {
     pub fn drain_telemetry(&mut self) {
         let parent = self.ctx.tracer().current_span_id();
         for (worker, incarnation, blob) in std::mem::take(&mut self.fleet.pending_telemetry) {
-            self.telemetry_frames += 1;
+            self.stats.telemetry_frames += 1;
             // A frame naming a worker this fleet never planned merges nothing.
             if let Some(&origin) = self.fleet.origins.get(worker as usize) {
                 telemetry::merge(
@@ -368,10 +354,17 @@ impl<'a, S: Codec> FleetTransport<'a, S> {
         }
     }
 
+    fn workers(&self) -> usize {
+        self.launch.plan.workers as usize
+    }
+
     /// Worker `w`'s connection failed: the lost worker is the first child
     /// seen exited, or else `w`.
-    fn lost(&mut self, w: usize) -> Interrupt {
-        Interrupt::Lost(self.fleet.first_dead().map_or(w as u32, |(dead, _)| dead))
+    fn lost(&mut self, w: usize) -> PlatformError {
+        PlatformError::WorkerLost {
+            worker: self.fleet.first_dead().map_or(w as u32, |(dead, _)| dead),
+            superstep: self.superstep as usize,
+        }
     }
 
     /// Maps an [`expect_frame!`] receive from worker `w`: a failed read
@@ -380,40 +373,26 @@ impl<'a, S: Codec> FleetTransport<'a, S> {
         &mut self,
         w: usize,
         received: io::Result<Result<T, String>>,
-    ) -> Result<T, Interrupt> {
+    ) -> Result<T, PlatformError> {
         match received {
             Ok(Ok(value)) => Ok(value),
-            Ok(Err(unexpected)) => Err(PlatformError::Internal(unexpected).into()),
+            Ok(Err(unexpected)) => Err(PlatformError::Internal(unexpected)),
             Err(_) => Err(self.lost(w)),
         }
     }
 
-    /// Sends `step` to every worker, collects the checkpoint into
-    /// `checkpoint` when one is due, then every report; returns the
-    /// reports and the superstep's wire bytes.
-    fn exchange(
+    /// Receives the due checkpoint's `CheckpointDone`s into `checkpointed`,
+    /// then every worker's `StepDone`; returns the reports and the bytes
+    /// the workers shuffled.
+    fn receive(
         &mut self,
         step: Step,
-        checkpoint: &mut Option<usize>,
-    ) -> Result<(Vec<Report>, u64), Interrupt> {
-        let workers = self.launch.workers as usize;
+        checkpointed: &mut Option<usize>,
+    ) -> Result<(Vec<Report>, u64), PlatformError> {
         let superstep = step.superstep;
-        for w in 0..workers {
-            // Only the worker the probe chose is told to crash, after its
-            // due checkpoint and before compute.
-            let start = Frame::StartSuperstep {
-                superstep,
-                prev_aggregate: step.prev_aggregate,
-                checkpoint: step.checkpoint,
-                crash: step.crash == Some(w as u32),
-            };
-            if self.fleet.send_to(w, &start).is_err() {
-                return Err(self.lost(w));
-            }
-        }
         if step.checkpoint {
             let mut total = 0u64;
-            for w in 0..workers {
+            for w in 0..self.workers() {
                 let received = expect_frame!(
                     self.fleet.recv_from(w),
                     Frame::CheckpointDone { superstep: s, bytes } if s == superstep => bytes,
@@ -423,11 +402,11 @@ impl<'a, S: Codec> FleetTransport<'a, S> {
             }
             // All N checkpoint files are durable: this superstep is now
             // the fleet's restore point.
-            *checkpoint = Some(total as usize);
+            *checkpointed = Some(total as usize);
         }
-        let mut reports = Vec::with_capacity(workers);
+        let mut reports = Vec::with_capacity(self.workers());
         let mut shuffle_bytes = 0;
-        for w in 0..workers {
+        for w in 0..self.workers() {
             let received = expect_frame!(
                 self.fleet.recv_from(w),
                 Frame::StepDone(r) if r.superstep == superstep => r,
@@ -444,31 +423,13 @@ impl<'a, S: Codec> FleetTransport<'a, S> {
                 timing: None,
             });
         }
-        // Merge the worker spans shipped alongside this barrier under the
-        // superstep span, so the fleet timeline nests per superstep.
-        self.drain_telemetry();
-        let step_bytes = shuffle_bytes + self.fleet.take_control_bytes();
-        let remote: usize = reports.iter().map(|r| r.sent_remote).sum();
-        let metrics = self.ctx.tracer().metrics();
-        metrics.inc_counter(
-            "graphalytics_network_bytes_total",
-            &[PLATFORM_LABEL],
-            step_bytes,
-        );
-        metrics.inc_counter(
-            "graphalytics_network_messages_total",
-            &[PLATFORM_LABEL],
-            remote as u64,
-        );
-        self.network_bytes += step_bytes;
-        Ok((reports, step_bytes))
+        Ok((reports, shuffle_bytes))
     }
 
     /// Asks every worker for its final states.
-    fn collect(&mut self) -> Result<Vec<Vec<S>>, Interrupt> {
-        let workers = self.launch.workers as usize;
-        let mut per_worker = Vec::with_capacity(workers);
-        for w in 0..workers {
+    fn collect(&mut self) -> Result<Vec<Vec<S>>, PlatformError> {
+        let mut per_worker = Vec::with_capacity(self.workers());
+        for w in 0..self.workers() {
             if self.fleet.send_to(w, &Frame::Finish).is_err() {
                 return Err(self.lost(w));
             }
@@ -491,17 +452,55 @@ impl<S: Codec> Transport for FleetTransport<'_, S> {
     const SUPERSTEP_SPAN: &'static str = "distrib.superstep";
     const TASK_EVENT: &'static str = "distrib.task";
 
-    fn superstep(&mut self, step: Step) -> Stepped {
-        let mut checkpoint = None;
-        let (reports, network_bytes) = match self.exchange(step, &mut checkpoint) {
-            Ok((reports, bytes)) => (Ok(reports), Some(bytes)),
-            Err(interrupt) => (Err(interrupt), None),
-        };
-        Stepped {
-            checkpoint,
-            reports,
-            network_bytes,
+    fn superstep(
+        &mut self,
+        step: Step,
+        checkpointed: &mut Option<usize>,
+    ) -> Result<(Vec<Report>, Option<u64>), PlatformError> {
+        self.superstep = step.superstep;
+        for w in 0..self.workers() {
+            // Only the worker the probe chose is told to crash, after its
+            // due checkpoint and before compute.
+            let start = Frame::StartSuperstep {
+                superstep: step.superstep,
+                prev_aggregate: step.prev_aggregate,
+                checkpoint: step.checkpoint,
+                crash: step.crash == Some(w as u32),
+            };
+            if self.fleet.send_to(w, &start).is_err() {
+                return Err(self.lost(w));
+            }
         }
+        // The master's wait for the fleet. It closes before the worker
+        // spans are merged, so they nest under the superstep, and a loss
+        // discards it with the superstep's span.
+        let mut collect = self.ctx.tracer().span("distrib.master.collect");
+        collect.field("superstep", step.superstep);
+        let received = self.receive(step, checkpointed);
+        match received {
+            Ok(_) => drop(collect),
+            Err(_) => collect.discard(),
+        }
+        let (reports, shuffle_bytes) = received?;
+        // Merge the worker spans shipped alongside this barrier under the
+        // superstep span, so the fleet timeline nests per superstep.
+        self.drain_telemetry();
+        let step_bytes = shuffle_bytes + self.fleet.take_control_bytes();
+        let remote: usize = reports.iter().map(|r| r.sent_remote).sum();
+        let metrics = self.ctx.tracer().metrics();
+        metrics.inc_counter(
+            "graphalytics_network_bytes_total",
+            &[PLATFORM_LABEL],
+            step_bytes,
+        );
+        metrics.inc_counter(
+            "graphalytics_network_messages_total",
+            &[PLATFORM_LABEL],
+            remote as u64,
+        );
+        self.stats.network_bytes += step_bytes;
+        self.superstep += 1;
+        Ok((reports, Some(step_bytes)))
     }
 
     fn restore(&mut self, superstep: u64, incarnation: u32) -> Result<(), PlatformError> {
@@ -513,12 +512,12 @@ impl<S: Codec> Transport for FleetTransport<'_, S> {
         Ok(())
     }
 
-    fn finish(&mut self) -> Result<Vec<Vec<S>>, Interrupt> {
+    fn finish(&mut self) -> Result<Vec<Vec<S>>, PlatformError> {
         let per_worker = self.collect();
         // Workers flush their remaining spans right before Output.
         self.drain_telemetry();
         if per_worker.is_ok() {
-            self.network_bytes += self.fleet.take_control_bytes();
+            self.stats.network_bytes += self.fleet.take_control_bytes();
         }
         per_worker
     }

@@ -16,7 +16,6 @@ use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 use graphalytics_algos::Output;
-use graphalytics_core::faults::Snapshot;
 use graphalytics_core::trace::Tracer;
 use graphalytics_graph::{io as graph_io, CsrGraph};
 use graphalytics_pregel::engine::Envelope;
@@ -177,10 +176,8 @@ fn run_program<P: VertexProgram>(
         let path = checkpoint_path(Path::new(&plan.checkpoint_dir), plan.worker, superstep);
         let bytes =
             fs::read(&path).map_err(|e| format!("read checkpoint {}: {e}", path.display()))?;
-        let snap: Snapshot<P::State, P::Message> = Snapshot::decode(&bytes)
-            .ok_or_else(|| format!("corrupt checkpoint {}", path.display()))?;
-        if snap.superstep != superstep || !part.restore(snap, &mut mail[me]) {
-            return Err(format!("checkpoint {} does not match plan", path.display()));
+        if !part.restore(&bytes, superstep, &mut mail[me]) {
+            return Err(format!("bad checkpoint {}", path.display()));
         }
         part.deliver(&mut mail);
     }
@@ -224,11 +221,12 @@ fn run_program<P: VertexProgram>(
     }
     write_frame(&mut master, &Frame::MeshReady).map_err(|e| format!("mesh ready: {e}"))?;
 
-    // Open from each StepDone until the master's next frame arrives.
-    let mut barrier = None;
+    // The wait for the master's next frame: from MeshReady to the first
+    // superstep, then from each StepDone.
+    let mut waiting = Some(tracer.span("distrib.worker.wait_start"));
     loop {
         let frame = read_frame(&mut master).map_err(|e| format!("await superstep: {e}"))?;
-        drop(barrier.take());
+        drop(waiting.take());
         match frame {
             Frame::StartSuperstep {
                 superstep,
@@ -239,7 +237,7 @@ fn run_program<P: VertexProgram>(
                 if checkpoint {
                     let mut span = tracer.span("distrib.worker.checkpoint");
                     span.field("superstep", superstep);
-                    let bytes = part.snapshot(superstep, prev_aggregate).encode();
+                    let bytes = part.checkpoint(superstep, prev_aggregate);
                     let dir = Path::new(&plan.checkpoint_dir);
                     fs::create_dir_all(dir).map_err(|e| format!("checkpoint dir: {e}"))?;
                     let path = checkpoint_path(dir, plan.worker, superstep);
@@ -375,7 +373,7 @@ fn run_program<P: VertexProgram>(
                 write_frames(&mut master, &frames).map_err(|e| format!("step done: {e}"))?;
                 let mut span = tracer.span("distrib.worker.barrier");
                 span.field("superstep", superstep).field("waited_for", 0u64);
-                barrier = Some(span);
+                waiting = Some(span);
             }
             Frame::Finish => {
                 // EOF flush: the final barrier wait (closed above) has not

@@ -378,6 +378,21 @@ fn e2e_worker_spans_land_inside_the_master_timeline() {
         named("distrib.worker.deliver").count(),
         named("distrib.superstep").count()
     );
+    // The fleet's waits are named: the worker's from MeshReady to its
+    // first superstep, and the master's for every superstep's reports.
+    assert_eq!(named("distrib.worker.wait_start").count(), 1);
+    assert_eq!(
+        named("distrib.master.collect").count(),
+        named("distrib.superstep").count()
+    );
+    for collect in named("distrib.master.collect") {
+        let step = spans
+            .iter()
+            .find(|s| Some(s.id) == collect.parent)
+            .expect("collect span has its superstep as parent");
+        assert_eq!(step.name, "distrib.superstep");
+        assert_eq!(step.field("superstep"), collect.field("superstep"));
+    }
 }
 
 /// LCC and STATS through two worker processes on a fixed graph that has

@@ -19,7 +19,7 @@ use graphalytics_core::platform::{Platform, PlatformError, RunContext};
 use graphalytics_core::trace::Tracer;
 use graphalytics_distrib::{DistribConfig, DistributedPlatform};
 use graphalytics_graph::{CsrGraph, EdgeListGraph};
-use graphalytics_pregel::{GiraphPlatform, PregelConfig};
+use graphalytics_pregel::{GiraphPlatform, PregelConfig, MAX_RESTARTS};
 
 fn worker_bin() -> PathBuf {
     PathBuf::from(env!("CARGO_BIN_EXE_gx-distrib-worker"))
@@ -279,10 +279,11 @@ fn recover_on(platform: &mut dyn Platform, step_span: &str, plan: FaultPlan) -> 
 
 /// Giraph's 4 threads and the fleet's 4 processes take the same
 /// decisions under the same plan: the crash at superstep 3 on worker 1,
-/// the same crash on workers 1 and 2 together (both with a checkpoint
-/// every 2 supersteps), and the crash with no checkpoint. Each runtime
-/// gives the same output bits or escalation error, the same logs and the
-/// same superstep count.
+/// the same crash on workers 1 and 2 together, the crash on worker 1 in
+/// every incarnation until the restart budget is spent (these three with
+/// a checkpoint every 2 supersteps), and the crash with no checkpoint.
+/// Each runtime gives the same output bits or escalation error, the same
+/// logs and the same superstep count.
 #[test]
 fn e2e_giraph_and_the_fleet_recover_alike() {
     let site = |worker| FaultSite::PregelWorker {
@@ -297,12 +298,26 @@ fn e2e_giraph_and_the_fleet_recover_alike() {
             Some(2),
             FaultPlan::seeded(11).force(site(1)).force(site(2)),
         ),
+        (
+            "exhausted budget",
+            Some(2),
+            crash_every_incarnation(FaultPlan::seeded(11), 3, 1),
+        ),
         ("no checkpoint", None, crash_plan()),
     ];
     for (name, interval, plan) in plans {
         let threads = recover_on(&mut giraph(interval), "pregel.superstep", plan.clone());
         let processes = recover_on(&mut platform(interval), "distrib.superstep", plan);
         assert_eq!(threads, processes, "{name}: the runtimes disagree");
+        if name == "exhausted budget" {
+            let restarts = MAX_RESTARTS as usize;
+            assert!(
+                matches!(threads.output, Err(PlatformError::WorkerLost { .. })),
+                "{name}: {threads:?}"
+            );
+            assert_eq!(threads.counts.0, restarts + 1, "{name}: injections");
+            assert_eq!(threads.counts.1, restarts, "{name}: restarts");
+        }
     }
 }
 
@@ -326,6 +341,8 @@ fn e2e_superstep_spans_count_the_supersteps_run() {
     assert_eq!(stats.restarts, 1, "expected one fleet restart");
     let steps = span_count(&tracer, "distrib.superstep");
     assert_eq!(steps, stats.supersteps);
+    // The master's wait in the lost superstep goes with its span.
+    assert_eq!(span_count(&tracer, "distrib.master.collect"), steps);
     assert_eq!((stats.restarts, stats.supersteps), (1, 8));
 }
 
@@ -383,33 +400,36 @@ fn e2e_crash_without_checkpoint_escalates() {
     assert_eq!(injector.recovery_count(), 0);
 }
 
-/// A crash striking every incarnation exhausts the restart budget and
-/// escalates after `max_restarts` recoveries.
-#[test]
-fn e2e_restart_budget_is_bounded() {
-    let graph = test_graph();
-    let mut plan = FaultPlan::seeded(3);
-    for incarnation in 0..=2 {
+/// `plan` with a crash of `worker` at `superstep` forced for every
+/// incarnation the restart budget allows, and one more.
+fn crash_every_incarnation(mut plan: FaultPlan, superstep: u64, worker: u32) -> FaultPlan {
+    for incarnation in 0..=MAX_RESTARTS {
         plan = plan.force(FaultSite::PregelWorker {
-            superstep: 2,
-            worker: 1,
+            superstep,
+            worker,
             incarnation,
         });
     }
-    let mut p = DistributedPlatform::new(DistribConfig {
-        workers: 4,
-        checkpoint_interval: Some(2),
-        max_restarts: 2,
-        worker_bin: Some(worker_bin()),
-        ..DistribConfig::default()
-    });
+    plan
+}
+
+/// A crash striking every incarnation exhausts the restart budget and
+/// escalates after `MAX_RESTARTS` recoveries.
+#[test]
+fn e2e_restart_budget_is_bounded() {
+    let graph = test_graph();
+    let plan = crash_every_incarnation(FaultPlan::seeded(3), 2, 1);
+    let mut p = platform(Some(2));
     let handle = p.load_graph(&graph).unwrap();
     let injector = Arc::new(FaultInjector::new(plan));
     let ctx = RunContext::unbounded().with_faults(Arc::clone(&injector));
     let err = p.run(handle, &algorithm(), &ctx).unwrap_err();
     assert!(matches!(err, PlatformError::WorkerLost { .. }), "{err:?}");
-    assert_eq!(injector.injected_count(), 3);
-    assert_eq!(injector.recovery_count(), 2);
+    let restarts = MAX_RESTARTS as usize;
+    assert_eq!(
+        (injector.injected_count(), injector.recovery_count()),
+        (restarts + 1, restarts)
+    );
 }
 
 /// A failed run cleans up after itself: the checkpoints a run wrote before
@@ -429,10 +449,8 @@ fn e2e_failed_run_leaves_no_checkpoint_directory() {
     let mut p = DistributedPlatform::new(DistribConfig {
         workers: 4,
         checkpoint_interval: Some(2),
-        max_restarts: 0,
         worker_bin: Some(worker_bin()),
         work_dir: Some(root.path().to_path_buf()),
-        ..DistribConfig::default()
     });
     let handle = p.load_graph(&test_graph()).unwrap();
     let graph_dir = match entries(root.path()).as_slice() {
@@ -441,8 +459,13 @@ fn e2e_failed_run_leaves_no_checkpoint_directory() {
     };
     let dataset_files = entries(&graph_dir);
 
-    // The crash at superstep 3 comes after the superstep-2 checkpoint.
-    let injector = Arc::new(FaultInjector::new(crash_plan()));
+    // The crash at superstep 3 comes after the superstep-2 checkpoint, in
+    // every incarnation, so the run fails once the restart budget is spent.
+    let injector = Arc::new(FaultInjector::new(crash_every_incarnation(
+        FaultPlan::seeded(11),
+        3,
+        1,
+    )));
     let ctx = RunContext::unbounded().with_faults(Arc::clone(&injector));
     let err = p.run(handle, &algorithm(), &ctx).unwrap_err();
     assert!(matches!(err, PlatformError::WorkerLost { .. }), "{err:?}");

@@ -16,16 +16,11 @@ use graphalytics_core::trace::{FieldValue, SpanGuard, Tracer};
 use crate::engine::{PregelResult, PregelStats};
 use crate::partition::Placement;
 
-/// The loop settings, read from `PregelConfig` or `DistribConfig`.
-#[derive(Debug, Clone, Copy)]
-pub struct Limits {
-    /// Hard cap on supersteps (guards non-converging programs).
-    pub max_supersteps: usize,
-    /// Checkpoint every N supersteps; `None` never checkpoints.
-    pub checkpoint_interval: Option<usize>,
-    /// Restarts one run may perform before a worker loss escalates.
-    pub max_restarts: u32,
-}
+/// Hard cap on supersteps (guards non-converging programs).
+pub const MAX_SUPERSTEPS: usize = 10_000;
+
+/// Checkpoint restarts one run may perform before a worker loss escalates.
+pub const MAX_RESTARTS: u32 = 8;
 
 /// One superstep, as the loop hands it to a transport.
 #[derive(Debug, Clone, Copy)]
@@ -62,35 +57,6 @@ pub struct Report {
     pub timing: Option<(u64, u64)>,
 }
 
-/// Why a transport call did not complete.
-#[derive(Debug)]
-pub enum Interrupt {
-    /// A worker was lost: the loop restarts from the last checkpoint or
-    /// escalates.
-    Lost(u32),
-    /// Any other failure ends the run.
-    Failed(PlatformError),
-}
-
-impl From<PlatformError> for Interrupt {
-    fn from(e: PlatformError) -> Self {
-        Interrupt::Failed(e)
-    }
-}
-
-/// What a superstep came back with.
-#[derive(Debug)]
-pub struct Stepped {
-    /// Encoded bytes of the checkpoint taken before compute, when one was
-    /// due and every worker's share landed (also when a worker was then
-    /// lost).
-    pub checkpoint: Option<usize>,
-    /// Every worker's report, in worker-id order.
-    pub reports: Result<Vec<Report>, Interrupt>,
-    /// Bytes the superstep put on a wire, for a transport that has one.
-    pub network_bytes: Option<u64>,
-}
-
 /// How the loop reaches its workers. Generic, not `dyn`: each runtime's
 /// loop is compiled for its own transport.
 pub trait Transport {
@@ -101,19 +67,27 @@ pub trait Transport {
     /// Name of the per-worker event under it.
     const TASK_EVENT: &'static str;
 
-    /// Runs one superstep on every worker.
-    fn superstep(&mut self, step: Step) -> Stepped;
+    /// Runs one superstep on every worker; returns every worker's report,
+    /// in worker-id order, and the bytes the superstep put on a wire, for
+    /// a transport that has one. The encoded bytes of a due checkpoint go
+    /// to `checkpointed` once every worker's share landed, also when a
+    /// worker is then lost. A lost worker is [`PlatformError::WorkerLost`].
+    fn superstep(
+        &mut self,
+        step: Step,
+        checkpointed: &mut Option<usize>,
+    ) -> Result<(Vec<Report>, Option<u64>), PlatformError>;
 
     /// Puts every worker back to the checkpoint of `superstep`, as
     /// `incarnation`.
     fn restore(&mut self, superstep: u64, incarnation: u32) -> Result<(), PlatformError>;
 
     /// Hands back every worker's states, in worker order.
-    fn finish(&mut self) -> Result<Vec<Vec<Self::State>>, Interrupt>;
+    fn finish(&mut self) -> Result<Vec<Vec<Self::State>>, PlatformError>;
 }
 
 /// Runs supersteps on `transport` until no vertex is active and no
-/// message is in flight, or the superstep cap; returns the states, merged
+/// message is in flight, or [`MAX_SUPERSTEPS`]; returns the states, merged
 /// by `placement` into internal-id order, and the run's statistics.
 ///
 /// Before each superstep the loop checks the deadline, decides whether a
@@ -123,14 +97,14 @@ pub trait Transport {
 /// incarnation. A lost worker, injected or not, restarts every worker from
 /// the last checkpoint under the next incarnation, so a crash decided for
 /// one incarnation does not fire again. Without a checkpoint, or past
-/// `max_restarts`, the loss escalates: as the injected error, or as
-/// `WorkerLost` for a death no probe injected. A superstep that a loss
-/// interrupted leaves no span and is not counted; re-executed supersteps
-/// count again.
+/// [`MAX_RESTARTS`], the loss escalates: as the injected error, or as the
+/// transport's `WorkerLost` for a death no probe injected. Any other error
+/// ends the run. A superstep that a loss interrupted leaves no span and is
+/// not counted; re-executed supersteps count again.
 pub fn drive<T: Transport>(
     transport: &mut T,
     placement: &Placement,
-    limits: Limits,
+    checkpoint_interval: Option<usize>,
     ctx: &RunContext,
 ) -> Result<PregelResult<T::State>, PlatformError> {
     let tracer = ctx.tracer();
@@ -142,7 +116,7 @@ pub fn drive<T: Transport>(
     let mut restore_point: Option<(u64, f64)> = None;
     let mut incarnation = 0u32;
     loop {
-        let (interrupt, crash) = if halted || superstep >= limits.max_supersteps as u64 {
+        let (lost, crash) = if halted || superstep >= MAX_SUPERSTEPS as u64 {
             match transport.finish() {
                 Ok(per_worker) => {
                     let states = placement.merge(per_worker).ok_or_else(|| {
@@ -150,13 +124,12 @@ pub fn drive<T: Transport>(
                     })?;
                     return Ok(PregelResult { states, stats });
                 }
-                Err(interrupt) => (interrupt, None),
+                Err(e) => (e, None),
             }
         } else {
             ctx.check_deadline()?;
-            let checkpoint = limits
-                .checkpoint_interval
-                .is_some_and(|i| i > 0 && superstep.is_multiple_of(i as u64));
+            let checkpoint =
+                checkpoint_interval.is_some_and(|i| i > 0 && superstep.is_multiple_of(i as u64));
             let crash = ctx.crashed_worker(superstep, workers, incarnation);
             let step = Step {
                 superstep,
@@ -167,27 +140,17 @@ pub fn drive<T: Transport>(
                     _ => None,
                 }),
             };
-            let (checkpoint, outcome) = {
-                let mut span = tracer.span(T::SUPERSTEP_SPAN);
-                span.field("superstep", superstep);
-                let stepped = transport.superstep(step);
-                let outcome = match stepped.reports {
-                    Ok(reports) => Ok(fold(
-                        &mut stats,
-                        &reports,
-                        stepped.network_bytes,
-                        &mut span,
-                        tracer,
-                        T::TASK_EVENT,
-                    )),
-                    Err(interrupt) => {
-                        span.discard();
-                        Err(interrupt)
-                    }
-                };
-                (stepped.checkpoint, outcome)
+            let mut checkpointed = None;
+            let mut span = tracer.span(T::SUPERSTEP_SPAN);
+            span.field("superstep", superstep);
+            let outcome = match transport.superstep(step, &mut checkpointed) {
+                Ok((reports, bytes)) => Ok(fold::<T>(&mut stats, &reports, bytes, span, tracer)),
+                Err(e) => {
+                    span.discard();
+                    Err(e)
+                }
             };
-            if let Some(bytes) = checkpoint {
+            if let Some(bytes) = checkpointed {
                 ctx.note_checkpoint(superstep, bytes);
                 restore_point = Some((superstep, prev_aggregate));
             }
@@ -197,29 +160,21 @@ pub fn drive<T: Transport>(
                     superstep += 1;
                     continue;
                 }
-                Err(interrupt) => (interrupt, crash),
+                Err(e) => (e, crash),
             }
         };
-        let lost = match interrupt {
-            Interrupt::Lost(worker) => worker,
-            Interrupt::Failed(e) => return Err(e),
+        let PlatformError::WorkerLost { worker, .. } = lost else {
+            return Err(lost);
         };
         // The crash the probe injected is the loss; a death no probe
         // injected is the lost worker's.
-        let (site, err) = crash.unwrap_or_else(|| {
-            let site = FaultSite::PregelWorker {
-                superstep,
-                worker: lost,
-                incarnation,
-            };
-            let err = PlatformError::WorkerLost {
-                worker: lost,
-                superstep: superstep as usize,
-            };
-            (site, err)
-        });
-        let Some((resume, aggregate)) = restore_point.filter(|_| incarnation < limits.max_restarts)
-        else {
+        let unprobed = FaultSite::PregelWorker {
+            superstep,
+            worker,
+            incarnation,
+        };
+        let (site, err) = crash.unwrap_or((unprobed, lost));
+        let Some((resume, aggregate)) = restore_point.filter(|_| incarnation < MAX_RESTARTS) else {
             return Err(err);
         };
         ctx.note_recovery(RecoveryAction::CheckpointRestart, Some(site), 0);
@@ -232,16 +187,15 @@ pub fn drive<T: Transport>(
 }
 
 /// The barrier: folds one superstep's reports in worker-id order into
-/// `stats`, the superstep span and one task event per worker. Returns the
-/// folded aggregate and whether the run halts: no message sent and no
-/// vertex left active.
-fn fold(
+/// `stats`, the superstep span, which it closes, and one task event per
+/// worker. Returns the folded aggregate and whether the run halts: no
+/// message sent and no vertex left active.
+fn fold<T: Transport>(
     stats: &mut PregelStats,
     reports: &[Report],
     network_bytes: Option<u64>,
-    span: &mut SpanGuard<'_>,
+    mut span: SpanGuard<'_>,
     tracer: &Tracer,
-    task_event: &str,
 ) -> (f64, bool) {
     let (mut sent, mut remote, mut active, mut awake) = (0, 0, 0, 0);
     let (mut max_active, mut max_sent, mut aggregate) = (0, 0, 0.0f64);
@@ -264,7 +218,7 @@ fn fold(
             fields.push(("deliver_ns".to_string(), deliver_ns.into()));
             fields.push(("compute_ns".to_string(), compute_ns.into()));
         }
-        tracer.event(task_event, span.id(), fields);
+        tracer.event(T::TASK_EVENT, span.id(), fields);
     }
     stats.supersteps += 1;
     stats.messages_total += sent;

@@ -20,7 +20,6 @@
 //! * cooperative deadlines checked at every barrier.
 
 use graphalytics_codec::Codec;
-use graphalytics_core::faults::Snapshot;
 use graphalytics_core::platform::{PlatformError, RunContext};
 use graphalytics_core::trace::Tracer;
 use graphalytics_graph::partition::{
@@ -30,7 +29,7 @@ use graphalytics_graph::{CsrGraph, Vid};
 use std::sync::Arc;
 use std::time::Instant;
 
-use crate::drive::{drive, Interrupt, Limits, Report, Step, Stepped, Transport};
+use crate::drive::{drive, Report, Step, Transport};
 use crate::partition::{Partition, Placement, Route};
 
 /// Vertex-placement strategy for the workers (see
@@ -64,8 +63,6 @@ impl PartitionerKind {
 pub struct PregelConfig {
     /// Number of workers (threads).
     pub workers: usize,
-    /// Hard cap on supersteps (guards non-converging programs).
-    pub max_supersteps: usize,
     /// Optional memory budget in bytes for graph + state + queues.
     pub memory_budget: Option<usize>,
     /// Vertex-placement strategy.
@@ -76,20 +73,15 @@ pub struct PregelConfig {
     /// computation from the last checkpoint instead of failing the run.
     /// `None` (the default) never checkpoints.
     pub checkpoint_interval: Option<usize>,
-    /// How many checkpoint restarts one run may perform before the worker
-    /// loss is escalated to the harness.
-    pub max_restarts: u32,
 }
 
 impl Default for PregelConfig {
     fn default() -> Self {
         Self {
             workers: 4,
-            max_supersteps: 10_000,
             memory_budget: None,
             partitioner: PartitionerKind::Hash,
             checkpoint_interval: None,
-            max_restarts: 8,
         }
     }
 }
@@ -245,7 +237,7 @@ pub struct PregelResult<S> {
 }
 
 /// Runs `program` on `graph` to completion (all vertices halted and no
-/// messages in flight), a superstep cap, or deadline expiry: the
+/// messages in flight), [`MAX_SUPERSTEPS`](crate::MAX_SUPERSTEPS), or deadline expiry: the
 /// [`drive`] loop over worker threads.
 pub fn run<P: VertexProgram>(
     graph: &Arc<CsrGraph>,
@@ -291,12 +283,7 @@ pub fn run<P: VertexProgram>(
         checkpoint: None,
         tracer: ctx.tracer(),
     };
-    let limits = Limits {
-        max_supersteps: config.max_supersteps,
-        checkpoint_interval: config.checkpoint_interval,
-        max_restarts: config.max_restarts,
-    };
-    drive(&mut threads, &placement, limits, ctx)
+    drive(&mut threads, &placement, config.checkpoint_interval, ctx)
 }
 
 /// The in-process transport: one [`Partition`] per worker thread and the
@@ -334,7 +321,7 @@ impl<P: VertexProgram> Threads<'_, P> {
         let snaps: Vec<Vec<u8>> = self
             .parts
             .iter()
-            .map(|p| p.snapshot(step.superstep, step.prev_aggregate).encode())
+            .map(|p| p.checkpoint(step.superstep, step.prev_aggregate))
             .collect();
         let bytes = snaps.iter().map(Vec::len).sum();
         self.checkpoint = Some(snaps);
@@ -403,16 +390,20 @@ impl<P: VertexProgram> Transport for Threads<'_, P> {
     const SUPERSTEP_SPAN: &'static str = "pregel.superstep";
     const TASK_EVENT: &'static str = "pregel.task";
 
-    fn superstep(&mut self, step: Step) -> Stepped {
-        let checkpoint = step.checkpoint.then(|| self.checkpoint(step));
-        let reports = match step.crash {
-            Some(worker) => Err(Interrupt::Lost(worker)),
-            None => self.compute(step).map_err(Interrupt::from),
-        };
-        Stepped {
-            checkpoint,
-            reports,
-            network_bytes: None,
+    fn superstep(
+        &mut self,
+        step: Step,
+        checkpointed: &mut Option<usize>,
+    ) -> Result<(Vec<Report>, Option<u64>), PlatformError> {
+        if step.checkpoint {
+            *checkpointed = Some(self.checkpoint(step));
+        }
+        match step.crash {
+            Some(worker) => Err(PlatformError::WorkerLost {
+                worker,
+                superstep: step.superstep as usize,
+            }),
+            None => Ok((self.compute(step)?, None)),
         }
     }
 
@@ -422,16 +413,14 @@ impl<P: VertexProgram> Transport for Threads<'_, P> {
         let snaps = self.checkpoint.as_ref().ok_or_else(corrupt)?;
         self.mail.iter_mut().for_each(Vec::clear);
         for (w, (part, bytes)) in self.parts.iter_mut().zip(snaps).enumerate() {
-            let snap: Snapshot<P::State, P::Message> =
-                Snapshot::decode(bytes).ok_or_else(corrupt)?;
-            if snap.superstep != superstep || !part.restore(snap, &mut self.mail[w * workers + w]) {
+            if !part.restore(bytes, superstep, &mut self.mail[w * workers + w]) {
                 return Err(corrupt());
             }
         }
         Ok(())
     }
 
-    fn finish(&mut self) -> Result<Vec<Vec<P::State>>, Interrupt> {
+    fn finish(&mut self) -> Result<Vec<Vec<P::State>>, PlatformError> {
         let parts = std::mem::take(&mut self.parts);
         Ok(parts.into_iter().map(Partition::into_states).collect())
     }
@@ -713,6 +702,7 @@ mod tests {
         assert_eq!(err, PlatformError::Timeout);
     }
 
+    /// One worker, so no thread starts per superstep.
     #[test]
     fn superstep_cap_stops_runaway_programs() {
         /// A program that never halts.
@@ -730,13 +720,13 @@ mod tests {
             &g,
             &Chatterbox,
             &PregelConfig {
-                max_supersteps: 5,
+                workers: 1,
                 ..Default::default()
             },
             &RunContext::unbounded(),
         )
         .unwrap();
-        assert_eq!(result.stats.supersteps, 5);
+        assert_eq!(result.stats.supersteps, crate::MAX_SUPERSTEPS);
     }
 
     #[test]
@@ -801,7 +791,7 @@ mod tests {
         // Crash worker 0 at superstep 0 for every incarnation: the engine
         // restores, re-crashes, and eventually escalates.
         let mut plan = FaultPlan::seeded(1);
-        for incarnation in 0..=2 {
+        for incarnation in 0..=crate::MAX_RESTARTS {
             plan = plan.force(FaultSite::PregelWorker {
                 superstep: 0,
                 worker: 0,
@@ -812,13 +802,15 @@ mod tests {
         let ctx = RunContext::unbounded().with_faults(Arc::clone(&injector));
         let config = PregelConfig {
             checkpoint_interval: Some(1),
-            max_restarts: 2,
             ..Default::default()
         };
         let err = run(&g, &MinLabel, &config, &ctx).unwrap_err();
         assert!(matches!(err, PlatformError::WorkerLost { .. }));
-        assert_eq!(injector.injected_count(), 3);
-        assert_eq!(injector.recovery_count(), 2);
+        let restarts = crate::MAX_RESTARTS as usize;
+        assert_eq!(
+            (injector.injected_count(), injector.recovery_count()),
+            (restarts + 1, restarts)
+        );
     }
 
     #[test]

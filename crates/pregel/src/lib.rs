@@ -9,7 +9,8 @@
 //! * [`engine`] — workers, supersteps, message passing with combiners,
 //!   aggregators, vote-to-halt, remote-message accounting;
 //! * [`partition`] — the partition-local message store both Pregel
-//!   runtimes run on (this engine and `graphalytics-distrib`'s workers);
+//!   runtimes run on (this engine and `graphalytics-distrib`'s workers),
+//!   and its checkpoint codec;
 //! * [`programs`] — the five workload kernels (plus PageRank) as vertex
 //!   programs;
 //! * [`platform`] — the [`GiraphPlatform`] harness adapter.
@@ -20,7 +21,7 @@ pub mod partition;
 pub mod platform;
 pub mod programs;
 
-pub use drive::{drive, Interrupt, Limits, Report, Step, Stepped, Transport};
+pub use drive::{drive, Report, Step, Transport, MAX_RESTARTS, MAX_SUPERSTEPS};
 pub use engine::{
     run, ComputeContext, PartitionerKind, PregelConfig, PregelResult, PregelStats, VertexProgram,
 };

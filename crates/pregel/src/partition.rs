@@ -308,9 +308,10 @@ impl<P: VertexProgram> Partition<P> {
         done
     }
 
-    /// The checkpoint conversion: states, pending messages and active
-    /// flags, cloned, in local order.
-    pub fn snapshot(&self, superstep: u64, aggregate: f64) -> Snapshot<P::State, P::Message> {
+    /// This partition's checkpoint: its states, pending messages and
+    /// active flags in local order, with `superstep` and `aggregate`, in
+    /// the [`Snapshot`] encoding.
+    pub fn checkpoint(&self, superstep: u64, aggregate: f64) -> Vec<u8> {
         Snapshot {
             superstep,
             states: self.states.clone(),
@@ -320,19 +321,26 @@ impl<P: VertexProgram> Partition<P> {
             active: self.active.clone(),
             aggregate,
         }
+        .encode()
     }
 
-    /// Restores the states and flags of a [`snapshot`](Self::snapshot) of
-    /// this partition and appends its pending messages to `outbox`, as if
-    /// this worker had sent them to itself: delivering puts them back.
-    /// `false` (and the partition unchanged) when its lengths do not match.
+    /// Restores a [`checkpoint`](Self::checkpoint) of this partition taken
+    /// at `superstep`: the states and flags, and its pending messages
+    /// appended to `outbox`, as if this worker had sent them to itself, so
+    /// delivering puts them back. `false`, with the partition and `outbox`
+    /// unchanged, when the bytes do not decode, or name another superstep
+    /// or another vertex count.
     pub fn restore(
         &mut self,
-        snap: Snapshot<P::State, P::Message>,
+        bytes: &[u8],
+        superstep: u64,
         outbox: &mut Vec<Envelope<P::Message>>,
     ) -> bool {
-        let len = self.vertices.len();
-        if snap.states.len() != len || snap.active.len() != len || snap.inbox.len() != len {
+        let Some(snap) = Snapshot::<P::State, P::Message>::decode(bytes) else {
+            return false;
+        };
+        let lens = [snap.states.len(), snap.active.len(), snap.inbox.len()];
+        if snap.superstep != superstep || lens != [self.vertices.len(); 3] {
             return false;
         }
         self.states = snap.states;

@@ -1,8 +1,9 @@
 #![recursion_limit = "256"]
 //! Property tests for superstep-boundary checkpointing: an encoded
 //! [`Snapshot`] restores byte-identically (encode ∘ decode ∘ encode is the
-//! identity on the wire), and restoring mid-run continues to the same
-//! result the uninterrupted run produces.
+//! identity on the wire), [`Partition::restore`] refuses hostile bytes and
+//! leaves the partition as it was, and restoring mid-run continues to the
+//! same result the uninterrupted run produces.
 
 use graphalytics_core::faults::{FaultInjector, FaultPlan, FaultSite, Snapshot};
 use graphalytics_core::platform::RunContext;
@@ -10,7 +11,7 @@ use graphalytics_graph::{CsrGraph, EdgeListGraph};
 use graphalytics_pregel::programs::{
     BfsProgram, CdProgram, ConnProgram, LccProgram, PageRankProgram,
 };
-use graphalytics_pregel::{run, PregelConfig};
+use graphalytics_pregel::{run, Partition, Placement, PregelConfig};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -27,6 +28,44 @@ fn arb_graph() -> impl Strategy<Value = Arc<CsrGraph>> {
                 false,
             )))
         })
+}
+
+/// A path over `n` vertices and its one-worker placement.
+fn path(n: usize) -> (CsrGraph, Placement) {
+    let edges = (1..n as u64).map(|v| (v - 1, v)).collect();
+    let g = CsrGraph::from_edge_list(&EdgeListGraph::new((0..n as u64).collect(), edges, false));
+    let placement = Placement::new(&g, 1);
+    (g, placement)
+}
+
+/// What a partition does next: one compute at superstep 3 (counts,
+/// aggregate bits and sends), then its states.
+type Next = (usize, usize, u64, Vec<Vec<(u32, u32)>>, Vec<u32>);
+
+fn next(mut part: Partition<ConnProgram>, g: &CsrGraph, placement: &Placement) -> Next {
+    let mut outboxes = vec![Vec::new()];
+    let done = part.compute(&ConnProgram, g, placement.routes(), 3, 0.0, &mut outboxes);
+    let aggregate = done.aggregate.to_bits();
+    (
+        done.computed,
+        done.awake,
+        aggregate,
+        outboxes,
+        part.into_states(),
+    )
+}
+
+/// Feeds `bytes` to [`Partition::restore`] at superstep 3 on a fresh
+/// partition of `g`; returns whether it restored, and `None` for a refusal
+/// that changed the partition or the outbox.
+fn restore_or_keep(bytes: &[u8], g: &CsrGraph, placement: &Placement) -> Option<bool> {
+    let fresh = || Partition::new(&ConnProgram, g, placement.members(0));
+    let mut part = fresh();
+    let mut outbox = Vec::new();
+    if part.restore(bytes, 3, &mut outbox) {
+        return Some(true);
+    }
+    (outbox.is_empty() && next(part, g, placement) == next(fresh(), g, placement)).then_some(false)
 }
 
 proptest! {
@@ -57,21 +96,60 @@ proptest! {
     // Corrupting any single byte of a snapshot never round-trips into a
     // different valid snapshot that re-encodes to the corrupted bytes —
     // decode either rejects the buffer or produces a snapshot whose
-    // canonical encoding differs.
+    // canonical encoding differs. The same bytes fed to a partition of
+    // that size restore only when they decode to a snapshot of its
+    // superstep and vertex count. Truncated bytes, a flipped bit in the
+    // states' length prefix, a snapshot of another superstep and one of
+    // another vertex count are refused, and the refused partition computes
+    // and hands back its states as an untouched one does. None panics.
     #[test]
     fn corrupted_snapshots_do_not_masquerade(
         states in proptest::collection::vec(any::<u32>(), 1..20),
         flip_at in any::<u64>(),
+        cut_at in any::<u64>(),
+        prefix_bit in 0usize..64,
     ) {
-        let inbox = vec![Vec::<u32>::new(); states.len()];
-        let active = vec![true; states.len()];
+        let n = states.len();
+        let (g, placement) = path(n);
+        let inbox = vec![Vec::<u32>::new(); n];
+        let active = vec![true; n];
         let snap = Snapshot { superstep: 3, states, inbox, active, aggregate: 0.0 };
         let bytes = snap.encode();
         let mut corrupt = bytes.clone();
         let idx = (flip_at % corrupt.len() as u64) as usize;
         corrupt[idx] ^= 0xFF;
-        if let Some(restored) = Snapshot::<u32, u32>::decode(&corrupt) {
+        let decoded = Snapshot::<u32, u32>::decode(&corrupt);
+        if let Some(restored) = &decoded {
             prop_assert!(restored.encode() != bytes);
+        }
+        let fits = decoded.is_some_and(|s| {
+            s.superstep == 3 && [s.states.len(), s.active.len(), s.inbox.len()] == [n; 3]
+        });
+        prop_assert_eq!(restore_or_keep(&corrupt, &g, &placement), Some(fits));
+        prop_assert_eq!(restore_or_keep(&bytes, &g, &placement), Some(true));
+
+        // The magic, the version and the superstep come first: the states'
+        // element count is bytes 16..24.
+        let mut flipped = bytes.clone();
+        flipped[16 + prefix_bit / 8] ^= 1 << (prefix_bit % 8);
+        // Hostile snapshots that would change every vertex if restored.
+        let halted = |superstep, n: usize| Snapshot {
+            superstep,
+            states: vec![7u32; n],
+            inbox: vec![vec![1u32]; n],
+            active: vec![false; n],
+            aggregate: 1.0,
+        }
+        .encode();
+        let hostile = [
+            bytes[..(cut_at % bytes.len() as u64) as usize].to_vec(),
+            flipped,
+            halted(4, n),
+            halted(3, n + 1),
+            halted(3, n - 1),
+        ];
+        for (i, bytes) in hostile.iter().enumerate() {
+            prop_assert_eq!(restore_or_keep(bytes, &g, &placement), Some(false), "case {}", i);
         }
     }
 

@@ -115,7 +115,6 @@ fn run_fleet(ctx: &RunContext) -> Vec<String> {
     let mut platforms: Vec<Box<dyn Platform>> = vec![
         Box::new(GiraphPlatform::new(PregelConfig {
             checkpoint_interval: Some(1),
-            max_restarts: 10_000,
             ..Default::default()
         })),
         Box::new(GraphXPlatform::with_defaults()),
