@@ -237,8 +237,8 @@ pub struct PregelResult<S> {
 }
 
 /// Runs `program` on `graph` to completion (all vertices halted and no
-/// messages in flight), [`MAX_SUPERSTEPS`](crate::MAX_SUPERSTEPS), or deadline expiry: the
-/// [`drive`] loop over worker threads.
+/// messages in flight), [`MAX_SUPERSTEPS`](crate::MAX_SUPERSTEPS), or
+/// deadline expiry: the [`drive`] loop over worker threads.
 pub fn run<P: VertexProgram>(
     graph: &Arc<CsrGraph>,
     program: &P,
