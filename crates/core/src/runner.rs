@@ -181,7 +181,7 @@ pub struct BenchmarkSuite {
     datasets: Vec<Dataset>,
     algorithms: Vec<Algorithm>,
     config: BenchmarkConfig,
-    validator: OutputValidator,
+    validator: Arc<OutputValidator>,
 }
 
 impl BenchmarkSuite {
@@ -195,8 +195,16 @@ impl BenchmarkSuite {
             datasets,
             algorithms,
             config,
-            validator: OutputValidator::new(),
+            validator: Arc::new(OutputValidator::new()),
         }
+    }
+
+    /// Validates through `validator` instead of the suite's own, so that
+    /// suites sharing it run the oracle once per (graph, algorithm)
+    /// between them.
+    pub fn with_validator(mut self, validator: Arc<OutputValidator>) -> Self {
+        self.validator = validator;
+        self
     }
 
     /// Runs every algorithm on every dataset for every platform.
@@ -616,8 +624,61 @@ mod tests {
         fn unload(&mut self, _handle: GraphHandle) {}
     }
 
+    /// The reference platform, except that vertex 0 of every BFS answer
+    /// is one level off.
+    struct WrongBfs(RefPlatform);
+
+    impl Platform for WrongBfs {
+        fn name(&self) -> &'static str {
+            "WrongBfs"
+        }
+        fn load_graph(&mut self, graph: &CsrGraph) -> Result<GraphHandle, PlatformError> {
+            self.0.load_graph(graph)
+        }
+        fn run(
+            &mut self,
+            handle: GraphHandle,
+            algorithm: &Algorithm,
+            ctx: &RunContext,
+        ) -> Result<Output, PlatformError> {
+            let mut output = self.0.run(handle, algorithm, ctx)?;
+            if let Output::Depths(depths) = &mut output {
+                depths[0] += 1;
+            }
+            Ok(output)
+        }
+        fn unload(&mut self, handle: GraphHandle) {
+            self.0.unload(handle)
+        }
+    }
+
     fn suite(algorithms: Vec<Algorithm>, config: BenchmarkConfig) -> BenchmarkSuite {
         BenchmarkSuite::new(vec![Dataset::graph500(6)], algorithms, config)
+    }
+
+    #[test]
+    fn suites_sharing_a_validator_run_the_oracle_once_and_still_compare() {
+        let dataset = Dataset::graph500(6);
+        let graph = dataset.load().unwrap();
+        let validator = Arc::new(OutputValidator::new());
+        let tracer = Arc::new(Tracer::disabled());
+        let run = |platform: Box<dyn Platform>| {
+            let s = suite(vec![Algorithm::default_bfs()], BenchmarkConfig::default())
+                .with_validator(Arc::clone(&validator));
+            let result = s.run_traced_on_graph(&mut [platform], &dataset, &graph, &tracer);
+            result.runs[0].validation.clone()
+        };
+        let right = || Box::new(RefPlatform { graphs: vec![] });
+        assert_eq!(run(right()), Validation::Valid);
+        assert_eq!(run(right()), Validation::Valid);
+        assert_eq!(validator.oracle_runs(), 1, "the second suite hit the cache");
+        // A wrong answer on a cached key is still caught.
+        assert!(matches!(
+            run(Box::new(WrongBfs(*right()))),
+            Validation::Invalid(_)
+        ));
+        assert_eq!(validator.oracle_runs(), 1);
+        assert_eq!(validator.cache_size(), 1);
     }
 
     #[test]

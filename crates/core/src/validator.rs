@@ -5,14 +5,24 @@
 //! implementation in `graphalytics-algos`, using the output-kind-appropriate
 //! equivalence (exact, partition-equality, or tolerance). Reference results
 //! are cached per `(graph, algorithm)` so validating four platforms costs
-//! one oracle run.
+//! one oracle run, and a validator shared across suites (the job server's
+//! one per process) runs the oracle once per cell for its whole life. The
+//! cache holds at most [`CACHED_OUTPUTS`] results and evicts the least
+//! recently used first, so a client naming a new BFS source per job cannot
+//! grow it without limit.
 
-use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use crate::sync::lock;
 use graphalytics_algos::{reference, Algorithm, Output};
 use graphalytics_graph::CsrGraph;
+
+/// Reference results one validator keeps; past this, the least recently
+/// used is evicted. Every workload a suite or the server runs names far
+/// fewer (graph, algorithm) cells at once, so eviction only bounds a
+/// stream of distinct parameters.
+pub const CACHED_OUTPUTS: usize = 64;
 
 /// Result of validating one run.
 #[derive(Debug, Clone, PartialEq)]
@@ -32,43 +42,63 @@ impl Validation {
     }
 }
 
-/// Caching output validator.
-pub struct OutputValidator {
-    /// Cache key: (graph identity, algorithm debug string). The value keeps
-    /// a strong reference to the graph: the key is its heap address, and
-    /// pinning the allocation prevents a later graph from reusing the
-    /// address and silently matching a stale entry.
-    #[allow(clippy::type_complexity)]
-    cache: Mutex<BTreeMap<(usize, String), (Arc<CsrGraph>, Arc<Output>)>>,
+/// One cached reference result. `graph` keeps the keyed graph alive: the
+/// key is its heap address, and pinning the allocation prevents a later
+/// graph from reusing the address and silently matching a stale entry.
+struct Cached {
+    key: (usize, String),
+    _graph: Arc<CsrGraph>,
+    output: Arc<Output>,
 }
 
-impl Default for OutputValidator {
-    fn default() -> Self {
-        Self::new()
-    }
+/// Caching output validator.
+#[derive(Default)]
+pub struct OutputValidator {
+    /// Key: (graph identity, algorithm debug string, parameters included).
+    /// Least recently used first; at most [`CACHED_OUTPUTS`] long.
+    cache: Mutex<Vec<Cached>>,
+    /// Reference computations run, i.e. cache misses.
+    oracle_runs: AtomicU64,
 }
 
 impl OutputValidator {
     /// Creates an empty validator.
     pub fn new() -> Self {
-        Self {
-            cache: Mutex::new(BTreeMap::new()),
-        }
+        Self::default()
     }
 
     /// Returns the (cached) reference output for `alg` on `graph`.
     pub fn expected(&self, graph: &Arc<CsrGraph>, alg: &Algorithm) -> Arc<Output> {
         let key = (Arc::as_ptr(graph) as usize, format!("{alg:?}"));
-        if let Some((_, hit)) = lock(&self.cache).get(&key) {
-            return Arc::clone(hit);
+        if let Some(hit) = Self::touch(&mut lock(&self.cache), &key) {
+            return hit;
         }
+        // The oracle runs outside the lock; two racing misses both compute
+        // and the first insert wins (the reference is deterministic).
+        self.oracle_runs.fetch_add(1, Ordering::Relaxed);
         let computed = Arc::new(reference(graph, alg));
-        Arc::clone(
-            &lock(&self.cache)
-                .entry(key)
-                .or_insert_with(|| (Arc::clone(graph), Arc::clone(&computed)))
-                .1,
-        )
+        let mut cache = lock(&self.cache);
+        if let Some(hit) = Self::touch(&mut cache, &key) {
+            return hit;
+        }
+        if cache.len() >= CACHED_OUTPUTS {
+            cache.remove(0);
+        }
+        cache.push(Cached {
+            key,
+            _graph: Arc::clone(graph),
+            output: Arc::clone(&computed),
+        });
+        computed
+    }
+
+    /// Moves `key`'s entry, if cached, to the most recently used end.
+    fn touch(cache: &mut Vec<Cached>, key: &(usize, String)) -> Option<Arc<Output>> {
+        let at = cache.iter().position(|c| &c.key == key)?;
+        let entry = cache.remove(at);
+        let output = Arc::clone(&entry.output);
+        cache.push(entry);
+        Some(output)
     }
 
     /// Validates a platform's output against the reference.
@@ -89,6 +119,12 @@ impl OutputValidator {
     /// Number of cached reference results (for tests/metrics).
     pub fn cache_size(&self) -> usize {
         lock(&self.cache).len()
+    }
+
+    /// Reference computations run so far: every cache miss, including a
+    /// recomputation after eviction.
+    pub fn oracle_runs(&self) -> u64 {
+        self.oracle_runs.load(Ordering::Relaxed)
     }
 }
 
@@ -162,6 +198,45 @@ mod tests {
         assert_eq!(v.cache_size(), 1);
         let _ = v.expected(&g, &Algorithm::Stats);
         assert_eq!(v.cache_size(), 2);
+    }
+
+    #[test]
+    fn cache_is_bounded_least_recently_used_first() {
+        // A path long enough for 4 × CACHED_OUTPUTS distinct BFS sources.
+        let n = 4 * CACHED_OUTPUTS as u64;
+        let g = Arc::new(CsrGraph::from_edge_list(
+            &EdgeListGraph::undirected_from_edges((0..n).map(|v| (v, v + 1)).collect()),
+        ));
+        let bfs = |source| Algorithm::Bfs { source };
+        let v = OutputValidator::new();
+        for source in 0..n {
+            let right = reference(&g, &bfs(source));
+            assert!(v.validate(&g, &bfs(source), &right).is_valid());
+            let Output::Depths(mut depths) = right else {
+                panic!("BFS yields depths");
+            };
+            depths[0] += 1;
+            // A hit compares just as a miss does.
+            assert!(!v
+                .validate(&g, &bfs(source), &Output::Depths(depths))
+                .is_valid());
+            assert!(v.cache_size() <= CACHED_OUTPUTS);
+        }
+        assert_eq!(v.cache_size(), CACHED_OUTPUTS);
+        assert_eq!(v.oracle_runs(), n);
+        // The oldest survivor, once used again, outlives the next eviction.
+        let oldest = n - CACHED_OUTPUTS as u64;
+        let _ = v.expected(&g, &bfs(oldest));
+        assert_eq!(v.oracle_runs(), n, "a cached source is a hit");
+        let _ = v.expected(&g, &bfs(0));
+        let _ = v.expected(&g, &bfs(oldest));
+        assert_eq!(v.oracle_runs(), n + 1, "the entry used again survived");
+        let _ = v.expected(&g, &bfs(oldest + 1));
+        assert_eq!(
+            v.oracle_runs(),
+            n + 2,
+            "the least recently used went instead"
+        );
     }
 
     #[test]

@@ -2,9 +2,12 @@
 //!
 //! One job is one (platform, algorithm, graph) cell, executed by a worker
 //! thread through the existing [`BenchmarkSuite`] runner. The store keeps
-//! every job's full lifecycle — state transitions, an append-only event
+//! each job's full lifecycle — state transitions, an append-only event
 //! log (the `/jobs/{id}/events` stream), timings, and post-mortem
-//! artifacts — for the lifetime of the server process.
+//! artifacts — while it is queued or running, and afterwards while it is
+//! among the newest [`RETAINED_JOBS`] finished jobs. An older finished job
+//! is dropped whole, so the server's memory is its working set and not
+//! the number of jobs it has finished.
 //!
 //! Queueing uses `std::sync::Mutex` and `Condvar`: `submit` enforces the
 //! capacity bound (admission control → 429) and wakes a worker; `next_job`
@@ -23,6 +26,11 @@ use graphalytics_core::json::Json;
 use graphalytics_core::trace::Span;
 use graphalytics_core::Tracer;
 use graphalytics_obs::{chrome_trace, flamegraph_svg, Profile};
+
+/// Finished jobs the store keeps; finishing one more drops the one that
+/// finished first (Spark's `retainedJobs`). Queued and running jobs are
+/// never dropped.
+pub const RETAINED_JOBS: usize = 256;
 
 /// What a client submits: one benchmark cell plus its admission deadline.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -244,6 +252,8 @@ struct StoreInner {
     next_id: u64,
     jobs: BTreeMap<u64, Job>,
     queue: VecDeque<u64>,
+    /// Terminal jobs still kept, in the order they finished.
+    finished: VecDeque<u64>,
 }
 
 /// The computations store plus the bounded FIFO queue.
@@ -265,6 +275,7 @@ impl JobStore {
                 next_id: 0,
                 jobs: BTreeMap::new(),
                 queue: VecDeque::new(),
+                finished: VecDeque::new(),
             }),
             wakeup: Condvar::new(),
         }
@@ -388,7 +399,8 @@ impl JobStore {
     }
 
     /// Moves a job to a terminal state, recording outcome fields,
-    /// artifacts, and the terminal event.
+    /// artifacts, and the terminal event. Returns how many older finished
+    /// jobs were dropped to keep [`RETAINED_JOBS`].
     pub fn finish(
         &self,
         id: u64,
@@ -397,34 +409,52 @@ impl JobStore {
         validation: Option<String>,
         error: Option<String>,
         artifacts: Option<Artifacts>,
-    ) {
+    ) -> usize {
         debug_assert!(state.is_terminal());
         let now = self.clock.now_seconds();
-        let mut inner = self.lock();
-        if let Some(job) = inner.jobs.get_mut(&id) {
-            job.state = state;
-            job.finished_seconds = Some(now);
-            job.runtime_seconds = runtime_seconds;
-            job.validation = validation;
-            job.error = error.clone();
-            job.artifacts = artifacts;
-            let mut fields: Vec<(String, Json)> = Vec::new();
-            if let Some(r) = runtime_seconds {
-                fields.push(("runtime_seconds".to_string(), Json::Num(r)));
-            }
-            if let Some(e2e) = job.e2e_seconds() {
-                fields.push(("e2e_seconds".to_string(), Json::Num(e2e)));
-            }
-            if let Some(e) = &error {
-                fields.push(("error".to_string(), Json::from(e.clone())));
-            }
-            Self::append_event(job, now, state.as_str(), fields);
+        let mut guard = self.lock();
+        let inner = &mut *guard;
+        let Some(job) = inner.jobs.get_mut(&id) else {
+            return 0;
+        };
+        if !job.state.is_terminal() {
+            inner.finished.push_back(id);
         }
+        job.state = state;
+        job.finished_seconds = Some(now);
+        job.runtime_seconds = runtime_seconds;
+        job.validation = validation;
+        job.error = error.clone();
+        job.artifacts = artifacts;
+        let mut fields: Vec<(String, Json)> = Vec::new();
+        if let Some(r) = runtime_seconds {
+            fields.push(("runtime_seconds".to_string(), Json::Num(r)));
+        }
+        if let Some(e2e) = job.e2e_seconds() {
+            fields.push(("e2e_seconds".to_string(), Json::Num(e2e)));
+        }
+        if let Some(e) = &error {
+            fields.push(("error".to_string(), Json::from(e.clone())));
+        }
+        Self::append_event(job, now, state.as_str(), fields);
+        let excess = inner.finished.len().saturating_sub(RETAINED_JOBS);
+        for old in inner.finished.drain(..excess) {
+            inner.jobs.remove(&old);
+        }
+        excess
     }
 
-    /// Clone of a job's record.
-    pub fn snapshot(&self, id: u64) -> Option<Job> {
-        self.lock().jobs.get(&id).cloned()
+    /// Applies `f` to a job's record under the store lock, so that
+    /// reading a status or two timings copies nothing else.
+    pub fn with_job<R>(&self, id: u64, f: impl FnOnce(&Job) -> R) -> Option<R> {
+        self.lock().jobs.get(&id).map(f)
+    }
+
+    /// True when `id` was issued but its job is no longer kept: it
+    /// finished before the newest [`RETAINED_JOBS`] did.
+    pub fn was_dropped(&self, id: u64) -> bool {
+        let inner = self.lock();
+        (1..=inner.next_id).contains(&id) && !inner.jobs.contains_key(&id)
     }
 
     /// The event stream as JSONL, starting after sequence number
@@ -567,20 +597,68 @@ mod tests {
             None,
             Some(Artifacts::default()),
         );
-        let job = s.snapshot(id).unwrap();
-        assert_eq!(job.state, JobState::Done);
-        assert!(job.state.is_terminal());
-        assert!(job.queue_wait_seconds().unwrap() >= 0.0);
-        assert!(job.e2e_seconds().unwrap() >= 0.0);
-        let names: Vec<&str> = job.events.iter().map(|e| e.event.as_str()).collect();
-        assert_eq!(
-            names,
-            vec!["submitted", "queued", "loading", "running", "done"]
-        );
-        // Sequence numbers are dense and ordered.
-        for (i, e) in job.events.iter().enumerate() {
-            assert_eq!(e.seq, i as u64);
+        s.with_job(id, |job| {
+            assert_eq!(job.state, JobState::Done);
+            assert!(job.state.is_terminal());
+            assert!(job.queue_wait_seconds().unwrap() >= 0.0);
+            assert!(job.e2e_seconds().unwrap() >= 0.0);
+            let names: Vec<&str> = job.events.iter().map(|e| e.event.as_str()).collect();
+            assert_eq!(
+                names,
+                vec!["submitted", "queued", "loading", "running", "done"]
+            );
+            // Sequence numbers are dense and ordered.
+            for (i, e) in job.events.iter().enumerate() {
+                assert_eq!(e.seq, i as u64);
+            }
+        })
+        .unwrap();
+    }
+
+    #[test]
+    fn history_keeps_the_newest_finished_jobs_and_every_live_one() {
+        let finished = RETAINED_JOBS + 10;
+        let s = store(finished + 2);
+        let shutdown = AtomicBool::new(false);
+        let running = s.submit(spec("bfs")).unwrap();
+        assert_eq!(s.next_job(&shutdown), Some(running));
+        s.set_state(running, JobState::Running);
+        let queued = s.submit(spec("conn")).unwrap();
+        // Jobs finished straight from the queue, as if by other workers;
+        // `queued` stays ahead of them, older than every one.
+        let mut dropped = 0;
+        let ids: Vec<u64> = (0..finished)
+            .map(|_| {
+                let id = s.submit(spec("pagerank")).unwrap();
+                dropped += s.finish(id, JobState::Done, None, None, None, None);
+                id
+            })
+            .collect();
+        assert_eq!(dropped, 10);
+        let state = |id| s.with_job(id, |j| j.state);
+        assert_eq!(state(running), Some(JobState::Running));
+        assert_eq!(state(queued), Some(JobState::Queued));
+        for &id in &ids[..10] {
+            assert_eq!(state(id), None, "j-{id} finished first and is dropped");
+            assert!(s.was_dropped(id));
         }
+        for &id in &ids[10..] {
+            assert_eq!(state(id), Some(JobState::Done));
+            assert!(!s.was_dropped(id));
+        }
+        assert!(!s.was_dropped(0) && !s.was_dropped(ids[finished - 1] + 1));
+        let Json::Arr(listed) = s.list_json() else {
+            panic!("the job list is an array");
+        };
+        assert_eq!(listed.len(), RETAINED_JOBS + 2);
+        // The oldest job, once finished, is the newest kept.
+        assert_eq!(
+            s.finish(running, JobState::Failed, None, None, None, None),
+            1
+        );
+        assert_eq!(state(running), Some(JobState::Failed));
+        assert_eq!(state(ids[10]), None);
+        assert_eq!(state(queued), Some(JobState::Queued));
     }
 
     #[test]

@@ -23,7 +23,7 @@
 
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
@@ -31,11 +31,11 @@ use graphalytics_core::config::parse_algorithm;
 use graphalytics_core::json::{parse as parse_json, Json};
 use graphalytics_core::report::record_to_json;
 use graphalytics_core::runner::RunStatus;
-use graphalytics_core::validator::Validation;
+use graphalytics_core::validator::{OutputValidator, Validation};
 use graphalytics_core::{BenchmarkConfig, BenchmarkSuite, Tracer};
 
 use crate::http::{read_request, Request, Response};
-use crate::jobs::{Artifacts, JobSpec, JobState, JobStore, SubmitError};
+use crate::jobs::{Artifacts, JobSpec, JobState, JobStore, SubmitError, RETAINED_JOBS};
 use crate::registry::GraphRegistry;
 
 /// Request-latency buckets — an HTTP API lives well below the runner's
@@ -80,6 +80,11 @@ struct ServerCtx {
     tracer: Arc<Tracer>,
     registry: GraphRegistry,
     store: JobStore,
+    /// Every job validates through this one oracle cache.
+    validator: Arc<OutputValidator>,
+    /// The validator's oracle runs already added to
+    /// `graphalytics_serve_oracle_runs_total`.
+    oracle_runs_counted: AtomicU64,
     shutdown: AtomicBool,
 }
 
@@ -155,7 +160,7 @@ fn describe_serve_metrics(tracer: &Tracer) {
     );
     m.describe(
         "graphalytics_serve_job_seconds",
-        "End-to-end job latency (submit to terminal) by platform and algorithm.",
+        "End-to-end job latency (submit to terminal) by platform and kernel.",
     );
     m.describe(
         "graphalytics_serve_queue_wait_seconds",
@@ -189,6 +194,20 @@ fn describe_serve_metrics(tracer: &Tracer) {
         "graphalytics_serve_request_seconds",
         "HTTP request handling latency by normalized endpoint.",
     );
+    m.describe(
+        "graphalytics_serve_oracle_runs_total",
+        "Reference-output computations run by the server's validator (cache misses).",
+    );
+    m.describe(
+        "graphalytics_serve_jobs_dropped_total",
+        "Finished jobs dropped from the job history, which keeps the newest ones.",
+    );
+    for counter in [
+        "graphalytics_serve_oracle_runs_total",
+        "graphalytics_serve_jobs_dropped_total",
+    ] {
+        m.inc_counter(counter, &[], 0);
+    }
 }
 
 /// Starts the server: binds, spawns the preload thread, the worker pool,
@@ -207,6 +226,8 @@ pub fn start(config: ServerConfig) -> Result<ServerHandle, String> {
         tracer,
         registry: GraphRegistry::new(),
         store,
+        validator: Arc::new(OutputValidator::new()),
+        oracle_runs_counted: AtomicU64::new(0),
         shutdown: AtomicBool::new(false),
         config,
     });
@@ -278,9 +299,15 @@ pub fn start(config: ServerConfig) -> Result<ServerHandle, String> {
     })
 }
 
-/// Updates the point-in-time server gauges.
+/// Updates the point-in-time server gauges, and brings the oracle-run
+/// counter up to the shared validator's count.
 fn refresh_gauges(ctx: &ServerCtx) {
     let m = ctx.tracer.metrics();
+    let runs = ctx.validator.oracle_runs();
+    let counted = ctx.oracle_runs_counted.fetch_max(runs, Ordering::Relaxed);
+    if runs > counted {
+        m.inc_counter("graphalytics_serve_oracle_runs_total", &[], runs - counted);
+    }
     m.set_gauge(
         "graphalytics_serve_queue_depth",
         &[],
@@ -378,24 +405,31 @@ fn route(ctx: &Arc<ServerCtx>, request: &Request) -> Response {
         }
         ("POST", ["jobs"]) => submit_job(ctx, request),
         ("GET", ["jobs"]) => Response::json(200, ctx.store.list_json().to_string_compact()),
-        ("GET", ["jobs", id]) => match parse_job_id(id).and_then(|id| ctx.store.snapshot(id)) {
-            Some(job) => Response::json(200, job.to_json().to_string_compact()),
-            None => Response::error(404, &format!("no such job {id:?}")),
-        },
+        ("GET", ["jobs", id]) => {
+            let doc = parse_job_id(id).and_then(|id| {
+                ctx.store
+                    .with_job(id, |job| job.to_json().to_string_compact())
+            });
+            match doc {
+                Some(doc) => Response::json(200, doc),
+                None => job_not_found(ctx, id, &format!("no such job {id:?}")),
+            }
+        }
         ("GET", ["jobs", id, "events"]) => {
             let since = request
                 .query_param("since")
                 .and_then(|s| s.parse::<u64>().ok());
             match parse_job_id(id).and_then(|id| ctx.store.events_jsonl(id, since)) {
                 Some((body, _terminal)) => Response::with_type(200, "application/jsonl", body),
-                None => Response::error(404, &format!("no such job {id:?}")),
+                None => job_not_found(ctx, id, &format!("no such job {id:?}")),
             }
         }
         ("GET", ["jobs", id, "artifacts", name]) => {
             match parse_job_id(id).and_then(|id| ctx.store.artifact(id, name)) {
                 Some((content_type, body)) => Response::with_type(200, content_type, body),
-                None => Response::error(
-                    404,
+                None => job_not_found(
+                    ctx,
+                    id,
                     "no such artifact (job unknown, still running, or artifact name not one of \
                      flamegraph.svg, trace.json, results.jsonl)",
                 ),
@@ -404,6 +438,21 @@ fn route(ctx: &Arc<ServerCtx>, request: &Request) -> Response {
         ("GET" | "POST", _) => Response::error(404, &format!("no route for {:?}", request.path)),
         _ => Response::error(405, &format!("method {} not allowed", request.method)),
     }
+}
+
+/// The 404 for job `raw`: `why`, unless the job finished before the
+/// newest [`RETAINED_JOBS`] and was dropped, which the body then says.
+fn job_not_found(ctx: &ServerCtx, raw: &str, why: &str) -> Response {
+    if parse_job_id(raw).is_some_and(|id| ctx.store.was_dropped(id)) {
+        return Response::error(
+            404,
+            &format!(
+                "job {raw:?} is no longer kept: the server keeps only the last {RETAINED_JOBS} \
+                 finished jobs"
+            ),
+        );
+    }
+    Response::error(404, why)
 }
 
 /// `GET /` — a small machine-readable index.
@@ -484,10 +533,9 @@ fn submit_job(ctx: &Arc<ServerCtx>, request: &Request) -> Response {
 /// the job's own tracer, and every outcome into the store and
 /// the server metrics.
 fn run_job(ctx: &Arc<ServerCtx>, id: u64) {
-    let Some(job) = ctx.store.snapshot(id) else {
+    let Some(spec) = ctx.store.with_job(id, |job| job.spec.clone()) else {
         return;
     };
-    let spec = job.spec.clone();
     ctx.store.set_state(id, JobState::Loading);
     refresh_gauges(ctx);
 
@@ -573,7 +621,8 @@ fn run_job(ctx: &Arc<ServerCtx>, id: u64) {
             validate: true,
             ..Default::default()
         },
-    );
+    )
+    .with_validator(Arc::clone(&ctx.validator));
     let result = suite.run_traced_on_graph(&mut platforms, &dataset, &graph, &job_tracer);
 
     let spans = job_tracer.finished_spans();
@@ -676,7 +725,8 @@ fn finish_job(
     error: Option<String>,
     artifacts: Option<Artifacts>,
 ) {
-    ctx.store
+    let dropped = ctx
+        .store
         .finish(id, state, runtime_seconds, validation, error, artifacts);
     let m = ctx.tracer.metrics();
     m.inc_counter(
@@ -684,18 +734,23 @@ fn finish_job(
         &[("state", state.as_str())],
         1,
     );
-    if let Some(job) = ctx.store.snapshot(id) {
-        if let Some(e2e) = job.e2e_seconds() {
+    m.inc_counter("graphalytics_serve_jobs_dropped_total", &[], dropped as u64);
+    // Labelled by kernel, not by the submitted string, so that a distinct
+    // `bfs:<source>` per job adds no series.
+    let timings = ctx.store.with_job(id, |job| {
+        let kernel = parse_algorithm(&job.spec.algorithm).map_or("unknown", |a| a.name());
+        let labels = (job.spec.platform.clone(), kernel);
+        (labels, job.e2e_seconds(), job.queue_wait_seconds())
+    });
+    if let Some(((platform, kernel), e2e, wait)) = timings {
+        if let Some(e2e) = e2e {
             m.observe(
                 "graphalytics_serve_job_seconds",
-                &[
-                    ("platform", &job.spec.platform),
-                    ("algorithm", &job.spec.algorithm),
-                ],
+                &[("platform", &platform), ("algorithm", kernel)],
                 e2e,
             );
         }
-        if let Some(wait) = job.queue_wait_seconds() {
+        if let Some(wait) = wait {
             m.observe("graphalytics_serve_queue_wait_seconds", &[], wait);
         }
     }
@@ -719,6 +774,59 @@ mod tests {
         );
         assert_eq!(normalize_endpoint("POST", "/jobs"), "POST /jobs");
         assert_eq!(normalize_endpoint("GET", "/nope/nope"), "other");
+    }
+
+    #[test]
+    fn a_dropped_job_is_a_404_that_names_the_bound() {
+        let tracer = Arc::new(Tracer::disabled());
+        let ctx = Arc::new(ServerCtx {
+            config: ServerConfig::default(),
+            store: JobStore::new(Arc::clone(&tracer), RETAINED_JOBS + 1),
+            tracer,
+            registry: GraphRegistry::new(),
+            validator: Arc::new(OutputValidator::new()),
+            oracle_runs_counted: AtomicU64::new(0),
+            shutdown: AtomicBool::new(false),
+        });
+        let spec = JobSpec {
+            platform: "reference".into(),
+            algorithm: "conn".into(),
+            graph: "graph500-8".into(),
+            timeout_secs: 60,
+        };
+        for _ in 0..=RETAINED_JOBS {
+            let id = ctx.store.submit(spec.clone()).unwrap();
+            ctx.store.finish(id, JobState::Done, None, None, None, None);
+        }
+        let get = |path: &str| {
+            let response = route(
+                &ctx,
+                &Request {
+                    method: "GET".into(),
+                    path: path.into(),
+                    query: String::new(),
+                    body: Vec::new(),
+                },
+            );
+            (response.status, String::from_utf8(response.body).unwrap())
+        };
+        let bound = format!("keeps only the last {RETAINED_JOBS} finished jobs");
+        for path in [
+            "/jobs/j-1",
+            "/jobs/j-1/events",
+            "/jobs/1/artifacts/trace.json",
+        ] {
+            let (status, body) = get(path);
+            assert_eq!(status, 404, "{path}");
+            assert!(body.contains(&bound), "{path}: {body}");
+        }
+        assert_eq!(get("/jobs/j-2").0, 200);
+        let (status, body) = get("/jobs/j-999");
+        assert_eq!(status, 404);
+        assert!(
+            body.contains("no such job") && !body.contains(&bound),
+            "{body}"
+        );
     }
 
     #[test]

@@ -8,6 +8,8 @@
 //! * `/metrics` — the exposition parses under a Prometheus text-format
 //!   grammar check (HELP before TYPE, histogram `_bucket`/`_sum`/`_count`
 //!   consistency, label escaping) and carries the expected job counters;
+//! * one oracle cache per server — a resubmitted job validates against
+//!   the cached reference output, and job latency is labelled by kernel;
 //! * admission control — a full queue turns submissions into 429s;
 //! * hostile bodies — a job body nested past the JSON depth limit is a
 //!   400, and the server keeps answering.
@@ -235,6 +237,85 @@ fn full_queue_refuses_with_429() {
     // Both admitted jobs still drain to completion.
     await_terminal(&addr, "j-1");
     await_terminal(&addr, "j-2");
+    handle.shutdown();
+}
+
+/// Submits `body` and polls the job to its terminal status document.
+fn run_to_terminal(addr: &str, body: &str) -> Json {
+    let (status, accepted) = post(addr, "/jobs", body);
+    assert_eq!(status, 202, "{accepted}");
+    let id = parse_json(&accepted)
+        .unwrap()
+        .get("id")
+        .unwrap()
+        .as_str()
+        .unwrap()
+        .to_string();
+    await_terminal(addr, &id)
+}
+
+fn assert_done_and_valid(doc: &Json) {
+    assert_eq!(doc.get("state").unwrap().as_str(), Some("done"), "{doc:?}");
+    assert_eq!(
+        doc.get("validation").unwrap().as_str(),
+        Some("valid"),
+        "{doc:?}"
+    );
+}
+
+/// The server validates through one oracle cache: a resubmitted job is
+/// compared with the cached reference output, not a recomputed one.
+#[test]
+fn a_resubmitted_job_validates_against_the_cached_oracle() {
+    let (handle, addr) = ready_server(ServerConfig {
+        addr: "127.0.0.1:0".into(),
+        preload: vec!["graph500-8".into()],
+        ..Default::default()
+    });
+    let job = r#"{"platform":"giraph","algorithm":"bfs:0","graph":"graph500-8"}"#;
+    for _ in 0..2 {
+        assert_done_and_valid(&run_to_terminal(&addr, job));
+    }
+    let metrics = get(&addr, "/metrics").1;
+    assert!(
+        metrics.contains("\ngraphalytics_serve_oracle_runs_total 1\n"),
+        "{metrics}"
+    );
+    handle.shutdown();
+}
+
+/// Job latency is labelled by kernel, so a new BFS source per job adds no
+/// histogram series.
+#[test]
+fn job_latency_series_are_one_per_kernel() {
+    let (handle, addr) = ready_server(ServerConfig {
+        addr: "127.0.0.1:0".into(),
+        preload: vec!["graph500-8".into()],
+        ..Default::default()
+    });
+    for source in 0..2 {
+        let job = format!(
+            r#"{{"platform":"reference","algorithm":"bfs:{source}","graph":"graph500-8"}}"#
+        );
+        assert_done_and_valid(&run_to_terminal(&addr, &job));
+    }
+    let series: Vec<(graphalytics_core::trace::Labels, u64)> = handle
+        .tracer()
+        .metrics()
+        .histograms_named("graphalytics_serve_job_seconds")
+        .into_iter()
+        .map(|(labels, h)| (labels, h.count))
+        .collect();
+    let labels = vec![
+        ("algorithm".to_string(), "BFS".to_string()),
+        ("platform".to_string(), "reference".to_string()),
+    ];
+    assert_eq!(series, vec![(labels, 2)]);
+    let metrics = get(&addr, "/metrics").1;
+    assert!(
+        metrics.contains("\ngraphalytics_serve_oracle_runs_total 2\n"),
+        "{metrics}"
+    );
     handle.shutdown();
 }
 
