@@ -2,6 +2,7 @@
 //! vertex, visiting first all the neighbors of a vertex before moving to the
 //! neighbors of the neighbors" (paper §3.2).
 
+use crate::frontier::{self, Bitmap};
 use graphalytics_graph::{CsrGraph, VertexId, Vid};
 use graphalytics_parallel as par;
 use std::collections::VecDeque;
@@ -30,16 +31,8 @@ pub fn bfs(g: &CsrGraph, source: VertexId) -> Vec<i64> {
     depths
 }
 
-/// Growth factor deciding the top-down → bottom-up switch (Beamer et al.,
-/// GAP): go bottom-up once the frontier's out-arcs exceed `1/ALPHA` of the
-/// unexplored arcs.
-const ALPHA: usize = 15;
-/// Shrink factor for the bottom-up → top-down switch: return to top-down
-/// once the frontier falls below `n / BETA` vertices.
-const BETA: usize = 18;
-
 /// Direction-optimizing parallel BFS (push/pull, Beamer et al.) on up to
-/// `threads` workers.
+/// `threads` workers, switching by [`frontier::pulls`].
 ///
 /// Deterministic: level-synchronous rounds assign every vertex the same
 /// depth as [`bfs`] no matter the thread count — top-down claims race only
@@ -59,15 +52,19 @@ pub fn bfs_parallel(g: &CsrGraph, source: VertexId, threads: usize) -> Vec<i64> 
     let mut scout_arcs = g.degree(src);
     let mut edges_to_check = g.num_arcs();
     let mut level = 0i64;
+    let mut members = Bitmap::new(n);
 
     while !frontier.is_empty() {
         let next_level = level + 1;
-        let bottom_up = scout_arcs * ALPHA > edges_to_check || frontier.len() * BETA > n;
+        let bottom_up = frontier::pulls(scout_arcs, edges_to_check, frontier.len(), n);
         edges_to_check = edges_to_check.saturating_sub(scout_arcs);
 
         let parts: Vec<(Vec<Vid>, usize)> = if bottom_up {
             // Pull: every unvisited vertex scans its in-neighbors for a
-            // frontier member; only the owning worker writes its depth.
+            // frontier member in the bitmap; only the owning worker writes
+            // its depth.
+            members.fill(frontier.iter().copied());
+            let members = &members;
             par::map_chunks(threads, n, |_, range| {
                 let mut local = Vec::new();
                 let mut arcs = 0usize;
@@ -78,7 +75,7 @@ pub fn bfs_parallel(g: &CsrGraph, source: VertexId, threads: usize) -> Vec<i64> 
                     let hit = g
                         .in_neighbors(v as Vid)
                         .iter()
-                        .any(|&u| depths[u as usize].load(Ordering::Relaxed) == level);
+                        .any(|&u| members.contains(u));
                     if hit {
                         depths[v].store(next_level, Ordering::Relaxed);
                         local.push(v as Vid);

@@ -26,6 +26,7 @@ pub mod bfs;
 pub mod cd;
 pub mod conn;
 pub mod evo;
+mod frontier;
 pub mod lcc;
 pub mod pagerank;
 pub mod sssp;

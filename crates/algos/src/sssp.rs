@@ -6,6 +6,7 @@
 //! distance per vertex and every correct relaxation order converges to it.
 //! That is what makes the parallel kernel deterministic by construction.
 
+use crate::frontier::{self, Bitmap};
 use graphalytics_graph::{CsrGraph, VertexId, Vid, WEIGHT_SCALE};
 use graphalytics_parallel as par;
 use std::cmp::Reverse;
@@ -49,85 +50,188 @@ pub fn sssp(g: &CsrGraph, source: VertexId) -> Vec<u64> {
 /// keep buckets small.
 const DELTA: u64 = WEIGHT_SCALE;
 
-/// Delta-stepping parallel SSSP (Meyer & Sanders) on up to `threads` workers.
+/// One delta-stepping bucket: the vertices queued into it and what the
+/// direction rule needs of them, gathered as they are queued.
+struct Bucket {
+    members: Vec<Vid>,
+    /// Out-arcs of the members, once per queued entry.
+    arcs: usize,
+    /// Lowest and highest distance a member had when it was queued.
+    lo: u64,
+    hi: u64,
+}
+
+impl Bucket {
+    const EMPTY: Bucket = Bucket {
+        members: Vec::new(),
+        arcs: 0,
+        lo: INFINITY,
+        hi: 0,
+    };
+
+    fn push(&mut self, v: Vid, dist: u64, arcs: usize) {
+        self.members.push(v);
+        self.arcs += arcs;
+        self.lo = self.lo.min(dist);
+        self.hi = self.hi.max(dist);
+    }
+
+    /// The one distance every live member holds, if the bucket is flat.
+    /// A member's last decrease queued it at its current distance, so the
+    /// live members' distances lie in `lo..=hi`; stale entries can only
+    /// widen that range, never narrow it.
+    fn flat(&self) -> Option<u64> {
+        (self.lo == self.hi).then_some(self.lo)
+    }
+}
+
+/// Delta-stepping parallel SSSP (Meyer & Sanders) on up to `threads` workers,
+/// direction-optimizing as [`bfs_parallel`](crate::bfs::bfs_parallel) is.
 ///
 /// Deterministic: distances only ever decrease through compare-exchange
 /// minimum writes, and integer weights admit a unique shortest-distance
 /// fixpoint, so the settled values — hence the output — are byte-identical
 /// to [`sssp`] for any thread count. Only the relaxation *order* varies.
 ///
-/// Each round's improved vertices are sorted and deduplicated: a frontier
-/// in vertex order keeps its CSR reads local.
+/// A round pushes along its frontier's out-arcs, except when its live
+/// members all hold one distance `f` and the frontier is big by
+/// [`frontier::pulls`]: then every vertex farther than `f + w_min`
+/// ([`CsrGraph::min_weight`]) takes the minimum of `f + w` over its in-arcs
+/// from the frontier bitmap. Nothing a pull round writes is read in it —
+/// frontier distances cannot drop below `f` — so it computes what a push
+/// round would. Improved vertices are queued once each, in vertex order:
+/// a push round's are sorted and deduplicated, a pull round's come out so.
 pub fn sssp_parallel(g: &CsrGraph, source: VertexId, threads: usize) -> Vec<u64> {
+    delta_stepping(g, source, threads).0
+}
+
+/// [`sssp_parallel`]'s distances and the number of rounds that pulled.
+fn delta_stepping(g: &CsrGraph, source: VertexId, threads: usize) -> (Vec<u64>, usize) {
     let threads = threads.max(1);
     let n = g.num_vertices();
     let Some(src) = g.internal_id(source) else {
-        return vec![INFINITY; n];
+        return (vec![INFINITY; n], 0);
     };
 
     let dist: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(INFINITY)).collect();
     dist[src as usize].store(0, Ordering::Relaxed);
-    let mut buckets: Vec<Vec<Vid>> = vec![vec![src]];
+    let mut buckets = vec![Bucket::EMPTY];
+    buckets[0].push(src, 0, g.degree(src));
+    // Arcs no round has pushed from yet: the unreached vertices' and each
+    // queued entry's. BFS's count, when every vertex is queued once.
+    let mut unexplored_arcs = g.num_arcs();
+    let mut reached = Bitmap::new(n);
+    reached.insert(src);
+    let w_min = g.min_weight();
+    let mut members = Bitmap::new(n);
+    let mut pull_rounds = 0;
     let mut i = 0usize;
 
     while i < buckets.len() {
         // A vertex can be re-relaxed into a later bucket after being queued;
         // settle the bucket by draining it until no member re-enters it.
-        while !buckets[i].is_empty() {
-            let frontier = std::mem::take(&mut buckets[i]);
-            let parts: Vec<Vec<Vid>> = par::map_chunks(threads, frontier.len(), |_, range| {
-                let mut relaxed = Vec::new();
-                for &v in &frontier[range] {
-                    let dv = dist[v as usize].load(Ordering::Relaxed);
-                    if dv == INFINITY || dv / DELTA != i as u64 {
-                        continue; // Stale entry: v moved to another bucket.
-                    }
-                    for (&u, &w) in g.neighbors(v).iter().zip(g.neighbor_weights(v)) {
-                        let nd = dv.saturating_add(w);
-                        let mut cur = dist[u as usize].load(Ordering::Relaxed);
-                        while nd < cur {
-                            match dist[u as usize].compare_exchange_weak(
-                                cur,
-                                nd,
-                                Ordering::Relaxed,
-                                Ordering::Relaxed,
-                            ) {
-                                Ok(_) => {
-                                    relaxed.push(u);
+        while !buckets[i].members.is_empty() {
+            let frontier = std::mem::replace(&mut buckets[i], Bucket::EMPTY);
+            let pull = frontier.flat().filter(|_| {
+                frontier::pulls(frontier.arcs, unexplored_arcs, frontier.members.len(), n)
+            });
+            unexplored_arcs -= frontier.arcs;
+            let parts: Vec<Vec<Vid>> = if let Some(f) = pull {
+                pull_rounds += 1;
+                let live = |&v: &Vid| dist[v as usize].load(Ordering::Relaxed) == f;
+                members.fill(frontier.members.iter().copied().filter(live));
+                let members = &members;
+                // No hop from the frontier lands below `bound`.
+                let bound = f.saturating_add(w_min);
+                par::map_chunks(threads, n, |_, range| {
+                    let mut improved = Vec::new();
+                    for v in range {
+                        let dv = dist[v].load(Ordering::Relaxed);
+                        if dv <= bound {
+                            continue;
+                        }
+                        let mut best = dv;
+                        let arcs = g.in_neighbors(v as Vid).iter();
+                        for (&u, &w) in arcs.zip(g.in_neighbor_weights(v as Vid)) {
+                            if members.contains(u) {
+                                best = best.min(f.saturating_add(w));
+                                if best <= bound {
                                     break;
                                 }
-                                Err(seen) => cur = seen,
+                            }
+                        }
+                        if best < dv {
+                            dist[v].store(best, Ordering::Relaxed);
+                            improved.push(v as Vid);
+                        }
+                    }
+                    improved
+                })
+            } else {
+                let frontier = &frontier.members;
+                par::map_chunks(threads, frontier.len(), |_, range| {
+                    let mut relaxed = Vec::new();
+                    for &v in &frontier[range] {
+                        let dv = dist[v as usize].load(Ordering::Relaxed);
+                        if dv == INFINITY || dv / DELTA != i as u64 {
+                            continue; // Stale entry: v moved to another bucket.
+                        }
+                        for (&u, &w) in g.neighbors(v).iter().zip(g.neighbor_weights(v)) {
+                            let nd = dv.saturating_add(w);
+                            let mut cur = dist[u as usize].load(Ordering::Relaxed);
+                            while nd < cur {
+                                match dist[u as usize].compare_exchange_weak(
+                                    cur,
+                                    nd,
+                                    Ordering::Relaxed,
+                                    Ordering::Relaxed,
+                                ) {
+                                    Ok(_) => {
+                                        relaxed.push(u);
+                                        break;
+                                    }
+                                    Err(seen) => cur = seen,
+                                }
                             }
                         }
                     }
-                }
-                relaxed
-            });
+                    relaxed
+                })
+            };
+            let mut updates = parts.concat();
+            if pull.is_none() {
+                updates.sort_unstable();
+                updates.dedup();
+            }
             // Requeue each improved vertex once, into the bucket of its
             // *current* distance (it may have been lowered again since).
-            let mut updates = parts.concat();
-            updates.sort_unstable();
-            updates.dedup();
             for u in updates {
                 let du = dist[u as usize].load(Ordering::Relaxed);
                 let b = (du / DELTA) as usize;
                 if b >= buckets.len() {
-                    buckets.resize_with(b + 1, Vec::new);
+                    buckets.resize_with(b + 1, || Bucket::EMPTY);
                 }
                 if b >= i {
-                    buckets[b].push(u);
+                    let arcs = g.degree(u);
+                    buckets[b].push(u, du, arcs);
+                    // A first entry's arcs were counted as unreached.
+                    if !reached.insert(u) {
+                        unexplored_arcs += arcs;
+                    }
                 }
             }
         }
         i += 1;
     }
 
-    dist.into_iter().map(AtomicU64::into_inner).collect()
+    let dist = dist.into_iter().map(AtomicU64::into_inner).collect();
+    (dist, pull_rounds)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use graphalytics_datagen::{rmat, RmatConfig};
     use graphalytics_graph::EdgeListGraph;
 
     fn w(units: u64) -> u64 {
@@ -280,6 +384,90 @@ mod tests {
     fn parallel_handles_empty_graph() {
         let g = weighted_csr(vec![], false);
         assert!(sssp_parallel(&g, 0, 4).is_empty());
+    }
+
+    /// Graph500 12's edges over ids `id(v)`, each weighted `weight(s, t)`.
+    fn graph500(
+        directed: bool,
+        id: impl Fn(u64) -> u64,
+        weight: impl Fn(u64, u64) -> u64,
+    ) -> CsrGraph {
+        let el = rmat::generate(&RmatConfig::graph500(12, 7));
+        let edges = el.edges().iter();
+        let edges = edges.map(|&(s, t)| (id(s), id(t), weight(s, t))).collect();
+        let vertices = el.vertices().iter().map(|&v| id(v)).collect();
+        CsrGraph::from_edge_list(&EdgeListGraph::new_weighted(vertices, edges, directed))
+    }
+
+    /// Checks [`sssp_parallel`] against [`sssp`] at 1, 2 and 8 threads from
+    /// the highest-degree vertex and two more with arcs; returns the fewest
+    /// rounds any of those runs pulled.
+    fn pull_rounds_matching_dijkstra(g: &CsrGraph) -> usize {
+        let hub = (0..g.num_vertices() as Vid)
+            .max_by_key(|&v| g.degree(v))
+            .unwrap();
+        let others = (0..g.num_vertices() as Vid).filter(|&v| g.degree(v) > 0);
+        let sources = std::iter::once(hub).chain(others.step_by(997).take(2));
+        let mut fewest = usize::MAX;
+        for source in sources.map(|v| g.external_id(v)) {
+            let expected = sssp(g, source);
+            for threads in [1usize, 2, 8] {
+                let (got, pulls) = delta_stepping(g, source, threads);
+                assert_eq!(got, expected, "source={source} threads={threads}");
+                fewest = fewest.min(pulls);
+            }
+        }
+        fewest
+    }
+
+    #[test]
+    fn pull_rounds_match_dijkstra_on_unit_weights() {
+        let g = graph500(false, |v| v, |_, _| w(1));
+        assert!(!g.is_weighted());
+        assert!(pull_rounds_matching_dijkstra(&g) > 0);
+    }
+
+    #[test]
+    fn pull_rounds_match_dijkstra_on_three_unit_weights() {
+        let g = graph500(false, |v| v, |_, _| w(3));
+        assert!(pull_rounds_matching_dijkstra(&g) > 0);
+    }
+
+    /// Every distance is a whole number of units, so every bucket is flat,
+    /// but a pull round's candidates differ in their cost to the frontier.
+    #[test]
+    fn pull_rounds_match_dijkstra_on_one_and_two_unit_weights() {
+        let g = graph500(false, |v| v, |s, t| w((s ^ t) % 2 + 1));
+        assert!(pull_rounds_matching_dijkstra(&g) > 0);
+    }
+
+    /// In-arcs differ from out-arcs: a pull must scan the former.
+    #[test]
+    fn pull_rounds_match_dijkstra_on_a_directed_graph() {
+        let g = graph500(true, |v| v, |s, t| w((s + t) % 2 + 1));
+        assert!(pull_rounds_matching_dijkstra(&g) > 0);
+    }
+
+    #[test]
+    fn pull_rounds_match_dijkstra_on_sparse_ids() {
+        let g = graph500(false, |v| v * 5 + 11, |_, _| w(1));
+        assert!(pull_rounds_matching_dijkstra(&g) > 0);
+    }
+
+    /// The micro-unit weights of the root determinism suite's SSSP graph
+    /// never leave a big round flat, so every round pushes.
+    #[test]
+    fn micro_weights_never_pull() {
+        let el = graphalytics_datagen::generate(&graphalytics_datagen::DatagenConfig::new(500, 7));
+        let edges = el.edges().iter();
+        let edges = edges
+            .map(|&(u, v)| (u, v, (u * 13 + v * 7) % 11 + 1))
+            .collect();
+        let g = weighted_csr(edges, false);
+        let expected = sssp(&g, 0);
+        for threads in [1usize, 8] {
+            assert_eq!(delta_stepping(&g, 0, threads), (expected.clone(), 0));
+        }
     }
 
     #[test]

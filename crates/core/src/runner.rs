@@ -358,6 +358,10 @@ impl BenchmarkSuite {
                 .runs
                 .push(self.run_one(platform, handle, dataset, graph, alg, tracer));
         }
+        let mut unload_span = tracer.span("run.unload");
+        unload_span
+            .field("platform", platform.name())
+            .field("dataset", dataset.name.clone());
         platform.unload(handle);
     }
 
@@ -725,6 +729,13 @@ mod tests {
         assert_eq!(count("run.execute"), 2);
         assert_eq!(count("run.validate"), 2);
         assert!(count("monitor.sample") >= 2, "final samples always exist");
+        // The graph is unloaded once, after its last run.
+        assert_eq!(count("run.unload"), 1);
+        let unload = spans.iter().find(|s| s.name == "run.unload").unwrap();
+        let last_run = spans.iter().rfind(|s| s.name == "run").unwrap();
+        assert!(unload.id > last_run.id && unload.start_seconds >= last_run.end_seconds);
+        let load = spans.iter().find(|s| s.name == "run.load").unwrap();
+        assert_eq!(unload.parent, load.parent);
         // Execute/validate spans nest under their run span.
         let run_ids: Vec<u64> = spans
             .iter()

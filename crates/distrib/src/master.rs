@@ -3,6 +3,7 @@
 //! each superstep on it, collects checkpoints and reports, and relaunches
 //! the fleet from a checkpoint when the loop restarts it.
 
+use std::collections::BTreeMap;
 use std::io::{self, BufRead, BufReader};
 use std::marker::PhantomData;
 use std::net::{TcpListener, TcpStream};
@@ -14,6 +15,7 @@ use std::time::Duration;
 
 use graphalytics_codec::Codec;
 use graphalytics_core::platform::{PlatformError, RunContext};
+use graphalytics_core::trace::{FieldValue, Span};
 use graphalytics_pregel::{PregelStats, Report, Step, Transport};
 
 use crate::net::{self, io_timeout};
@@ -315,6 +317,9 @@ pub(crate) struct FleetTransport<'a, S> {
     /// The superstep running, or between supersteps the next one: where a
     /// lost worker is reported.
     superstep: u64,
+    /// The span of every superstep the fleet finished or is running, by
+    /// number: the parent of each worker span that names its superstep.
+    step_spans: BTreeMap<u64, u64>,
     /// Wire bytes and telemetry frames so far; `pregel` stays default.
     pub stats: MasterStats,
     states: PhantomData<S>,
@@ -329,15 +334,26 @@ impl<'a, S: Codec> FleetTransport<'a, S> {
             fleet,
             ctx,
             superstep: 0,
+            step_spans: BTreeMap::new(),
             stats: MasterStats::default(),
             states: PhantomData,
         })
     }
 
-    /// Merges every absorbed Telemetry frame into the run tracer under the
-    /// innermost open span and counts the frames.
+    /// Merges every absorbed Telemetry frame into the run tracer and counts
+    /// the frames. A worker span goes under the span of the superstep its
+    /// `superstep` field names: a barrier wait ships with the next
+    /// superstep's report. A span naming none, or one whose superstep span
+    /// was discarded, goes under the innermost open span.
     pub fn drain_telemetry(&mut self) {
-        let parent = self.ctx.tracer().current_span_id();
+        let open = self.ctx.tracer().current_span_id();
+        let steps = &self.step_spans;
+        let parent = |span: &Span| {
+            let superstep = span.field("superstep").and_then(FieldValue::as_i64);
+            superstep
+                .and_then(|s| steps.get(&(s as u64)).copied())
+                .or(open)
+        };
         for (worker, incarnation, blob) in std::mem::take(&mut self.fleet.pending_telemetry) {
             self.stats.telemetry_frames += 1;
             // A frame naming a worker this fleet never planned merges nothing.
@@ -458,6 +474,10 @@ impl<S: Codec> Transport for FleetTransport<'_, S> {
         checkpointed: &mut Option<usize>,
     ) -> Result<(Vec<Report>, Option<u64>), PlatformError> {
         self.superstep = step.superstep;
+        // Inside `drive`'s span for this superstep.
+        if let Some(span) = self.ctx.tracer().current_span_id() {
+            self.step_spans.insert(step.superstep, span);
+        }
         for w in 0..self.workers() {
             // Only the worker the probe chose is told to crash, after its
             // due checkpoint and before compute.
@@ -504,7 +524,10 @@ impl<S: Codec> Transport for FleetTransport<'_, S> {
     }
 
     fn restore(&mut self, superstep: u64, incarnation: u32) -> Result<(), PlatformError> {
-        // A loss keeps whatever the lost fleet shipped before it.
+        // A loss keeps whatever the lost fleet shipped before it; the
+        // lost superstep's span is discarded, so its spans merge under
+        // the open one.
+        self.step_spans.remove(&self.superstep);
         self.drain_telemetry();
         // The lost fleet dies before the next one forks.
         self.fleet.kill();

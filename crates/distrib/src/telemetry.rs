@@ -17,8 +17,8 @@ use crate::protocol::decode_blob;
 use graphalytics_core::trace::{FieldValue, Span, Tracer};
 
 /// Merges one Telemetry blob from `worker` of fleet `incarnation`, whose
-/// Plan the master sent at `origin` on `tracer`'s clock, into `tracer`
-/// under `parent`. Each span is tagged with its process lane (`proc` =
+/// Plan the master sent at `origin` on `tracer`'s clock, into `tracer`,
+/// each span under `parent(span)`. Each span is tagged with its process lane (`proc` =
 /// `w<worker>:i<incarnation>`), `worker`, `incarnation` and `seq` (its id
 /// in the worker's tracer), and the compute, shuffle, barrier and
 /// checkpoint spans feed the per-worker `graphalytics_worker_*` series.
@@ -33,7 +33,7 @@ pub(crate) fn merge(
     worker: u32,
     incarnation: u32,
     blob: &[u8],
-    parent: Option<u64>,
+    parent: impl Fn(&Span) -> Option<u64>,
 ) -> usize {
     let Some(spans) = decode_blob::<Vec<Span>>(blob) else {
         return 0;
@@ -75,6 +75,7 @@ pub(crate) fn merge(
             ("incarnation".to_string(), incarnation.into()),
             ("seq".to_string(), span.id.into()),
         ];
+        let parent = parent(&span);
         fields.extend(span.fields);
         tracer.record_span(
             &span.name,
@@ -108,13 +109,17 @@ mod tests {
         let tracer = Tracer::new();
         let blob = shipped();
         let local = decode_blob::<Vec<Span>>(&blob).unwrap();
-        assert_eq!(merge(&tracer, 100.0, 1, 2, &blob, Some(9)), 3);
+        // Spans naming superstep s go under span 10 + s, the rest under 9.
+        let parent = |span: &Span| {
+            let superstep = span.field("superstep").and_then(FieldValue::as_i64);
+            Some(superstep.map_or(9, |s| 10 + s as u64))
+        };
+        assert_eq!(merge(&tracer, 100.0, 1, 2, &blob, parent), 3);
 
         let spans = tracer.finished_spans();
         assert_eq!(spans.len(), 3);
         for (merged, local) in spans.iter().zip(&local) {
             assert_eq!(merged.name, local.name);
-            assert_eq!(merged.parent, Some(9));
             assert_eq!(merged.start_seconds, 100.0 + local.start_seconds);
             assert_eq!(merged.end_seconds, 100.0 + local.end_seconds);
             assert_eq!(merged.field("proc").and_then(|f| f.as_str()), Some("w1:i2"));
@@ -133,6 +138,8 @@ mod tests {
             Some(1)
         );
         assert_eq!(spans[1].field("work").and_then(|f| f.as_i64()), Some(7));
+        let parents: Vec<_> = spans.iter().map(|s| s.parent).collect();
+        assert_eq!(parents, [Some(10), Some(11), Some(9)]);
         // Each compute span and the barrier wait feed the worker's series.
         let labels = [PLATFORM_LABEL, ("worker", "1")];
         let metrics = tracer.metrics();
@@ -145,10 +152,10 @@ mod tests {
     #[test]
     fn malformed_blob_merges_nothing() {
         let tracer = Tracer::new();
-        assert_eq!(merge(&tracer, 0.0, 0, 0, &[0xFF; 7], None), 0);
+        assert_eq!(merge(&tracer, 0.0, 0, 0, &[0xFF; 7], |_| None), 0);
         let mut truncated = shipped();
         truncated.pop();
-        assert_eq!(merge(&tracer, 0.0, 0, 0, &truncated, None), 0);
+        assert_eq!(merge(&tracer, 0.0, 0, 0, &truncated, |_| None), 0);
         assert!(tracer.finished_spans().is_empty());
     }
 }

@@ -258,6 +258,28 @@ fn e2e_telemetry_is_off_the_output_path() {
         spans.iter().any(|s| s.name == "distrib.superstep"),
         "master lane lost its superstep spans"
     );
+    // A barrier wait ships with the next superstep's report, or with the
+    // output after the last one, but nests under the superstep it names.
+    let barriers: Vec<_> = spans
+        .iter()
+        .filter(|s| s.name == "distrib.worker.barrier")
+        .collect();
+    assert!(!barriers.is_empty(), "no barrier spans merged");
+    let misplaced = barriers
+        .iter()
+        .filter(|b| {
+            let parent = spans.iter().find(|s| Some(s.id) == b.parent);
+            !parent.is_some_and(|p| {
+                p.name == "distrib.superstep" && p.field("superstep") == b.field("superstep")
+            })
+        })
+        .count();
+    assert_eq!(
+        misplaced,
+        0,
+        "{misplaced} of {} barrier spans are not under their superstep",
+        barriers.len()
+    );
     let trace = graphalytics_obs::chrome_trace(&spans);
     for name in [
         "graphalytics",

@@ -39,6 +39,8 @@ pub struct CsrGraph {
     in_weights: Vec<Weight>,
     /// Logical edge count (undirected edges count once).
     num_edges: usize,
+    /// Smallest arc weight; `Weight::MAX` when there is no arc.
+    min_weight: Weight,
     directed: bool,
 }
 
@@ -222,6 +224,7 @@ impl CsrGraph {
             in_targets,
             in_weights,
             num_edges: g.num_edges(),
+            min_weight: weights.iter().copied().min().unwrap_or(Weight::MAX),
             directed,
         }
     }
@@ -290,6 +293,13 @@ impl CsrGraph {
     /// graph carries [`WEIGHT_SCALE`](crate::WEIGHT_SCALE) everywhere).
     pub fn is_weighted(&self) -> bool {
         self.out_weights.iter().any(|&w| w != crate::WEIGHT_SCALE)
+    }
+
+    /// Smallest arc weight, `Weight::MAX` when the graph has no arc: the
+    /// least any one hop adds to a path. Folded once at construction.
+    #[inline]
+    pub fn min_weight(&self) -> Weight {
+        self.min_weight
     }
 
     /// Weights of the out-arcs of `v`, parallel to [`Self::neighbors`].
@@ -530,6 +540,7 @@ mod tests {
         assert_eq!(g.neighbors(1), &[0, 2]);
         assert_eq!(g.neighbor_weights(1), &[100, 200]);
         assert_eq!(g.in_neighbor_weights(1), &[100, 200]);
+        assert_eq!(g.min_weight(), 100);
         assert_eq!(g.to_edge_list(), und);
         g.validate().unwrap();
 
@@ -538,6 +549,7 @@ mod tests {
         assert_eq!(g.neighbor_weights(0), &[5]);
         assert_eq!(g.in_neighbors(1), &[0, 2]);
         assert_eq!(g.in_neighbor_weights(1), &[5, 7]);
+        assert_eq!(g.min_weight(), 5);
         assert_eq!(g.to_edge_list(), dir);
         g.validate().unwrap();
         assert!(g.is_weighted());
@@ -545,7 +557,10 @@ mod tests {
         // Unweighted construction carries unit weights everywhere.
         let plain = path_graph();
         assert!(plain.neighbor_weights(1).iter().all(|&w| w == WEIGHT_SCALE));
+        assert_eq!(plain.min_weight(), WEIGHT_SCALE);
         assert!(!plain.is_weighted());
+        let empty = EdgeListGraph::new_weighted(vec![0, 1], Vec::new(), false);
+        assert_eq!(CsrGraph::from_edge_list(&empty).min_weight(), Weight::MAX);
     }
 
     #[test]

@@ -69,6 +69,23 @@ fn arb_sparse_weighted_graph() -> impl Strategy<Value = EdgeListGraph> {
         })
 }
 
+/// Strategy: an arbitrary small graph, directed or undirected, whose
+/// weights are one or two whole units.
+fn arb_unit_weighted_graph() -> impl Strategy<Value = EdgeListGraph> {
+    (
+        2u64..40,
+        proptest::collection::vec((0u64..40, 0u64..40, 1u64..3), 0..120),
+        any::<bool>(),
+    )
+        .prop_map(|(n, raw_edges, directed)| {
+            let edges: Vec<(u64, u64, u64)> = raw_edges
+                .into_iter()
+                .map(|(a, b, units)| (a % n, b % n, units * graphalytics_graph::WEIGHT_SCALE))
+                .collect();
+            EdgeListGraph::new_weighted((0..n).collect(), edges, directed)
+        })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -161,6 +178,18 @@ proptest! {
         } else {
             prop_assert!(dist.iter().all(|&d| d == INFINITY));
         }
+    }
+
+    // Whole-unit weights leave every delta-stepping bucket flat, so big
+    // rounds pull from the frontier bitmap; the distances stay Dijkstra's.
+    #[test]
+    fn sssp_parallel_equals_dijkstra_on_one_and_two_unit_weights(
+        g in arb_unit_weighted_graph(),
+        source in 0u64..40,
+        threads in 1usize..9,
+    ) {
+        let csr = CsrGraph::from_edge_list(&g);
+        prop_assert_eq!(sssp::sssp_parallel(&csr, source, threads), sssp::sssp(&csr, source));
     }
 
     #[test]
