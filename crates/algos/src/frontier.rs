@@ -15,8 +15,8 @@ const BETA: usize = 18;
 
 /// Whether a round whose frontier holds `frontier_len` of the graph's `n`
 /// vertices, with `frontier_arcs` out-arcs between them, pulls rather than
-/// pushes; `unexplored_arcs` counts the arcs of the vertices not reached
-/// before this round, the frontier's included.
+/// pushes; `unexplored_arcs` counts the arcs no earlier round has pushed
+/// from, the frontier's included.
 pub(crate) fn pulls(
     frontier_arcs: usize,
     unexplored_arcs: usize,
